@@ -85,6 +85,21 @@ struct Accumulator {
     }
   }
 
+  /// Folded-input variant (SUM only): combines one band-join partial,
+  /// a (sum, non-NULL count) pair. A zero count contributes nothing, so
+  /// SUM stays NULL until some partial saw a non-NULL argument.
+  void AddPartial(const Vector& sum, const Vector& n, size_t i) {
+    const int64_t partial_count = n.i64(i);
+    if (partial_count == 0) return;
+    count += partial_count;
+    has_value = true;
+    if (call->output_type == DataType::kInt64) {
+      sum_int += sum.i64(i);
+    } else {
+      sum_double += sum.f64(i);
+    }
+  }
+
   Value Finish() const {
     switch (call->fn) {
       case AggFn::kCount:
@@ -136,7 +151,11 @@ Status HashAggregateOp::OpenImpl() {
   // vector in columnar loops, and rows are folded straight from the
   // lanes — no per-row Value boxing on the numeric paths. Rows are
   // visited in selection order (ascending), so group insertion order and
-  // floating-point accumulation order match the row path exactly.
+  // floating-point accumulation order match the row path exactly —
+  // except under a SUM fold (SetFoldedInput) when one group's partials
+  // come from several left rows: those partial sums are added to each
+  // other, so DOUBLE sums may differ from the row path by reassociation
+  // (DESIGN.md §16).
   // Gated on the plan-wide knob, not on child_->vectorized(): a row-only
   // child (merge band join) still serves NextVector through the
   // transpose fallback, and the columnar key/argument evaluation wins
@@ -172,7 +191,7 @@ Status HashAggregateOp::OpenImpl() {
             VectorEvaluator::Eval(*group_by_[g], *vp, sel, &key_vecs[g]));
         key_ptrs[g] = &key_vecs[g];
       }
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
+      for (size_t a = 0; a < aggregates_.size() && !folded_; ++a) {
         if (!aggregates_[a].is_count_star) {
           RFV_RETURN_IF_ERROR(VectorEvaluator::Eval(*aggregates_[a].arg, *vp,
                                                     sel, &arg_vecs[a]));
@@ -251,7 +270,10 @@ Status HashAggregateOp::OpenImpl() {
         }
         std::vector<Accumulator>& accs = group_accs[gi];
         for (size_t a = 0; a < aggregates_.size(); ++a) {
-          if (aggregates_[a].is_count_star) {
+          if (folded_) {
+            accs[a].AddPartial(vp->column(partial_base_ + 2 * a),
+                               vp->column(partial_base_ + 2 * a + 1), i);
+          } else if (aggregates_[a].is_count_star) {
             accs[a].AddRowForCountStar();
           } else {
             accs[a].AddFromVector(arg_vecs[a], i);

@@ -32,6 +32,14 @@ Counter* BandJoinRowsCounter() {
   return c;
 }
 
+Counter* BandFoldCandidatesCounter() {
+  static Counter* c = MetricsRegistry::Global().GetCounter(
+      "rfv_exec_band_fold_candidates_total", {},
+      "Band join candidates folded into SUM partials instead of being "
+      "emitted as joined rows");
+  return c;
+}
+
 /// Floored (mathematical) modulo, matching the evaluator's MOD: the
 /// result takes the divisor's sign, so a == b (mod w) exactly when
 /// FlooredMod(a, w) == FlooredMod(b, w).
@@ -332,6 +340,129 @@ std::optional<BandJoinSpec> ExtractForKeyColumn(const Expr& condition,
   return spec;
 }
 
+/// What the SUM fold qualification (DESIGN.md §16) checks against: the
+/// joined schema's split and the band spec the join will run.
+struct FoldShape {
+  size_t left_width;
+  size_t key_col;  ///< the band key's position in the joined schema
+  const BandJoinSpec* spec;
+};
+
+bool IsNumeric(DataType t) {
+  return t == DataType::kInt64 || t == DataType::kDouble;
+}
+
+/// A CASE condition may read the right side only as MOD(band key, w)
+/// with w dividing every band's modulus: the value is then constant over
+/// each band's candidates. Sets *reads_key when it does.
+bool FoldableCondition(const Expr& e, const FoldShape& shape,
+                       bool* reads_key) {
+  const auto mod = AsModCall(e);
+  if (mod.has_value() && mod->first->kind == ExprKind::kColumnRef &&
+      mod->first->column_index == shape.key_col) {
+    for (const BandSpec& band : shape.spec->bands) {
+      if (band.modulus <= 0 || band.modulus % mod->second != 0) return false;
+    }
+    *reads_key = true;
+    return true;
+  }
+  if (e.kind == ExprKind::kColumnRef) {
+    return e.column_index < shape.left_width;
+  }
+  for (const ExprPtr& child : e.children) {
+    if (!FoldableCondition(*child, shape, reads_key)) return false;
+  }
+  return true;
+}
+
+/// Run-foldable SUM argument: linear in one right column (*column).
+/// *per_left_row is set when resolving it reads the left row (a CASE or
+/// a non-constant factor); *reads_key when a CASE condition reads the
+/// band key.
+bool FoldableArg(const Expr& e, const FoldShape& shape, size_t* column,
+                 bool* per_left_row, bool* reads_key) {
+  switch (e.kind) {
+    case ExprKind::kColumnRef:
+      if (e.column_index < shape.left_width || !IsNumeric(e.type)) {
+        return false;
+      }
+      if (*column == static_cast<size_t>(-1)) *column = e.column_index;
+      return *column == e.column_index;
+    case ExprKind::kUnary:
+      return e.unary_op == UnaryOp::kNeg &&
+             FoldableArg(*e.children[0], shape, column, per_left_row,
+                         reads_key);
+    case ExprKind::kBinary: {
+      if (e.binary_op != BinaryOp::kMul) return false;
+      for (int side = 0; side < 2; ++side) {
+        const Expr& factor = *e.children[side];
+        if (!IsNumeric(factor.type) ||
+            !RefsOnlyRange(factor, 0, shape.left_width)) {
+          continue;
+        }
+        if (!FoldableArg(*e.children[1 - side], shape, column, per_left_row,
+                         reads_key)) {
+          return false;
+        }
+        if (!RefsOnlyRange(factor, 0, 0)) *per_left_row = true;
+        return true;
+      }
+      return false;
+    }
+    case ExprKind::kCase: {
+      if (!e.has_else) return false;
+      const size_t pairs = (e.children.size() - 1) / 2;
+      for (size_t i = 0; i < pairs; ++i) {
+        if (!FoldableCondition(*e.children[2 * i], shape, reads_key) ||
+            !FoldableArg(*e.children[2 * i + 1], shape, column, per_left_row,
+                         reads_key)) {
+          return false;
+        }
+      }
+      *per_left_row = true;
+      return FoldableArg(*e.children.back(), shape, column, per_left_row,
+                         reads_key);
+    }
+    default:
+      return false;
+  }
+}
+
+/// `MOD(a, u) = MOD(key, w)`, either side order, where `key` is the
+/// band key column: MinOA's CASE condition. Returns {a, u, w}.
+struct KeyCongruence {
+  const Expr* anchor;
+  int64_t anchor_mod;
+  int64_t key_mod;
+};
+
+std::optional<KeyCongruence> AsKeyCongruence(const Expr& e, size_t key_col) {
+  if (e.kind != ExprKind::kBinary || e.binary_op != BinaryOp::kEq) {
+    return std::nullopt;
+  }
+  const auto lhs = AsModCall(*e.children[0]);
+  const auto rhs = AsModCall(*e.children[1]);
+  if (!lhs.has_value() || !rhs.has_value()) return std::nullopt;
+  const auto is_key = [&](const Expr* x) {
+    return x->kind == ExprKind::kColumnRef && x->column_index == key_col;
+  };
+  if (is_key(rhs->first)) {
+    return KeyCongruence{lhs->first, lhs->second, rhs->second};
+  }
+  if (is_key(lhs->first)) {
+    return KeyCongruence{rhs->first, rhs->second, lhs->second};
+  }
+  return std::nullopt;
+}
+
+/// A right cell or fold argument value: the typed int64/double pair the
+/// row path's Values would hold.
+struct FoldNum {
+  bool is_int;
+  int64_t i;
+  double d;
+};
+
 }  // namespace
 
 std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
@@ -425,6 +556,16 @@ Status MergeBandJoinOp::OpenImpl() {
   }
   cursors_.assign(spec_.bands.size(), 0);
   prev_lo_.assign(spec_.bands.size(), std::numeric_limits<int64_t>::min());
+  resolved_.assign(spec_.bands.size(), ResolvedBand());
+  candidate_bands_.clear();
+  folded_candidates_ = 0;
+  for (FoldTerm& term : fold_terms_) {
+    for (FoldLeaf& leaf : term.leaves) leaf.resolved = false;
+  }
+  if (folding()) {
+    fold_row_ = Row(std::vector<Value>(left_->schema().NumColumns() +
+                                       right_width_));
+  }
 
   // Vector-native output: transpose the (snapshot-stable) right side
   // once into columnar gather-source lanes. The row array stays alive
@@ -587,17 +728,39 @@ void MergeBandJoinOp::CollectBand(const ResolvedBand& band,
 
 Status MergeBandJoinOp::ResolveCandidates() {
   candidates_.clear();
+  candidate_bands_.clear();
   candidate_pos_ = 0;
   for (size_t i = 0; i < spec_.bands.size(); ++i) {
-    ResolvedBand resolved;
-    RFV_RETURN_IF_ERROR(ResolveBand(spec_.bands[i], current_left_, &resolved));
-    CollectBand(resolved, i);
+    resolved_[i] = ResolvedBand();
+    RFV_RETURN_IF_ERROR(
+        ResolveBand(spec_.bands[i], current_left_, &resolved_[i]));
+    CollectBand(resolved_[i], i);
+    if (fold_tag_bands_) {
+      candidate_bands_.resize(candidates_.size(), static_cast<uint32_t>(i));
+    }
   }
   if (spec_.bands.size() > 1) {
     // Overlapping bands (OR semantics) must not emit a pair twice.
-    std::sort(candidates_.begin(), candidates_.end());
-    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
-                      candidates_.end());
+    if (!fold_tag_bands_) {
+      std::sort(candidates_.begin(), candidates_.end());
+      candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
+                        candidates_.end());
+      return Status::OK();
+    }
+    // Fold mode keeps each candidate's band (any band holding a key
+    // agrees on MOD(key, w)); a pair in several bands keeps the lowest.
+    tagged_.clear();
+    for (size_t j = 0; j < candidates_.size(); ++j) {
+      tagged_.emplace_back(candidates_[j], candidate_bands_[j]);
+    }
+    std::sort(tagged_.begin(), tagged_.end());
+    candidates_.clear();
+    candidate_bands_.clear();
+    for (const auto& [id, band] : tagged_) {
+      if (!candidates_.empty() && candidates_.back() == id) continue;
+      candidates_.push_back(id);
+      candidate_bands_.push_back(band);
+    }
   }
   return Status::OK();
 }
@@ -613,6 +776,9 @@ Status MergeBandJoinOp::AdvanceLeft(bool* eof) {
 }
 
 Status MergeBandJoinOp::NextImpl(Row* row, bool* eof) {
+  if (folding()) {
+    return Status::Internal("a folding band join is pulled through NextVector");
+  }
   while (true) {
     if (!left_valid_) {
       bool left_eof = false;
@@ -650,11 +816,60 @@ Status MergeBandJoinOp::NextImpl(Row* row, bool* eof) {
   }
 }
 
+Status MergeBandJoinOp::NextLeftLane(bool* have) {
+  // Drain-first: the final child vector may be non-empty with eof set.
+  const size_t left_width = left_->schema().NumColumns();
+  while (left_vp_ == nullptr || left_lane_pos_ >= left_vp_->NumSelected()) {
+    if (left_input_eof_) {
+      *have = false;
+      return Status::OK();
+    }
+    bool child_eof = false;
+    if (left_->vectorized()) {
+      RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, &child_eof));
+    } else {
+      RFV_RETURN_IF_ERROR(left_->NextBatch(&left_batch_, &child_eof));
+      left_src_vp_.FromBatch(left_width, left_batch_);
+      left_vp_ = &left_src_vp_;
+    }
+    left_input_eof_ = child_eof;
+    left_lane_pos_ = 0;
+    if (left_vp_ != nullptr && left_vp_->NumSelected() == 0) {
+      left_vp_ = nullptr;
+    }
+  }
+  current_lane_ = left_vp_->sel()[left_lane_pos_++];
+  // The band bounds are per-left-row scalars: resolve them on the
+  // materialized row (O(left rows), not O(matches) — the match
+  // emission never boxes).
+  left_vp_->MaterializeRow(current_lane_, &current_left_);
+  *have = true;
+  return Status::OK();
+}
+
+Status MergeBandJoinOp::ResolveLaneCandidates() {
+  RFV_RETURN_IF_ERROR(ResolveCandidates());
+  if (spec_.residual == nullptr || candidates_.empty()) return Status::OK();
+  RFV_RETURN_IF_ERROR(FilterJoinCandidates(*spec_.residual, *left_vp_,
+                                           current_lane_, right_vp_,
+                                           &residual_scratch_, &candidates_));
+  if (fold_tag_bands_) {
+    // The scratch selection names the surviving pre-filter slots.
+    const SelectionVector& surviving = residual_scratch_.sel();
+    for (size_t k = 0; k < surviving.size(); ++k) {
+      candidate_bands_[k] = candidate_bands_[surviving[k]];
+    }
+    candidate_bands_.resize(surviving.size());
+  }
+  return Status::OK();
+}
+
 Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   // The native path is only wired up when the planner stamped this
   // operator vectorized (right_vp_ exists then); a direct NextVector on
   // an unstamped instance keeps the transpose-fallback behavior.
   if (!vectorized()) return PhysicalOperator::NextVectorImpl(out, eof);
+  if (folding()) return NextFoldedVector(out, eof);
 
   const size_t left_width = left_->schema().NumColumns();
   out_vp_.Reset(left_width + right_width_, vector_capacity_);
@@ -663,40 +878,11 @@ Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
 
   while (filled < vector_capacity_) {
     if (!left_valid_) {
-      // Advance to the next left lane, pulling fresh left input as
-      // needed. Drain-first: the final child vector may be non-empty
-      // with eof already set.
-      while (left_vp_ == nullptr ||
-             left_lane_pos_ >= left_vp_->NumSelected()) {
-        if (left_input_eof_) goto drained;
-        bool child_eof = false;
-        if (left_->vectorized()) {
-          RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, &child_eof));
-        } else {
-          RFV_RETURN_IF_ERROR(left_->NextBatch(&left_batch_, &child_eof));
-          left_src_vp_.FromBatch(left_width, left_batch_);
-          left_vp_ = &left_src_vp_;
-        }
-        left_input_eof_ = child_eof;
-        left_lane_pos_ = 0;
-        if (left_vp_ != nullptr && left_vp_->NumSelected() == 0) {
-          left_vp_ = nullptr;
-        }
-      }
-      current_lane_ = left_vp_->sel()[left_lane_pos_++];
-      // The band bounds are per-left-row scalars: resolve them on the
-      // materialized row (O(left rows), not O(matches) — the match
-      // emission below never boxes).
-      left_vp_->MaterializeRow(current_lane_, &current_left_);
+      bool have = false;
+      RFV_RETURN_IF_ERROR(NextLeftLane(&have));
+      if (!have) break;
       left_valid_ = true;
-      left_matched_ = false;
-      RFV_RETURN_IF_ERROR(ResolveCandidates());
-      if (spec_.residual != nullptr && !candidates_.empty()) {
-        RFV_RETURN_IF_ERROR(FilterJoinCandidates(*spec_.residual, *left_vp_,
-                                                 current_lane_, right_vp_,
-                                                 &residual_scratch_,
-                                                 &candidates_));
-      }
+      RFV_RETURN_IF_ERROR(ResolveLaneCandidates());
       left_matched_ = !candidates_.empty();
     }
     if (candidate_pos_ < candidates_.size()) {
@@ -718,11 +904,249 @@ Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
     left_valid_ = false;
   }
 
-drained:
   out_vp_.sel().Truncate(filled);
   if (matched > 0) BandJoinRowsCounter()->Increment(matched);
   *out = &out_vp_;
   *eof = left_input_eof_ && !left_valid_ &&
+         (left_vp_ == nullptr || left_lane_pos_ >= left_vp_->NumSelected());
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// SUM fold (DESIGN.md §16)
+// ---------------------------------------------------------------------------
+
+bool MergeBandJoinOp::TryEnableSumFold(
+    const std::vector<ExprPtr>& group_by,
+    const std::vector<AggregateCall>& aggregates) {
+  if (!vectorized() || join_type_ != JoinType::kInner || aggregates.empty()) {
+    return false;
+  }
+  const size_t left_width = left_->schema().NumColumns();
+  for (const ExprPtr& key : group_by) {
+    if (!RefsOnlyRange(*key, 0, left_width)) return false;
+  }
+  const FoldShape shape{left_width, left_width + spec_.right_column, &spec_};
+  std::vector<FoldTerm> terms;
+  bool reads_key = false;
+  for (const AggregateCall& call : aggregates) {
+    if (call.fn != AggFn::kSum || call.is_count_star || call.arg == nullptr) {
+      return false;
+    }
+    FoldTerm term;
+    size_t column = static_cast<size_t>(-1);
+    if (!FoldableArg(*call.arg, shape, &column, &term.per_left_row,
+                     &reads_key)) {
+      return false;
+    }
+    term.arg = call.arg->Clone();
+    term.column = column - left_width;
+    term.int_sum = call.output_type == DataType::kInt64;
+    terms.push_back(std::move(term));
+  }
+  fold_tag_bands_ = reads_key && spec_.bands.size() > 1;
+  for (FoldTerm& term : terms) {
+    term.leaves.resize(fold_tag_bands_ && term.per_left_row
+                           ? spec_.bands.size()
+                           : 1);
+  }
+  fold_terms_ = std::move(terms);
+  // The join now outputs one row per matched left row.
+  SetEstimatedRows(left_->estimated_rows());
+  return true;
+}
+
+std::string MergeBandJoinOp::MetricsDetail() const {
+  if (!folding()) return std::string();
+  return "fold=sum folded=" + std::to_string(folded_candidates_);
+}
+
+Status MergeBandJoinOp::ResolveFoldExpr(const Expr& e, FoldLeaf* leaf) const {
+  switch (e.kind) {
+    case ExprKind::kColumnRef:
+      return Status::OK();  // the right cell itself
+    case ExprKind::kUnary: {
+      RFV_RETURN_IF_ERROR(ResolveFoldExpr(*e.children[0], leaf));
+      FoldStep step;
+      step.negate = true;
+      leaf->steps.push_back(step);
+      return Status::OK();
+    }
+    case ExprKind::kBinary: {
+      // Operands evaluate in the row path's order; the factor is the
+      // left-only side.
+      const bool factor_first = RefsOnlyRange(
+          *e.children[0], 0, left_->schema().NumColumns());
+      Value factor;
+      if (factor_first) {
+        RFV_ASSIGN_OR_RETURN(factor,
+                             Evaluator::Eval(*e.children[0], fold_row_));
+        RFV_RETURN_IF_ERROR(ResolveFoldExpr(*e.children[1], leaf));
+      } else {
+        RFV_RETURN_IF_ERROR(ResolveFoldExpr(*e.children[0], leaf));
+        RFV_ASSIGN_OR_RETURN(factor,
+                             Evaluator::Eval(*e.children[1], fold_row_));
+      }
+      if (factor.is_null()) {
+        leaf->null = true;
+        return Status::OK();
+      }
+      if (!factor.is_numeric()) {
+        return Status::TypeError("arithmetic on non-numeric value");
+      }
+      FoldStep step;
+      step.factor_first = factor_first;
+      step.factor_int = factor.type() == DataType::kInt64;
+      if (step.factor_int) step.factor_i = factor.AsInt();
+      step.factor_d = factor.ToDouble();
+      leaf->steps.push_back(step);
+      return Status::OK();
+    }
+    case ExprKind::kCase: {
+      const size_t key_col = left_->schema().NumColumns() + spec_.right_column;
+      const size_t pairs = (e.children.size() - 1) / 2;
+      for (size_t i = 0; i < pairs; ++i) {
+        const Expr& cond = *e.children[2 * i];
+        bool hit = false;
+        if (const auto cong = AsKeyCongruence(cond, key_col)) {
+          // MinOA's congruence test decided from the band residue, without
+          // evaluating its MOD and = nodes (EXPERIMENTS.md A10 measures
+          // the saving). As in the evaluator, a NULL anchor makes the
+          // comparison NULL (false) and a non-integer one is a type error.
+          Value a;
+          RFV_ASSIGN_OR_RETURN(a, Evaluator::Eval(*cong->anchor, fold_row_));
+          if (!a.is_null() && a.type() != DataType::kInt64) {
+            return Status::TypeError("MOD expects integer arguments");
+          }
+          hit = !a.is_null() &&
+                FlooredMod(a.AsInt(), cong->anchor_mod) ==
+                    FlooredMod(fold_row_[key_col].AsInt(), cong->key_mod);
+        } else {
+          RFV_ASSIGN_OR_RETURN(hit, Evaluator::EvalPredicate(cond, fold_row_));
+        }
+        if (hit) return ResolveFoldExpr(*e.children[2 * i + 1], leaf);
+      }
+      return ResolveFoldExpr(*e.children.back(), leaf);
+    }
+    default:
+      return Status::Internal("band fold: argument is not run-foldable");
+  }
+}
+
+Status MergeBandJoinOp::ResolveFoldLeaf(FoldTerm* term, size_t slot) {
+  // The band key placeholder carries the band's residue: every CASE
+  // condition reads it only as MOD(key, w) with w dividing the modulus,
+  // which is what each of the band's candidate keys would give.
+  const size_t left_width = left_->schema().NumColumns();
+  fold_row_[left_width + spec_.right_column] =
+      Value::Int(resolved_[fold_tag_bands_ ? slot : 0].residue);
+  FoldLeaf& leaf = term->leaves[slot];
+  leaf.steps.clear();
+  leaf.null = false;
+  RFV_RETURN_IF_ERROR(ResolveFoldExpr(*term->arg, &leaf));
+  leaf.resolved = true;
+  return Status::OK();
+}
+
+Status MergeBandJoinOp::FoldTermCandidates(size_t t, size_t at) {
+  FoldTerm& term = fold_terms_[t];
+  const Vector& cells = right_vp_.column(term.column);
+  const bool tagged = fold_tag_bands_ && term.per_left_row;
+  if (term.per_left_row) {
+    for (FoldLeaf& leaf : term.leaves) leaf.resolved = false;
+  }
+  int64_t count = 0;
+  int64_t sum_int = 0;
+  double sum_double = 0;
+  for (size_t j = 0; j < candidates_.size(); ++j) {
+    const size_t slot = tagged ? candidate_bands_[j] : 0;
+    const FoldLeaf& leaf = term.leaves[slot];
+    if (!leaf.resolved) RFV_RETURN_IF_ERROR(ResolveFoldLeaf(&term, slot));
+    if (leaf.null) continue;
+    const size_t id = candidates_[j];
+    const DataType tag = cells.tag(id);
+    FoldNum v;
+    switch (tag) {
+      case DataType::kNull:
+        continue;
+      case DataType::kInt64:
+        v = {true, cells.i64(id), 0};
+        break;
+      case DataType::kDouble:
+        v = {false, 0, cells.f64(id)};
+        break;
+      default:
+        return Status::TypeError("arithmetic on non-numeric value");
+    }
+    // The row path's typed arithmetic (EvalArithmetic / unary minus):
+    // int64 stays int64, anything mixed computes in double.
+    for (const FoldStep& step : leaf.steps) {
+      if (step.negate) {
+        if (v.is_int) {
+          v.i = -v.i;
+        } else {
+          v.d = -v.d;
+        }
+        continue;
+      }
+      if (v.is_int && step.factor_int) {
+        v.i = step.factor_first ? step.factor_i * v.i : v.i * step.factor_i;
+        continue;
+      }
+      const double x = v.is_int ? static_cast<double>(v.i) : v.d;
+      const double y = step.factor_d;
+      v = {false, 0, step.factor_first ? y * x : x * y};
+    }
+    ++count;
+    if (term.int_sum) {
+      if (!v.is_int) {
+        return Status::TypeError("INTEGER SUM over a non-integer value");
+      }
+      sum_int += v.i;
+    } else {
+      sum_double += v.is_int ? static_cast<double>(v.i) : v.d;
+    }
+  }
+  const size_t base = fold_partial_base() + 2 * t;
+  if (term.int_sum) {
+    out_vp_.column(base).SetInt(at, sum_int);
+  } else {
+    out_vp_.column(base).SetDouble(at, sum_double);
+  }
+  out_vp_.column(base + 1).SetInt(at, count);
+  return Status::OK();
+}
+
+Status MergeBandJoinOp::NextFoldedVector(VectorProjection** out, bool* eof) {
+  const size_t left_width = fold_partial_base();
+  out_vp_.Reset(left_width + 2 * fold_terms_.size(), vector_capacity_);
+  size_t filled = 0;
+  int64_t folded = 0;
+  while (filled < vector_capacity_) {
+    bool have = false;
+    RFV_RETURN_IF_ERROR(NextLeftLane(&have));
+    if (!have) break;
+    RFV_RETURN_IF_ERROR(ResolveLaneCandidates());
+    if (candidates_.empty()) continue;  // inner join: no group
+    for (size_t c = 0; c < left_width; ++c) {
+      out_vp_.column(c).CopyFrom(filled, left_vp_->column(c), current_lane_);
+      fold_row_[c] = current_left_[c];
+    }
+    for (size_t t = 0; t < fold_terms_.size(); ++t) {
+      RFV_RETURN_IF_ERROR(FoldTermCandidates(t, filled));
+    }
+    folded += static_cast<int64_t>(candidates_.size());
+    ++filled;
+  }
+
+  out_vp_.sel().Truncate(filled);
+  folded_candidates_ += folded;
+  if (folded > 0) BandFoldCandidatesCounter()->Increment(folded);
+  if (filled > 0) {
+    BandJoinRowsCounter()->Increment(static_cast<int64_t>(filled));
+  }
+  *out = &out_vp_;
+  *eof = left_input_eof_ &&
          (left_vp_ == nullptr || left_lane_pos_ >= left_vp_->NumSelected());
   return Status::OK();
 }

@@ -211,9 +211,16 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlanNode(const LogicalPlan& plan,
       for (const AggregateCall& c : plan.aggregates) {
         calls.push_back(CloneAggregateCall(c));
       }
-      return PhysicalOperatorPtr(
-          new HashAggregateOp(plan.schema, std::move(child),
-                              CloneExprs(plan.group_by), std::move(calls)));
+      // SUM fold: a qualifying aggregate directly on a band join takes
+      // one partial row per left row instead of every candidate pair.
+      auto* band = dynamic_cast<MergeBandJoinOp*>(child.get());
+      const bool folded =
+          band != nullptr && band->TryEnableSumFold(plan.group_by, calls);
+      auto* agg = new HashAggregateOp(plan.schema, std::move(child),
+                                      CloneExprs(plan.group_by),
+                                      std::move(calls));
+      if (folded) agg->SetFoldedInput(band->fold_partial_base());
+      return PhysicalOperatorPtr(agg);
     }
     case PlanKind::kWindow: {
       PhysicalOperatorPtr child;
@@ -286,6 +293,7 @@ void CollectMetricsInto(const PhysicalOperator& op, int depth,
   entry.depth = depth;
   entry.est_rows = op.estimated_rows();
   entry.metrics = op.metrics();
+  entry.detail = op.MetricsDetail();
   for (const PhysicalOperator* child : children) {
     entry.rows_in += child->metrics().rows_out;
   }
@@ -324,7 +332,7 @@ std::string FormatMetricsLine(const std::string& label,
       line, sizeof(line),
       "%-24s rows_in=%-9lld rows_out=%-9lld est=%-9s next_calls=%-9lld "
       "batches=%-6lld vectors=%-6lld open_ms=%-8.3f next_ms=%-8.3f "
-      "peak_buffered=%lld\n",
+      "peak_buffered=%lld",
       label.c_str(), static_cast<long long>(e.rows_in),
       static_cast<long long>(e.metrics.rows_out), est,
       static_cast<long long>(e.metrics.next_calls),
@@ -333,7 +341,9 @@ std::string FormatMetricsLine(const std::string& label,
       static_cast<double>(e.metrics.open_ns) / 1e6,
       static_cast<double>(e.metrics.next_ns) / 1e6,
       static_cast<long long>(e.metrics.peak_buffered_rows));
-  return line;
+  std::string out = line;
+  if (!e.detail.empty()) out += " " + e.detail;
+  return out + "\n";
 }
 
 }  // namespace

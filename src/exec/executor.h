@@ -189,6 +189,11 @@ class PhysicalOperator {
   /// Short operator name for metrics/EXPLAIN-style reports.
   virtual const char* name() const = 0;
 
+  /// Extra `key=value` tokens appended to this operator's EXPLAIN
+  /// ANALYZE line (e.g. a folding band join's `fold=sum folded=N`);
+  /// empty for most operators.
+  virtual std::string MetricsDetail() const { return std::string(); }
+
   /// Appends this operator's direct inputs (tree traversal for metrics
   /// collection). Leaf operators append nothing.
   virtual void AppendChildren(
@@ -279,6 +284,8 @@ struct OperatorMetricsEntry {
   /// printed as `est=` next to the measured rows_out.
   double est_rows = -1;
   OperatorMetrics metrics;
+  /// PhysicalOperator::MetricsDetail at collection time.
+  std::string detail;
 };
 
 /// Flattens the operator tree (pre-order) into metrics entries.

@@ -331,6 +331,23 @@ class MergeBandJoinOp : public PhysicalOperator {
     vector_capacity_ = cap == 0 ? 1 : cap;
   }
 
+  /// SUM fold: called by BuildPhysicalPlan when a HashAggregateOp sits
+  /// directly on this join. Succeeds when the join is inner and
+  /// vectorized, every group key is left-only and every aggregate is a
+  /// plain SUM whose argument is run-foldable (DESIGN.md §16). The join
+  /// then emits one partial row per matched left row — the left columns
+  /// followed by a (sum, non-NULL count) column pair per aggregate —
+  /// instead of one row per candidate, and re-stamps its estimate as
+  /// the left estimate. Returns false and changes nothing otherwise.
+  bool TryEnableSumFold(const std::vector<ExprPtr>& group_by,
+                        const std::vector<AggregateCall>& aggregates);
+  bool folding() const { return !fold_terms_.empty(); }
+  /// While folding: the output column of aggregate a's partial sum is
+  /// fold_partial_base() + 2a, its non-NULL count the next column.
+  size_t fold_partial_base() const { return left_->schema().NumColumns(); }
+  /// `fold=sum folded=<candidates>` while folding (EXPLAIN ANALYZE).
+  std::string MetricsDetail() const override;
+
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
@@ -346,6 +363,35 @@ class MergeBandJoinOp : public PhysicalOperator {
     bool empty = false;
   };
 
+  /// One typed step of a resolved fold argument, applied to the cell
+  /// innermost first: unary minus, or a multiplication by a factor
+  /// (`factor_first` keeps the row path's operand order).
+  struct FoldStep {
+    bool negate = false;
+    bool factor_first = false;
+    bool factor_int = false;  ///< the factor is an int64 (else double)
+    int64_t factor_i = 0;
+    double factor_d = 0;      ///< the factor as a double, either way
+  };
+  /// A fold argument resolved for one left row and one band: the steps
+  /// that turn a right cell into the argument value, or `null` when the
+  /// argument is NULL for every candidate of the band.
+  struct FoldLeaf {
+    bool resolved = false;
+    bool null = false;
+    std::vector<FoldStep> steps;
+  };
+  /// One folded SUM.
+  struct FoldTerm {
+    ExprPtr arg;          ///< bound over the joined schema
+    size_t column = 0;    ///< right-side column the argument is linear in
+    bool int_sum = false; ///< INTEGER output (else DOUBLE)
+    /// The resolution reads the left row (CASE or column factors); a
+    /// constant argument resolves once per Open.
+    bool per_left_row = false;
+    std::vector<FoldLeaf> leaves;  ///< per band when tagging, else one
+  };
+
   Status AdvanceLeft(bool* eof);
   /// Resolves all bands for current_left_ into candidates_ (cross-band
   /// deduplicated); shared by the row and vector paths.
@@ -355,6 +401,21 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// Appends row ids of keys_ positions matching `band` to candidates_,
   /// using the per-band monotone start cursor `cursor`.
   void CollectBand(const ResolvedBand& band, size_t band_index);
+  /// Vector path: positions current_lane_/current_left_ on the next left
+  /// row, pulling left input as needed; *have = false at its end.
+  Status NextLeftLane(bool* have);
+  /// Vector path: ResolveCandidates plus the columnar residual filter.
+  Status ResolveLaneCandidates();
+  /// Fold mode's NextVectorImpl: one partial row per matched left row.
+  Status NextFoldedVector(VectorProjection** out, bool* eof);
+  /// Folds the current left row's candidates into term `t`'s (sum,
+  /// count) cells at output position `at`.
+  Status FoldTermCandidates(size_t t, size_t at);
+  /// Resolves term->leaves[slot] on fold_row_ for the current left row.
+  Status ResolveFoldLeaf(FoldTerm* term, size_t slot);
+  /// Walks a run-foldable argument, evaluating its CASE conditions and
+  /// factors on fold_row_ and recording the steps of the taken branch.
+  Status ResolveFoldExpr(const Expr& e, FoldLeaf* leaf) const;
 
   PhysicalOperatorPtr left_;
   PhysicalOperatorPtr right_;
@@ -381,6 +442,8 @@ class MergeBandJoinOp : public PhysicalOperator {
   std::vector<size_t> candidates_;
   size_t candidate_pos_ = 0;
   size_t right_width_ = 0;
+  /// Fold-mode dedup scratch: (candidate, band) pairs to sort.
+  std::vector<std::pair<size_t, uint32_t>> tagged_;
 
   // --- Vector-native path (NextVectorImpl, used when vectorized()) ---
   /// Columnar copy of right_rows_ — the gather source for output runs.
@@ -399,6 +462,20 @@ class MergeBandJoinOp : public PhysicalOperator {
   uint32_t current_lane_ = 0;   ///< current left row position in left_vp_
   bool left_input_eof_ = false;
   size_t vector_capacity_ = RowBatch::kDefaultCapacity;
+
+  // --- SUM fold (TryEnableSumFold); empty fold_terms_ = off ---
+  std::vector<FoldTerm> fold_terms_;
+  /// Resolved bands of the current left row (fold leaves read residues).
+  std::vector<ResolvedBand> resolved_;
+  /// Some CASE condition reads MOD(band key, w) and there are several
+  /// bands: candidates then carry their band index (candidate_bands_,
+  /// parallel to candidates_) through the cross-band dedup.
+  bool fold_tag_bands_ = false;
+  std::vector<uint32_t> candidate_bands_;
+  /// Left row ⊕ right placeholders (band key = the band's residue): the
+  /// row fold CASE conditions and factors are evaluated on.
+  Row fold_row_;
+  int64_t folded_candidates_ = 0;
 };
 
 /// Hash join on equi-key conjuncts (inner / left outer) with optional
@@ -586,6 +663,15 @@ class HashAggregateOp : public PhysicalOperator {
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());
   }
+  /// The child is a folding MergeBandJoinOp: its vectors carry partial
+  /// rows whose (sum, count) pair for aggregate a sits in columns
+  /// partial_base + 2a and partial_base + 2a + 1 (partial_base is the
+  /// join's fold_partial_base()); they are combined instead of
+  /// evaluating the aggregate arguments.
+  void SetFoldedInput(size_t partial_base) {
+    folded_ = true;
+    partial_base_ = partial_base;
+  }
 
  protected:
   Status OpenImpl() override;
@@ -595,6 +681,8 @@ class HashAggregateOp : public PhysicalOperator {
   PhysicalOperatorPtr child_;
   std::vector<ExprPtr> group_by_;
   std::vector<AggregateCall> aggregates_;
+  bool folded_ = false;
+  size_t partial_base_ = 0;
   std::vector<Row> results_;
   size_t pos_ = 0;
 };

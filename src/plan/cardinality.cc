@@ -21,6 +21,52 @@ int64_t DistinctOf(const LogicalPlan& input, size_t index) {
   return stats.columns[index].distinct_count;
 }
 
+/// Selectivity of `col BETWEEN lo AND hi` with numeric literal bounds
+/// on a scan column with a min/max range: the share of the range the
+/// bounds overlap, counted in integers for INTEGER columns (a dense
+/// sequence column then gives an exact row count), times the non-NULL
+/// share. -1 when the shape or the statistics are missing.
+double RangeOverlapSelectivity(const Expr& e, const LogicalPlan& input) {
+  const Expr& col = *e.children[0];
+  const Expr& lo = *e.children[1];
+  const Expr& hi = *e.children[2];
+  if (col.kind != ExprKind::kColumnRef || lo.kind != ExprKind::kLiteral ||
+      hi.kind != ExprKind::kLiteral || !lo.literal.is_numeric() ||
+      !hi.literal.is_numeric() || input.kind != PlanKind::kScan ||
+      input.table == nullptr) {
+    return -1;
+  }
+  const TableStats stats = input.table->StatsSnapshot();
+  if (col.column_index >= stats.columns.size() || stats.row_count <= 0) {
+    return -1;
+  }
+  const ColumnStats& c = stats.columns[col.column_index];
+  if (!c.has_range) return -1;
+  double overlap;
+  double width;
+  if (col.type == DataType::kInt64) {
+    const double from =
+        std::max(std::ceil(lo.literal.ToDouble()), c.min_value);
+    const double to =
+        std::min(std::floor(hi.literal.ToDouble()), c.max_value);
+    overlap = to - from + 1;
+    width = c.RangeWidth();
+  } else {
+    const double from = std::max(lo.literal.ToDouble(), c.min_value);
+    const double to = std::min(hi.literal.ToDouble(), c.max_value);
+    if (c.max_value == c.min_value) {
+      overlap = from <= to ? 1 : 0;
+      width = 1;
+    } else {
+      overlap = to - from;
+      width = c.max_value - c.min_value;
+    }
+  }
+  const double non_null = static_cast<double>(c.non_null_count) /
+                          static_cast<double>(stats.row_count);
+  return std::clamp(overlap / width, 0.0, 1.0) * non_null;
+}
+
 double PredicateSelectivity(const Expr& e, const LogicalPlan& input) {
   switch (e.kind) {
     case ExprKind::kBinary:
@@ -56,8 +102,10 @@ double PredicateSelectivity(const Expr& e, const LogicalPlan& input) {
         default:
           return kDefaultSelectivity;
       }
-    case ExprKind::kBetween:
-      return kRangeSelectivity;
+    case ExprKind::kBetween: {
+      const double overlap = RangeOverlapSelectivity(e, input);
+      return overlap >= 0 ? overlap : kRangeSelectivity;
+    }
     case ExprKind::kIn: {
       // needle IN (c1..ck): k equality probes.
       double eq = 0.1;

@@ -60,7 +60,7 @@ void FillWindowScenario(Scenario* s, FuzzRng* rng) {
 
   const int64_t n = rng->ChancePermille(80) ? 0 : rng->UniformInt(1, 50);
   for (int64_t i = 0; i < n; ++i) {
-    FuzzRow row;
+    FuzzRow& row = s->rows.emplace_back();
     // Skew: partition 0 takes an outsized share; high group ids may end
     // up empty, which is exactly the partition shape worth covering.
     row.grp = rng->ChancePermille(300) ? 0 : rng->UniformInt(0, num_groups - 1);
@@ -68,7 +68,6 @@ void FillWindowScenario(Scenario* s, FuzzRng* rng) {
                                       : Value::Int(rng->UniformInt(1, 30));
     row.val = rng->ChancePermille(120) ? Value::Null()
                                        : RandomValue(rng, s->val_type);
-    s->rows.push_back(row);
   }
 
   static const std::vector<FuzzFn> kAllFns = {
@@ -99,9 +98,9 @@ void FillWindowScenario(Scenario* s, FuzzRng* rng) {
 /// Dense sequences the generated rows must satisfy: positions 1..n per
 /// partition (sequence views reject anything else), all values non-NULL.
 void FillDenseRows(Scenario* s, FuzzRng* rng, int64_t num_groups,
-                   int64_t max_per_partition) {
+                   int64_t min_per_partition, int64_t max_per_partition) {
   for (int64_t g = 0; g < num_groups; ++g) {
-    const int64_t n = rng->UniformInt(1, max_per_partition);
+    const int64_t n = rng->UniformInt(min_per_partition, max_per_partition);
     for (int64_t p = 1; p <= n; ++p) {
       FuzzRow row;
       row.grp = g;
@@ -121,7 +120,7 @@ void FillRewriteScenario(Scenario* s, FuzzRng* rng) {
   s->dense_positions = true;
   s->val_type = rng->ChancePermille(500) ? DataType::kInt64
                                          : DataType::kDouble;
-  FillDenseRows(s, rng, s->has_grp ? rng->UniformInt(1, 3) : 1, 24);
+  FillDenseRows(s, rng, s->has_grp ? rng->UniformInt(1, 3) : 1, 1, 24);
 
   static const std::vector<FuzzFn> kViewFns = {FuzzFn::kSum, FuzzFn::kMin,
                                                FuzzFn::kMax};
@@ -150,6 +149,41 @@ void FillRewriteScenario(Scenario* s, FuzzRng* rng) {
   }
 }
 
+/// Large rewrite workload: one dense sequence of 1,100–1,300 rows, so
+/// the scans, the band join's candidate runs and its SUM-fold partial
+/// rows all cross the 1,024-row vector boundary. One sliding SUM view
+/// and one or two SUM/AVG queries keep the oracle cost of a scenario at
+/// a few seconds (the band-off replay runs a nested loop over n²
+/// pairs).
+void FillLargeRewriteScenario(Scenario* s, FuzzRng* rng) {
+  s->has_grp = false;
+  s->dense_positions = true;
+  s->val_type = rng->ChancePermille(500) ? DataType::kInt64
+                                         : DataType::kDouble;
+  FillDenseRows(s, rng, 1, 1100, 1300);
+  FuzzView view;
+  view.name = "v0";
+  view.fn = FuzzFn::kSum;
+  view.frame = RandomFrame(rng);
+  if (view.frame.cumulative) {
+    // MinOA and MaxOA — the band-join derivations — need a sliding view.
+    view.frame.cumulative = false;
+    view.frame.l = rng->UniformInt(1, 5);
+    view.frame.h = rng->UniformInt(0, 5);
+  }
+  s->views.push_back(view);
+
+  static const std::vector<FuzzFn> kQueryFns = {FuzzFn::kSum, FuzzFn::kSum,
+                                                FuzzFn::kAvg};
+  const int64_t num_queries = rng->UniformInt(1, 2);
+  for (int64_t q = 0; q < num_queries; ++q) {
+    FuzzQuery query;
+    query.fn = rng->Pick(kQueryFns);
+    query.frame = RandomFrame(rng);
+    s->queries.push_back(query);
+  }
+}
+
 /// Maintenance workload: non-partitioned (pos, val) sequence —
 /// PropagateBaseInsert requires the base table to be exactly the order
 /// and value columns — with views kept fresh incrementally and checked
@@ -158,7 +192,7 @@ void FillMaintenanceScenario(Scenario* s, FuzzRng* rng) {
   s->has_grp = false;
   s->dense_positions = true;
   s->val_type = DataType::kDouble;  // PropagateBase* carries doubles
-  FillDenseRows(s, rng, 1, 24);
+  FillDenseRows(s, rng, 1, 1, 24);
 
   static const std::vector<FuzzFn> kViewFns = {FuzzFn::kSum, FuzzFn::kMin,
                                                FuzzFn::kMax};
@@ -208,6 +242,9 @@ Scenario GenerateScenario(uint64_t seed, int index) {
   } else if (dice < 700) {
     s.kind = ScenarioKind::kRewrite;
     FillRewriteScenario(&s, &rng);
+  } else if (dice >= 992) {
+    s.kind = ScenarioKind::kRewrite;
+    FillLargeRewriteScenario(&s, &rng);
   } else {
     s.kind = ScenarioKind::kMaintenance;
     FillMaintenanceScenario(&s, &rng);

@@ -23,7 +23,10 @@ namespace fuzzing {
 ///     rewriter-shaped aggregate queries, no DML (SQL DML does not
 ///     maintain views — the rewrite would correctly see stale content);
 ///   * ~30% kMaintenance — non-partitioned (pos, val) sequences with
-///     views, DML replayed through the PropagateBase* API.
+///     views, DML replayed through the PropagateBase* API;
+///   * ~0.8% large kRewrite — one dense 1,100–1,300-row sequence, a SUM
+///     view and SUM/AVG queries, so execution crosses the 1,024-row
+///     vector boundary (taken from the maintenance share).
 Scenario GenerateScenario(uint64_t seed, int index);
 
 }  // namespace fuzzing

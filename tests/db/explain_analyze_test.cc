@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "db/database.h"
 #include "test_util.h"
@@ -58,6 +59,41 @@ TEST_F(ExplainAnalyzeTest, DerivableQueryShowsRewriteDecisionAndTree) {
   EXPECT_EQ(rs.metrics()[0].metrics.rows_out, 50);
   EXPECT_EQ(rs.rewrite_method(), "direct");
   EXPECT_EQ(rs.rewrite_view(), "matseq");
+}
+
+TEST_F(ExplainAnalyzeTest, FoldingBandJoinShowsFoldTokenAndLeftEstimate) {
+  // A forced MinOA derivation: SUM(CASE ...) over the stride self join
+  // folds into one partial row per body position.
+  db_.options().force_method = DerivationMethod::kMinoa;
+  Counter* folded = MetricsRegistry::Global().GetCounter(
+      "rfv_exec_band_fold_candidates_total", {}, "");
+  const int64_t before = folded->value();
+  const ResultSet rs = MustExecute(
+      db_,
+      "EXPLAIN ANALYZE SELECT pos, SUM(val) OVER (ORDER BY pos ROWS "
+      "BETWEEN 5 PRECEDING AND 1 FOLLOWING) FROM seq ORDER BY pos");
+  const std::string text = ExplainText(rs);
+  ASSERT_EQ(rs.rewrite_method(), "MinOA") << text;
+  const size_t line = text.find("merge_band_join");
+  ASSERT_NE(line, std::string::npos) << text;
+  const std::string join_line =
+      text.substr(line, text.find('\n', line) - line);
+  EXPECT_NE(join_line.find("fold=sum folded="), std::string::npos) << text;
+
+  int join = -1;
+  for (size_t i = 0; i < rs.metrics().size(); ++i) {
+    if (rs.metrics()[i].name == "merge_band_join") join = static_cast<int>(i);
+  }
+  ASSERT_GE(join, 0);
+  const OperatorMetricsEntry& e = rs.metrics()[static_cast<size_t>(join)];
+  // One partial row per body position, estimated as the left input.
+  EXPECT_EQ(e.metrics.rows_out, 50);
+  EXPECT_EQ(e.est_rows, rs.metrics()[static_cast<size_t>(join) + 1].est_rows);
+  const std::string token = "folded=";
+  const int64_t candidates = std::stoll(
+      join_line.substr(join_line.find(token) + token.size()));
+  EXPECT_GT(candidates, 50);
+  EXPECT_EQ(folded->value() - before, candidates);
 }
 
 TEST_F(ExplainAnalyzeTest, UnderivableQuerySaysRewriteNone) {

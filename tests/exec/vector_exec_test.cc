@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,11 @@
 #include "exec/executor.h"
 #include "exec/operators.h"
 #include "expr/builder.h"
+#include "parser/parser.h"
+#include "plan/binder.h"
+#include "plan/cardinality.h"
+#include "plan/planner.h"
+#include "rewrite/pattern_sql.h"
 #include "test_util.h"
 
 namespace rfv {
@@ -548,6 +555,314 @@ TEST_F(VectorBandJoinTest, BandShapesAgreeAcrossModes) {
   ExpectVectorMatchesRow(
       "SELECT s1.pos, COUNT(*) FROM seq s1, seq s2 WHERE s2.pos < s1.pos "
       "AND MOD(s2.pos, 4) = MOD(s1.pos, 4) GROUP BY s1.pos ORDER BY 1");
+}
+
+// ---------------------------------------------------------------------
+// SUM fold: a SUM-only aggregate on a vectorized inner band join takes
+// one (sum, count) partial per left row. Row mode (no fold) is the
+// reference, compared bit for bit: every group below gets its
+// candidates from one left row, so even fractional double sums must
+// agree exactly.
+// ---------------------------------------------------------------------
+
+/// Type tags and payload bits equal (Value::Compare would let Int(2)
+/// match Double(2.0) and hide a rounding step).
+::testing::AssertionResult BitIdentical(const ResultSet& a,
+                                        const ResultSet& b) {
+  if (a.NumRows() != b.NumRows()) {
+    return ::testing::AssertionFailure()
+           << a.NumRows() << " rows vs " << b.NumRows();
+  }
+  for (size_t r = 0; r < a.NumRows(); ++r) {
+    const Row& x = a.rows()[r];
+    const Row& y = b.rows()[r];
+    for (size_t c = 0; c < x.size(); ++c) {
+      bool same = x[c].type() == y[c].type();
+      if (same && x[c].type() == DataType::kDouble) {
+        const double dx = x[c].AsDouble();
+        const double dy = y[c].AsDouble();
+        same = std::memcmp(&dx, &dy, sizeof(double)) == 0;
+      } else if (same) {
+        same = x[c].Compare(y[c]) == 0;
+      }
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "row " << r << " col " << c << ": " << x[c].ToString()
+               << " vs " << y[c].ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class BandFoldTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // A complete-sequence-shaped table (positions -4..60) with
+    // fractional values, so summation order shows in the last bits.
+    MustExecute(db_, "CREATE TABLE vx (pos INTEGER, val DOUBLE)");
+    MustExecute(db_, "CREATE TABLE vi (pos INTEGER, val INTEGER, f DOUBLE)");
+    std::string dvals;
+    std::string ivals;
+    for (int p = -4; p <= 60; ++p) {
+      if (p > -4) {
+        dvals += ", ";
+        ivals += ", ";
+      }
+      dvals += "(" + std::to_string(p) + ", " +
+               std::to_string(p * 0.37 + 1.0 / 3.0) + ")";
+      ivals += "(" + std::to_string(p) + ", " + std::to_string(p * 7 - 50) +
+               ", " + std::to_string(p * 0.25 - 0.1) + ")";
+    }
+    MustExecute(db_, "INSERT INTO vx VALUES " + dvals);
+    MustExecute(db_, "INSERT INTO vi VALUES " + ivals);
+  }
+
+  void SetRowMode(bool row) {
+    db_.options().exec.use_vectorized_execution = !row;
+    db_.options().exec.use_batch_execution = !row;
+  }
+
+  bool Folds(const std::string& sql) {
+    const ResultSet rs = MustExecute(db_, "EXPLAIN ANALYZE " + sql);
+    std::string text;
+    for (const Row& row : rs.rows()) text += row[0].ToString() + "\n";
+    return text.find("fold=sum") != std::string::npos;
+  }
+
+  // Vector mode folds and agrees bit for bit with row mode, which does
+  // not fold.
+  void ExpectFoldMatchesRow(const std::string& sql) {
+    SetRowMode(false);
+    EXPECT_TRUE(Folds(sql)) << sql;
+    const ResultSet vec = MustExecute(db_, sql);
+    SetRowMode(true);
+    EXPECT_FALSE(Folds(sql)) << sql;
+    const ResultSet row = MustExecute(db_, sql);
+    SetRowMode(false);
+    EXPECT_TRUE(BitIdentical(vec, row)) << sql;
+  }
+
+  void ExpectUnfolded(const std::string& sql) {
+    SetRowMode(false);
+    EXPECT_FALSE(Folds(sql)) << sql;
+  }
+
+  Database db_;
+};
+
+TEST_F(BandFoldTest, MinoaNonCoincidentClass) {
+  MinoaParams params;  // (Δl + Δh) mod w_x != 0: two signed chains
+  params.delta_l = 1;
+  params.delta_h = 0;
+  params.wx = 4;
+  ExpectFoldMatchesRow(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
+  params.delta_l = -2;  // raw-from-sliding shape: negative deltas
+  params.delta_h = -1;
+  ExpectFoldMatchesRow(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, MinoaCoincidentClass) {
+  MinoaParams params;  // Δl + Δh = w_x: one bounded positive chain
+  params.delta_l = 2;
+  params.delta_h = 2;
+  params.wx = 4;
+  ExpectFoldMatchesRow(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, MinoaCumulative) {
+  const WindowSpec view = WindowSpec::SlidingUnchecked(2, 1);
+  ExpectFoldMatchesRow(MinoaCumulativeSql("vx", view, 50) + " ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, Fig2BetweenSelfJoin) {
+  ExpectFoldMatchesRow(SelfJoinWindowSql("vx", "pos", "val",
+                                         WindowSpec::SlidingUnchecked(3, 2),
+                                         /*use_in_predicate=*/false) +
+                       " ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, LeftRowsWithoutCandidatesMakeNoGroup) {
+  // Keys past 60 have no partner; they must not appear at all.
+  ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM vx s1, vx s2 WHERE s2.pos BETWEEN "
+      "s1.pos + 50 AND s1.pos + 52 GROUP BY s1.pos ORDER BY 1");
+  ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM vx s1, vx s2 WHERE s2.pos BETWEEN "
+      "s1.pos + 500 AND s1.pos + 502 GROUP BY s1.pos ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, AllNullValueRunsGiveNullSums) {
+  MustExecute(db_, "CREATE TABLE nv (pos INTEGER, val DOUBLE)");
+  MustExecute(db_,
+              "INSERT INTO nv VALUES (1, NULL), (2, NULL), (3, 1.5), "
+              "(4, NULL), (5, NULL), (6, NULL), (7, 2.25)");
+  const std::string sql =
+      "SELECT s1.pos, SUM(s2.val), SUM((-1) * s2.val) FROM nv s1, nv s2 "
+      "WHERE s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos "
+      "ORDER BY 1";
+  ExpectFoldMatchesRow(sql);
+  const ResultSet rs = MustExecute(db_, sql);
+  ASSERT_EQ(rs.NumRows(), 7u);
+  EXPECT_TRUE(rs.rows()[4][1].is_null());  // pos 5: runs 4..6 all NULL
+  EXPECT_EQ(rs.rows()[3][1], Value::Double(1.5));
+}
+
+TEST_F(BandFoldTest, Int64DoubleAndMixedTagValues) {
+  // INTEGER sum with literal factors.
+  ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(2 * s2.val), SUM(-(s2.val * 3)) FROM vi s1, vi s2 "
+      "WHERE s2.pos BETWEEN s1.pos - 2 AND s1.pos + 1 GROUP BY s1.pos "
+      "ORDER BY 1");
+  // int64 cells times a left-side double factor, and a CASE whose
+  // branches yield int64 and double values for the same SUM.
+  ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(s1.f * s2.val), SUM(CASE WHEN MOD(s1.pos, 3) = "
+      "MOD(s2.pos, 3) THEN 2 * s2.val ELSE 0.5 * s2.val END) FROM vi s1, "
+      "vi s2 WHERE (s2.pos < s1.pos AND MOD(s2.pos, 3) = MOD(s1.pos, 3)) "
+      "OR (s2.pos <= s1.pos + 4 AND MOD(s2.pos, 3) = MOD(s1.pos + 1, 3)) "
+      "GROUP BY s1.pos ORDER BY 1");
+  // Double cells: negation, a factor after a negation, and nested
+  // multiplications (kept in the row path's order).
+  ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(-s2.val), SUM(0.3 * (-s2.val)), "
+      "SUM(3 * (-(2 * s2.val))) FROM vx s1, vx s2 WHERE "
+      "s2.pos BETWEEN s1.pos AND s1.pos + 4 GROUP BY s1.pos ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, DuplicateLeftKeysCombinePartials) {
+  // Two left rows per key: each group combines two partials. Integer
+  // values keep the reassociated double sum exact.
+  MustExecute(db_, "CREATE TABLE dup (pos INTEGER, val DOUBLE)");
+  MustExecute(db_,
+              "INSERT INTO dup VALUES (1, 1), (2, -2), (1, 3), (3, 4), "
+              "(2, 5), (4, 6), (3, -7)");
+  ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM dup s1, dup s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, BandWithResidual) {
+  ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM vx s1, vx s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 3 AND s1.pos + 3 AND s2.val > s1.val GROUP BY s1.pos "
+      "ORDER BY 1");
+  // Two tagged bands whose candidates a residual thins out: the band
+  // tags must stay aligned with the surviving candidates.
+  MinoaParams params;
+  params.delta_l = 1;
+  params.delta_h = 0;
+  params.wx = 4;
+  std::string sql = MinoaSql("vx", params, 50, false);
+  sql.replace(sql.find(" GROUP BY"), 0, " AND MOD(s1.pos + s2.pos, 5) <> 2");
+  ExpectFoldMatchesRow(sql + " ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, CapacityOneOutputVectors) {
+  MinoaParams params;
+  params.delta_l = 1;
+  params.delta_h = 0;
+  params.wx = 4;
+  const std::string sql = MinoaSql("vx", params, 50, false) + " ORDER BY 1";
+  Result<Statement> stmt = Parser::ParseStatement(sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  Binder binder(db_.catalog());
+  Result<LogicalPlanPtr> bound = binder.BindSelect(*stmt->select);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  LogicalPlanPtr plan = OptimizePlan(std::move(bound).value());
+  EstimateCardinality(plan.get());
+  Result<PhysicalOperatorPtr> op = BuildPhysicalPlan(*plan);
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+
+  // Find the folding band join and shrink its output vectors.
+  MergeBandJoinOp* band = nullptr;
+  std::vector<const PhysicalOperator*> stack = {op->get()};
+  while (!stack.empty()) {
+    const PhysicalOperator* node = stack.back();
+    stack.pop_back();
+    if (auto* b = dynamic_cast<const MergeBandJoinOp*>(node)) {
+      band = const_cast<MergeBandJoinOp*>(b);
+    }
+    node->AppendChildren(&stack);
+  }
+  ASSERT_NE(band, nullptr);
+  ASSERT_TRUE(band->folding());
+  band->SetVectorOutputCapacityForTest(1);
+  Result<std::vector<Row>> rows = ExecuteToVector(op->get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(band->metrics().vectors_out, 50);  // one partial per vector
+
+  SetRowMode(true);
+  const ResultSet reference = MustExecute(db_, sql);
+  ASSERT_EQ(rows->size(), reference.NumRows());
+  for (size_t r = 0; r < rows->size(); ++r) {
+    EXPECT_EQ((*rows)[r], reference.rows()[r]) << "row " << r;
+  }
+}
+
+TEST_F(BandFoldTest, RightSideLargerThanOneVector) {
+  // 1,500 rows: left input, right side and partial rows all cross the
+  // 1,024-row vector boundary.
+  MustExecute(db_, "CREATE TABLE big (pos INTEGER, val DOUBLE)");
+  std::string values;
+  for (int p = 1; p <= 1500; ++p) {
+    if (p > 1) values += ", ";
+    values += "(" + std::to_string(p) + ", " +
+              std::to_string((p % 17) * 0.13 - 1.0) + ")";
+  }
+  MustExecute(db_, "INSERT INTO big VALUES " + values);
+  ExpectFoldMatchesRow(SelfJoinWindowSql("big", "pos", "val",
+                                         WindowSpec::SlidingUnchecked(40, 2),
+                                         /*use_in_predicate=*/false) +
+                       " ORDER BY 1");
+  MinoaParams params;
+  params.delta_l = 3;
+  params.delta_h = 0;
+  params.wx = 7;
+  ExpectFoldMatchesRow(MinoaSql("big", params, 1490, false) + " ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, CongruenceConditionOnNullAnchor) {
+  // The CASE anchor is a column the band does not read, so a left row
+  // with candidates can still have a NULL anchor: the condition is then
+  // NULL and every candidate takes the ELSE branch.
+  MustExecute(db_, "CREATE TABLE na (pos INTEGER, k INTEGER)");
+  MustExecute(db_,
+              "INSERT INTO na VALUES (9, 3), (10, NULL), (11, 5), "
+              "(12, NULL), (13, 2), (14, 7)");
+  ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(CASE WHEN MOD(s2.pos, 2) = MOD(s1.k, 2) THEN "
+      "s2.val ELSE -s2.val END) FROM na s1, vx s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 8 AND s1.pos AND MOD(s2.pos, 4) = MOD(s1.pos, 4) "
+      "GROUP BY s1.pos ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, NonQualifyingPlansStayUnfolded) {
+  ExpectUnfolded(
+      "SELECT s1.pos, COUNT(*) FROM vx s1, vx s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos");
+  ExpectUnfolded(
+      "SELECT s1.pos, AVG(s2.val) FROM vx s1, vx s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos");
+  ExpectUnfolded(
+      "SELECT s1.pos, SUM(s2.val) FROM vx s1 LEFT OUTER JOIN vx s2 ON "
+      "s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos");
+  // A group key reading the right side.
+  ExpectUnfolded(
+      "SELECT s2.pos, SUM(s2.val) FROM vx s1, vx s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 1 AND s1.pos + 1 GROUP BY s2.pos");
+  // MaxOA's CASE compares the band key itself, not just its residue.
+  MaxoaParams maxoa;
+  maxoa.delta_l = 1;
+  maxoa.delta_h = 0;
+  maxoa.delta_p = 3;
+  maxoa.delta_q = 4;
+  ExpectUnfolded(MaxoaSql("vx", maxoa, 50, false));
+  // Row mode keeps the per-candidate path.
+  SetRowMode(true);
+  EXPECT_FALSE(Folds(SelfJoinWindowSql("vx", "pos", "val",
+                                       WindowSpec::SlidingUnchecked(1, 1),
+                                       false)));
 }
 
 TEST_F(ExecModesSqlTest, ErrorsAgreeAcrossModes) {

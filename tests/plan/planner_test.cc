@@ -5,6 +5,7 @@
 #include "expr/builder.h"
 #include "parser/parser.h"
 #include "plan/binder.h"
+#include "plan/cardinality.h"
 
 namespace rfv {
 namespace {
@@ -212,6 +213,43 @@ TEST_F(PlannerTest, OptimizeIsIdempotentOnPlainScan) {
   const std::string once = plan->ToString();
   plan = OptimizePlan(std::move(plan));
   EXPECT_EQ(plan->ToString(), once);
+}
+
+// `col BETWEEN lit AND lit` on an analyzed scan column is estimated
+// from the overlap with the column's min/max range: the MinOA body
+// filter `s1.pos BETWEEN 1 AND n` over a complete sequence's content
+// table (positions 1-l..n+h) then estimates n rows, not a flat quarter.
+TEST_F(PlannerTest, BetweenLiteralsEstimateFromRangeOverlap) {
+  Result<Table*> table = catalog_.CreateTable(
+      "seqv", Schema({ColumnDef("pos", DataType::kInt64),
+                      ColumnDef("val", DataType::kDouble)}));
+  ASSERT_TRUE(table.ok());
+  for (int64_t p = -39; p <= 2040; ++p) {  // 2,080 rows
+    ASSERT_TRUE((*table)
+                    ->Insert(Row({Value::Int(p),
+                                  Value::Double(static_cast<double>(p))}))
+                    .ok());
+  }
+  (*table)->Analyze();
+  const auto filter_estimate = [&](const std::string& where) {
+    LogicalPlanPtr plan = BindAndOptimize("SELECT pos FROM seqv WHERE " +
+                                          where);
+    EstimateCardinality(plan.get());
+    for (const LogicalPlan* node = plan.get(); node != nullptr;
+         node = node->children.empty() ? nullptr : node->children[0].get()) {
+      if (node->kind == PlanKind::kFilter) return node->est_rows;
+    }
+    ADD_FAILURE() << "no filter in the plan for " << where;
+    return -1.0;
+  };
+  EXPECT_DOUBLE_EQ(filter_estimate("pos BETWEEN 1 AND 2000"), 2000);
+  EXPECT_DOUBLE_EQ(filter_estimate("pos BETWEEN 2000 AND 9000"), 41);
+  EXPECT_DOUBLE_EQ(filter_estimate("pos BETWEEN 5000 AND 9000"), 0);
+  // DOUBLE columns: the continuous share of max - min = 2079.
+  EXPECT_NEAR(filter_estimate("val BETWEEN 0 AND 1039.5"),
+              2080.0 * 1039.5 / 2079.0, 1e-6);
+  // Non-literal bounds keep the default range selectivity.
+  EXPECT_DOUBLE_EQ(filter_estimate("pos BETWEEN val AND 10"), 2080 * 0.25);
 }
 
 }  // namespace

@@ -44,6 +44,29 @@ TEST(FuzzGeneratorTest, CoversAllScenarioKinds) {
   EXPECT_TRUE(saw[0] && saw[1] && saw[2]);
 }
 
+// The rare large kind: dense sequences past one 1,024-row vector, so
+// SQL-level fuzzing reaches vector boundaries. One of them must pass
+// every oracle, the rewrites (and their SUM fold) included.
+TEST(FuzzGeneratorTest, LargeScenariosCrossTheVectorBoundary) {
+  int large = 0;
+  int first = -1;
+  for (int i = 0; i < 2000; ++i) {
+    const Scenario s = GenerateScenario(1, i);
+    if (s.rows.size() <= 1100) continue;
+    EXPECT_EQ(s.kind, ScenarioKind::kRewrite) << s.Id();
+    EXPECT_LE(s.rows.size(), 1300u) << s.Id();
+    if (first < 0) first = i;
+    ++large;
+  }
+  EXPECT_GE(large, 5);   // ~0.8% of scenarios
+  EXPECT_LE(large, 40);
+  ASSERT_GE(first, 0);
+  const Scenario s = GenerateScenario(1, first);
+  const ScenarioVerdict v = RunScenario(s);
+  EXPECT_TRUE(v.ok()) << s.Id() << "\n" << v.Summary();
+  EXPECT_GT(v.TotalChecks(), 0);
+}
+
 // Same seed → byte-identical verdict summaries across two runs, with
 // the parallel oracle running at 4 workers (the acceptance criterion's
 // exec.window_workers = 4 configuration).
