@@ -9,6 +9,13 @@
 //     so the two columns should coincide — exactly as in the paper),
 //   * the Fig. 2 self-join simulation, with and without the index
 //     (without: quadratic nested loops; with: index nested-loop join).
+//     Each self-join column switches off the join strategies the engine
+//     would prefer over the one it names (the merge band join, which
+//     also folds the SUM, is considered first), so it measures that
+//     strategy.
+// A fifth series, the self join under the engine's defaults without an
+// index (merge band join with the SUM fold), shows the gap to the
+// paper's columns.
 //
 // Expected shape (paper): native ≈ linear and fastest; self join without
 // index grows ~quadratically; self join with index ≈ linear with a small
@@ -39,11 +46,13 @@ constexpr const char* kSelfJoinQuery =
     "s1.pos IN (s2.pos - 1, s2.pos, s2.pos + 1) GROUP BY s1.pos";
 
 void RunQuery(benchmark::State& state, const char* tag, const char* query,
-              bool with_index, bool allow_index_join) {
+              bool with_index, bool allow_index_join,
+              bool allow_band_join = true) {
   const int64_t n = state.range(0);
   Database db;
   BuildSeqTable(&db, n, with_index);
   db.options().exec.enable_index_nested_loop_join = allow_index_join;
+  db.options().exec.enable_merge_band_join = allow_band_join;
   const char* trace_env = std::getenv("RFVIEW_TRACE");
   db.options().enable_tracing =
       trace_env != nullptr && std::string(trace_env) == "1";
@@ -71,13 +80,21 @@ void BM_Table1_ReportingFunction_WithIndex(benchmark::State& state) {
            /*allow_index_join=*/true);
 }
 
+// Nested-loop join.
 void BM_Table1_SelfJoin_NoIndex(benchmark::State& state) {
   RunQuery(state, "selfjoin_noindex", kSelfJoinQuery, /*with_index=*/false,
-           /*allow_index_join=*/false);
+           /*allow_index_join=*/false, /*allow_band_join=*/false);
 }
 
+// Index nested-loop join.
 void BM_Table1_SelfJoin_WithIndex(benchmark::State& state) {
   RunQuery(state, "selfjoin_index", kSelfJoinQuery, /*with_index=*/true,
+           /*allow_index_join=*/true, /*allow_band_join=*/false);
+}
+
+// Engine defaults, no index: merge band join folding the SUM.
+void BM_Table1_SelfJoin_EngineDefault(benchmark::State& state) {
+  RunQuery(state, "selfjoin_default", kSelfJoinQuery, /*with_index=*/false,
            /*allow_index_join=*/true);
 }
 
@@ -94,6 +111,9 @@ BENCHMARK(BM_Table1_SelfJoin_NoIndex)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 BENCHMARK(BM_Table1_SelfJoin_WithIndex)
+    ->Arg(5000)->Arg(10000)->Arg(15000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Table1_SelfJoin_EngineDefault)
     ->Arg(5000)->Arg(10000)->Arg(15000)
     ->Unit(benchmark::kMillisecond);
 

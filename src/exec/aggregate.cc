@@ -1,5 +1,7 @@
 #include "exec/operators.h"
 
+#include <limits>
+
 #include "common/logging.h"
 #include "exec/vector_eval.h"
 #include "expr/eval.h"
@@ -13,7 +15,9 @@ namespace {
 struct Accumulator {
   const AggregateCall* call = nullptr;
   int64_t count = 0;
-  int64_t sum_int = 0;
+  /// 128-bit so the INTEGER SUM is exact; a total outside int64_t is
+  /// reported (overflowed()) rather than wrapped.
+  __int128 sum_int = 0;
   double sum_double = 0;
   Value extreme;  ///< running MIN/MAX
   bool has_value = false;
@@ -100,6 +104,13 @@ struct Accumulator {
     }
   }
 
+  bool overflowed() const {
+    return call->fn == AggFn::kSum &&
+           call->output_type == DataType::kInt64 &&
+           (sum_int > std::numeric_limits<int64_t>::max() ||
+            sum_int < std::numeric_limits<int64_t>::min());
+  }
+
   Value Finish() const {
     switch (call->fn) {
       case AggFn::kCount:
@@ -107,7 +118,7 @@ struct Accumulator {
       case AggFn::kSum:
         if (!has_value) return Value::Null();
         return call->output_type == DataType::kInt64
-                   ? Value::Int(sum_int)
+                   ? Value::Int(static_cast<int64_t>(sum_int))
                    : Value::Double(sum_double);
       case AggFn::kAvg:
         if (count == 0) return Value::Null();
@@ -140,6 +151,22 @@ Status HashAggregateOp::OpenImpl() {
     }
     group_accs.push_back(std::move(accs));
     return group_keys.size() - 1;
+  };
+
+  const auto finish_groups = [&]() -> Status {
+    results_.reserve(group_keys.size());
+    for (size_t gi = 0; gi < group_keys.size(); ++gi) {
+      std::vector<Value> out = std::move(group_keys[gi]);
+      for (const Accumulator& acc : group_accs[gi]) {
+        if (acc.overflowed()) {
+          return Status::ExecutionError("integer overflow in SUM");
+        }
+        out.push_back(acc.Finish());
+      }
+      results_.push_back(Row(std::move(out)));
+    }
+    NoteBufferedRows(results_.size());
+    return Status::OK();
   };
 
   // Global aggregation emits one row even for empty input.
@@ -281,16 +308,7 @@ Status HashAggregateOp::OpenImpl() {
         }
       }
     }
-    results_.reserve(group_keys.size());
-    for (size_t gi = 0; gi < group_keys.size(); ++gi) {
-      std::vector<Value> out = std::move(group_keys[gi]);
-      for (const Accumulator& acc : group_accs[gi]) {
-        out.push_back(acc.Finish());
-      }
-      results_.push_back(Row(std::move(out)));
-    }
-    NoteBufferedRows(results_.size());
-    return Status::OK();
+    return finish_groups();
   }
 
   // Batch pull keeps the aggregation streaming (only the accumulators
@@ -329,16 +347,7 @@ Status HashAggregateOp::OpenImpl() {
     }
   }
 
-  results_.reserve(group_keys.size());
-  for (size_t gi = 0; gi < group_keys.size(); ++gi) {
-    std::vector<Value> out = std::move(group_keys[gi]);
-    for (const Accumulator& acc : group_accs[gi]) {
-      out.push_back(acc.Finish());
-    }
-    results_.push_back(Row(std::move(out)));
-  }
-  NoteBufferedRows(results_.size());
-  return Status::OK();
+  return finish_groups();
 }
 
 Status HashAggregateOp::NextImpl(Row* row, bool* eof) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -428,31 +429,17 @@ bool FoldableArg(const Expr& e, const FoldShape& shape, size_t* column,
   }
 }
 
-/// `MOD(a, u) = MOD(key, w)`, either side order, where `key` is the
-/// band key column: MinOA's CASE condition. Returns {a, u, w}.
-struct KeyCongruence {
-  const Expr* anchor;
-  int64_t anchor_mod;
-  int64_t key_mod;
-};
+/// 2^53: every integer up to this magnitude is an exact double, and so
+/// is every sum and product of such integers that stays within it.
+constexpr int64_t kExactDoubleInts = int64_t{1} << 53;
 
-std::optional<KeyCongruence> AsKeyCongruence(const Expr& e, size_t key_col) {
-  if (e.kind != ExprKind::kBinary || e.binary_op != BinaryOp::kEq) {
+/// An integral double of magnitude <= 2^53, as an integer.
+std::optional<int64_t> ExactIntegral(double d) {
+  if (!(std::fabs(d) <= static_cast<double>(kExactDoubleInts)) ||
+      std::trunc(d) != d) {
     return std::nullopt;
   }
-  const auto lhs = AsModCall(*e.children[0]);
-  const auto rhs = AsModCall(*e.children[1]);
-  if (!lhs.has_value() || !rhs.has_value()) return std::nullopt;
-  const auto is_key = [&](const Expr* x) {
-    return x->kind == ExprKind::kColumnRef && x->column_index == key_col;
-  };
-  if (is_key(rhs->first)) {
-    return KeyCongruence{lhs->first, lhs->second, rhs->second};
-  }
-  if (is_key(lhs->first)) {
-    return KeyCongruence{rhs->first, rhs->second, lhs->second};
-  }
-  return std::nullopt;
+  return static_cast<int64_t>(d);
 }
 
 /// A right cell or fold argument value: the typed int64/double pair the
@@ -508,7 +495,6 @@ Status MergeBandJoinOp::OpenImpl() {
   left_matched_ = false;
   candidates_.clear();
   candidate_pos_ = 0;
-  right_rows_.clear();
   keys_.clear();
   dense_.clear();
   dense_valid_ = false;
@@ -520,18 +506,19 @@ Status MergeBandJoinOp::OpenImpl() {
   RFV_RETURN_IF_ERROR(right_->Open());
   right_width_ = right_->schema().NumColumns();
 
-  RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &right_rows_));
-  NoteBufferedRows(right_rows_.size());
+  std::vector<Row> right_rows;
+  RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &right_rows));
+  NoteBufferedRows(right_rows.size());
 
-  keys_.reserve(right_rows_.size());
-  for (size_t id = 0; id < right_rows_.size(); ++id) {
-    const Value& v = right_rows_[id][spec_.right_column];
+  keys_.reserve(right_rows.size());
+  for (size_t id = 0; id < right_rows.size(); ++id) {
+    const Value& v = right_rows[id][spec_.right_column];
     if (v.is_null()) continue;  // NULL keys never satisfy a band
     keys_.emplace_back(v.AsInt(), id);
   }
   // Base tables in sequence order (the common case for the paper's pos
   // column) arrive already sorted — detect in O(m) and skip the sort.
-  // The check runs on right_rows_, which DrainChild filled from the
+  // The check runs on right_rows, which DrainChild filled from the
   // right scan's PINNED snapshot, so the ordered-skip decision and the
   // rows it indexes are the same frozen version even when live storage
   // mutates (or compacts out of order) mid-query.
@@ -559,6 +546,7 @@ Status MergeBandJoinOp::OpenImpl() {
   resolved_.assign(spec_.bands.size(), ResolvedBand());
   candidate_bands_.clear();
   folded_candidates_ = 0;
+  prefix_rows_ = 0;
   for (FoldTerm& term : fold_terms_) {
     for (FoldLeaf& leaf : term.leaves) leaf.resolved = false;
   }
@@ -567,91 +555,139 @@ Status MergeBandJoinOp::OpenImpl() {
                                        right_width_));
   }
 
-  // Vector-native output: transpose the (snapshot-stable) right side
-  // once into columnar gather-source lanes. The row array stays alive
-  // for the row/batch pull styles.
-  if (vectorized()) {
-    right_vp_.Reset(right_width_, right_rows_.size());
-    for (size_t id = 0; id < right_rows_.size(); ++id) {
-      const Row& row = right_rows_[id];
-      for (size_t c = 0; c < right_width_; ++c) {
-        right_vp_.column(c).SetValue(id, row[c]);
-      }
+  // Keep the (snapshot-stable) right side once, columnar: the gather
+  // source of the vector paths, copied per candidate into the row
+  // path's joined rows.
+  right_vp_.Reset(right_width_, right_rows.size());
+  for (size_t id = 0; id < right_rows.size(); ++id) {
+    const Row& row = right_rows[id];
+    for (size_t c = 0; c < right_width_; ++c) {
+      right_vp_.column(c).SetValue(id, row[c]);
     }
   }
+  if (folding()) BuildFoldPrefixes();
   return Status::OK();
+}
+
+Status MergeBandJoinOp::ApplyBound(const Value& v, bool strict, bool is_lo,
+                                   ResolvedBand* out) {
+  // Comparison with NULL is never true.
+  int64_t* bound = is_lo ? &out->lo : &out->hi;
+  if (v.is_null()) {
+    out->empty = true;
+    return Status::OK();
+  }
+  if (v.type() == DataType::kInt64) {
+    int64_t b = v.AsInt();
+    if (strict) {
+      if (is_lo) {
+        if (b == std::numeric_limits<int64_t>::max()) {
+          out->empty = true;
+          return Status::OK();
+        }
+        ++b;
+      } else {
+        if (b == std::numeric_limits<int64_t>::min()) {
+          out->empty = true;
+          return Status::OK();
+        }
+        --b;
+      }
+    }
+    *bound = b;
+    return Status::OK();
+  }
+  if (v.type() == DataType::kDouble) {
+    // Integer keys against a fractional bound: round inward; a strict
+    // integral bound tightens by one.
+    const double d = v.AsDouble();
+    double rounded = is_lo ? std::ceil(d) : std::floor(d);
+    if (strict && rounded == d) rounded += is_lo ? 1.0 : -1.0;
+    if (is_lo && rounded < -9.2e18) rounded = -9.2e18;
+    if (!is_lo && rounded > 9.2e18) rounded = 9.2e18;
+    *bound = static_cast<int64_t>(rounded);
+    return Status::OK();
+  }
+  return Status::TypeError("band join bound must be numeric");
+}
+
+void MergeBandJoinOp::ApplyAnchor(const Value& a, int64_t modulus,
+                                  ResolvedBand* out) {
+  if (a.is_null() || a.type() != DataType::kInt64) {
+    out->empty = true;  // MOD(NULL, w) = anything is never true
+    return;
+  }
+  out->residue = FlooredMod(a.AsInt(), modulus);
 }
 
 Status MergeBandJoinOp::ResolveBand(const BandSpec& band, const Row& left_row,
                                     ResolvedBand* out) const {
-  out->empty = false;
-  out->lo = std::numeric_limits<int64_t>::min();
-  out->hi = std::numeric_limits<int64_t>::max();
-  out->modulus = 0;
-
-  const auto resolve_bound = [&](const Expr& expr, bool strict, bool is_lo,
-                                 int64_t* bound) -> Status {
-    Value v;
-    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(expr, left_row));
-    if (v.is_null()) {
-      out->empty = true;  // comparison with NULL is never true
-      return Status::OK();
-    }
-    if (v.type() == DataType::kInt64) {
-      int64_t b = v.AsInt();
-      if (strict) {
-        if (is_lo) {
-          if (b == std::numeric_limits<int64_t>::max()) {
-            out->empty = true;
-            return Status::OK();
-          }
-          ++b;
-        } else {
-          if (b == std::numeric_limits<int64_t>::min()) {
-            out->empty = true;
-            return Status::OK();
-          }
-          --b;
-        }
-      }
-      *bound = b;
-      return Status::OK();
-    }
-    if (v.type() == DataType::kDouble) {
-      // Integer keys against a fractional bound: round inward; a strict
-      // integral bound tightens by one.
-      const double d = v.AsDouble();
-      double rounded = is_lo ? std::ceil(d) : std::floor(d);
-      if (strict && rounded == d) rounded += is_lo ? 1.0 : -1.0;
-      if (is_lo && rounded < -9.2e18) rounded = -9.2e18;
-      if (!is_lo && rounded > 9.2e18) rounded = 9.2e18;
-      *bound = static_cast<int64_t>(rounded);
-      return Status::OK();
-    }
-    return Status::TypeError("band join bound must be numeric");
-  };
-
+  *out = ResolvedBand();
+  Value v;
   if (band.lo != nullptr) {
-    RFV_RETURN_IF_ERROR(
-        resolve_bound(*band.lo, band.lo_strict, /*is_lo=*/true, &out->lo));
+    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.lo, left_row));
+    RFV_RETURN_IF_ERROR(ApplyBound(v, band.lo_strict, /*is_lo=*/true, out));
     if (out->empty) return Status::OK();
   }
   if (band.hi != nullptr) {
-    RFV_RETURN_IF_ERROR(
-        resolve_bound(*band.hi, band.hi_strict, /*is_lo=*/false, &out->hi));
+    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.hi, left_row));
+    RFV_RETURN_IF_ERROR(ApplyBound(v, band.hi_strict, /*is_lo=*/false, out));
     if (out->empty) return Status::OK();
   }
   if (band.modulus > 1) {
-    Value a;
-    RFV_ASSIGN_OR_RETURN(a, Evaluator::Eval(*band.anchor, left_row));
-    if (a.is_null() || a.type() != DataType::kInt64) {
-      out->empty = true;  // MOD(NULL, w) = anything is never true
-      return Status::OK();
-    }
-    out->modulus = band.modulus;
-    out->residue = FlooredMod(a.AsInt(), band.modulus);
+    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.anchor, left_row));
+    ApplyAnchor(v, band.modulus, out);
+    if (out->empty) return Status::OK();
   }
   if (out->lo > out->hi) out->empty = true;
+  return Status::OK();
+}
+
+Status MergeBandJoinOp::ResolveLeftVector() {
+  // Each bound is evaluated, as in ResolveBand, only on the rows whose
+  // band the earlier bounds left non-empty.
+  const size_t rows = left_vp_->num_rows();
+  lane_bands_.resize(spec_.bands.size());
+  for (size_t i = 0; i < spec_.bands.size(); ++i) {
+    const BandSpec& band = spec_.bands[i];
+    std::vector<ResolvedBand>& lanes = lane_bands_[i];
+    lanes.assign(rows, ResolvedBand());
+    live_lanes_.indices() = left_vp_->sel().indices();
+    const auto stage = [&](const Expr& expr, const auto& apply) -> Status {
+      RFV_RETURN_IF_ERROR(
+          VectorEvaluator::Eval(expr, *left_vp_, live_lanes_, &bound_lane_));
+      std::vector<uint32_t>& live = live_lanes_.indices();
+      size_t kept = 0;
+      for (const uint32_t lane : live) {
+        RFV_RETURN_IF_ERROR(apply(bound_lane_.GetValue(lane), &lanes[lane]));
+        if (!lanes[lane].empty) live[kept++] = lane;
+      }
+      live.resize(kept);
+      return Status::OK();
+    };
+    if (band.lo != nullptr) {
+      RFV_RETURN_IF_ERROR(stage(*band.lo, [&](const Value& v,
+                                              ResolvedBand* out) {
+        return ApplyBound(v, band.lo_strict, /*is_lo=*/true, out);
+      }));
+    }
+    if (band.hi != nullptr) {
+      RFV_RETURN_IF_ERROR(stage(*band.hi, [&](const Value& v,
+                                              ResolvedBand* out) {
+        return ApplyBound(v, band.hi_strict, /*is_lo=*/false, out);
+      }));
+    }
+    if (band.modulus > 1) {
+      RFV_RETURN_IF_ERROR(stage(*band.anchor, [&](const Value& v,
+                                                  ResolvedBand* out) {
+        ApplyAnchor(v, band.modulus, out);
+        return Status::OK();
+      }));
+    }
+    for (const uint32_t lane : live_lanes_.indices()) {
+      if (lanes[lane].lo > lanes[lane].hi) lanes[lane].empty = true;
+    }
+  }
   return Status::OK();
 }
 
@@ -662,12 +698,12 @@ void MergeBandJoinOp::CollectBand(const ResolvedBand& band,
   const int64_t hi = std::min(band.hi, keys_.back().first);
   if (lo > hi) return;
 
-  if (band.modulus > 1) {
+  const int64_t w = spec_.bands[band_index].modulus;
+  if (w > 1) {
     // Enumerate the congruence class k ≡ residue (mod w) inside
     // [lo, hi]: the paper's stride chains. Dense tables answer each
     // stride point in O(1); otherwise compare the chain length against
     // the interval population and pick the cheaper side.
-    const int64_t w = band.modulus;
     const int64_t k0 = lo + FlooredMod(band.residue - lo, w);
     if (k0 > hi) return;
     if (dense_valid_) {
@@ -727,13 +763,33 @@ void MergeBandJoinOp::CollectBand(const ResolvedBand& band,
 }
 
 Status MergeBandJoinOp::ResolveCandidates() {
+  RFV_RETURN_IF_ERROR(ResolveBands());
+  CollectCandidates();
+  return Status::OK();
+}
+
+Status MergeBandJoinOp::ResolveBands() {
+  if (left_vp_ != nullptr && lane_bands_ready_) {
+    for (size_t i = 0; i < spec_.bands.size(); ++i) {
+      resolved_[i] = lane_bands_[i][current_lane_];
+    }
+    return Status::OK();
+  }
+  if (left_vp_ != nullptr) {
+    left_vp_->MaterializeRow(current_lane_, &current_left_);
+  }
+  for (size_t i = 0; i < spec_.bands.size(); ++i) {
+    RFV_RETURN_IF_ERROR(
+        ResolveBand(spec_.bands[i], current_left_, &resolved_[i]));
+  }
+  return Status::OK();
+}
+
+void MergeBandJoinOp::CollectCandidates() {
   candidates_.clear();
   candidate_bands_.clear();
   candidate_pos_ = 0;
   for (size_t i = 0; i < spec_.bands.size(); ++i) {
-    resolved_[i] = ResolvedBand();
-    RFV_RETURN_IF_ERROR(
-        ResolveBand(spec_.bands[i], current_left_, &resolved_[i]));
     CollectBand(resolved_[i], i);
     if (fold_tag_bands_) {
       candidate_bands_.resize(candidates_.size(), static_cast<uint32_t>(i));
@@ -745,7 +801,7 @@ Status MergeBandJoinOp::ResolveCandidates() {
       std::sort(candidates_.begin(), candidates_.end());
       candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
                         candidates_.end());
-      return Status::OK();
+      return;
     }
     // Fold mode keeps each candidate's band (any band holding a key
     // agrees on MOD(key, w)); a pair in several bands keeps the lowest.
@@ -762,7 +818,6 @@ Status MergeBandJoinOp::ResolveCandidates() {
       candidate_bands_.push_back(band);
     }
   }
-  return Status::OK();
 }
 
 Status MergeBandJoinOp::AdvanceLeft(bool* eof) {
@@ -789,8 +844,17 @@ Status MergeBandJoinOp::NextImpl(Row* row, bool* eof) {
       }
     }
     while (candidate_pos_ < candidates_.size()) {
-      const size_t right_id = candidates_[candidate_pos_++];
-      Row joined = Row::Concat(current_left_, right_rows_[right_id]);
+      // The joined row in one copy: the left row, then the candidate's
+      // right cells.
+      const size_t id = candidates_[candidate_pos_++];
+      std::vector<Value> values;
+      values.reserve(current_left_.size() + right_width_);
+      values.insert(values.end(), current_left_.values().begin(),
+                    current_left_.values().end());
+      for (size_t c = 0; c < right_width_; ++c) {
+        values.push_back(right_vp_.column(c).GetValue(id));
+      }
+      Row joined(std::move(values));
       bool match = true;
       if (spec_.residual != nullptr) {
         RFV_ASSIGN_OR_RETURN(
@@ -837,18 +901,21 @@ Status MergeBandJoinOp::NextLeftLane(bool* have) {
     if (left_vp_ != nullptr && left_vp_->NumSelected() == 0) {
       left_vp_ = nullptr;
     }
+    if (left_vp_ != nullptr) {
+      // On an error each row resolves its own bands (ResolveBands), so
+      // the first failing row raises it, as in row mode.
+      lane_bands_ready_ = ResolveLeftVector().ok();
+      if (!prefixes_.empty()) PlanFoldVector();
+    }
   }
   current_lane_ = left_vp_->sel()[left_lane_pos_++];
-  // The band bounds are per-left-row scalars: resolve them on the
-  // materialized row (O(left rows), not O(matches) — the match
-  // emission never boxes).
-  left_vp_->MaterializeRow(current_lane_, &current_left_);
   *have = true;
   return Status::OK();
 }
 
 Status MergeBandJoinOp::ResolveLaneCandidates() {
-  RFV_RETURN_IF_ERROR(ResolveCandidates());
+  RFV_RETURN_IF_ERROR(ResolveBands());
+  CollectCandidates();
   if (spec_.residual == nullptr || candidates_.empty()) return Status::OK();
   RFV_RETURN_IF_ERROR(FilterJoinCandidates(*spec_.residual, *left_vp_,
                                            current_lane_, right_vp_,
@@ -958,7 +1025,8 @@ bool MergeBandJoinOp::TryEnableSumFold(
 
 std::string MergeBandJoinOp::MetricsDetail() const {
   if (!folding()) return std::string();
-  return "fold=sum folded=" + std::to_string(folded_candidates_);
+  return "fold=sum folded=" + std::to_string(folded_candidates_) +
+         " prefix=" + std::to_string(prefix_rows_);
 }
 
 Status MergeBandJoinOp::ResolveFoldExpr(const Expr& e, FoldLeaf* leaf) const {
@@ -1003,27 +1071,11 @@ Status MergeBandJoinOp::ResolveFoldExpr(const Expr& e, FoldLeaf* leaf) const {
       return Status::OK();
     }
     case ExprKind::kCase: {
-      const size_t key_col = left_->schema().NumColumns() + spec_.right_column;
       const size_t pairs = (e.children.size() - 1) / 2;
       for (size_t i = 0; i < pairs; ++i) {
-        const Expr& cond = *e.children[2 * i];
         bool hit = false;
-        if (const auto cong = AsKeyCongruence(cond, key_col)) {
-          // MinOA's congruence test decided from the band residue, without
-          // evaluating its MOD and = nodes (EXPERIMENTS.md A10 measures
-          // the saving). As in the evaluator, a NULL anchor makes the
-          // comparison NULL (false) and a non-integer one is a type error.
-          Value a;
-          RFV_ASSIGN_OR_RETURN(a, Evaluator::Eval(*cong->anchor, fold_row_));
-          if (!a.is_null() && a.type() != DataType::kInt64) {
-            return Status::TypeError("MOD expects integer arguments");
-          }
-          hit = !a.is_null() &&
-                FlooredMod(a.AsInt(), cong->anchor_mod) ==
-                    FlooredMod(fold_row_[key_col].AsInt(), cong->key_mod);
-        } else {
-          RFV_ASSIGN_OR_RETURN(hit, Evaluator::EvalPredicate(cond, fold_row_));
-        }
+        RFV_ASSIGN_OR_RETURN(
+            hit, Evaluator::EvalPredicate(*e.children[2 * i], fold_row_));
         if (hit) return ResolveFoldExpr(*e.children[2 * i + 1], leaf);
       }
       return ResolveFoldExpr(*e.children.back(), leaf);
@@ -1056,7 +1108,7 @@ Status MergeBandJoinOp::FoldTermCandidates(size_t t, size_t at) {
     for (FoldLeaf& leaf : term.leaves) leaf.resolved = false;
   }
   int64_t count = 0;
-  int64_t sum_int = 0;
+  __int128 sum_int = 0;  // exact: an overflow is an error, not a wrap
   double sum_double = 0;
   for (size_t j = 0; j < candidates_.size(); ++j) {
     const size_t slot = tagged ? candidate_bands_[j] : 0;
@@ -1109,12 +1161,327 @@ Status MergeBandJoinOp::FoldTermCandidates(size_t t, size_t at) {
   }
   const size_t base = fold_partial_base() + 2 * t;
   if (term.int_sum) {
-    out_vp_.column(base).SetInt(at, sum_int);
+    if (sum_int > std::numeric_limits<int64_t>::max() ||
+        sum_int < std::numeric_limits<int64_t>::min()) {
+      return Status::ExecutionError("integer overflow in SUM");
+    }
+    out_vp_.column(base).SetInt(at, static_cast<int64_t>(sum_int));
   } else {
     out_vp_.column(base).SetDouble(at, sum_double);
   }
   out_vp_.column(base + 1).SetInt(at, count);
   return Status::OK();
+}
+
+void MergeBandJoinOp::BuildFoldPrefixes() {
+  prefixes_.clear();
+  band_prefix_.clear();
+  // A chain sum is one difference only without a residual thinning the
+  // chains, and one lookup only on direct-addressed (dense) keys.
+  if (spec_.residual != nullptr || !dense_valid_) return;
+  const size_t n = dense_.size();
+  // Exactness (DESIGN.md §16 "Prefix path"): every cell integral and
+  // max|cell| · n within the sum type's exact range, so each candidate
+  // product and every partial sum is exact in any order.
+  for (FoldTerm& term : fold_terms_) {
+    const Vector& cells = right_vp_.column(term.column);
+    uint64_t max_abs = 1;
+    for (const size_t id : dense_) {
+      const DataType tag = cells.tag(id);
+      if (tag == DataType::kNull) continue;
+      if (tag == DataType::kInt64) {
+        const int64_t x = cells.i64(id);
+        max_abs = std::max(max_abs, x < 0 ? 0 - static_cast<uint64_t>(x)
+                                          : static_cast<uint64_t>(x));
+        continue;
+      }
+      // An INTEGER SUM over a DOUBLE cell is the walk's type error.
+      const std::optional<int64_t> x =
+          tag == DataType::kDouble && !term.int_sum
+              ? ExactIntegral(cells.f64(id))
+              : std::nullopt;
+      if (!x.has_value()) return;
+      max_abs = std::max(max_abs, static_cast<uint64_t>(std::llabs(*x)));
+    }
+    const unsigned __int128 limit =
+        term.int_sum
+            ? static_cast<unsigned __int128>(
+                  std::numeric_limits<int64_t>::max())
+            : static_cast<unsigned __int128>(kExactDoubleInts);
+    const unsigned __int128 reach =
+        static_cast<unsigned __int128>(max_abs) * n;
+    if (reach > limit) return;
+    term.prefix_max_coeff = static_cast<int64_t>(limit / reach);
+  }
+
+  for (const BandSpec& band : spec_.bands) {
+    const int64_t m = std::max<int64_t>(band.modulus, 1);
+    size_t p = 0;
+    while (p < prefixes_.size() && prefixes_[p].modulus != m) ++p;
+    band_prefix_.push_back(p);
+    if (p < prefixes_.size()) continue;
+    FoldPrefix prefix;
+    prefix.modulus = m;
+    prefix.base_residue = FlooredMod(dense_base_, m);
+    const size_t stride = static_cast<size_t>(m);
+    for (const FoldTerm& term : fold_terms_) {
+      const Vector& cells = right_vp_.column(term.column);
+      std::vector<int64_t> sums(n);
+      std::vector<int64_t> counts(n);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t id = dense_[i];
+        const DataType tag = cells.tag(id);
+        const int64_t x = tag == DataType::kInt64
+                              ? cells.i64(id)
+                              : tag == DataType::kDouble
+                                    ? static_cast<int64_t>(cells.f64(id))
+                                    : 0;
+        const int64_t c = tag == DataType::kNull ? 0 : 1;
+        sums[i] = i >= stride ? sums[i - stride] + x : x;
+        counts[i] = i >= stride ? counts[i - stride] + c : c;
+      }
+      prefix.sums.push_back(std::move(sums));
+      prefix.counts.push_back(std::move(counts));
+    }
+    prefixes_.push_back(std::move(prefix));
+  }
+}
+
+bool MergeBandJoinOp::ChainsDisjoint(const BandChain* chains) {
+  chain_order_.clear();
+  for (size_t b = 0; b < spec_.bands.size(); ++b) {
+    if (chains[b].n > 0) chain_order_.push_back(b);
+  }
+  if (chain_order_.size() < 2) return true;
+  std::sort(chain_order_.begin(), chain_order_.end(),
+            [&](size_t a, size_t b) {
+              return chains[a].first < chains[b].first;
+            });
+  const auto modulus = [&](size_t b) {
+    return prefixes_[band_prefix_[b]].modulus;
+  };
+  // Sweep by first position; only chains whose spans overlap need the
+  // congruence test (k ≡ a mod m and k ≡ b mod m' share a solution
+  // exactly when a ≡ b mod gcd(m, m')).
+  int64_t reach = chains[chain_order_[0]].last;
+  for (size_t x = 1; x < chain_order_.size(); ++x) {
+    const size_t bx = chain_order_[x];
+    if (chains[bx].first <= reach) {
+      for (size_t y = 0; y < x; ++y) {
+        const size_t by = chain_order_[y];
+        if (chains[by].last < chains[bx].first) continue;
+        const int64_t g = std::gcd(modulus(bx), modulus(by));
+        if ((chains[bx].first - chains[by].first) % g == 0) return false;
+      }
+    }
+    reach = std::max(reach, chains[bx].last);
+  }
+  return true;
+}
+
+MergeBandJoinOp::BandChain MergeBandJoinOp::ChainOf(const ResolvedBand& band,
+                                                    size_t b) const {
+  BandChain chain;
+  if (band.empty) return chain;
+  // The band's interval as dense positions, then its residue class:
+  // position i holds key dense_base_ + i.
+  const int64_t n = static_cast<int64_t>(dense_.size());
+  const int64_t first = std::max(band.lo, dense_base_) - dense_base_;
+  const int64_t last = std::min(band.hi, dense_base_ + (n - 1)) - dense_base_;
+  if (first > last) return chain;
+  const FoldPrefix& prefix = prefixes_[band_prefix_[b]];
+  const int64_t m = prefix.modulus;
+  const int64_t r =
+      m > 1 ? FlooredMod(band.residue - prefix.base_residue, m) : 0;
+  const int64_t up = FlooredMod(r - first, m);
+  if (up > last - first) return chain;
+  chain.first = first + up;
+  chain.last = last - FlooredMod(last - r, m);
+  chain.n = (chain.last - chain.first) / m + 1;
+  return chain;
+}
+
+void MergeBandJoinOp::PlanFoldVector() {
+  const size_t rows = left_vp_->num_rows();
+  const size_t bands = spec_.bands.size();
+  const size_t terms = fold_terms_.size();
+  lane_plan_.assign(rows, kWalkLane);
+  if (!lane_bands_ready_) return;
+  lane_keys_.assign(rows, 0);
+  prefix_lanes_.Clear();
+  chains_.resize(bands);
+  BandChain* chains = chains_.data();
+  for (const uint32_t lane : left_vp_->sel().indices()) {
+    int64_t keys = 0;
+    for (size_t b = 0; b < bands; ++b) {
+      chains[b] = ChainOf(lane_bands_[b][lane], b);
+      keys += chains[b].n;
+    }
+    lane_keys_[lane] = keys;
+    if (keys == 0) {
+      lane_plan_[lane] = kNoGroupLane;  // inner join: no group
+    } else if (ChainsDisjoint(chains)) {
+      // Overlapping bands count a shared candidate once; that is left
+      // to the walk's deduplication.
+      lane_plan_[lane] = kPrefixLane;
+      prefix_lanes_.indices().push_back(lane);
+    }
+  }
+  if (prefix_lanes_.empty()) return;
+
+  // Leaves resolve over the left columns plus the band key placeholder,
+  // which carries the band's residue (as ResolveFoldLeaf does per row).
+  const size_t left_width = fold_partial_base();
+  const size_t key_col = left_width + spec_.right_column;
+  fold_vp_.Reset(key_col + 1, rows);
+  for (size_t c = 0; c < left_width; ++c) {
+    for (const uint32_t lane : prefix_lanes_.indices()) {
+      fold_vp_.column(c).CopyFrom(lane, left_vp_->column(c), lane);
+    }
+  }
+  lane_sums_.assign(rows * terms, 0);
+  lane_counts_.assign(rows * terms, 0);
+  lane_coeff_.resize(rows);
+  lane_leaf_.resize(rows);
+  for (size_t t = 0; t < terms; ++t) {
+    const FoldTerm& term = fold_terms_[t];
+    const bool tagged = fold_tag_bands_ && term.per_left_row;
+    for (size_t slot = 0; slot < (tagged ? bands : 1); ++slot) {
+      // The lanes whose walk would resolve this leaf.
+      SelectionVector& lanes = leaf_lanes_;
+      lanes.Clear();
+      for (const uint32_t lane : prefix_lanes_.indices()) {
+        if (lane_plan_[lane] != kPrefixLane) continue;
+        if (tagged && ChainOf(lane_bands_[slot][lane], slot).n == 0) continue;
+        lanes.indices().push_back(lane);
+        fold_vp_.column(key_col).SetInt(
+            lane, lane_bands_[tagged ? slot : 0][lane].residue);
+        lane_coeff_[lane] = 1;
+        lane_leaf_[lane] = 0;
+      }
+      if (lanes.empty()) continue;
+      if (!ResolveFoldExprVector(*term.arg, term, lanes).ok()) {
+        // The walk raises the error on the row where row mode would.
+        for (const uint32_t lane : prefix_lanes_.indices()) {
+          lane_plan_[lane] = kWalkLane;
+        }
+        return;
+      }
+      for (const uint32_t lane : lanes.indices()) {
+        if (lane_leaf_[lane] & kLeafInexact) {
+          lane_plan_[lane] = kWalkLane;
+          continue;
+        }
+        if (lane_leaf_[lane] & kLeafNull) continue;
+        for (size_t b = tagged ? slot : 0; b < (tagged ? slot + 1 : bands);
+             ++b) {
+          const BandChain chain = ChainOf(lane_bands_[b][lane], b);
+          if (chain.n == 0) continue;
+          const FoldPrefix& prefix = prefixes_[band_prefix_[b]];
+          const auto chain_total = [&](const std::vector<int64_t>& v) {
+            const int64_t before = chain.first - prefix.modulus;
+            return v[static_cast<size_t>(chain.last)] -
+                   (before >= 0 ? v[static_cast<size_t>(before)] : 0);
+          };
+          lane_sums_[lane * terms + t] +=
+              lane_coeff_[lane] * chain_total(prefix.sums[t]);
+          lane_counts_[lane * terms + t] += chain_total(prefix.counts[t]);
+        }
+      }
+    }
+  }
+}
+
+Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e,
+                                              const FoldTerm& term,
+                                              const SelectionVector& lanes) {
+  switch (e.kind) {
+    case ExprKind::kColumnRef:
+      return Status::OK();  // the right cell itself
+    case ExprKind::kUnary:
+      RFV_RETURN_IF_ERROR(ResolveFoldExprVector(*e.children[0], term, lanes));
+      for (const uint32_t lane : lanes.indices()) {
+        lane_coeff_[lane] = -lane_coeff_[lane];
+      }
+      return Status::OK();
+    case ExprKind::kBinary: {
+      // Both operands evaluate on every lane, as in ResolveFoldExpr; the
+      // factor is the left-only side.
+      const bool factor_first =
+          RefsOnlyRange(*e.children[0], 0, fold_partial_base());
+      const Expr& factor = *e.children[factor_first ? 0 : 1];
+      Vector values;
+      if (factor_first) {
+        RFV_RETURN_IF_ERROR(
+            VectorEvaluator::Eval(factor, fold_vp_, lanes, &values));
+      }
+      RFV_RETURN_IF_ERROR(
+          ResolveFoldExprVector(*e.children[factor_first ? 1 : 0], term,
+                                lanes));
+      if (!factor_first) {
+        RFV_RETURN_IF_ERROR(
+            VectorEvaluator::Eval(factor, fold_vp_, lanes, &values));
+      }
+      const int64_t max_coeff = term.prefix_max_coeff;
+      for (const uint32_t lane : lanes.indices()) {
+        std::optional<int64_t> f;
+        switch (values.tag(lane)) {
+          case DataType::kNull:
+            lane_leaf_[lane] |= kLeafNull;
+            continue;
+          case DataType::kInt64:
+            f = values.i64(lane);
+            break;
+          case DataType::kDouble:
+            // An INTEGER SUM of a double product is the walk's type error.
+            if (!term.int_sum) f = ExactIntegral(values.f64(lane));
+            break;
+          default:
+            return Status::TypeError("arithmetic on non-numeric value");
+        }
+        if (!f.has_value()) {
+          lane_leaf_[lane] |= kLeafInexact;
+          continue;
+        }
+        const __int128 coeff = static_cast<__int128>(lane_coeff_[lane]) * *f;
+        if (coeff > max_coeff || coeff < -max_coeff) {
+          lane_leaf_[lane] |= kLeafInexact;
+          continue;
+        }
+        lane_coeff_[lane] = static_cast<int64_t>(coeff);
+      }
+      return Status::OK();
+    }
+    case ExprKind::kCase: {
+      // Each condition evaluates on the lanes no earlier one took.
+      const size_t pairs = (e.children.size() - 1) / 2;
+      SelectionVector rest = lanes;
+      for (size_t i = 0; i < pairs; ++i) {
+        SelectionVector hit = rest;
+        RFV_RETURN_IF_ERROR(
+            VectorEvaluator::EvalPredicate(*e.children[2 * i], fold_vp_,
+                                           &hit));
+        if (!hit.empty()) {
+          RFV_RETURN_IF_ERROR(
+              ResolveFoldExprVector(*e.children[2 * i + 1], term, hit));
+          // Both selections ascend: drop the taken lanes in one pass.
+          std::vector<uint32_t>& kept = rest.indices();
+          size_t h = 0;
+          size_t out = 0;
+          for (const uint32_t lane : kept) {
+            while (h < hit.size() && hit[h] < lane) ++h;
+            if (h < hit.size() && hit[h] == lane) continue;
+            kept[out++] = lane;
+          }
+          kept.resize(out);
+        }
+      }
+      if (rest.empty()) return Status::OK();
+      return ResolveFoldExprVector(*e.children.back(), term, rest);
+    }
+    default:
+      return Status::Internal("band fold: argument is not run-foldable");
+  }
 }
 
 Status MergeBandJoinOp::NextFoldedVector(VectorProjection** out, bool* eof) {
@@ -1126,16 +1493,39 @@ Status MergeBandJoinOp::NextFoldedVector(VectorProjection** out, bool* eof) {
     bool have = false;
     RFV_RETURN_IF_ERROR(NextLeftLane(&have));
     if (!have) break;
-    RFV_RETURN_IF_ERROR(ResolveLaneCandidates());
-    if (candidates_.empty()) continue;  // inner join: no group
+    const LanePlan plan =
+        prefixes_.empty() ? kWalkLane : lane_plan_[current_lane_];
+    if (plan == kNoGroupLane) continue;  // inner join: no group
+    int64_t keys = 0;
+    if (plan == kPrefixLane) {
+      keys = lane_keys_[current_lane_];
+      for (size_t t = 0; t < fold_terms_.size(); ++t) {
+        const size_t at = current_lane_ * fold_terms_.size() + t;
+        const size_t base = left_width + 2 * t;
+        if (fold_terms_[t].int_sum) {
+          out_vp_.column(base).SetInt(filled, lane_sums_[at]);
+        } else {
+          out_vp_.column(base).SetDouble(filled,
+                                         static_cast<double>(lane_sums_[at]));
+        }
+        out_vp_.column(base + 1).SetInt(filled, lane_counts_[at]);
+      }
+      ++prefix_rows_;
+    } else {
+      RFV_RETURN_IF_ERROR(ResolveLaneCandidates());
+      keys = static_cast<int64_t>(candidates_.size());
+      if (keys == 0) continue;  // inner join: no group
+      for (size_t c = 0; c < left_width; ++c) {
+        fold_row_[c] = left_vp_->column(c).GetValue(current_lane_);
+      }
+      for (size_t t = 0; t < fold_terms_.size(); ++t) {
+        RFV_RETURN_IF_ERROR(FoldTermCandidates(t, filled));
+      }
+    }
     for (size_t c = 0; c < left_width; ++c) {
       out_vp_.column(c).CopyFrom(filled, left_vp_->column(c), current_lane_);
-      fold_row_[c] = current_left_[c];
     }
-    for (size_t t = 0; t < fold_terms_.size(); ++t) {
-      RFV_RETURN_IF_ERROR(FoldTermCandidates(t, filled));
-    }
-    folded += static_cast<int64_t>(candidates_.size());
+    folded += keys;
     ++filled;
   }
 

@@ -6,6 +6,7 @@
 // classes are exposed for white-box tests.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -338,14 +339,18 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// then emits one partial row per matched left row — the left columns
   /// followed by a (sum, non-NULL count) column pair per aggregate —
   /// instead of one row per candidate, and re-stamps its estimate as
-  /// the left estimate. Returns false and changes nothing otherwise.
+  /// the left estimate. Rows whose values allow it are answered from
+  /// strided prefix sums without visiting their candidates (DESIGN.md
+  /// §16 "Prefix path"). Returns false and changes nothing otherwise.
   bool TryEnableSumFold(const std::vector<ExprPtr>& group_by,
                         const std::vector<AggregateCall>& aggregates);
   bool folding() const { return !fold_terms_.empty(); }
   /// While folding: the output column of aggregate a's partial sum is
   /// fold_partial_base() + 2a, its non-NULL count the next column.
   size_t fold_partial_base() const { return left_->schema().NumColumns(); }
-  /// `fold=sum folded=<candidates>` while folding (EXPLAIN ANALYZE).
+  /// `fold=sum folded=<candidates> prefix=<left rows>` while folding
+  /// (EXPLAIN ANALYZE): prefix counts the partial rows answered from
+  /// prefix sums instead of a candidate walk.
   std::string MetricsDetail() const override;
 
  protected:
@@ -356,10 +361,9 @@ class MergeBandJoinOp : public PhysicalOperator {
  private:
   /// Evaluated, integer-resolved bounds of one band for one left row.
   struct ResolvedBand {
-    int64_t lo = 0;
-    int64_t hi = 0;
-    int64_t residue = 0;  ///< anchor's congruence class (modulus > 0)
-    int64_t modulus = 0;
+    int64_t lo = std::numeric_limits<int64_t>::min();
+    int64_t hi = std::numeric_limits<int64_t>::max();
+    int64_t residue = 0;  ///< anchor's class mod the band's modulus
     bool empty = false;
   };
 
@@ -390,27 +394,82 @@ class MergeBandJoinOp : public PhysicalOperator {
     /// constant argument resolves once per Open.
     bool per_left_row = false;
     std::vector<FoldLeaf> leaves;  ///< per band when tagging, else one
+    /// Prefix path (set with prefixes_): the largest |coefficient| c
+    /// for which |c| · max|cell| · (right keys) stays exact — 2^53 for
+    /// DOUBLE sums, INT64_MAX for INTEGER ones.
+    int64_t prefix_max_coeff = 0;
+  };
+  /// Strided prefix sums for one band modulus m over the dense key
+  /// range: sums[t][i] and counts[t][i] hold term t's column sum and
+  /// non-NULL count over dense positions i, i - m, i - 2m, ... >= 0, so
+  /// any congruence chain inside an interval is one difference.
+  struct FoldPrefix {
+    int64_t modulus = 1;
+    int64_t base_residue = 0;  ///< the first dense key's class mod m
+    std::vector<std::vector<int64_t>> sums;
+    std::vector<std::vector<int64_t>> counts;
+  };
+  /// A band of the current left row on the dense positions: the chain
+  /// first, first + m, ..., last (n = its length, 0 = empty).
+  struct BandChain {
+    int64_t first = 0;
+    int64_t last = 0;
+    int64_t n = 0;
   };
 
   Status AdvanceLeft(bool* eof);
   /// Resolves all bands for current_left_ into candidates_ (cross-band
   /// deduplicated); shared by the row and vector paths.
   Status ResolveCandidates();
+  /// Evaluates every band of current_left_ into resolved_ (row path),
+  /// or copies current_lane_'s from lane_bands_ (vector paths; after a
+  /// vector's evaluation error, evaluates the lane's row instead).
+  Status ResolveBands();
+  /// Fills candidates_ from resolved_ (cross-band deduplicated).
+  void CollectCandidates();
   Status ResolveBand(const BandSpec& band, const Row& left_row,
                      ResolvedBand* out) const;
+  /// Applies an evaluated lower (`is_lo`) or upper bound to *out; NULL
+  /// empties the band.
+  static Status ApplyBound(const Value& v, bool strict, bool is_lo,
+                           ResolvedBand* out);
+  /// Applies an evaluated congruence anchor to *out.
+  static void ApplyAnchor(const Value& a, int64_t modulus, ResolvedBand* out);
+  /// Vector paths: resolves every band for every selected row of the
+  /// new left_vp_ into lane_bands_, one columnar evaluation per bound.
+  Status ResolveLeftVector();
   /// Appends row ids of keys_ positions matching `band` to candidates_,
   /// using the per-band monotone start cursor `cursor`.
   void CollectBand(const ResolvedBand& band, size_t band_index);
-  /// Vector path: positions current_lane_/current_left_ on the next left
-  /// row, pulling left input as needed; *have = false at its end.
+  /// Vector paths: positions current_lane_ on the next left row, pulling
+  /// (and resolving the bands of) left input as needed; *have = false at
+  /// its end.
   Status NextLeftLane(bool* have);
-  /// Vector path: ResolveCandidates plus the columnar residual filter.
+  /// Vector paths: ResolveCandidates from the band lanes, plus the
+  /// columnar residual filter.
   Status ResolveLaneCandidates();
   /// Fold mode's NextVectorImpl: one partial row per matched left row.
   Status NextFoldedVector(VectorProjection** out, bool* eof);
   /// Folds the current left row's candidates into term `t`'s (sum,
   /// count) cells at output position `at`.
   Status FoldTermCandidates(size_t t, size_t at);
+  /// Open: builds prefixes_ when this Open's data admit the prefix path.
+  void BuildFoldPrefixes();
+  /// Prefix path, once per left vector: plans every lane (no group,
+  /// prefix sums, or walk) and computes the prefix lanes' partials.
+  void PlanFoldVector();
+  /// Band b of one left row as a chain of dense positions.
+  BandChain ChainOf(const ResolvedBand& band, size_t b) const;
+  /// The non-empty chains[0, bands) are pairwise disjoint.
+  bool ChainsDisjoint(const BandChain* chains);
+  /// ResolveFoldExpr over `lanes` of fold_vp_, columnar: multiplies
+  /// lane_coeff_ by the taken branch's integer coefficient, or flags
+  /// the lane (kLeafNull / kLeafInexact) in lane_leaf_. An error means
+  /// some lane's walk would raise one. A columnar twin of
+  /// ResolveFoldExpr, kept for its measured gain over resolving each
+  /// prefix row through it (EXPERIMENTS.md A10 "Prefix path").
+  Status ResolveFoldExprVector(const Expr& e, const FoldTerm& term,
+                               const SelectionVector& lanes);
   /// Resolves term->leaves[slot] on fold_row_ for the current left row.
   Status ResolveFoldLeaf(FoldTerm* term, size_t slot);
   /// Walks a run-foldable argument, evaluating its CASE conditions and
@@ -422,7 +481,6 @@ class MergeBandJoinOp : public PhysicalOperator {
   BandJoinSpec spec_;
   JoinType join_type_;
 
-  std::vector<Row> right_rows_;
   /// (key, row id) for non-NULL keys, sorted by key then row id.
   std::vector<std::pair<int64_t, size_t>> keys_;
   /// Dense direct-address table: keys are unique and contiguous, so
@@ -445,9 +503,11 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// Fold-mode dedup scratch: (candidate, band) pairs to sort.
   std::vector<std::pair<size_t, uint32_t>> tagged_;
 
-  // --- Vector-native path (NextVectorImpl, used when vectorized()) ---
-  /// Columnar copy of right_rows_ — the gather source for output runs.
+  /// The right side, columnar (row id = position): the gather source
+  /// for output runs and of the row path's joined rows.
   VectorProjection right_vp_;
+
+  // --- Vector-native path (NextVectorImpl, used when vectorized()) ---
   /// Pooled output lanes and residual-filter scratch, reused across
   /// NextVector calls.
   VectorProjection out_vp_;
@@ -460,6 +520,13 @@ class MergeBandJoinOp : public PhysicalOperator {
   VectorProjection* left_vp_ = nullptr;
   size_t left_lane_pos_ = 0;    ///< next selection slot in left_vp_
   uint32_t current_lane_ = 0;   ///< current left row position in left_vp_
+  /// ResolveLeftVector's output, [band][lane], and its scratch;
+  /// !lane_bands_ready_ after an evaluation error, when each row
+  /// resolves its bands itself.
+  std::vector<std::vector<ResolvedBand>> lane_bands_;
+  bool lane_bands_ready_ = false;
+  SelectionVector live_lanes_;
+  Vector bound_lane_;
   bool left_input_eof_ = false;
   size_t vector_capacity_ = RowBatch::kDefaultCapacity;
 
@@ -476,6 +543,28 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// row fold CASE conditions and factors are evaluated on.
   Row fold_row_;
   int64_t folded_candidates_ = 0;
+  /// Prefix path (empty prefixes_ = off for this Open): the prefix of
+  /// each band's modulus, and the current left vector's plan, by lane.
+  std::vector<FoldPrefix> prefixes_;
+  std::vector<size_t> band_prefix_;
+  enum LanePlan : uint8_t { kWalkLane, kPrefixLane, kNoGroupLane };
+  std::vector<LanePlan> lane_plan_;
+  std::vector<int64_t> lane_keys_;    ///< candidates per lane
+  std::vector<int64_t> lane_sums_;    ///< [lane * terms + term]
+  std::vector<int64_t> lane_counts_;  ///< [lane * terms + term]
+  /// Leaf resolution scratch: coefficient and flags per lane.
+  static constexpr uint8_t kLeafNull = 1;
+  static constexpr uint8_t kLeafInexact = 2;
+  std::vector<int64_t> lane_coeff_;
+  std::vector<uint8_t> lane_leaf_;
+  /// Left columns and the right ones up to the band key, which holds
+  /// the band's residue as a placeholder.
+  VectorProjection fold_vp_;
+  SelectionVector prefix_lanes_;
+  SelectionVector leaf_lanes_;
+  std::vector<BandChain> chains_;
+  std::vector<size_t> chain_order_;
+  int64_t prefix_rows_ = 0;
 };
 
 /// Hash join on equi-key conjuncts (inner / left outer) with optional

@@ -94,6 +94,29 @@ TEST_F(ExplainAnalyzeTest, FoldingBandJoinShowsFoldTokenAndLeftEstimate) {
       join_line.substr(join_line.find(token) + token.size()));
   EXPECT_GT(candidates, 50);
   EXPECT_EQ(folded->value() - before, candidates);
+  // seq's values are small integers, so prefix sums answer every
+  // partial row: prefix= equals rows_out (fewer would mean a fallback).
+  EXPECT_NE(join_line.find(" prefix=50"), std::string::npos) << text;
+  EXPECT_EQ(e.detail, "fold=sum folded=" + std::to_string(candidates) +
+                          " prefix=50");
+}
+
+TEST_F(ExplainAnalyzeTest, FoldingBandJoinCountsWalkedRowsOutsidePrefix) {
+  // Fractional view values leave every row to the candidate walk.
+  MustExecute(db_, "CREATE TABLE frac (pos INTEGER PRIMARY KEY, val DOUBLE)");
+  std::string rows;
+  for (int i = 1; i <= 20; ++i) {
+    if (i > 1) rows += ", ";
+    rows += "(" + std::to_string(i) + ", " + std::to_string(i) + ".25)";
+  }
+  MustExecute(db_, "INSERT INTO frac VALUES " + rows);
+  const ResultSet rs = MustExecute(
+      db_,
+      "EXPLAIN ANALYZE SELECT s1.pos, SUM(s2.val) FROM frac s1, frac s2 "
+      "WHERE s2.pos BETWEEN s1.pos - 2 AND s1.pos GROUP BY s1.pos");
+  const std::string text = ExplainText(rs);
+  EXPECT_NE(text.find("fold=sum folded=57 prefix=0"), std::string::npos)
+      << text;
 }
 
 TEST_F(ExplainAnalyzeTest, UnderivableQuerySaysRewriteNone) {

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -616,6 +618,20 @@ class BandFoldTest : public ::testing::Test {
     }
     MustExecute(db_, "INSERT INTO vx VALUES " + dvals);
     MustExecute(db_, "INSERT INTO vi VALUES " + ivals);
+    // Integral DOUBLE values: the prefix path's domain.
+    MustExecute(db_, "CREATE TABLE vn (pos INTEGER, val DOUBLE)");
+    MustExecute(db_, "INSERT INTO vn VALUES " + IntegralRows(-4, 60));
+  }
+
+  /// "(p, v), ..." for p in [from, to] with small integral values.
+  static std::string IntegralRows(int from, int to) {
+    std::string rows;
+    for (int p = from; p <= to; ++p) {
+      if (p > from) rows += ", ";
+      rows += "(" + std::to_string(p) + ", " +
+              std::to_string((p * 37 + 11) % 23 - 11) + ")";
+    }
+    return rows;
   }
 
   void SetRowMode(bool row) {
@@ -623,24 +639,87 @@ class BandFoldTest : public ::testing::Test {
     db_.options().exec.use_batch_execution = !row;
   }
 
-  bool Folds(const std::string& sql) {
+  /// The folding join's EXPLAIN ANALYZE counters.
+  struct FoldStats {
+    bool folds = false;
+    int64_t rows = 0;    ///< partial rows emitted
+    int64_t prefix = 0;  ///< of those, answered from prefix sums
+  };
+
+  FoldStats Explain(const std::string& sql) {
     const ResultSet rs = MustExecute(db_, "EXPLAIN ANALYZE " + sql);
-    std::string text;
-    for (const Row& row : rs.rows()) text += row[0].ToString() + "\n";
-    return text.find("fold=sum") != std::string::npos;
+    FoldStats stats;
+    for (const OperatorMetricsEntry& e : rs.metrics()) {
+      const size_t at = e.detail.find("prefix=");
+      if (e.detail.find("fold=sum") == std::string::npos ||
+          at == std::string::npos) {
+        continue;
+      }
+      stats.folds = true;
+      stats.rows = e.metrics.rows_out;
+      stats.prefix = std::stoll(e.detail.substr(at + 7));
+    }
+    return stats;
+  }
+
+  bool Folds(const std::string& sql) { return Explain(sql).folds; }
+
+  /// Builds `sql`'s physical plan into *op and returns its merge band
+  /// join (nullptr when there is none).
+  MergeBandJoinOp* BuildBandJoinPlan(const std::string& sql,
+                                     PhysicalOperatorPtr* op) {
+    Result<Statement> stmt = Parser::ParseStatement(sql);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    if (!stmt.ok()) return nullptr;
+    Binder binder(db_.catalog());
+    Result<LogicalPlanPtr> bound = binder.BindSelect(*stmt->select);
+    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+    if (!bound.ok()) return nullptr;
+    LogicalPlanPtr plan = OptimizePlan(std::move(bound).value());
+    EstimateCardinality(plan.get());
+    Result<PhysicalOperatorPtr> built = BuildPhysicalPlan(*plan);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    if (!built.ok()) return nullptr;
+    *op = std::move(built).value();
+    std::vector<const PhysicalOperator*> stack = {op->get()};
+    while (!stack.empty()) {
+      const PhysicalOperator* node = stack.back();
+      stack.pop_back();
+      if (auto* band = dynamic_cast<const MergeBandJoinOp*>(node)) {
+        return const_cast<MergeBandJoinOp*>(band);
+      }
+      node->AppendChildren(&stack);
+    }
+    return nullptr;
   }
 
   // Vector mode folds and agrees bit for bit with row mode, which does
   // not fold.
-  void ExpectFoldMatchesRow(const std::string& sql) {
+  FoldStats ExpectFoldMatchesRow(const std::string& sql) {
     SetRowMode(false);
-    EXPECT_TRUE(Folds(sql)) << sql;
+    const FoldStats stats = Explain(sql);
+    EXPECT_TRUE(stats.folds) << sql;
     const ResultSet vec = MustExecute(db_, sql);
     SetRowMode(true);
     EXPECT_FALSE(Folds(sql)) << sql;
     const ResultSet row = MustExecute(db_, sql);
     SetRowMode(false);
     EXPECT_TRUE(BitIdentical(vec, row)) << sql;
+    return stats;
+  }
+
+  // ... and every partial row came from prefix sums.
+  void ExpectPrefixMatchesRow(const std::string& sql) {
+    const FoldStats stats = ExpectFoldMatchesRow(sql);
+    EXPECT_GT(stats.rows, 0) << sql;
+    EXPECT_EQ(stats.prefix, stats.rows) << sql;
+  }
+
+  // ... and every partial row came from the candidate walk.
+  void ExpectWalkMatchesRow(const std::string& sql) {
+    const FoldStats stats = ExpectFoldMatchesRow(sql);
+    EXPECT_GT(stats.rows, 0) << sql;
+    EXPECT_EQ(stats.prefix, 0) << sql;
   }
 
   void ExpectUnfolded(const std::string& sql) {
@@ -764,31 +843,13 @@ TEST_F(BandFoldTest, CapacityOneOutputVectors) {
   params.delta_h = 0;
   params.wx = 4;
   const std::string sql = MinoaSql("vx", params, 50, false) + " ORDER BY 1";
-  Result<Statement> stmt = Parser::ParseStatement(sql);
-  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
-  Binder binder(db_.catalog());
-  Result<LogicalPlanPtr> bound = binder.BindSelect(*stmt->select);
-  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-  LogicalPlanPtr plan = OptimizePlan(std::move(bound).value());
-  EstimateCardinality(plan.get());
-  Result<PhysicalOperatorPtr> op = BuildPhysicalPlan(*plan);
-  ASSERT_TRUE(op.ok()) << op.status().ToString();
-
-  // Find the folding band join and shrink its output vectors.
-  MergeBandJoinOp* band = nullptr;
-  std::vector<const PhysicalOperator*> stack = {op->get()};
-  while (!stack.empty()) {
-    const PhysicalOperator* node = stack.back();
-    stack.pop_back();
-    if (auto* b = dynamic_cast<const MergeBandJoinOp*>(node)) {
-      band = const_cast<MergeBandJoinOp*>(b);
-    }
-    node->AppendChildren(&stack);
-  }
+  // Shrink the folding band join's output vectors.
+  PhysicalOperatorPtr op;
+  MergeBandJoinOp* band = BuildBandJoinPlan(sql, &op);
   ASSERT_NE(band, nullptr);
   ASSERT_TRUE(band->folding());
   band->SetVectorOutputCapacityForTest(1);
-  Result<std::vector<Row>> rows = ExecuteToVector(op->get());
+  Result<std::vector<Row>> rows = ExecuteToVector(op.get());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(band->metrics().vectors_out, 50);  // one partial per vector
 
@@ -865,19 +926,339 @@ TEST_F(BandFoldTest, NonQualifyingPlansStayUnfolded) {
                                        false)));
 }
 
-TEST_F(ExecModesSqlTest, ErrorsAgreeAcrossModes) {
-  const std::string sql = "SELECT 1 / (a - a) FROM t";
-  db_.options().exec.use_vectorized_execution = true;
-  Result<ResultSet> vec = db_.Execute(sql);
-  db_.options().exec.use_vectorized_execution = false;
-  Result<ResultSet> batch = db_.Execute(sql);
-  db_.options().exec.use_batch_execution = false;
+// ---------------------------------------------------------------------
+// Prefix path: with integral values inside the exact range, each
+// (left row, band) chain sum is a difference of two strided prefix sums
+// (DESIGN.md §16 "Prefix path"). EXPLAIN ANALYZE's prefix= shows which
+// rows took it; every other row walks its candidates as before.
+// ---------------------------------------------------------------------
+
+TEST_F(BandFoldTest, PrefixSumsAnswerIntegralChains) {
+  MinoaParams params;
+  params.delta_l = 1;
+  params.delta_h = 0;
+  params.wx = 4;
+  ExpectPrefixMatchesRow(MinoaSql("vn", params, 50, false) + " ORDER BY 1");
+  params.delta_l = -2;
+  params.delta_h = -1;
+  ExpectPrefixMatchesRow(MinoaSql("vn", params, 50, false) + " ORDER BY 1");
+  params.delta_l = 2;  // coincident classes: one bounded chain
+  params.delta_h = 2;
+  ExpectPrefixMatchesRow(MinoaSql("vn", params, 50, false) + " ORDER BY 1");
+  ExpectPrefixMatchesRow(
+      MinoaCumulativeSql("vn", WindowSpec::SlidingUnchecked(2, 1), 50) +
+      " ORDER BY 1");
+  for (const bool in_predicate : {false, true}) {
+    ExpectPrefixMatchesRow(SelfJoinWindowSql(
+                               "vn", "pos", "val",
+                               WindowSpec::SlidingUnchecked(3, 2),
+                               in_predicate) +
+                           " ORDER BY 1");
+  }
+  // INTEGER sums with integer factors, and a DOUBLE sum of int64 cells.
+  ExpectPrefixMatchesRow(
+      "SELECT s1.pos, SUM(2 * s2.val), SUM(-(s2.val * 3)), "
+      "SUM(CASE WHEN MOD(s1.pos, 3) = MOD(s2.pos, 3) THEN s2.val ELSE "
+      "2.0 * s2.val END) FROM vi s1, vi s2 WHERE (s2.pos < s1.pos AND "
+      "MOD(s2.pos, 3) = MOD(s1.pos, 3)) OR (s2.pos <= s1.pos + 4 AND "
+      "MOD(s2.pos, 3) = MOD(s1.pos + 1, 3)) GROUP BY s1.pos ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, PrefixSumsSkipNullCells) {
+  MustExecute(db_, "CREATE TABLE nn (pos INTEGER, val DOUBLE)");
+  MustExecute(db_,
+              "INSERT INTO nn VALUES (1, NULL), (2, 4), (3, NULL), "
+              "(4, NULL), (5, NULL), (6, -3), (7, 8), (8, NULL)");
+  const std::string sql =
+      "SELECT s1.pos, SUM(s2.val), SUM((-1) * s2.val) FROM nn s1, nn s2 "
+      "WHERE s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos "
+      "ORDER BY 1";
+  ExpectPrefixMatchesRow(sql);
+  const ResultSet rs = MustExecute(db_, sql);
+  ASSERT_EQ(rs.NumRows(), 8u);
+  EXPECT_TRUE(rs.rows()[3][1].is_null());  // pos 4: band 3..5 all NULL
+  EXPECT_EQ(rs.rows()[0][1], Value::Double(4));
+  EXPECT_EQ(rs.rows()[6][2], Value::Double(-5));
+  // A chain of NULLs only, in both classes of a MinOA.
+  MinoaParams params;
+  params.delta_l = 1;
+  params.delta_h = 0;
+  params.wx = 4;
+  ExpectPrefixMatchesRow(MinoaSql("nn", params, 8, false) + " ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, PrefixNullFactorGivesNullSum) {
+  // A NULL left factor makes the argument NULL on every candidate: the
+  // group exists, its SUM is NULL.
+  MustExecute(db_, "CREATE TABLE nf (pos INTEGER, k INTEGER)");
+  MustExecute(db_,
+              "INSERT INTO nf VALUES (3, 2), (4, NULL), (5, -3), (6, NULL)");
+  const std::string sql =
+      "SELECT s1.pos, SUM(s1.k * s2.val), SUM(s2.val) FROM nf s1, vn s2 "
+      "WHERE s2.pos BETWEEN s1.pos - 2 AND s1.pos GROUP BY s1.pos "
+      "ORDER BY 1";
+  ExpectPrefixMatchesRow(sql);
+  const ResultSet rs = MustExecute(db_, sql);
+  ASSERT_EQ(rs.NumRows(), 4u);
+  EXPECT_TRUE(rs.rows()[1][1].is_null());
+  EXPECT_FALSE(rs.rows()[1][2].is_null());
+  EXPECT_FALSE(rs.rows()[2][1].is_null());
+}
+
+TEST_F(BandFoldTest, PrefixLeafErrorsMatchRowMode) {
+  // Leaf factors that fail on some left rows: the first failing row in
+  // row order (pos 2, MOD by zero, before pos 3's division by zero)
+  // raises its error in every mode, though the rows before it take the
+  // prefix path.
+  const std::string sql =
+      "SELECT s1.pos, SUM((1 / (s1.pos - 3)) * s2.val), SUM(MOD(1, s1.pos "
+      "- 2) * s2.val) FROM vn s1, vn s2 WHERE s2.pos BETWEEN s1.pos - 1 AND "
+      "s1.pos + 1 GROUP BY s1.pos";
+  SetRowMode(true);
   Result<ResultSet> row = db_.Execute(sql);
-  ASSERT_FALSE(vec.ok());
-  ASSERT_FALSE(batch.ok());
+  SetRowMode(false);
+  PhysicalOperatorPtr op;
+  MergeBandJoinOp* band = BuildBandJoinPlan(sql, &op);
+  ASSERT_NE(band, nullptr);
+  ASSERT_TRUE(band->folding());
+  Result<std::vector<Row>> folded = ExecuteToVector(op.get());
   ASSERT_FALSE(row.ok());
+  ASSERT_FALSE(folded.ok());
+  EXPECT_EQ(row.status().ToString(),
+            Status::ExecutionError("MOD by zero").ToString());
+  EXPECT_EQ(folded.status().ToString(), row.status().ToString());
+  Result<ResultSet> vec = db_.Execute(sql);
+  ASSERT_FALSE(vec.ok());
   EXPECT_EQ(vec.status().ToString(), row.status().ToString());
-  EXPECT_EQ(batch.status().ToString(), row.status().ToString());
+}
+
+TEST_F(BandFoldTest, PrefixRowsWithEmptyBandsMakeNoGroup) {
+  // Keys past 60 have no partner, and a NULL bound empties the band:
+  // neither left row may produce a group or count as a prefix row.
+  const FoldStats stats = ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE s2.pos BETWEEN "
+      "s1.pos + 50 AND s1.pos + 52 GROUP BY s1.pos ORDER BY 1");
+  EXPECT_EQ(stats.rows, 15);  // s1.pos -4..10
+  EXPECT_EQ(stats.prefix, 15);
+  MustExecute(db_, "CREATE TABLE nb (pos INTEGER, k INTEGER)");
+  MustExecute(db_,
+              "INSERT INTO nb VALUES (1, 3), (2, NULL), (3, 90), (4, 7), "
+              "(5, NULL)");
+  const FoldStats nb = ExpectFoldMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM nb s1, vn s2 WHERE s2.pos BETWEEN "
+      "s1.k - 2 AND s1.k GROUP BY s1.pos ORDER BY 1");
+  EXPECT_EQ(nb.rows, 2);  // only k = 3 and k = 7 meet keys
+  EXPECT_EQ(nb.prefix, 2);
+}
+
+TEST_F(BandFoldTest, PrefixLeftInputCrossesVectorBoundary) {
+  MustExecute(db_, "CREATE TABLE bigi (pos INTEGER, val DOUBLE)");
+  MustExecute(db_, "INSERT INTO bigi VALUES " + IntegralRows(1, 1500));
+  MinoaParams params;
+  params.delta_l = 3;
+  params.delta_h = 0;
+  params.wx = 7;
+  const FoldStats stats =
+      ExpectFoldMatchesRow(MinoaSql("bigi", params, 1490, false) +
+                           " ORDER BY 1");
+  EXPECT_EQ(stats.rows, 1490);
+  EXPECT_EQ(stats.prefix, 1490);
+  ExpectPrefixMatchesRow(SelfJoinWindowSql("bigi", "pos", "val",
+                                           WindowSpec::SlidingUnchecked(40, 2),
+                                           /*use_in_predicate=*/false) +
+                         " ORDER BY 1");
+}
+
+// Fallbacks: each case runs the walk for every row and still agrees
+// with row mode bit for bit.
+
+TEST_F(BandFoldTest, FractionalDoublesWalk) {
+  MinoaParams params;
+  params.delta_l = 1;
+  params.delta_h = 0;
+  params.wx = 4;
+  ExpectWalkMatchesRow(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
+  // Integral cells, fractional factor: decided per left row.
+  ExpectWalkMatchesRow(
+      "SELECT s1.pos, SUM(0.5 * s2.val) FROM vn s1, vn s2 WHERE s2.pos "
+      "BETWEEN s1.pos - 2 AND s1.pos GROUP BY s1.pos ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, MagnitudesAboveTheExactRangeWalk) {
+  // DOUBLE: 2^50 · 16 keys > 2^53.
+  MustExecute(db_, "CREATE TABLE hd (pos INTEGER, val DOUBLE)");
+  MustExecute(db_, "CREATE TABLE hi (pos INTEGER, val INTEGER)");
+  std::string hd;
+  std::string hi;
+  for (int p = 1; p <= 16; ++p) {
+    if (p > 1) {
+      hd += ", ";
+      hi += ", ";
+    }
+    hd += "(" + std::to_string(p) + ", " +
+          std::to_string((p % 2 == 0 ? 1 : -1) * (int64_t{1} << 50)) + ")";
+    hi += "(" + std::to_string(p) + ", " +
+          std::to_string((p % 3 - 1) * (int64_t{1} << 60)) + ")";
+  }
+  MustExecute(db_, "INSERT INTO hd VALUES " + hd);
+  MustExecute(db_, "INSERT INTO hi VALUES " + hi);
+  ExpectWalkMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM hd s1, hd s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos ORDER BY 1");
+  // INTEGER: 2^60 · 16 keys > INT64_MAX.
+  ExpectWalkMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM hi s1, hi s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos ORDER BY 1");
+  // Small cells, but a coefficient of 2^46 · 11 · 65 keys > 2^53.
+  ExpectWalkMatchesRow(
+      "SELECT s1.pos, SUM(70368744177664 * s2.val) FROM vn s1, vn s2 WHERE "
+      "s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, OverlappingBandsWalk) {
+  // Same residue, overlapping spans: a shared key is one candidate.
+  ExpectWalkMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE (s2.pos <= s1.pos "
+      "AND MOD(s2.pos, 3) = MOD(s1.pos, 3)) OR (s2.pos BETWEEN s1.pos - 6 "
+      "AND s1.pos + 3 AND MOD(s2.pos, 3) = MOD(s1.pos, 3)) GROUP BY s1.pos "
+      "ORDER BY 1");
+  // Plain intervals that overlap, and a repeated IN point.
+  ExpectWalkMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE (s2.pos BETWEEN "
+      "s1.pos - 3 AND s1.pos) OR (s2.pos BETWEEN s1.pos - 1 AND s1.pos + 2) "
+      "GROUP BY s1.pos ORDER BY 1");
+  ExpectWalkMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE s2.pos IN "
+      "(s1.pos - 1, s1.pos - 1) GROUP BY s1.pos ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, ResidualAndApproximateBandsWalk) {
+  ExpectWalkMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 3 AND s1.pos + 3 AND s2.val > s1.val GROUP BY s1.pos "
+      "ORDER BY 1");
+  // An OR branch with a conjunct the band cannot hold over-approximates
+  // and re-checks the whole condition per candidate.
+  ExpectWalkMatchesRow(
+      "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE (s2.pos BETWEEN "
+      "s1.pos - 2 AND s1.pos AND s2.val > 0) OR (s2.pos BETWEEN s1.pos + 5 "
+      "AND s1.pos + 6) GROUP BY s1.pos ORDER BY 1");
+}
+
+TEST_F(BandFoldTest, StringCellWalksIntoTheTypeError) {
+  // Storage types every cell, so a string reaches a fold argument only
+  // through a mis-typed plan: here, SUM over a VARCHAR column declared
+  // DOUBLE. The prefix path must leave it to the walk's type error.
+  MustExecute(db_, "CREATE TABLE sx (pos INTEGER, val VARCHAR)");
+  MustExecute(db_, "INSERT INTO sx VALUES (1, 'a'), (2, 'b'), (3, 'c')");
+  PhysicalOperatorPtr op;
+  MergeBandJoinOp* band = BuildBandJoinPlan(
+      "SELECT s1.pos, s2.val FROM vn s1, sx s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 1 AND s1.pos + 1",
+      &op);
+  ASSERT_NE(band, nullptr);
+  std::vector<ExprPtr> group_by;
+  group_by.push_back(eb::Col(0, DataType::kInt64));
+  std::vector<AggregateCall> sums(1);
+  sums[0].arg = eb::Col(3, DataType::kDouble);  // s2.val
+  ASSERT_TRUE(band->TryEnableSumFold(group_by, sums));
+  ASSERT_TRUE(band->Open().ok());
+  VectorProjection* out = nullptr;
+  bool eof = false;
+  const Status status = band->NextVector(&out, &eof);
+  EXPECT_EQ(status.ToString(),
+            Status::TypeError("arithmetic on non-numeric value").ToString());
+  EXPECT_NE(band->MetricsDetail().find("prefix=0"), std::string::npos)
+      << band->MetricsDetail();
+}
+
+TEST_F(BandFoldTest, IntegerSumOverflowErrorsInEveryMode) {
+  // INT64_MAX cells: every window sum leaves int64. Row mode, the
+  // unfolded vector aggregate and the fold (whose prefix path the
+  // magnitude rules out) all report the same error.
+  MustExecute(db_, "CREATE TABLE ov (pos INTEGER, v INTEGER)");
+  MustExecute(db_,
+              "INSERT INTO ov VALUES (1, 9223372036854775807), "
+              "(2, 9223372036854775807), (3, 9223372036854775807)");
+  const std::string sql =
+      "SELECT s1.pos, SUM(s2.v) FROM ov s1, ov s2 WHERE s2.pos BETWEEN "
+      "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos";
+  const std::string expected =
+      Status::ExecutionError("integer overflow in SUM").ToString();
+  SetRowMode(true);
+  Result<ResultSet> row = db_.Execute(sql);
+  SetRowMode(false);
+  db_.options().exec.enable_merge_band_join = false;
+  Result<ResultSet> vec = db_.Execute(sql);
+  db_.options().exec.enable_merge_band_join = true;
+  PhysicalOperatorPtr op;
+  MergeBandJoinOp* band = BuildBandJoinPlan(sql, &op);
+  ASSERT_NE(band, nullptr);
+  ASSERT_TRUE(band->folding());
+  Result<std::vector<Row>> folded = ExecuteToVector(op.get());
+  ASSERT_FALSE(row.ok());
+  ASSERT_FALSE(vec.ok());
+  ASSERT_FALSE(folded.ok());
+  EXPECT_EQ(row.status().ToString(), expected);
+  EXPECT_EQ(vec.status().ToString(), expected);
+  EXPECT_EQ(folded.status().ToString(), expected);
+  // A global SUM, and a total that overshoots only transiently.
+  for (const bool row_mode : {true, false}) {
+    SetRowMode(row_mode);
+    Result<ResultSet> global = db_.Execute("SELECT SUM(v) FROM ov");
+    ASSERT_FALSE(global.ok());
+    EXPECT_EQ(global.status().ToString(), expected);
+  }
+  MustExecute(db_, "INSERT INTO ov VALUES (4, -9223372036854775807), "
+                   "(5, -9223372036854775807)");
+  for (const bool row_mode : {true, false}) {
+    SetRowMode(row_mode);
+    const ResultSet rs = MustExecute(db_, "SELECT SUM(v) FROM ov");
+    EXPECT_EQ(rs.rows()[0][0],
+              Value::Int(std::numeric_limits<int64_t>::max()));
+  }
+  SetRowMode(false);
+}
+
+TEST_F(ExecModesSqlTest, ErrorsAgreeAcrossModes) {
+  // The second statement's merge band join has two bands whose bounds
+  // fail on different rows: one on the first row (a = 1, division by
+  // zero), the other on the second (a = 2, MOD by zero), which the join
+  // resolves first. The vector path resolves a whole left vector's
+  // bands at once, yet must raise the first row's error.
+  const std::string band_sql =
+      "SELECT t1.a, t2.a FROM t t1, t t2 WHERE t2.a BETWEEN t1.a AND "
+      "t1.a + 1 / (t1.a - 1) OR t2.a BETWEEN t1.a AND t1.a + MOD(1, "
+      "t1.a - 2)";
+  for (const std::string& sql : {std::string("SELECT 1 / (a - a) FROM t"),
+                                 band_sql}) {
+    db_.options().exec.use_vectorized_execution = true;
+    db_.options().exec.use_batch_execution = true;
+    Result<ResultSet> vec = db_.Execute(sql);
+    db_.options().exec.use_vectorized_execution = false;
+    Result<ResultSet> batch = db_.Execute(sql);
+    db_.options().exec.use_batch_execution = false;
+    Result<ResultSet> row = db_.Execute(sql);
+    ASSERT_FALSE(vec.ok()) << sql;
+    ASSERT_FALSE(batch.ok()) << sql;
+    ASSERT_FALSE(row.ok()) << sql;
+    EXPECT_EQ(row.status().ToString(),
+              Status::ExecutionError("division by zero").ToString());
+    EXPECT_EQ(vec.status().ToString(), row.status().ToString()) << sql;
+    EXPECT_EQ(batch.status().ToString(), row.status().ToString()) << sql;
+  }
+  // The plan under test: the band join, with both bands.
+  db_.options().exec.use_vectorized_execution = true;
+  db_.options().exec.use_batch_execution = true;
+  const ResultSet plan =
+      MustExecute(db_, "EXPLAIN ANALYZE SELECT t1.a, t2.a FROM t t1, t t2 "
+                       "WHERE t2.a BETWEEN t1.a AND t1.a + 1 / (t1.a + 10) "
+                       "OR t2.a BETWEEN t1.a AND t1.a + MOD(1, t1.a + 10)");
+  bool band_join = false;
+  for (const OperatorMetricsEntry& e : plan.metrics()) {
+    band_join = band_join || e.name == "merge_band_join";
+  }
+  EXPECT_TRUE(band_join);
 }
 
 }  // namespace
