@@ -10,6 +10,59 @@ namespace rfv {
 
 namespace {
 
+/// Groups per output vector of the columnar aggregate; group g sits in
+/// vector g / kGroupRows at lane g % kGroupRows.
+constexpr size_t kGroupRows = RowBatch::kDefaultCapacity;
+
+/// Open-addressing int64 → group map (linear probing, power-of-two
+/// capacity, at most half full): the int fast path's lookup, without a
+/// node allocation per group.
+class IntGroupMap {
+ public:
+  static constexpr size_t kNoGroup = static_cast<size_t>(-1);
+
+  /// The group slot of `key`: its group, or kNoGroup for a new key, which
+  /// the caller then sets (the key is recorded either way).
+  size_t* Slot(int64_t key) {
+    if (2 * (size_ + 1) > groups_.size()) Grow();
+    size_t i = Hash(key);
+    while (groups_[i] != kNoGroup && keys_[i] != key) i = (i + 1) & mask_;
+    if (groups_[i] == kNoGroup) {
+      keys_[i] = key;
+      ++size_;
+    }
+    return &groups_[i];
+  }
+
+ private:
+  size_t Hash(int64_t key) const {
+    return static_cast<size_t>(
+               (static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ull) >> 32) &
+           mask_;
+  }
+
+  void Grow() {
+    std::vector<int64_t> keys = std::move(keys_);
+    std::vector<size_t> groups = std::move(groups_);
+    const size_t capacity = groups.empty() ? 1024 : 2 * groups.size();
+    keys_.assign(capacity, 0);
+    groups_.assign(capacity, kNoGroup);
+    mask_ = capacity - 1;
+    for (size_t j = 0; j < groups.size(); ++j) {
+      if (groups[j] == kNoGroup) continue;
+      size_t i = Hash(keys[j]);
+      while (groups_[i] != kNoGroup) i = (i + 1) & mask_;
+      keys_[i] = keys[j];
+      groups_[i] = groups[j];
+    }
+  }
+
+  std::vector<int64_t> keys_;
+  std::vector<size_t> groups_;
+  size_t size_ = 0;
+  size_t mask_ = 0;
+};
+
 /// Streaming accumulator for one aggregate call. NULL inputs are ignored
 /// (SQL semantics); COUNT(*) counts rows regardless.
 struct Accumulator {
@@ -137,6 +190,7 @@ Status HashAggregateOp::OpenImpl() {
   results_.clear();
   pos_ = 0;
   RFV_RETURN_IF_ERROR(child_->Open());
+  if (vectorized()) return OpenColumnar();
 
   // Group state; insertion order is preserved for deterministic output.
   std::unordered_map<std::vector<Value>, size_t, RowColumnsHash> group_index;
@@ -153,162 +207,9 @@ Status HashAggregateOp::OpenImpl() {
     return group_keys.size() - 1;
   };
 
-  const auto finish_groups = [&]() -> Status {
-    results_.reserve(group_keys.size());
-    for (size_t gi = 0; gi < group_keys.size(); ++gi) {
-      std::vector<Value> out = std::move(group_keys[gi]);
-      for (const Accumulator& acc : group_accs[gi]) {
-        if (acc.overflowed()) {
-          return Status::ExecutionError("integer overflow in SUM");
-        }
-        out.push_back(acc.Finish());
-      }
-      results_.push_back(Row(std::move(out)));
-    }
-    NoteBufferedRows(results_.size());
-    return Status::OK();
-  };
-
   // Global aggregation emits one row even for empty input.
   if (group_by_.empty()) {
     group_index[{}] = new_group({});
-  }
-
-  // Vectorized ingest: keys and aggregate arguments evaluate once per
-  // vector in columnar loops, and rows are folded straight from the
-  // lanes — no per-row Value boxing on the numeric paths. Rows are
-  // visited in selection order (ascending), so group insertion order and
-  // floating-point accumulation order match the row path exactly —
-  // except under a SUM fold (SetFoldedInput) when one group's partials
-  // come from several left rows: those partial sums are added to each
-  // other, so DOUBLE sums may differ from the row path by reassociation
-  // (DESIGN.md §16).
-  // Gated on the plan-wide knob, not on child_->vectorized(): a row-only
-  // child (merge band join) still serves NextVector through the
-  // transpose fallback, and the columnar key/argument evaluation wins
-  // even when the input arrives as transposed batches.
-  if (vector_exec_enabled()) {
-    std::vector<Vector> key_vecs(group_by_.size());
-    std::vector<Vector> arg_vecs(aggregates_.size());
-    // Single-int64-key fast path: group lookup on the raw int64 lane.
-    // Migrates one-way to the generic hash-bucketed lookup the first
-    // time a non-int64, non-NULL key appears (the shared bulk-hash
-    // kernel then unifies Int and Double keys exactly as the row path's
-    // RowColumnsHash does).
-    bool int_fast = group_by_.size() == 1;
-    std::unordered_map<int64_t, size_t> int_groups;
-    constexpr size_t kNoGroup = static_cast<size_t>(-1);
-    size_t null_group = kNoGroup;
-    // Generic path: the key columns of each vector are bulk-hashed once
-    // by the HashVectorColumns kernel the joins use (hash-identical to
-    // RowColumnsHash), and groups are found by full-hash bucket plus a
-    // typed cell-vs-stored-key compare — the incoming key is boxed only
-    // when it starts a new group.
-    std::unordered_map<uint64_t, std::vector<size_t>> generic_buckets;
-    std::vector<uint64_t> key_hashes;
-    std::vector<const Vector*> key_ptrs(group_by_.size());
-    bool input_eof = false;
-    while (!input_eof) {
-      VectorProjection* vp = nullptr;
-      RFV_RETURN_IF_ERROR(child_->NextVector(&vp, &input_eof));
-      if (vp == nullptr || vp->NumSelected() == 0) continue;
-      const SelectionVector& sel = vp->sel();
-      for (size_t g = 0; g < group_by_.size(); ++g) {
-        RFV_RETURN_IF_ERROR(
-            VectorEvaluator::Eval(*group_by_[g], *vp, sel, &key_vecs[g]));
-        key_ptrs[g] = &key_vecs[g];
-      }
-      for (size_t a = 0; a < aggregates_.size() && !folded_; ++a) {
-        if (!aggregates_[a].is_count_star) {
-          RFV_RETURN_IF_ERROR(VectorEvaluator::Eval(*aggregates_[a].arg, *vp,
-                                                    sel, &arg_vecs[a]));
-        }
-      }
-      // Bulk-hash the keys lazily: only when this vector actually needs
-      // generic lookups (the int fast path may cover the whole input).
-      bool hashes_ready = false;
-      const auto ensure_hashes = [&]() {
-        if (hashes_ready) return;
-        HashVectorColumns(key_ptrs, sel, vp->num_rows(), &key_hashes);
-        hashes_ready = true;
-      };
-      if (!group_by_.empty() && !int_fast) ensure_hashes();
-      for (size_t k = 0; k < sel.size(); ++k) {
-        const uint32_t i = sel[k];
-        size_t gi = 0;
-        if (!group_by_.empty()) {
-          if (int_fast) {
-            const DataType t = key_vecs[0].tag(i);
-            if (t == DataType::kInt64) {
-              const int64_t kv = key_vecs[0].i64(i);
-              const auto it = int_groups.find(kv);
-              if (it != int_groups.end()) {
-                gi = it->second;
-              } else {
-                gi = new_group({Value::Int(kv)});
-                int_groups.emplace(kv, gi);
-              }
-            } else if (t == DataType::kNull) {
-              if (null_group == kNoGroup) {
-                null_group = new_group({Value::Null()});
-              }
-              gi = null_group;
-            } else {
-              int_fast = false;
-              for (size_t g2 = 0; g2 < group_keys.size(); ++g2) {
-                generic_buckets[RowColumnsHash{}(group_keys[g2])].push_back(
-                    g2);
-              }
-              ensure_hashes();
-            }
-          }
-          if (!int_fast) {
-            const uint64_t h = key_hashes[i];
-            size_t found = kNoGroup;
-            const auto it = generic_buckets.find(h);
-            if (it != generic_buckets.end()) {
-              for (const size_t cand : it->second) {
-                bool eq = true;
-                for (size_t g = 0; g < group_by_.size(); ++g) {
-                  if (!VectorCellEqualsValue(key_vecs[g], i,
-                                             group_keys[cand][g])) {
-                    eq = false;
-                    break;
-                  }
-                }
-                if (eq) {
-                  found = cand;
-                  break;
-                }
-              }
-            }
-            if (found != kNoGroup) {
-              gi = found;
-            } else {
-              std::vector<Value> key;
-              key.reserve(group_by_.size());
-              for (size_t g = 0; g < group_by_.size(); ++g) {
-                key.push_back(key_vecs[g].GetValue(i));
-              }
-              gi = new_group(key);
-              generic_buckets[h].push_back(gi);
-            }
-          }
-        }
-        std::vector<Accumulator>& accs = group_accs[gi];
-        for (size_t a = 0; a < aggregates_.size(); ++a) {
-          if (folded_) {
-            accs[a].AddPartial(vp->column(partial_base_ + 2 * a),
-                               vp->column(partial_base_ + 2 * a + 1), i);
-          } else if (aggregates_[a].is_count_star) {
-            accs[a].AddRowForCountStar();
-          } else {
-            accs[a].AddFromVector(arg_vecs[a], i);
-          }
-        }
-      }
-    }
-    return finish_groups();
   }
 
   // Batch pull keeps the aggregation streaming (only the accumulators
@@ -347,16 +248,218 @@ Status HashAggregateOp::OpenImpl() {
     }
   }
 
-  return finish_groups();
+  results_.reserve(group_keys.size());
+  for (size_t gi = 0; gi < group_keys.size(); ++gi) {
+    std::vector<Value> out = std::move(group_keys[gi]);
+    for (const Accumulator& acc : group_accs[gi]) {
+      if (acc.overflowed()) {
+        return Status::ExecutionError("integer overflow in SUM");
+      }
+      out.push_back(acc.Finish());
+    }
+    results_.push_back(Row(std::move(out)));
+  }
+  NoteBufferedRows(results_.size());
+  return Status::OK();
+}
+
+Status HashAggregateOp::OpenColumnar() {
+  groups_.clear();
+  num_groups_ = 0;
+  const size_t num_keys = group_by_.size();
+  const size_t num_aggs = aggregates_.size();
+  // Accumulators of group g: accs[g * num_aggs, (g + 1) * num_aggs).
+  std::vector<Accumulator> accs;
+  // Opens the next group in insertion order (the output order); its key
+  // cells start NULL.
+  const auto new_group = [&]() -> size_t {
+    if (num_groups_ % kGroupRows == 0) {
+      groups_.emplace_back();
+      groups_.back().Reset(num_keys + num_aggs, kGroupRows);
+    }
+    for (const AggregateCall& call : aggregates_) {
+      accs.emplace_back();
+      accs.back().call = &call;
+    }
+    return num_groups_++;
+  };
+  const auto group_column = [&](size_t gi, size_t g) -> Vector& {
+    return groups_[gi / kGroupRows].column(g);
+  };
+
+  // Global aggregation emits one row even for empty input.
+  if (group_by_.empty()) new_group();
+
+  // Keys and aggregate arguments evaluate once per vector in columnar
+  // loops, and rows are folded straight from the lanes — no per-row
+  // Value boxing on the numeric paths. Rows are visited in selection
+  // order (ascending), so group insertion order and floating-point
+  // accumulation order match the row path exactly — except under a SUM
+  // fold (SetFoldedInput) when one group's partials come from several
+  // left rows: those partial sums are added to each other, so DOUBLE
+  // sums may differ from the row path by reassociation (DESIGN.md §16).
+  // A row-only child still serves NextVector through the transpose
+  // fallback.
+  std::vector<Vector> key_vecs(num_keys);
+  std::vector<Vector> arg_vecs(num_aggs);
+  // Single-int64-key fast path: group lookup on the raw int64 lane.
+  // Migrates one-way to the generic hash-bucketed lookup the first time
+  // a non-int64, non-NULL key appears (the shared bulk-hash kernel then
+  // unifies Int and Double keys exactly as the row path's RowColumnsHash
+  // does).
+  bool int_fast = num_keys == 1;
+  IntGroupMap int_groups;
+  constexpr size_t kNoGroup = IntGroupMap::kNoGroup;
+  size_t null_group = kNoGroup;
+  // Generic path: the key columns of each vector are bulk-hashed once by
+  // the HashVectorColumns kernel the joins use (hash-identical to
+  // RowColumnsHash), and groups are found by full-hash bucket plus a
+  // typed compare against the group's stored key cells.
+  std::unordered_map<uint64_t, std::vector<size_t>> generic_buckets;
+  std::vector<uint64_t> key_hashes;
+  std::vector<const Vector*> key_ptrs(num_keys);
+  bool input_eof = false;
+  while (!input_eof) {
+    VectorProjection* vp = nullptr;
+    RFV_RETURN_IF_ERROR(child_->NextVector(&vp, &input_eof));
+    if (vp == nullptr || vp->NumSelected() == 0) continue;
+    const SelectionVector& sel = vp->sel();
+    for (size_t g = 0; g < num_keys; ++g) {
+      RFV_RETURN_IF_ERROR(
+          VectorEvaluator::Eval(*group_by_[g], *vp, sel, &key_vecs[g]));
+      key_ptrs[g] = &key_vecs[g];
+    }
+    for (size_t a = 0; a < num_aggs && !folded_; ++a) {
+      if (!aggregates_[a].is_count_star) {
+        RFV_RETURN_IF_ERROR(VectorEvaluator::Eval(*aggregates_[a].arg, *vp,
+                                                  sel, &arg_vecs[a]));
+      }
+    }
+    // Bulk-hash the keys lazily: only when this vector actually needs
+    // generic lookups (the int fast path may cover the whole input).
+    bool hashes_ready = false;
+    const auto ensure_hashes = [&]() {
+      if (hashes_ready) return;
+      HashVectorColumns(key_ptrs, sel, vp->num_rows(), &key_hashes);
+      hashes_ready = true;
+    };
+    if (num_keys > 0 && !int_fast) ensure_hashes();
+    for (size_t k = 0; k < sel.size(); ++k) {
+      const uint32_t i = sel[k];
+      size_t gi = 0;
+      if (num_keys > 0) {
+        if (int_fast) {
+          const DataType t = key_vecs[0].tag(i);
+          if (t == DataType::kInt64) {
+            const int64_t kv = key_vecs[0].i64(i);
+            size_t* slot = int_groups.Slot(kv);
+            if (*slot == kNoGroup) {
+              *slot = new_group();
+              group_column(*slot, 0).SetInt(*slot % kGroupRows, kv);
+            }
+            gi = *slot;
+          } else if (t == DataType::kNull) {
+            if (null_group == kNoGroup) null_group = new_group();
+            gi = null_group;
+          } else {
+            int_fast = false;
+            for (size_t g2 = 0; g2 < num_groups_; ++g2) {
+              const uint64_t h = MixCellHash(
+                  kRowHashSeed, VectorCellHash(group_column(g2, 0),
+                                               g2 % kGroupRows));
+              generic_buckets[h].push_back(g2);
+            }
+            ensure_hashes();
+          }
+        }
+        if (!int_fast) {
+          const uint64_t h = key_hashes[i];
+          size_t found = kNoGroup;
+          const auto it = generic_buckets.find(h);
+          if (it != generic_buckets.end()) {
+            for (const size_t cand : it->second) {
+              bool eq = true;
+              for (size_t g = 0; g < num_keys && eq; ++g) {
+                eq = VectorCellsEqual(key_vecs[g], i, group_column(cand, g),
+                                      cand % kGroupRows);
+              }
+              if (eq) {
+                found = cand;
+                break;
+              }
+            }
+          }
+          if (found != kNoGroup) {
+            gi = found;
+          } else {
+            gi = new_group();
+            for (size_t g = 0; g < num_keys; ++g) {
+              group_column(gi, g).CopyFrom(gi % kGroupRows, key_vecs[g], i);
+            }
+            generic_buckets[h].push_back(gi);
+          }
+        }
+      }
+      Accumulator* group_accs = &accs[gi * num_aggs];
+      for (size_t a = 0; a < num_aggs; ++a) {
+        if (folded_) {
+          group_accs[a].AddPartial(vp->column(partial_base_ + 2 * a),
+                                   vp->column(partial_base_ + 2 * a + 1), i);
+        } else if (aggregates_[a].is_count_star) {
+          group_accs[a].AddRowForCountStar();
+        } else {
+          group_accs[a].AddFromVector(arg_vecs[a], i);
+        }
+      }
+    }
+  }
+
+  for (size_t gi = 0; gi < num_groups_; ++gi) {
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const Accumulator& acc = accs[gi * num_aggs + a];
+      if (acc.overflowed()) {
+        return Status::ExecutionError("integer overflow in SUM");
+      }
+      group_column(gi, num_keys + a).SetValue(gi % kGroupRows, acc.Finish());
+    }
+  }
+  if (num_groups_ % kGroupRows != 0) {
+    groups_.back().sel().Truncate(num_groups_ % kGroupRows);
+  }
+  NoteBufferedRows(num_groups_);
+  return Status::OK();
 }
 
 Status HashAggregateOp::NextImpl(Row* row, bool* eof) {
+  if (vectorized()) {
+    if (pos_ >= num_groups_) {
+      *eof = true;
+      return Status::OK();
+    }
+    groups_[pos_ / kGroupRows].MaterializeRow(pos_ % kGroupRows, row);
+    ++pos_;
+    *eof = false;
+    return Status::OK();
+  }
   if (pos_ >= results_.size()) {
     *eof = true;
     return Status::OK();
   }
   *row = std::move(results_[pos_++]);
   *eof = false;
+  return Status::OK();
+}
+
+Status HashAggregateOp::NextVectorImpl(VectorProjection** out, bool* eof) {
+  if (!vectorized()) {
+    return PhysicalOperator::NextVectorImpl(out, eof);
+  }
+  if (pos_ < num_groups_) {
+    VectorProjection& chunk = groups_[pos_ / kGroupRows];
+    pos_ += chunk.NumSelected();
+    *out = &chunk;
+  }
+  *eof = pos_ >= num_groups_;
   return Status::OK();
 }
 

@@ -506,22 +506,50 @@ Status MergeBandJoinOp::OpenImpl() {
   RFV_RETURN_IF_ERROR(right_->Open());
   right_width_ = right_->schema().NumColumns();
 
-  std::vector<Row> right_rows;
-  RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &right_rows));
-  NoteBufferedRows(right_rows.size());
+  // Keep the (snapshot-stable) right side once, columnar (row id =
+  // position): the gather source of the vector paths, copied per
+  // candidate into the row path's joined rows. A vectorized right child
+  // is drained straight into the lanes; otherwise its rows are
+  // transposed.
+  right_vp_.Reset(right_width_, 0);
+  if (right_->vectorized()) {
+    bool eof = false;
+    while (!eof) {
+      VectorProjection* vp = nullptr;
+      RFV_RETURN_IF_ERROR(right_->NextVector(&vp, &eof));
+      if (vp != nullptr) {
+        right_vp_.AppendRows(*vp, 0, vp->NumSelected());
+      }
+    }
+  } else {
+    std::vector<Row> right_rows;
+    RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &right_rows));
+    right_vp_.Reset(right_width_, right_rows.size());
+    for (size_t id = 0; id < right_rows.size(); ++id) {
+      const Row& row = right_rows[id];
+      for (size_t c = 0; c < right_width_; ++c) {
+        right_vp_.column(c).SetValue(id, row[c]);
+      }
+    }
+  }
+  const size_t num_right = right_vp_.num_rows();
+  NoteBufferedRows(num_right);
 
-  keys_.reserve(right_rows.size());
-  for (size_t id = 0; id < right_rows.size(); ++id) {
-    const Value& v = right_rows[id][spec_.right_column];
-    if (v.is_null()) continue;  // NULL keys never satisfy a band
-    keys_.emplace_back(v.AsInt(), id);
+  const Vector& key_lane = right_vp_.column(spec_.right_column);
+  keys_.reserve(num_right);
+  for (size_t id = 0; id < num_right; ++id) {
+    if (key_lane.is_null(id)) continue;  // NULL keys never satisfy a band
+    keys_.emplace_back(key_lane.tag(id) == DataType::kInt64
+                           ? key_lane.i64(id)
+                           : key_lane.GetValue(id).AsInt(),
+                       id);
   }
   // Base tables in sequence order (the common case for the paper's pos
   // column) arrive already sorted — detect in O(m) and skip the sort.
-  // The check runs on right_rows, which DrainChild filled from the
-  // right scan's PINNED snapshot, so the ordered-skip decision and the
-  // rows it indexes are the same frozen version even when live storage
-  // mutates (or compacts out of order) mid-query.
+  // The check runs on right_vp_, which the drain filled from the right
+  // scan's PINNED snapshot, so the ordered-skip decision and the rows it
+  // indexes are the same frozen version even when live storage mutates
+  // (or compacts out of order) mid-query.
   if (!std::is_sorted(keys_.begin(), keys_.end())) {
     std::sort(keys_.begin(), keys_.end());
   }
@@ -555,16 +583,6 @@ Status MergeBandJoinOp::OpenImpl() {
                                        right_width_));
   }
 
-  // Keep the (snapshot-stable) right side once, columnar: the gather
-  // source of the vector paths, copied per candidate into the row
-  // path's joined rows.
-  right_vp_.Reset(right_width_, right_rows.size());
-  for (size_t id = 0; id < right_rows.size(); ++id) {
-    const Row& row = right_rows[id];
-    for (size_t c = 0; c < right_width_; ++c) {
-      right_vp_.column(c).SetValue(id, row[c]);
-    }
-  }
   if (folding()) BuildFoldPrefixes();
   return Status::OK();
 }

@@ -278,7 +278,6 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
   // Stamp the pull style: drivers and batch consumers pull this operator
   // through NextVector iff it is columnar-native and the knob is on.
   op->SetVectorized(options.use_vectorized_execution && op->VectorNative());
-  op->SetVectorExecEnabled(options.use_vectorized_execution);
   return op;
 }
 

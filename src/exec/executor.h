@@ -172,17 +172,13 @@ class PhysicalOperator {
   /// Whether the executor driver should pull this operator through
   /// NextVector. Stamped by BuildPhysicalPlan as `options.exec.
   /// use_vectorized_execution && VectorNative()`; consumers (root drain,
-  /// DrainChild, aggregation ingest) dispatch on it.
+  /// DrainChild, aggregation ingest) dispatch on it, and the
+  /// materializing vector-native operators (sort, hash aggregate, the
+  /// hash and band joins) choose their columnar or row code on it at
+  /// Open. A row-only child still answers their NextVector pulls
+  /// through the transpose fallback.
   void SetVectorized(bool v) { vectorized_ = v; }
   bool vectorized() const { return vectorized_; }
-
-  /// The raw `exec.use_vectorized_execution` knob, stamped on every
-  /// operator of the plan (independent of VectorNative). Operators that
-  /// merely *ingest* columns — HashAggregateOp's build phase — dispatch
-  /// on this so a row-only child (e.g. the merge band join) still feeds
-  /// their typed accumulation loops through the transpose fallback.
-  void SetVectorExecEnabled(bool v) { vector_exec_enabled_ = v; }
-  bool vector_exec_enabled() const { return vector_exec_enabled_; }
 
   const Schema& schema() const { return schema_; }
 
@@ -237,7 +233,8 @@ class PhysicalOperator {
 
   /// Default vector production: run NextBatchImpl into an operator-owned
   /// RowBatch and transpose it — the adapter that lets row/batch-only
-  /// operators (sort, window, joins) serve a vectorized consumer.
+  /// operators (window; the nested-loop, index nested-loop and
+  /// sort-merge joins) serve a vectorized consumer.
   /// Vector-native operators override this with true columnar pipelines.
   virtual Status NextVectorImpl(VectorProjection** out, bool* eof) {
     fallback_batch_.Clear();
@@ -265,7 +262,6 @@ class PhysicalOperator {
   /// batch/vector, so drivers may legally call once more).
   bool exhausted_ = false;
   bool vectorized_ = false;
-  bool vector_exec_enabled_ = false;
   /// Scratch for the default NextVectorImpl transpose fallback.
   RowBatch fallback_batch_;
   VectorProjection fallback_vp_;
@@ -334,14 +330,15 @@ struct ExecOptions {
   /// the row-at-a-time Volcano driver; results are identical (the fuzz
   /// harness diffs the two paths).
   bool use_batch_execution = true;
-  /// Drive vector-native operators (scan/filter/project/limit/union-all)
+  /// Drive vector-native operators (scan, filter, project, limit,
+  /// union-all, the hash and merge band joins, sort, hash aggregate)
   /// through the columnar NextVector protocol: expressions evaluate in
   /// typed per-vector loops and filters narrow a SelectionVector instead
   /// of copying rows. Takes precedence over use_batch_execution for the
   /// subtrees it covers; non-native operators keep their row/batch
-  /// drains. Off = the PR 5 paths, kept alive as differential-testing
-  /// fallbacks (the fuzz harness "batch" and "vector" oracles replay
-  /// every query with this knob off).
+  /// drains. Off = the RowBatch and row paths, kept alive as
+  /// differential-testing fallbacks (the fuzz harness "batch" and
+  /// "vector" oracles replay every query with this knob off).
   bool use_vectorized_execution = true;
   /// Sort-merge join for equi joins; consulted when the hash join is
   /// disabled or skipped (hash is the default equi strategy).

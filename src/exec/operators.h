@@ -714,6 +714,17 @@ class SortMergeJoinOp : public PhysicalOperator {
 };
 
 /// Full-materialization stable sort.
+///
+/// Vector mode (vectorized()) is columnar: Open copies the
+/// child's selected lanes into owned chunks of RowBatch::kDefaultCapacity
+/// rows and evaluates the keys with VectorEvaluator. When no adjacent
+/// pair of rows is out of order, the identity is what std::stable_sort
+/// would return and the chunks are emitted as they are; otherwise a
+/// stable_sort of row indices under the same comparator is emitted by
+/// gather (DESIGN.md §13 "Columnar sort and aggregate"). Row mode keeps
+/// the row sort, the reference of the `vector` oracle. The in-order
+/// check is skipped for keys whose order is not a strict weak one (NaN,
+/// doubles mixed with int64 beyond 2^53).
 class SortOp : public PhysicalOperator {
  public:
   SortOp(Schema schema, PhysicalOperatorPtr child, std::vector<SortKey> keys)
@@ -721,23 +732,56 @@ class SortOp : public PhysicalOperator {
         child_(std::move(child)),
         keys_(std::move(keys)) {}
   const char* name() const override { return "sort"; }
+  bool VectorNative() const override { return true; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());
   }
+  /// Vector mode: `presorted=1` when the in-order check answered the
+  /// sort, `presorted=0` when a permutation ran. Empty in row mode.
+  std::string MetricsDetail() const override;
 
  protected:
   Status OpenImpl() override;
+  /// Vector mode: materializes the next row from the chunks.
   Status NextImpl(Row* row, bool* eof) override;
+  Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
+  /// Vector-mode Open: drains the child into chunks_, evaluates the
+  /// keys and decides between pass-through and permutation.
+  Status OpenColumnar();
+  const Vector& KeyLane(size_t chunk, size_t k) const {
+    return key_lanes_[chunk * keys_.size() + k];
+  }
+  /// Value::Compare order of rows a and b under the keys' directions.
+  int CompareRows(size_t a, size_t b) const;
+
   PhysicalOperatorPtr child_;
   std::vector<SortKey> keys_;
   std::vector<Row> rows_;
   size_t pos_ = 0;
+
+  // --- Vector mode ---
+  bool presorted_ = false;
+  std::vector<VectorProjection> chunks_;
+  size_t num_rows_ = 0;
+  /// Key k of chunk c, evaluated: key_lanes_[c * keys + k].
+  std::vector<Vector> key_lanes_;
+  /// Emission order by global row index (chunk * capacity + lane);
+  /// empty when presorted_.
+  std::vector<uint32_t> perm_;
+  VectorProjection out_vp_;
 };
 
 /// Hash aggregation (grouped or global).
+///
+/// Vector mode (vectorized()) ingests vectors and keeps its
+/// groups columnar: group g's key cells and finished aggregates sit in
+/// lane g % kDefaultCapacity of output vector g / kDefaultCapacity, and
+/// its accumulators in one flat groups × aggregates array. Output
+/// vectors are emitted as they are. Row mode keeps Value-keyed groups
+/// and result rows, the reference of the `vector` oracle.
 class HashAggregateOp : public PhysicalOperator {
  public:
   HashAggregateOp(Schema schema, PhysicalOperatorPtr child,
@@ -748,6 +792,7 @@ class HashAggregateOp : public PhysicalOperator {
         group_by_(std::move(group_by)),
         aggregates_(std::move(aggregates)) {}
   const char* name() const override { return "hash_aggregate"; }
+  bool VectorNative() const override { return true; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());
@@ -764,9 +809,14 @@ class HashAggregateOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
+  /// Vector mode: materializes the next group's row from the columns.
   Status NextImpl(Row* row, bool* eof) override;
+  Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
+  /// Vector-mode Open: builds groups_ from the child's vectors.
+  Status OpenColumnar();
+
   PhysicalOperatorPtr child_;
   std::vector<ExprPtr> group_by_;
   std::vector<AggregateCall> aggregates_;
@@ -774,6 +824,11 @@ class HashAggregateOp : public PhysicalOperator {
   size_t partial_base_ = 0;
   std::vector<Row> results_;
   size_t pos_ = 0;
+
+  // --- Vector mode ---
+  /// Output vectors: group keys, then one column per aggregate.
+  std::vector<VectorProjection> groups_;
+  size_t num_groups_ = 0;
 };
 
 /// Reporting-function (window) operator: materializes its input,

@@ -1,5 +1,7 @@
 #include "exec/vector.h"
 
+#include <algorithm>
+
 namespace rfv {
 
 Value Vector::GetValue(size_t i) const {
@@ -38,6 +40,32 @@ void Vector::SetValue(size_t i, const Value& v) {
   }
 }
 
+size_t VectorProjection::AppendRows(const VectorProjection& src,
+                                    size_t from, size_t max_rows) {
+  RFV_CHECK_MSG(src.num_columns() == columns_.size(),
+                "appending width " << src.num_columns() << " to width "
+                                   << columns_.size());
+  const size_t n = std::min(max_rows, src.NumSelected() - from);
+  const size_t base = num_rows_;
+  const std::vector<uint32_t>& sel = src.sel().indices();
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    Vector& dst = columns_[c];
+    const Vector& col = src.column(c);
+    dst.Resize(base + n);
+    for (size_t k = 0; k < n; ++k) dst.CopyFrom(base + k, col, sel[from + k]);
+  }
+  num_rows_ = base + n;
+  // Extend the selection by the new rows only, so appending vector by
+  // vector stays linear. A selection of `base` ascending indices below
+  // `base` is already the identity.
+  std::vector<uint32_t>& idx = sel_.indices();
+  if (idx.size() != base) sel_.InitFull(base);
+  for (size_t i = base; i < num_rows_; ++i) {
+    idx.push_back(static_cast<uint32_t>(i));
+  }
+  return n;
+}
+
 void VectorProjection::FromBatch(size_t num_columns, const RowBatch& batch) {
   Reset(num_columns, batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -73,16 +101,14 @@ void HashVectorColumns(const std::vector<const Vector*>& keys,
                        const SelectionVector& sel, size_t num_rows,
                        std::vector<uint64_t>* out) {
   if (out->size() < num_rows) out->resize(num_rows);
-  constexpr uint64_t kSeed = 0xcbf29ce484222325ull;  // RowColumnsHash seed
-  for (size_t k = 0; k < sel.size(); ++k) (*out)[sel[k]] = kSeed;
+  for (size_t k = 0; k < sel.size(); ++k) (*out)[sel[k]] = kRowHashSeed;
   // Column-at-a-time: the tag branch inside VectorCellHash predicts
   // perfectly on homogeneous columns, and each pass streams one lane.
   for (const Vector* col : keys) {
     for (size_t k = 0; k < sel.size(); ++k) {
       const uint32_t p = sel[k];
       uint64_t& h = (*out)[p];
-      h ^= VectorCellHash(*col, p) + 0x9e3779b97f4a7c15ull + (h << 6) +
-           (h >> 2);
+      h = MixCellHash(h, VectorCellHash(*col, p));
     }
   }
 }

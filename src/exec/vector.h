@@ -38,6 +38,15 @@ class Vector {
     if (f64_.size() < n) f64_.resize(n);
   }
 
+  /// Resizes to `n` elements keeping the first min(size(), n) cells;
+  /// new cells are NULL. The append path of VectorProjection::AppendRows.
+  void Resize(size_t n) {
+    tag_.resize(n, static_cast<uint8_t>(DataType::kNull));
+    if (i64_.size() < n) i64_.resize(n);
+    if (f64_.size() < n) f64_.resize(n);
+    size_ = n;
+  }
+
   size_t size() const { return size_; }
 
   DataType tag(size_t i) const { return static_cast<DataType>(tag_[i]); }
@@ -165,6 +174,14 @@ class VectorProjection {
   SelectionVector& sel() { return sel_; }
   const SelectionVector& sel() const { return sel_; }
 
+  /// Appends selected rows sel()[from], sel()[from + 1], ... of `src`
+  /// (same width) as new physical rows, at most `max_rows` of them, with
+  /// tag-exact lane copies; the selection becomes full. Returns the
+  /// number appended. The columnar buffer of the materializing
+  /// operators (sort chunks, the band join's right side).
+  size_t AppendRows(const VectorProjection& src, size_t from,
+                    size_t max_rows);
+
   /// Transposes a RowBatch into columns (full selection) — the adapter
   /// that lets any row/batch operator feed a vectorized consumer.
   void FromBatch(size_t num_columns, const RowBatch& batch);
@@ -182,6 +199,13 @@ class VectorProjection {
   SelectionVector sel_;
   size_t num_rows_ = 0;
 };
+
+/// RowColumnsHash's seed and per-column mixing step, shared by every
+/// columnar hash of a key tuple.
+constexpr uint64_t kRowHashSeed = 0xcbf29ce484222325ull;
+inline uint64_t MixCellHash(uint64_t h, uint64_t cell) {
+  return h ^ (cell + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
 
 /// Hash of one vector cell, identical to Value::Hash() of the boxed
 /// cell: NULL hashes to the golden-ratio constant, numerics hash by
@@ -233,27 +257,48 @@ inline bool VectorCellsEqual(const Vector& a, size_t i, const Vector& b,
   }
 }
 
-/// Cell-to-Value equality with the same semantics as VectorCellsEqual —
-/// the vectorized aggregate's group-key compare against its stored boxed
-/// keys, without boxing the incoming cell.
-inline bool VectorCellEqualsValue(const Vector& v, size_t i,
-                                  const Value& val) {
-  const DataType tv = v.tag(i);
-  const DataType tw = val.type();
-  const bool nv = tv == DataType::kInt64 || tv == DataType::kDouble;
-  const bool nw = tw == DataType::kInt64 || tw == DataType::kDouble;
-  if (nv && nw) {
-    if (tv == DataType::kInt64 && tw == DataType::kInt64) {
-      return v.i64(i) == val.AsInt();
+/// Three-way cell comparison, identical to Value::Compare of the boxed
+/// cells: type rank first (NULL < bool < numeric < string), int64
+/// against int64 exactly, mixed or double numerics as doubles (so a NaN
+/// compares greater than, and less than, everything), strings
+/// bytewise. The columnar sort's comparator.
+inline int VectorCellCompare(const Vector& a, size_t i, const Vector& b,
+                             size_t j) {
+  const auto rank = [](DataType t) {
+    switch (t) {
+      case DataType::kNull: return 0;
+      case DataType::kBool: return 1;
+      case DataType::kInt64:
+      case DataType::kDouble: return 2;
+      case DataType::kString: return 3;
     }
-    return v.ToDouble(i) == val.ToDouble();
-  }
-  if (tv != tw) return false;
-  switch (tv) {
-    case DataType::kNull: return true;
-    case DataType::kBool: return v.b(i) == val.AsBool();
-    case DataType::kString: return v.str(i) == val.AsString();
-    default: return false;
+    return 4;
+  };
+  const DataType ta = a.tag(i);
+  const DataType tb = b.tag(j);
+  const int ra = rank(ta);
+  const int rb = rank(tb);
+  if (ra != rb) return ra < rb ? -1 : 1;
+  switch (ra) {
+    case 0:
+      return 0;
+    case 1:
+      return a.b(i) == b.b(j) ? 0 : (a.b(i) < b.b(j) ? -1 : 1);
+    case 2: {
+      if (ta == DataType::kInt64 && tb == DataType::kInt64) {
+        const int64_t x = a.i64(i);
+        const int64_t y = b.i64(j);
+        return x == y ? 0 : (x < y ? -1 : 1);
+      }
+      const double x = a.ToDouble(i);
+      const double y = b.ToDouble(j);
+      if (x == y) return 0;
+      return x < y ? -1 : 1;
+    }
+    default: {
+      const int c = a.str(i).compare(b.str(j));
+      return c == 0 ? 0 : (c < 0 ? -1 : 1);
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include "testing/generator.h"
 
+#include <string>
 #include <vector>
 
 #include "testing/fuzz_rng.h"
@@ -92,6 +93,24 @@ void FillWindowScenario(Scenario* s, FuzzRng* rng) {
     const int64_t ops = rng->UniformInt(1, 4);
     for (int64_t o = 0; o < ops; ++o) batch.push_back(RandomDml(rng, num_groups));
     s->dml_batches.push_back(std::move(batch));
+  }
+
+  // A trailing ORDER BY on some queries, drawn last so rows, queries and
+  // DML stay as before: keys out of input order, descending and mixed
+  // directions, NULL keys, and ties, some between INTEGER and DOUBLE
+  // cells (COALESCE(val, pos) over a DOUBLE val) that only a stable sort
+  // keeps in input order. This is the columnar sort's permutation path,
+  // compared in order by the execution-mode oracles.
+  static const std::vector<std::string> kOrders = {
+      "val DESC, pos", "val, pos DESC", "pos DESC", "COALESCE(val, pos)",
+      "COALESCE(val, pos) DESC"};
+  static const std::vector<std::string> kGrpOrders = {
+      "grp, val", "grp DESC, COALESCE(val, pos), pos"};
+  for (FuzzQuery& query : s->queries) {
+    if (!rng->ChancePermille(350)) continue;
+    query.order_by = s->has_grp && rng->ChancePermille(400)
+                         ? rng->Pick(kGrpOrders)
+                         : rng->Pick(kOrders);
   }
 }
 

@@ -101,6 +101,8 @@ std::string Scenario::QuerySql(const FuzzQuery& query) const {
     select += " ORDER BY ";
     if (has_grp && query.partition_by_grp) select += "grp, ";
     select += "pos";
+  } else if (!query.order_by.empty()) {
+    select += " ORDER BY " + query.order_by;
   }
   return select;
 }

@@ -53,6 +53,9 @@ struct FuzzQuery {
   bool partition_by_grp = false;  ///< PARTITION BY grp (tables with grp)
   bool order_by_val = false;      ///< ranking only: ORDER BY val
   bool order_desc = false;        ///< ranking only: descending order key
+  /// Window scenarios only: the list of a trailing ORDER BY ("" = none).
+  /// The execution-mode oracles then compare rows in order.
+  std::string order_by;
 
   bool is_ranking() const {
     return fn == FuzzFn::kRank || fn == FuzzFn::kRowNumber;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -167,7 +168,10 @@ class Shrinker {
     if (!s.has_grp || !s.views.empty()) return false;
     const bool referenced =
         std::any_of(s.queries.begin(), s.queries.end(),
-                    [](const FuzzQuery& q) { return q.partition_by_grp; });
+                    [](const FuzzQuery& q) {
+                      return q.partition_by_grp ||
+                             q.order_by.find("grp") != std::string::npos;
+                    });
     if (referenced) return false;
     Scenario c = s;
     c.has_grp = false;

@@ -119,6 +119,38 @@ TEST_F(ExplainAnalyzeTest, FoldingBandJoinCountsWalkedRowsOutsidePrefix) {
       << text;
 }
 
+TEST_F(ExplainAnalyzeTest, SortLineShowsWhetherTheInputWasPresorted) {
+  const auto sort_line = [this](const std::string& sql) {
+    const std::string text =
+        ExplainText(MustExecute(db_, "EXPLAIN ANALYZE " + sql));
+    const size_t line = text.find("sort ");
+    EXPECT_NE(line, std::string::npos) << text;
+    return line == std::string::npos
+               ? std::string()
+               : text.substr(line, text.find('\n', line) - line);
+  };
+  // seq is stored in pos order: the in-order check answers the sort and
+  // the columnar chunks pass through as vectors.
+  const std::string in_order =
+      sort_line("SELECT pos, val FROM seq ORDER BY pos");
+  EXPECT_NE(in_order.find(" presorted=1"), std::string::npos) << in_order;
+  EXPECT_NE(in_order.find("vectors=1 "), std::string::npos) << in_order;
+  const std::string permuted =
+      sort_line("SELECT pos, val FROM seq ORDER BY val, pos");
+  EXPECT_NE(permuted.find(" presorted=0"), std::string::npos) << permuted;
+  // A MinOA read: the aggregate's groups arrive in pos order too.
+  db_.options().force_method = DerivationMethod::kMinoa;
+  const std::string minoa = sort_line(
+      "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 5 PRECEDING AND "
+      "1 FOLLOWING) FROM seq ORDER BY pos");
+  EXPECT_NE(minoa.find(" presorted=1"), std::string::npos) << minoa;
+  db_.options().force_method = std::nullopt;
+  // Row mode sorts rows and says nothing.
+  db_.options().exec.use_vectorized_execution = false;
+  const std::string row = sort_line("SELECT pos, val FROM seq ORDER BY pos");
+  EXPECT_EQ(row.find("presorted="), std::string::npos) << row;
+}
+
 TEST_F(ExplainAnalyzeTest, UnderivableQuerySaysRewriteNone) {
   const ResultSet rs = MustExecute(
       db_, "EXPLAIN ANALYZE SELECT pos FROM seq WHERE pos <= 10");

@@ -184,8 +184,10 @@ TEST_F(ScanSnapshotMidStreamTest, ConsecutiveSnapshotsShareCleanChunks) {
 // skips the sort entirely. That ordered-skip decision and the rows it
 // indexes must be the same frozen version: out-of-order (or deleted)
 // rows landing on the live table mid-query must not perturb the
-// already-open join's output.
-TEST_F(ScanSnapshotMidStreamTest, BandJoinOrderedSkipReadsPinnedSnapshot) {
+// already-open join's output. `vector_scans` stamps the scans as
+// vectorized, so the join drains its right side through NextVector
+// instead of the row drain.
+void ExpectBandJoinReadsPinnedSnapshot(Table* table, bool vector_scans) {
   // s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 over the 1500-row table,
   // left = right = t; joined schema is (pos, val, pos, val).
   const ExprPtr cond = eb::Between(
@@ -193,25 +195,27 @@ TEST_F(ScanSnapshotMidStreamTest, BandJoinOrderedSkipReadsPinnedSnapshot) {
       eb::Sub(eb::Col(0, DataType::kInt64), eb::Int(1)),
       eb::Add(eb::Col(0, DataType::kInt64), eb::Int(1)));
   std::optional<BandJoinSpec> spec =
-      TryExtractBandJoin(*cond, /*left_width=*/2, table_);
+      TryExtractBandJoin(*cond, /*left_width=*/2, table);
   ASSERT_TRUE(spec.has_value());
 
   Schema joined({ColumnDef("p1", DataType::kInt64),
                  ColumnDef("v1", DataType::kInt64),
                  ColumnDef("p2", DataType::kInt64),
                  ColumnDef("v2", DataType::kInt64)});
+  auto left = std::make_unique<TableScanOp>(table->schema(), table);
+  auto right = std::make_unique<TableScanOp>(table->schema(), table);
+  left->SetVectorized(vector_scans);
+  right->SetVectorized(vector_scans);
   auto join = std::make_unique<MergeBandJoinOp>(
-      joined, std::make_unique<TableScanOp>(table_->schema(), table_),
-      std::make_unique<TableScanOp>(table_->schema(), table_),
-      std::move(*spec), JoinType::kInner);
+      joined, std::move(left), std::move(right), std::move(*spec),
+      JoinType::kInner);
   join->SetVectorized(true);
-  join->SetVectorExecEnabled(true);
   ASSERT_TRUE(join->Open().ok());  // right side drained + ordered-skip
 
   // Live mutations after Open: an out-of-order key (would break the
   // ordered-skip invariant if re-read) and a deleted boundary row.
-  ASSERT_TRUE(table_->Insert(Row({Value::Int(0), Value::Int(-1)})).ok());
-  ASSERT_TRUE(table_->DeleteRow(0).ok());  // live pos=1 gone
+  ASSERT_TRUE(table->Insert(Row({Value::Int(0), Value::Int(-1)})).ok());
+  ASSERT_TRUE(table->DeleteRow(0).ok());  // live pos=1 gone
 
   std::vector<Row> rows;
   bool eof = false;
@@ -232,6 +236,15 @@ TEST_F(ScanSnapshotMidStreamTest, BandJoinOrderedSkipReadsPinnedSnapshot) {
   EXPECT_EQ(rows[0][0], Value::Int(1));
   EXPECT_EQ(rows[0][2], Value::Int(1));  // no pos=0 candidate appeared
   EXPECT_EQ(rows[1][2], Value::Int(2));
+}
+
+TEST_F(ScanSnapshotMidStreamTest, BandJoinOrderedSkipReadsPinnedSnapshot) {
+  ExpectBandJoinReadsPinnedSnapshot(table_, /*vector_scans=*/false);
+}
+
+TEST_F(ScanSnapshotMidStreamTest,
+       BandJoinVectorDrainOrderedSkipReadsPinnedSnapshot) {
+  ExpectBandJoinReadsPinnedSnapshot(table_, /*vector_scans=*/true);
 }
 
 TEST_F(ScanSnapshotTest, WriteBracketCommitsAtStatementGranularity) {

@@ -258,8 +258,10 @@ class ExecModesSqlTest : public ::testing::Test {
   }
 
   // Runs `sql` under (vectorized, batch, row) modes and checks they
-  // produce identical rows in identical order.
-  void ExpectModesAgree(const std::string& sql) {
+  // produce identical rows in identical order, cell types included
+  // (Int(2) and Double(2.0) compare equal, so a sort that swapped such
+  // a tie would pass a value comparison). Returns the vector-mode rows.
+  ResultSet ExpectModesAgree(const std::string& sql) {
     db_.options().exec.use_vectorized_execution = true;
     db_.options().exec.use_batch_execution = true;
     const ResultSet vec = MustExecute(db_, sql);
@@ -271,6 +273,45 @@ class ExecModesSqlTest : public ::testing::Test {
     db_.options().exec.use_batch_execution = true;
     EXPECT_TRUE(testutil::RowsEqual(vec, batch)) << sql;
     EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
+    EXPECT_TRUE(SameTags(vec, batch)) << sql;
+    EXPECT_TRUE(SameTags(vec, row)) << sql;
+    return vec;
+  }
+
+  static bool SameTags(const ResultSet& a, const ResultSet& b) {
+    if (a.NumRows() != b.NumRows()) return false;
+    for (size_t i = 0; i < a.NumRows(); ++i) {
+      for (size_t c = 0; c < a.schema().NumColumns(); ++c) {
+        if (a.at(i, c).type() != b.at(i, c).type()) return false;
+      }
+    }
+    return true;
+  }
+
+  // The vector-mode EXPLAIN ANALYZE entry of the first operator named
+  // `op` in `sql`'s plan.
+  OperatorMetricsEntry VectorEntry(const std::string& sql,
+                                   const std::string& op) {
+    const ResultSet plan = MustExecute(db_, "EXPLAIN ANALYZE " + sql);
+    for (const OperatorMetricsEntry& e : plan.metrics()) {
+      if (e.name == op) return e;
+    }
+    ADD_FAILURE() << "no " << op << " in the plan of " << sql;
+    return OperatorMetricsEntry();
+  }
+
+  // Creates `name` (k INTEGER, v DOUBLE) with rows k = 1..n in order
+  // (descending when `reverse`); v = k % 7 is an INTEGER-tagged cell
+  // for odd k and a DOUBLE one for even k.
+  void CreateBig(const std::string& name, int n, bool reverse) {
+    MustExecute(db_, "CREATE TABLE " + name + " (k INTEGER, v DOUBLE)");
+    std::string insert = "INSERT INTO " + name + " VALUES ";
+    for (int i = 1; i <= n; ++i) {
+      const int k = reverse ? n + 1 - i : i;
+      const std::string v = std::to_string(k % 7) + (k % 2 == 0 ? ".0" : "");
+      insert += (i > 1 ? ", (" : "(") + std::to_string(k) + ", " + v + ")";
+    }
+    MustExecute(db_, insert);
   }
 
   Database db_;
@@ -306,6 +347,267 @@ TEST_F(ExecModesSqlTest, LimitAndUnion) {
   ExpectModesAgree(
       "SELECT a FROM t WHERE a < 3 UNION ALL SELECT a FROM t WHERE a > 100 "
       "UNION ALL SELECT a FROM t WHERE a > 5");
+}
+
+// ---------------------------------------------------------------------
+// The columnar sort (SortOp in vector mode): the in-order pass-through
+// and the permutation path must both reproduce the row sort exactly.
+// ---------------------------------------------------------------------
+
+TEST_F(ExecModesSqlTest, SortPresortedInputCrossesTheVectorBoundary) {
+  CreateBig("big", 2500, /*reverse=*/false);
+  const std::string sql = "SELECT k, v FROM big ORDER BY k";
+  const ResultSet rs = ExpectModesAgree(sql);
+  ASSERT_EQ(rs.NumRows(), 2500u);
+  EXPECT_EQ(rs.at(1023, 0), Value::Int(1024));
+  EXPECT_EQ(rs.at(1024, 0), Value::Int(1025));
+  EXPECT_EQ(rs.at(2499, 0), Value::Int(2500));
+  const OperatorMetricsEntry sort = VectorEntry(sql, "sort");
+  EXPECT_EQ(sort.detail, "presorted=1");
+  EXPECT_EQ(sort.metrics.vectors_out, 3);  // 1024 + 1024 + 452 rows
+  EXPECT_EQ(sort.metrics.rows_out, 2500);
+}
+
+TEST_F(ExecModesSqlTest, SortReverseSortedInputPermutes) {
+  CreateBig("rev", 2500, /*reverse=*/true);
+  const std::string sql = "SELECT k, v FROM rev ORDER BY k";
+  const ResultSet rs = ExpectModesAgree(sql);
+  ASSERT_EQ(rs.NumRows(), 2500u);
+  for (size_t i = 0; i < rs.NumRows(); ++i) {
+    ASSERT_EQ(rs.at(i, 0), Value::Int(static_cast<int64_t>(i) + 1));
+  }
+  EXPECT_EQ(VectorEntry(sql, "sort").detail, "presorted=0");
+  // Descending over descending storage is in order again.
+  const std::string desc = "SELECT k FROM rev ORDER BY k DESC";
+  ExpectModesAgree(desc);
+  EXPECT_EQ(VectorEntry(desc, "sort").detail, "presorted=1");
+}
+
+TEST_F(ExecModesSqlTest, SortDescAndMixedDirections) {
+  ExpectModesAgree("SELECT a, b FROM t ORDER BY a DESC");
+  ExpectModesAgree("SELECT s, a FROM t ORDER BY s, a DESC");
+  ExpectModesAgree("SELECT s, a, b FROM t ORDER BY s DESC, b");
+  // Many ties across 2 500 rows: v has seven distinct values, so the
+  // second key breaks the ties in three vectors' worth of rows.
+  CreateBig("big", 2500, /*reverse=*/false);
+  ExpectModesAgree("SELECT k, v FROM big ORDER BY v DESC, k");
+  ExpectModesAgree("SELECT k, v FROM big ORDER BY v, k DESC");
+  EXPECT_EQ(VectorEntry("SELECT k, v FROM big ORDER BY v, k DESC", "sort")
+                .detail,
+            "presorted=0");
+}
+
+TEST_F(ExecModesSqlTest, SortKeepsIntegerDoubleTiesStable) {
+  // COALESCE(x, i) is Double(x) where x is set and Int(i) elsewhere, so
+  // the key holds Int(2) and Double(2.0) side by side; they compare
+  // equal and must keep their input order.
+  MustExecute(db_, "CREATE TABLE mix (id INTEGER, i INTEGER, x DOUBLE)");
+  MustExecute(db_,
+              "INSERT INTO mix VALUES (1, 2, NULL), (2, 0, 2.0), "
+              "(3, 0, 1.0), (4, 1, NULL), (5, 2, NULL), (6, NULL, NULL), "
+              "(7, 0, 1.5), (8, 0, 2.0)");
+  const ResultSet asc =
+      ExpectModesAgree("SELECT id, COALESCE(x, i) AS k FROM mix ORDER BY k");
+  const int64_t asc_ids[] = {6, 3, 4, 7, 1, 2, 5, 8};
+  ASSERT_EQ(asc.NumRows(), 8u);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(asc.at(i, 0), Value::Int(asc_ids[i])) << i;
+  }
+  EXPECT_EQ(asc.at(1, 1).type(), DataType::kDouble);
+  EXPECT_EQ(asc.at(2, 1).type(), DataType::kInt64);
+  const ResultSet desc = ExpectModesAgree(
+      "SELECT id, COALESCE(x, i) AS k FROM mix ORDER BY k DESC");
+  EXPECT_EQ(desc.at(0, 0), Value::Int(1));
+  EXPECT_EQ(desc.at(3, 0), Value::Int(8));
+  // Input already in order, ties of both tags included: passed through.
+  MustExecute(db_, "CREATE TABLE ordered (id INTEGER, i INTEGER, x DOUBLE)");
+  MustExecute(db_,
+              "INSERT INTO ordered VALUES (1, 1, NULL), (2, 0, 1.0), "
+              "(3, 0, 2.0), (4, 2, NULL), (5, 3, NULL)");
+  const std::string sql =
+      "SELECT id, COALESCE(x, i) AS k FROM ordered ORDER BY k";
+  const ResultSet same = ExpectModesAgree(sql);
+  EXPECT_EQ(same.at(2, 1).type(), DataType::kDouble);
+  EXPECT_EQ(same.at(3, 1).type(), DataType::kInt64);
+  EXPECT_EQ(VectorEntry(sql, "sort").detail, "presorted=1");
+}
+
+TEST_F(ExecModesSqlTest, SortKeysWithoutAWeakOrderMatchTheRowSort) {
+  // Value::Compare is not a strict weak order on these keys, so "no
+  // adjacent pair inverted" does not mean "sorted": the row path's
+  // stable_sort reorders both inputs, and the columnar sort must run the
+  // same permutation instead of passing the input through.
+  MustExecute(db_, "CREATE TABLE nan (id INTEGER, x DOUBLE)");
+  MustExecute(db_,
+              "INSERT INTO nan VALUES (1, 2.0), (2, 1.0), (3, 1.0), "
+              "(4, 1.0)");
+  // Keys 2.0, NaN, 1.0, 1.0: a NaN neither precedes nor follows
+  // anything.
+  const std::string nan_sql =
+      "SELECT id FROM nan ORDER BY CASE WHEN id = 2 THEN x * 1e308 * 10 - "
+      "x * 1e308 * 10 ELSE x END";
+  // Keys Int(2^53 + 1), Double(2^53), Int(2^53), Int(2^53 + 1): the
+  // double equals both ints, which differ from each other.
+  MustExecute(db_, "CREATE TABLE big53 (id INTEGER, i INTEGER, x DOUBLE)");
+  MustExecute(db_,
+              "INSERT INTO big53 VALUES (1, 9007199254740993, NULL), "
+              "(2, NULL, 9007199254740992.0), (3, 9007199254740992, NULL), "
+              "(4, 9007199254740993, NULL)");
+  const std::string big_sql =
+      "SELECT id FROM big53 ORDER BY COALESCE(x, i)";
+  const std::vector<std::pair<std::string, std::vector<int64_t>>> cases = {
+      {nan_sql, {3, 4, 1, 2}}, {big_sql, {3, 1, 2, 4}}};
+  for (const auto& [sql, ids] : cases) {
+    const ResultSet rs = ExpectModesAgree(sql);
+    ASSERT_EQ(rs.NumRows(), ids.size()) << sql;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(rs.at(i, 0), Value::Int(ids[i])) << sql << " row " << i;
+    }
+    EXPECT_EQ(VectorEntry(sql, "sort").detail, "presorted=0") << sql;
+  }
+}
+
+TEST_F(ExecModesSqlTest, SortNullAndStringKeys) {
+  ExpectModesAgree("SELECT s, a FROM t ORDER BY s");
+  ExpectModesAgree("SELECT s, a FROM t ORDER BY s DESC, a");
+  ExpectModesAgree("SELECT b, a FROM t ORDER BY b");
+  ExpectModesAgree("SELECT b, a FROM t ORDER BY b DESC");
+  // A computed key: evaluated per chunk instead of read from a column.
+  ExpectModesAgree("SELECT a, b FROM t ORDER BY COALESCE(b, 0 - a), a");
+}
+
+TEST_F(ExecModesSqlTest, LimitOverSort) {
+  CreateBig("big", 2500, /*reverse=*/false);
+  ExpectModesAgree("SELECT k, v FROM big ORDER BY v DESC, k LIMIT 1500");
+  ExpectModesAgree("SELECT k FROM big ORDER BY k LIMIT 1030");
+  ExpectModesAgree("SELECT k FROM big ORDER BY k DESC LIMIT 3");
+  ExpectModesAgree("SELECT k FROM big ORDER BY v LIMIT 0");
+}
+
+TEST_F(ExecModesSqlTest, SortKeyErrorsAgreeAcrossModes) {
+  // Row a = 2 (the second row) fails on the second key, row a = 4 (the
+  // fourth) on the first. The vector path evaluates the first key over
+  // the whole chunk first, yet must raise the row path's error: the
+  // first in (row, key) order.
+  for (const std::string& sql :
+       {std::string("SELECT a FROM t ORDER BY 10 / (a - 2)"),
+        std::string("SELECT a FROM t ORDER BY MOD(1, a - 4), 1 / (a - 2)")}) {
+    db_.options().exec.use_vectorized_execution = true;
+    db_.options().exec.use_batch_execution = true;
+    const Result<ResultSet> vec = db_.Execute(sql);
+    db_.options().exec.use_vectorized_execution = false;
+    db_.options().exec.use_batch_execution = false;
+    const Result<ResultSet> row = db_.Execute(sql);
+    db_.options().exec.use_vectorized_execution = true;
+    db_.options().exec.use_batch_execution = true;
+    ASSERT_FALSE(vec.ok()) << sql;
+    ASSERT_FALSE(row.ok()) << sql;
+    EXPECT_EQ(row.status().ToString(),
+              Status::ExecutionError("division by zero").ToString());
+    EXPECT_EQ(vec.status().ToString(), row.status().ToString()) << sql;
+  }
+}
+
+// ---------------------------------------------------------------------
+// The columnar hash aggregate: groups kept in output lanes, flat
+// accumulators, tag-exact finished values.
+// ---------------------------------------------------------------------
+
+TEST_F(ExecModesSqlTest, AggregateGroupsSpanSeveralOutputVectors) {
+  CreateBig("big", 2500, /*reverse=*/false);
+  const std::string sql = "SELECT k, COUNT(*), SUM(v) FROM big GROUP BY k";
+  const ResultSet rs = ExpectModesAgree(sql);
+  ASSERT_EQ(rs.NumRows(), 2500u);
+  EXPECT_EQ(rs.at(1024, 0), Value::Int(1025));
+  const OperatorMetricsEntry agg = VectorEntry(sql, "hash_aggregate");
+  EXPECT_EQ(agg.metrics.vectors_out, 3);
+  EXPECT_EQ(agg.metrics.rows_out, 2500);
+  // Generic (non-int) keys past one vector of groups, in reverse input.
+  CreateBig("rev", 2500, /*reverse=*/true);
+  ExpectModesAgree("SELECT k * 0.5, MIN(v), MAX(k) FROM rev GROUP BY k * 0.5");
+  ExpectModesAgree("SELECT k, v, COUNT(*) FROM rev GROUP BY k, v");
+}
+
+TEST_F(ExecModesSqlTest, AggregateNullGroup) {
+  MustExecute(db_, "CREATE TABLE nk (g INTEGER, x INTEGER)");
+  MustExecute(db_,
+              "INSERT INTO nk VALUES (NULL, 1), (2, 2), (NULL, 3), (1, 4), "
+              "(2, 5), (NULL, NULL)");
+  const ResultSet rs = ExpectModesAgree(
+      "SELECT g, COUNT(*), COUNT(x), SUM(x) FROM nk GROUP BY g");
+  ASSERT_EQ(rs.NumRows(), 3u);
+  EXPECT_TRUE(rs.at(0, 0).is_null());  // first seen, first out
+  EXPECT_EQ(rs.at(0, 1), Value::Int(3));
+  EXPECT_EQ(rs.at(0, 2), Value::Int(2));
+  EXPECT_EQ(rs.at(0, 3), Value::Int(4));
+}
+
+TEST_F(ExecModesSqlTest, AggregateMigratesFromIntKeysMidVector) {
+  // The key COALESCE(x, g) is Int(i % 50) on 1 500 rows, except row 700,
+  // whose Double(3.0) must join Int(3)'s group after the migration to
+  // the generic lookup, and row 1200, whose 7.5 opens a new group.
+  MustExecute(db_, "CREATE TABLE mig (x DOUBLE, g INTEGER, y INTEGER)");
+  std::string insert = "INSERT INTO mig VALUES ";
+  for (int i = 1; i <= 1500; ++i) {
+    const std::string x = i == 700 ? "3.0" : i == 1200 ? "7.5" : "NULL";
+    insert += (i > 1 ? ", (" : "(") + x + ", " + std::to_string(i % 50) +
+              ", " + std::to_string(i) + ")";
+  }
+  MustExecute(db_, insert);
+  const ResultSet rs = ExpectModesAgree(
+      "SELECT COALESCE(x, g), COUNT(*), SUM(y), MIN(y) FROM mig "
+      "GROUP BY COALESCE(x, g)");
+  ASSERT_EQ(rs.NumRows(), 51u);
+  EXPECT_EQ(rs.at(2, 0), Value::Int(3));  // the first key seen
+  EXPECT_EQ(rs.at(2, 0).type(), DataType::kInt64);
+  EXPECT_EQ(rs.at(2, 1), Value::Int(31));
+  EXPECT_EQ(rs.at(49, 0), Value::Int(0));
+  EXPECT_EQ(rs.at(49, 1), Value::Int(28));
+  EXPECT_EQ(rs.at(50, 0), Value::Double(7.5));
+  EXPECT_EQ(rs.at(50, 0).type(), DataType::kDouble);
+}
+
+TEST_F(ExecModesSqlTest, GlobalAggregateOverEmptyInput) {
+  const ResultSet rs = ExpectModesAgree(
+      "SELECT COUNT(*), COUNT(b), SUM(a), AVG(b), MIN(s), MAX(a) FROM t "
+      "WHERE a > 100");
+  ASSERT_EQ(rs.NumRows(), 1u);
+  EXPECT_EQ(rs.at(0, 0).type(), DataType::kInt64);
+  EXPECT_EQ(rs.at(0, 0), Value::Int(0));
+  EXPECT_EQ(rs.at(0, 1), Value::Int(0));
+  for (size_t c = 2; c < 6; ++c) EXPECT_TRUE(rs.at(0, c).is_null()) << c;
+  EXPECT_EQ(ExpectModesAgree(
+                "SELECT a, COUNT(*) FROM t WHERE a > 100 GROUP BY a")
+                .NumRows(),
+            0u);
+}
+
+TEST_F(ExecModesSqlTest, AggregateOutputTagsAreExact) {
+  const ResultSet rs = ExpectModesAgree(
+      "SELECT s, COUNT(*), COUNT(b), MIN(a), MAX(b), AVG(a), MIN(s), "
+      "MAX(s), SUM(a), SUM(b) FROM t GROUP BY s");
+  ASSERT_EQ(rs.NumRows(), 4u);  // 'x', 'y', NULL, 'z' in input order
+  EXPECT_EQ(rs.at(0, 1).type(), DataType::kInt64);
+  EXPECT_EQ(rs.at(0, 3).type(), DataType::kInt64);
+  EXPECT_EQ(rs.at(0, 4).type(), DataType::kDouble);
+  EXPECT_EQ(rs.at(0, 5).type(), DataType::kDouble);
+  EXPECT_EQ(rs.at(0, 6).type(), DataType::kString);
+  EXPECT_EQ(rs.at(0, 8).type(), DataType::kInt64);
+  EXPECT_EQ(rs.at(0, 9).type(), DataType::kDouble);
+  EXPECT_TRUE(rs.at(2, 6).is_null());  // MIN(s) of the NULL-s group
+  // MIN/MAX keep the winning cell's own tag over mixed arguments.
+  MustExecute(db_, "CREATE TABLE mm (g INTEGER, i INTEGER, x DOUBLE)");
+  MustExecute(db_,
+              "INSERT INTO mm VALUES (1, 2, NULL), (1, 0, 2.0), "
+              "(1, 0, 1.0), (2, 5, NULL), (2, 0, 4.5)");
+  const ResultSet mm = ExpectModesAgree(
+      "SELECT g, MIN(COALESCE(x, i)), MAX(COALESCE(x, i)), "
+      "AVG(COALESCE(x, i)), COUNT(COALESCE(x, i)) FROM mm GROUP BY g");
+  EXPECT_EQ(mm.at(0, 1).type(), DataType::kDouble);  // 1.0
+  EXPECT_EQ(mm.at(0, 2).type(), DataType::kInt64);   // the first 2
+  EXPECT_EQ(mm.at(1, 2).type(), DataType::kInt64);   // 5
+  EXPECT_EQ(mm.at(0, 3).type(), DataType::kDouble);
+  EXPECT_EQ(mm.at(0, 4), Value::Int(3));
 }
 
 // ---------------------------------------------------------------------
@@ -352,7 +654,6 @@ class VectorJoinTest : public ::testing::Test {
         std::move(left_keys), std::move(right_keys), std::move(residual),
         join_type);
     join->SetVectorized(true);
-    join->SetVectorExecEnabled(true);
     return join;
   }
 

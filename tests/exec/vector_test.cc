@@ -142,6 +142,38 @@ TEST(VectorProjectionTest, AppendSelectedHonorsNarrowedSelection) {
   EXPECT_EQ(out[1][0], Value::Int(3));
 }
 
+TEST(VectorProjectionTest, AppendRowsCopiesSelectedLanesTagExact) {
+  RowBatch batch;
+  batch.Push(Row({Value::Int(0), Value::String("skip")}));
+  batch.Push(Row({Value::Int(7), Value::Double(7.0)}));
+  batch.Push(Row({Value::Null(), Value::Int(8)}));
+  batch.Push(Row({Value::Double(-1.5), Value::String("x")}));
+  VectorProjection src;
+  src.FromBatch(2, batch);
+  src.sel().indices() = {1, 2, 3};
+
+  VectorProjection dst;
+  dst.Reset(2, 0);
+  EXPECT_EQ(dst.AppendRows(src, 0, 2), 2u);   // rows 1, 2
+  EXPECT_EQ(dst.AppendRows(src, 2, 99), 1u);  // row 3; capped by src
+  ASSERT_EQ(dst.num_rows(), 3u);
+  EXPECT_EQ(dst.sel().indices(), (std::vector<uint32_t>{0, 1, 2}));
+  std::vector<Row> out;
+  dst.AppendSelectedTo(&out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0][0].type(), DataType::kInt64);
+  EXPECT_EQ(out[0][1].type(), DataType::kDouble);
+  EXPECT_TRUE(out[1][0].is_null());
+  EXPECT_EQ(out[1][1].type(), DataType::kInt64);
+  EXPECT_EQ(out[2][0], Value::Double(-1.5));
+  EXPECT_EQ(out[2][1], Value::String("x"));
+
+  // A narrowed destination selection becomes full again.
+  dst.sel().indices() = {1};
+  EXPECT_EQ(dst.AppendRows(src, 0, 1), 1u);
+  EXPECT_EQ(dst.sel().indices(), (std::vector<uint32_t>{0, 1, 2, 3}));
+}
+
 TEST(VectorProjectionTest, ZeroRowProjection) {
   VectorProjection vp;
   vp.Reset(3, 0);
