@@ -214,16 +214,13 @@ BENCHMARK(BM_SqlDerive_NativeRecompute)->Arg(0)->Arg(1)->Arg(2)
 // Ablation A8 — executor strategy on the same rewritten plan: the
 // cost-chosen derivation of each sweep config executed (a) row-at-a-
 // time with the merge band join disabled (the index-nested-loop path),
-// (b) batched with the band join disabled, (c) batched with
-// MergeBandJoinOp, (d) columnar-vectorized without the band join,
-// (e) columnar-vectorized with MergeBandJoinOp (the engine default).
+// (b) row-at-a-time with MergeBandJoinOp, (c) columnar-vectorized
+// without the band join, (d) columnar-vectorized with MergeBandJoinOp
+// (the engine default).
 // Args: (config index, rows).
 // ---------------------------------------------------------------------
 
-/// exec_mode: 0 = row + no band, 1 = batch + no band, 2 = batch + band,
-/// 3 = vectorized + no band, 4 = vectorized + band. Modes 0-2 disable
-/// vectorized execution explicitly — they measure the PR 5 paths.
-void RunSqlExecMode(benchmark::State& state, int exec_mode) {
+void RunSqlExecMode(benchmark::State& state, bool vectorized, bool band) {
   const SqlSweepConfig& config =
       kSweepConfigs[static_cast<size_t>(state.range(0))];
   const int64_t n = state.range(1);
@@ -232,10 +229,8 @@ void RunSqlExecMode(benchmark::State& state, int exec_mode) {
     state.SkipWithError("setup failed");
     return;
   }
-  db->options().exec.use_vectorized_execution = exec_mode >= 3;
-  db->options().exec.use_batch_execution = exec_mode >= 1;
-  db->options().exec.enable_merge_band_join =
-      exec_mode == 2 || exec_mode == 4;
+  db->options().exec.use_vectorized_execution = vectorized;
+  db->options().exec.enable_merge_band_join = band;
   const std::string sql = SweepQuery(config);
   std::string chosen = "native";
   for (auto _ : state) {
@@ -252,27 +247,22 @@ void RunSqlExecMode(benchmark::State& state, int exec_mode) {
 }
 
 void BM_SqlExec_RowNoBand(benchmark::State& state) {
-  RunSqlExecMode(state, 0);
+  RunSqlExecMode(state, false, false);
 }
-void BM_SqlExec_BatchNoBand(benchmark::State& state) {
-  RunSqlExecMode(state, 1);
-}
-void BM_SqlExec_BatchBand(benchmark::State& state) {
-  RunSqlExecMode(state, 2);
+void BM_SqlExec_RowBand(benchmark::State& state) {
+  RunSqlExecMode(state, false, true);
 }
 void BM_SqlExec_VectorNoBand(benchmark::State& state) {
-  RunSqlExecMode(state, 3);
+  RunSqlExecMode(state, true, false);
 }
 void BM_SqlExec_VectorBand(benchmark::State& state) {
-  RunSqlExecMode(state, 4);
+  RunSqlExecMode(state, true, true);
 }
 #define EXEC_MODE_ARGS \
   Args({0, 500})->Args({0, 2000})->Args({1, 2000})->Args({2, 2000})
 BENCHMARK(BM_SqlExec_RowNoBand)->EXEC_MODE_ARGS
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SqlExec_BatchNoBand)->EXEC_MODE_ARGS
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SqlExec_BatchBand)->EXEC_MODE_ARGS
+BENCHMARK(BM_SqlExec_RowBand)->EXEC_MODE_ARGS
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SqlExec_VectorNoBand)->EXEC_MODE_ARGS
     ->Unit(benchmark::kMillisecond);

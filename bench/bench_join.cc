@@ -1,6 +1,6 @@
 // Ablation A5 — join strategy comparison on the engine substrate: the
-// same equi self join executed as nested loops, hash join, sort-merge
-// join and index nested-loop join. Explains where Table 1/2's
+// same equi self join executed as nested loops, hash join and index
+// nested-loop join. Explains where Table 1/2's
 // "with index" numbers come from and what DB2's buffer-backed plans
 // correspond to in this engine.
 
@@ -17,11 +17,10 @@ constexpr const char* kEquiJoin =
     "SELECT s1.pos AS pos, SUM(s2.val) AS val FROM seq s1, seq s2 WHERE "
     "s1.pos = s2.pos GROUP BY s1.pos";
 
-void RunJoin(benchmark::State& state, bool hash, bool smj, bool inlj) {
+void RunJoin(benchmark::State& state, bool hash, bool inlj) {
   Database db;
   BuildSeqTable(&db, state.range(0), /*with_index=*/inlj);
   db.options().exec.enable_hash_join = hash;
-  db.options().exec.enable_sort_merge_join = smj;
   db.options().exec.enable_index_nested_loop_join = inlj;
   for (auto _ : state) {
     const ResultSet rs = MustExecute(&db, kEquiJoin);
@@ -31,25 +30,19 @@ void RunJoin(benchmark::State& state, bool hash, bool smj, bool inlj) {
 }
 
 void BM_Join_NestedLoop(benchmark::State& state) {
-  RunJoin(state, false, false, false);
+  RunJoin(state, false, false);
 }
 void BM_Join_Hash(benchmark::State& state) {
-  RunJoin(state, true, false, false);
-}
-void BM_Join_SortMerge(benchmark::State& state) {
-  RunJoin(state, false, true, false);
+  RunJoin(state, true, false);
 }
 void BM_Join_IndexNestedLoop(benchmark::State& state) {
-  RunJoin(state, false, false, true);
+  RunJoin(state, false, true);
 }
 
 BENCHMARK(BM_Join_NestedLoop)
     ->Arg(1000)->Arg(4000)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_Join_Hash)
-    ->Arg(1000)->Arg(4000)->Arg(16000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Join_SortMerge)
     ->Arg(1000)->Arg(4000)->Arg(16000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Join_IndexNestedLoop)
@@ -105,10 +98,8 @@ void RunHashProbe(benchmark::State& state, bool vectorized) {
   Database db;
   BuildSeqTable(&db, state.range(0), /*with_index=*/false);
   db.options().exec.enable_hash_join = true;
-  db.options().exec.enable_sort_merge_join = false;
   db.options().exec.enable_index_nested_loop_join = false;
   db.options().exec.use_vectorized_execution = vectorized;
-  db.options().exec.use_batch_execution = vectorized;
   for (auto _ : state) {
     const ResultSet rs = MustExecute(&db, kEquiJoin);
     benchmark::DoNotOptimize(rs.NumRows());

@@ -597,8 +597,7 @@ Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
   const int64_t plan_ns = ElapsedNs(plan_start);
   const SteadyClock::time_point exec_start = SteadyClock::now();
   std::vector<Row> rows;
-  RFV_ASSIGN_OR_RETURN(
-      rows, ExecuteToVector(root.get(), options.exec.use_batch_execution));
+  RFV_ASSIGN_OR_RETURN(rows, ExecuteToVector(root.get()));
   const int64_t exec_ns = ElapsedNs(exec_start);
   ResultSet rs(plan->schema, std::move(rows));
   rs.SetMetrics(CollectMetrics(*root));

@@ -10,10 +10,6 @@ namespace rfv {
 
 namespace {
 
-/// Groups per output vector of the columnar aggregate; group g sits in
-/// vector g / kGroupRows at lane g % kGroupRows.
-constexpr size_t kGroupRows = RowBatch::kDefaultCapacity;
-
 /// Open-addressing int64 → group map (linear probing, power-of-two
 /// capacity, at most half full): the int fast path's lookup, without a
 /// node allocation per group.
@@ -212,38 +208,36 @@ Status HashAggregateOp::OpenImpl() {
     group_index[{}] = new_group({});
   }
 
-  // Batch pull keeps the aggregation streaming (only the accumulators
+  // Row pull keeps the aggregation streaming (only the accumulators
   // are buffered, never the input).
-  RowBatch batch;
-  bool input_eof = false;
-  while (!input_eof) {
-    RFV_RETURN_IF_ERROR(child_->NextBatch(&batch, &input_eof));
-    for (size_t bi = 0; bi < batch.size(); ++bi) {
-      const Row& row = batch.row(bi);
-      std::vector<Value> key;
-      key.reserve(group_by_.size());
-      for (const ExprPtr& g : group_by_) {
-        Value v;
-        RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*g, row));
-        key.push_back(std::move(v));
-      }
-      size_t gi;
-      const auto it = group_index.find(key);
-      if (it != group_index.end()) {
-        gi = it->second;
+  Row row;
+  while (true) {
+    bool input_eof = false;
+    RFV_RETURN_IF_ERROR(child_->Next(&row, &input_eof));
+    if (input_eof) break;
+    std::vector<Value> key;
+    key.reserve(group_by_.size());
+    for (const ExprPtr& g : group_by_) {
+      Value v;
+      RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*g, row));
+      key.push_back(std::move(v));
+    }
+    size_t gi;
+    const auto it = group_index.find(key);
+    if (it != group_index.end()) {
+      gi = it->second;
+    } else {
+      gi = new_group(key);
+      group_index.emplace(std::move(key), gi);
+    }
+    std::vector<Accumulator>& accs = group_accs[gi];
+    for (size_t i = 0; i < aggregates_.size(); ++i) {
+      if (aggregates_[i].is_count_star) {
+        accs[i].AddRowForCountStar();
       } else {
-        gi = new_group(key);
-        group_index.emplace(std::move(key), gi);
-      }
-      std::vector<Accumulator>& accs = group_accs[gi];
-      for (size_t i = 0; i < aggregates_.size(); ++i) {
-        if (aggregates_[i].is_count_star) {
-          accs[i].AddRowForCountStar();
-        } else {
-          Value v;
-          RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*aggregates_[i].arg, row));
-          accs[i].Add(v);
-        }
+        Value v;
+        RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*aggregates_[i].arg, row));
+        accs[i].Add(v);
       }
     }
   }
@@ -273,9 +267,9 @@ Status HashAggregateOp::OpenColumnar() {
   // Opens the next group in insertion order (the output order); its key
   // cells start NULL.
   const auto new_group = [&]() -> size_t {
-    if (num_groups_ % kGroupRows == 0) {
+    if (num_groups_ % kVectorSize == 0) {
       groups_.emplace_back();
-      groups_.back().Reset(num_keys + num_aggs, kGroupRows);
+      groups_.back().Reset(num_keys + num_aggs, kVectorSize);
     }
     for (const AggregateCall& call : aggregates_) {
       accs.emplace_back();
@@ -284,7 +278,7 @@ Status HashAggregateOp::OpenColumnar() {
     return num_groups_++;
   };
   const auto group_column = [&](size_t gi, size_t g) -> Vector& {
-    return groups_[gi / kGroupRows].column(g);
+    return groups_[gi / kVectorSize].column(g);
   };
 
   // Global aggregation emits one row even for empty input.
@@ -298,7 +292,7 @@ Status HashAggregateOp::OpenColumnar() {
   // fold (SetFoldedInput) when one group's partials come from several
   // left rows: those partial sums are added to each other, so DOUBLE
   // sums may differ from the row path by reassociation (DESIGN.md §16).
-  // A row-only child still serves NextVector through the transpose
+  // A row-only child still serves NextVector through the lane-writing
   // fallback.
   std::vector<Vector> key_vecs(num_keys);
   std::vector<Vector> arg_vecs(num_aggs);
@@ -355,7 +349,7 @@ Status HashAggregateOp::OpenColumnar() {
             size_t* slot = int_groups.Slot(kv);
             if (*slot == kNoGroup) {
               *slot = new_group();
-              group_column(*slot, 0).SetInt(*slot % kGroupRows, kv);
+              group_column(*slot, 0).SetInt(*slot % kVectorSize, kv);
             }
             gi = *slot;
           } else if (t == DataType::kNull) {
@@ -366,7 +360,7 @@ Status HashAggregateOp::OpenColumnar() {
             for (size_t g2 = 0; g2 < num_groups_; ++g2) {
               const uint64_t h = MixCellHash(
                   kRowHashSeed, VectorCellHash(group_column(g2, 0),
-                                               g2 % kGroupRows));
+                                               g2 % kVectorSize));
               generic_buckets[h].push_back(g2);
             }
             ensure_hashes();
@@ -381,7 +375,7 @@ Status HashAggregateOp::OpenColumnar() {
               bool eq = true;
               for (size_t g = 0; g < num_keys && eq; ++g) {
                 eq = VectorCellsEqual(key_vecs[g], i, group_column(cand, g),
-                                      cand % kGroupRows);
+                                      cand % kVectorSize);
               }
               if (eq) {
                 found = cand;
@@ -394,7 +388,7 @@ Status HashAggregateOp::OpenColumnar() {
           } else {
             gi = new_group();
             for (size_t g = 0; g < num_keys; ++g) {
-              group_column(gi, g).CopyFrom(gi % kGroupRows, key_vecs[g], i);
+              group_column(gi, g).CopyFrom(gi % kVectorSize, key_vecs[g], i);
             }
             generic_buckets[h].push_back(gi);
           }
@@ -420,11 +414,11 @@ Status HashAggregateOp::OpenColumnar() {
       if (acc.overflowed()) {
         return Status::ExecutionError("integer overflow in SUM");
       }
-      group_column(gi, num_keys + a).SetValue(gi % kGroupRows, acc.Finish());
+      group_column(gi, num_keys + a).SetValue(gi % kVectorSize, acc.Finish());
     }
   }
-  if (num_groups_ % kGroupRows != 0) {
-    groups_.back().sel().Truncate(num_groups_ % kGroupRows);
+  if (num_groups_ % kVectorSize != 0) {
+    groups_.back().sel().Truncate(num_groups_ % kVectorSize);
   }
   NoteBufferedRows(num_groups_);
   return Status::OK();
@@ -436,7 +430,7 @@ Status HashAggregateOp::NextImpl(Row* row, bool* eof) {
       *eof = true;
       return Status::OK();
     }
-    groups_[pos_ / kGroupRows].MaterializeRow(pos_ % kGroupRows, row);
+    groups_[pos_ / kVectorSize].MaterializeRow(pos_ % kVectorSize, row);
     ++pos_;
     *eof = false;
     return Status::OK();
@@ -455,7 +449,7 @@ Status HashAggregateOp::NextVectorImpl(VectorProjection** out, bool* eof) {
     return PhysicalOperator::NextVectorImpl(out, eof);
   }
   if (pos_ < num_groups_) {
-    VectorProjection& chunk = groups_[pos_ / kGroupRows];
+    VectorProjection& chunk = groups_[pos_ / kVectorSize];
     pos_ += chunk.NumSelected();
     *out = &chunk;
   }

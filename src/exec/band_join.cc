@@ -900,20 +900,13 @@ Status MergeBandJoinOp::NextImpl(Row* row, bool* eof) {
 
 Status MergeBandJoinOp::NextLeftLane(bool* have) {
   // Drain-first: the final child vector may be non-empty with eof set.
-  const size_t left_width = left_->schema().NumColumns();
   while (left_vp_ == nullptr || left_lane_pos_ >= left_vp_->NumSelected()) {
     if (left_input_eof_) {
       *have = false;
       return Status::OK();
     }
     bool child_eof = false;
-    if (left_->vectorized()) {
-      RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, &child_eof));
-    } else {
-      RFV_RETURN_IF_ERROR(left_->NextBatch(&left_batch_, &child_eof));
-      left_src_vp_.FromBatch(left_width, left_batch_);
-      left_vp_ = &left_src_vp_;
-    }
+    RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, &child_eof));
     left_input_eof_ = child_eof;
     left_lane_pos_ = 0;
     if (left_vp_ != nullptr && left_vp_->NumSelected() == 0) {
@@ -952,7 +945,7 @@ Status MergeBandJoinOp::ResolveLaneCandidates() {
 Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   // The native path is only wired up when the planner stamped this
   // operator vectorized (right_vp_ exists then); a direct NextVector on
-  // an unstamped instance keeps the transpose-fallback behavior.
+  // an unstamped instance keeps the lane-writing fallback behavior.
   if (!vectorized()) return PhysicalOperator::NextVectorImpl(out, eof);
   if (folding()) return NextFoldedVector(out, eof);
 

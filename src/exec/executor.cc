@@ -147,22 +147,15 @@ Result<PhysicalOperatorPtr> BuildJoin(const LogicalPlan& plan,
   PhysicalOperatorPtr right;
   RFV_ASSIGN_OR_RETURN(right, BuildPhysicalPlan(right_plan, options));
 
-  // Hash or sort-merge join on equi conjuncts (hash preferred).
-  if ((options.enable_hash_join || options.enable_sort_merge_join) &&
-      plan.join_condition != nullptr) {
+  // Hash join on equi conjuncts.
+  if (options.enable_hash_join && plan.join_condition != nullptr) {
     std::vector<ExprPtr> left_keys;
     std::vector<ExprPtr> right_keys;
     ExprPtr residual;
     ExtractEquiKeys(plan.join_condition->Clone(), left_width, &left_keys,
                     &right_keys, &residual);
     if (!left_keys.empty()) {
-      if (options.enable_hash_join) {
-        return PhysicalOperatorPtr(new HashJoinOp(
-            plan.schema, std::move(left), std::move(right),
-            std::move(left_keys), std::move(right_keys),
-            std::move(residual), plan.join_type));
-      }
-      return PhysicalOperatorPtr(new SortMergeJoinOp(
+      return PhysicalOperatorPtr(new HashJoinOp(
           plan.schema, std::move(left), std::move(right),
           std::move(left_keys), std::move(right_keys), std::move(residual),
           plan.join_type));
@@ -275,7 +268,7 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
   // nested-loop join consumes the right-side scan without an operator;
   // that estimate is intentionally dropped with it).
   op->SetEstimatedRows(plan.est_rows);
-  // Stamp the pull style: drivers and batch consumers pull this operator
+  // Stamp the pull protocol: drivers and parents pull this operator
   // through NextVector iff it is columnar-native and the knob is on.
   op->SetVectorized(options.use_vectorized_execution && op->VectorNative());
   return op;
@@ -438,13 +431,6 @@ std::string FormatMetricsTree(
 
 namespace {
 
-Counter* BatchesCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter(
-      "rfv_exec_batches_total", {},
-      "Row batches drained from query plan roots by the batch driver");
-  return c;
-}
-
 Counter* VectorsCounter() {
   static Counter* c = MetricsRegistry::Global().GetCounter(
       "rfv_exec_vectors_total", {},
@@ -455,8 +441,30 @@ Counter* VectorsCounter() {
 
 }  // namespace
 
-Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
-                                         bool use_batches) {
+Status PhysicalOperator::NextVectorImpl(VectorProjection** out, bool* eof) {
+  const size_t width = schema_.NumColumns();
+  fallback_vp_.Reset(width, kVectorSize);
+  size_t n = 0;
+  for (; n < kVectorSize; ++n) {
+    bool row_eof = false;
+    RFV_RETURN_IF_ERROR(NextImpl(&fallback_row_, &row_eof));
+    if (row_eof) {
+      *eof = true;
+      break;
+    }
+    RFV_CHECK_MSG(fallback_row_.size() == width,
+                  "row width " << fallback_row_.size()
+                               << " != projection width " << width);
+    for (size_t c = 0; c < width; ++c) {
+      fallback_vp_.column(c).SetValue(n, fallback_row_[c]);
+    }
+  }
+  fallback_vp_.Truncate(n);
+  *out = &fallback_vp_;
+  return Status::OK();
+}
+
+Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op, bool) {
   {
     TraceSpan open_span("exec.open");
     if (open_span.active()) open_span.AddArg("root", op->name());
@@ -477,27 +485,8 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
       }
       if (eof) break;
     }
-  } else if (use_batches) {
-    RowBatch batch;
-    while (true) {
-      bool eof = false;
-      RFV_RETURN_IF_ERROR(op->NextBatch(&batch, &eof));
-      if (!batch.empty()) {
-        BatchesCounter()->Increment();
-        for (size_t i = 0; i < batch.size(); ++i) {
-          rows.push_back(std::move(batch.row(i)));
-        }
-      }
-      if (eof) break;
-    }
   } else {
-    while (true) {
-      Row row;
-      bool eof = false;
-      RFV_RETURN_IF_ERROR(op->Next(&row, &eof));
-      if (eof) break;
-      rows.push_back(std::move(row));
-    }
+    RFV_RETURN_IF_ERROR(DrainChild(op, &rows));
   }
   if (drain_span.active()) {
     drain_span.AddArg("rows", std::to_string(rows.size()));
@@ -516,14 +505,12 @@ Status DrainChild(PhysicalOperator* child, std::vector<Row>* out) {
     }
     return Status::OK();
   }
-  RowBatch batch;
   while (true) {
+    Row row;
     bool eof = false;
-    RFV_RETURN_IF_ERROR(child->NextBatch(&batch, &eof));
-    for (size_t i = 0; i < batch.size(); ++i) {
-      out->push_back(std::move(batch.row(i)));
-    }
+    RFV_RETURN_IF_ERROR(child->Next(&row, &eof));
     if (eof) break;
+    out->push_back(std::move(row));
   }
   return Status::OK();
 }
@@ -532,7 +519,7 @@ Result<std::vector<Row>> ExecutePlan(const LogicalPlan& plan,
                                      const ExecOptions& options) {
   PhysicalOperatorPtr op;
   RFV_ASSIGN_OR_RETURN(op, BuildPhysicalPlan(plan, options));
-  return ExecuteToVector(op.get(), options.use_batch_execution);
+  return ExecuteToVector(op.get());
 }
 
 }  // namespace rfv

@@ -10,7 +10,6 @@
 #include "common/row.h"
 #include "common/schema.h"
 #include "common/status.h"
-#include "exec/batch.h"
 #include "exec/vector.h"
 #include "plan/logical_plan.h"
 
@@ -21,17 +20,17 @@ namespace rfv {
 /// themselves (peak buffered rows, reported by the materializing ones).
 /// Cheap enough to keep always-on: two steady_clock reads per Next.
 struct OperatorMetrics {
-  int64_t rows_out = 0;    ///< rows produced through Next/NextBatch/NextVector
+  int64_t rows_out = 0;    ///< rows produced through Next/NextVector
   int64_t next_calls = 0;  ///< pull invocations, incl. the EOF call
-  /// NextBatch calls that produced rows; NextVector calls that produced a
-  /// projection with a non-empty selection count here too.
+  /// NextVector calls that produced a projection with a non-empty
+  /// selection (the `batches=` column of EXPLAIN ANALYZE, the JSONL and
+  /// the system views).
   int64_t batches_out = 0;
-  /// NextVector calls that produced a non-empty projection — the
-  /// vector-only slice of batches_out, so EXPLAIN ANALYZE shows which
-  /// operators actually ran columnar (a vectorized join emitting
-  /// vectors=N, batches=N; a transpose-fallback operator still counts
-  /// here because it *answers* NextVector, but its children's zero stays
-  /// zero under a batch drain).
+  /// Same count as batches_out: NextVector calls that produced a
+  /// non-empty projection, so EXPLAIN ANALYZE shows which operators ran
+  /// columnar (a row-only operator under a columnar parent counts here
+  /// too, because it *answers* NextVector through the lane-writing
+  /// fallback).
   int64_t vectors_out = 0;
   int64_t open_ns = 0;     ///< wall time inside Open (incl. children)
   int64_t next_ns = 0;     ///< cumulative wall time inside Next (ditto)
@@ -44,18 +43,17 @@ struct OperatorMetrics {
 };
 
 /// Pull-based (Volcano-style) physical operator. Lifecycle:
-/// Open() once, then one of the three pull styles until *eof — Next()
-/// (row-at-a-time), NextBatch() (RowBatch-at-a-time) or NextVector()
-/// (columnar VectorProjection); destructor releases state. A driver
-/// picks ONE pull style per operator instance and sticks with it —
-/// interleaving them on the same operator is undefined.
+/// Open() once, then one of the two pull protocols until *eof — Next()
+/// (row-at-a-time) or NextVector() (columnar VectorProjection);
+/// destructor releases state. A driver picks ONE protocol per operator
+/// instance and sticks with it — interleaving them on the same operator
+/// is undefined.
 ///
-/// Open/Next/NextBatch/NextVector are non-virtual shells that maintain
+/// Open/Next/NextVector are non-virtual shells that maintain
 /// OperatorMetrics and delegate to the *Impl overrides; white-box users
-/// (tests, the executor driver) keep calling the shells as before.
-/// NextBatchImpl has a default row-loop fallback and NextVectorImpl a
-/// default transpose-a-batch fallback, so operators without native
-/// implementations work unchanged under any driver.
+/// (tests, the executor driver) call the shells. NextVectorImpl has a
+/// default that writes NextImpl rows into the lanes of one retained
+/// projection, so row-only operators serve columnar parents unchanged.
 class PhysicalOperator {
  public:
   explicit PhysicalOperator(Schema schema) : schema_(std::move(schema)) {}
@@ -88,43 +86,6 @@ class PhysicalOperator {
     return status;
   }
 
-  /// Produces up to batch->capacity() rows into *batch (cleared first).
-  ///
-  /// EOF contract (this is THE batch-protocol contract; every consumer
-  /// must honor it):
-  ///  - *eof = true means the stream is exhausted, and the SAME call may
-  ///    also have produced rows: LimitOp reports eof together with the
-  ///    batch that reached the limit, UnionAllOp together with the last
-  ///    child's final batch, TableScanOp together with the final chunk.
-  ///    Consumers therefore drain the batch FIRST and test eof second;
-  ///    treating eof as "no data" silently drops the final batch.
-  ///  - *eof = false with an empty batch is legal (operators usually
-  ///    loop internally, but consumers must not treat empty as done).
-  ///  - Calling again after eof is safe and yields an empty eof batch
-  ///    (the shell's `exhausted_` latch guarantees this even for
-  ///    operators whose Impl would misbehave on re-entry).
-  Status NextBatch(RowBatch* batch, bool* eof) {
-    batch->Clear();
-    if (exhausted_) {
-      *eof = true;
-      ++metrics_.next_calls;
-      return Status::OK();
-    }
-    const auto start = std::chrono::steady_clock::now();
-    *eof = false;
-    Status status = NextBatchImpl(batch, eof);
-    metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    ++metrics_.next_calls;
-    if (status.ok()) {
-      metrics_.rows_out += static_cast<int64_t>(batch->size());
-      if (!batch->empty()) ++metrics_.batches_out;
-      if (*eof) exhausted_ = true;
-    }
-    return status;
-  }
-
   /// Columnar pull: points *out at the producer-owned VectorProjection
   /// holding the next vector of rows, or at nullptr when this call
   /// produced nothing. The projection stays valid until the next
@@ -132,10 +93,15 @@ class PhysicalOperator {
   /// projection's SelectionVector in place (that is the zero-copy filter
   /// protocol) but must not touch the column data.
   ///
-  /// EOF contract — same shape as NextBatch: *eof = true may accompany a
-  /// non-empty projection (drain first, test eof second); an empty or
-  /// null projection with *eof = false is legal; calls after eof are
-  /// safe and yield *out = nullptr with *eof = true.
+  /// EOF contract (every consumer must honor it):
+  ///  - *eof = true may accompany a non-empty projection: LimitOp reports
+  ///    eof together with the vector that reached the limit, UnionAllOp
+  ///    together with the last child's final vector, TableScanOp
+  ///    together with the final chunk. Consumers drain the projection
+  ///    FIRST and test eof second.
+  ///  - An empty or null projection with *eof = false is legal.
+  ///  - Calls after eof are safe and yield *out = nullptr with *eof =
+  ///    true (the shell's `exhausted_` latch guarantees this).
   Status NextVector(VectorProjection** out, bool* eof) {
     *out = nullptr;
     if (exhausted_) {
@@ -164,9 +130,9 @@ class PhysicalOperator {
 
   /// True when this operator implements NextVectorImpl natively (columns
   /// + selection vector all the way down). Operators without a native
-  /// implementation still answer NextVector through the transpose
-  /// fallback, but the planner only marks natively-columnar subtrees as
-  /// vectorized() so blocking operators keep their tuned batch drains.
+  /// implementation still answer NextVector through the lane-writing
+  /// fallback, but the planner only marks natively-columnar operators
+  /// vectorized().
   virtual bool VectorNative() const { return false; }
 
   /// Whether the executor driver should pull this operator through
@@ -176,7 +142,7 @@ class PhysicalOperator {
   /// materializing vector-native operators (sort, hash aggregate, the
   /// hash and band joins) choose their columnar or row code on it at
   /// Open. A row-only child still answers their NextVector pulls
-  /// through the transpose fallback.
+  /// through the lane-writing fallback.
   void SetVectorized(bool v) { vectorized_ = v; }
   bool vectorized() const { return vectorized_; }
 
@@ -210,39 +176,13 @@ class PhysicalOperator {
   virtual Status OpenImpl() = 0;
   virtual Status NextImpl(Row* row, bool* eof) = 0;
 
-  /// Default batch production: a tight row loop over NextImpl (NOT the
-  /// Next shell — the shell's clock reads and counters must not be paid
-  /// twice). Rows are produced directly into the batch's retained slots
-  /// (NextSlot/CommitSlot) instead of through a fresh stack Row per
-  /// iteration, so the transpose-fallback pipeline reuses its row
-  /// storage across NextBatch/NextVector calls. Batch-native operators
-  /// override this and typically pull their child through NextBatch.
-  virtual Status NextBatchImpl(RowBatch* batch, bool* eof) {
-    while (!batch->full()) {
-      Row* slot = batch->NextSlot();
-      bool row_eof = false;
-      RFV_RETURN_IF_ERROR(NextImpl(slot, &row_eof));
-      if (row_eof) {
-        *eof = true;
-        return Status::OK();
-      }
-      batch->CommitSlot();
-    }
-    return Status::OK();
-  }
-
-  /// Default vector production: run NextBatchImpl into an operator-owned
-  /// RowBatch and transpose it — the adapter that lets row/batch-only
-  /// operators (window; the nested-loop, index nested-loop and
-  /// sort-merge joins) serve a vectorized consumer.
-  /// Vector-native operators override this with true columnar pipelines.
-  virtual Status NextVectorImpl(VectorProjection** out, bool* eof) {
-    fallback_batch_.Clear();
-    RFV_RETURN_IF_ERROR(NextBatchImpl(&fallback_batch_, eof));
-    fallback_vp_.FromBatch(schema_.NumColumns(), fallback_batch_);
-    *out = &fallback_vp_;
-    return Status::OK();
-  }
+  /// Default vector production for row-only operators (window; the
+  /// nested-loop and index nested-loop joins): up to kVectorSize rows of
+  /// NextImpl (NOT the Next shell — its clock reads and counters must
+  /// not be paid twice), each written straight into the lanes of one
+  /// retained projection. Vector-native operators override this with
+  /// true columnar pipelines.
+  virtual Status NextVectorImpl(VectorProjection** out, bool* eof);
 
   /// Raises the buffered-rows high-water mark (materializing operators
   /// call this after filling their buffers).
@@ -257,13 +197,14 @@ class PhysicalOperator {
  private:
   OperatorMetrics metrics_;
   double estimated_rows_ = -1;
-  /// Set once NextBatch/NextVector reports eof; guards re-entry into the
-  /// Impl after exhaustion (the protocol allows a non-empty final
-  /// batch/vector, so drivers may legally call once more).
+  /// Set once NextVector reports eof; guards re-entry into the Impl
+  /// after exhaustion (the protocol allows a non-empty final vector, so
+  /// drivers may legally call once more).
   bool exhausted_ = false;
   bool vectorized_ = false;
-  /// Scratch for the default NextVectorImpl transpose fallback.
-  RowBatch fallback_batch_;
+  /// Scratch for the default NextVectorImpl: the row it pulls and the
+  /// projection it writes.
+  Row fallback_row_;
   VectorProjection fallback_vp_;
 };
 
@@ -325,24 +266,18 @@ struct ExecOptions {
   /// self-join patterns. Considered before the index nested-loop probe;
   /// falls through when the condition has no band shape.
   bool enable_merge_band_join = true;
-  /// Drive query execution batch-at-a-time (RowBatch, ~1024 rows) to
-  /// amortize per-row virtual dispatch and metric clock reads. Off =
-  /// the row-at-a-time Volcano driver; results are identical (the fuzz
-  /// harness diffs the two paths).
+  /// Ignored by the engine. Kept declared only because the warehouse
+  /// benchmark (whbench/) still assigns it; it goes together with
+  /// ExecuteToVector's second parameter.
   bool use_batch_execution = true;
   /// Drive vector-native operators (scan, filter, project, limit,
   /// union-all, the hash and merge band joins, sort, hash aggregate)
   /// through the columnar NextVector protocol: expressions evaluate in
   /// typed per-vector loops and filters narrow a SelectionVector instead
-  /// of copying rows. Takes precedence over use_batch_execution for the
-  /// subtrees it covers; non-native operators keep their row/batch
-  /// drains. Off = the RowBatch and row paths, kept alive as
-  /// differential-testing fallbacks (the fuzz harness "batch" and
-  /// "vector" oracles replay every query with this knob off).
+  /// of copying rows. Off = the row-at-a-time Volcano driver, kept alive
+  /// as the differential-testing reference (the fuzz harness "vector"
+  /// oracle replays every query with this knob off).
   bool use_vectorized_execution = true;
-  /// Sort-merge join for equi joins; consulted when the hash join is
-  /// disabled or skipped (hash is the default equi strategy).
-  bool enable_sort_merge_join = false;
   /// Worker count for partition-parallel window evaluation: 1 = always
   /// single-threaded, n > 1 = split partitions across up to n tasks on
   /// the shared thread pool, 0 = auto (hardware concurrency). Results
@@ -365,18 +300,17 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
 /// Runs an operator tree to completion. Roots stamped vectorized() are
 /// drained through NextVector (counting projections in the
 /// rfv_exec_vectors_total metric and materializing rows only at this
-/// boundary); otherwise `use_batches` selects the pull style: true
-/// drains through NextBatch (rfv_exec_batches_total), false through
-/// Next.
+/// boundary), any other root through Next. The second parameter is
+/// ignored; it stays declared only because the warehouse benchmark
+/// (whbench/) still passes it.
 Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
-                                         bool use_batches = true);
+                                         bool /*ignored*/ = true);
 
 /// Appends every remaining row of an already-open `child` to *out — the
 /// shared input drain of the materializing operators (sort, window,
-/// join build sides), so their children run batch-at-a-time (or, when
-/// the child is stamped vectorized(), columnar) even under a
-/// row-at-a-time root. Honors the NextBatch/NextVector EOF contract:
-/// the final batch/vector is drained before eof is acted on.
+/// join build sides): through NextVector when the child is stamped
+/// vectorized(), else through Next. Honors the NextVector EOF
+/// contract: the final vector is drained before eof is acted on.
 Status DrainChild(PhysicalOperator* child, std::vector<Row>* out);
 
 /// Convenience: build + run.

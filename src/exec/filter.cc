@@ -5,12 +5,7 @@
 
 namespace rfv {
 
-Status FilterOp::OpenImpl() {
-  input_.Clear();
-  input_pos_ = 0;
-  child_eof_ = false;
-  return child_->Open();
-}
+Status FilterOp::OpenImpl() { return child_->Open(); }
 
 Status FilterOp::NextImpl(Row* row, bool* eof) {
   while (true) {
@@ -27,23 +22,6 @@ Status FilterOp::NextImpl(Row* row, bool* eof) {
       return Status::OK();
     }
   }
-}
-
-Status FilterOp::NextBatchImpl(RowBatch* batch, bool* eof) {
-  while (!batch->full()) {
-    if (input_pos_ >= input_.size()) {
-      if (child_eof_) break;
-      RFV_RETURN_IF_ERROR(child_->NextBatch(&input_, &child_eof_));
-      input_pos_ = 0;
-      if (input_.empty()) continue;
-    }
-    Row& row = input_.row(input_pos_++);
-    bool keep = false;
-    RFV_ASSIGN_OR_RETURN(keep, Evaluator::EvalPredicate(*predicate_, row));
-    if (keep) batch->Push(std::move(row));
-  }
-  *eof = child_eof_ && input_pos_ >= input_.size();
-  return Status::OK();
 }
 
 Status FilterOp::NextVectorImpl(VectorProjection** out, bool* eof) {

@@ -704,7 +704,7 @@ Status HashJoinOp::NextImpl(Row* row, bool* eof) {
 
 Status HashJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   // Native only when the planner stamped this operator vectorized (the
-  // chain table exists then); otherwise keep the transpose fallback.
+  // chain table exists then); otherwise keep the lane-writing fallback.
   if (!vectorized()) return PhysicalOperator::NextVectorImpl(out, eof);
 
   const size_t left_width = left_->schema().NumColumns();
@@ -719,13 +719,7 @@ Status HashJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
              probe_lane_pos_ >= probe_vp_->NumSelected()) {
         if (probe_input_eof_) goto drained;
         bool child_eof = false;
-        if (left_->vectorized()) {
-          RFV_RETURN_IF_ERROR(left_->NextVector(&probe_vp_, &child_eof));
-        } else {
-          RFV_RETURN_IF_ERROR(left_->NextBatch(&probe_batch_, &child_eof));
-          probe_src_vp_.FromBatch(left_width, probe_batch_);
-          probe_vp_ = &probe_src_vp_;
-        }
+        RFV_RETURN_IF_ERROR(left_->NextVector(&probe_vp_, &child_eof));
         probe_input_eof_ = child_eof;
         probe_lane_pos_ = 0;
         if (probe_vp_ != nullptr && probe_vp_->NumSelected() == 0) {

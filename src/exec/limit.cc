@@ -23,22 +23,6 @@ Status LimitOp::NextImpl(Row* row, bool* eof) {
   return Status::OK();
 }
 
-Status LimitOp::NextBatchImpl(RowBatch* batch, bool* eof) {
-  if (produced_ >= limit_) {
-    *eof = true;
-    return Status::OK();
-  }
-  bool child_eof = false;
-  RFV_RETURN_IF_ERROR(child_->NextBatch(batch, &child_eof));
-  const int64_t remaining = limit_ - produced_;
-  if (static_cast<int64_t>(batch->size()) > remaining) {
-    batch->Truncate(static_cast<size_t>(remaining));
-  }
-  produced_ += static_cast<int64_t>(batch->size());
-  *eof = child_eof || produced_ >= limit_;
-  return Status::OK();
-}
-
 Status LimitOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   if (produced_ >= limit_) {
     *eof = true;

@@ -23,8 +23,8 @@ namespace rfv {
 
 /// Full scan over a base table. Open pins the table's committed
 /// snapshot (chunked copy-on-write image) plus a reader epoch, so the
-/// scan reads a stable statement-granular image of the table in all
-/// three pull styles while concurrent DML mutates the live row store.
+/// scan reads a stable statement-granular image of the table in both
+/// pull protocols while concurrent DML mutates the live row store.
 /// Close releases the pin, letting the EpochManager reclaim superseded
 /// snapshots.
 class TableScanOp : public PhysicalOperator {
@@ -39,7 +39,6 @@ class TableScanOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
@@ -69,7 +68,6 @@ class FilterOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   /// Zero-copy: narrows the child projection's selection vector in place
   /// and passes the projection through.
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
@@ -77,10 +75,6 @@ class FilterOp : public PhysicalOperator {
  private:
   PhysicalOperatorPtr child_;
   ExprPtr predicate_;
-  // Batch path: rows pulled from the child, consumed at input_pos_.
-  RowBatch input_;
-  size_t input_pos_ = 0;
-  bool child_eof_ = false;
 };
 
 class ProjectOp : public PhysicalOperator {
@@ -100,16 +94,11 @@ class ProjectOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
   PhysicalOperatorPtr child_;
   std::vector<ExprPtr> projections_;
-  // Batch path: rows pulled from the child, consumed at input_pos_.
-  RowBatch input_;
-  size_t input_pos_ = 0;
-  bool child_eof_ = false;
   /// Vector path: output columns evaluated from the child projection;
   /// shares the child's row positions and selection.
   VectorProjection out_vp_;
@@ -512,11 +501,7 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// NextVector calls.
   VectorProjection out_vp_;
   VectorProjection residual_scratch_;
-  /// Left-input staging: the current left projection is child-owned
-  /// when the left child is vectorized, else the transpose of
-  /// left_batch_ into left_src_vp_.
-  RowBatch left_batch_;
-  VectorProjection left_src_vp_;
+  /// The current left projection (child-owned).
   VectorProjection* left_vp_ = nullptr;
   size_t left_lane_pos_ = 0;    ///< next selection slot in left_vp_
   uint32_t current_lane_ = 0;   ///< current left row position in left_vp_
@@ -528,7 +513,7 @@ class MergeBandJoinOp : public PhysicalOperator {
   SelectionVector live_lanes_;
   Vector bound_lane_;
   bool left_input_eof_ = false;
-  size_t vector_capacity_ = RowBatch::kDefaultCapacity;
+  size_t vector_capacity_ = kVectorSize;
 
   // --- SUM fold (TryEnableSumFold); empty fold_terms_ = off ---
   std::vector<FoldTerm> fold_terms_;
@@ -640,11 +625,10 @@ class HashJoinOp : public PhysicalOperator {
   std::vector<uint32_t> heads_;       ///< bucket -> first entry (row id)
   std::vector<uint32_t> chain_next_;  ///< entry -> next entry in chain
   uint64_t bucket_mask_ = 0;          ///< heads_.size() - 1 (power of two)
-  /// Probe-side staging, pooled output lanes, and per-lane match state.
+  /// Pooled output lanes, the current probe projection (child-owned),
+  /// and per-lane match state.
   VectorProjection out_vp_;
   VectorProjection residual_scratch_;
-  RowBatch probe_batch_;
-  VectorProjection probe_src_vp_;
   VectorProjection* probe_vp_ = nullptr;
   std::vector<Vector> probe_key_vecs_;
   std::vector<uint64_t> probe_hashes_;
@@ -653,71 +637,14 @@ class HashJoinOp : public PhysicalOperator {
   bool probe_input_eof_ = false;
   std::vector<size_t> vec_candidates_;
   size_t vec_candidate_pos_ = 0;
-  size_t vector_capacity_ = RowBatch::kDefaultCapacity;
-};
-
-/// Sort-merge join on equi-key conjuncts (inner / left outer) with an
-/// optional residual condition: both inputs are materialized, sorted by
-/// their key vectors, and merged with duplicate-block re-scanning.
-/// NULL keys never match (SQL equi-join semantics).
-class SortMergeJoinOp : public PhysicalOperator {
- public:
-  SortMergeJoinOp(Schema schema, PhysicalOperatorPtr left,
-                  PhysicalOperatorPtr right, std::vector<ExprPtr> left_keys,
-                  std::vector<ExprPtr> right_keys, ExprPtr residual,
-                  JoinType join_type)
-      : PhysicalOperator(std::move(schema)),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)),
-        join_type_(join_type) {}
-  const char* name() const override { return "sort_merge_join"; }
-  void AppendChildren(
-      std::vector<const PhysicalOperator*>* out) const override {
-    out->push_back(left_.get());
-    out->push_back(right_.get());
-  }
-
- protected:
-  Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
-
- private:
-  struct Keyed {
-    std::vector<Value> key;
-    Row row;
-    bool has_null_key = false;
-  };
-
-  Status Materialize(PhysicalOperator* input,
-                     const std::vector<ExprPtr>& keys,
-                     std::vector<Keyed>* out);
-
-  PhysicalOperatorPtr left_;
-  PhysicalOperatorPtr right_;
-  std::vector<ExprPtr> left_keys_;
-  std::vector<ExprPtr> right_keys_;
-  ExprPtr residual_;
-  JoinType join_type_;
-
-  std::vector<Keyed> left_rows_;
-  std::vector<Keyed> right_rows_;
-  size_t li_ = 0;            ///< current left row
-  size_t rblock_start_ = 0;  ///< first right row of the matching block
-  size_t rblock_end_ = 0;    ///< one past the matching block
-  size_t rpos_ = 0;          ///< cursor within the block
-  bool block_valid_ = false;
-  bool left_matched_ = false;
-  size_t right_width_ = 0;
+  size_t vector_capacity_ = kVectorSize;
 };
 
 /// Full-materialization stable sort.
 ///
-/// Vector mode (vectorized()) is columnar: Open copies the
-/// child's selected lanes into owned chunks of RowBatch::kDefaultCapacity
-/// rows and evaluates the keys with VectorEvaluator. When no adjacent
+/// Vector mode (vectorized()) is columnar: Open copies the child's
+/// selected lanes into owned chunks of kVectorSize rows and evaluates
+/// the keys with VectorEvaluator. When no adjacent
 /// pair of rows is out of order, the identity is what std::stable_sort
 /// would return and the chunks are emitted as they are; otherwise a
 /// stable_sort of row indices under the same comparator is emitted by
@@ -778,7 +705,7 @@ class SortOp : public PhysicalOperator {
 ///
 /// Vector mode (vectorized()) ingests vectors and keeps its
 /// groups columnar: group g's key cells and finished aggregates sit in
-/// lane g % kDefaultCapacity of output vector g / kDefaultCapacity, and
+/// lane g % kVectorSize of output vector g / kVectorSize, and
 /// its accumulators in one flat groups × aggregates array. Output
 /// vectors are emitted as they are. Row mode keeps Value-keyed groups
 /// and result rows, the reference of the `vector` oracle.
@@ -912,7 +839,6 @@ class UnionAllOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
@@ -936,7 +862,6 @@ class LimitOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   /// Truncates the child projection's selection to the rows remaining
   /// under the limit and passes the projection through.
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;

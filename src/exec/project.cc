@@ -21,12 +21,7 @@ Result<Row> ProjectRow(const std::vector<ExprPtr>& projections,
 
 }  // namespace
 
-Status ProjectOp::OpenImpl() {
-  input_.Clear();
-  input_pos_ = 0;
-  child_eof_ = false;
-  return child_->Open();
-}
+Status ProjectOp::OpenImpl() { return child_->Open(); }
 
 Status ProjectOp::NextImpl(Row* row, bool* eof) {
   Row input;
@@ -38,23 +33,6 @@ Status ProjectOp::NextImpl(Row* row, bool* eof) {
   }
   RFV_ASSIGN_OR_RETURN(*row, ProjectRow(projections_, input));
   *eof = false;
-  return Status::OK();
-}
-
-Status ProjectOp::NextBatchImpl(RowBatch* batch, bool* eof) {
-  while (!batch->full()) {
-    if (input_pos_ >= input_.size()) {
-      if (child_eof_) break;
-      RFV_RETURN_IF_ERROR(child_->NextBatch(&input_, &child_eof_));
-      input_pos_ = 0;
-      if (input_.empty()) continue;
-    }
-    Row out;
-    RFV_ASSIGN_OR_RETURN(out,
-                         ProjectRow(projections_, input_.row(input_pos_++)));
-    batch->Push(std::move(out));
-  }
-  *eof = child_eof_ && input_pos_ >= input_.size();
   return Status::OK();
 }
 

@@ -27,18 +27,9 @@ Status TableScanOp::NextImpl(Row* row, bool* eof) {
   return Status::OK();
 }
 
-Status TableScanOp::NextBatchImpl(RowBatch* batch, bool* eof) {
-  const size_t n = snap_->num_rows();
-  while (pos_ < n && !batch->full()) {
-    batch->Push(snap_->row(pos_++));
-  }
-  *eof = pos_ >= n;
-  return Status::OK();
-}
-
 Status TableScanOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   const size_t n = snap_->num_rows();
-  const size_t count = std::min<size_t>(RowBatch::kDefaultCapacity, n - pos_);
+  const size_t count = std::min<size_t>(kVectorSize, n - pos_);
   const size_t num_cols = schema_.NumColumns();
   vp_.Reset(num_cols, count);
   for (size_t i = 0; i < count; ++i) {

@@ -10,10 +10,6 @@ namespace rfv {
 
 namespace {
 
-/// Rows per owned chunk of the columnar sort; row r of the sorted input
-/// sits in chunk r / kChunkRows at lane r % kChunkRows.
-constexpr size_t kChunkRows = RowBatch::kDefaultCapacity;
-
 /// Whether Value::Compare is a strict weak order on `lane`'s cells: it
 /// is, unless a NaN is present (it compares greater than, and less
 /// than, everything) or a double meets an int64 beyond 2^53 (mixed pairs
@@ -73,11 +69,11 @@ Status SortOp::OpenImpl() {
 }
 
 int SortOp::CompareRows(size_t a, size_t b) const {
-  const size_t ca = a / kChunkRows;
-  const size_t cb = b / kChunkRows;
+  const size_t ca = a / kVectorSize;
+  const size_t cb = b / kVectorSize;
   for (size_t k = 0; k < keys_.size(); ++k) {
-    const int c = VectorCellCompare(KeyLane(ca, k), a % kChunkRows,
-                                    KeyLane(cb, k), b % kChunkRows);
+    const int c = VectorCellCompare(KeyLane(ca, k), a % kVectorSize,
+                                    KeyLane(cb, k), b % kVectorSize);
     if (c != 0) return keys_[k].ascending ? c : -c;
   }
   return 0;
@@ -95,12 +91,12 @@ Status SortOp::OpenColumnar() {
     RFV_RETURN_IF_ERROR(child_->NextVector(&vp, &eof));
     if (vp == nullptr) continue;
     for (size_t from = 0; from < vp->NumSelected();) {
-      if (chunks_.empty() || chunks_.back().num_rows() == kChunkRows) {
+      if (chunks_.empty() || chunks_.back().num_rows() == kVectorSize) {
         chunks_.emplace_back();
         chunks_.back().Reset(width, 0);
       }
       VectorProjection& chunk = chunks_.back();
-      from += chunk.AppendRows(*vp, from, kChunkRows - chunk.num_rows());
+      from += chunk.AppendRows(*vp, from, kVectorSize - chunk.num_rows());
     }
   }
   for (const VectorProjection& chunk : chunks_) num_rows_ += chunk.num_rows();
@@ -171,7 +167,7 @@ Status SortOp::NextImpl(Row* row, bool* eof) {
     }
     const size_t r = presorted_ ? pos_ : perm_[pos_];
     ++pos_;
-    chunks_[r / kChunkRows].MaterializeRow(r % kChunkRows, row);
+    chunks_[r / kVectorSize].MaterializeRow(r % kVectorSize, row);
     *eof = false;
     return Status::OK();
   }
@@ -190,17 +186,17 @@ Status SortOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   }
   if (pos_ < num_rows_) {
     if (presorted_) {
-      VectorProjection& chunk = chunks_[pos_ / kChunkRows];
+      VectorProjection& chunk = chunks_[pos_ / kVectorSize];
       pos_ += chunk.num_rows();
       *out = &chunk;
     } else {
-      const size_t n = std::min(kChunkRows, num_rows_ - pos_);
+      const size_t n = std::min(kVectorSize, num_rows_ - pos_);
       out_vp_.Reset(schema_.NumColumns(), n);
       for (size_t c = 0; c < out_vp_.num_columns(); ++c) {
         Vector& dst = out_vp_.column(c);
         for (size_t k = 0; k < n; ++k) {
           const size_t r = perm_[pos_ + k];
-          dst.CopyFrom(k, chunks_[r / kChunkRows].column(c), r % kChunkRows);
+          dst.CopyFrom(k, chunks_[r / kVectorSize].column(c), r % kVectorSize);
         }
       }
       pos_ += n;

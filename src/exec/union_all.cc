@@ -24,20 +24,6 @@ Status UnionAllOp::NextImpl(Row* row, bool* eof) {
   return Status::OK();
 }
 
-Status UnionAllOp::NextBatchImpl(RowBatch* batch, bool* eof) {
-  // The current child fills the output batch directly (its NextBatch
-  // shell clears it first, so batches are never merged across children);
-  // a drained child hands over to the next one on the following call.
-  while (current_ < children_.size()) {
-    bool child_eof = false;
-    RFV_RETURN_IF_ERROR(children_[current_]->NextBatch(batch, &child_eof));
-    if (child_eof) ++current_;
-    if (!batch->empty()) break;
-  }
-  *eof = current_ >= children_.size();
-  return Status::OK();
-}
-
 Status UnionAllOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   // The current child's projection passes through untouched; a drained
   // child hands over to the next one within the same call, skipping

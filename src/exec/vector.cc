@@ -66,19 +66,6 @@ size_t VectorProjection::AppendRows(const VectorProjection& src,
   return n;
 }
 
-void VectorProjection::FromBatch(size_t num_columns, const RowBatch& batch) {
-  Reset(num_columns, batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Row& row = batch.row(i);
-    RFV_CHECK_MSG(row.size() == num_columns,
-                  "row width " << row.size() << " != projection width "
-                               << num_columns);
-    for (size_t c = 0; c < num_columns; ++c) {
-      columns_[c].SetValue(i, row[c]);
-    }
-  }
-}
-
 void VectorProjection::MaterializeRow(size_t pos, Row* out) const {
   std::vector<Value> values;
   values.reserve(columns_.size());

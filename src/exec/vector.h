@@ -9,9 +9,14 @@
 #include "common/logging.h"
 #include "common/row.h"
 #include "common/value.h"
-#include "exec/batch.h"
 
 namespace rfv {
+
+/// Rows per vector: the capacity of the projections the scans, the
+/// joins and the row-only fallback produce, and the chunk size of the
+/// columnar sort and aggregate. Large enough to amortize per-call
+/// overhead, small enough to stay cache-resident for typical row widths.
+constexpr size_t kVectorSize = 1024;
 
 /// One column of a VectorProjection: a fixed-length array of scalar
 /// cells in structure-of-arrays layout. Each element carries its own
@@ -19,8 +24,8 @@ namespace rfv {
 /// lane) because the engine's INSERT path stores values without coercing
 /// them to the declared column type — an INTEGER literal inserted into a
 /// DOUBLE column stays an int64 cell, and materialized rows must
-/// reproduce those exact tags for the row/batch/vector execution modes
-/// to be byte-identical.
+/// reproduce those exact tags for the row and vector execution modes to
+/// be byte-identical.
 ///
 /// Numeric and boolean payloads live in dedicated lanes (`i64_`, `f64_`;
 /// booleans reuse the int64 lane as 0/1), so typed inner loops read a
@@ -182,9 +187,14 @@ class VectorProjection {
   size_t AppendRows(const VectorProjection& src, size_t from,
                     size_t max_rows);
 
-  /// Transposes a RowBatch into columns (full selection) — the adapter
-  /// that lets any row/batch operator feed a vectorized consumer.
-  void FromBatch(size_t num_columns, const RowBatch& batch);
+  /// Keeps the first `n` physical rows (n <= num_rows()) under a full
+  /// selection. The row-only fallback fills a kVectorSize projection
+  /// and cuts it to the rows it got.
+  void Truncate(size_t n) {
+    for (Vector& c : columns_) c.Resize(n);
+    sel_.InitFull(n);
+    num_rows_ = n;
+  }
 
   /// Materializes row position `pos` (not a selection slot) as a Row.
   void MaterializeRow(size_t pos, Row* out) const;

@@ -275,10 +275,16 @@ Status WindowOp::ProcessPartition(const CallContext& ctx, size_t part_start,
   const int64_t e = static_cast<int64_t>(part_end);
   for (size_t i = part_start; i < part_end; ++i) {
     const int64_t ii = static_cast<int64_t>(i);
+    // Offsets are clamped to the partition before they are added, so
+    // offsets up to +-INT64_MAX cannot overflow; the frame is the same.
     const int64_t target_lo =
-        call.frame.lo_unbounded ? s : std::max(s, ii + call.frame.lo);
+        call.frame.lo_unbounded
+            ? s
+            : ii + std::clamp(call.frame.lo, s - ii, e - ii);
     const int64_t target_hi =
-        call.frame.hi_unbounded ? e - 1 : std::min(e - 1, ii + call.frame.hi);
+        call.frame.hi_unbounded
+            ? e - 1
+            : ii + std::clamp(call.frame.hi, s - 1 - ii, e - 1 - ii);
     while (static_cast<int64_t>(next_push) <= target_hi) {
       const size_t row_index = order[next_push];
       aggregate.Push(call.is_count_star ? Value::Int(1) : ctx.args[row_index],

@@ -81,7 +81,7 @@ std::optional<WindowSpec> FrameToWindowSpec(const WindowSpecAst& over) {
       break;
     default: return std::nullopt;
   }
-  if (l < 0 || h < 0 || l + h == 0) return std::nullopt;
+  if (l < 0 || h < 0 || (l == 0 && h == 0)) return std::nullopt;
   return WindowSpec::SlidingUnchecked(l, h);
 }
 
@@ -263,6 +263,12 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
       RecognizeSimpleWindowQuery(stmt, &wants_order);
   if (!query.has_value()) {
     if (span.active()) span.AddArg("verdict", "not a simple window query");
+    return std::optional<RewriteResult>();
+  }
+  // Offsets near INT64_MAX would overflow the derivation arithmetic; the
+  // native window operator answers them.
+  if (!query->window.CheckExtent(0).ok()) {
+    if (span.active()) span.AddArg("verdict", "window extent overflows");
     return std::optional<RewriteResult>();
   }
   static Counter* attempts = MetricsRegistry::Global().GetCounter(

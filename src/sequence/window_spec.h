@@ -30,7 +30,7 @@ class WindowSpec {
   static WindowSpec Cumulative() { return WindowSpec(Kind::kCumulative, 0, 0); }
 
   /// Sliding window; pre-validated factory. Errors: kInvalidArgument for
-  /// l < 0, h < 0 or l + h == 0.
+  /// l < 0, h < 0, l + h == 0, or a window size 1 + l + h beyond int64.
   static Result<WindowSpec> Sliding(int64_t l, int64_t h);
 
   /// Sliding window; precondition-checked (crashes on invalid input).
@@ -50,6 +50,12 @@ class WindowSpec {
 
   /// Window size w = 1 + l + h (sliding; paper W(k) = 1+l+h).
   int64_t size() const { return 1 + l_ + h_; }
+
+  /// OK when the complete sequence of this window over n >= 0 raw
+  /// values fits int64 arithmetic: its max(n, 1) + l + h positions
+  /// (header h, body n, trailer l), and so the window size too.
+  /// kInvalidArgument otherwise. Cumulative windows always fit.
+  Status CheckExtent(int64_t n) const;
 
   bool operator==(const WindowSpec& other) const {
     if (kind_ != other.kind_) return false;

@@ -30,8 +30,8 @@ struct RowChunk {
 class TableSnapshot {
  public:
   /// Rows per chunk. A power of two so row-id → (chunk, offset)
-  /// addressing is shift/mask; matches RowBatch::kDefaultCapacity so one
-  /// scan batch/vector never straddles more than two chunks.
+  /// addressing is shift/mask; matches kVectorSize (exec/vector.h) so
+  /// one scan vector never straddles more than two chunks.
   static constexpr size_t kChunkRows = 1024;
 
   TableSnapshot() = default;

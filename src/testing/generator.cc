@@ -1,5 +1,7 @@
 #include "testing/generator.h"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -111,6 +113,21 @@ void FillWindowScenario(Scenario* s, FuzzRng* rng) {
     query.order_by = s->has_grp && rng->ChancePermille(400)
                          ? rng->Pick(kGrpOrders)
                          : rng->Pick(kOrders);
+  }
+
+  // Oversized frame offsets, drawn last for the same reason: n - 1, n
+  // and n + 1 (n = the initial row count, so the frame reaches or just
+  // passes every partition's ends) and INT64_MAX, where the frame ends
+  // must stop at the partition instead of overflowing.
+  const int64_t rows = static_cast<int64_t>(s->rows.size());
+  const std::vector<int64_t> oversized = {
+      std::max<int64_t>(rows - 1, 0), rows, rows + 1,
+      std::numeric_limits<int64_t>::max()};
+  for (FuzzQuery& query : s->queries) {
+    if (query.frame.cumulative || !rng->ChancePermille(200)) continue;
+    int64_t& offset = rng->ChancePermille(500) ? query.frame.l : query.frame.h;
+    offset = rng->Pick(oversized);
+    if (query.frame.l == 0 && query.frame.h == 0) query.frame.h = 1;
   }
 }
 

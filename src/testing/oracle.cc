@@ -305,44 +305,27 @@ class OracleRunner {
 
     // Oracle 3: execution-mode cross-check. The serial run above used
     // the engine default (columnar vectorized execution), so replay the
-    // same query under the two fallback modes and demand identical
-    // rows:
-    //   * "batch"  — vectorized off, RowBatch pipeline on;
-    //   * "vector" — vectorized off, batches off: the pure row-at-a-
-    //     time pull loop (the vectorized-vs-row oracle; named for the
-    //     path it vouches for).
+    // same query with vectorized execution off — the pure row-at-a-time
+    // pull loop — and demand identical rows ("vector", named for the
+    // path it vouches for).
     {
-      struct ExecModeConfig {
-        const char* label;
-        bool use_vectorized;
-        bool use_batch;
-      };
-      const ExecModeConfig modes[] = {
-          {"batch", false, true},
-          {"vector", false, false},
-      };
       const bool saved_vectorized =
           db_.options().exec.use_vectorized_execution;
-      const bool saved_batch = db_.options().exec.use_batch_execution;
-      for (const ExecModeConfig& mode : modes) {
-        db_.options().exec.use_vectorized_execution = mode.use_vectorized;
-        db_.options().exec.use_batch_execution = mode.use_batch;
-        Result<ResultSet> replay = db_.Execute(sql);
-        db_.options().exec.use_vectorized_execution = saved_vectorized;
-        db_.options().exec.use_batch_execution = saved_batch;
-        if (!replay.ok()) {
-          RecordFailure(&verdict_, mode.label, sql,
-                        replay.status().ToString(), round);
-        } else {
-          RecordCheck(&verdict_, mode.label);
-          // Under a trailing ORDER BY every mode runs a stable sort of
-          // the same input order, so the rows must agree in order.
-          std::optional<std::string> diff =
-              query.order_by.empty() ? DiffRowsCanonical(serial, *replay)
-                                     : DiffRows(serial, *replay);
-          if (diff.has_value()) {
-            RecordFailure(&verdict_, mode.label, sql, *diff, round);
-          }
+      db_.options().exec.use_vectorized_execution = false;
+      Result<ResultSet> replay = db_.Execute(sql);
+      db_.options().exec.use_vectorized_execution = saved_vectorized;
+      if (!replay.ok()) {
+        RecordFailure(&verdict_, "vector", sql, replay.status().ToString(),
+                      round);
+      } else {
+        RecordCheck(&verdict_, "vector");
+        // Under a trailing ORDER BY both modes run a stable sort of the
+        // same input order, so the rows must agree in order.
+        std::optional<std::string> diff =
+            query.order_by.empty() ? DiffRowsCanonical(serial, *replay)
+                                   : DiffRows(serial, *replay);
+        if (diff.has_value()) {
+          RecordFailure(&verdict_, "vector", sql, *diff, round);
         }
       }
     }

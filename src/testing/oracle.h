@@ -18,13 +18,10 @@ namespace fuzzing {
 ///                   evaluator (reference_window.h);
 ///   * parallel    — exec.window_workers = 1 vs. the partition-parallel
 ///                   path (workers forced onto small inputs);
-///   * batch       — the engine default (columnar vectorized execution)
-///                   vs. the RowBatch pipeline (exec.
-///                   use_vectorized_execution off, use_batch_execution
-///                   on);
-///   * vector      — the engine default vs. the pure row-at-a-time pull
-///                   loop (both knobs off) — the vectorized-vs-row
-///                   oracle;
+///   * vector      — the engine default (columnar vectorized execution)
+///                   vs. the row-at-a-time pull loop (exec.
+///                   use_vectorized_execution off) — the
+///                   vectorized-vs-row oracle;
 ///   * rewrite:*   — MaxOA / MinOA / automatic view rewrites (both
 ///                   pattern variants) vs. the native operator;
 ///   * band        — forced rewrites replayed with the merge band join

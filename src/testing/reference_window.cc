@@ -128,14 +128,14 @@ std::vector<Value> ReferenceWindow(const std::vector<Row>& rows,
       size_t from = part_start;
       size_t to = i;
       if (!call.frame.cumulative) {
-        const int64_t lo = static_cast<int64_t>(i) - call.frame.l;
-        const int64_t hi = static_cast<int64_t>(i) + call.frame.h;
-        from = lo < static_cast<int64_t>(part_start)
-                   ? part_start
-                   : static_cast<size_t>(lo);
-        to = hi >= static_cast<int64_t>(part_end)
-                 ? part_end - 1
-                 : static_cast<size_t>(hi);
+        // Step from row i by at most the rows the partition has on
+        // each side: offsets may be as large as INT64_MAX.
+        const uint64_t before = i - part_start;
+        const uint64_t after = part_end - 1 - i;
+        from = i - static_cast<size_t>(
+                       std::min(static_cast<uint64_t>(call.frame.l), before));
+        to = i + static_cast<size_t>(
+                     std::min(static_cast<uint64_t>(call.frame.h), after));
       }
       if (to < from) {
         // Unreachable for l, h >= 0 (the frame always contains the

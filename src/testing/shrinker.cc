@@ -12,6 +12,9 @@ namespace fuzzing {
 namespace {
 
 constexpr int kMaxAttempts = 400;
+/// Frame offsets above this shrink by halving: stepping down by one from
+/// INT64_MAX would spend the whole attempt budget on one frame.
+constexpr int64_t kHalvingOffset = 64;
 
 /// Restores the dense-positions invariant (1..n per partition) after
 /// rows were removed: remaining rows keep their relative order per
@@ -201,15 +204,14 @@ class Shrinker {
       for (size_t i = 0;; ++i) {
         FuzzFrame* frame = getter(&result_.scenario, i);
         if (frame == nullptr) break;
-        while (!frame->cumulative && frame->l + frame->h > 1 &&
+        // l + h > 1, written so offsets near INT64_MAX cannot overflow.
+        while (!frame->cumulative && frame->l > 1 - frame->h &&
                result_.attempts < kMaxAttempts) {
           Scenario c = result_.scenario;
           FuzzFrame* f = getter(&c, i);
-          if (f->l >= f->h) {
-            --f->l;
-          } else {
-            --f->h;
-          }
+          // Oversized offsets halve; small ones step down by one.
+          int64_t* offset = f->l >= f->h ? &f->l : &f->h;
+          *offset = *offset > kHalvingOffset ? *offset / 2 : *offset - 1;
           if (!Attempt(std::move(c))) break;
           any = true;
           frame = getter(&result_.scenario, i);

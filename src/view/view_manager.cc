@@ -94,6 +94,14 @@ Status ViewManager::Materialize(const SequenceViewDef& def, Table* content,
       partitions, ExtractPartitions(*base, order_col, value_col,
                                     partition_cols));
 
+  // The header and trailer extend the body by h and l positions; an
+  // extent past int64 is refused before anything is written.
+  size_t longest = 0;
+  for (const PartitionData& part : partitions) {
+    longest = std::max(longest, part.values.size());
+  }
+  RFV_RETURN_IF_ERROR(def.window.CheckExtent(static_cast<int64_t>(longest)));
+
   // Bracket the truncate-and-refill as one committed statement:
   // concurrent readers keep scanning the previous content snapshot and
   // never observe the empty or half-filled intermediate states.

@@ -1,6 +1,6 @@
 // The serving-layer stress battery: N reader sessions scanning the base
-// table and a materialized view in all three pull styles (row-at-a-time,
-// RowBatch, vectorized) while a writer session appends and updates the
+// table and a materialized view in both pull protocols (row-at-a-time,
+// vectorized) while a writer session appends and updates the
 // base table and refreshes the view. The acceptance contract of the
 // snapshot scheme:
 //
@@ -33,19 +33,14 @@ using testutil::MustExecute;
 constexpr int kInitialRows = 1100;  // spans two snapshot chunks
 constexpr int kRowsPerInsert = 7;
 constexpr int kWriterStatements = 60;
-constexpr int kReaderThreads = 3;  // one per pull style
+constexpr int kReaderThreads = 3;  // pull styles alternate
 
-enum class PullStyle { kRow, kBatch, kVector };
+enum class PullStyle { kRow, kVector };
 
 void ConfigurePullStyle(Session* session, PullStyle style) {
   switch (style) {
     case PullStyle::kRow:
       session->options().exec.use_vectorized_execution = false;
-      session->options().exec.use_batch_execution = false;
-      break;
-    case PullStyle::kBatch:
-      session->options().exec.use_vectorized_execution = false;
-      session->options().exec.use_batch_execution = true;
       break;
     case PullStyle::kVector:
       session->options().exec.use_vectorized_execution = true;
@@ -147,10 +142,9 @@ TEST_F(ServeStressTest, ReadersSeeConsistentSnapshotsUnderWrites) {
 
   std::vector<std::thread> readers;
   readers.reserve(kReaderThreads);
-  const PullStyle styles[] = {PullStyle::kRow, PullStyle::kBatch,
-                              PullStyle::kVector};
+  const PullStyle styles[] = {PullStyle::kRow, PullStyle::kVector};
   for (int r = 0; r < kReaderThreads; ++r) {
-    readers.emplace_back(reader, styles[r % 3]);
+    readers.emplace_back(reader, styles[r % 2]);
   }
 
   // The writer: append a batch, repaint the band, refresh the view —

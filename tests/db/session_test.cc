@@ -50,18 +50,20 @@ TEST_F(SessionTest, OptionsAreIsolatedPerSession) {
   Session b(&db_);
   ASSERT_TRUE(a.options().enable_view_rewrite);
   a.options().enable_view_rewrite = false;
-  a.options().exec.use_batch_execution = true;
+  a.options().exec.use_vectorized_execution = false;
   // Neither the sibling session nor the engine defaults moved.
   EXPECT_TRUE(b.options().enable_view_rewrite);
   EXPECT_TRUE(db_.options().enable_view_rewrite);
+  EXPECT_TRUE(b.options().exec.use_vectorized_execution);
+  EXPECT_TRUE(db_.options().exec.use_vectorized_execution);
 }
 
 TEST_F(SessionTest, SessionOptionsAffectOnlyThatSessionsQueries) {
   Session plain(&db_);
-  Session batch(&db_);
-  batch.options().exec.use_batch_execution = true;
+  Session row(&db_);
+  row.options().exec.use_vectorized_execution = false;
   const Result<ResultSet> a = plain.Execute("SELECT val FROM seq");
-  const Result<ResultSet> b = batch.Execute("SELECT val FROM seq");
+  const Result<ResultSet> b = row.Execute("SELECT val FROM seq");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->rows().size(), b->rows().size());

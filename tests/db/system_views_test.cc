@@ -70,7 +70,7 @@ TEST(SystemViewsTest, RankWindowQueryOverQueriesView) {
 }
 
 TEST(SystemViewsTest, PullStylesAgreeOnSystemViews) {
-  // Row / batch / vector drivers must return identical rows. The log
+  // Row and vector drivers must return identical rows. The log
   // grows between executions, so compare on the stable DML subset and
   // deterministic columns only.
   Database db;
@@ -82,16 +82,12 @@ TEST(SystemViewsTest, PullStylesAgreeOnSystemViews) {
       "RANK() OVER (ORDER BY query_id) "
       "FROM rfv_system.queries WHERE kind = 'insert' ORDER BY query_id";
 
-  db.options().exec.use_batch_execution = false;
   db.options().exec.use_vectorized_execution = false;
   const ResultSet row_mode = MustExecute(db, sql);
-  db.options().exec.use_batch_execution = true;
-  const ResultSet batch_mode = MustExecute(db, sql);
   db.options().exec.use_vectorized_execution = true;
   const ResultSet vector_mode = MustExecute(db, sql);
 
   ASSERT_EQ(row_mode.NumRows(), 2u);
-  EXPECT_TRUE(testutil::RowsEqual(row_mode, batch_mode));
   EXPECT_TRUE(testutil::RowsEqual(row_mode, vector_mode));
 }
 

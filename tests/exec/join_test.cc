@@ -177,11 +177,12 @@ TEST_P(JoinEquivalenceTest, IndexAndNestedLoopAgree) {
   EXPECT_TRUE(RowsEqual(with_index, without_index)) << GetParam().name;
 }
 
-// Sort-merge join must agree with hash join and nested loops on every
-// equi-join shape, including duplicates, NULL keys and left outer joins.
-class SortMergeEquivalenceTest : public ::testing::TestWithParam<JoinCase> {};
+// The hash join, columnar and row-at-a-time, must agree with nested
+// loops on every equi-join shape, including duplicates, NULL keys and
+// left outer joins.
+class HashJoinEquivalenceTest : public ::testing::TestWithParam<JoinCase> {};
 
-TEST_P(SortMergeEquivalenceTest, AllEquiStrategiesAgree) {
+TEST_P(HashJoinEquivalenceTest, HashJoinMatchesNestedLoop) {
   Database db;
   MustExecute(db, "CREATE TABLE l (k INTEGER, v DOUBLE)");
   MustExecute(db, "CREATE TABLE r (k INTEGER, w DOUBLE)");
@@ -194,23 +195,24 @@ TEST_P(SortMergeEquivalenceTest, AllEquiStrategiesAgree) {
   const std::string sql = GetParam().sql;
 
   db.options().exec.enable_hash_join = true;
-  db.options().exec.enable_sort_merge_join = false;
-  const ResultSet hash = MustExecute(db, sql);
+  db.options().exec.use_vectorized_execution = true;
+  const ResultSet hash_vector = MustExecute(db, sql);
+
+  db.options().exec.use_vectorized_execution = false;
+  const ResultSet hash_row = MustExecute(db, sql);
 
   db.options().exec.enable_hash_join = false;
-  db.options().exec.enable_sort_merge_join = true;
-  const ResultSet smj = MustExecute(db, sql);
-
-  db.options().exec.enable_sort_merge_join = false;
   db.options().exec.enable_index_nested_loop_join = false;
   const ResultSet nlj = MustExecute(db, sql);
 
-  EXPECT_TRUE(RowsEqual(hash, smj)) << GetParam().name << " (hash vs smj)";
-  EXPECT_TRUE(RowsEqual(hash, nlj)) << GetParam().name << " (hash vs nlj)";
+  EXPECT_TRUE(RowsEqual(hash_vector, nlj))
+      << GetParam().name << " (vector hash vs nlj)";
+  EXPECT_TRUE(RowsEqual(hash_row, nlj))
+      << GetParam().name << " (row hash vs nlj)";
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EquiShapes, SortMergeEquivalenceTest,
+    EquiShapes, HashJoinEquivalenceTest,
     ::testing::Values(
         JoinCase{"inner_with_duplicates",
                  "SELECT l.k, l.v, r.w FROM l JOIN r ON l.k = r.k ORDER BY "

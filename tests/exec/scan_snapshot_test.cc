@@ -1,8 +1,8 @@
 // A table scan pins a committed copy-on-write snapshot at Open and
 // reads it to EOF regardless of DML landing on the live table — the
 // serving model's reader half. These tests pin the stable-snapshot
-// semantics for all three pull styles (row, batch, vector), including
-// mutations landing *between* pulls of a multi-batch scan, the
+// semantics for both pull protocols (row, vector), including
+// mutations landing *between* pulls of a multi-vector scan, the
 // statement-granular BeginWrite/EndWrite commit bracket, and the
 // chunk-sharing structure of consecutive snapshots.
 
@@ -56,16 +56,17 @@ TEST_F(ScanSnapshotTest, InsertUnderOpenScanInvisible) {
   EXPECT_EQ(rows, 3u);
 }
 
-TEST_F(ScanSnapshotTest, DeleteUnderOpenScanBatchStable) {
+TEST_F(ScanSnapshotTest, DeleteUnderOpenScanVectorStable) {
   TableScanOp scan(table_->schema(), table_);
   ASSERT_TRUE(scan.Open().ok());
-  // Mutate before the first batch is pulled: the batch path reads the
+  // Mutate before the first vector is pulled: the vector path reads the
   // snapshot too, not the live store.
   ASSERT_TRUE(table_->DeleteRow(0).ok());
-  RowBatch batch;
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  ASSERT_TRUE(scan.NextBatch(&batch, &eof).ok());
-  EXPECT_EQ(batch.size(), 3u);
+  ASSERT_TRUE(scan.NextVector(&vp, &eof).ok());
+  ASSERT_NE(vp, nullptr);
+  EXPECT_EQ(vp->NumSelected(), 3u);
   EXPECT_TRUE(eof);
   EXPECT_EQ(table_->NumRows(), 2u);
 }
@@ -107,9 +108,9 @@ TEST_F(ScanSnapshotTest, ReopenAfterMutationSeesNewData) {
   EXPECT_EQ(rows, 4u);
 }
 
-// Mid-stream stability: a table larger than one batch/vector (1024
-// rows) forces a second pull, and DML landing between pulls must not
-// perturb it — the snapshot was fixed at Open.
+// Mid-stream stability: a table larger than one vector (1024 rows)
+// forces a second pull, and DML landing between pulls must not perturb
+// it — the snapshot was fixed at Open.
 
 class ScanSnapshotMidStreamTest : public ScanSnapshotTest {
  protected:
@@ -123,23 +124,24 @@ class ScanSnapshotMidStreamTest : public ScanSnapshotTest {
   }
 };
 
-TEST_F(ScanSnapshotMidStreamTest, InsertBetweenBatchesInvisible) {
+TEST_F(ScanSnapshotMidStreamTest, InsertBetweenRowsInvisible) {
   TableScanOp scan(table_->schema(), table_);
   ASSERT_TRUE(scan.Open().ok());
-  RowBatch batch;
+  Row row;
   bool eof = false;
-  ASSERT_TRUE(scan.NextBatch(&batch, &eof).ok());
-  ASSERT_EQ(batch.size(), RowBatch::kDefaultCapacity);
-  ASSERT_FALSE(eof);
+  size_t total = 0;
+  for (; total < kVectorSize; ++total) {
+    ASSERT_TRUE(scan.Next(&row, &eof).ok());
+    ASSERT_FALSE(eof);
+  }
 
   ASSERT_TRUE(table_->Insert(Row({Value::Int(9999), Value::Int(0)})).ok());
 
-  size_t total = batch.size();
-  while (!eof) {
-    batch.Clear();
-    const Status s = scan.NextBatch(&batch, &eof);
+  while (true) {
+    const Status s = scan.Next(&row, &eof);
     ASSERT_TRUE(s.ok()) << s.ToString();
-    total += batch.size();
+    if (eof) break;
+    ++total;
   }
   EXPECT_EQ(total, 1500u);  // not 1501: row 9999 is post-snapshot
 }
@@ -151,7 +153,7 @@ TEST_F(ScanSnapshotMidStreamTest, DeleteBetweenVectorsInvisible) {
   bool eof = false;
   ASSERT_TRUE(scan.NextVector(&vp, &eof).ok());
   ASSERT_NE(vp, nullptr);
-  ASSERT_EQ(vp->NumSelected(), RowBatch::kDefaultCapacity);
+  ASSERT_EQ(vp->NumSelected(), kVectorSize);
   ASSERT_FALSE(eof);
 
   ASSERT_TRUE(table_->DeleteRow(0).ok());

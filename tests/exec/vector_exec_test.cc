@@ -1,17 +1,13 @@
-// Execution-contract tests for the batch and vector pull styles, pinned
-// after the PR that fixed two batch-path bugs:
+// Execution-contract tests for the vector pull protocol:
 //
-//  1. EOF contract: the final batch/vector of a stream may be non-empty
-//     AND carry *eof = true (LimitOp truncating mid-batch, UnionAllOp's
-//     last child, TableScanOp's final partial batch). Consumers must
-//     drain first and test eof second — these tests verify producers
-//     really emit that shape and that drains never drop the final rows.
-//  2. RowBatch::Push past capacity_ used to grow the batch silently;
-//     it now aborts (death test below).
+//  EOF contract: the final vector of a stream may be non-empty AND
+//  carry *eof = true (LimitOp truncating mid-vector, UnionAllOp's last
+//  child, TableScanOp's final partial chunk). Consumers must drain
+//  first and test eof second — these tests verify producers really emit
+//  that shape and that drains never drop the final rows.
 //
-// Also covered: limit hit mid-batch, UNION ALL over interleaved empty
-// children, capacity-1 batches, and row/batch/vector mode equivalence
-// over a small query suite.
+// Also covered: limit hit mid-vector, UNION ALL over interleaved empty
+// children, and row/vector mode equivalence over a small query suite.
 
 #include <gtest/gtest.h>
 
@@ -66,35 +62,18 @@ class ExecContractTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------
-// EOF contract: non-empty final batch/vector with *eof = true.
+// EOF contract: non-empty final vector with *eof = true.
 // ---------------------------------------------------------------------
 
-TEST_F(ExecContractTest, ScanFinalBatchIsNonEmptyWithEof) {
+TEST_F(ExecContractTest, ScanFinalVectorIsNonEmptyWithEof) {
   PhysicalOperatorPtr scan = Scan("t5");
   ASSERT_TRUE(scan->Open().ok());
-  RowBatch batch;
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  ASSERT_TRUE(scan->NextBatch(&batch, &eof).ok());
-  // 5 rows fit one batch: the producer reports them AND eof together.
-  EXPECT_EQ(batch.size(), 5u);
-  EXPECT_TRUE(eof);
-}
-
-TEST_F(ExecContractTest, LimitTruncatesMidBatchAndCarriesEof) {
-  auto limit = std::make_unique<LimitOp>(GetTable("t5")->schema(),
-                                         Scan("t5"), /*limit=*/3);
-  ASSERT_TRUE(limit->Open().ok());
-  RowBatch batch;
-  bool eof = false;
-  ASSERT_TRUE(limit->NextBatch(&batch, &eof).ok());
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_TRUE(eof);
-  EXPECT_EQ(batch.row(2)[0], Value::Int(3));
-
-  // Post-eof pulls are safe: the shell's latch answers empty + eof
-  // without re-entering the operator.
-  ASSERT_TRUE(limit->NextBatch(&batch, &eof).ok());
-  EXPECT_TRUE(batch.empty());
+  ASSERT_TRUE(scan->NextVector(&vp, &eof).ok());
+  // 5 rows fit one vector: the producer reports them AND eof together.
+  ASSERT_NE(vp, nullptr);
+  EXPECT_EQ(vp->NumSelected(), 5u);
   EXPECT_TRUE(eof);
 }
 
@@ -112,16 +91,19 @@ TEST_F(ExecContractTest, LimitVectorTruncatesSelectionAndCarriesEof) {
   // selection was narrowed.
   EXPECT_EQ(vp->num_rows(), 5u);
 
+  // Post-eof pulls are safe: the shell's latch answers null + eof
+  // without re-entering the operator.
   ASSERT_TRUE(limit->NextVector(&vp, &eof).ok());
   EXPECT_EQ(vp, nullptr);
   EXPECT_TRUE(eof);
 }
 
-TEST_F(ExecContractTest, DrainChildKeepsFinalBatchRows) {
-  // The regression this PR's audit was for: a consumer that tested eof
-  // before draining would lose the truncated final batch entirely.
+TEST_F(ExecContractTest, DrainChildKeepsFinalVectorRows) {
+  // A consumer that tested eof before draining would lose the truncated
+  // final vector entirely.
   auto limit = std::make_unique<LimitOp>(GetTable("t5")->schema(),
                                          Scan("t5"), /*limit=*/4);
+  limit->SetVectorized(true);
   ASSERT_TRUE(limit->Open().ok());
   std::vector<Row> rows;
   ASSERT_TRUE(DrainChild(limit.get(), &rows).ok());
@@ -157,14 +139,7 @@ class UnionModesTest : public ExecContractTest {
 
 TEST_F(UnionModesTest, RowPath) {
   PhysicalOperatorPtr u = MakeUnion();
-  Result<std::vector<Row>> rows = ExecuteToVector(u.get(), false);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  ExpectAllRows(*rows);
-}
-
-TEST_F(UnionModesTest, BatchPath) {
-  PhysicalOperatorPtr u = MakeUnion();
-  Result<std::vector<Row>> rows = ExecuteToVector(u.get(), true);
+  Result<std::vector<Row>> rows = ExecuteToVector(u.get());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ExpectAllRows(*rows);
 }
@@ -200,50 +175,7 @@ TEST_F(UnionModesTest, VectorPathSkipsEmptyChildrenWithinOneCall) {
 }
 
 // ---------------------------------------------------------------------
-// Capacity-1 batches: the smallest legal batch still makes progress and
-// honors the EOF contract.
-// ---------------------------------------------------------------------
-
-TEST_F(ExecContractTest, CapacityOneBatchesDrainEverything) {
-  auto filter = std::make_unique<FilterOp>(
-      GetTable("t5")->schema(), Scan("t5"),
-      eb::Gt(eb::Col(0, DataType::kInt64), eb::Int(1)));
-  ASSERT_TRUE(filter->Open().ok());
-  RowBatch batch(1);
-  std::vector<Row> rows;
-  bool eof = false;
-  while (true) {
-    ASSERT_TRUE(filter->NextBatch(&batch, &eof).ok());
-    for (size_t i = 0; i < batch.size(); ++i) rows.push_back(batch.row(i));
-    if (eof) break;
-  }
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows[0][0], Value::Int(2));
-  EXPECT_EQ(rows[3][0], Value::Int(5));
-}
-
-// ---------------------------------------------------------------------
-// RowBatch capacity is a hard bound (used to grow silently).
-// ---------------------------------------------------------------------
-
-#if GTEST_HAS_DEATH_TEST
-TEST(RowBatchDeathTest, PushPastCapacityAborts) {
-  RowBatch batch(2);
-  batch.Push(Row({Value::Int(1)}));
-  batch.Push(Row({Value::Int(2)}));
-  EXPECT_DEATH(batch.Push(Row({Value::Int(3)})), "past capacity");
-}
-#endif
-
-TEST(RowBatchTest, ZeroCapacityClampsToOne) {
-  RowBatch batch(0);
-  EXPECT_EQ(batch.capacity(), 1u);
-  batch.Push(Row({Value::Int(1)}));
-  EXPECT_TRUE(batch.full());
-}
-
-// ---------------------------------------------------------------------
-// The three execution modes agree on a small SQL suite (end to end,
+// The two execution modes agree on a small SQL suite (end to end,
 // including plans that mix vector-native and row-only operators).
 // ---------------------------------------------------------------------
 
@@ -257,23 +189,17 @@ class ExecModesSqlTest : public ::testing::Test {
                 "(6, 5.5, 'x'), (7, NULL, 'y')");
   }
 
-  // Runs `sql` under (vectorized, batch, row) modes and checks they
-  // produce identical rows in identical order, cell types included
-  // (Int(2) and Double(2.0) compare equal, so a sort that swapped such
-  // a tie would pass a value comparison). Returns the vector-mode rows.
+  // Runs `sql` under the vector and row modes and checks they produce
+  // identical rows in identical order, cell types included (Int(2) and
+  // Double(2.0) compare equal, so a sort that swapped such a tie would
+  // pass a value comparison). Returns the vector-mode rows.
   ResultSet ExpectModesAgree(const std::string& sql) {
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     const ResultSet vec = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = false;
-    const ResultSet batch = MustExecute(db_, sql);
-    db_.options().exec.use_batch_execution = false;
     const ResultSet row = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
-    EXPECT_TRUE(testutil::RowsEqual(vec, batch)) << sql;
     EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
-    EXPECT_TRUE(SameTags(vec, batch)) << sql;
     EXPECT_TRUE(SameTags(vec, row)) << sql;
     return vec;
   }
@@ -347,6 +273,85 @@ TEST_F(ExecModesSqlTest, LimitAndUnion) {
   ExpectModesAgree(
       "SELECT a FROM t WHERE a < 3 UNION ALL SELECT a FROM t WHERE a > 100 "
       "UNION ALL SELECT a FROM t WHERE a > 5");
+}
+
+// ---------------------------------------------------------------------
+// Row-only left inputs under the columnar joins: the hash and band
+// joins pull an index nested-loop or nested-loop join through
+// NextVector, which answers through the lane-writing fallback. 2 500
+// left rows cross the 1 024-row vector boundary twice.
+// ---------------------------------------------------------------------
+
+class RowOnlyLeftInputTest : public ExecModesSqlTest {
+ protected:
+  void SetUp() override {
+    ExecModesSqlTest::SetUp();
+    CreateBig("big", 2500, /*reverse=*/false);
+    MustExecute(db_, "CREATE INDEX big_k ON big (k)");
+    // Every other key of big; no index, so equi joins on it hash.
+    MustExecute(db_, "CREATE TABLE half (k INTEGER, w INTEGER)");
+    std::string insert = "INSERT INTO half VALUES ";
+    for (int k = 2; k <= 2500; k += 2) {
+      insert += (k > 2 ? ", (" : "(") + std::to_string(k) + ", " +
+                std::to_string(k * 3) + ")";
+    }
+    MustExecute(db_, insert);
+    // One row below every v: the nested loop passes all of big through.
+    MustExecute(db_, "CREATE TABLE low (w DOUBLE)");
+    MustExecute(db_, "INSERT INTO low VALUES (-1.0)");
+  }
+
+  // Checks that `sql`'s vector plan has `parent` with `left` as its
+  // first (left) input, and that the left input answered at least
+  // `min_vectors` NextVector calls with rows.
+  void ExpectLeftInput(const std::string& sql, const std::string& parent,
+                       const std::string& left, int64_t min_vectors) {
+    const ResultSet plan = MustExecute(db_, "EXPLAIN ANALYZE " + sql);
+    const std::vector<OperatorMetricsEntry>& entries = plan.metrics();
+    for (size_t i = 0; i + 1 < entries.size(); ++i) {
+      if (entries[i].name != parent) continue;
+      EXPECT_EQ(entries[i + 1].name, left) << sql;
+      EXPECT_EQ(entries[i + 1].depth, entries[i].depth + 1) << sql;
+      EXPECT_GE(entries[i + 1].metrics.vectors_out, min_vectors) << sql;
+      return;
+    }
+    ADD_FAILURE() << "no " << parent << " in the plan of " << sql;
+  }
+};
+
+TEST_F(RowOnlyLeftInputTest, HashJoinOverIndexNestedLoop) {
+  const std::string sql =
+      "SELECT a.k, b.v, c.w FROM big a JOIN big b ON b.k = a.k "
+      "JOIN half c ON c.k = b.k";
+  const ResultSet rs = ExpectModesAgree(sql);
+  ASSERT_EQ(rs.NumRows(), 1250u);
+  ExpectLeftInput(sql, "hash_join", "index_nested_loop_join", 3);
+}
+
+TEST_F(RowOnlyLeftInputTest, BandJoinOverNestedLoop) {
+  const std::string sql =
+      "SELECT a.k, c.k FROM big a JOIN low b ON a.v > b.w "
+      "JOIN big c ON c.k BETWEEN a.k - 1 AND a.k + 1";
+  const ResultSet rs = ExpectModesAgree(sql);
+  ASSERT_EQ(rs.NumRows(), 3u * 2500u - 2u);
+  ExpectLeftInput(sql, "merge_band_join", "nested_loop_join", 3);
+}
+
+TEST_F(RowOnlyLeftInputTest, LeftJoinsOverRowOnlyInputs) {
+  // Odd keys find no partner in half: their rows come back NULL-padded.
+  const std::string hash_sql =
+      "SELECT a.k, c.w FROM big a JOIN big b ON b.k = a.k "
+      "LEFT JOIN half c ON c.k = b.k";
+  const ResultSet hash = ExpectModesAgree(hash_sql);
+  ASSERT_EQ(hash.NumRows(), 2500u);
+  ExpectLeftInput(hash_sql, "hash_join", "index_nested_loop_join", 3);
+  // Past k = 1 000 the band runs off the end of big.
+  const std::string band_sql =
+      "SELECT a.k, c.k FROM big a JOIN low b ON a.v > b.w "
+      "LEFT JOIN big c ON c.k BETWEEN a.k + 1500 AND a.k + 1501";
+  const ResultSet band = ExpectModesAgree(band_sql);
+  ASSERT_EQ(band.NumRows(), 2u * 999u + 1u + 1500u);
+  ExpectLeftInput(band_sql, "merge_band_join", "nested_loop_join", 3);
 }
 
 // ---------------------------------------------------------------------
@@ -493,13 +498,10 @@ TEST_F(ExecModesSqlTest, SortKeyErrorsAgreeAcrossModes) {
        {std::string("SELECT a FROM t ORDER BY 10 / (a - 2)"),
         std::string("SELECT a FROM t ORDER BY MOD(1, a - 4), 1 / (a - 2)")}) {
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     const Result<ResultSet> vec = db_.Execute(sql);
     db_.options().exec.use_vectorized_execution = false;
-    db_.options().exec.use_batch_execution = false;
     const Result<ResultSet> row = db_.Execute(sql);
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     ASSERT_FALSE(vec.ok()) << sql;
     ASSERT_FALSE(row.ok()) << sql;
     EXPECT_EQ(row.status().ToString(),
@@ -806,13 +808,10 @@ TEST_F(VectorJoinTest, RowAndVectorPathsAgreeOnForcedHashJoinSql) {
   };
   for (const char* sql : queries) {
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     const ResultSet vec = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = false;
-    db_.options().exec.use_batch_execution = false;
     const ResultSet row = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
   }
 }
@@ -835,13 +834,10 @@ class VectorBandJoinTest : public ::testing::Test {
 
   void ExpectVectorMatchesRow(const std::string& sql) {
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     const ResultSet vec = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = false;
-    db_.options().exec.use_batch_execution = false;
     const ResultSet row = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
   }
 
@@ -937,7 +933,6 @@ class BandFoldTest : public ::testing::Test {
 
   void SetRowMode(bool row) {
     db_.options().exec.use_vectorized_execution = !row;
-    db_.options().exec.use_batch_execution = !row;
   }
 
   /// The folding join's EXPLAIN ANALYZE counters.
@@ -1534,23 +1529,17 @@ TEST_F(ExecModesSqlTest, ErrorsAgreeAcrossModes) {
   for (const std::string& sql : {std::string("SELECT 1 / (a - a) FROM t"),
                                  band_sql}) {
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     Result<ResultSet> vec = db_.Execute(sql);
     db_.options().exec.use_vectorized_execution = false;
-    Result<ResultSet> batch = db_.Execute(sql);
-    db_.options().exec.use_batch_execution = false;
     Result<ResultSet> row = db_.Execute(sql);
     ASSERT_FALSE(vec.ok()) << sql;
-    ASSERT_FALSE(batch.ok()) << sql;
     ASSERT_FALSE(row.ok()) << sql;
     EXPECT_EQ(row.status().ToString(),
               Status::ExecutionError("division by zero").ToString());
     EXPECT_EQ(vec.status().ToString(), row.status().ToString()) << sql;
-    EXPECT_EQ(batch.status().ToString(), row.status().ToString()) << sql;
   }
   // The plan under test: the band join, with both bands.
   db_.options().exec.use_vectorized_execution = true;
-  db_.options().exec.use_batch_execution = true;
   const ResultSet plan =
       MustExecute(db_, "EXPLAIN ANALYZE SELECT t1.a, t2.a FROM t t1, t t2 "
                        "WHERE t2.a BETWEEN t1.a AND t1.a + 1 / (t1.a + 10) "

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "db/database.h"
+#include "exec/operators.h"
 #include "exec/vector_eval.h"
 #include "expr/builder.h"
 #include "expr/eval.h"
@@ -19,6 +21,18 @@ namespace rfv {
 namespace {
 
 using namespace eb;  // Lit/Int/Col/Add/... expression factories
+
+/// Resets *vp to `rows` (each `width` cells wide, tags kept) under a
+/// full selection.
+void FillRows(VectorProjection* vp, size_t width,
+              const std::vector<Row>& rows) {
+  vp->Reset(width, rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t c = 0; c < width; ++c) {
+      vp->column(c).SetValue(i, rows[i][c]);
+    }
+  }
+}
 
 TEST(VectorTest, ResetMakesAllNull) {
   Vector v;
@@ -109,18 +123,17 @@ TEST(SelectionVectorTest, TruncateKeepsPrefix) {
   EXPECT_TRUE(sel.empty());
 }
 
-TEST(VectorProjectionTest, FromBatchTransposesAndRoundTrips) {
-  RowBatch batch;
-  batch.Push(Row({Value::Int(1), Value::String("a")}));
-  batch.Push(Row({Value::Null(), Value::Double(2.5)}));
+TEST(VectorProjectionTest, TruncateKeepsLeadingRows) {
   VectorProjection vp;
-  vp.FromBatch(2, batch);
-  ASSERT_EQ(vp.num_columns(), 2u);
+  FillRows(&vp, 2,
+           {Row({Value::Int(1), Value::String("a")}),
+            Row({Value::Null(), Value::Double(2.5)}),
+            Row({Value::Int(3), Value::Int(4)})});
+  vp.sel().indices() = {2};
+  vp.Truncate(2);
   ASSERT_EQ(vp.num_rows(), 2u);
-  EXPECT_EQ(vp.NumSelected(), 2u);
-  EXPECT_EQ(vp.column(0).GetValue(0), Value::Int(1));
-  EXPECT_TRUE(vp.column(0).is_null(1));
-  EXPECT_EQ(vp.column(1).GetValue(1), Value::Double(2.5));
+  EXPECT_EQ(vp.sel().indices(), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(vp.column(0).size(), 2u);
 
   Row row;
   vp.MaterializeRow(1, &row);
@@ -129,11 +142,88 @@ TEST(VectorProjectionTest, FromBatchTransposesAndRoundTrips) {
   EXPECT_EQ(row[1], Value::Double(2.5));
 }
 
+// A row-only operator under a columnar parent: the default
+// NextVectorImpl writes each NextImpl row into the lanes of one
+// projection, at most kVectorSize rows per call, every cell's tag kept
+// (INTEGER, DOUBLE and NULL cells share the DOUBLE column, as INSERT
+// leaves them).
+TEST(RowOnlyFallbackTest, WindowOpAnswersNextVectorTagExact) {
+  Database db;
+  Result<Table*> table = db.catalog()->CreateTable(
+      "w", Schema({ColumnDef("k", DataType::kInt64),
+                   ColumnDef("v", DataType::kDouble)}));
+  ASSERT_TRUE(table.ok());
+  constexpr int64_t kRows = 2500;
+  std::vector<Row> input;
+  for (int64_t k = 1; k <= kRows; ++k) {
+    const Value v = k % 5 == 0   ? Value::Null()
+                    : k % 2 == 0 ? Value::Double(static_cast<double>(k) / 2)
+                                 : Value::Int(k);
+    input.push_back(Row({Value::Int(k), v}));
+  }
+  ASSERT_TRUE((*table)->InsertBatch(std::move(input)).ok());
+  // MIN(v) OVER (ORDER BY k ROWS BETWEEN CURRENT ROW AND CURRENT ROW).
+  const auto make_window = [&]() {
+    WindowCall call;
+    call.kind = WindowFnKind::kAggregate;
+    call.fn = AggFn::kMin;
+    call.arg = Col(1, DataType::kDouble, "v");
+    SortKey key;
+    key.expr = Col(0, DataType::kInt64, "k");
+    call.order_by.push_back(std::move(key));
+    call.frame.lo_unbounded = false;
+    call.frame.hi_unbounded = false;
+    call.output_name = "m";
+    call.output_type = DataType::kDouble;
+    Schema out = (*table)->schema();
+    out.AddColumn(ColumnDef("m", DataType::kDouble));
+    std::vector<WindowCall> calls;
+    calls.push_back(std::move(call));
+    return std::make_unique<WindowOp>(
+        std::move(out),
+        std::make_unique<TableScanOp>((*table)->schema(), *table),
+        std::move(calls));
+  };
+
+  auto reference = make_window();
+  const Result<std::vector<Row>> rows = ExecuteToVector(reference.get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), static_cast<size_t>(kRows));
+
+  auto window = make_window();
+  ASSERT_TRUE(window->Open().ok());
+  size_t seen = 0;
+  std::vector<size_t> sizes;
+  bool eof = false;
+  while (!eof) {
+    VectorProjection* vp = nullptr;
+    ASSERT_TRUE(window->NextVector(&vp, &eof).ok());
+    ASSERT_NE(vp, nullptr);
+    ASSERT_EQ(vp->num_columns(), 3u);
+    ASSERT_EQ(vp->NumSelected(), vp->num_rows());
+    sizes.push_back(vp->num_rows());
+    for (size_t i = 0; i < vp->num_rows(); ++i, ++seen) {
+      ASSERT_LT(seen, rows->size());
+      for (size_t c = 0; c < 3; ++c) {
+        const Value& want = (*rows)[seen][c];
+        ASSERT_EQ(vp->column(c).tag(i), want.type())
+            << "row " << seen << " column " << c;
+        ASSERT_EQ(vp->column(c).GetValue(i), want)
+            << "row " << seen << " column " << c;
+      }
+    }
+  }
+  EXPECT_EQ(seen, static_cast<size_t>(kRows));
+  // The final partial vector carries eof.
+  EXPECT_EQ(sizes, (std::vector<size_t>{kVectorSize, kVectorSize,
+                                        kRows - 2 * kVectorSize}));
+}
+
 TEST(VectorProjectionTest, AppendSelectedHonorsNarrowedSelection) {
-  RowBatch batch;
-  for (int64_t i = 0; i < 4; ++i) batch.Push(Row({Value::Int(i)}));
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 4; ++i) rows.push_back(Row({Value::Int(i)}));
   VectorProjection vp;
-  vp.FromBatch(1, batch);
+  FillRows(&vp, 1, rows);
   vp.sel().indices() = {1, 3};
   std::vector<Row> out;
   vp.AppendSelectedTo(&out);
@@ -143,13 +233,12 @@ TEST(VectorProjectionTest, AppendSelectedHonorsNarrowedSelection) {
 }
 
 TEST(VectorProjectionTest, AppendRowsCopiesSelectedLanesTagExact) {
-  RowBatch batch;
-  batch.Push(Row({Value::Int(0), Value::String("skip")}));
-  batch.Push(Row({Value::Int(7), Value::Double(7.0)}));
-  batch.Push(Row({Value::Null(), Value::Int(8)}));
-  batch.Push(Row({Value::Double(-1.5), Value::String("x")}));
   VectorProjection src;
-  src.FromBatch(2, batch);
+  FillRows(&src, 2,
+           {Row({Value::Int(0), Value::String("skip")}),
+            Row({Value::Int(7), Value::Double(7.0)}),
+            Row({Value::Null(), Value::Int(8)}),
+            Row({Value::Double(-1.5), Value::String("x")})});
   src.sel().indices() = {1, 2, 3};
 
   VectorProjection dst;
@@ -192,9 +281,9 @@ class VectorEvalTest : public ::testing::Test {
  protected:
   // One int column (index 0) and one double column (index 1).
   void Fill(const std::vector<Value>& c0, const std::vector<Value>& c1) {
-    RowBatch batch;
-    for (size_t i = 0; i < c0.size(); ++i) batch.Push(Row({c0[i], c1[i]}));
-    vp_.FromBatch(2, batch);
+    std::vector<Row> rows;
+    for (size_t i = 0; i < c0.size(); ++i) rows.push_back(Row({c0[i], c1[i]}));
+    FillRows(&vp_, 2, rows);
   }
 
   // Asserts that Eval over the full selection produces exactly the

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -494,6 +496,53 @@ TEST(WindowOpTest, RankOverNullOrderKeys) {
   EXPECT_EQ(rs.at(2, 1), Value::Int(3));  // gap after the NULL tie
   EXPECT_EQ(rs.at(3, 1), Value::Int(3));
   EXPECT_EQ(rs.at(4, 1), Value::Int(5));
+}
+
+// ROWS offsets up to INT64_MAX: the frame ends stop at the partition
+// instead of overflowing, in both execution modes and with a view the
+// rewriter could consider; a sequence view of such a window is refused.
+TEST(WindowOpTest, Int64MaxRowsOffsetsStopAtThePartition) {
+  Database db;
+  MustExecute(db, "CREATE TABLE t (pos INTEGER, val DOUBLE)");
+  MustExecute(db, "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)");
+  const std::string max =
+      std::to_string(std::numeric_limits<int64_t>::max());
+  const auto window_sum = [&](const std::string& frame) {
+    return "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN " + frame +
+           ") FROM t ORDER BY pos";
+  };
+  const std::vector<std::pair<std::string, std::vector<double>>> cases = {
+      {window_sum("1 PRECEDING AND " + max + " FOLLOWING"),
+       {100, 100, 90, 70}},
+      {window_sum(max + " PRECEDING AND " + max + " FOLLOWING"),
+       {100, 100, 100, 100}},
+  };
+  for (const bool with_view : {false, true}) {
+    if (with_view) {
+      MustExecute(db,
+                  "CREATE MATERIALIZED VIEW v AS SELECT pos, SUM(val) OVER "
+                  "(ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) "
+                  "FROM t");
+    }
+    for (const bool vectorized : {true, false}) {
+      db.options().exec.use_vectorized_execution = vectorized;
+      for (const auto& [sql, expected] : cases) {
+        const ResultSet rs = MustExecute(db, sql);
+        EXPECT_EQ(rs.rewrite_method(), "") << sql;
+        ASSERT_EQ(rs.NumRows(), expected.size()) << sql;
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(rs.at(i, 1), Value::Double(expected[i]))
+              << sql << " row " << i << " vectorized=" << vectorized
+              << " view=" << with_view;
+        }
+      }
+    }
+  }
+  const Result<ResultSet> view = db.Execute(
+      "CREATE MATERIALIZED VIEW huge AS SELECT pos, SUM(val) OVER (ORDER "
+      "BY pos ROWS BETWEEN 1 PRECEDING AND " + max + " FOLLOWING) FROM t");
+  EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(db.catalog()->HasTable("huge"));
 }
 
 TEST(WindowOpTest, WindowOverEmptyTable) {

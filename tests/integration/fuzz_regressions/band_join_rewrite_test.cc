@@ -1,14 +1,14 @@
 // Pinned scenario for the merge band join's hardest rewrite shape,
-// minimized from the batch/band oracle campaign that introduced the
-// `batch` and `band` differential oracles (docs/FUZZING.md).
+// minimized from the oracle campaign that introduced the `band`
+// differential oracle (docs/FUZZING.md).
 //
 // A (1,1) view answering a (2,2) query via MaxOA emits the full
 // disjunction MergeBandJoinOp claims: a BETWEEN hull plus positive and
 // compensation MOD-stride branches on both sides (paper Fig. 10). The
 // band join must agree row-for-row with the band-disabled execution of
 // the same rewritten plan (index-/nested-loop joins) and with the
-// native window operator — under both the row-at-a-time and the batch
-// pull styles. A wrong strict-bound adjustment, congruence-class
+// native window operator — under both the row-at-a-time and the
+// vector pull protocols. A wrong strict-bound adjustment, congruence-class
 // anchor, or stride-candidate dedup shows up here as a row diff.
 
 #include <gtest/gtest.h>
@@ -77,7 +77,7 @@ TEST_F(BandJoinRewriteTest, ForcedMaxoaBandOnOffAndNativeAgree) {
 TEST_F(BandJoinRewriteTest, ForcedMinoaBandOnOffAgreeInRowMode) {
   db_.options().enable_view_rewrite = true;
   db_.options().force_method = DerivationMethod::kMinoa;
-  db_.options().exec.use_batch_execution = false;
+  db_.options().exec.use_vectorized_execution = false;
   const ResultSet banded = Query();
   ASSERT_EQ(banded.rewrite_method(), "MinOA") << banded.rewritten_sql();
 
@@ -88,7 +88,7 @@ TEST_F(BandJoinRewriteTest, ForcedMinoaBandOnOffAgreeInRowMode) {
 }
 
 // The minimized harness scenario, replayed through the oracle runner:
-// the batch and band oracles must both run and pass on it.
+// the vector and band oracles must both run and pass on it.
 TEST(BandJoinScenarioTest, MinimizedScenarioPassesAllOracles) {
   using namespace fuzzing;
   Scenario s;
@@ -117,7 +117,6 @@ TEST(BandJoinScenarioTest, MinimizedScenarioPassesAllOracles) {
 
   const ScenarioVerdict verdict = RunScenario(s);
   EXPECT_TRUE(verdict.ok()) << verdict.Summary();
-  EXPECT_GT(verdict.checks.count("batch"), 0u) << verdict.Summary();
   EXPECT_GT(verdict.checks.count("vector"), 0u) << verdict.Summary();
   EXPECT_GT(verdict.checks.count("band"), 0u) << verdict.Summary();
 }

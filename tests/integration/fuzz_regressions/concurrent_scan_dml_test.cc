@@ -3,7 +3,7 @@
 //
 //   ExecutionError: table 't' mutated during scan
 //
-// in all three pull styles. The canonical two-session interleaving —
+// in every pull style. The canonical two-session interleaving —
 // open a scan, let another session commit DML, keep pulling — must now
 // complete against the reader's pinned snapshot. This is the minimal
 // deterministic reproducer distilled from the serve_stress battery;
@@ -25,7 +25,7 @@ using testutil::MustExecute;
 class ConcurrentScanDmlTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // > 1024 rows so batch/vector scans take more than one pull.
+    // > 1024 rows so vector scans take more than one pull.
     testutil::CreateSeqTable(db_, 1100);
     Result<Table*> t = db_.catalog()->GetTable("seq");
     ASSERT_TRUE(t.ok());
@@ -56,23 +56,22 @@ TEST_F(ConcurrentScanDmlTest, RowPullSurvivesInterleavedInsert) {
   EXPECT_EQ(rows, 1100u);
 }
 
-TEST_F(ConcurrentScanDmlTest, BatchPullSurvivesInterleavedUpdate) {
+TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedUpdate) {
   TableScanOp scan(table_->schema(), table_);
   ASSERT_TRUE(scan.Open().ok());
-  RowBatch batch;
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  ASSERT_TRUE(scan.NextBatch(&batch, &eof).ok());
+  ASSERT_TRUE(scan.NextVector(&vp, &eof).ok());
   ASSERT_FALSE(eof);
 
   Session other(&db_);
   ASSERT_TRUE(other.Execute("UPDATE seq SET val = 0 WHERE pos <= 10").ok());
 
-  size_t total = batch.size();
+  size_t total = vp->NumSelected();
   while (!eof) {
-    batch.Clear();
-    const Status s = scan.NextBatch(&batch, &eof);
+    const Status s = scan.NextVector(&vp, &eof);
     ASSERT_TRUE(s.ok()) << "regressed to the epoch abort: " << s.ToString();
-    total += batch.size();
+    total += vp->NumSelected();
   }
   EXPECT_EQ(total, 1100u);
 }

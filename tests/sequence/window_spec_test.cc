@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sequence/sequence.h"
 
 namespace rfv {
@@ -34,6 +36,23 @@ TEST(WindowSpecTest, DegenerateWindowRejected) {
   // The paper's footnote: l + h > 0.
   EXPECT_EQ(WindowSpec::Sliding(0, 0).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(WindowSpecTest, ExtentBeyondInt64Rejected) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // The window size 1 + l + h must fit.
+  EXPECT_TRUE(WindowSpec::Sliding(0, kMax - 1).ok());
+  EXPECT_EQ(WindowSpec::Sliding(0, kMax).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(WindowSpec::Sliding(1, kMax).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(WindowSpec::Sliding(kMax, kMax).status().code(),
+            StatusCode::kInvalidArgument);
+  // So must the n + l + h positions of a complete sequence over n rows.
+  const WindowSpec spec = WindowSpec::SlidingUnchecked(2, kMax - 10);
+  EXPECT_TRUE(spec.CheckExtent(8).ok());
+  EXPECT_EQ(spec.CheckExtent(9).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(WindowSpec::Cumulative().CheckExtent(kMax).ok());
 }
 
 TEST(WindowSpecTest, OneSidedWindowsAllowed) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "testing/reference_window.h"
@@ -60,6 +62,25 @@ TEST(ReferenceWindowTest, Table1SlidingSumGolden) {
   ASSERT_EQ(out.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(out[i].Compare(Value::Int(expected[i])), 0) << "row " << i;
+  }
+}
+
+// Offsets up to INT64_MAX stop at the partition ends.
+TEST(ReferenceWindowTest, Int64MaxOffsetsStopAtThePartition) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<Row> rows = IntRows({10, 20, 30, 40});
+  const std::vector<std::pair<FuzzFrame, std::vector<int64_t>>> cases = {
+      {Sliding(1, kMax), {100, 100, 90, 70}},
+      {Sliding(kMax, kMax), {100, 100, 100, 100}},
+      {Sliding(kMax, 0), {10, 30, 60, 100}},
+  };
+  for (const auto& [frame, expected] : cases) {
+    const std::vector<Value> out =
+        ReferenceWindow(rows, Call(FuzzFn::kSum, frame));
+    ASSERT_EQ(out.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(out[i].Compare(Value::Int(expected[i])), 0) << "row " << i;
+    }
   }
 }
 
