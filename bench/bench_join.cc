@@ -51,8 +51,9 @@ BENCHMARK(BM_Join_IndexNestedLoop)
 
 // Band self join — the shape every Fig. 2/10/13 rewrite emits. The
 // merge band join sorts once and walks a monotone cursor (O(n +
-// matches)); the index nested loop re-probes the hull per left row;
-// the nested loop sweeps all pairs.
+// matches)); the index nested loop runs the same band spec as one
+// ordered-index range probe per left row; the nested loop sweeps all
+// pairs.
 constexpr const char* kBandJoin =
     "SELECT s1.pos AS pos, SUM(s2.val) AS val FROM seq s1, seq s2 WHERE "
     "s2.pos >= s1.pos - 8 AND s2.pos <= s1.pos + 8 GROUP BY s1.pos";

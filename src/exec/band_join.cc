@@ -1,11 +1,10 @@
-// Merge band join: extraction of BandJoinSpec from join conditions and
-// the MergeBandJoinOp runtime. See the class comment in exec/operators.h
-// for the execution strategy; the extraction mirrors the recognizer
-// vocabulary of TryExtractIndexProbe (exec/join.cc) but targets the
-// sorted-right-side merge instead of an ordered index, so it also works
-// when no index exists and turns the paper's disjunctive stride
-// predicates (Figures 10/13) into congruence-class enumeration instead
-// of hull scans.
+// Band joins: extraction of the BandJoinSpec that drives both the merge
+// band join and the index nested-loop join (exec/join.cc), the per-row
+// band resolution they share, and the MergeBandJoinOp runtime. See the
+// class comment in exec/operators.h for the merge strategy: it walks a
+// sorted copy of the right side, so it also works when no index exists,
+// and turns the paper's disjunctive stride predicates (Figures 10/13)
+// into congruence-class enumeration instead of interval scans.
 
 #include <algorithm>
 #include <cmath>
@@ -41,13 +40,109 @@ Counter* BandFoldCandidatesCounter() {
   return c;
 }
 
-/// Floored (mathematical) modulo, matching the evaluator's MOD: the
-/// result takes the divisor's sign, so a == b (mod w) exactly when
-/// FlooredMod(a, w) == FlooredMod(b, w).
-int64_t FlooredMod(int64_t a, int64_t w) {
-  int64_t m = a % w;
-  if (m != 0 && ((m < 0) != (w < 0))) m += w;
-  return m;
+/// hi - lo for lo <= hi, exact where the int64 difference overflows.
+uint64_t Span(int64_t lo, int64_t hi) {
+  return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+}
+
+/// Applies an evaluated lower (`is_lo`) or upper bound to *out; NULL
+/// empties the band.
+Status ApplyBound(const Value& v, bool strict, bool is_lo,
+                  ResolvedBand* out) {
+  // Comparison with NULL is never true.
+  int64_t* bound = is_lo ? &out->lo : &out->hi;
+  if (v.is_null()) {
+    out->empty = true;
+    return Status::OK();
+  }
+  if (v.type() == DataType::kInt64) {
+    int64_t b = v.AsInt();
+    if (strict) {
+      if (is_lo) {
+        if (b == std::numeric_limits<int64_t>::max()) {
+          out->empty = true;
+          return Status::OK();
+        }
+        ++b;
+      } else {
+        if (b == std::numeric_limits<int64_t>::min()) {
+          out->empty = true;
+          return Status::OK();
+        }
+        --b;
+      }
+    }
+    *bound = b;
+    return Status::OK();
+  }
+  if (v.type() == DataType::kDouble) {
+    const double d = v.AsDouble();
+    if (std::isnan(d)) {
+      // Value::Compare orders NaN above every number from either side,
+      // so `key >= NaN` and `NaN <= key` disagree; the band takes no key.
+      out->empty = true;
+      return Status::OK();
+    }
+    constexpr double kExact = 9007199254740992.0;  // 2^53
+    if (std::fabs(d) < kExact) {
+      // Keys this close to zero convert to double exactly: round
+      // inward; a strict integral bound tightens by one.
+      double rounded = is_lo ? std::ceil(d) : std::floor(d);
+      if (strict && rounded == d) rounded += is_lo ? 1.0 : -1.0;
+      *bound = static_cast<int64_t>(rounded);
+      return Status::OK();
+    }
+    // Beyond 2^53 Value::Compare rounds the key to double, so the band's
+    // edge is found by binary search on that comparison, which is
+    // monotone in the key. A bound past the int64 range saturates the
+    // band or empties it.
+    const auto kept = [&](int64_t k) {
+      const double x = static_cast<double>(k);
+      if (is_lo) return strict ? x > d : x >= d;
+      return strict ? x < d : x <= d;
+    };
+    // false for the keys below the edge, true from it on: a lower bound
+    // keeps the keys from the edge, an upper bound those before it.
+    const auto past_edge = [&](int64_t k) { return kept(k) == is_lo; };
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    if (!past_edge(kMax)) {
+      if (is_lo) {
+        out->empty = true;
+      } else {
+        *bound = kMax;
+      }
+      return Status::OK();
+    }
+    int64_t first = kMin;
+    int64_t last = kMax;
+    while (first < last) {
+      const int64_t mid = first + static_cast<int64_t>(Span(first, last) / 2);
+      if (past_edge(mid)) {
+        last = mid;
+      } else {
+        first = mid + 1;
+      }
+    }
+    if (is_lo) {
+      *bound = first;
+    } else if (first == kMin) {
+      out->empty = true;
+    } else {
+      *bound = first - 1;
+    }
+    return Status::OK();
+  }
+  return Status::TypeError("band join bound must be numeric");
+}
+
+/// Applies an evaluated congruence anchor to *out.
+void ApplyAnchor(const Value& a, int64_t modulus, ResolvedBand* out) {
+  if (a.is_null() || a.type() != DataType::kInt64) {
+    out->empty = true;  // MOD(NULL, w) = anything is never true
+    return;
+  }
+  out->residue = FlooredMod(a.AsInt(), modulus);
 }
 
 /// If `expr` is `colref(column)` or `colref(column) ± <int literal>`,
@@ -235,7 +330,7 @@ bool BandHasShape(const BandSpec& band) {
 
 /// Extraction for one candidate key column. `approximate` is set when
 /// an OR branch carried conjuncts that could not be folded (the bands
-/// then over-approximate and the caller must re-check the condition).
+/// then over-approximate, and the residual is the whole condition).
 std::optional<BandJoinSpec> ExtractForKeyColumn(const Expr& condition,
                                                 size_t left_width,
                                                 size_t abs_col,
@@ -321,18 +416,11 @@ std::optional<BandJoinSpec> ExtractForKeyColumn(const Expr& condition,
     spec.approximate = or_approx;
   }
 
-  // Decline shapes other strategies already handle better: a single
-  // unconstrained point is the hash/index equi join, and a band with no
-  // shape at all is the cross product.
-  if (spec.bands.size() == 1) {
-    const BandSpec& only = spec.bands[0];
-    if (!BandHasShape(only)) return std::nullopt;
-    if (only.is_point && only.modulus == 0) return std::nullopt;
-    if (only.lo == nullptr && only.hi == nullptr && only.modulus == 0) {
-      return std::nullopt;
-    }
+  // Over-approximating bands re-check the full condition.
+  if (spec.approximate) {
+    spec.residual = condition.Clone();
+    return spec;
   }
-
   std::vector<ExprPtr> residual_conjuncts;
   for (ExprPtr& c : conjuncts) {
     if (c != nullptr) residual_conjuncts.push_back(std::move(c));
@@ -452,21 +540,58 @@ struct FoldNum {
 
 }  // namespace
 
+int64_t FlooredMod(int64_t a, int64_t w) {
+  int64_t m = a % w;
+  if (m != 0 && ((m < 0) != (w < 0))) m += w;
+  return m;
+}
+
+Status ResolveBand(const BandSpec& band, const Row& left_row,
+                   ResolvedBand* out) {
+  *out = ResolvedBand();
+  Value v;
+  if (band.lo != nullptr) {
+    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.lo, left_row));
+    RFV_RETURN_IF_ERROR(ApplyBound(v, band.lo_strict, /*is_lo=*/true, out));
+    if (band.is_point && !out->empty) {
+      RFV_RETURN_IF_ERROR(
+          ApplyBound(v, band.hi_strict, /*is_lo=*/false, out));
+    }
+    if (out->empty) return Status::OK();
+  }
+  if (band.hi != nullptr && !band.is_point) {
+    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.hi, left_row));
+    RFV_RETURN_IF_ERROR(ApplyBound(v, band.hi_strict, /*is_lo=*/false, out));
+    if (out->empty) return Status::OK();
+  }
+  if (band.modulus > 1) {
+    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.anchor, left_row));
+    ApplyAnchor(v, band.modulus, out);
+    if (out->empty) return Status::OK();
+  }
+  if (out->lo > out->hi) out->empty = true;
+  return Status::OK();
+}
+
 std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
                                                size_t left_width,
-                                               Table* right_table) {
+                                               Table* right_table,
+                                               bool indexed_only) {
   std::optional<BandJoinSpec> best;
   int best_rank = -1;
   for (size_t table_col = 0; table_col < right_table->schema().NumColumns();
        ++table_col) {
-    if (right_table->schema().column(table_col).type != DataType::kInt64) {
+    if (right_table->schema().column(table_col).type != DataType::kInt64 ||
+        (indexed_only && !right_table->HasIndexOnColumn(table_col))) {
       continue;
     }
     std::optional<BandJoinSpec> spec = ExtractForKeyColumn(
         condition, left_width, left_width + table_col, table_col);
     if (!spec.has_value()) continue;
     // Prefer stride bands (congruence prunes hardest), then multi-band,
-    // then two-sided intervals, then exactness.
+    // then two-sided intervals, then exactness. A single plain point (an
+    // equi join) ranks 0, below every other shape: those are exact or
+    // multi-band, so they rank at least 1.
     int rank = 0;
     bool any_modulus = false;
     bool two_sided = true;
@@ -478,6 +603,7 @@ std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
     if (spec->bands.size() > 1) rank += 4;
     if (two_sided) rank += 2;
     if (!spec->approximate) rank += 1;
+    if (spec->IsSinglePlainPoint()) rank = 0;
     if (rank > best_rank) {
       best_rank = rank;
       best = std::move(spec);
@@ -558,7 +684,7 @@ Status MergeBandJoinOp::OpenImpl() {
   if (!keys_.empty()) {
     bool contiguous = true;
     for (size_t i = 1; i < keys_.size() && contiguous; ++i) {
-      contiguous = keys_[i].first == keys_[i - 1].first + 1;
+      contiguous = Span(keys_[i - 1].first, keys_[i].first) == 1;
     }
     if (contiguous) {
       dense_base_ = keys_.front().first;
@@ -587,80 +713,6 @@ Status MergeBandJoinOp::OpenImpl() {
   return Status::OK();
 }
 
-Status MergeBandJoinOp::ApplyBound(const Value& v, bool strict, bool is_lo,
-                                   ResolvedBand* out) {
-  // Comparison with NULL is never true.
-  int64_t* bound = is_lo ? &out->lo : &out->hi;
-  if (v.is_null()) {
-    out->empty = true;
-    return Status::OK();
-  }
-  if (v.type() == DataType::kInt64) {
-    int64_t b = v.AsInt();
-    if (strict) {
-      if (is_lo) {
-        if (b == std::numeric_limits<int64_t>::max()) {
-          out->empty = true;
-          return Status::OK();
-        }
-        ++b;
-      } else {
-        if (b == std::numeric_limits<int64_t>::min()) {
-          out->empty = true;
-          return Status::OK();
-        }
-        --b;
-      }
-    }
-    *bound = b;
-    return Status::OK();
-  }
-  if (v.type() == DataType::kDouble) {
-    // Integer keys against a fractional bound: round inward; a strict
-    // integral bound tightens by one.
-    const double d = v.AsDouble();
-    double rounded = is_lo ? std::ceil(d) : std::floor(d);
-    if (strict && rounded == d) rounded += is_lo ? 1.0 : -1.0;
-    if (is_lo && rounded < -9.2e18) rounded = -9.2e18;
-    if (!is_lo && rounded > 9.2e18) rounded = 9.2e18;
-    *bound = static_cast<int64_t>(rounded);
-    return Status::OK();
-  }
-  return Status::TypeError("band join bound must be numeric");
-}
-
-void MergeBandJoinOp::ApplyAnchor(const Value& a, int64_t modulus,
-                                  ResolvedBand* out) {
-  if (a.is_null() || a.type() != DataType::kInt64) {
-    out->empty = true;  // MOD(NULL, w) = anything is never true
-    return;
-  }
-  out->residue = FlooredMod(a.AsInt(), modulus);
-}
-
-Status MergeBandJoinOp::ResolveBand(const BandSpec& band, const Row& left_row,
-                                    ResolvedBand* out) const {
-  *out = ResolvedBand();
-  Value v;
-  if (band.lo != nullptr) {
-    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.lo, left_row));
-    RFV_RETURN_IF_ERROR(ApplyBound(v, band.lo_strict, /*is_lo=*/true, out));
-    if (out->empty) return Status::OK();
-  }
-  if (band.hi != nullptr) {
-    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.hi, left_row));
-    RFV_RETURN_IF_ERROR(ApplyBound(v, band.hi_strict, /*is_lo=*/false, out));
-    if (out->empty) return Status::OK();
-  }
-  if (band.modulus > 1) {
-    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.anchor, left_row));
-    ApplyAnchor(v, band.modulus, out);
-    if (out->empty) return Status::OK();
-  }
-  if (out->lo > out->hi) out->empty = true;
-  return Status::OK();
-}
-
 Status MergeBandJoinOp::ResolveLeftVector() {
   // Each bound is evaluated, as in ResolveBand, only on the rows whose
   // band the earlier bounds left non-empty.
@@ -686,10 +738,13 @@ Status MergeBandJoinOp::ResolveLeftVector() {
     if (band.lo != nullptr) {
       RFV_RETURN_IF_ERROR(stage(*band.lo, [&](const Value& v,
                                               ResolvedBand* out) {
-        return ApplyBound(v, band.lo_strict, /*is_lo=*/true, out);
+        RFV_RETURN_IF_ERROR(
+            ApplyBound(v, band.lo_strict, /*is_lo=*/true, out));
+        if (!band.is_point || out->empty) return Status::OK();
+        return ApplyBound(v, band.hi_strict, /*is_lo=*/false, out);
       }));
     }
-    if (band.hi != nullptr) {
+    if (band.hi != nullptr && !band.is_point) {
       RFV_RETURN_IF_ERROR(stage(*band.hi, [&](const Value& v,
                                               ResolvedBand* out) {
         return ApplyBound(v, band.hi_strict, /*is_lo=*/false, out);
@@ -721,12 +776,17 @@ void MergeBandJoinOp::CollectBand(const ResolvedBand& band,
     // Enumerate the congruence class k ≡ residue (mod w) inside
     // [lo, hi]: the paper's stride chains. Dense tables answer each
     // stride point in O(1); otherwise compare the chain length against
-    // the interval population and pick the cheaper side.
-    const int64_t k0 = lo + FlooredMod(band.residue - lo, w);
-    if (k0 > hi) return;
+    // the interval population and pick the cheaper side. The chain
+    // k0, k0 + w, ... stops on its last key rather than stepping past
+    // hi, which would overflow for keys near INT64_MAX.
+    const int64_t up = FlooredMod(band.residue - FlooredMod(lo, w), w);
+    if (Span(lo, hi) < static_cast<uint64_t>(up)) return;
+    const int64_t k0 = lo + up;
+    const uint64_t steps = Span(k0, hi) / static_cast<uint64_t>(w);
     if (dense_valid_) {
-      for (int64_t k = k0; k <= hi; k += w) {
+      for (int64_t k = k0, i = 0;; k += w, ++i) {
         candidates_.push_back(dense_[static_cast<size_t>(k - dense_base_)]);
+        if (static_cast<uint64_t>(i) == steps) break;
       }
       return;
     }
@@ -736,10 +796,9 @@ void MergeBandJoinOp::CollectBand(const ResolvedBand& band,
     const auto range_end = std::upper_bound(
         keys_.begin(), keys_.end(),
         std::make_pair(hi, std::numeric_limits<size_t>::max()));
-    const int64_t chain = (hi - k0) / w + 1;
-    if (chain < range_end - range_begin) {
+    if (steps + 1 < static_cast<uint64_t>(range_end - range_begin)) {
       auto it = range_begin;
-      for (int64_t k = k0; k <= hi; k += w) {
+      for (int64_t k = k0, i = 0;; k += w, ++i) {
         it = std::lower_bound(
             it, range_end,
             std::make_pair(k, std::numeric_limits<size_t>::min()));
@@ -747,6 +806,7 @@ void MergeBandJoinOp::CollectBand(const ResolvedBand& band,
           candidates_.push_back(it->second);
           ++it;
         }
+        if (static_cast<uint64_t>(i) == steps) break;
       }
     } else {
       for (auto it = range_begin; it != range_end; ++it) {

@@ -101,46 +101,35 @@ Result<PhysicalOperatorPtr> BuildJoin(const LogicalPlan& plan,
   PhysicalOperatorPtr left;
   RFV_ASSIGN_OR_RETURN(left, BuildPhysicalPlan(left_plan, options));
 
-  // Merge band join: right side must be a bare table scan with an
+  // Band-driven joins: the right side must be a bare table scan with an
   // integer key column the condition constrains to bands (interval,
-  // stride, or point-set per left row). Considered ahead of the index
-  // probe — the sorted merge touches only matching keys where the index
-  // hull would scan and re-filter whole prefixes.
-  if (options.enable_merge_band_join && plan.join_condition != nullptr &&
-      right_plan.kind == PlanKind::kScan) {
-    std::optional<BandJoinSpec> band = TryExtractBandJoin(
-        *plan.join_condition, left_width, right_plan.table);
-    if (band.has_value()) {
-      if (band->approximate) {
-        // Over-approximating bands re-check the full condition.
-        band->residual = plan.join_condition->Clone();
+  // stride, or point-set per left row). The merge band join comes
+  // first: its sorted merge touches only matching keys. It leaves a
+  // single plain equality point to the index or hash join.
+  if (plan.join_condition != nullptr && right_plan.kind == PlanKind::kScan) {
+    if (options.enable_merge_band_join) {
+      std::optional<BandJoinSpec> band =
+          TryExtractBandJoin(*plan.join_condition, left_width,
+                             right_plan.table, /*indexed_only=*/false);
+      if (band.has_value() && !band->IsSinglePlainPoint()) {
+        PhysicalOperatorPtr right;
+        RFV_ASSIGN_OR_RETURN(right, BuildPhysicalPlan(right_plan, options));
+        return PhysicalOperatorPtr(new MergeBandJoinOp(
+            plan.schema, std::move(left), std::move(right), std::move(*band),
+            plan.join_type));
       }
-      PhysicalOperatorPtr right;
-      RFV_ASSIGN_OR_RETURN(right, BuildPhysicalPlan(right_plan, options));
-      return PhysicalOperatorPtr(new MergeBandJoinOp(
-          plan.schema, std::move(left), std::move(right), std::move(*band),
-          plan.join_type));
     }
-  }
-
-  // Index nested-loop join: right side must be a bare table scan with a
-  // usable ordered index.
-  if (options.enable_index_nested_loop_join &&
-      plan.join_condition != nullptr &&
-      right_plan.kind == PlanKind::kScan) {
-    std::optional<IndexProbeSpec> probe = TryExtractIndexProbe(
-        *plan.join_condition, left_width, right_plan.table);
-    if (probe.has_value()) {
-      if (probe->approximate || probe->residual != nullptr) {
-        // Re-check the full condition unless the probe proved exactness
-        // of everything it consumed.
-        if (probe->approximate) {
-          probe->residual = plan.join_condition->Clone();
-        }
+    // Index nested-loop join: the same spec on an indexed column, one
+    // ordered-index probe per band.
+    if (options.enable_index_nested_loop_join) {
+      std::optional<BandJoinSpec> band =
+          TryExtractBandJoin(*plan.join_condition, left_width,
+                             right_plan.table, /*indexed_only=*/true);
+      if (band.has_value()) {
+        return PhysicalOperatorPtr(new IndexNestedLoopJoinOp(
+            plan.schema, std::move(left), right_plan.table, right_plan.schema,
+            std::move(*band), plan.join_type));
       }
-      return PhysicalOperatorPtr(new IndexNestedLoopJoinOp(
-          plan.schema, std::move(left), right_plan.table, right_plan.schema,
-          std::move(*probe), plan.join_type));
     }
   }
 

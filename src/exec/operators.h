@@ -145,93 +145,8 @@ class NestedLoopJoinOp : public PhysicalOperator {
   size_t right_width_ = 0;
 };
 
-/// Probe specification for an index nested-loop join: how to derive,
-/// from each left row, the key set to look up in the right table's
-/// ordered index. Produced by TryExtractIndexProbe (exec/join.cc).
-struct IndexProbeSpec {
-  /// Right-table column (table-local index) the probes address.
-  size_t right_column = 0;
-
-  /// Point probes: each expression (bound over the LEFT schema) yields
-  /// one key; a right row qualifies when its key equals any of them.
-  std::vector<ExprPtr> point_exprs;
-
-  /// Range probe (used when point_exprs is empty): optional bounds,
-  /// inclusive. Bound expressions are bound over the LEFT schema.
-  ExprPtr range_lo;
-  ExprPtr range_hi;
-
-  /// True when the probe is a superset of the join condition and the
-  /// full condition must be re-checked on each candidate (e.g. strict
-  /// `<` relaxed to `<=`, or a disjunctive condition widened to its
-  /// column hull). When false the probe is exact and the condition
-  /// conjuncts it covers were already removed from `residual`.
-  bool approximate = true;
-
-  /// Condition to evaluate on each joined candidate row; null = accept.
-  ExprPtr residual;
-};
-
-/// Attempts to turn `condition` (bound over the joined schema, left
-/// width `left_width`) into an index probe on an indexed column of
-/// `right_table`. Returns nullopt when no usable pattern is found.
-///
-/// Recognized per-conjunct patterns on an indexed right column rc:
-///   rc = <left expr>                      → exact point
-///   rc IN (<left exprs>)                  → exact points
-///   <left expr> IN (rc ± const, ...)      → exact points (inverted form,
-///                                           paper Fig. 2/4 predicates)
-///   rc BETWEEN <left lo> AND <left hi>    → exact range
-///   rc < / <= / > / >= <left expr>        → approximate one-sided range
-///   OR of branches each yielding a probe on rc
-///                                         → approximate union/hull probe
-std::optional<IndexProbeSpec> TryExtractIndexProbe(const Expr& condition,
-                                                   size_t left_width,
-                                                   Table* right_table);
-
-/// Index nested-loop join: per left row, probes an ordered index on the
-/// right base table — the paper's "with primary key index" execution
-/// paths in Tables 1 and 2.
-class IndexNestedLoopJoinOp : public PhysicalOperator {
- public:
-  IndexNestedLoopJoinOp(Schema schema, PhysicalOperatorPtr left,
-                        Table* right_table, Schema right_schema,
-                        IndexProbeSpec spec, JoinType join_type)
-      : PhysicalOperator(std::move(schema)),
-        left_(std::move(left)),
-        right_table_(right_table),
-        right_schema_(std::move(right_schema)),
-        spec_(std::move(spec)),
-        join_type_(join_type) {}
-  const char* name() const override { return "index_nested_loop_join"; }
-  void AppendChildren(
-      std::vector<const PhysicalOperator*>* out) const override {
-    out->push_back(left_.get());
-  }
-
- protected:
-  Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
-
- private:
-  Status AdvanceLeft(bool* eof);
-
-  PhysicalOperatorPtr left_;
-  Table* right_table_;
-  Schema right_schema_;
-  IndexProbeSpec spec_;
-  JoinType join_type_;
-
-  OrderedIndex* index_ = nullptr;
-  Row current_left_;
-  bool left_valid_ = false;
-  bool left_matched_ = false;
-  std::vector<size_t> candidates_;
-  size_t candidate_pos_ = 0;
-};
-
-/// One band of a merge band join: the set of right-side keys a left row
-/// joins with, described as an inclusive integer interval plus an
+/// One band of a band-shaped join: the set of right-side keys a left
+/// row joins with, described as an inclusive integer interval plus an
 /// optional congruence (stride) constraint. All expressions are bound
 /// over the LEFT schema.
 struct BandSpec {
@@ -253,10 +168,12 @@ struct BandSpec {
   bool is_point = false;
 };
 
-/// Merge band join plan: each left row matches right rows whose key
-/// column falls in ANY of the bands (the bands are the branches of the
-/// paper's disjunctive MaxOA/MinOA join predicates). Produced by
-/// TryExtractBandJoin (exec/band_join.cc).
+/// The join-predicate plan of both band-driven joins: each left row
+/// matches right rows whose key column falls in ANY of the bands (the
+/// bands are the branches of the paper's disjunctive MaxOA/MinOA join
+/// predicates). The merge band join walks a sorted copy of the right
+/// side with it; the index nested-loop join probes an ordered index once
+/// per band. Produced by TryExtractBandJoin (exec/band_join.cc).
 struct BandJoinSpec {
   /// Right-table column (table-local index) holding the band key; gated
   /// to DataType::kInt64.
@@ -269,21 +186,94 @@ struct BandJoinSpec {
   /// Condition to evaluate on each joined candidate row; null = accept.
   /// When `approximate`, this is the full original join condition.
   ExprPtr residual;
+
+  /// One band, a single equality point with no stride: the equi join
+  /// shape the index and hash joins answer, not the merge band join.
+  bool IsSinglePlainPoint() const {
+    return bands.size() == 1 && bands[0].is_point && bands[0].modulus == 0;
+  }
 };
 
-/// Attempts to turn `condition` into a band join on an INTEGER column of
-/// `right_table`. Returns nullopt when no band shape is found, or when
-/// the shape is one the hash/index joins already handle better (a single
-/// equality point and nothing else).
+/// Attempts to turn `condition` (bound over the joined schema, left
+/// width `left_width`) into a band spec on an INTEGER column of
+/// `right_table`; with `indexed_only`, only on an INTEGER column that
+/// carries an ordered index. Returns nullopt when no band shape is found.
 ///
 /// Recognized per-conjunct shapes on an int64 right column rc:
-///   rc BETWEEN lo AND hi / rc <op> e       → interval band
+///   rc BETWEEN lo AND hi / rc <op> e       → interval band (strict
+///                                            bounds tighten exactly)
 ///   rc = e / rc IN (...) / e IN (rc ± c)   → point bands
 ///   MOD(e, w) = MOD(rc, w)                 → congruence on the band
 ///   OR of branches, each an AND of the above → one band per branch
+/// A condition draws its bands from exactly one of these sources. Among
+/// columns, stride bands rank first and a single plain point last.
 std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
                                                size_t left_width,
-                                               Table* right_table);
+                                               Table* right_table,
+                                               bool indexed_only);
+
+/// Floored (mathematical) modulo, matching the evaluator's MOD: the
+/// result takes the divisor's sign, so a == b (mod w) exactly when
+/// FlooredMod(a, w) == FlooredMod(b, w).
+int64_t FlooredMod(int64_t a, int64_t w);
+
+/// Evaluated, integer-resolved bounds of one band for one left row.
+struct ResolvedBand {
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+  int64_t residue = 0;  ///< anchor's class mod the band's modulus
+  bool empty = false;
+};
+
+/// Evaluates `band`'s bounds and anchor on `left_row` into *out (a point
+/// band's expression once). NULL values empty the band; a DOUBLE bound
+/// keeps exactly the keys Value::Compare would, saturating or emptying
+/// the band past the int64 range.
+Status ResolveBand(const BandSpec& band, const Row& left_row,
+                   ResolvedBand* out);
+
+/// Index nested-loop join: per left row, resolves the spec's bands and
+/// probes an ordered index on the right base table once per band — the
+/// paper's "with primary key index" execution paths in Tables 1 and 2.
+class IndexNestedLoopJoinOp : public PhysicalOperator {
+ public:
+  IndexNestedLoopJoinOp(Schema schema, PhysicalOperatorPtr left,
+                        Table* right_table, Schema right_schema,
+                        BandJoinSpec spec, JoinType join_type)
+      : PhysicalOperator(std::move(schema)),
+        left_(std::move(left)),
+        right_table_(right_table),
+        right_schema_(std::move(right_schema)),
+        spec_(std::move(spec)),
+        join_type_(join_type) {}
+  const char* name() const override { return "index_nested_loop_join"; }
+  void AppendChildren(
+      std::vector<const PhysicalOperator*>* out) const override {
+    out->push_back(left_.get());
+  }
+
+ protected:
+  Status OpenImpl() override;
+  Status NextImpl(Row* row, bool* eof) override;
+
+ private:
+  Status AdvanceLeft(bool* eof);
+  /// Appends the row ids of the index entries in `band` to candidates_.
+  void ProbeBand(const BandSpec& spec, const ResolvedBand& band);
+
+  PhysicalOperatorPtr left_;
+  Table* right_table_;
+  Schema right_schema_;
+  BandJoinSpec spec_;
+  JoinType join_type_;
+
+  OrderedIndex* index_ = nullptr;
+  Row current_left_;
+  bool left_valid_ = false;
+  bool left_matched_ = false;
+  std::vector<size_t> candidates_;
+  size_t candidate_pos_ = 0;
+};
 
 /// Merge band join: materializes the right input once into a sorted
 /// (key, row) array — skipping the sort when the input is already in key
@@ -292,8 +282,8 @@ std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
 /// binary-search fallback for non-monotone bounds, and congruence-class
 /// stride enumeration for the MaxOA/MinOA partitioned patterns. This is
 /// the linear-time execution strategy for the Fig. 2/10/13 self-join
-/// patterns; selected ahead of the index nested-loop probe when the
-/// condition has band shape.
+/// patterns; selected ahead of the index nested-loop join for every band
+/// spec but a single plain equality point.
 class MergeBandJoinOp : public PhysicalOperator {
  public:
   MergeBandJoinOp(Schema schema, PhysicalOperatorPtr left,
@@ -348,14 +338,6 @@ class MergeBandJoinOp : public PhysicalOperator {
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
-  /// Evaluated, integer-resolved bounds of one band for one left row.
-  struct ResolvedBand {
-    int64_t lo = std::numeric_limits<int64_t>::min();
-    int64_t hi = std::numeric_limits<int64_t>::max();
-    int64_t residue = 0;  ///< anchor's class mod the band's modulus
-    bool empty = false;
-  };
-
   /// One typed step of a resolved fold argument, applied to the cell
   /// innermost first: unary minus, or a multiplication by a factor
   /// (`factor_first` keeps the row path's operand order).
@@ -416,14 +398,6 @@ class MergeBandJoinOp : public PhysicalOperator {
   Status ResolveBands();
   /// Fills candidates_ from resolved_ (cross-band deduplicated).
   void CollectCandidates();
-  Status ResolveBand(const BandSpec& band, const Row& left_row,
-                     ResolvedBand* out) const;
-  /// Applies an evaluated lower (`is_lo`) or upper bound to *out; NULL
-  /// empties the band.
-  static Status ApplyBound(const Value& v, bool strict, bool is_lo,
-                           ResolvedBand* out);
-  /// Applies an evaluated congruence anchor to *out.
-  static void ApplyAnchor(const Value& a, int64_t modulus, ResolvedBand* out);
   /// Vector paths: resolves every band for every selected row of the
   /// new left_vp_ into lane_bands_, one columnar evaluation per bound.
   Status ResolveLeftVector();

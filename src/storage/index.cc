@@ -51,39 +51,57 @@ void OrderedIndex::EnsureSorted() {
 }
 
 std::vector<size_t> OrderedIndex::Lookup(const Value& key) const {
-  RFV_CHECK(!dirty_);
-  RFV_CHECK(sorted_);
-  CountProbe();
   std::vector<size_t> out;
-  auto [lo, hi] = std::equal_range(
-      entries_.begin(), entries_.end(), Entry{key, 0},
-      [](const Entry& a, const Entry& b) { return EntryLess(a.key, b.key); });
-  for (auto it = lo; it != hi; ++it) out.push_back(it->row_id);
+  for (const Entry& entry : EntriesInRange(key, key)) {
+    out.push_back(entry.row_id);
+  }
   return out;
+}
+
+std::span<const OrderedIndex::Entry> OrderedIndex::EntriesInRange(
+    const Value& lo, const Value& hi) const {
+  return Range(&lo, &hi);
 }
 
 std::vector<size_t> OrderedIndex::LookupRange(const Value& lo, bool has_lo,
                                               const Value& hi,
                                               bool has_hi) const {
+  std::vector<size_t> out;
+  for (const Entry& entry :
+       Range(has_lo ? &lo : nullptr, has_hi ? &hi : nullptr)) {
+    out.push_back(entry.row_id);
+  }
+  return out;
+}
+
+std::span<const OrderedIndex::Entry> OrderedIndex::Range(
+    const Value* lo, const Value* hi) const {
   RFV_CHECK(!dirty_);
   RFV_CHECK(sorted_);
   CountProbe();
-  auto begin = entries_.begin();
-  auto end = entries_.end();
-  const auto cmp = [](const Entry& a, const Entry& b) {
-    return EntryLess(a.key, b.key);
-  };
-  if (has_lo) {
-    begin = std::lower_bound(entries_.begin(), entries_.end(), Entry{lo, 0},
-                             cmp);
+  const auto begin =
+      lo == nullptr
+          ? entries_.begin()
+          : std::lower_bound(entries_.begin(), entries_.end(), *lo,
+                             [](const Entry& e, const Value& v) {
+                               return EntryLess(e.key, v);
+                             });
+  if (hi == nullptr) return {begin, entries_.end()};
+  // Join probes ask for short ranges, often one key: gallop from begin
+  // to bracket the range's end, then binary-search the last stride.
+  auto inside = begin;  // entries before it are <= hi
+  auto probe = begin;
+  for (size_t step = 1;
+       probe != entries_.end() && !EntryLess(*hi, probe->key); step *= 2) {
+    inside = probe + 1;
+    probe = static_cast<size_t>(entries_.end() - inside) > step
+                ? inside + step
+                : entries_.end();
   }
-  if (has_hi) {
-    end = std::upper_bound(entries_.begin(), entries_.end(), Entry{hi, 0},
-                           cmp);
-  }
-  std::vector<size_t> out;
-  for (auto it = begin; it < end; ++it) out.push_back(it->row_id);
-  return out;
+  const auto end = std::upper_bound(
+      inside, probe, *hi,
+      [](const Value& v, const Entry& e) { return EntryLess(v, e.key); });
+  return {begin, end};
 }
 
 }  // namespace rfv

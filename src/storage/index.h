@@ -2,6 +2,7 @@
 #define RFVIEW_STORAGE_INDEX_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,12 @@ class Table;
 /// read-mostly; DML batches amortize the rebuild).
 class OrderedIndex {
  public:
+  /// One index entry: a key and the row id holding it.
+  struct Entry {
+    Value key;
+    size_t row_id;
+  };
+
   /// `column` is the index key's position in the table schema.
   OrderedIndex(std::string name, size_t column)
       : name_(std::move(name)), column_(column) {}
@@ -50,6 +57,12 @@ class OrderedIndex {
   std::vector<size_t> LookupRange(const Value& lo, bool has_lo,
                                   const Value& hi, bool has_hi) const;
 
+  /// The entries whose key lies in [lo, hi], in key order, without
+  /// copying them out: the per-band probe of the index nested-loop
+  /// join, which filters stride bands on the keys. Requires !dirty().
+  std::span<const Entry> EntriesInRange(const Value& lo,
+                                        const Value& hi) const;
+
   size_t NumEntries() const { return entries_.size(); }
 
   /// Restores sortedness after unsorted inserts. Called by the owning
@@ -57,10 +70,9 @@ class OrderedIndex {
   void EnsureSorted();
 
  private:
-  struct Entry {
-    Value key;
-    size_t row_id;
-  };
+  /// The one range search behind every lookup: entries in [*lo, *hi],
+  /// a null bound leaving that side open.
+  std::span<const Entry> Range(const Value* lo, const Value* hi) const;
 
   std::string name_;
   size_t column_;

@@ -361,8 +361,10 @@ class OracleRunner {
           // exactly the band-shaped self joins MergeBandJoinOp claims
           // (BETWEEN hulls, MOD strides, disjunctions of both), so the
           // forced-method configs are replayed with the band join
-          // disabled — falling back to index-/nested-loop joins — and
-          // must produce identical rows.
+          // disabled — the index nested-loop join then probes the
+          // view's position index with the same band spec, or the
+          // nested loop runs where no index applies — and must produce
+          // identical rows.
           std::optional<Result<ResultSet>> no_band;
           if (config.force.has_value() &&
               variant == RewriteVariant::kDisjunctive) {

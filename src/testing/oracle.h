@@ -25,8 +25,9 @@ namespace fuzzing {
 ///   * rewrite:*   — MaxOA / MinOA / automatic view rewrites (both
 ///                   pattern variants) vs. the native operator;
 ///   * band        — forced rewrites replayed with the merge band join
-///                   disabled (exec.enable_merge_band_join off) vs. the
-///                   band-join execution of the same plan;
+///                   disabled (exec.enable_merge_band_join off), so the
+///                   index nested-loop join runs the same band spec on
+///                   the view's position index, vs. the merge band join;
 ///   * maintenance — incrementally maintained view content vs. a full
 ///                   recompute (ViewManager::RefreshView) after every
 ///                   DML batch.

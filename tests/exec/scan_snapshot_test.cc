@@ -197,7 +197,8 @@ void ExpectBandJoinReadsPinnedSnapshot(Table* table, bool vector_scans) {
       eb::Sub(eb::Col(0, DataType::kInt64), eb::Int(1)),
       eb::Add(eb::Col(0, DataType::kInt64), eb::Int(1)));
   std::optional<BandJoinSpec> spec =
-      TryExtractBandJoin(*cond, /*left_width=*/2, table);
+      TryExtractBandJoin(*cond, /*left_width=*/2, table,
+                         /*indexed_only=*/false);
   ASSERT_TRUE(spec.has_value());
 
   Schema joined({ColumnDef("p1", DataType::kInt64),

@@ -6,8 +6,9 @@
 // disjunction MergeBandJoinOp claims: a BETWEEN hull plus positive and
 // compensation MOD-stride branches on both sides (paper Fig. 10). The
 // band join must agree row-for-row with the band-disabled execution of
-// the same rewritten plan (index-/nested-loop joins) and with the
-// native window operator — under both the row-at-a-time and the
+// the same rewritten plan (the index nested-loop join, probing the
+// view's position index with the same band spec) and with the native
+// window operator — under both the row-at-a-time and the
 // vector pull protocols. A wrong strict-bound adjustment, congruence-class
 // anchor, or stride-candidate dedup shows up here as a row diff.
 
@@ -49,6 +50,13 @@ class BandJoinRewriteTest : public ::testing::Test {
   Database db_;
 };
 
+bool RanOperator(const ResultSet& rs, const std::string& name) {
+  for (const OperatorMetricsEntry& e : rs.metrics()) {
+    if (e.name == name) return true;
+  }
+  return false;
+}
+
 TEST_F(BandJoinRewriteTest, ForcedMaxoaBandOnOffAndNativeAgree) {
   db_.options().enable_view_rewrite = false;
   const ResultSet native = Query();
@@ -71,6 +79,7 @@ TEST_F(BandJoinRewriteTest, ForcedMaxoaBandOnOffAndNativeAgree) {
   const ResultSet fallback = Query();
   db_.options().exec.enable_merge_band_join = true;
   ASSERT_EQ(fallback.rewrite_method(), "MaxOA");
+  EXPECT_TRUE(RanOperator(fallback, "index_nested_loop_join"));
   EXPECT_TRUE(RowsEqualCanonical(banded, fallback));
 }
 
@@ -84,6 +93,7 @@ TEST_F(BandJoinRewriteTest, ForcedMinoaBandOnOffAgreeInRowMode) {
   db_.options().exec.enable_merge_band_join = false;
   const ResultSet fallback = Query();
   ASSERT_EQ(fallback.rewrite_method(), "MinOA");
+  EXPECT_TRUE(RanOperator(fallback, "index_nested_loop_join"));
   EXPECT_TRUE(RowsEqualCanonical(banded, fallback));
 }
 

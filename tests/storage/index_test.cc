@@ -61,6 +61,38 @@ TEST(IndexTest, EmptyRange) {
       index.LookupRange(Value::Int(5), true, Value::Int(2), true).empty());
 }
 
+TEST(IndexTest, EntriesInRangeMatchesLinearScan) {
+  // Keys 0..199, each twice (row ids 2k and 2k + 1 hold key k), plus a
+  // NULL: every [lo, hi] must give the entries a scan finds, in key
+  // order, wherever the gallop stops.
+  OrderedIndex index("i", 0);
+  index.Insert(Value::Null(), 400);
+  for (int64_t k = 0; k < 400; ++k) {
+    index.Insert(Value::Int(k / 2), static_cast<size_t>(k));
+  }
+  index.EnsureSorted();
+  for (int64_t lo = -2; lo <= 201; lo += 3) {
+    for (int64_t hi = lo - 1; hi <= 202; hi += 7) {
+      std::vector<size_t> want;
+      for (int64_t r = 0; r < 400; ++r) {
+        if (lo <= r / 2 && r / 2 <= hi) want.push_back(static_cast<size_t>(r));
+      }
+      EXPECT_EQ(index.LookupRange(Value::Int(lo), true, Value::Int(hi), true),
+                want);
+      std::vector<size_t> got;
+      int64_t prev = lo;
+      for (const OrderedIndex::Entry& e :
+           index.EntriesInRange(Value::Int(lo), Value::Int(hi))) {
+        ASSERT_EQ(e.key.type(), DataType::kInt64);
+        EXPECT_GE(e.key.AsInt(), prev);
+        prev = e.key.AsInt();
+        got.push_back(e.row_id);
+      }
+      EXPECT_EQ(got, want) << "[" << lo << ", " << hi << "]";
+    }
+  }
+}
+
 TEST(IndexTest, RebuildFromTable) {
   auto t = MakeTable({30, 10, 20});
   OrderedIndex index("i", 0);
