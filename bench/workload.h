@@ -12,7 +12,8 @@ namespace bench {
 /// DOUBLE)` with dense positions 1..n and deterministic pseudo-random
 /// values, loading rows through the storage API (benchmark setup must
 /// not be dominated by INSERT parsing). `with_index` creates the ordered
-/// index on pos — the paper's "with primary key index" configuration.
+/// index on pos — the paper's "with primary key index" configuration —
+/// built on return, so no query pays for an index rebuild.
 void BuildSeqTable(Database* db, int64_t n, bool with_index,
                    const std::string& name = "seq");
 

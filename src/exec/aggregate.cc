@@ -292,8 +292,6 @@ Status HashAggregateOp::OpenColumnar() {
   // fold (SetFoldedInput) when one group's partials come from several
   // left rows: those partial sums are added to each other, so DOUBLE
   // sums may differ from the row path by reassociation (DESIGN.md §16).
-  // A row-only child still serves NextVector through the lane-writing
-  // fallback.
   std::vector<Vector> key_vecs(num_keys);
   std::vector<Vector> arg_vecs(num_aggs);
   // Single-int64-key fast path: group lookup on the raw int64 lane.
@@ -312,11 +310,11 @@ Status HashAggregateOp::OpenColumnar() {
   std::unordered_map<uint64_t, std::vector<size_t>> generic_buckets;
   std::vector<uint64_t> key_hashes;
   std::vector<const Vector*> key_ptrs(num_keys);
+  VectorProjection* vp = nullptr;
   bool input_eof = false;
-  while (!input_eof) {
-    VectorProjection* vp = nullptr;
+  while (true) {
     RFV_RETURN_IF_ERROR(child_->NextVector(&vp, &input_eof));
-    if (vp == nullptr || vp->NumSelected() == 0) continue;
+    if (input_eof) break;
     const SelectionVector& sel = vp->sel();
     for (size_t g = 0; g < num_keys; ++g) {
       RFV_RETURN_IF_ERROR(
@@ -425,16 +423,6 @@ Status HashAggregateOp::OpenColumnar() {
 }
 
 Status HashAggregateOp::NextImpl(Row* row, bool* eof) {
-  if (vectorized()) {
-    if (pos_ >= num_groups_) {
-      *eof = true;
-      return Status::OK();
-    }
-    groups_[pos_ / kVectorSize].MaterializeRow(pos_ % kVectorSize, row);
-    ++pos_;
-    *eof = false;
-    return Status::OK();
-  }
   if (pos_ >= results_.size()) {
     *eof = true;
     return Status::OK();
@@ -445,9 +433,6 @@ Status HashAggregateOp::NextImpl(Row* row, bool* eof) {
 }
 
 Status HashAggregateOp::NextVectorImpl(VectorProjection** out, bool* eof) {
-  if (!vectorized()) {
-    return PhysicalOperator::NextVectorImpl(out, eof);
-  }
   if (pos_ < num_groups_) {
     VectorProjection& chunk = groups_[pos_ / kVectorSize];
     pos_ += chunk.NumSelected();

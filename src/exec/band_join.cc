@@ -626,7 +626,6 @@ Status MergeBandJoinOp::OpenImpl() {
   dense_valid_ = false;
   left_vp_ = nullptr;
   left_lane_pos_ = 0;
-  left_input_eof_ = false;
 
   RFV_RETURN_IF_ERROR(left_->Open());
   RFV_RETURN_IF_ERROR(right_->Open());
@@ -634,29 +633,14 @@ Status MergeBandJoinOp::OpenImpl() {
 
   // Keep the (snapshot-stable) right side once, columnar (row id =
   // position): the gather source of the vector paths, copied per
-  // candidate into the row path's joined rows. A vectorized right child
-  // is drained straight into the lanes; otherwise its rows are
-  // transposed.
+  // candidate into the row path's joined rows.
   right_vp_.Reset(right_width_, 0);
-  if (right_->vectorized()) {
-    bool eof = false;
-    while (!eof) {
-      VectorProjection* vp = nullptr;
-      RFV_RETURN_IF_ERROR(right_->NextVector(&vp, &eof));
-      if (vp != nullptr) {
-        right_vp_.AppendRows(*vp, 0, vp->NumSelected());
-      }
-    }
-  } else {
-    std::vector<Row> right_rows;
-    RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &right_rows));
-    right_vp_.Reset(right_width_, right_rows.size());
-    for (size_t id = 0; id < right_rows.size(); ++id) {
-      const Row& row = right_rows[id];
-      for (size_t c = 0; c < right_width_; ++c) {
-        right_vp_.column(c).SetValue(id, row[c]);
-      }
-    }
+  VectorProjection* vp = nullptr;
+  bool eof = false;
+  while (true) {
+    RFV_RETURN_IF_ERROR(right_->NextVector(&vp, &eof));
+    if (eof) break;
+    right_vp_.AppendRows(*vp, 0, vp->NumSelected());
   }
   const size_t num_right = right_vp_.num_rows();
   NoteBufferedRows(num_right);
@@ -909,9 +893,6 @@ Status MergeBandJoinOp::AdvanceLeft(bool* eof) {
 }
 
 Status MergeBandJoinOp::NextImpl(Row* row, bool* eof) {
-  if (folding()) {
-    return Status::Internal("a folding band join is pulled through NextVector");
-  }
   while (true) {
     if (!left_valid_) {
       bool left_eof = false;
@@ -958,29 +939,17 @@ Status MergeBandJoinOp::NextImpl(Row* row, bool* eof) {
   }
 }
 
-Status MergeBandJoinOp::NextLeftLane(bool* have) {
-  // Drain-first: the final child vector may be non-empty with eof set.
-  while (left_vp_ == nullptr || left_lane_pos_ >= left_vp_->NumSelected()) {
-    if (left_input_eof_) {
-      *have = false;
-      return Status::OK();
-    }
-    bool child_eof = false;
-    RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, &child_eof));
-    left_input_eof_ = child_eof;
+Status MergeBandJoinOp::NextLeftLane(bool* eof) {
+  if (left_vp_ == nullptr || left_lane_pos_ >= left_vp_->NumSelected()) {
+    RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, eof));
     left_lane_pos_ = 0;
-    if (left_vp_ != nullptr && left_vp_->NumSelected() == 0) {
-      left_vp_ = nullptr;
-    }
-    if (left_vp_ != nullptr) {
-      // On an error each row resolves its own bands (ResolveBands), so
-      // the first failing row raises it, as in row mode.
-      lane_bands_ready_ = ResolveLeftVector().ok();
-      if (!prefixes_.empty()) PlanFoldVector();
-    }
+    if (*eof) return Status::OK();
+    // On an error each row resolves its own bands (ResolveBands), so
+    // the first failing row raises it, as in row mode.
+    lane_bands_ready_ = ResolveLeftVector().ok();
+    if (!prefixes_.empty()) PlanFoldVector();
   }
   current_lane_ = left_vp_->sel()[left_lane_pos_++];
-  *have = true;
   return Status::OK();
 }
 
@@ -1003,10 +972,6 @@ Status MergeBandJoinOp::ResolveLaneCandidates() {
 }
 
 Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
-  // The native path is only wired up when the planner stamped this
-  // operator vectorized (right_vp_ exists then); a direct NextVector on
-  // an unstamped instance keeps the lane-writing fallback behavior.
-  if (!vectorized()) return PhysicalOperator::NextVectorImpl(out, eof);
   if (folding()) return NextFoldedVector(out, eof);
 
   const size_t left_width = left_->schema().NumColumns();
@@ -1016,9 +981,8 @@ Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
 
   while (filled < vector_capacity_) {
     if (!left_valid_) {
-      bool have = false;
-      RFV_RETURN_IF_ERROR(NextLeftLane(&have));
-      if (!have) break;
+      RFV_RETURN_IF_ERROR(NextLeftLane(eof));
+      if (*eof) break;
       left_valid_ = true;
       RFV_RETURN_IF_ERROR(ResolveLaneCandidates());
       left_matched_ = !candidates_.empty();
@@ -1045,8 +1009,6 @@ Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   out_vp_.sel().Truncate(filled);
   if (matched > 0) BandJoinRowsCounter()->Increment(matched);
   *out = &out_vp_;
-  *eof = left_input_eof_ && !left_valid_ &&
-         (left_vp_ == nullptr || left_lane_pos_ >= left_vp_->NumSelected());
   return Status::OK();
 }
 
@@ -1561,9 +1523,8 @@ Status MergeBandJoinOp::NextFoldedVector(VectorProjection** out, bool* eof) {
   size_t filled = 0;
   int64_t folded = 0;
   while (filled < vector_capacity_) {
-    bool have = false;
-    RFV_RETURN_IF_ERROR(NextLeftLane(&have));
-    if (!have) break;
+    RFV_RETURN_IF_ERROR(NextLeftLane(eof));
+    if (*eof) break;
     const LanePlan plan =
         prefixes_.empty() ? kWalkLane : lane_plan_[current_lane_];
     if (plan == kNoGroupLane) continue;  // inner join: no group
@@ -1607,8 +1568,6 @@ Status MergeBandJoinOp::NextFoldedVector(VectorProjection** out, bool* eof) {
     BandJoinRowsCounter()->Increment(static_cast<int64_t>(filled));
   }
   *out = &out_vp_;
-  *eof = left_input_eof_ &&
-         (left_vp_ == nullptr || left_lane_pos_ >= left_vp_->NumSelected());
   return Status::OK();
 }
 

@@ -1,6 +1,5 @@
 #include "exec/executor.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -257,9 +256,9 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
   // nested-loop join consumes the right-side scan without an operator;
   // that estimate is intentionally dropped with it).
   op->SetEstimatedRows(plan.est_rows);
-  // Stamp the pull protocol: drivers and parents pull this operator
-  // through NextVector iff it is columnar-native and the knob is on.
-  op->SetVectorized(options.use_vectorized_execution && op->VectorNative());
+  // Stamp the mode: a vector-native operator runs its columnar body iff
+  // the knob is on.
+  op->SetVectorized(options.use_vectorized_execution);
   return op;
 }
 
@@ -299,8 +298,7 @@ namespace {
 std::string FormatMetricsLine(const std::string& label,
                               const OperatorMetricsEntry& e) {
   // Planner estimate next to the measured rows_out; "-" when the plan
-  // was never run through EstimateCardinality (or the entry is a
-  // rollup, where per-instance estimates don't sum meaningfully).
+  // was never run through EstimateCardinality.
   char est[32];
   if (e.est_rows >= 0) {
     std::snprintf(est, sizeof(est), "%lld",
@@ -335,49 +333,6 @@ std::string FormatMetricsReport(
   for (const OperatorMetricsEntry& e : entries) {
     out += FormatMetricsLine(
         std::string(static_cast<size_t>(e.depth) * 2, ' ') + e.name, e);
-  }
-  return out;
-}
-
-std::string FormatMetricsRollup(
-    const std::vector<OperatorMetricsEntry>& entries) {
-  // Aggregate by operator name, preserving first-appearance order.
-  std::vector<std::string> order;
-  std::vector<OperatorMetricsEntry> totals;
-  std::vector<int> instances;
-  for (const OperatorMetricsEntry& e : entries) {
-    size_t slot = order.size();
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (order[i] == e.name) {
-        slot = i;
-        break;
-      }
-    }
-    if (slot == order.size()) {
-      order.push_back(e.name);
-      OperatorMetricsEntry total;
-      total.name = e.name;
-      totals.push_back(std::move(total));
-      instances.push_back(0);
-    }
-    OperatorMetricsEntry& total = totals[slot];
-    total.rows_in += e.rows_in;
-    total.metrics.rows_out += e.metrics.rows_out;
-    total.metrics.next_calls += e.metrics.next_calls;
-    total.metrics.batches_out += e.metrics.batches_out;
-    total.metrics.vectors_out += e.metrics.vectors_out;
-    total.metrics.open_ns += e.metrics.open_ns;
-    total.metrics.next_ns += e.metrics.next_ns;
-    total.metrics.peak_buffered_rows =
-        std::max(total.metrics.peak_buffered_rows,
-                 e.metrics.peak_buffered_rows);
-    ++instances[slot];
-  }
-  std::string out;
-  for (size_t i = 0; i < totals.size(); ++i) {
-    std::string label = totals[i].name;
-    if (instances[i] > 1) label += " x" + std::to_string(instances[i]);
-    out += FormatMetricsLine(label, totals[i]);
   }
   return out;
 }
@@ -430,26 +385,57 @@ Counter* VectorsCounter() {
 
 }  // namespace
 
-Status PhysicalOperator::NextVectorImpl(VectorProjection** out, bool* eof) {
+Status PhysicalOperator::NextVectorImpl(VectorProjection**, bool*) {
+  return Status::Internal(std::string(name()) + " is not vector-native");
+}
+
+Status PhysicalOperator::PullVector(VectorProjection** out) {
+  *out = nullptr;
+  while (!exhausted_) {
+    VectorProjection* vp = nullptr;
+    bool eof = false;
+    RFV_RETURN_IF_ERROR(NextVectorImpl(&vp, &eof));
+    exhausted_ = eof;
+    if (vp != nullptr && vp->NumSelected() > 0) {
+      *out = vp;
+      break;
+    }
+  }
+  return Status::OK();
+}
+
+Status PhysicalOperator::VectorFromRows(VectorProjection** out) {
+  *out = nullptr;
   const size_t width = schema_.NumColumns();
   fallback_vp_.Reset(width, kVectorSize);
   size_t n = 0;
-  for (; n < kVectorSize; ++n) {
-    bool row_eof = false;
-    RFV_RETURN_IF_ERROR(NextImpl(&fallback_row_, &row_eof));
-    if (row_eof) {
-      *eof = true;
-      break;
-    }
+  while (n < kVectorSize && !exhausted_) {
+    RFV_RETURN_IF_ERROR(NextImpl(&fallback_row_, &exhausted_));
+    if (exhausted_) break;
     RFV_CHECK_MSG(fallback_row_.size() == width,
                   "row width " << fallback_row_.size()
                                << " != projection width " << width);
     for (size_t c = 0; c < width; ++c) {
       fallback_vp_.column(c).SetValue(n, fallback_row_[c]);
     }
+    ++n;
   }
+  if (n == 0) return Status::OK();
   fallback_vp_.Truncate(n);
   *out = &fallback_vp_;
+  return Status::OK();
+}
+
+Status PhysicalOperator::NextRowFromVectors(Row* row, bool* eof) {
+  if (row_vp_ == nullptr || row_slot_ >= row_vp_->NumSelected()) {
+    row_slot_ = 0;
+    RFV_RETURN_IF_ERROR(PullVector(&row_vp_));
+    *eof = row_vp_ == nullptr;
+    if (*eof) return Status::OK();
+    ++metrics_.vectors_out;
+  }
+  row_vp_->MaterializeRow(row_vp_->sel()[row_slot_++], row);
+  *eof = false;
   return Status::OK();
 }
 
@@ -460,23 +446,12 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op, bool) {
     RFV_RETURN_IF_ERROR(op->Open());
   }
   TraceSpan drain_span("exec.drain");
+  // Rows materialize only here, at the plan boundary, from whatever
+  // survived the selection vectors of a vectorized root.
   std::vector<Row> rows;
-  if (op->vectorized()) {
-    // Columnar root drain: rows materialize only here, at the plan
-    // boundary, from whatever survived the selection vectors.
-    while (true) {
-      VectorProjection* vp = nullptr;
-      bool eof = false;
-      RFV_RETURN_IF_ERROR(op->NextVector(&vp, &eof));
-      if (vp != nullptr && vp->NumSelected() > 0) {
-        VectorsCounter()->Increment();
-        vp->AppendSelectedTo(&rows);
-      }
-      if (eof) break;
-    }
-  } else {
-    RFV_RETURN_IF_ERROR(DrainChild(op, &rows));
-  }
+  const Status drained = DrainChild(op, &rows);
+  if (op->vectorized()) VectorsCounter()->Increment(op->metrics().vectors_out);
+  RFV_RETURN_IF_ERROR(drained);
   if (drain_span.active()) {
     drain_span.AddArg("rows", std::to_string(rows.size()));
   }
@@ -484,24 +459,21 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op, bool) {
 }
 
 Status DrainChild(PhysicalOperator* child, std::vector<Row>* out) {
+  bool eof = false;
   if (child->vectorized()) {
+    VectorProjection* vp = nullptr;
     while (true) {
-      VectorProjection* vp = nullptr;
-      bool eof = false;
       RFV_RETURN_IF_ERROR(child->NextVector(&vp, &eof));
-      if (vp != nullptr) vp->AppendSelectedTo(out);
-      if (eof) break;
+      if (eof) return Status::OK();
+      vp->AppendSelectedTo(out);
     }
-    return Status::OK();
   }
   while (true) {
     Row row;
-    bool eof = false;
     RFV_RETURN_IF_ERROR(child->Next(&row, &eof));
-    if (eof) break;
+    if (eof) return Status::OK();
     out->push_back(std::move(row));
   }
-  return Status::OK();
 }
 
 Result<std::vector<Row>> ExecutePlan(const LogicalPlan& plan,

@@ -26,11 +26,10 @@ struct OperatorMetrics {
   /// selection (the `batches=` column of EXPLAIN ANALYZE, the JSONL and
   /// the system views).
   int64_t batches_out = 0;
-  /// Same count as batches_out: NextVector calls that produced a
-  /// non-empty projection, so EXPLAIN ANALYZE shows which operators ran
-  /// columnar (a row-only operator under a columnar parent counts here
-  /// too, because it *answers* NextVector through the lane-writing
-  /// fallback).
+  /// Same count as batches_out, plus the vectors a vectorized operator
+  /// produced for a row-pulling parent, so EXPLAIN ANALYZE shows which
+  /// operators ran columnar (a row-only operator under a columnar parent
+  /// counts here too, because it *answers* NextVector from its rows).
   int64_t vectors_out = 0;
   int64_t open_ns = 0;     ///< wall time inside Open (incl. children)
   int64_t next_ns = 0;     ///< cumulative wall time inside Next (ditto)
@@ -50,10 +49,13 @@ struct OperatorMetrics {
 /// is undefined.
 ///
 /// Open/Next/NextVector are non-virtual shells that maintain
-/// OperatorMetrics and delegate to the *Impl overrides; white-box users
-/// (tests, the executor driver) call the shells. NextVectorImpl has a
-/// default that writes NextImpl rows into the lanes of one retained
-/// projection, so row-only operators serve columnar parents unchanged.
+/// OperatorMetrics and are the only place the two protocols meet: each
+/// operator body implements one protocol per mode, and the shells
+/// translate. A vectorized() operator runs NextVectorImpl and its Next
+/// serves the rows of those vectors; any other operator runs NextImpl
+/// and its NextVector writes those rows into the lanes of one retained
+/// projection. White-box users (tests, the executor driver) call the
+/// shells.
 class PhysicalOperator {
  public:
   explicit PhysicalOperator(Schema schema) : schema_(std::move(schema)) {}
@@ -65,6 +67,8 @@ class PhysicalOperator {
   Status Open() {
     metrics_.Reset();
     exhausted_ = false;
+    row_vp_ = nullptr;
+    row_slot_ = 0;
     const auto start = std::chrono::steady_clock::now();
     Status status = OpenImpl();
     metrics_.open_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -77,7 +81,8 @@ class PhysicalOperator {
   /// untouched) when the stream is exhausted.
   Status Next(Row* row, bool* eof) {
     const auto start = std::chrono::steady_clock::now();
-    Status status = NextImpl(row, eof);
+    Status status =
+        vectorized() ? NextRowFromVectors(row, eof) : NextImpl(row, eof);
     metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -86,64 +91,41 @@ class PhysicalOperator {
     return status;
   }
 
-  /// Columnar pull: points *out at the producer-owned VectorProjection
-  /// holding the next vector of rows, or at nullptr when this call
-  /// produced nothing. The projection stays valid until the next
-  /// NextVector call on this operator. Consumers may narrow the
-  /// projection's SelectionVector in place (that is the zero-copy filter
-  /// protocol) but must not touch the column data.
-  ///
-  /// EOF contract (every consumer must honor it):
-  ///  - *eof = true may accompany a non-empty projection: LimitOp reports
-  ///    eof together with the vector that reached the limit, UnionAllOp
-  ///    together with the last child's final vector, TableScanOp
-  ///    together with the final chunk. Consumers drain the projection
-  ///    FIRST and test eof second.
-  ///  - An empty or null projection with *eof = false is legal.
-  ///  - Calls after eof are safe and yield *out = nullptr with *eof =
-  ///    true (the shell's `exhausted_` latch guarantees this).
+  /// Columnar pull. Exactly one of two results:
+  ///  - *out points at a producer-owned projection with at least one
+  ///    selected row, and *eof = false;
+  ///  - *out = nullptr and *eof = true: the stream is exhausted (also on
+  ///    every later call, without re-entering the operator).
+  /// The projection stays valid until the next NextVector call on this
+  /// operator. Consumers may narrow its SelectionVector in place (the
+  /// zero-copy filter protocol) but must not touch the column data.
   Status NextVector(VectorProjection** out, bool* eof) {
-    *out = nullptr;
-    if (exhausted_) {
-      *eof = true;
-      ++metrics_.next_calls;
-      return Status::OK();
-    }
     const auto start = std::chrono::steady_clock::now();
-    *eof = false;
-    Status status = NextVectorImpl(out, eof);
+    Status status = vectorized() ? PullVector(out) : VectorFromRows(out);
     metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - start)
                             .count();
     ++metrics_.next_calls;
-    if (status.ok()) {
-      const size_t produced = (*out != nullptr) ? (*out)->NumSelected() : 0;
-      metrics_.rows_out += static_cast<int64_t>(produced);
-      if (produced > 0) {
-        ++metrics_.batches_out;
-        ++metrics_.vectors_out;
-      }
-      if (*eof) exhausted_ = true;
+    *eof = *out == nullptr;
+    if (!*eof) {
+      metrics_.rows_out += static_cast<int64_t>((*out)->NumSelected());
+      ++metrics_.batches_out;
+      ++metrics_.vectors_out;
     }
     return status;
   }
 
   /// True when this operator implements NextVectorImpl natively (columns
-  /// + selection vector all the way down). Operators without a native
-  /// implementation still answer NextVector through the lane-writing
-  /// fallback, but the planner only marks natively-columnar operators
-  /// vectorized().
+  /// + selection vector all the way down). Only such operators can be
+  /// vectorized(); the others answer NextVector from their rows.
   virtual bool VectorNative() const { return false; }
 
-  /// Whether the executor driver should pull this operator through
-  /// NextVector. Stamped by BuildPhysicalPlan as `options.exec.
-  /// use_vectorized_execution && VectorNative()`; consumers (root drain,
-  /// DrainChild, aggregation ingest) dispatch on it, and the
-  /// materializing vector-native operators (sort, hash aggregate, the
-  /// hash and band joins) choose their columnar or row code on it at
-  /// Open. A row-only child still answers their NextVector pulls
-  /// through the lane-writing fallback.
-  void SetVectorized(bool v) { vectorized_ = v; }
+  /// Selects the operator's mode: with `v` on a VectorNative() operator,
+  /// vectorized() holds and the operator runs its columnar body
+  /// (NextVectorImpl, and the columnar Open of the materializing
+  /// operators); otherwise it runs its row body. Stamped by
+  /// BuildPhysicalPlan from `options.exec.use_vectorized_execution`.
+  void SetVectorized(bool v) { vectorized_ = v && VectorNative(); }
   bool vectorized() const { return vectorized_; }
 
   const Schema& schema() const { return schema_; }
@@ -174,14 +156,15 @@ class PhysicalOperator {
 
  protected:
   virtual Status OpenImpl() = 0;
+  /// The row body, run when the operator is not vectorized().
   virtual Status NextImpl(Row* row, bool* eof) = 0;
 
-  /// Default vector production for row-only operators (window; the
-  /// nested-loop and index nested-loop joins): up to kVectorSize rows of
-  /// NextImpl (NOT the Next shell — its clock reads and counters must
-  /// not be paid twice), each written straight into the lanes of one
-  /// retained projection. Vector-native operators override this with
-  /// true columnar pipelines.
+  /// The columnar body, run when the operator is vectorized(). Looser
+  /// than NextVector: *out may be null or have an empty selection, and
+  /// *eof = true may come with rows (the shell passes them on and
+  /// reports eof on the following call). It is never called again once
+  /// it has reported eof. Row-only operators keep the default, which is
+  /// never reached.
   virtual Status NextVectorImpl(VectorProjection** out, bool* eof);
 
   /// Raises the buffered-rows high-water mark (materializing operators
@@ -195,15 +178,27 @@ class PhysicalOperator {
   Schema schema_;
 
  private:
+  /// NextVector of a vectorized() operator: NextVectorImpl until it
+  /// yields a selected row or reports eof (then *out = nullptr).
+  Status PullVector(VectorProjection** out);
+  /// NextVector of any other operator: up to kVectorSize rows of NextImpl
+  /// (not the Next shell, whose clock reads and counters must not be paid
+  /// twice) written into the lanes of fallback_vp_; nullptr at the end.
+  Status VectorFromRows(VectorProjection** out);
+  /// Next of a vectorized() operator: the next selected row of row_vp_,
+  /// pulling a new vector through PullVector when it is used up.
+  Status NextRowFromVectors(Row* row, bool* eof);
+
   OperatorMetrics metrics_;
   double estimated_rows_ = -1;
-  /// Set once NextVector reports eof; guards re-entry into the Impl
-  /// after exhaustion (the protocol allows a non-empty final vector, so
-  /// drivers may legally call once more).
+  /// Set once the body reported eof to NextVector or to a vectorized
+  /// Next; those shells never re-enter it after.
   bool exhausted_ = false;
   bool vectorized_ = false;
-  /// Scratch for the default NextVectorImpl: the row it pulls and the
-  /// projection it writes.
+  /// NextRowFromVectors: the vector being served and its next slot.
+  VectorProjection* row_vp_ = nullptr;
+  size_t row_slot_ = 0;
+  /// VectorFromRows: the row it pulls and the projection it writes.
   Row fallback_row_;
   VectorProjection fallback_vp_;
 };
@@ -237,19 +232,11 @@ std::vector<OperatorMetricsEntry> CollectMetrics(
 std::string FormatMetricsReport(
     const std::vector<OperatorMetricsEntry>& entries);
 
-/// By-name rollup of a metrics report: one line per operator *name* with
-/// summed counters and an instance count. Merges the two scans of a
-/// self-join into one row — useful as a summary, misleading as a plan
-/// view; pair it with FormatMetricsTree for per-instance attribution.
-std::string FormatMetricsRollup(
-    const std::vector<OperatorMetricsEntry>& entries);
-
 /// Per-instance plan *tree* rendering (box-drawing connectors), each
 /// node annotated with its own metrics — the EXPLAIN ANALYZE view:
 ///   window             rows_in=100000 rows_out=100000 ...
 ///   └─ scan            rows_in=0      rows_out=100000 ...
-/// Unlike the rollup, repeated operators (both scans of a self-join)
-/// keep their own rows.
+/// Repeated operators (both scans of a self-join) keep their own rows.
 std::string FormatMetricsTree(
     const std::vector<OperatorMetricsEntry>& entries);
 
@@ -307,10 +294,9 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
                                          bool /*ignored*/ = true);
 
 /// Appends every remaining row of an already-open `child` to *out — the
-/// shared input drain of the materializing operators (sort, window,
-/// join build sides): through NextVector when the child is stamped
-/// vectorized(), else through Next. Honors the NextVector EOF
-/// contract: the final vector is drained before eof is acted on.
+/// input drain of the operators that buffer rows (window, the nested-loop
+/// join's right side, the row-mode sort and hash join build): through
+/// NextVector when the child is vectorized(), else through Next.
 Status DrainChild(PhysicalOperator* child, std::vector<Row>* out);
 
 /// Convenience: build + run.

@@ -26,22 +26,11 @@ Status FilterOp::NextImpl(Row* row, bool* eof) {
 
 Status FilterOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   // Narrow the child projection's selection in place and pass it
-  // through — no row is copied on this path. Loop past fully-filtered
-  // vectors so callers rarely see an empty non-eof result.
-  while (true) {
-    VectorProjection* vp = nullptr;
-    bool child_eof = false;
-    RFV_RETURN_IF_ERROR(child_->NextVector(&vp, &child_eof));
-    if (vp != nullptr && vp->NumSelected() > 0) {
-      RFV_RETURN_IF_ERROR(
-          VectorEvaluator::EvalPredicate(*predicate_, *vp, &vp->sel()));
-    }
-    *out = vp;
-    *eof = child_eof;
-    if (child_eof || (vp != nullptr && vp->NumSelected() > 0)) {
-      return Status::OK();
-    }
-  }
+  // through — no row is copied on this path. The shell skips a vector
+  // the predicate emptied.
+  RFV_RETURN_IF_ERROR(child_->NextVector(out, eof));
+  if (*eof) return Status::OK();
+  return VectorEvaluator::EvalPredicate(*predicate_, **out, &(*out)->sel());
 }
 
 }  // namespace rfv

@@ -191,7 +191,6 @@ Status HashJoinOp::OpenImpl() {
   bucket_ = nullptr;
   probe_vp_ = nullptr;
   probe_lane_pos_ = 0;
-  probe_input_eof_ = false;
   vec_candidates_.clear();
   vec_candidate_pos_ = 0;
   RFV_RETURN_IF_ERROR(left_->Open());
@@ -221,19 +220,17 @@ Status HashJoinOp::OpenImpl() {
 }
 
 Status HashJoinOp::OpenVectorized() {
-  std::vector<Row> build_rows;
-  RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &build_rows));
-  const size_t n = build_rows.size();
-
-  // Transpose the build side once into columnar lanes: the gather
-  // source for output emission and the input of the key evaluation.
-  build_vp_.Reset(right_width_, n);
-  for (size_t i = 0; i < n; ++i) {
-    const Row& row = build_rows[i];
-    for (size_t c = 0; c < right_width_; ++c) {
-      build_vp_.column(c).SetValue(i, row[c]);
-    }
+  // Collect the build side into columnar lanes: the gather source for
+  // output emission and the input of the key evaluation.
+  build_vp_.Reset(right_width_, 0);
+  VectorProjection* vp = nullptr;
+  bool eof = false;
+  while (true) {
+    RFV_RETURN_IF_ERROR(right_->NextVector(&vp, &eof));
+    if (eof) break;
+    build_vp_.AppendRows(*vp, 0, vp->NumSelected());
   }
+  const size_t n = build_vp_.num_rows();
 
   // Evaluate all key expressions column-at-a-time, then bulk-hash the
   // whole key vector set in one kernel pass (hash-identical to the row
@@ -338,41 +335,29 @@ Status HashJoinOp::NextImpl(Row* row, bool* eof) {
 }
 
 Status HashJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
-  // Native only when the planner stamped this operator vectorized (the
-  // chain table exists then); otherwise keep the lane-writing fallback.
-  if (!vectorized()) return PhysicalOperator::NextVectorImpl(out, eof);
-
   const size_t left_width = left_->schema().NumColumns();
   out_vp_.Reset(left_width + right_width_, vector_capacity_);
   size_t filled = 0;
 
   while (filled < vector_capacity_) {
     if (!left_valid_) {
-      // Advance to the next probe lane, pulling and bulk-hashing fresh
-      // probe vectors as needed (drain-first EOF contract).
-      while (probe_vp_ == nullptr ||
-             probe_lane_pos_ >= probe_vp_->NumSelected()) {
-        if (probe_input_eof_) goto drained;
-        bool child_eof = false;
-        RFV_RETURN_IF_ERROR(left_->NextVector(&probe_vp_, &child_eof));
-        probe_input_eof_ = child_eof;
+      // Advance to the next probe lane, pulling and bulk-hashing a fresh
+      // probe vector when the current one is used up.
+      if (probe_vp_ == nullptr || probe_lane_pos_ >= probe_vp_->NumSelected()) {
+        RFV_RETURN_IF_ERROR(left_->NextVector(&probe_vp_, eof));
         probe_lane_pos_ = 0;
-        if (probe_vp_ != nullptr && probe_vp_->NumSelected() == 0) {
-          probe_vp_ = nullptr;
+        if (*eof) break;
+        probe_key_vecs_.resize(left_keys_.size());
+        std::vector<const Vector*> key_ptrs(left_keys_.size());
+        for (size_t j = 0; j < left_keys_.size(); ++j) {
+          RFV_RETURN_IF_ERROR(
+              VectorEvaluator::Eval(*left_keys_[j], *probe_vp_,
+                                    probe_vp_->sel(), &probe_key_vecs_[j]));
+          key_ptrs[j] = &probe_key_vecs_[j];
         }
-        if (probe_vp_ != nullptr) {
-          probe_key_vecs_.resize(left_keys_.size());
-          std::vector<const Vector*> key_ptrs(left_keys_.size());
-          for (size_t j = 0; j < left_keys_.size(); ++j) {
-            RFV_RETURN_IF_ERROR(
-                VectorEvaluator::Eval(*left_keys_[j], *probe_vp_,
-                                      probe_vp_->sel(), &probe_key_vecs_[j]));
-            key_ptrs[j] = &probe_key_vecs_[j];
-          }
-          HashVectorColumns(key_ptrs, probe_vp_->sel(),
-                            probe_vp_->num_rows(), &probe_hashes_);
-          HashProbeVectorsCounter()->Increment();
-        }
+        HashVectorColumns(key_ptrs, probe_vp_->sel(), probe_vp_->num_rows(),
+                          &probe_hashes_);
+        HashProbeVectorsCounter()->Increment();
       }
       current_lane_ = probe_vp_->sel()[probe_lane_pos_++];
       // Chase this lane's bucket chain: full-hash pre-check, then the
@@ -430,11 +415,8 @@ Status HashJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
     left_valid_ = false;
   }
 
-drained:
   out_vp_.sel().Truncate(filled);
   *out = &out_vp_;
-  *eof = probe_input_eof_ && !left_valid_ &&
-         (probe_vp_ == nullptr || probe_lane_pos_ >= probe_vp_->NumSelected());
   return Status::OK();
 }
 

@@ -26,20 +26,13 @@ Status LimitOp::NextImpl(Row* row, bool* eof) {
 Status LimitOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   if (produced_ >= limit_) {
     *eof = true;
-    return Status::OK();  // *out stays null (shell preset)
+    return Status::OK();
   }
-  VectorProjection* vp = nullptr;
-  bool child_eof = false;
-  RFV_RETURN_IF_ERROR(child_->NextVector(&vp, &child_eof));
-  if (vp != nullptr) {
-    const int64_t remaining = limit_ - produced_;
-    if (static_cast<int64_t>(vp->NumSelected()) > remaining) {
-      vp->sel().Truncate(static_cast<size_t>(remaining));
-    }
-    produced_ += static_cast<int64_t>(vp->NumSelected());
-  }
-  *out = vp;
-  *eof = child_eof || produced_ >= limit_;
+  RFV_RETURN_IF_ERROR(child_->NextVector(out, eof));
+  if (*eof) return Status::OK();
+  SelectionVector& sel = (*out)->sel();
+  sel.Truncate(static_cast<size_t>(limit_ - produced_));
+  produced_ += static_cast<int64_t>(sel.size());
   return Status::OK();
 }
 

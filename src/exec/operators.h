@@ -405,9 +405,9 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// using the per-band monotone start cursor `cursor`.
   void CollectBand(const ResolvedBand& band, size_t band_index);
   /// Vector paths: positions current_lane_ on the next left row, pulling
-  /// (and resolving the bands of) left input as needed; *have = false at
+  /// (and resolving the bands of) left input as needed; *eof = true at
   /// its end.
-  Status NextLeftLane(bool* have);
+  Status NextLeftLane(bool* eof);
   /// Vector paths: ResolveCandidates from the band lanes, plus the
   /// columnar residual filter.
   Status ResolveLaneCandidates();
@@ -486,7 +486,6 @@ class MergeBandJoinOp : public PhysicalOperator {
   bool lane_bands_ready_ = false;
   SelectionVector live_lanes_;
   Vector bound_lane_;
-  bool left_input_eof_ = false;
   size_t vector_capacity_ = kVectorSize;
 
   // --- SUM fold (TryEnableSumFold); empty fold_terms_ = off ---
@@ -565,9 +564,9 @@ class HashJoinOp : public PhysicalOperator {
 
  private:
   Status AdvanceLeft(bool* eof);
-  /// Vectorized build: drains the build side, transposes it once into
-  /// build_vp_, bulk-hashes the key vectors, and links the bucket-chain
-  /// table (heads_/chain_next_) in one pass.
+  /// Vectorized build: collects the build side's vectors into build_vp_,
+  /// bulk-hashes the key vectors, and links the bucket-chain table
+  /// (heads_/chain_next_) in one pass.
   Status OpenVectorized();
 
   PhysicalOperatorPtr left_;
@@ -608,7 +607,6 @@ class HashJoinOp : public PhysicalOperator {
   std::vector<uint64_t> probe_hashes_;
   size_t probe_lane_pos_ = 0;   ///< next selection slot in probe_vp_
   uint32_t current_lane_ = 0;   ///< current probe row position
-  bool probe_input_eof_ = false;
   std::vector<size_t> vec_candidates_;
   size_t vec_candidate_pos_ = 0;
   size_t vector_capacity_ = kVectorSize;
@@ -644,7 +642,6 @@ class SortOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  /// Vector mode: materializes the next row from the chunks.
   Status NextImpl(Row* row, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
@@ -710,7 +707,6 @@ class HashAggregateOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  /// Vector mode: materializes the next group's row from the columns.
   Status NextImpl(Row* row, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 

@@ -38,15 +38,8 @@ Status ProjectOp::NextImpl(Row* row, bool* eof) {
 
 Status ProjectOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   VectorProjection* vp = nullptr;
-  bool child_eof = false;
-  while (true) {
-    RFV_RETURN_IF_ERROR(child_->NextVector(&vp, &child_eof));
-    if (child_eof || (vp != nullptr && vp->NumSelected() > 0)) break;
-  }
-  if (vp == nullptr || vp->NumSelected() == 0) {
-    *eof = child_eof;
-    return Status::OK();  // *out stays null: nothing to project
-  }
+  RFV_RETURN_IF_ERROR(child_->NextVector(&vp, eof));
+  if (*eof) return Status::OK();
   // Each projection expression is evaluated once per vector into the
   // operator-owned output projection, which shares the child's row
   // positions (and a copy of its selection) so downstream selection
@@ -58,7 +51,6 @@ Status ProjectOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   }
   out_vp_.sel() = vp->sel();
   *out = &out_vp_;
-  *eof = child_eof;
   return Status::OK();
 }
 

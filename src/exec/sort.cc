@@ -85,11 +85,11 @@ Status SortOp::OpenColumnar() {
   perm_.clear();
   num_rows_ = 0;
   const size_t width = schema_.NumColumns();
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  while (!eof) {
-    VectorProjection* vp = nullptr;
+  while (true) {
     RFV_RETURN_IF_ERROR(child_->NextVector(&vp, &eof));
-    if (vp == nullptr) continue;
+    if (eof) break;
     for (size_t from = 0; from < vp->NumSelected();) {
       if (chunks_.empty() || chunks_.back().num_rows() == kVectorSize) {
         chunks_.emplace_back();
@@ -160,17 +160,6 @@ Status SortOp::OpenColumnar() {
 }
 
 Status SortOp::NextImpl(Row* row, bool* eof) {
-  if (vectorized()) {
-    if (pos_ >= num_rows_) {
-      *eof = true;
-      return Status::OK();
-    }
-    const size_t r = presorted_ ? pos_ : perm_[pos_];
-    ++pos_;
-    chunks_[r / kVectorSize].MaterializeRow(r % kVectorSize, row);
-    *eof = false;
-    return Status::OK();
-  }
   if (pos_ >= rows_.size()) {
     *eof = true;
     return Status::OK();
@@ -181,9 +170,6 @@ Status SortOp::NextImpl(Row* row, bool* eof) {
 }
 
 Status SortOp::NextVectorImpl(VectorProjection** out, bool* eof) {
-  if (!vectorized()) {
-    return PhysicalOperator::NextVectorImpl(out, eof);
-  }
   if (pos_ < num_rows_) {
     if (presorted_) {
       VectorProjection& chunk = chunks_[pos_ / kVectorSize];

@@ -26,18 +26,10 @@ Status UnionAllOp::NextImpl(Row* row, bool* eof) {
 
 Status UnionAllOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   // The current child's projection passes through untouched; a drained
-  // child hands over to the next one within the same call, skipping
-  // empty vectors, so interleaved empty children never surface.
-  while (current_ < children_.size()) {
-    VectorProjection* vp = nullptr;
-    bool child_eof = false;
-    RFV_RETURN_IF_ERROR(children_[current_]->NextVector(&vp, &child_eof));
-    if (child_eof) ++current_;
-    if (vp != nullptr && vp->NumSelected() > 0) {
-      *out = vp;
-      *eof = current_ >= children_.size();
-      return Status::OK();
-    }
+  // child hands over to the next one within the same call.
+  for (; current_ < children_.size(); ++current_) {
+    RFV_RETURN_IF_ERROR(children_[current_]->NextVector(out, eof));
+    if (!*eof) return Status::OK();
   }
   *eof = true;
   return Status::OK();

@@ -67,10 +67,14 @@ size_t VectorProjection::AppendRows(const VectorProjection& src,
 }
 
 void VectorProjection::MaterializeRow(size_t pos, Row* out) const {
-  std::vector<Value> values;
-  values.reserve(columns_.size());
-  for (const Vector& col : columns_) values.push_back(col.GetValue(pos));
-  *out = Row(std::move(values));
+  // Overwrites a row of the right width in place: row pullers reuse one
+  // Row per input, so this allocates only for a fresh one.
+  if (out->size() != columns_.size()) {
+    *out = Row(std::vector<Value>(columns_.size()));
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    (*out)[c] = columns_[c].GetValue(pos);
+  }
 }
 
 void VectorProjection::AppendSelectedTo(std::vector<Row>* out) const {

@@ -58,15 +58,19 @@ TEST_F(ScanSnapshotTest, InsertUnderOpenScanInvisible) {
 
 TEST_F(ScanSnapshotTest, DeleteUnderOpenScanVectorStable) {
   TableScanOp scan(table_->schema(), table_);
+  scan.SetVectorized(true);
   ASSERT_TRUE(scan.Open().ok());
   // Mutate before the first vector is pulled: the vector path reads the
   // snapshot too, not the live store.
   ASSERT_TRUE(table_->DeleteRow(0).ok());
   VectorProjection* vp = nullptr;
-  bool eof = false;
+  bool eof = true;
   ASSERT_TRUE(scan.NextVector(&vp, &eof).ok());
   ASSERT_NE(vp, nullptr);
   EXPECT_EQ(vp->NumSelected(), 3u);
+  EXPECT_FALSE(eof);
+  ASSERT_TRUE(scan.NextVector(&vp, &eof).ok());
+  EXPECT_EQ(vp, nullptr);
   EXPECT_TRUE(eof);
   EXPECT_EQ(table_->NumRows(), 2u);
 }
@@ -148,6 +152,7 @@ TEST_F(ScanSnapshotMidStreamTest, InsertBetweenRowsInvisible) {
 
 TEST_F(ScanSnapshotMidStreamTest, DeleteBetweenVectorsInvisible) {
   TableScanOp scan(table_->schema(), table_);
+  scan.SetVectorized(true);
   ASSERT_TRUE(scan.Open().ok());
   VectorProjection* vp = nullptr;
   bool eof = false;
@@ -159,11 +164,13 @@ TEST_F(ScanSnapshotMidStreamTest, DeleteBetweenVectorsInvisible) {
   ASSERT_TRUE(table_->DeleteRow(0).ok());
 
   size_t total = vp->NumSelected();
-  while (!eof) {
+  while (true) {
     const Status s = scan.NextVector(&vp, &eof);
     ASSERT_TRUE(s.ok()) << s.ToString();
+    if (eof) break;
     total += vp->NumSelected();
   }
+  EXPECT_EQ(vp, nullptr);
   EXPECT_EQ(total, 1500u);
 }
 
@@ -187,8 +194,8 @@ TEST_F(ScanSnapshotMidStreamTest, ConsecutiveSnapshotsShareCleanChunks) {
 // indexes must be the same frozen version: out-of-order (or deleted)
 // rows landing on the live table mid-query must not perturb the
 // already-open join's output. `vector_scans` stamps the scans as
-// vectorized, so the join drains its right side through NextVector
-// instead of the row drain.
+// vectorized, so the join's NextVector pulls run the scans' columnar
+// body instead of their row body.
 void ExpectBandJoinReadsPinnedSnapshot(Table* table, bool vector_scans) {
   // s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 over the 1500-row table,
   // left = right = t; joined schema is (pos, val, pos, val).
@@ -221,16 +228,12 @@ void ExpectBandJoinReadsPinnedSnapshot(Table* table, bool vector_scans) {
   ASSERT_TRUE(table->DeleteRow(0).ok());  // live pos=1 gone
 
   std::vector<Row> rows;
-  bool eof = false;
-  while (!eof) {
+  while (true) {
     VectorProjection* vp = nullptr;
+    bool eof = false;
     ASSERT_TRUE(join->NextVector(&vp, &eof).ok());
-    if (vp == nullptr) continue;
-    for (size_t k = 0; k < vp->NumSelected(); ++k) {
-      Row row;
-      vp->MaterializeRow(vp->sel()[k], &row);
-      rows.push_back(std::move(row));
-    }
+    if (eof) break;
+    vp->AppendSelectedTo(&rows);
   }
   // Snapshot-consistent count: 1500 left rows × 3 band candidates,
   // minus the two clipped edges (pos=1 lacks pos-1=0, pos=1500 lacks

@@ -1,13 +1,17 @@
 // Execution-contract tests for the vector pull protocol:
 //
-//  EOF contract: the final vector of a stream may be non-empty AND
-//  carry *eof = true (LimitOp truncating mid-vector, UnionAllOp's last
-//  child, TableScanOp's final partial chunk). Consumers must drain
-//  first and test eof second — these tests verify producers really emit
-//  that shape and that drains never drop the final rows.
+//  NextVector contract: every call yields either a projection with at
+//  least one selected row and *eof = false, or nullptr with *eof =
+//  true, and the operator body is never re-entered after it reported
+//  eof. The shell skips empty body results and holds back an eof that
+//  arrives together with rows (TableScanOp's final partial chunk,
+//  LimitOp truncating mid-vector, a join's last output vector) — these
+//  tests pin that shape and that no final rows are dropped.
 //
 // Also covered: limit hit mid-vector, UNION ALL over interleaved empty
-// children, and row/vector mode equivalence over a small query suite.
+// children, the row pull of vectorized operators (Next serves their
+// vectors' rows), row-only joins over columnar ones, and row/vector mode
+// equivalence over a small query suite.
 
 #include <gtest/gtest.h>
 
@@ -53,49 +57,170 @@ class ExecContractTest : public ::testing::Test {
     return t.ok() ? *t : nullptr;
   }
 
-  PhysicalOperatorPtr Scan(const std::string& name) {
+  // A scan in vector mode (its columnar body runs) unless `vectorized`
+  // is false.
+  PhysicalOperatorPtr Scan(const std::string& name, bool vectorized = true) {
     Table* table = GetTable(name);
-    return std::make_unique<TableScanOp>(table->schema(), table);
+    auto scan = std::make_unique<TableScanOp>(table->schema(), table);
+    scan->SetVectorized(vectorized);
+    return scan;
   }
 
   Database db_;
 };
 
+// Asserts the end of a NextVector stream: nullptr with eof, on the call
+// that ends it and on one more.
+void ExpectVectorEof(PhysicalOperator* op) {
+  for (int i = 0; i < 2; ++i) {
+    VectorProjection* vp = nullptr;
+    bool eof = false;
+    ASSERT_TRUE(op->NextVector(&vp, &eof).ok());
+    EXPECT_EQ(vp, nullptr);
+    EXPECT_TRUE(eof);
+  }
+}
+
 // ---------------------------------------------------------------------
-// EOF contract: non-empty final vector with *eof = true.
+// NextVector contract: rows without eof, then nullptr with eof.
 // ---------------------------------------------------------------------
 
-TEST_F(ExecContractTest, ScanFinalVectorIsNonEmptyWithEof) {
+TEST_F(ExecContractTest, ScanFinalVectorIsNonEmptyThenEof) {
   PhysicalOperatorPtr scan = Scan("t5");
   ASSERT_TRUE(scan->Open().ok());
   VectorProjection* vp = nullptr;
-  bool eof = false;
+  bool eof = true;
   ASSERT_TRUE(scan->NextVector(&vp, &eof).ok());
-  // 5 rows fit one vector: the producer reports them AND eof together.
+  // 5 rows fit one vector: the body reports them and eof together; the
+  // shell passes the rows on and holds the eof back for the next call.
   ASSERT_NE(vp, nullptr);
   EXPECT_EQ(vp->NumSelected(), 5u);
-  EXPECT_TRUE(eof);
+  EXPECT_FALSE(eof);
+  ExpectVectorEof(scan.get());
+  EXPECT_EQ(scan->metrics().next_calls, 3);
+  EXPECT_EQ(scan->metrics().rows_out, 5);
+  EXPECT_EQ(scan->metrics().batches_out, 1);
 }
 
-TEST_F(ExecContractTest, LimitVectorTruncatesSelectionAndCarriesEof) {
+TEST_F(ExecContractTest, LimitVectorTruncatesSelectionThenEof) {
   auto limit = std::make_unique<LimitOp>(GetTable("t5")->schema(),
                                          Scan("t5"), /*limit=*/3);
+  limit->SetVectorized(true);
   ASSERT_TRUE(limit->Open().ok());
   VectorProjection* vp = nullptr;
-  bool eof = false;
+  bool eof = true;
   ASSERT_TRUE(limit->NextVector(&vp, &eof).ok());
   ASSERT_NE(vp, nullptr);
   EXPECT_EQ(vp->NumSelected(), 3u);
-  EXPECT_TRUE(eof);
+  EXPECT_FALSE(eof);
   // The physical vector still holds all 5 scanned rows; only the
   // selection was narrowed.
   EXPECT_EQ(vp->num_rows(), 5u);
+  ExpectVectorEof(limit.get());
+}
 
-  // Post-eof pulls are safe: the shell's latch answers null + eof
-  // without re-entering the operator.
-  ASSERT_TRUE(limit->NextVector(&vp, &eof).ok());
-  EXPECT_EQ(vp, nullptr);
+// A scripted vector-native operator: each NextVectorImpl call plays the
+// next step (a vector of `rows` selected rows, or none, and an eof
+// flag) and fails the test when called after it reported eof.
+class ScriptedVectorOp : public PhysicalOperator {
+ public:
+  struct Step {
+    int rows = -1;  ///< -1 = no projection; 0 = an empty selection
+    bool eof = false;
+  };
+  explicit ScriptedVectorOp(std::vector<Step> script)
+      : PhysicalOperator(Schema({ColumnDef("a", DataType::kInt64)})),
+        script_(std::move(script)) {}
+  const char* name() const override { return "scripted"; }
+  bool VectorNative() const override { return true; }
+  size_t impl_calls() const { return next_; }
+
+ protected:
+  Status OpenImpl() override {
+    next_ = 0;
+    value_ = 0;
+    return Status::OK();
+  }
+  Status NextImpl(Row* row, bool* eof) override {
+    (void)row;
+    *eof = true;
+    return Status::Internal("the row body of a vectorized operator ran");
+  }
+  Status NextVectorImpl(VectorProjection** out, bool* eof) override {
+    if (next_ >= script_.size()) {
+      ADD_FAILURE() << "NextVectorImpl called after the end of its script";
+      *eof = true;
+      return Status::OK();
+    }
+    EXPECT_FALSE(next_ > 0 && script_[next_ - 1].eof)
+        << "NextVectorImpl re-entered after reporting eof";
+    const Step& step = script_[next_++];
+    if (step.rows >= 0) {
+      vp_.Reset(1, static_cast<size_t>(step.rows));
+      for (int i = 0; i < step.rows; ++i) vp_.column(0).SetInt(i, ++value_);
+      *out = &vp_;
+    }
+    *eof = step.eof;
+    return Status::OK();
+  }
+
+ private:
+  std::vector<Step> script_;
+  size_t next_ = 0;
+  int64_t value_ = 0;
+  VectorProjection vp_;
+};
+
+TEST(NextVectorShellTest, SkipsEmptyResultsAndHoldsBackEofWithRows) {
+  // Null, empty, 2 rows, empty, 3 rows together with eof.
+  ScriptedVectorOp op({{-1, false}, {0, false}, {2, false}, {0, false},
+                       {3, true}});
+  op.SetVectorized(true);
+  ASSERT_TRUE(op.Open().ok());
+  VectorProjection* vp = nullptr;
+  bool eof = true;
+  ASSERT_TRUE(op.NextVector(&vp, &eof).ok());
+  ASSERT_NE(vp, nullptr);
+  EXPECT_EQ(vp->NumSelected(), 2u);
+  EXPECT_FALSE(eof);
+  EXPECT_EQ(op.impl_calls(), 3u);
+  ASSERT_TRUE(op.NextVector(&vp, &eof).ok());
+  ASSERT_NE(vp, nullptr);
+  EXPECT_EQ(vp->NumSelected(), 3u);
+  EXPECT_FALSE(eof);
+  ExpectVectorEof(&op);
+  EXPECT_EQ(op.impl_calls(), 5u);  // the held-back eof re-enters nothing
+  EXPECT_EQ(op.metrics().next_calls, 4);
+  EXPECT_EQ(op.metrics().rows_out, 5);
+  EXPECT_EQ(op.metrics().batches_out, 2);
+}
+
+TEST(NextVectorShellTest, EmptyEofEndsTheStreamAtOnce) {
+  ScriptedVectorOp op({{0, false}, {0, true}});
+  op.SetVectorized(true);
+  ASSERT_TRUE(op.Open().ok());
+  ExpectVectorEof(&op);
+  EXPECT_EQ(op.impl_calls(), 2u);
+}
+
+TEST(NextVectorShellTest, NextServesTheRowsOfTheVectors) {
+  ScriptedVectorOp op({{2, false}, {0, false}, {-1, false}, {1, true}});
+  op.SetVectorized(true);
+  ASSERT_TRUE(op.Open().ok());
+  std::vector<int64_t> got;
+  Row row;
+  bool eof = false;
+  while (true) {
+    ASSERT_TRUE(op.Next(&row, &eof).ok());
+    if (eof) break;
+    got.push_back(row[0].AsInt());
+  }
+  EXPECT_EQ(got, (std::vector<int64_t>{1, 2, 3}));
+  ASSERT_TRUE(op.Next(&row, &eof).ok());  // still eof, nothing re-entered
   EXPECT_TRUE(eof);
+  EXPECT_EQ(op.impl_calls(), 4u);
+  EXPECT_EQ(op.metrics().rows_out, 3);
+  EXPECT_EQ(op.metrics().vectors_out, 2);
 }
 
 TEST_F(ExecContractTest, DrainChildKeepsFinalVectorRows) {
@@ -117,15 +242,15 @@ TEST_F(ExecContractTest, DrainChildKeepsFinalVectorRows) {
 
 class UnionModesTest : public ExecContractTest {
  protected:
-  PhysicalOperatorPtr MakeUnion() {
+  PhysicalOperatorPtr MakeUnion(bool vectorized) {
     std::vector<PhysicalOperatorPtr> children;
-    children.push_back(Scan("empty1"));
-    children.push_back(Scan("t5"));
-    children.push_back(Scan("empty2"));
-    children.push_back(Scan("t2"));
-    children.push_back(Scan("empty3"));
-    return std::make_unique<UnionAllOp>(GetTable("t5")->schema(),
-                                        std::move(children));
+    for (const char* name : {"empty1", "t5", "empty2", "t2", "empty3"}) {
+      children.push_back(Scan(name, vectorized));
+    }
+    auto u = std::make_unique<UnionAllOp>(GetTable("t5")->schema(),
+                                          std::move(children));
+    u->SetVectorized(vectorized);
+    return u;
   }
 
   void ExpectAllRows(const std::vector<Row>& rows) {
@@ -138,40 +263,67 @@ class UnionModesTest : public ExecContractTest {
 };
 
 TEST_F(UnionModesTest, RowPath) {
-  PhysicalOperatorPtr u = MakeUnion();
+  PhysicalOperatorPtr u = MakeUnion(/*vectorized=*/false);
   Result<std::vector<Row>> rows = ExecuteToVector(u.get());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ExpectAllRows(*rows);
 }
 
 TEST_F(UnionModesTest, VectorPath) {
-  PhysicalOperatorPtr u = MakeUnion();
-  u->SetVectorized(true);
+  PhysicalOperatorPtr u = MakeUnion(/*vectorized=*/true);
   Result<std::vector<Row>> rows = ExecuteToVector(u.get());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ExpectAllRows(*rows);
 }
 
 TEST_F(UnionModesTest, VectorPathSkipsEmptyChildrenWithinOneCall) {
-  PhysicalOperatorPtr u = MakeUnion();
+  PhysicalOperatorPtr u = MakeUnion(/*vectorized=*/true);
   ASSERT_TRUE(u->Open().ok());
   VectorProjection* vp = nullptr;
-  bool eof = false;
+  bool eof = true;
   // First call: skips empty1, yields t5's rows.
   ASSERT_TRUE(u->NextVector(&vp, &eof).ok());
   ASSERT_NE(vp, nullptr);
   EXPECT_EQ(vp->NumSelected(), 5u);
   EXPECT_FALSE(eof);
-  // Second call: skips empty2, yields t2's rows; empty3 still pending,
-  // so eof may only be reported once it is drained too.
+  // Second call: skips empty2, yields t2's rows.
   ASSERT_TRUE(u->NextVector(&vp, &eof).ok());
   ASSERT_NE(vp, nullptr);
   EXPECT_EQ(vp->NumSelected(), 2u);
-  if (!eof) {
-    ASSERT_TRUE(u->NextVector(&vp, &eof).ok());
-    EXPECT_TRUE(vp == nullptr || vp->NumSelected() == 0);
-    EXPECT_TRUE(eof);
+  EXPECT_FALSE(eof);
+  // Third call: drains empty3 and ends the stream.
+  ExpectVectorEof(u.get());
+  EXPECT_EQ(u->metrics().next_calls, 4);
+}
+
+// Parses, binds, optimizes and estimates `sql`, then builds its physical
+// plan with the default (vectorized) options.
+PhysicalOperatorPtr BuildSqlPlan(Database* db, const std::string& sql) {
+  Result<Statement> stmt = Parser::ParseStatement(sql);
+  EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  if (!stmt.ok()) return nullptr;
+  Binder binder(db->catalog());
+  Result<LogicalPlanPtr> bound = binder.BindSelect(*stmt->select);
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  if (!bound.ok()) return nullptr;
+  LogicalPlanPtr plan = OptimizePlan(std::move(bound).value());
+  EstimateCardinality(plan.get());
+  Result<PhysicalOperatorPtr> built = BuildPhysicalPlan(*plan);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return built.ok() ? std::move(built).value() : nullptr;
+}
+
+// The first operator of type Op in `root`'s tree (depth first), or null.
+template <typename Op>
+Op* FindOp(PhysicalOperator* root) {
+  std::vector<const PhysicalOperator*> stack = {root};
+  while (!stack.empty()) {
+    const PhysicalOperator* node = stack.back();
+    stack.pop_back();
+    if (auto* op = dynamic_cast<const Op*>(node)) return const_cast<Op*>(op);
+    node->AppendChildren(&stack);
   }
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -278,7 +430,7 @@ TEST_F(ExecModesSqlTest, LimitAndUnion) {
 // ---------------------------------------------------------------------
 // Row-only left inputs under the columnar joins: the hash and band
 // joins pull an index nested-loop or nested-loop join through
-// NextVector, which answers through the lane-writing fallback. 2 500
+// NextVector, whose shell writes the join's rows into lanes. 2 500
 // left rows cross the 1 024-row vector boundary twice.
 // ---------------------------------------------------------------------
 
@@ -352,6 +504,117 @@ TEST_F(RowOnlyLeftInputTest, LeftJoinsOverRowOnlyInputs) {
   const ResultSet band = ExpectModesAgree(band_sql);
   ASSERT_EQ(band.NumRows(), 2u * 999u + 1u + 1500u);
   ExpectLeftInput(band_sql, "merge_band_join", "nested_loop_join", 3);
+}
+
+// ---------------------------------------------------------------------
+// Columnar operators under row-only joins: the nested-loop and index
+// nested-loop joins pull their left input through Next, which a
+// vectorized operator answers from the rows of its own vectors. (A
+// vectorized hash join once answered Next from its row-mode hash table,
+// which only the row-mode Open fills: no rows, or NULL-padded ones under
+// a LEFT JOIN.)
+// ---------------------------------------------------------------------
+
+class UnderRowOnlyJoinTest : public ExecModesSqlTest {
+ protected:
+  void SetUp() override {
+    ExecModesSqlTest::SetUp();
+    MustExecute(db_, "CREATE TABLE a (k INTEGER, x INTEGER)");
+    MustExecute(db_, "INSERT INTO a VALUES (1, 10), (2, 20), (3, 30)");
+    MustExecute(db_, "CREATE TABLE b (k INTEGER, y INTEGER)");
+    MustExecute(db_, "INSERT INTO b VALUES (1, 100), (2, 200), (3, 300)");
+    MustExecute(db_, "CREATE TABLE c (z INTEGER)");
+    MustExecute(db_, "INSERT INTO c VALUES (5), (25)");
+  }
+
+  // `sql`'s vector-mode plan, one operator per entry in pre-order, each
+  // name indented by one space per level.
+  std::vector<std::string> PlanShape(const std::string& sql) {
+    const ResultSet plan = MustExecute(db_, "EXPLAIN ANALYZE " + sql);
+    std::vector<std::string> shape;
+    for (const OperatorMetricsEntry& e : plan.metrics()) {
+      shape.push_back(std::string(static_cast<size_t>(e.depth), ' ') +
+                      e.name);
+    }
+    return shape;
+  }
+
+  // Checks that both modes agree on `sql`, that its plan is `shape` and
+  // that it returns exactly `want`, in order.
+  void ExpectAnswer(const std::string& sql,
+                    const std::vector<std::string>& shape,
+                    const std::vector<std::vector<int64_t>>& want) {
+    const ResultSet rs = ExpectModesAgree(sql);
+    EXPECT_EQ(PlanShape(sql), shape) << sql;
+    ASSERT_EQ(rs.NumRows(), want.size()) << sql;
+    for (size_t i = 0; i < want.size(); ++i) {
+      for (size_t c = 0; c < want[i].size(); ++c) {
+        EXPECT_EQ(rs.at(i, c), Value::Int(want[i][c]))
+            << sql << " row " << i << " column " << c;
+      }
+    }
+  }
+};
+
+TEST_F(UnderRowOnlyJoinTest, HashJoinUnderNestedLoopJoin) {
+  ExpectAnswer(
+      "SELECT a.k, b.y, c.z FROM a JOIN b ON a.k = b.k JOIN c ON a.x <> c.z",
+      {"project", " nested_loop_join", "  hash_join", "   scan", "   scan",
+       "  scan"},
+      {{1, 100, 5}, {1, 100, 25}, {2, 200, 5}, {2, 200, 25}, {3, 300, 5},
+       {3, 300, 25}});
+}
+
+TEST_F(UnderRowOnlyJoinTest, LeftHashJoinUnderNestedLoopJoin) {
+  ExpectAnswer(
+      "SELECT a.k, b.y, c.z FROM a LEFT JOIN b ON a.k = b.k "
+      "JOIN c ON a.x <> c.z",
+      {"project", " nested_loop_join", "  hash_join", "   scan", "   scan",
+       "  scan"},
+      {{1, 100, 5}, {1, 100, 25}, {2, 200, 5}, {2, 200, 25}, {3, 300, 5},
+       {3, 300, 25}});
+}
+
+TEST_F(UnderRowOnlyJoinTest, HashJoinUnderIndexNestedLoopJoin) {
+  MustExecute(db_, "INSERT INTO a VALUES (3, 31)");
+  MustExecute(db_, "INSERT INTO c VALUES (31)");
+  MustExecute(db_, "CREATE INDEX c_z ON c (z)");
+  ExpectAnswer(
+      "SELECT a.k, c.z FROM a JOIN b ON a.k = b.k JOIN c ON c.z = a.x",
+      {"project", " index_nested_loop_join", "  hash_join", "   scan",
+       "   scan"},
+      {{3, 31}});
+}
+
+TEST_F(UnderRowOnlyJoinTest, ColumnarInputsOfANestedLoopJoin) {
+  // A band join, an aggregate, ORDER BY ... LIMIT and UNION ALL, each in
+  // a derived table on the nested loop's left side.
+  ExpectAnswer(
+      "SELECT d.k, d.y, c.z FROM (SELECT a.k, b.y FROM a JOIN b "
+      "ON b.k BETWEEN a.k - 1 AND a.k) d JOIN c ON d.y <> c.z * 4",
+      {"project", " nested_loop_join", "  project", "   merge_band_join",
+       "    scan", "    scan", "  scan"},
+      {{1, 100, 5}, {2, 100, 5}, {2, 200, 5}, {2, 200, 25}, {3, 200, 5},
+       {3, 200, 25}, {3, 300, 5}, {3, 300, 25}});
+  ExpectAnswer(
+      "SELECT d.k, d.s, c.z FROM (SELECT k, SUM(y) AS s FROM b GROUP BY k) d "
+      "JOIN c ON d.s <> c.z * 8",
+      {"project", " nested_loop_join", "  project", "   hash_aggregate",
+       "    scan", "  scan"},
+      {{1, 100, 5}, {1, 100, 25}, {2, 200, 5}, {3, 300, 5}, {3, 300, 25}});
+  ExpectAnswer(
+      "SELECT d.x, c.z FROM (SELECT x FROM a ORDER BY x DESC LIMIT 2) d "
+      "JOIN c ON d.x <> c.z + 5",
+      {"project", " nested_loop_join", "  limit", "   sort", "    project",
+       "     scan", "  scan"},
+      {{30, 5}, {20, 5}, {20, 25}});
+  ExpectAnswer(
+      "SELECT d.v, c.z FROM (SELECT x AS v FROM a UNION ALL "
+      "SELECT y AS v FROM b) d JOIN c ON d.v <> c.z * 4",
+      {"project", " nested_loop_join", "  union_all", "   project",
+       "    scan", "   project", "    scan", "  scan"},
+      {{10, 5}, {10, 25}, {20, 25}, {30, 5}, {30, 25}, {100, 5}, {200, 5},
+       {200, 25}, {300, 5}, {300, 25}});
 }
 
 // ---------------------------------------------------------------------
@@ -660,24 +923,24 @@ class VectorJoinTest : public ::testing::Test {
   }
 
   // Drains `op` through NextVector, materializing every selected lane;
-  // asserts the EOF contract (post-eof pulls stay empty).
+  // asserts the NextVector contract (rows without eof, then nullptr
+  // with eof, also on a post-eof pull).
   std::vector<Row> DrainVectors(PhysicalOperator* op) {
     EXPECT_TRUE(op->Open().ok());
     std::vector<Row> rows;
-    bool eof = false;
-    while (!eof) {
+    while (true) {
       VectorProjection* vp = nullptr;
-      EXPECT_TRUE(op->NextVector(&vp, &eof).ok());
-      if (vp == nullptr) continue;
-      for (size_t k = 0; k < vp->NumSelected(); ++k) {
-        Row row;
-        vp->MaterializeRow(vp->sel()[k], &row);
-        rows.push_back(std::move(row));
-      }
+      bool eof = false;
+      const Status status = op->NextVector(&vp, &eof);
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      if (eof || !status.ok()) break;
+      EXPECT_GT(vp->NumSelected(), 0u);
+      vp->AppendSelectedTo(&rows);
     }
     VectorProjection* vp = nullptr;
+    bool eof = false;
     EXPECT_TRUE(op->NextVector(&vp, &eof).ok());
-    EXPECT_TRUE(vp == nullptr || vp->NumSelected() == 0);
+    EXPECT_EQ(vp, nullptr);
     EXPECT_TRUE(eof);
     return rows;
   }
@@ -729,35 +992,31 @@ TEST_F(VectorJoinTest, NullKeysNeverMatchButLeftOuterPads) {
 
 TEST_F(VectorJoinTest, DuplicateKeyChainsSpillAcrossOutputVectors) {
   // 3 probe rows × 5 duplicate build keys = 15 matches; capacity 4
-  // forces one probe row's candidate run to split mid-vector and the
-  // final vector to arrive non-empty with eof.
+  // forces the probe rows' candidate runs to split mid-vector, and the
+  // body's final vector (3 rows) to arrive together with the probe
+  // side's eof, which the shell reports on the call after it.
   Insert("build", "(7, 1), (7, 2), (7, 3), (7, 4), (7, 5)");
   Insert("probe", "(7, 10), (7, 20), (7, 30)");
   auto join = MakeHashJoin(JoinType::kInner);
   join->SetVectorOutputCapacityForTest(4);
   ASSERT_TRUE(join->Open().ok());
   std::vector<Row> rows;
-  size_t vectors = 0;
-  bool saw_nonempty_final = false;
-  bool eof = false;
-  while (!eof) {
+  std::vector<size_t> sizes;
+  while (true) {
     VectorProjection* vp = nullptr;
+    bool eof = false;
     ASSERT_TRUE(join->NextVector(&vp, &eof).ok());
-    if (vp == nullptr) continue;
-    if (vp->NumSelected() > 0) {
-      ++vectors;
-      if (eof) saw_nonempty_final = true;
+    if (eof) {
+      EXPECT_EQ(vp, nullptr);
+      break;
     }
-    EXPECT_LE(vp->NumSelected(), 4u);
-    for (size_t k = 0; k < vp->NumSelected(); ++k) {
-      Row row;
-      vp->MaterializeRow(vp->sel()[k], &row);
-      rows.push_back(std::move(row));
-    }
+    ASSERT_NE(vp, nullptr);
+    sizes.push_back(vp->NumSelected());
+    vp->AppendSelectedTo(&rows);
   }
   ASSERT_EQ(rows.size(), 15u);
-  EXPECT_GE(vectors, 4u);  // 15 matches through capacity-4 vectors
-  EXPECT_TRUE(saw_nonempty_final);
+  EXPECT_EQ(sizes, (std::vector<size_t>{4, 4, 4, 3}));
+  EXPECT_EQ(join->metrics().next_calls, 5);
   // Chains preserve build arrival order per probe row (w ascending),
   // and probe rows surface in probe order.
   EXPECT_EQ(rows[0][3], Value::Double(1));
@@ -964,29 +1223,8 @@ class BandFoldTest : public ::testing::Test {
   /// join (nullptr when there is none).
   MergeBandJoinOp* BuildBandJoinPlan(const std::string& sql,
                                      PhysicalOperatorPtr* op) {
-    Result<Statement> stmt = Parser::ParseStatement(sql);
-    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
-    if (!stmt.ok()) return nullptr;
-    Binder binder(db_.catalog());
-    Result<LogicalPlanPtr> bound = binder.BindSelect(*stmt->select);
-    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
-    if (!bound.ok()) return nullptr;
-    LogicalPlanPtr plan = OptimizePlan(std::move(bound).value());
-    EstimateCardinality(plan.get());
-    Result<PhysicalOperatorPtr> built = BuildPhysicalPlan(*plan);
-    EXPECT_TRUE(built.ok()) << built.status().ToString();
-    if (!built.ok()) return nullptr;
-    *op = std::move(built).value();
-    std::vector<const PhysicalOperator*> stack = {op->get()};
-    while (!stack.empty()) {
-      const PhysicalOperator* node = stack.back();
-      stack.pop_back();
-      if (auto* band = dynamic_cast<const MergeBandJoinOp*>(node)) {
-        return const_cast<MergeBandJoinOp*>(band);
-      }
-      node->AppendChildren(&stack);
-    }
-    return nullptr;
+    *op = BuildSqlPlan(&db_, sql);
+    return *op != nullptr ? FindOp<MergeBandJoinOp>(op->get()) : nullptr;
   }
 
   // Vector mode folds and agrees bit for bit with row mode, which does
@@ -1514,6 +1752,87 @@ TEST_F(BandFoldTest, IntegerSumOverflowErrorsInEveryMode) {
               Value::Int(std::numeric_limits<int64_t>::max()));
   }
   SetRowMode(false);
+}
+
+// Every vector-native operator, in vector mode, gives the same rows with
+// the same tags through Next (the shell serves the rows of its vectors)
+// as through NextVector. The inputs cross the 1 024-row vector boundary
+// and mix INTEGER, DOUBLE and NULL cells in one column.
+template <typename Op>
+void ExpectNextMatchesNextVector(Database* db, const std::string& sql) {
+  SCOPED_TRACE(sql);
+  std::vector<Row> pulled[2];
+  for (int by_vector = 0; by_vector < 2; ++by_vector) {
+    PhysicalOperatorPtr root = BuildSqlPlan(db, sql);
+    ASSERT_NE(root, nullptr);
+    Op* op = FindOp<Op>(root.get());
+    ASSERT_NE(op, nullptr);
+    ASSERT_TRUE(op->vectorized());
+    ASSERT_TRUE(op->Open().ok());
+    std::vector<Row>& rows = pulled[by_vector];
+    bool eof = false;
+    while (true) {
+      if (by_vector == 1) {
+        VectorProjection* vp = nullptr;
+        ASSERT_TRUE(op->NextVector(&vp, &eof).ok());
+        if (eof) break;
+        vp->AppendSelectedTo(&rows);
+      } else {
+        Row row;
+        ASSERT_TRUE(op->Next(&row, &eof).ok());
+        if (eof) break;
+        rows.push_back(std::move(row));
+      }
+    }
+  }
+  ASSERT_GT(pulled[0].size(), 0u);
+  ASSERT_EQ(pulled[0].size(), pulled[1].size());
+  for (size_t r = 0; r < pulled[0].size(); ++r) {
+    ASSERT_EQ(pulled[0][r].size(), pulled[1][r].size());
+    for (size_t c = 0; c < pulled[0][r].size(); ++c) {
+      EXPECT_EQ(pulled[0][r][c].type(), pulled[1][r][c].type())
+          << "row " << r << " column " << c;
+      EXPECT_EQ(pulled[0][r][c], pulled[1][r][c])
+          << "row " << r << " column " << c;
+    }
+  }
+}
+
+TEST_F(ExecModesSqlTest, NextMatchesNextVectorOnEveryNativeOperator) {
+  CreateBig("m", 2500, /*reverse=*/true);
+  CreateBig("n", 1200, /*reverse=*/false);
+  ExpectNextMatchesNextVector<TableScanOp>(&db_, "SELECT k, v FROM m");
+  ExpectNextMatchesNextVector<FilterOp>(
+      &db_, "SELECT k, v FROM m WHERE MOD(k, 3) <> 0");
+  ExpectNextMatchesNextVector<ProjectOp>(&db_,
+                                         "SELECT k * 2, v, v + 1 FROM m");
+  ExpectNextMatchesNextVector<LimitOp>(&db_,
+                                       "SELECT k, v FROM m LIMIT 1500");
+  ExpectNextMatchesNextVector<UnionAllOp>(
+      &db_,
+      "SELECT k, v FROM m WHERE k > 2000 UNION ALL SELECT k, v FROM m "
+      "WHERE k < 0 UNION ALL SELECT k, v FROM n");
+  ExpectNextMatchesNextVector<HashJoinOp>(
+      &db_, "SELECT m.k, m.v, n.v FROM m LEFT JOIN n ON n.k = m.k");
+  ExpectNextMatchesNextVector<MergeBandJoinOp>(
+      &db_,
+      "SELECT a.k, b.v FROM m a JOIN n b ON b.k BETWEEN a.k - 1 AND a.k + 1");
+  ExpectNextMatchesNextVector<SortOp>(&db_,
+                                      "SELECT k, v FROM m ORDER BY v, k");
+  ExpectNextMatchesNextVector<SortOp>(&db_, "SELECT k, v FROM m ORDER BY k");
+  ExpectNextMatchesNextVector<HashAggregateOp>(
+      &db_,
+      "SELECT MOD(k, 10), SUM(v), MIN(v), COUNT(*) FROM m GROUP BY MOD(k, 10)");
+  // A SUM fold: the aggregate over the band join's partial rows.
+  const std::string fold_sql =
+      "SELECT a.k, SUM(b.v) FROM m a JOIN n b ON b.k BETWEEN a.k - 1 AND "
+      "a.k + 1 GROUP BY a.k";
+  PhysicalOperatorPtr fold_plan = BuildSqlPlan(&db_, fold_sql);
+  ASSERT_NE(fold_plan, nullptr);
+  MergeBandJoinOp* band = FindOp<MergeBandJoinOp>(fold_plan.get());
+  ASSERT_NE(band, nullptr);
+  EXPECT_TRUE(band->folding());
+  ExpectNextMatchesNextVector<HashAggregateOp>(&db_, fold_sql);
 }
 
 TEST_F(ExecModesSqlTest, ErrorsAgreeAcrossModes) {

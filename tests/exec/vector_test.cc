@@ -142,11 +142,11 @@ TEST(VectorProjectionTest, TruncateKeepsLeadingRows) {
   EXPECT_EQ(row[1], Value::Double(2.5));
 }
 
-// A row-only operator under a columnar parent: the default
-// NextVectorImpl writes each NextImpl row into the lanes of one
-// projection, at most kVectorSize rows per call, every cell's tag kept
-// (INTEGER, DOUBLE and NULL cells share the DOUBLE column, as INSERT
-// leaves them).
+// A row-only operator under a columnar parent: the NextVector shell
+// writes each NextImpl row into the lanes of one projection, at most
+// kVectorSize rows per call, every cell's tag kept (INTEGER, DOUBLE and
+// NULL cells share the DOUBLE column, as INSERT leaves them); after the
+// last rows it answers nullptr with eof.
 TEST(RowOnlyFallbackTest, WindowOpAnswersNextVectorTagExact) {
   Database db;
   Result<Table*> table = db.catalog()->CreateTable(
@@ -194,10 +194,14 @@ TEST(RowOnlyFallbackTest, WindowOpAnswersNextVectorTagExact) {
   ASSERT_TRUE(window->Open().ok());
   size_t seen = 0;
   std::vector<size_t> sizes;
-  bool eof = false;
-  while (!eof) {
+  while (true) {
     VectorProjection* vp = nullptr;
+    bool eof = false;
     ASSERT_TRUE(window->NextVector(&vp, &eof).ok());
+    if (eof) {
+      EXPECT_EQ(vp, nullptr);
+      break;
+    }
     ASSERT_NE(vp, nullptr);
     ASSERT_EQ(vp->num_columns(), 3u);
     ASSERT_EQ(vp->NumSelected(), vp->num_rows());
@@ -214,7 +218,14 @@ TEST(RowOnlyFallbackTest, WindowOpAnswersNextVectorTagExact) {
     }
   }
   EXPECT_EQ(seen, static_cast<size_t>(kRows));
-  // The final partial vector carries eof.
+  // The final partial vector comes without eof; the eof call follows it,
+  // and a post-eof pull answers eof again.
+  VectorProjection* vp = nullptr;
+  bool eof = false;
+  ASSERT_TRUE(window->NextVector(&vp, &eof).ok());
+  EXPECT_EQ(vp, nullptr);
+  EXPECT_TRUE(eof);
+  EXPECT_EQ(window->metrics().next_calls, 5);
   EXPECT_EQ(sizes, (std::vector<size_t>{kVectorSize, kVectorSize,
                                         kRows - 2 * kVectorSize}));
 }

@@ -58,6 +58,7 @@ TEST_F(ConcurrentScanDmlTest, RowPullSurvivesInterleavedInsert) {
 
 TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedUpdate) {
   TableScanOp scan(table_->schema(), table_);
+  scan.SetVectorized(true);
   ASSERT_TRUE(scan.Open().ok());
   VectorProjection* vp = nullptr;
   bool eof = false;
@@ -68,16 +69,19 @@ TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedUpdate) {
   ASSERT_TRUE(other.Execute("UPDATE seq SET val = 0 WHERE pos <= 10").ok());
 
   size_t total = vp->NumSelected();
-  while (!eof) {
+  while (true) {
     const Status s = scan.NextVector(&vp, &eof);
     ASSERT_TRUE(s.ok()) << "regressed to the epoch abort: " << s.ToString();
+    if (eof) break;
     total += vp->NumSelected();
   }
+  EXPECT_EQ(vp, nullptr);
   EXPECT_EQ(total, 1100u);
 }
 
 TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedDelete) {
   TableScanOp scan(table_->schema(), table_);
+  scan.SetVectorized(true);
   ASSERT_TRUE(scan.Open().ok());
   VectorProjection* vp = nullptr;
   bool eof = false;
@@ -88,11 +92,13 @@ TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedDelete) {
   ASSERT_TRUE(other.Execute("DELETE FROM seq WHERE pos = 1").ok());
 
   size_t total = vp->NumSelected();
-  while (!eof) {
+  while (true) {
     const Status s = scan.NextVector(&vp, &eof);
     ASSERT_TRUE(s.ok()) << "regressed to the epoch abort: " << s.ToString();
+    if (eof) break;
     total += vp->NumSelected();
   }
+  EXPECT_EQ(vp, nullptr);
   EXPECT_EQ(total, 1100u);
 }
 
