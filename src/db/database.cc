@@ -197,7 +197,7 @@ void FillEventFromResult(const ResultSet& rs, QueryEvent* event) {
     op.rows_in = entry.rows_in;
     op.rows_out = entry.metrics.rows_out;
     op.next_calls = entry.metrics.next_calls;
-    op.batches_out = entry.metrics.batches_out;
+    op.vectors_out = entry.metrics.vectors_out;
     op.open_ms = static_cast<double>(entry.metrics.open_ns) / 1e6;
     op.next_ms = static_cast<double>(entry.metrics.next_ns) / 1e6;
     op.peak_buffered_rows = entry.metrics.peak_buffered_rows;
@@ -405,7 +405,6 @@ Result<ResultSet> Database::ExecuteExplain(const Statement& stmt,
     rewrite_options.variant = options.rewrite_variant;
     rewrite_options.force_method = options.force_method;
     rewrite_options.use_cost_model = options.use_cost_model;
-    rewrite_options.vector_exec = options.exec.use_vectorized_execution;
     RewriteDecision decision;
     std::optional<RewriteResult> rewrite;
     RFV_ASSIGN_OR_RETURN(rewrite, rewriter_.TryRewrite(*stmt.select,
@@ -515,7 +514,6 @@ Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
     rewrite_options.variant = options.rewrite_variant;
     rewrite_options.force_method = options.force_method;
     rewrite_options.use_cost_model = options.use_cost_model;
-    rewrite_options.vector_exec = options.exec.use_vectorized_execution;
     const SteadyClock::time_point rewrite_start = SteadyClock::now();
     RewriteDecision decision;
     std::optional<RewriteResult> rewrite;

@@ -168,7 +168,7 @@ std::string QueryEvent::ToJson() const {
     j += ", \"rows_in\": " + std::to_string(o.rows_in);
     j += ", \"rows_out\": " + std::to_string(o.rows_out);
     j += ", \"next_calls\": " + std::to_string(o.next_calls);
-    j += ", \"batches_out\": " + std::to_string(o.batches_out);
+    j += ", \"vectors_out\": " + std::to_string(o.vectors_out);
     j += ", " + std::string(buf);
     j += ", \"peak_buffered_rows\": " + std::to_string(o.peak_buffered_rows);
     j += "}";

@@ -50,7 +50,7 @@ struct QueryEventOperator {
   int64_t rows_in = 0;
   int64_t rows_out = 0;
   int64_t next_calls = 0;
-  int64_t batches_out = 0;
+  int64_t vectors_out = 0;
   double open_ms = 0;
   double next_ms = 0;
   int64_t peak_buffered_rows = 0;

@@ -50,7 +50,7 @@ Schema OperatorsSchema() {
       {"rows_in", DataType::kInt64},
       {"rows_out", DataType::kInt64},
       {"next_calls", DataType::kInt64},
-      {"batches_out", DataType::kInt64},
+      {"vectors_out", DataType::kInt64},
       {"open_ms", DataType::kDouble},
       {"next_ms", DataType::kDouble},
       {"peak_buffered_rows", DataType::kInt64},
@@ -192,7 +192,7 @@ std::vector<Row> SystemViewProvider::OperatorsRows() const {
       row.Append(Value::Int(o.rows_in));
       row.Append(Value::Int(o.rows_out));
       row.Append(Value::Int(o.next_calls));
-      row.Append(Value::Int(o.batches_out));
+      row.Append(Value::Int(o.vectors_out));
       row.Append(Value::Double(o.open_ms));
       row.Append(Value::Double(o.next_ms));
       row.Append(Value::Int(o.peak_buffered_rows));

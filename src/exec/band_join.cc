@@ -465,11 +465,9 @@ bool FoldableCondition(const Expr& e, const FoldShape& shape,
 }
 
 /// Run-foldable SUM argument: linear in one right column (*column).
-/// *per_left_row is set when resolving it reads the left row (a CASE or
-/// a non-constant factor); *reads_key when a CASE condition reads the
-/// band key.
+/// Sets *reads_key when a CASE condition reads the band key.
 bool FoldableArg(const Expr& e, const FoldShape& shape, size_t* column,
-                 bool* per_left_row, bool* reads_key) {
+                 bool* reads_key) {
   switch (e.kind) {
     case ExprKind::kColumnRef:
       if (e.column_index < shape.left_width || !IsNumeric(e.type)) {
@@ -479,8 +477,7 @@ bool FoldableArg(const Expr& e, const FoldShape& shape, size_t* column,
       return *column == e.column_index;
     case ExprKind::kUnary:
       return e.unary_op == UnaryOp::kNeg &&
-             FoldableArg(*e.children[0], shape, column, per_left_row,
-                         reads_key);
+             FoldableArg(*e.children[0], shape, column, reads_key);
     case ExprKind::kBinary: {
       if (e.binary_op != BinaryOp::kMul) return false;
       for (int side = 0; side < 2; ++side) {
@@ -489,12 +486,7 @@ bool FoldableArg(const Expr& e, const FoldShape& shape, size_t* column,
             !RefsOnlyRange(factor, 0, shape.left_width)) {
           continue;
         }
-        if (!FoldableArg(*e.children[1 - side], shape, column, per_left_row,
-                         reads_key)) {
-          return false;
-        }
-        if (!RefsOnlyRange(factor, 0, 0)) *per_left_row = true;
-        return true;
+        return FoldableArg(*e.children[1 - side], shape, column, reads_key);
       }
       return false;
     }
@@ -503,14 +495,11 @@ bool FoldableArg(const Expr& e, const FoldShape& shape, size_t* column,
       const size_t pairs = (e.children.size() - 1) / 2;
       for (size_t i = 0; i < pairs; ++i) {
         if (!FoldableCondition(*e.children[2 * i], shape, reads_key) ||
-            !FoldableArg(*e.children[2 * i + 1], shape, column, per_left_row,
-                         reads_key)) {
+            !FoldableArg(*e.children[2 * i + 1], shape, column, reads_key)) {
           return false;
         }
       }
-      *per_left_row = true;
-      return FoldableArg(*e.children.back(), shape, column, per_left_row,
-                         reads_key);
+      return FoldableArg(*e.children.back(), shape, column, reads_key);
     }
     default:
       return false;
@@ -682,17 +671,8 @@ Status MergeBandJoinOp::OpenImpl() {
   cursors_.assign(spec_.bands.size(), 0);
   prev_lo_.assign(spec_.bands.size(), std::numeric_limits<int64_t>::min());
   resolved_.assign(spec_.bands.size(), ResolvedBand());
-  candidate_bands_.clear();
   folded_candidates_ = 0;
   prefix_rows_ = 0;
-  for (FoldTerm& term : fold_terms_) {
-    for (FoldLeaf& leaf : term.leaves) leaf.resolved = false;
-  }
-  if (folding()) {
-    fold_row_ = Row(std::vector<Value>(left_->schema().NumColumns() +
-                                       right_width_));
-  }
-
   if (folding()) BuildFoldPrefixes();
   return Status::OK();
 }
@@ -849,36 +829,15 @@ Status MergeBandJoinOp::ResolveBands() {
 
 void MergeBandJoinOp::CollectCandidates() {
   candidates_.clear();
-  candidate_bands_.clear();
   candidate_pos_ = 0;
   for (size_t i = 0; i < spec_.bands.size(); ++i) {
     CollectBand(resolved_[i], i);
-    if (fold_tag_bands_) {
-      candidate_bands_.resize(candidates_.size(), static_cast<uint32_t>(i));
-    }
   }
   if (spec_.bands.size() > 1) {
     // Overlapping bands (OR semantics) must not emit a pair twice.
-    if (!fold_tag_bands_) {
-      std::sort(candidates_.begin(), candidates_.end());
-      candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
-                        candidates_.end());
-      return;
-    }
-    // Fold mode keeps each candidate's band (any band holding a key
-    // agrees on MOD(key, w)); a pair in several bands keeps the lowest.
-    tagged_.clear();
-    for (size_t j = 0; j < candidates_.size(); ++j) {
-      tagged_.emplace_back(candidates_[j], candidate_bands_[j]);
-    }
-    std::sort(tagged_.begin(), tagged_.end());
-    candidates_.clear();
-    candidate_bands_.clear();
-    for (const auto& [id, band] : tagged_) {
-      if (!candidates_.empty() && candidates_.back() == id) continue;
-      candidates_.push_back(id);
-      candidate_bands_.push_back(band);
-    }
+    std::sort(candidates_.begin(), candidates_.end());
+    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
+                      candidates_.end());
   }
 }
 
@@ -947,7 +906,7 @@ Status MergeBandJoinOp::NextLeftLane(bool* eof) {
     // On an error each row resolves its own bands (ResolveBands), so
     // the first failing row raises it, as in row mode.
     lane_bands_ready_ = ResolveLeftVector().ok();
-    if (!prefixes_.empty()) PlanFoldVector();
+    if (folding()) PlanFoldVector();
   }
   current_lane_ = left_vp_->sel()[left_lane_pos_++];
   return Status::OK();
@@ -957,18 +916,8 @@ Status MergeBandJoinOp::ResolveLaneCandidates() {
   RFV_RETURN_IF_ERROR(ResolveBands());
   CollectCandidates();
   if (spec_.residual == nullptr || candidates_.empty()) return Status::OK();
-  RFV_RETURN_IF_ERROR(FilterJoinCandidates(*spec_.residual, *left_vp_,
-                                           current_lane_, right_vp_,
-                                           &residual_scratch_, &candidates_));
-  if (fold_tag_bands_) {
-    // The scratch selection names the surviving pre-filter slots.
-    const SelectionVector& surviving = residual_scratch_.sel();
-    for (size_t k = 0; k < surviving.size(); ++k) {
-      candidate_bands_[k] = candidate_bands_[surviving[k]];
-    }
-    candidate_bands_.resize(surviving.size());
-  }
-  return Status::OK();
+  return FilterJoinCandidates(*spec_.residual, *left_vp_, current_lane_,
+                              right_vp_, &residual_scratch_, &candidates_);
 }
 
 Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
@@ -1028,29 +977,25 @@ bool MergeBandJoinOp::TryEnableSumFold(
   }
   const FoldShape shape{left_width, left_width + spec_.right_column, &spec_};
   std::vector<FoldTerm> terms;
-  bool reads_key = false;
+  size_t leaves = 0;
   for (const AggregateCall& call : aggregates) {
     if (call.fn != AggFn::kSum || call.is_count_star || call.arg == nullptr) {
       return false;
     }
     FoldTerm term;
     size_t column = static_cast<size_t>(-1);
-    if (!FoldableArg(*call.arg, shape, &column, &term.per_left_row,
-                     &reads_key)) {
-      return false;
-    }
+    bool reads_key = false;
+    if (!FoldableArg(*call.arg, shape, &column, &reads_key)) return false;
     term.arg = call.arg->Clone();
     term.column = column - left_width;
     term.int_sum = call.output_type == DataType::kInt64;
+    term.per_band = reads_key && spec_.bands.size() > 1;
+    term.first_leaf = leaves;
+    leaves += term.per_band ? spec_.bands.size() : 1;
     terms.push_back(std::move(term));
   }
-  fold_tag_bands_ = reads_key && spec_.bands.size() > 1;
-  for (FoldTerm& term : terms) {
-    term.leaves.resize(fold_tag_bands_ && term.per_left_row
-                           ? spec_.bands.size()
-                           : 1);
-  }
   fold_terms_ = std::move(terms);
+  fold_leaves_ = leaves;
   // The join now outputs one row per matched left row.
   SetEstimatedRows(left_->estimated_rows());
   return true;
@@ -1062,93 +1007,17 @@ std::string MergeBandJoinOp::MetricsDetail() const {
          " prefix=" + std::to_string(prefix_rows_);
 }
 
-Status MergeBandJoinOp::ResolveFoldExpr(const Expr& e, FoldLeaf* leaf) const {
-  switch (e.kind) {
-    case ExprKind::kColumnRef:
-      return Status::OK();  // the right cell itself
-    case ExprKind::kUnary: {
-      RFV_RETURN_IF_ERROR(ResolveFoldExpr(*e.children[0], leaf));
-      FoldStep step;
-      step.negate = true;
-      leaf->steps.push_back(step);
-      return Status::OK();
-    }
-    case ExprKind::kBinary: {
-      // Operands evaluate in the row path's order; the factor is the
-      // left-only side.
-      const bool factor_first = RefsOnlyRange(
-          *e.children[0], 0, left_->schema().NumColumns());
-      Value factor;
-      if (factor_first) {
-        RFV_ASSIGN_OR_RETURN(factor,
-                             Evaluator::Eval(*e.children[0], fold_row_));
-        RFV_RETURN_IF_ERROR(ResolveFoldExpr(*e.children[1], leaf));
-      } else {
-        RFV_RETURN_IF_ERROR(ResolveFoldExpr(*e.children[0], leaf));
-        RFV_ASSIGN_OR_RETURN(factor,
-                             Evaluator::Eval(*e.children[1], fold_row_));
-      }
-      if (factor.is_null()) {
-        leaf->null = true;
-        return Status::OK();
-      }
-      if (!factor.is_numeric()) {
-        return Status::TypeError("arithmetic on non-numeric value");
-      }
-      FoldStep step;
-      step.factor_first = factor_first;
-      step.factor_int = factor.type() == DataType::kInt64;
-      if (step.factor_int) step.factor_i = factor.AsInt();
-      step.factor_d = factor.ToDouble();
-      leaf->steps.push_back(step);
-      return Status::OK();
-    }
-    case ExprKind::kCase: {
-      const size_t pairs = (e.children.size() - 1) / 2;
-      for (size_t i = 0; i < pairs; ++i) {
-        bool hit = false;
-        RFV_ASSIGN_OR_RETURN(
-            hit, Evaluator::EvalPredicate(*e.children[2 * i], fold_row_));
-        if (hit) return ResolveFoldExpr(*e.children[2 * i + 1], leaf);
-      }
-      return ResolveFoldExpr(*e.children.back(), leaf);
-    }
-    default:
-      return Status::Internal("band fold: argument is not run-foldable");
-  }
-}
-
-Status MergeBandJoinOp::ResolveFoldLeaf(FoldTerm* term, size_t slot) {
-  // The band key placeholder carries the band's residue: every CASE
-  // condition reads it only as MOD(key, w) with w dividing the modulus,
-  // which is what each of the band's candidate keys would give.
-  const size_t left_width = left_->schema().NumColumns();
-  fold_row_[left_width + spec_.right_column] =
-      Value::Int(resolved_[fold_tag_bands_ ? slot : 0].residue);
-  FoldLeaf& leaf = term->leaves[slot];
-  leaf.steps.clear();
-  leaf.null = false;
-  RFV_RETURN_IF_ERROR(ResolveFoldExpr(*term->arg, &leaf));
-  leaf.resolved = true;
-  return Status::OK();
-}
-
 Status MergeBandJoinOp::FoldTermCandidates(size_t t, size_t at) {
-  FoldTerm& term = fold_terms_[t];
+  const FoldTerm& term = fold_terms_[t];
+  if (!leaves_ready_) RFV_RETURN_IF_ERROR(ResolveLaneLeaves(t));
+  const FoldLeaf* leaves = &LeafAt(current_lane_, term.first_leaf);
   const Vector& cells = right_vp_.column(term.column);
-  const bool tagged = fold_tag_bands_ && term.per_left_row;
-  if (term.per_left_row) {
-    for (FoldLeaf& leaf : term.leaves) leaf.resolved = false;
-  }
   int64_t count = 0;
   __int128 sum_int = 0;  // exact: an overflow is an error, not a wrap
   double sum_double = 0;
-  for (size_t j = 0; j < candidates_.size(); ++j) {
-    const size_t slot = tagged ? candidate_bands_[j] : 0;
-    const FoldLeaf& leaf = term.leaves[slot];
-    if (!leaf.resolved) RFV_RETURN_IF_ERROR(ResolveFoldLeaf(&term, slot));
+  for (const size_t id : candidates_) {
+    const FoldLeaf& leaf = leaves[term.per_band ? FoldSlot(id) : 0];
     if (leaf.null) continue;
-    const size_t id = candidates_[j];
     const DataType tag = cells.tag(id);
     FoldNum v;
     switch (tag) {
@@ -1203,6 +1072,35 @@ Status MergeBandJoinOp::FoldTermCandidates(size_t t, size_t at) {
     out_vp_.column(base).SetDouble(at, sum_double);
   }
   out_vp_.column(base + 1).SetInt(at, count);
+  return Status::OK();
+}
+
+size_t MergeBandJoinOp::FoldSlot(size_t id) const {
+  const int64_t key = right_vp_.column(spec_.right_column).i64(id);
+  const size_t last = spec_.bands.size() - 1;
+  for (size_t b = 0; b < last; ++b) {
+    if (resolved_[b].empty) continue;
+    const int64_t m = spec_.bands[b].modulus;
+    if (m <= 1 || FlooredMod(key, m) == resolved_[b].residue) return b;
+  }
+  return last;  // no earlier band's class holds the key
+}
+
+Status MergeBandJoinOp::ResolveLaneLeaves(size_t t) {
+  const FoldTerm& term = fold_terms_[t];
+  Vector& key_col =
+      fold_vp_.column(fold_partial_base() + spec_.right_column);
+  leaf_lanes_.Clear();
+  leaf_lanes_.indices().push_back(current_lane_);
+  std::vector<bool> seen(term.per_band ? spec_.bands.size() : 1);
+  for (const size_t id : candidates_) {
+    const size_t slot = term.per_band ? FoldSlot(id) : 0;
+    if (seen[slot]) continue;
+    seen[slot] = true;
+    key_col.SetInt(current_lane_, resolved_[slot].residue);
+    RFV_RETURN_IF_ERROR(ResolveFoldLeaves(t, slot, leaf_lanes_));
+    if (!term.per_band) break;
+  }
   return Status::OK();
 }
 
@@ -1337,109 +1235,161 @@ MergeBandJoinOp::BandChain MergeBandJoinOp::ChainOf(const ResolvedBand& band,
 void MergeBandJoinOp::PlanFoldVector() {
   const size_t rows = left_vp_->num_rows();
   const size_t bands = spec_.bands.size();
-  const size_t terms = fold_terms_.size();
+  const std::vector<uint32_t>& lanes = left_vp_->sel().indices();
   lane_plan_.assign(rows, kWalkLane);
-  if (!lane_bands_ready_) return;
-  lane_keys_.assign(rows, 0);
-  prefix_lanes_.Clear();
-  chains_.resize(bands);
-  BandChain* chains = chains_.data();
-  for (const uint32_t lane : left_vp_->sel().indices()) {
-    int64_t keys = 0;
-    for (size_t b = 0; b < bands; ++b) {
-      chains[b] = ChainOf(lane_bands_[b][lane], b);
-      keys += chains[b].n;
-    }
-    lane_keys_[lane] = keys;
-    if (keys == 0) {
-      lane_plan_[lane] = kNoGroupLane;  // inner join: no group
-    } else if (ChainsDisjoint(chains)) {
-      // Overlapping bands count a shared candidate once; that is left
-      // to the walk's deduplication.
-      lane_plan_[lane] = kPrefixLane;
-      prefix_lanes_.indices().push_back(lane);
-    }
-  }
-  if (prefix_lanes_.empty()) return;
-
+  leaves_.resize(rows * fold_leaves_);
+  leaves_ready_ = false;
   // Leaves resolve over the left columns plus the band key placeholder,
-  // which carries the band's residue (as ResolveFoldLeaf does per row).
+  // which carries the band's residue.
   const size_t left_width = fold_partial_base();
   const size_t key_col = left_width + spec_.right_column;
   fold_vp_.Reset(key_col + 1, rows);
   for (size_t c = 0; c < left_width; ++c) {
-    for (const uint32_t lane : prefix_lanes_.indices()) {
+    for (const uint32_t lane : lanes) {
       fold_vp_.column(c).CopyFrom(lane, left_vp_->column(c), lane);
     }
   }
-  lane_sums_.assign(rows * terms, 0);
-  lane_counts_.assign(rows * terms, 0);
-  lane_coeff_.resize(rows);
-  lane_leaf_.resize(rows);
-  for (size_t t = 0; t < terms; ++t) {
-    const FoldTerm& term = fold_terms_[t];
-    const bool tagged = fold_tag_bands_ && term.per_left_row;
-    for (size_t slot = 0; slot < (tagged ? bands : 1); ++slot) {
-      // The lanes whose walk would resolve this leaf.
-      SelectionVector& lanes = leaf_lanes_;
-      lanes.Clear();
-      for (const uint32_t lane : prefix_lanes_.indices()) {
-        if (lane_plan_[lane] != kPrefixLane) continue;
-        if (tagged && ChainOf(lane_bands_[slot][lane], slot).n == 0) continue;
-        lanes.indices().push_back(lane);
-        fold_vp_.column(key_col).SetInt(
-            lane, lane_bands_[tagged ? slot : 0][lane].residue);
-        lane_coeff_[lane] = 1;
-        lane_leaf_[lane] = 0;
+  // After a band evaluation error each row resolves its own bands, and
+  // then its leaves, when the walk reaches it.
+  if (!lane_bands_ready_) return;
+
+  prefix_lanes_.Clear();
+  if (!prefixes_.empty()) {
+    lane_keys_.assign(rows, 0);
+    lane_chains_.resize(rows * bands);
+    for (const uint32_t lane : lanes) {
+      BandChain* chains = &lane_chains_[lane * bands];
+      int64_t keys = 0;
+      for (size_t b = 0; b < bands; ++b) {
+        chains[b] = ChainOf(lane_bands_[b][lane], b);
+        keys += chains[b].n;
       }
-      if (lanes.empty()) continue;
-      if (!ResolveFoldExprVector(*term.arg, term, lanes).ok()) {
-        // The walk raises the error on the row where row mode would.
-        for (const uint32_t lane : prefix_lanes_.indices()) {
-          lane_plan_[lane] = kWalkLane;
-        }
-        return;
-      }
-      for (const uint32_t lane : lanes.indices()) {
-        if (lane_leaf_[lane] & kLeafInexact) {
-          lane_plan_[lane] = kWalkLane;
-          continue;
-        }
-        if (lane_leaf_[lane] & kLeafNull) continue;
-        for (size_t b = tagged ? slot : 0; b < (tagged ? slot + 1 : bands);
-             ++b) {
-          const BandChain chain = ChainOf(lane_bands_[b][lane], b);
-          if (chain.n == 0) continue;
-          const FoldPrefix& prefix = prefixes_[band_prefix_[b]];
-          const auto chain_total = [&](const std::vector<int64_t>& v) {
-            const int64_t before = chain.first - prefix.modulus;
-            return v[static_cast<size_t>(chain.last)] -
-                   (before >= 0 ? v[static_cast<size_t>(before)] : 0);
-          };
-          lane_sums_[lane * terms + t] +=
-              lane_coeff_[lane] * chain_total(prefix.sums[t]);
-          lane_counts_[lane * terms + t] += chain_total(prefix.counts[t]);
-        }
+      lane_keys_[lane] = keys;
+      if (keys == 0) {
+        lane_plan_[lane] = kNoGroupLane;  // inner join: no group
+      } else if (ChainsDisjoint(chains)) {
+        // Overlapping bands count a shared candidate once; that is left
+        // to the walk's deduplication.
+        lane_plan_[lane] = kPrefixLane;
+        prefix_lanes_.indices().push_back(lane);
       }
     }
   }
+
+  // Every leaf a row's non-empty bands can use: a per-band term's leaf
+  // of each such band, another term's one leaf if any band is.
+  for (size_t t = 0; t < fold_terms_.size(); ++t) {
+    const FoldTerm& term = fold_terms_[t];
+    for (size_t slot = 0; slot < (term.per_band ? bands : 1); ++slot) {
+      const auto live = [&](uint32_t lane) {
+        if (term.per_band) return !lane_bands_[slot][lane].empty;
+        for (size_t b = 0; b < bands; ++b) {
+          if (!lane_bands_[b][lane].empty) return true;
+        }
+        return false;
+      };
+      leaf_lanes_.Clear();
+      for (const uint32_t lane : lanes) {
+        if (lane_plan_[lane] == kNoGroupLane || !live(lane)) continue;
+        leaf_lanes_.indices().push_back(lane);
+        fold_vp_.column(key_col).SetInt(lane,
+                                        lane_bands_[slot][lane].residue);
+      }
+      if (leaf_lanes_.empty()) continue;
+      if (!ResolveFoldLeaves(t, slot, leaf_lanes_).ok()) {
+        // Every row of this vector walks and resolves its own leaves,
+        // so the first failing row in row order raises the error.
+        lane_plan_.assign(rows, kWalkLane);
+        return;
+      }
+    }
+  }
+  leaves_ready_ = true;
+  if (prefix_lanes_.empty()) return;
+
+  const size_t terms = fold_terms_.size();
+  lane_sums_.assign(rows * terms, 0);
+  lane_counts_.assign(rows * terms, 0);
+  for (const uint32_t lane : prefix_lanes_.indices()) {
+    if (!SumPrefixLane(lane)) lane_plan_[lane] = kWalkLane;
+  }
 }
 
-Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e,
-                                              const FoldTerm& term,
+bool MergeBandJoinOp::SumPrefixLane(uint32_t lane) {
+  const size_t bands = spec_.bands.size();
+  const size_t terms = fold_terms_.size();
+  const BandChain* chains = &lane_chains_[lane * bands];
+  for (size_t t = 0; t < terms; ++t) {
+    const FoldTerm& term = fold_terms_[t];
+    for (size_t b = 0; b < bands; ++b) {
+      const BandChain& chain = chains[b];
+      if (chain.n == 0) continue;
+      const FoldLeaf& leaf =
+          LeafAt(lane, term.first_leaf + (term.per_band ? b : 0));
+      if (leaf.null) continue;
+      // c_band: the integer the leaf's steps multiply every cell by,
+      // checked in 128 bits at every step.
+      int64_t c = 1;
+      for (const FoldStep& step : leaf.steps) {
+        if (step.negate) {
+          c = -c;
+          continue;
+        }
+        // An INTEGER SUM of a double product is the walk's type error.
+        const std::optional<int64_t> f =
+            step.factor_int ? std::optional<int64_t>(step.factor_i)
+            : term.int_sum  ? std::nullopt
+                            : ExactIntegral(step.factor_d);
+        if (!f.has_value()) return false;
+        const __int128 product = static_cast<__int128>(c) * *f;
+        if (product > term.prefix_max_coeff ||
+            product < -term.prefix_max_coeff) {
+          return false;
+        }
+        c = static_cast<int64_t>(product);
+      }
+      const FoldPrefix& prefix = prefixes_[band_prefix_[b]];
+      const auto chain_total = [&](const std::vector<int64_t>& v) {
+        const int64_t before = chain.first - prefix.modulus;
+        return v[static_cast<size_t>(chain.last)] -
+               (before >= 0 ? v[static_cast<size_t>(before)] : 0);
+      };
+      lane_sums_[lane * terms + t] += c * chain_total(prefix.sums[t]);
+      lane_counts_[lane * terms + t] += chain_total(prefix.counts[t]);
+    }
+  }
+  return true;
+}
+
+Status MergeBandJoinOp::ResolveFoldLeaves(size_t t, size_t slot,
+                                          const SelectionVector& lanes) {
+  const FoldTerm& term = fold_terms_[t];
+  const size_t leaf = term.first_leaf + slot;
+  for (const uint32_t lane : lanes.indices()) {
+    FoldLeaf& resolved = LeafAt(lane, leaf);
+    resolved.null = false;
+    resolved.steps.clear();
+  }
+  return ResolveFoldExprVector(*term.arg, leaf, lanes);
+}
+
+Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e, size_t leaf,
                                               const SelectionVector& lanes) {
   switch (e.kind) {
     case ExprKind::kColumnRef:
       return Status::OK();  // the right cell itself
-    case ExprKind::kUnary:
-      RFV_RETURN_IF_ERROR(ResolveFoldExprVector(*e.children[0], term, lanes));
+    case ExprKind::kUnary: {
+      RFV_RETURN_IF_ERROR(ResolveFoldExprVector(*e.children[0], leaf, lanes));
+      FoldStep step;
+      step.negate = true;
       for (const uint32_t lane : lanes.indices()) {
-        lane_coeff_[lane] = -lane_coeff_[lane];
+        LeafAt(lane, leaf).steps.push_back(step);
       }
       return Status::OK();
+    }
     case ExprKind::kBinary: {
-      // Both operands evaluate on every lane, as in ResolveFoldExpr; the
-      // factor is the left-only side.
+      // Operands evaluate in the row path's order, both on every lane;
+      // the factor is the left-only side.
       const bool factor_first =
           RefsOnlyRange(*e.children[0], 0, fold_partial_base());
       const Expr& factor = *e.children[factor_first ? 0 : 1];
@@ -1449,39 +1399,28 @@ Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e,
             VectorEvaluator::Eval(factor, fold_vp_, lanes, &values));
       }
       RFV_RETURN_IF_ERROR(
-          ResolveFoldExprVector(*e.children[factor_first ? 1 : 0], term,
+          ResolveFoldExprVector(*e.children[factor_first ? 1 : 0], leaf,
                                 lanes));
       if (!factor_first) {
         RFV_RETURN_IF_ERROR(
             VectorEvaluator::Eval(factor, fold_vp_, lanes, &values));
       }
-      const int64_t max_coeff = term.prefix_max_coeff;
       for (const uint32_t lane : lanes.indices()) {
-        std::optional<int64_t> f;
-        switch (values.tag(lane)) {
-          case DataType::kNull:
-            lane_leaf_[lane] |= kLeafNull;
-            continue;
-          case DataType::kInt64:
-            f = values.i64(lane);
-            break;
-          case DataType::kDouble:
-            // An INTEGER SUM of a double product is the walk's type error.
-            if (!term.int_sum) f = ExactIntegral(values.f64(lane));
-            break;
-          default:
-            return Status::TypeError("arithmetic on non-numeric value");
-        }
-        if (!f.has_value()) {
-          lane_leaf_[lane] |= kLeafInexact;
+        FoldLeaf& resolved = LeafAt(lane, leaf);
+        const DataType tag = values.tag(lane);
+        if (tag == DataType::kNull) {
+          resolved.null = true;
           continue;
         }
-        const __int128 coeff = static_cast<__int128>(lane_coeff_[lane]) * *f;
-        if (coeff > max_coeff || coeff < -max_coeff) {
-          lane_leaf_[lane] |= kLeafInexact;
-          continue;
+        if (tag != DataType::kInt64 && tag != DataType::kDouble) {
+          return Status::TypeError("arithmetic on non-numeric value");
         }
-        lane_coeff_[lane] = static_cast<int64_t>(coeff);
+        FoldStep step;
+        step.factor_first = factor_first;
+        step.factor_int = tag == DataType::kInt64;
+        if (step.factor_int) step.factor_i = values.i64(lane);
+        step.factor_d = values.ToDouble(lane);
+        resolved.steps.push_back(step);
       }
       return Status::OK();
     }
@@ -1496,7 +1435,7 @@ Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e,
                                            &hit));
         if (!hit.empty()) {
           RFV_RETURN_IF_ERROR(
-              ResolveFoldExprVector(*e.children[2 * i + 1], term, hit));
+              ResolveFoldExprVector(*e.children[2 * i + 1], leaf, hit));
           // Both selections ascend: drop the taken lanes in one pass.
           std::vector<uint32_t>& kept = rest.indices();
           size_t h = 0;
@@ -1510,7 +1449,7 @@ Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e,
         }
       }
       if (rest.empty()) return Status::OK();
-      return ResolveFoldExprVector(*e.children.back(), term, rest);
+      return ResolveFoldExprVector(*e.children.back(), leaf, rest);
     }
     default:
       return Status::Internal("band fold: argument is not run-foldable");
@@ -1525,8 +1464,7 @@ Status MergeBandJoinOp::NextFoldedVector(VectorProjection** out, bool* eof) {
   while (filled < vector_capacity_) {
     RFV_RETURN_IF_ERROR(NextLeftLane(eof));
     if (*eof) break;
-    const LanePlan plan =
-        prefixes_.empty() ? kWalkLane : lane_plan_[current_lane_];
+    const LanePlan plan = lane_plan_[current_lane_];
     if (plan == kNoGroupLane) continue;  // inner join: no group
     int64_t keys = 0;
     if (plan == kPrefixLane) {
@@ -1547,9 +1485,6 @@ Status MergeBandJoinOp::NextFoldedVector(VectorProjection** out, bool* eof) {
       RFV_RETURN_IF_ERROR(ResolveLaneCandidates());
       keys = static_cast<int64_t>(candidates_.size());
       if (keys == 0) continue;  // inner join: no group
-      for (size_t c = 0; c < left_width; ++c) {
-        fold_row_[c] = left_vp_->column(c).GetValue(current_lane_);
-      }
       for (size_t t = 0; t < fold_terms_.size(); ++t) {
         RFV_RETURN_IF_ERROR(FoldTermCandidates(t, filled));
       }

@@ -310,12 +310,11 @@ std::string FormatMetricsLine(const std::string& label,
   std::snprintf(
       line, sizeof(line),
       "%-24s rows_in=%-9lld rows_out=%-9lld est=%-9s next_calls=%-9lld "
-      "batches=%-6lld vectors=%-6lld open_ms=%-8.3f next_ms=%-8.3f "
+      "vectors=%-6lld open_ms=%-8.3f next_ms=%-8.3f "
       "peak_buffered=%lld",
       label.c_str(), static_cast<long long>(e.rows_in),
       static_cast<long long>(e.metrics.rows_out), est,
       static_cast<long long>(e.metrics.next_calls),
-      static_cast<long long>(e.metrics.batches_out),
       static_cast<long long>(e.metrics.vectors_out),
       static_cast<double>(e.metrics.open_ns) / 1e6,
       static_cast<double>(e.metrics.next_ns) / 1e6,

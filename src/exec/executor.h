@@ -22,14 +22,11 @@ namespace rfv {
 struct OperatorMetrics {
   int64_t rows_out = 0;    ///< rows produced through Next/NextVector
   int64_t next_calls = 0;  ///< pull invocations, incl. the EOF call
-  /// NextVector calls that produced a projection with a non-empty
-  /// selection (the `batches=` column of EXPLAIN ANALYZE, the JSONL and
-  /// the system views).
-  int64_t batches_out = 0;
-  /// Same count as batches_out, plus the vectors a vectorized operator
-  /// produced for a row-pulling parent, so EXPLAIN ANALYZE shows which
-  /// operators ran columnar (a row-only operator under a columnar parent
-  /// counts here too, because it *answers* NextVector from its rows).
+  /// Non-empty vectors produced: NextVector results, plus the vectors a
+  /// vectorized operator produced for a row-pulling parent, so EXPLAIN
+  /// ANALYZE's `vectors=` shows which operators ran columnar (a row-only
+  /// operator under a columnar parent counts here too, because it
+  /// *answers* NextVector from its rows).
   int64_t vectors_out = 0;
   int64_t open_ns = 0;     ///< wall time inside Open (incl. children)
   int64_t next_ns = 0;     ///< cumulative wall time inside Next (ditto)
@@ -109,7 +106,6 @@ class PhysicalOperator {
     *eof = *out == nullptr;
     if (!*eof) {
       metrics_.rows_out += static_cast<int64_t>((*out)->NumSelected());
-      ++metrics_.batches_out;
       ++metrics_.vectors_out;
     }
     return status;
@@ -278,8 +274,11 @@ struct ExecOptions {
 };
 
 /// Lowers a logical plan to a physical operator tree. Join
-/// implementation choice (index nested-loop vs. hash vs. nested-loop)
-/// happens here; see exec/join.cc for the probe-condition extraction.
+/// implementation choice (merge band vs. index nested-loop vs. hash vs.
+/// nested-loop) happens here; the join conditions are taken apart by
+/// TryExtractBandJoin (exec/band_join.cc, the band spec of both
+/// band-driven joins) and ExtractEquiKeys (exec/executor.cc, the hash
+/// join's keys).
 /// Expressions are cloned — the logical plan stays reusable.
 Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
                                               const ExecOptions& options = {});

@@ -352,7 +352,6 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// that turn a right cell into the argument value, or `null` when the
   /// argument is NULL for every candidate of the band.
   struct FoldLeaf {
-    bool resolved = false;
     bool null = false;
     std::vector<FoldStep> steps;
   };
@@ -361,10 +360,11 @@ class MergeBandJoinOp : public PhysicalOperator {
     ExprPtr arg;          ///< bound over the joined schema
     size_t column = 0;    ///< right-side column the argument is linear in
     bool int_sum = false; ///< INTEGER output (else DOUBLE)
-    /// The resolution reads the left row (CASE or column factors); a
-    /// constant argument resolves once per Open.
-    bool per_left_row = false;
-    std::vector<FoldLeaf> leaves;  ///< per band when tagging, else one
+    /// A CASE condition reads MOD(band key, w) and there are several
+    /// bands: one leaf per band, whose residue decides the branches;
+    /// else one leaf for every band.
+    bool per_band = false;
+    size_t first_leaf = 0;  ///< offset of its leaves among a lane's
     /// Prefix path (set with prefixes_): the largest |coefficient| c
     /// for which |c| · max|cell| · (right keys) stays exact — 2^53 for
     /// DOUBLE sums, INT64_MAX for INTEGER ones.
@@ -414,30 +414,45 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// Fold mode's NextVectorImpl: one partial row per matched left row.
   Status NextFoldedVector(VectorProjection** out, bool* eof);
   /// Folds the current left row's candidates into term `t`'s (sum,
-  /// count) cells at output position `at`.
+  /// count) cells at output position `at`. Without leaves_ready_, first
+  /// resolves the row's leaves of term `t` (ResolveLaneLeaves).
   Status FoldTermCandidates(size_t t, size_t at);
+  /// The leaf slot candidate `id` takes in a per-band term: the first
+  /// non-empty band of the current row whose residue class holds its
+  /// key (all bands holding a key agree on MOD(key, w)).
+  size_t FoldSlot(size_t id) const;
+  /// Resolves term `t`'s leaves of the current row over a one-lane
+  /// selection, for the slots its candidates use, in the order they
+  /// first use them.
+  Status ResolveLaneLeaves(size_t t);
   /// Open: builds prefixes_ when this Open's data admit the prefix path.
   void BuildFoldPrefixes();
-  /// Prefix path, once per left vector: plans every lane (no group,
-  /// prefix sums, or walk) and computes the prefix lanes' partials.
+  /// Once per left vector: resolves every leaf the rows' non-empty
+  /// bands can use (leaves_ready_ on success), plans every row (no
+  /// group, prefix sums, or walk) and computes the prefix rows'
+  /// partials.
   void PlanFoldVector();
+  /// Adds a prefix row's chain sums into lane_sums_ / lane_counts_;
+  /// false when a leaf's coefficient is not exact (the row walks).
+  bool SumPrefixLane(uint32_t lane);
   /// Band b of one left row as a chain of dense positions.
   BandChain ChainOf(const ResolvedBand& band, size_t b) const;
   /// The non-empty chains[0, bands) are pairwise disjoint.
   bool ChainsDisjoint(const BandChain* chains);
-  /// ResolveFoldExpr over `lanes` of fold_vp_, columnar: multiplies
-  /// lane_coeff_ by the taken branch's integer coefficient, or flags
-  /// the lane (kLeafNull / kLeafInexact) in lane_leaf_. An error means
-  /// some lane's walk would raise one. A columnar twin of
-  /// ResolveFoldExpr, kept for its measured gain over resolving each
-  /// prefix row through it (EXPERIMENTS.md A10 "Prefix path").
-  Status ResolveFoldExprVector(const Expr& e, const FoldTerm& term,
+  /// Resolves term `t`'s leaf `slot` on `lanes` of fold_vp_, whose band
+  /// key column holds each lane's band residue.
+  Status ResolveFoldLeaves(size_t t, size_t slot,
+                           const SelectionVector& lanes);
+  /// The fold-argument interpreter: walks a run-foldable argument over
+  /// `lanes` of fold_vp_, evaluating its CASE conditions and factors
+  /// columnar in the row path's operand order, and appends the taken
+  /// branch's typed steps to each lane's leaf `leaf` (or marks it
+  /// null). An error means some lane's row would raise one.
+  Status ResolveFoldExprVector(const Expr& e, size_t leaf,
                                const SelectionVector& lanes);
-  /// Resolves term->leaves[slot] on fold_row_ for the current left row.
-  Status ResolveFoldLeaf(FoldTerm* term, size_t slot);
-  /// Walks a run-foldable argument, evaluating its CASE conditions and
-  /// factors on fold_row_ and recording the steps of the taken branch.
-  Status ResolveFoldExpr(const Expr& e, FoldLeaf* leaf) const;
+  FoldLeaf& LeafAt(uint32_t lane, size_t leaf) {
+    return leaves_[lane * fold_leaves_ + leaf];
+  }
 
   PhysicalOperatorPtr left_;
   PhysicalOperatorPtr right_;
@@ -463,8 +478,6 @@ class MergeBandJoinOp : public PhysicalOperator {
   std::vector<size_t> candidates_;
   size_t candidate_pos_ = 0;
   size_t right_width_ = 0;
-  /// Fold-mode dedup scratch: (candidate, band) pairs to sort.
-  std::vector<std::pair<size_t, uint32_t>> tagged_;
 
   /// The right side, columnar (row id = position): the gather source
   /// for output runs and of the row path's joined rows.
@@ -490,37 +503,31 @@ class MergeBandJoinOp : public PhysicalOperator {
 
   // --- SUM fold (TryEnableSumFold); empty fold_terms_ = off ---
   std::vector<FoldTerm> fold_terms_;
-  /// Resolved bands of the current left row (fold leaves read residues).
+  /// Resolved bands of the current left row.
   std::vector<ResolvedBand> resolved_;
-  /// Some CASE condition reads MOD(band key, w) and there are several
-  /// bands: candidates then carry their band index (candidate_bands_,
-  /// parallel to candidates_) through the cross-band dedup.
-  bool fold_tag_bands_ = false;
-  std::vector<uint32_t> candidate_bands_;
-  /// Left row ⊕ right placeholders (band key = the band's residue): the
-  /// row fold CASE conditions and factors are evaluated on.
-  Row fold_row_;
   int64_t folded_candidates_ = 0;
+  /// The current left vector's leaves, [lane * fold_leaves_ + term's
+  /// first_leaf + slot]; leaves_ready_ when PlanFoldVector resolved
+  /// them, else each walked row resolves its own.
+  std::vector<FoldLeaf> leaves_;
+  size_t fold_leaves_ = 0;
+  bool leaves_ready_ = false;
   /// Prefix path (empty prefixes_ = off for this Open): the prefix of
-  /// each band's modulus, and the current left vector's plan, by lane.
+  /// each band's modulus.
   std::vector<FoldPrefix> prefixes_;
   std::vector<size_t> band_prefix_;
+  /// The current left vector's plan and prefix partials, by lane.
   enum LanePlan : uint8_t { kWalkLane, kPrefixLane, kNoGroupLane };
   std::vector<LanePlan> lane_plan_;
   std::vector<int64_t> lane_keys_;    ///< candidates per lane
   std::vector<int64_t> lane_sums_;    ///< [lane * terms + term]
   std::vector<int64_t> lane_counts_;  ///< [lane * terms + term]
-  /// Leaf resolution scratch: coefficient and flags per lane.
-  static constexpr uint8_t kLeafNull = 1;
-  static constexpr uint8_t kLeafInexact = 2;
-  std::vector<int64_t> lane_coeff_;
-  std::vector<uint8_t> lane_leaf_;
+  std::vector<BandChain> lane_chains_;  ///< [lane * bands + band]
   /// Left columns and the right ones up to the band key, which holds
   /// the band's residue as a placeholder.
   VectorProjection fold_vp_;
   SelectionVector prefix_lanes_;
   SelectionVector leaf_lanes_;
-  std::vector<BandChain> chains_;
   std::vector<size_t> chain_order_;
   int64_t prefix_rows_ = 0;
 };

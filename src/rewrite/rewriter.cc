@@ -305,9 +305,7 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
     result.choice.view = witness;
     result.choice.method = DerivationMethod::kCountTrivial;
     if (options.use_cost_model) {
-      PatternStats stats = StatsForView(*witness);
-      stats.vector_exec = options.vector_exec;
-      result.cost = EstimateCountTrivialCost(stats);
+      result.cost = EstimateCountTrivialCost(StatsForView(*witness));
     }
     if (decision != nullptr) {
       decision->summary = "count-trivial using view " + witness->view_name;
@@ -401,10 +399,8 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
     // Tentpole path: price every (view, method) alternative against the
     // live statistics and against recomputing from the base table
     // (paper §7: neither MaxOA nor MinOA dominates).
-    const ViewStatsFn stats_fn = [this, &options](const SequenceViewDef& v) {
-      PatternStats stats = StatsForView(v);
-      stats.vector_exec = options.vector_exec;
-      return stats;
+    const ViewStatsFn stats_fn = [this](const SequenceViewDef& v) {
+      return StatsForView(v);
     };
     CostEstimate chosen_cost;
     std::vector<CandidateVerdict> verdicts;
@@ -416,10 +412,8 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
       any_stale |= StatsForView(*v).stale;
     }
     if (any_stale) CountStaleStats();
-    PatternStats base_stats = StatsForView(*candidates.front());
-    base_stats.vector_exec = options.vector_exec;
-    const CostEstimate baseline =
-        EstimateSelfJoinRecomputeCost(query->window, base_stats);
+    const CostEstimate baseline = EstimateSelfJoinRecomputeCost(
+        query->window, StatsForView(*candidates.front()));
     if (decision != nullptr) {
       decision->verdicts = std::move(verdicts);
       decision->baseline = baseline;
@@ -507,9 +501,8 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
   if (!chosen_cost_out.has_value() && options.use_cost_model) {
     // Forced-method path: still price the pattern so EXPLAIN can show
     // the estimate next to the measured rows.
-    PatternStats forced_stats = StatsForView(view);
-    forced_stats.vector_exec = options.vector_exec;
-    chosen_cost_out = EstimateDerivationCost(choice, *query, forced_stats);
+    chosen_cost_out =
+        EstimateDerivationCost(choice, *query, StatsForView(view));
   }
   result.cost = chosen_cost_out;
   if (decision != nullptr) {

@@ -27,11 +27,8 @@ struct RewriteOptions {
   /// statistics, including the no-rewrite comparison below; off =
   /// the paper's static preference order, always rewriting.
   bool use_cost_model = true;
-  /// Whether the session executes plans in vectorized mode
-  /// (ExecOptions::use_vectorized_execution). Stamped into
-  /// PatternStats::vector_exec so the cost model prices the band-merge
-  /// and hash-join alternatives at their vector-native paths
-  /// (`join=band+vec` / `join=hash+vec` in EXPLAIN).
+  /// Ignored: the cost model prices plans the same in either execution
+  /// mode. Still declared because the whbench harness assigns it.
   bool vector_exec = false;
 };
 

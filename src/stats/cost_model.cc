@@ -31,10 +31,12 @@ CostEstimate Finish(CostEstimate est) {
 ///                stride candidates per left row (exec/band_join.cc).
 /// hull_rows / band_rows are candidate counts per left row; pass a
 /// negative band_rows when the condition has no band shape.
-/// Per-candidate cost multiplier of a vector-native join path relative
-/// to its row path: candidate runs are gathered column-wise into pooled
-/// lanes instead of materialized through per-row Value copies (measured
-/// ~2× on the A8 sweep and the BM_HashJoin probe; priced conservatively).
+/// Per-candidate cost multiplier of the band-merge and hash joins, whose
+/// vector-native paths gather candidate runs column-wise into pooled
+/// lanes instead of materializing per-row Value copies (measured ~2× on
+/// the A8 sweep and the BM_HashJoin probe; priced conservatively). Plans
+/// are priced the same in either execution mode, so row mode derives
+/// the same rewritten plan as the default vector mode.
 constexpr double kVectorJoinDiscount = 0.5;
 
 void PriceJoin(double n, double m, double branches, double hull_rows,
@@ -42,7 +44,6 @@ void PriceJoin(double n, double m, double branches, double hull_rows,
                CostEstimate* est) {
   est->pred_evals = n * m * branches;
   est->join = JoinStrategy::kNestedLoop;
-  est->vector = false;
   if (stats.indexed && hull_rows >= 0) {
     const double hull = n * hull_rows * branches;
     if (hull < est->pred_evals) {
@@ -51,15 +52,10 @@ void PriceJoin(double n, double m, double branches, double hull_rows,
     }
   }
   if (band_rows >= 0) {
-    // The merge band join has a vector-native path (band_join.cc
-    // NextVectorImpl); under vectorized execution its candidates cost
-    // kVectorJoinDiscount of the row path's.
-    double band = n * band_rows * branches;
-    if (stats.vector_exec) band *= kVectorJoinDiscount;
+    const double band = n * band_rows * branches * kVectorJoinDiscount;
     if (band < est->pred_evals) {
       est->pred_evals = band;
       est->join = JoinStrategy::kBandMerge;
-      est->vector = stats.vector_exec;
     }
   }
 }
@@ -86,7 +82,6 @@ std::string CostEstimate::Summary() const {
   if (join != JoinStrategy::kNone) {
     out += " join=";
     out += JoinStrategyName(join);
-    if (vector) out += "+vec";
   }
   return out;
 }
@@ -212,20 +207,11 @@ CostEstimate EstimateMinMaxCoverCost(const PatternStats& stats) {
   const double n = static_cast<double>(stats.body_rows);
   est.rows_read = n + 2 * m;
   // Two equi self joins on shifted positions — index- or hash-joinable,
-  // so the pair cost is linear, not quadratic. The hash flavor has a
-  // vector-native build/probe path (join.cc OpenVectorized /
-  // NextVectorImpl); under vectorized execution its per-join cost is
+  // so the pair cost is linear, not quadratic. The hash join's cost is
   // discounted like the band merge's.
-  double per_join = stats.indexed ? n + m : 2 * (n + m);
-  if (stats.indexed) {
-    est.join = JoinStrategy::kIndexHull;
-  } else {
-    est.join = JoinStrategy::kHashEqui;
-    if (stats.vector_exec) {
-      per_join *= kVectorJoinDiscount;
-      est.vector = true;
-    }
-  }
+  const double per_join =
+      stats.indexed ? n + m : 2 * (n + m) * kVectorJoinDiscount;
+  est.join = stats.indexed ? JoinStrategy::kIndexHull : JoinStrategy::kHashEqui;
   est.pred_evals = 2 * per_join;
   est.tuples = 2 * n;
   est.output_rows = n;
@@ -252,7 +238,7 @@ CostEstimate EstimateSelfJoinRecomputeCost(const WindowSpec& query_window,
   est.rows_read = 2 * b;
   // Fig. 2: self join on a position-range predicate, one branch. The
   // BETWEEN band's hull per probe is the query window itself, so the
-  // index probe and the band merge price identically.
+  // index probe and the band merge touch the same rows.
   const double window_rows = std::min(w, b) * stats.PosDensity();
   PriceJoin(b, b, /*branches=*/1, window_rows, window_rows, stats, &est);
   est.tuples = b * std::min(w, b);

@@ -36,14 +36,6 @@ struct PatternStats {
   /// True when the decision ran on stale column statistics (counts are
   /// always exact; recorded for the rfv_rewrite_cost_* metrics).
   bool stale = false;
-  /// Whether the executor will run the plan in vectorized mode
-  /// (ExecOptions::use_vectorized_execution), stamped by the rewriter
-  /// from the session's options. The band-merge and hash-join
-  /// alternatives then price their vector-native paths (column-gathered
-  /// emission instead of per-row materialization) and the chosen
-  /// estimate is tagged CostEstimate::vector (`join=band+vec`).
-  bool vector_exec = false;
-
   /// Position-column statistics (ColumnStats of the content table's pos
   /// column), pricing the index-probe hull and band-join alternatives:
   /// smallest and largest position. pos_max < pos_min = unknown range.
@@ -91,15 +83,9 @@ struct CostEstimate {
   double total = 0;
   /// Cheapest join alternative the pred_evals term assumed.
   JoinStrategy join = JoinStrategy::kNone;
-  /// True when the chosen join alternative was priced at its
-  /// vector-native execution path (PatternStats::vector_exec and the
-  /// strategy has one). Rendered as a "+vec" suffix on the join token,
-  /// so EXPLAIN distinguishes row from vector join execution.
-  bool vector = false;
 
   /// "total=… read=… pred=… tuples=… out=… join=…" (EXPLAIN verdict
-  /// rendering; the join token is omitted for join-free patterns and
-  /// suffixed "+vec" when the vector-native path was priced).
+  /// rendering; the join token is omitted for join-free patterns).
   std::string Summary() const;
 };
 

@@ -28,6 +28,10 @@ namespace fuzzing {
 ///                   disabled (exec.enable_merge_band_join off), so the
 ///                   index nested-loop join runs the same band spec on
 ///                   the view's position index, vs. the merge band join;
+///   * rowmode     — the same forced rewrites replayed in row mode
+///                   (exec.use_vectorized_execution off), vs. their
+///                   columnar run: band join, hash aggregate and SUM
+///                   fold against the row paths;
 ///   * maintenance — incrementally maintained view content vs. a full
 ///                   recompute (ViewManager::RefreshView) after every
 ///                   DML batch.

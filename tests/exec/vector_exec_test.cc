@@ -99,7 +99,7 @@ TEST_F(ExecContractTest, ScanFinalVectorIsNonEmptyThenEof) {
   ExpectVectorEof(scan.get());
   EXPECT_EQ(scan->metrics().next_calls, 3);
   EXPECT_EQ(scan->metrics().rows_out, 5);
-  EXPECT_EQ(scan->metrics().batches_out, 1);
+  EXPECT_EQ(scan->metrics().vectors_out, 1);
 }
 
 TEST_F(ExecContractTest, LimitVectorTruncatesSelectionThenEof) {
@@ -192,7 +192,7 @@ TEST(NextVectorShellTest, SkipsEmptyResultsAndHoldsBackEofWithRows) {
   EXPECT_EQ(op.impl_calls(), 5u);  // the held-back eof re-enters nothing
   EXPECT_EQ(op.metrics().next_calls, 4);
   EXPECT_EQ(op.metrics().rows_out, 5);
-  EXPECT_EQ(op.metrics().batches_out, 2);
+  EXPECT_EQ(op.metrics().vectors_out, 2);
 }
 
 TEST(NextVectorShellTest, EmptyEofEndsTheStreamAtOnce) {
@@ -1704,6 +1704,27 @@ TEST_F(BandFoldTest, StringCellWalksIntoTheTypeError) {
             Status::TypeError("arithmetic on non-numeric value").ToString());
   EXPECT_NE(band->MetricsDetail().find("prefix=0"), std::string::npos)
       << band->MetricsDetail();
+}
+
+TEST_F(BandFoldTest, WalkLeafErrorsOnlyWhereCandidatesSurvive) {
+  // The factor divides by zero on s1.pos = 3 only, whose candidates the
+  // residual removes (every vx value is below 1000). Row mode never
+  // evaluates it there, so no mode may raise it, though the fold's
+  // per-vector leaf resolution meets it.
+  const std::string sql =
+      "SELECT s1.pos, SUM((1 / (s1.pos - 3)) * s2.val) FROM vx s1, vx s2 "
+      "WHERE s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 AND (s1.pos <> 3 OR "
+      "s2.val > 1000) GROUP BY s1.pos ORDER BY 1";
+  const FoldStats stats = ExpectFoldMatchesRow(sql);
+  EXPECT_EQ(stats.rows, 64);  // s1.pos -4..60 but 3
+  EXPECT_EQ(stats.prefix, 0);
+  db_.options().exec.enable_merge_band_join = false;
+  EXPECT_FALSE(Folds(sql));
+  const ResultSet no_band = MustExecute(db_, sql);
+  db_.options().exec.enable_merge_band_join = true;
+  const ResultSet folded = MustExecute(db_, sql);
+  ASSERT_EQ(folded.NumRows(), 64u);
+  EXPECT_TRUE(BitIdentical(folded, no_band));
 }
 
 TEST_F(BandFoldTest, IntegerSumOverflowErrorsInEveryMode) {

@@ -139,16 +139,17 @@ TEST(CostModelTest, MaxoaDisjunctionPricedAsBandMerge) {
   EXPECT_NE(est.Summary().find("join=band"), std::string::npos);
 }
 
-TEST(CostModelTest, CumulativeDiffPointProbesUseIndexHull) {
+TEST(CostModelTest, CumulativeDiffPointProbesUseBandMerge) {
   // Two point probes per output row: the ordered index and the band
-  // merge price identically, and the index wins the tie. Without the
-  // index the band merge carries the same point bands.
+  // merge touch one candidate each, and the band merge's vector-native
+  // discount decides. Without the index it prices the same.
   PatternStats stats = MakeStats(50, 0, 1);
-  EXPECT_EQ(EstimateCumulativeDiffCost(stats).join,
-            JoinStrategy::kIndexHull);
+  const CostEstimate indexed = EstimateCumulativeDiffCost(stats);
+  EXPECT_EQ(indexed.join, JoinStrategy::kBandMerge);
   stats.indexed = false;
   const CostEstimate unindexed = EstimateCumulativeDiffCost(stats);
   EXPECT_EQ(unindexed.join, JoinStrategy::kBandMerge);
+  EXPECT_EQ(unindexed.pred_evals, indexed.pred_evals);
   EXPECT_LT(unindexed.pred_evals,
             50.0 * static_cast<double>(stats.content_rows));
 }
