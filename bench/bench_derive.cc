@@ -271,6 +271,47 @@ BENCHMARK(BM_SqlExec_VectorNoBand)->EXEC_MODE_ARGS
 BENCHMARK(BM_SqlExec_VectorBand)->EXEC_MODE_ARGS->Args({0, 8000})
     ->Unit(benchmark::kMillisecond);
 
+// ---------------------------------------------------------------------
+// Serving read: a 100-row primary-key range over a table of n rows,
+// `SELECT id, val FROM facts WHERE id BETWEEN a AND a + 99` — whbench
+// serve_mixed's read shape 0. The range scan binary-searches the pinned
+// snapshot's image of facts_pk_id and reads the 100 rows of the range;
+// a full scan reads all n. The start `a` walks the table so successive
+// iterations read different rows.
+// ---------------------------------------------------------------------
+
+void BM_SqlRangeScan_Pk(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Database db;
+  std::string insert = "INSERT INTO facts VALUES ";
+  for (int64_t i = 1; i <= n; ++i) {
+    insert += (i > 1 ? ", (" : "(") + std::to_string(i) + ", " +
+              std::to_string(i % 16) + ", " + std::to_string(i % 101 - 50) +
+              ")";
+  }
+  if (!db.Execute("CREATE TABLE facts (id INTEGER PRIMARY KEY, grp "
+                  "INTEGER, val DOUBLE)")
+           .ok() ||
+      !db.Execute(insert).ok() || !db.Execute("ANALYZE").ok()) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  int64_t a = 1;
+  for (auto _ : state) {
+    Result<ResultSet> rs =
+        db.Execute("SELECT id, val FROM facts WHERE id BETWEEN " +
+                   std::to_string(a) + " AND " + std::to_string(a + 99));
+    if (!rs.ok() || rs->NumRows() != 100) {
+      state.SkipWithError("range read failed");
+      return;
+    }
+    benchmark::DoNotOptimize(rs->NumRows());
+    a = a + 137 > n - 99 ? 1 : a + 137;
+  }
+  state.SetItemsProcessed(state.iterations() * 100);
+}
+BENCHMARK(BM_SqlRangeScan_Pk)->Arg(4000)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace rfv
 

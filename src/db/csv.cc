@@ -213,8 +213,10 @@ Result<size_t> ExportCsv(Catalog* catalog, const std::string& table_name,
     }
     out << '\n';
   }
-  for (size_t r = 0; r < table->NumRows(); ++r) {
-    const Row& row = table->row(r);
+  // Read a pinned snapshot: the export runs beside concurrent DML.
+  const TableSnapshotPtr snap = table->PinSnapshot();
+  for (size_t r = 0; r < snap->num_rows(); ++r) {
+    const Row& row = snap->row(r);
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out << options.delimiter;
       out << QuoteField(FieldText(row[c], options.null_text),
@@ -224,7 +226,7 @@ Result<size_t> ExportCsv(Catalog* catalog, const std::string& table_name,
   }
   out.flush();
   if (!out) return Status::ExecutionError("write to " + path + " failed");
-  return table->NumRows();
+  return snap->num_rows();
 }
 
 }  // namespace rfv

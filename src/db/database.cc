@@ -73,99 +73,47 @@ std::string FormatRewriteDecision(const RewriteDecision& decision) {
   return text;
 }
 
-bool IsConstExpr(const Expr& e) {
-  if (e.kind == ExprKind::kColumnRef) return false;
-  for (const auto& child : e.children) {
-    if (!IsConstExpr(*child)) return false;
-  }
-  return true;
-}
-
 /// How UPDATE/DELETE locate their target rows: an ordered-index probe
 /// when a sargable conjunct (col = const, col <op> const, col BETWEEN
 /// const AND const) covers an indexed column, else a sequential scan.
-/// Index candidates are a superset for range probes; the caller must
-/// re-check the full predicate on each candidate row.
 struct DmlScanChoice {
-  bool used_index = false;
+  std::optional<KeyRange> range;  ///< the probed key range; none: seq scan
   std::string description = "seq scan";
-  std::vector<size_t> candidates;  ///< sorted row ids; only when used_index
 };
 
-Result<DmlScanChoice> ChooseDmlScan(Table* table, const Expr* where) {
+DmlScanChoice ChooseDmlScan(const Table& table, const Expr* where) {
   DmlScanChoice choice;
   if (where == nullptr) return choice;
-  std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(where->Clone(), &conjuncts);
-  const Row empty_row;
-  for (const ExprPtr& c : conjuncts) {
-    if (c->kind == ExprKind::kBinary) {
-      BinaryOp op = c->binary_op;
-      if (op != BinaryOp::kEq && op != BinaryOp::kLt && op != BinaryOp::kLe &&
-          op != BinaryOp::kGt && op != BinaryOp::kGe) {
-        continue;
-      }
-      const Expr* col = nullptr;
-      const Expr* constant = nullptr;
-      if (c->children[0]->kind == ExprKind::kColumnRef &&
-          IsConstExpr(*c->children[1])) {
-        col = c->children[0].get();
-        constant = c->children[1].get();
-      } else if (c->children[1]->kind == ExprKind::kColumnRef &&
-                 IsConstExpr(*c->children[0])) {
-        col = c->children[1].get();
-        constant = c->children[0].get();
-        // Mirror the comparison so `op` reads as <col> op <const>.
-        switch (op) {
-          case BinaryOp::kLt: op = BinaryOp::kGt; break;
-          case BinaryOp::kLe: op = BinaryOp::kGe; break;
-          case BinaryOp::kGt: op = BinaryOp::kLt; break;
-          case BinaryOp::kGe: op = BinaryOp::kLe; break;
-          default: break;
-        }
-      } else {
-        continue;
-      }
-      OrderedIndex* index = table->GetIndexOnColumn(col->column_index);
-      if (index == nullptr) continue;
-      Value key;
-      RFV_ASSIGN_OR_RETURN(key, Evaluator::Eval(*constant, empty_row));
-      if (op == BinaryOp::kEq) {
-        choice.candidates = index->Lookup(key);
-      } else if (op == BinaryOp::kLt || op == BinaryOp::kLe) {
-        // Inclusive range; strict bounds over-approximate and rely on
-        // the predicate re-check.
-        choice.candidates =
-            index->LookupRange(Value::Null(), false, key, true);
-      } else {
-        choice.candidates =
-            index->LookupRange(key, true, Value::Null(), false);
-      }
-      choice.used_index = true;
-      choice.description =
-          "index probe " + index->name() + " on " + c->ToString();
-      std::sort(choice.candidates.begin(), choice.candidates.end());
-      return choice;
-    }
-    if (c->kind == ExprKind::kBetween &&
-        c->children[0]->kind == ExprKind::kColumnRef &&
-        IsConstExpr(*c->children[1]) && IsConstExpr(*c->children[2])) {
-      OrderedIndex* index =
-          table->GetIndexOnColumn(c->children[0]->column_index);
-      if (index == nullptr) continue;
-      Value lo;
-      RFV_ASSIGN_OR_RETURN(lo, Evaluator::Eval(*c->children[1], empty_row));
-      Value hi;
-      RFV_ASSIGN_OR_RETURN(hi, Evaluator::Eval(*c->children[2], empty_row));
-      choice.used_index = true;
-      choice.candidates = index->LookupRange(lo, true, hi, true);
-      choice.description =
-          "index probe " + index->name() + " on " + c->ToString();
-      std::sort(choice.candidates.begin(), choice.candidates.end());
-      return choice;
+  std::vector<KeyRange> ranges = SargableKeyRanges(*where, table);
+  if (ranges.empty()) return choice;
+  choice.description =
+      "index probe " + ranges.front().index_name + " on " +
+      ranges.front().predicate;
+  choice.range = std::move(ranges.front());
+  return choice;
+}
+
+/// The row ids UPDATE/DELETE visit, ascending: the probe of the
+/// committed snapshot's index image, or every row. Probe candidates are
+/// a superset; the caller re-checks the full predicate on each. The
+/// caller holds the write mutex and has not opened its write bracket
+/// yet, so the committed snapshot is the live store and its row ids
+/// address row().
+std::vector<size_t> DmlCandidates(Table* table, const DmlScanChoice& scan) {
+  std::vector<size_t> ids;
+  if (scan.range.has_value()) {
+    const TableSnapshotPtr snap = table->PinSnapshot();
+    RFV_DCHECK(snap->epoch() == table->mutation_epoch());
+    const OrderedIndexPtr index = snap->IndexOnColumn(scan.range->column);
+    if (index != nullptr) {
+      const KeyRange& range = *scan.range;
+      return index->RowIdsInRange(range.lo.has_value() ? &*range.lo : nullptr,
+                                  range.hi.has_value() ? &*range.hi : nullptr);
     }
   }
-  return choice;
+  ids.resize(table->NumRows());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  return ids;
 }
 
 const char* StatementKindName(const Statement& stmt) {
@@ -470,9 +418,8 @@ Result<std::string> Database::ExplainDml(const Statement& stmt) {
       text += "  predicate: " +
               (where == nullptr ? std::string("none") : where->ToString()) +
               "\n";
-      DmlScanChoice scan;
-      RFV_ASSIGN_OR_RETURN(scan, ChooseDmlScan(table, where.get()));
-      text += "  scan: " + scan.description + "\n";
+      text += "  scan: " + ChooseDmlScan(*table, where.get()).description +
+              "\n";
       if (is_update) {
         text += "  assignments:";
         for (const auto& [name, expr] : stmt.update->assignments) {
@@ -715,15 +662,12 @@ Result<ResultSet> Database::ExecuteUpdate(const UpdateStmt& stmt) {
 
   // Narrow the scan through an ordered index when a sargable conjunct
   // allows it; candidates still get the full predicate re-checked.
-  DmlScanChoice scan;
-  RFV_ASSIGN_OR_RETURN(scan, ChooseDmlScan(table, where.get()));
+  const std::vector<size_t> candidates =
+      DmlCandidates(table, ChooseDmlScan(*table, where.get()));
 
   // Two-phase: evaluate first, apply second (self-referencing updates).
   std::vector<std::pair<size_t, Row>> updates;
-  const size_t total =
-      scan.used_index ? scan.candidates.size() : table->NumRows();
-  for (size_t i = 0; i < total; ++i) {
-    const size_t r = scan.used_index ? scan.candidates[i] : i;
+  for (const size_t r : candidates) {
     const Row& row = table->row(r);
     if (where != nullptr) {
       bool keep = false;
@@ -764,13 +708,10 @@ Result<ResultSet> Database::ExecuteDelete(const DeleteStmt& stmt) {
   if (stmt.where != nullptr) {
     RFV_ASSIGN_OR_RETURN(where, binder.BindScalar(*stmt.where, schema));
   }
-  DmlScanChoice scan;
-  RFV_ASSIGN_OR_RETURN(scan, ChooseDmlScan(table, where.get()));
+  const std::vector<size_t> candidates =
+      DmlCandidates(table, ChooseDmlScan(*table, where.get()));
   std::vector<size_t> victims;
-  const size_t total =
-      scan.used_index ? scan.candidates.size() : table->NumRows();
-  for (size_t i = 0; i < total; ++i) {
-    const size_t r = scan.used_index ? scan.candidates[i] : i;
+  for (const size_t r : candidates) {
     if (where != nullptr) {
       bool hit = false;
       RFV_ASSIGN_OR_RETURN(hit,

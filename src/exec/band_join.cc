@@ -1033,18 +1033,21 @@ Status MergeBandJoinOp::FoldTermCandidates(size_t t, size_t at) {
         return Status::TypeError("arithmetic on non-numeric value");
     }
     // The row path's typed arithmetic (EvalArithmetic / unary minus):
-    // int64 stays int64, anything mixed computes in double.
+    // int64 stays int64 and overflows as an error, anything mixed
+    // computes in double.
     for (const FoldStep& step : leaf.steps) {
       if (step.negate) {
         if (v.is_int) {
-          v.i = -v.i;
+          RFV_RETURN_IF_ERROR(CheckedIntNegate(v.i, &v.i));
         } else {
           v.d = -v.d;
         }
         continue;
       }
       if (v.is_int && step.factor_int) {
-        v.i = step.factor_first ? step.factor_i * v.i : v.i * step.factor_i;
+        RFV_RETURN_IF_ERROR(CheckedIntArithmetic(
+            BinaryOp::kMul, step.factor_first ? step.factor_i : v.i,
+            step.factor_first ? v.i : step.factor_i, &v.i));
         continue;
       }
       const double x = v.is_int ? static_cast<double>(v.i) : v.d;

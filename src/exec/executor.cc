@@ -7,6 +7,7 @@
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "exec/operators.h"
+#include "plan/cardinality.h"
 #include "plan/planner.h"
 
 namespace rfv {
@@ -156,6 +157,36 @@ Result<PhysicalOperatorPtr> BuildJoin(const LogicalPlan& plan,
       plan.join_type));
 }
 
+/// A range scan reads a key range instead of the whole table only when
+/// the estimate says the range holds at most this share of its rows: the
+/// per-row cost of the two paths is alike, so the range pays when it
+/// skips a clear majority, and a pattern scan that keeps nearly every
+/// row (MinOA's `s1.pos BETWEEN 1 AND n`, ~96 %) stays a plain scan.
+constexpr double kRangeScanMaxShare = 0.5;
+
+/// The scan below a Filter: a range scan over the sargable key range of
+/// `predicate` with the fewest estimated rows, when that is clearly
+/// fewer than the table holds; else a plain scan.
+PhysicalOperatorPtr BuildFilteredScan(const LogicalPlan& scan,
+                                      const Expr& predicate,
+                                      const ExecOptions& options) {
+  std::optional<KeyRange> best;
+  double best_share = kRangeScanMaxShare;
+  for (KeyRange& range : SargableKeyRanges(predicate, *scan.table)) {
+    const double share = KeyRangeSelectivity(scan, range);
+    if (share >= 0 && share <= best_share) {
+      best_share = share;
+      best = std::move(range);
+    }
+  }
+  auto* op = new TableScanOp(scan.schema, scan.table, std::move(best));
+  op->SetEstimatedRows(op->range().has_value() && scan.est_rows >= 0
+                           ? scan.est_rows * best_share
+                           : scan.est_rows);
+  op->SetVectorized(options.use_vectorized_execution);
+  return PhysicalOperatorPtr(op);
+}
+
 }  // namespace
 
 namespace {
@@ -168,9 +199,13 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlanNode(const LogicalPlan& plan,
     case PlanKind::kScan:
       return PhysicalOperatorPtr(new TableScanOp(plan.schema, plan.table));
     case PlanKind::kFilter: {
+      const LogicalPlan& input = *plan.children[0];
       PhysicalOperatorPtr child;
-      RFV_ASSIGN_OR_RETURN(child,
-                           BuildPhysicalPlan(*plan.children[0], options));
+      if (input.kind == PlanKind::kScan && input.table != nullptr) {
+        child = BuildFilteredScan(input, *plan.predicate, options);
+      } else {
+        RFV_ASSIGN_OR_RETURN(child, BuildPhysicalPlan(input, options));
+      }
       return PhysicalOperatorPtr(new FilterOp(plan.schema, std::move(child),
                                               plan.predicate->Clone()));
     }

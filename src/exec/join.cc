@@ -78,7 +78,11 @@ Status IndexNestedLoopJoinOp::OpenImpl() {
   candidates_.clear();
   candidate_pos_ = 0;
   RFV_RETURN_IF_ERROR(left_->Open());
-  index_ = right_table_->GetIndexOnColumn(spec_.right_column);
+  // Same pin order as TableScanOp: reader epoch first, then the
+  // snapshot whose rows and index image the probes read.
+  epoch_guard_ = EpochGuard();
+  snap_ = right_table_->PinSnapshot();
+  index_ = snap_->IndexOnColumn(spec_.right_column);
   if (index_ == nullptr) {
     return Status::Internal("index disappeared for index nested-loop join");
   }
@@ -136,7 +140,7 @@ Status IndexNestedLoopJoinOp::NextImpl(Row* row, bool* eof) {
     }
     while (candidate_pos_ < candidates_.size()) {
       const size_t right_id = candidates_[candidate_pos_++];
-      Row joined = Row::Concat(current_left_, right_table_->row(right_id));
+      Row joined = Row::Concat(current_left_, snap_->row(right_id));
       bool match = true;
       if (spec_.residual != nullptr) {
         RFV_ASSIGN_OR_RETURN(

@@ -16,25 +16,39 @@
 #include "common/epoch.h"
 #include "exec/executor.h"
 #include "expr/expr.h"
+#include "plan/planner.h"
 #include "storage/table.h"
 #include "storage/table_snapshot.h"
 
 namespace rfv {
 
-/// Full scan over a base table. Open pins the table's committed
-/// snapshot (chunked copy-on-write image) plus a reader epoch, so the
-/// scan reads a stable statement-granular image of the table in both
-/// pull protocols while concurrent DML mutates the live row store.
-/// Close releases the pin, letting the EpochManager reclaim superseded
+/// Scan over a base table. Open pins the table's committed snapshot
+/// (chunked copy-on-write image) plus a reader epoch, so the scan reads
+/// a stable statement-granular image of the table in both pull
+/// protocols while concurrent DML mutates the live row store. Close
+/// releases the pin, letting the EpochManager reclaim superseded
 /// snapshots.
+///
+/// With a key range, the scan binary-searches the pinned snapshot's
+/// image of the range column's index and reads only the rows whose key
+/// lies in the range, in row-id order — the rows and order of a full
+/// scan, minus rows the range excludes. The range is a superset of what
+/// the predicate above accepts (KeyRange), so the Filter above stays
+/// and re-checks every row.
 class TableScanOp : public PhysicalOperator {
  public:
-  TableScanOp(Schema schema, Table* table)
-      : PhysicalOperator(std::move(schema)), table_(table) {}
+  TableScanOp(Schema schema, Table* table,
+              std::optional<KeyRange> range = std::nullopt)
+      : PhysicalOperator(std::move(schema)),
+        table_(table),
+        range_(std::move(range)) {}
   const char* name() const override { return "scan"; }
   bool VectorNative() const override { return true; }
+  /// "index=<name> range=[lo,hi]" for a range scan.
+  std::string MetricsDetail() const override;
 
   Table* table() const { return table_; }
+  const std::optional<KeyRange>& range() const { return range_; }
 
  protected:
   Status OpenImpl() override;
@@ -42,7 +56,18 @@ class TableScanOp : public PhysicalOperator {
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
+  /// Rows this scan yields, and the snapshot row id of the i-th.
+  size_t NumScanRows() const {
+    return range_.has_value() ? row_ids_.size() : snap_->num_rows();
+  }
+  size_t RowIdAt(size_t i) const {
+    return range_.has_value() ? row_ids_[i] : i;
+  }
+
   Table* table_;
+  std::optional<KeyRange> range_;
+  /// Range scans: the snapshot row ids in the range, ascending.
+  std::vector<size_t> row_ids_;
   size_t pos_ = 0;
   /// The stable image this scan reads; pinned in OpenImpl.
   TableSnapshotPtr snap_;
@@ -235,6 +260,9 @@ Status ResolveBand(const BandSpec& band, const Row& left_row,
 /// Index nested-loop join: per left row, resolves the spec's bands and
 /// probes an ordered index on the right base table once per band — the
 /// paper's "with primary key index" execution paths in Tables 1 and 2.
+/// Probes and right rows both come from one snapshot pinned at Open, so
+/// concurrent DML can neither move the rows under the probe's row ids
+/// nor free them.
 class IndexNestedLoopJoinOp : public PhysicalOperator {
  public:
   IndexNestedLoopJoinOp(Schema schema, PhysicalOperatorPtr left,
@@ -267,7 +295,11 @@ class IndexNestedLoopJoinOp : public PhysicalOperator {
   BandJoinSpec spec_;
   JoinType join_type_;
 
-  OrderedIndex* index_ = nullptr;
+  /// The right table's image this join reads, rows and index alike;
+  /// pinned in OpenImpl with a reader epoch, as TableScanOp does.
+  TableSnapshotPtr snap_;
+  EpochGuard epoch_guard_{nullptr};
+  OrderedIndexPtr index_;
   Row current_left_;
   bool left_valid_ = false;
   bool left_matched_ = false;

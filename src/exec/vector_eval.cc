@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "expr/eval.h"
 
 namespace rfv {
 
@@ -154,19 +155,9 @@ Status EvalArithmeticVec(BinaryOp op, const Sel& sel, const Vector& l,
     const DataType tl = l.tag(i);
     const DataType tr = r.tag(i);
     if (tl == DataType::kInt64 && tr == DataType::kInt64) {
-      const int64_t a = l.i64(i);
-      const int64_t b = r.i64(i);
-      switch (op) {
-        case BinaryOp::kAdd: out->SetInt(i, a + b); break;
-        case BinaryOp::kSub: out->SetInt(i, a - b); break;
-        case BinaryOp::kMul: out->SetInt(i, a * b); break;
-        case BinaryOp::kDiv:
-          if (b == 0) return Status::ExecutionError("division by zero");
-          out->SetInt(i, a / b);
-          break;
-        default:
-          return Status::Internal("EvalArithmeticVec non-arithmetic op");
-      }
+      int64_t v = 0;
+      RFV_RETURN_IF_ERROR(CheckedIntArithmetic(op, l.i64(i), r.i64(i), &v));
+      out->SetInt(i, v);
     } else if (IsNumericTag(tl) && IsNumericTag(tr)) {
       const double a = l.ToDouble(i);
       const double b = r.ToDouble(i);
@@ -256,19 +247,17 @@ Status EvalFunctionVec(const Expr& expr, const VectorProjection& proj,
             args[1].tag(i) != DataType::kInt64) {
           return Status::TypeError("MOD expects integer arguments");
         }
-        const int64_t b = args[1].i64(i);
-        if (b == 0) return Status::ExecutionError("MOD by zero");
-        // Floored modulo, matching the row evaluator (see eval.cc for why
-        // the paper's congruence classes need the divisor's sign).
-        const int64_t a = args[0].i64(i);
-        int64_t m = a % b;
-        if (m != 0 && ((m < 0) != (b < 0))) m += b;
+        int64_t m = 0;
+        RFV_RETURN_IF_ERROR(FlooredIntMod(args[0].i64(i), args[1].i64(i), &m));
         out->SetInt(i, m);
         break;
       }
       case ScalarFn::kAbs:
         if (args[0].tag(i) == DataType::kInt64) {
-          out->SetInt(i, std::llabs(args[0].i64(i)));
+          const int64_t a = args[0].i64(i);
+          int64_t abs = a;
+          if (a < 0) RFV_RETURN_IF_ERROR(CheckedIntNegate(a, &abs));
+          out->SetInt(i, abs);
         } else {
           out->SetDouble(i, std::fabs(args[0].GetValue(i).ToDouble()));
         }
@@ -353,7 +342,12 @@ Status EvalNode(const Expr& expr, const VectorProjection& proj, const Sel& sel,
         for (const uint32_t i : sel) {
           switch (v.tag(i)) {
             case DataType::kNull: out->SetNull(i); break;
-            case DataType::kInt64: out->SetInt(i, -v.i64(i)); break;
+            case DataType::kInt64: {
+              int64_t neg = 0;
+              RFV_RETURN_IF_ERROR(CheckedIntNegate(v.i64(i), &neg));
+              out->SetInt(i, neg);
+              break;
+            }
             case DataType::kDouble: out->SetDouble(i, -v.f64(i)); break;
             default:
               return Status::TypeError("unary minus on non-numeric");

@@ -7,6 +7,51 @@
 
 namespace rfv {
 
+Status IntegerOverflowError(const std::string& what) {
+  return Status::ExecutionError("integer overflow in " + what);
+}
+
+Status CheckedIntArithmetic(BinaryOp op, int64_t a, int64_t b,
+                            int64_t* out) {
+  bool overflow = false;
+  switch (op) {
+    case BinaryOp::kAdd: overflow = __builtin_add_overflow(a, b, out); break;
+    case BinaryOp::kSub: overflow = __builtin_sub_overflow(a, b, out); break;
+    case BinaryOp::kMul: overflow = __builtin_mul_overflow(a, b, out); break;
+    case BinaryOp::kDiv:
+      if (b == 0) return Status::ExecutionError("division by zero");
+      overflow = a == INT64_MIN && b == -1;
+      if (!overflow) *out = a / b;
+      break;
+    default:
+      return Status::Internal("CheckedIntArithmetic non-arithmetic op");
+  }
+  return overflow ? IntegerOverflowError("arithmetic") : Status::OK();
+}
+
+Status CheckedIntNegate(int64_t a, int64_t* out) {
+  if (__builtin_sub_overflow(int64_t{0}, a, out)) {
+    return IntegerOverflowError("arithmetic");
+  }
+  return Status::OK();
+}
+
+Status FlooredIntMod(int64_t a, int64_t b, int64_t* out) {
+  if (b == 0) return Status::ExecutionError("MOD by zero");
+  // Floored (mathematical) modulo: the result takes the divisor's
+  // sign, so congruence classes are stable across zero. The paper's
+  // MaxOA/MinOA operator patterns (Figures 10/13) match positions by
+  // MOD equality, and complete sequences contain header positions
+  // <= 0 — with C-style (dividend-sign) MOD those positions would
+  // fall out of their congruence class. Documented deviation from
+  // DB2's MOD. b = -1 divides everything; INT64_MIN % -1 itself is
+  // undefined in C++.
+  int64_t m = b == -1 ? 0 : a % b;
+  if (m != 0 && ((m < 0) != (b < 0))) m += b;
+  *out = m;
+  return Status::OK();
+}
+
 namespace {
 
 /// Arithmetic on two non-NULL numeric values; integer ops stay in int64,
@@ -18,17 +63,9 @@ Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
   const bool integral =
       l.type() == DataType::kInt64 && r.type() == DataType::kInt64;
   if (integral) {
-    const int64_t a = l.AsInt();
-    const int64_t b = r.AsInt();
-    switch (op) {
-      case BinaryOp::kAdd: return Value::Int(a + b);
-      case BinaryOp::kSub: return Value::Int(a - b);
-      case BinaryOp::kMul: return Value::Int(a * b);
-      case BinaryOp::kDiv:
-        if (b == 0) return Status::ExecutionError("division by zero");
-        return Value::Int(a / b);
-      default: break;
-    }
+    int64_t out = 0;
+    RFV_RETURN_IF_ERROR(CheckedIntArithmetic(op, l.AsInt(), r.AsInt(), &out));
+    return Value::Int(out);
   } else {
     const double a = l.ToDouble();
     const double b = r.ToDouble();
@@ -82,7 +119,11 @@ Result<Value> EvalNode(const Expr& expr, const Row& row) {
         }
         return Value::Bool(!v.AsBool());
       }
-      if (v.type() == DataType::kInt64) return Value::Int(-v.AsInt());
+      if (v.type() == DataType::kInt64) {
+        int64_t out = 0;
+        RFV_RETURN_IF_ERROR(CheckedIntNegate(v.AsInt(), &out));
+        return Value::Int(out);
+      }
       if (v.type() == DataType::kDouble) return Value::Double(-v.AsDouble());
       return Status::TypeError("unary minus on non-numeric");
     }
@@ -200,23 +241,16 @@ Result<Value> EvalFunction(const Expr& expr, const Row& row) {
           args[1].type() != DataType::kInt64) {
         return Status::TypeError("MOD expects integer arguments");
       }
-      const int64_t b = args[1].AsInt();
-      if (b == 0) return Status::ExecutionError("MOD by zero");
-      // Floored (mathematical) modulo: the result takes the divisor's
-      // sign, so congruence classes are stable across zero. The paper's
-      // MaxOA/MinOA operator patterns (Figures 10/13) match positions by
-      // MOD equality, and complete sequences contain header positions
-      // <= 0 — with C-style (dividend-sign) MOD those positions would
-      // fall out of their congruence class. Documented deviation from
-      // DB2's MOD.
-      const int64_t a = args[0].AsInt();
-      int64_t m = a % b;
-      if (m != 0 && ((m < 0) != (b < 0))) m += b;
+      int64_t m = 0;
+      RFV_RETURN_IF_ERROR(FlooredIntMod(args[0].AsInt(), args[1].AsInt(), &m));
       return Value::Int(m);
     }
     case ScalarFn::kAbs:
       if (args[0].type() == DataType::kInt64) {
-        return Value::Int(std::llabs(args[0].AsInt()));
+        const int64_t a = args[0].AsInt();
+        int64_t out = a;
+        if (a < 0) RFV_RETURN_IF_ERROR(CheckedIntNegate(a, &out));
+        return Value::Int(out);
       }
       return Value::Double(std::fabs(args[0].ToDouble()));
     case ScalarFn::kYear:

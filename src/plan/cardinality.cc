@@ -21,39 +21,44 @@ int64_t DistinctOf(const LogicalPlan& input, size_t index) {
   return stats.columns[index].distinct_count;
 }
 
-/// Selectivity of `col BETWEEN lo AND hi` with numeric literal bounds
-/// on a scan column with a min/max range: the share of the range the
-/// bounds overlap, counted in integers for INTEGER columns (a dense
-/// sequence column then gives an exact row count), times the non-NULL
-/// share. -1 when the shape or the statistics are missing.
-double RangeOverlapSelectivity(const Expr& e, const LogicalPlan& input) {
-  const Expr& col = *e.children[0];
-  const Expr& lo = *e.children[1];
-  const Expr& hi = *e.children[2];
-  if (col.kind != ExprKind::kColumnRef || lo.kind != ExprKind::kLiteral ||
-      hi.kind != ExprKind::kLiteral || !lo.literal.is_numeric() ||
-      !hi.literal.is_numeric() || input.kind != PlanKind::kScan ||
-      input.table == nullptr) {
+/// Selectivity of `column` lying between numeric bounds `lo` and `hi`
+/// (nullptr leaves a side open; a strict side excludes its bound) on a
+/// scan column with a min/max range: the share of the range the bounds
+/// overlap, counted in integers for INTEGER columns (a dense sequence
+/// column then gives an exact row count), times the non-NULL share. -1
+/// when the input is not a scan or the statistics are missing.
+double RangeOverlapSelectivity(const LogicalPlan& input, size_t column,
+                               const Value* lo, bool lo_strict,
+                               const Value* hi, bool hi_strict) {
+  if ((lo != nullptr && !lo->is_numeric()) ||
+      (hi != nullptr && !hi->is_numeric()) ||
+      input.kind != PlanKind::kScan || input.table == nullptr) {
     return -1;
   }
   const TableStats stats = input.table->StatsSnapshot();
-  if (col.column_index >= stats.columns.size() || stats.row_count <= 0) {
-    return -1;
-  }
-  const ColumnStats& c = stats.columns[col.column_index];
+  if (column >= stats.columns.size() || stats.row_count <= 0) return -1;
+  const ColumnStats& c = stats.columns[column];
   if (!c.has_range) return -1;
   double overlap;
   double width;
-  if (col.type == DataType::kInt64) {
-    const double from =
-        std::max(std::ceil(lo.literal.ToDouble()), c.min_value);
-    const double to =
-        std::min(std::floor(hi.literal.ToDouble()), c.max_value);
+  if (input.table->schema().column(column).type == DataType::kInt64) {
+    double from = c.min_value;
+    double to = c.max_value;
+    if (lo != nullptr) {
+      const double b = lo->ToDouble();
+      from = std::max(lo_strict ? std::floor(b) + 1 : std::ceil(b), from);
+    }
+    if (hi != nullptr) {
+      const double b = hi->ToDouble();
+      to = std::min(hi_strict ? std::ceil(b) - 1 : std::floor(b), to);
+    }
     overlap = to - from + 1;
     width = c.RangeWidth();
   } else {
-    const double from = std::max(lo.literal.ToDouble(), c.min_value);
-    const double to = std::min(hi.literal.ToDouble(), c.max_value);
+    const double from =
+        lo != nullptr ? std::max(lo->ToDouble(), c.min_value) : c.min_value;
+    const double to =
+        hi != nullptr ? std::min(hi->ToDouble(), c.max_value) : c.max_value;
     if (c.max_value == c.min_value) {
       overlap = from <= to ? 1 : 0;
       width = 1;
@@ -65,6 +70,31 @@ double RangeOverlapSelectivity(const Expr& e, const LogicalPlan& input) {
   const double non_null = static_cast<double>(c.non_null_count) /
                           static_cast<double>(stats.row_count);
   return std::clamp(overlap / width, 0.0, 1.0) * non_null;
+}
+
+/// `col <op> literal` or `literal <op> col` for op in <, <=, >, >=: the
+/// interval it admits, or -1 when the shape does not match.
+double ComparisonSelectivity(const Expr& e, const LogicalPlan& input) {
+  BinaryOp op = e.binary_op;
+  const Expr* col = e.children[0].get();
+  const Expr* lit = e.children[1].get();
+  if (col->kind != ExprKind::kColumnRef) {
+    std::swap(col, lit);
+    switch (op) {
+      case BinaryOp::kLt: op = BinaryOp::kGt; break;
+      case BinaryOp::kLe: op = BinaryOp::kGe; break;
+      case BinaryOp::kGt: op = BinaryOp::kLt; break;
+      default: op = BinaryOp::kLe; break;  // kGe
+    }
+  }
+  if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral) {
+    return -1;
+  }
+  const bool strict = op == BinaryOp::kLt || op == BinaryOp::kGt;
+  const bool upper = op == BinaryOp::kLt || op == BinaryOp::kLe;
+  return RangeOverlapSelectivity(
+      input, col->column_index, upper ? nullptr : &lit->literal, strict,
+      upper ? &lit->literal : nullptr, strict);
 }
 
 double PredicateSelectivity(const Expr& e, const LogicalPlan& input) {
@@ -97,13 +127,23 @@ double PredicateSelectivity(const Expr& e, const LogicalPlan& input) {
         case BinaryOp::kLt:
         case BinaryOp::kLe:
         case BinaryOp::kGt:
-        case BinaryOp::kGe:
-          return kDefaultSelectivity;
+        case BinaryOp::kGe: {
+          const double overlap = ComparisonSelectivity(e, input);
+          return overlap >= 0 ? overlap : kDefaultSelectivity;
+        }
         default:
           return kDefaultSelectivity;
       }
     case ExprKind::kBetween: {
-      const double overlap = RangeOverlapSelectivity(e, input);
+      const Expr& col = *e.children[0];
+      const Expr& lo = *e.children[1];
+      const Expr& hi = *e.children[2];
+      const double overlap =
+          col.kind == ExprKind::kColumnRef && lo.kind == ExprKind::kLiteral &&
+                  hi.kind == ExprKind::kLiteral
+              ? RangeOverlapSelectivity(input, col.column_index, &lo.literal,
+                                        false, &hi.literal, false)
+              : -1;
       return overlap >= 0 ? overlap : kRangeSelectivity;
     }
     case ExprKind::kIn: {
@@ -202,6 +242,12 @@ double Estimate(LogicalPlan* plan) {
 }
 
 }  // namespace
+
+double KeyRangeSelectivity(const LogicalPlan& scan, const KeyRange& range) {
+  return RangeOverlapSelectivity(
+      scan, range.column, range.lo.has_value() ? &*range.lo : nullptr, false,
+      range.hi.has_value() ? &*range.hi : nullptr, false);
+}
 
 void EstimateCardinality(LogicalPlan* plan) {
   if (plan == nullptr) return;

@@ -2,6 +2,7 @@
 #define RFVIEW_PLAN_CARDINALITY_H_
 
 #include "plan/logical_plan.h"
+#include "plan/planner.h"
 
 namespace rfv {
 
@@ -12,7 +13,10 @@ namespace rfv {
 ///    (stats/table_stats.h — maintained incrementally on DML);
 ///  * filters apply textbook selectivities (equality → 1/NDV using the
 ///    last ANALYZE's distinct counts when the input is a base-table
-///    scan, ranges → 1/4, AND → product, OR → inclusion-exclusion);
+///    scan; BETWEEN and `<`, `<=`, `>`, `>=` against a literal → the
+///    share of the column's min/max range the bounds overlap, else 1/4
+///    for BETWEEN and 1/3 for a comparison; AND → product, OR →
+///    inclusion-exclusion);
 ///  * equi joins assume key-foreign-key containment (max of the
 ///    inputs); other joins fall back to a fixed selectivity over the
 ///    cross product;
@@ -24,6 +28,12 @@ namespace rfv {
 /// docs/COST_MODEL.md), not plan selection, which happens earlier in
 /// the rewrite layer's derivation cost model.
 void EstimateCardinality(LogicalPlan* plan);
+
+/// Estimated share of the rows of base-table scan `scan` whose key lies
+/// in `range` — the rows a range scan reads — from the column's min/max
+/// range and non-NULL share; -1 when the bounds are not numeric or the
+/// statistics are missing.
+double KeyRangeSelectivity(const LogicalPlan& scan, const KeyRange& range);
 
 }  // namespace rfv
 

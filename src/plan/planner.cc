@@ -79,6 +79,63 @@ void FoldConstants(Expr* expr) {
 
 namespace {
 
+bool IsConstExpr(const Expr& e) {
+  if (e.kind == ExprKind::kColumnRef) return false;
+  for (const auto& child : e.children) {
+    if (!IsConstExpr(*child)) return false;
+  }
+  return true;
+}
+
+/// The non-NULL value of constant expression `e`, nullopt when `e` is
+/// not constant, fails to evaluate or is NULL (a comparison with NULL
+/// accepts no row, so it narrows nothing a re-check would not).
+std::optional<Value> ConstantValue(const Expr& e) {
+  if (!IsConstExpr(e)) return std::nullopt;
+  Result<Value> v = Evaluator::Eval(e, Row());
+  if (!v.ok() || v->is_null()) return std::nullopt;
+  return std::move(*v);
+}
+
+/// One conjunct's range on one column, or nullopt when not sargable.
+std::optional<KeyRange> ConjunctRange(const Expr& c) {
+  KeyRange range;
+  if (c.kind == ExprKind::kBetween) {
+    if (c.children[0]->kind != ExprKind::kColumnRef) return std::nullopt;
+    range.lo = ConstantValue(*c.children[1]);
+    range.hi = ConstantValue(*c.children[2]);
+    if (!range.lo.has_value() || !range.hi.has_value()) return std::nullopt;
+    range.column = c.children[0]->column_index;
+    return range;
+  }
+  if (c.kind != ExprKind::kBinary) return std::nullopt;
+  BinaryOp op = c.binary_op;
+  if (op != BinaryOp::kEq && op != BinaryOp::kLt && op != BinaryOp::kLe &&
+      op != BinaryOp::kGt && op != BinaryOp::kGe) {
+    return std::nullopt;
+  }
+  const Expr* col = c.children[0].get();
+  const Expr* constant = c.children[1].get();
+  if (col->kind != ExprKind::kColumnRef) {
+    std::swap(col, constant);
+    // Mirror the comparison so `op` reads as <col> op <const>.
+    switch (op) {
+      case BinaryOp::kLt: op = BinaryOp::kGt; break;
+      case BinaryOp::kLe: op = BinaryOp::kGe; break;
+      case BinaryOp::kGt: op = BinaryOp::kLt; break;
+      case BinaryOp::kGe: op = BinaryOp::kLe; break;
+      default: break;
+    }
+  }
+  if (col->kind != ExprKind::kColumnRef) return std::nullopt;
+  std::optional<Value> key = ConstantValue(*constant);
+  if (!key.has_value()) return std::nullopt;
+  range.column = col->column_index;
+  if (op != BinaryOp::kGt && op != BinaryOp::kGe) range.hi = key;
+  if (op != BinaryOp::kLt && op != BinaryOp::kLe) range.lo = std::move(key);
+  return range;
+}
+
 /// Applies constant folding to every expression a plan node owns.
 void FoldPlanConstants(LogicalPlan* plan) {
   if (plan->predicate != nullptr) FoldConstants(plan->predicate.get());
@@ -183,6 +240,58 @@ LogicalPlanPtr PushFilters(LogicalPlanPtr plan,
 }
 
 }  // namespace
+
+std::string KeyRange::ToString() const {
+  return "[" + (lo.has_value() ? lo->ToString() : std::string("-inf")) + "," +
+         (hi.has_value() ? hi->ToString() : std::string("+inf")) + "]";
+}
+
+std::vector<KeyRange> SargableKeyRanges(const Expr& predicate,
+                                        const Table& table) {
+  std::vector<const Expr*> conjuncts;
+  std::vector<const Expr*> stack = {&predicate};
+  while (!stack.empty()) {
+    const Expr* e = stack.back();
+    stack.pop_back();
+    if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
+      stack.push_back(e->children[1].get());
+      stack.push_back(e->children[0].get());
+    } else {
+      conjuncts.push_back(e);
+    }
+  }
+  std::vector<KeyRange> ranges;
+  for (const Expr* c : conjuncts) {
+    std::optional<KeyRange> range = ConjunctRange(*c);
+    if (!range.has_value() ||
+        range->column >= table.schema().NumColumns() ||
+        table.schema().column(range->column).type == DataType::kDouble) {
+      continue;
+    }
+    KeyRange* same = nullptr;
+    for (KeyRange& r : ranges) {
+      if (r.column == range->column) same = &r;
+    }
+    if (same == nullptr) {
+      range->index_name = table.IndexNameOnColumn(range->column);
+      if (range->index_name.empty()) continue;
+      range->predicate = c->ToString();
+      ranges.push_back(std::move(*range));
+      continue;
+    }
+    // Intersect: the tighter bound of each side wins.
+    if (range->lo.has_value() &&
+        (!same->lo.has_value() || same->lo->Compare(*range->lo) < 0)) {
+      same->lo = std::move(range->lo);
+    }
+    if (range->hi.has_value() &&
+        (!same->hi.has_value() || same->hi->Compare(*range->hi) > 0)) {
+      same->hi = std::move(range->hi);
+    }
+    same->predicate += " AND " + c->ToString();
+  }
+  return ranges;
+}
 
 LogicalPlanPtr OptimizePlan(LogicalPlanPtr plan) {
   RFV_CHECK(plan != nullptr);

@@ -1,8 +1,11 @@
 #ifndef RFVIEW_PLAN_PLANNER_H_
 #define RFVIEW_PLAN_PLANNER_H_
 
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "common/value.h"
 #include "plan/logical_plan.h"
 
 namespace rfv {
@@ -30,6 +33,35 @@ void ShiftColumnRefs(Expr* expr, int64_t delta);
 /// (division by zero) are left in place so the error surfaces during
 /// execution, preserving semantics.
 void FoldConstants(Expr* expr);
+
+// --- sargable key ranges ---------------------------------------------------
+
+/// A key range on one indexed column of a table, allowed by sargable
+/// conjuncts of a predicate: `col = c`, `col < c`, `col <= c`,
+/// `col > c`, `col >= c` (either operand order) and
+/// `col BETWEEN c1 AND c2`, each c a constant expression. Bounds are
+/// inclusive — a strict comparison keeps its boundary key — so the
+/// range holds every row the conjuncts accept, and its readers re-check
+/// the whole predicate on each row it yields.
+struct KeyRange {
+  size_t column = 0;
+  std::string index_name;
+  std::optional<Value> lo;  ///< nullopt: open below (NULL keys included)
+  std::optional<Value> hi;  ///< nullopt: open above
+  std::string predicate;    ///< the conjuncts it came from, AND-joined
+
+  /// "[lo,hi]", with -inf / +inf for an open side.
+  std::string ToString() const;
+};
+
+/// The key ranges the top-level conjuncts of `predicate` (bound to
+/// `table`'s columns) allow on its indexed columns, one per column —
+/// conjuncts on one column intersect — in the order their columns first
+/// appear. DOUBLE key columns are left out: a NaN key has no place in
+/// the index order, so a range could miss it. The one recognizer behind
+/// both the SELECT range scan and the UPDATE/DELETE index probe.
+std::vector<KeyRange> SargableKeyRanges(const Expr& predicate,
+                                        const Table& table);
 
 // --- optimizer --------------------------------------------------------------
 

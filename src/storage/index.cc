@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "storage/table.h"
 
 namespace rfv {
 
@@ -23,61 +21,33 @@ void CountProbe() {
 
 }  // namespace
 
-void OrderedIndex::Insert(const Value& key, size_t row_id) {
-  if (!entries_.empty() && EntryLess(key, entries_.back().key)) {
-    sorted_ = false;
+OrderedIndex::OrderedIndex(std::string name, size_t column,
+                           std::vector<Entry> entries)
+    : name_(std::move(name)), column_(column), entries_(std::move(entries)) {
+  const auto less = [](const Entry& a, const Entry& b) {
+    return EntryLess(a.key, b.key);
+  };
+  // Key columns are often loaded in key order (ids, positions): one
+  // linear pass then replaces the sort.
+  if (!std::is_sorted(entries_.begin(), entries_.end(), less)) {
+    std::stable_sort(entries_.begin(), entries_.end(), less);
   }
-  entries_.push_back(Entry{key, row_id});
 }
 
-void OrderedIndex::RebuildFrom(const Table& table) {
-  entries_.clear();
-  entries_.reserve(table.NumRows());
-  for (size_t i = 0; i < table.NumRows(); ++i) {
-    entries_.push_back(Entry{table.row(i)[column_], i});
-  }
-  sorted_ = false;
-  dirty_ = false;
-  EnsureSorted();
-}
-
-void OrderedIndex::EnsureSorted() {
-  if (sorted_) return;
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return EntryLess(a.key, b.key);
-                   });
-  sorted_ = true;
-}
-
-std::vector<size_t> OrderedIndex::Lookup(const Value& key) const {
+std::vector<size_t> OrderedIndex::RowIdsInRange(const Value* lo,
+                                                const Value* hi) const {
+  const std::span<const Entry> range = Range(lo, hi);
   std::vector<size_t> out;
-  for (const Entry& entry : EntriesInRange(key, key)) {
-    out.push_back(entry.row_id);
-  }
-  return out;
-}
-
-std::span<const OrderedIndex::Entry> OrderedIndex::EntriesInRange(
-    const Value& lo, const Value& hi) const {
-  return Range(&lo, &hi);
-}
-
-std::vector<size_t> OrderedIndex::LookupRange(const Value& lo, bool has_lo,
-                                              const Value& hi,
-                                              bool has_hi) const {
-  std::vector<size_t> out;
-  for (const Entry& entry :
-       Range(has_lo ? &lo : nullptr, has_hi ? &hi : nullptr)) {
-    out.push_back(entry.row_id);
+  out.reserve(range.size());
+  for (const Entry& entry : range) out.push_back(entry.row_id);
+  if (!std::is_sorted(out.begin(), out.end())) {
+    std::sort(out.begin(), out.end());
   }
   return out;
 }
 
 std::span<const OrderedIndex::Entry> OrderedIndex::Range(
     const Value* lo, const Value* hi) const {
-  RFV_CHECK(!dirty_);
-  RFV_CHECK(sorted_);
   CountProbe();
   const auto begin =
       lo == nullptr

@@ -2,28 +2,31 @@
 #define RFVIEW_STORAGE_INDEX_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/row.h"
 #include "common/value.h"
 
 namespace rfv {
 
-class Table;
-
-/// An ordered secondary index over one column of a table.
+/// An immutable ordered image of one index: the (key, row id) pairs of
+/// one column over one set of rows, sorted by key (ties in row-id
+/// order), with binary-search point and range lookup — the classic
+/// "static B-tree" layout. It is what gives the planner the "with
+/// primary key index" execution paths of the paper's Table 1/2
+/// experiments: an index nested-loop join probes it in O(log n +
+/// matches) instead of scanning the whole table, and a range scan reads
+/// only the rows a sargable predicate allows.
 ///
-/// The index is a sorted array of (key, row id) entries with binary-search
-/// point and range lookup — the classic "static B-tree" layout. It is what
-/// gives the planner the "with primary key index" execution paths of the
-/// paper's Table 1/2 experiments: an index nested-loop join probes this
-/// structure in O(log n + matches) instead of scanning the whole table.
-///
-/// Maintenance contract: `Insert` keeps the index consistent for appended
-/// rows; any in-place update or delete on the owning table marks the index
-/// dirty and the next lookup rebuilds it (tables in this engine are
-/// read-mostly; DML batches amortize the rebuild).
+/// Versioning contract: an image is never modified after construction.
+/// Each TableSnapshot carries one lazily built image per index (see
+/// IndexSlot), built from the snapshot's own rows, so a reader that
+/// pinned a snapshot probes an image whose row ids address exactly that
+/// snapshot, whatever DML does meanwhile. Snapshots taken while no
+/// indexed key changed and no row id moved share one image.
 class OrderedIndex {
  public:
   /// One index entry: a key and the row id holding it.
@@ -32,54 +35,57 @@ class OrderedIndex {
     size_t row_id;
   };
 
-  /// `column` is the index key's position in the table schema.
-  OrderedIndex(std::string name, size_t column)
-      : name_(std::move(name)), column_(column) {}
+  /// Sorts `entries` by key; entries with equal keys keep their order,
+  /// so entries given in row-id order stay in row-id order per key.
+  OrderedIndex(std::string name, size_t column, std::vector<Entry> entries);
+
+  /// The image of `column` over rows [0, num_rows), read through
+  /// `row_at(i)` (returning the row with id i).
+  template <typename RowAt>
+  static std::shared_ptr<const OrderedIndex> Build(std::string name,
+                                                   size_t column,
+                                                   size_t num_rows,
+                                                   const RowAt& row_at) {
+    std::vector<Entry> entries;
+    entries.reserve(num_rows);
+    for (size_t i = 0; i < num_rows; ++i) {
+      entries.push_back(Entry{row_at(i)[column], i});
+    }
+    return std::make_shared<const OrderedIndex>(std::move(name), column,
+                                                std::move(entries));
+  }
 
   const std::string& name() const { return name_; }
   size_t column() const { return column_; }
-
-  /// Adds an entry for a newly appended row.
-  void Insert(const Value& key, size_t row_id);
-
-  /// Marks the index stale; next lookup triggers RebuildFrom.
-  void MarkDirty() { dirty_ = true; }
-  bool dirty() const { return dirty_; }
-
-  /// Rebuilds all entries by scanning `table`.
-  void RebuildFrom(const Table& table);
-
-  /// Row ids whose key equals `key` (requires !dirty()).
-  std::vector<size_t> Lookup(const Value& key) const;
-
-  /// Row ids whose key lies in [lo, hi] (either bound may be omitted by
-  /// passing NULL Values with `has_lo`/`has_hi` false). Requires !dirty().
-  std::vector<size_t> LookupRange(const Value& lo, bool has_lo,
-                                  const Value& hi, bool has_hi) const;
-
-  /// The entries whose key lies in [lo, hi], in key order, without
-  /// copying them out: the per-band probe of the index nested-loop
-  /// join, which filters stride bands on the keys. Requires !dirty().
-  std::span<const Entry> EntriesInRange(const Value& lo,
-                                        const Value& hi) const;
-
   size_t NumEntries() const { return entries_.size(); }
 
-  /// Restores sortedness after unsorted inserts. Called by the owning
-  /// table before handing the index to the executor.
-  void EnsureSorted();
-
- private:
-  /// The one range search behind every lookup: entries in [*lo, *hi],
-  /// a null bound leaving that side open.
+  /// The entries whose key lies in [*lo, *hi], in key order, without
+  /// copying them out; a null bound leaves that side open (NULL keys
+  /// sort below every other value, so an open low side includes them).
   std::span<const Entry> Range(const Value* lo, const Value* hi) const;
 
+  /// Range(&lo, &hi): the per-band probe of the index nested-loop join,
+  /// which filters stride bands on the keys.
+  std::span<const Entry> EntriesInRange(const Value& lo,
+                                        const Value& hi) const {
+    return Range(&lo, &hi);
+  }
+
+  /// Row ids of Range(lo, hi), in ascending row-id order.
+  std::vector<size_t> RowIdsInRange(const Value* lo, const Value* hi) const;
+
+  /// Row ids whose key equals `key`, in ascending row-id order.
+  std::vector<size_t> Lookup(const Value& key) const {
+    return RowIdsInRange(&key, &key);
+  }
+
+ private:
   std::string name_;
   size_t column_;
-  bool dirty_ = false;
-  bool sorted_ = true;
   std::vector<Entry> entries_;
 };
+
+using OrderedIndexPtr = std::shared_ptr<const OrderedIndex>;
 
 }  // namespace rfv
 

@@ -45,15 +45,11 @@ Status Table::Insert(Row row) {
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
   const size_t row_id = rows_.size();
-  MarkDirtyFromLocked(row_id);
+  MarkChunksDirtyLocked(row_id, row_id);
   rows_.push_back(std::move(row));
   live_rows_.store(rows_.size(), std::memory_order_release);
   stats_.InsertRow(schema_, rows_.back());
-  for (auto& index : indexes_) {
-    if (!index->dirty()) {
-      index->Insert(rows_.back()[index->column()], row_id);
-    }
-  }
+  index_slots_stale_ = true;
   return Status::OK();
 }
 
@@ -61,16 +57,17 @@ Status Table::InsertBatch(std::vector<Row> rows) {
   for (Row& row : rows) {
     RFV_RETURN_IF_ERROR(ValidateAndCoerce(&row));
   }
+  if (rows.empty()) return Status::OK();
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  MarkDirtyFromLocked(rows_.size());
+  MarkChunksDirtyLocked(rows_.size(), rows_.size() + rows.size() - 1);
   rows_.reserve(rows_.size() + rows.size());
   for (Row& row : rows) {
     rows_.push_back(std::move(row));
     stats_.InsertRow(schema_, rows_.back());
   }
   live_rows_.store(rows_.size(), std::memory_order_release);
-  MarkIndexesDirty();
+  index_slots_stale_ = true;
   return Status::OK();
 }
 
@@ -81,10 +78,18 @@ Status Table::UpdateRow(size_t row_id, Row row) {
   RFV_RETURN_IF_ERROR(ValidateAndCoerce(&row));
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  MarkDirtyFromLocked(row_id);
+  MarkChunksDirtyLocked(row_id, row_id);
+  // An UPDATE that leaves every indexed key alone (SET val = ...) keeps
+  // the index version, so the next snapshot reuses its images.
+  for (const IndexDef& index : indexes_) {
+    const Value& before = rows_[row_id][index.column];
+    const Value& after = row[index.column];
+    if (before.type() != after.type() || before.Compare(after) != 0) {
+      index_slots_stale_ = true;
+    }
+  }
   stats_.ReplaceRow(schema_, rows_[row_id], row);
   rows_[row_id] = std::move(row);
-  MarkIndexesDirty();
   return Status::OK();
 }
 
@@ -100,15 +105,13 @@ Status Table::UpdateCell(size_t row_id, size_t column, Value value) {
   RFV_RETURN_IF_ERROR(ValidateAndCoerce(&updated));
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  MarkDirtyFromLocked(row_id);
+  MarkChunksDirtyLocked(row_id, row_id);
   stats_.ReplaceRow(schema_, rows_[row_id], updated);
   rows_[row_id] = std::move(updated);
-  // Only indexes keyed on the changed column go stale — the paper's
-  // incremental view maintenance updates `val` cells through `pos`
-  // indexes, which must stay warm.
-  for (auto& index : indexes_) {
-    if (index->column() == column) index->MarkDirty();
-  }
+  // Only a change of a key column starts a new index version — the
+  // paper's incremental view maintenance updates `val` cells through
+  // `pos` indexes, whose images must stay warm.
+  if (IsIndexedLocked(column)) index_slots_stale_ = true;
   return Status::OK();
 }
 
@@ -118,66 +121,88 @@ Status Table::DeleteRow(size_t row_id) {
   }
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  MarkDirtyFromLocked(row_id);
+  // Every later row moves down one position.
+  MarkChunksDirtyLocked(row_id, rows_.size() - 1);
   stats_.RemoveRow(schema_, rows_[row_id]);
   rows_.erase(rows_.begin() + static_cast<ptrdiff_t>(row_id));
   live_rows_.store(rows_.size(), std::memory_order_release);
-  MarkIndexesDirty();
+  index_slots_stale_ = true;
   return Status::OK();
 }
 
 void Table::Truncate() {
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  MarkDirtyFromLocked(0);
   rows_.clear();
   live_rows_.store(0, std::memory_order_release);
   stats_.Clear();
-  MarkIndexesDirty();
+  index_slots_stale_ = true;
 }
 
 Status Table::CreateIndex(const std::string& index_name,
                           const std::string& column_name) {
-  for (const auto& index : indexes_) {
-    if (index->name() == index_name) {
+  Result<size_t> column = schema_.FindColumn("", column_name);
+  if (!column.ok()) return column.status();
+  std::lock_guard<std::mutex> lock(snap_mu_);
+  for (const IndexDef& index : indexes_) {
+    if (index.name == index_name) {
       return Status::AlreadyExists("index " + index_name + " already exists");
     }
   }
-  Result<size_t> column = schema_.FindColumn("", column_name);
-  if (!column.ok()) return column.status();
-  auto index = std::make_unique<OrderedIndex>(index_name, column.value());
-  index->RebuildFrom(*this);
-  indexes_.push_back(std::move(index));
+  indexes_.push_back(IndexDef{index_name, column.value()});
+  index_slots_stale_ = true;
+  // Publish a snapshot that carries the new index on the next pin; no
+  // chunk is dirty, so it shares every chunk with the current one.
+  mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
 
-OrderedIndex* Table::GetIndexOnColumn(size_t column) {
-  // Serialize rebuilds so two concurrent SELECTs racing to warm the same
-  // index don't build it twice over each other's state. The returned
-  // pointer itself is only isolated against DML by the engine-level
-  // write mutex, not by snapshots (documented limitation, DESIGN §14).
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  for (auto& index : indexes_) {
-    if (index->column() != column) continue;
-    if (index->dirty()) {
-      index->RebuildFrom(*this);
-    } else {
-      index->EnsureSorted();
+OrderedIndexPtr Table::GetIndexOnColumn(size_t column) {
+  IndexSlotPtr slot;
+  {
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    for (const IndexSlotPtr& s : CurrentIndexSlotsLocked()) {
+      if (s->column() == column) {
+        slot = s;
+        break;
+      }
     }
-    return index.get();
   }
-  return nullptr;
+  if (slot == nullptr) return nullptr;
+  // The caller is the writer, the only thread that mutates rows_; the
+  // slot belongs to the live store's index version, so rows_ holds its
+  // keys and row ids. A snapshot of the same version may share the
+  // image.
+  return slot->Get(rows_.size(),
+                   [this](size_t i) -> const Row& { return rows_[i]; });
 }
 
-bool Table::HasIndexOnColumn(size_t column) const {
-  for (const auto& index : indexes_) {
-    if (index->column() == column) return true;
+std::string Table::IndexNameOnColumn(size_t column) const {
+  std::lock_guard<std::mutex> lock(snap_mu_);
+  for (const IndexDef& index : indexes_) {
+    if (index.column == column) return index.name;
+  }
+  return std::string();
+}
+
+bool Table::IsIndexedLocked(size_t column) const {
+  for (const IndexDef& index : indexes_) {
+    if (index.column == column) return true;
   }
   return false;
 }
 
-void Table::MarkIndexesDirty() {
-  for (auto& index : indexes_) index->MarkDirty();
+const std::vector<IndexSlotPtr>& Table::CurrentIndexSlotsLocked() const {
+  if (index_slots_stale_) {
+    std::vector<IndexSlotPtr> slots;
+    slots.reserve(indexes_.size());
+    for (const IndexDef& index : indexes_) {
+      slots.push_back(std::make_shared<IndexSlot>(index.name, index.column));
+    }
+    index_slots_ = std::move(slots);
+    index_slots_stale_ = false;
+  }
+  return index_slots_;
 }
 
 TableStats Table::StatsSnapshot() const {
@@ -220,42 +245,46 @@ void Table::EndWrite() {
   }
 }
 
-void Table::MarkDirtyFromLocked(size_t row_id) {
-  dirty_from_ = std::min(dirty_from_, row_id);
+void Table::MarkChunksDirtyLocked(size_t first, size_t last) {
+  constexpr size_t kChunkRows = TableSnapshot::kChunkRows;
+  const size_t last_chunk = last / kChunkRows;
+  if (dirty_chunks_.size() <= last_chunk) {
+    dirty_chunks_.resize(last_chunk + 1, false);
+  }
+  for (size_t c = first / kChunkRows; c <= last_chunk; ++c) {
+    dirty_chunks_[c] = true;
+  }
 }
 
 void Table::RefreshSnapshotLocked() const {
   const uint64_t epoch = mutation_epoch_.load(std::memory_order_acquire);
   if (snapshot_ != nullptr && snapshot_->epoch() == epoch) return;
 
+  // A chunk no mutation marked is row-for-row identical to the
+  // published snapshot's chunk of the same number, provided it still
+  // holds as many rows (the tail chunk grows and shrinks); share it and
+  // copy only the marked ones.
   constexpr size_t kChunkRows = TableSnapshot::kChunkRows;
-  // Rows below dirty_from_ are byte-identical to the published snapshot,
-  // so every *full* chunk entirely below it can be shared; everything
-  // from the first shared-boundary row onward is copied fresh.
-  size_t shared_chunks = 0;
-  if (snapshot_ != nullptr) {
-    const size_t unchanged = std::min(dirty_from_, rows_.size());
-    shared_chunks = std::min(unchanged / kChunkRows,
-                             snapshot_->num_rows() / kChunkRows);
-    shared_chunks = std::min(shared_chunks, snapshot_->num_chunks());
-  }
-
   std::vector<std::shared_ptr<const RowChunk>> chunks;
   chunks.reserve((rows_.size() + kChunkRows - 1) / kChunkRows);
-  for (size_t c = 0; c < shared_chunks; ++c) chunks.push_back(snapshot_->chunk(c));
-  for (size_t pos = shared_chunks * kChunkRows; pos < rows_.size();
-       pos += kChunkRows) {
-    auto chunk = std::make_shared<RowChunk>();
+  for (size_t c = 0, pos = 0; pos < rows_.size(); ++c, pos += kChunkRows) {
     const size_t end = std::min(pos + kChunkRows, rows_.size());
+    const bool dirty = c < dirty_chunks_.size() && dirty_chunks_[c];
+    if (!dirty && snapshot_ != nullptr && c < snapshot_->num_chunks() &&
+        snapshot_->chunk(c)->rows.size() == end - pos) {
+      chunks.push_back(snapshot_->chunk(c));
+      continue;
+    }
+    auto chunk = std::make_shared<RowChunk>();
     chunk->rows.assign(rows_.begin() + static_cast<ptrdiff_t>(pos),
                        rows_.begin() + static_cast<ptrdiff_t>(end));
     chunks.push_back(std::move(chunk));
   }
 
   TableSnapshotPtr retired = std::move(snapshot_);
-  snapshot_ = std::make_shared<const TableSnapshot>(std::move(chunks),
-                                                    rows_.size(), epoch);
-  dirty_from_ = static_cast<size_t>(-1);
+  snapshot_ = std::make_shared<const TableSnapshot>(
+      std::move(chunks), rows_.size(), epoch, CurrentIndexSlotsLocked());
+  dirty_chunks_.clear();
   if (retired != nullptr) {
     EpochManager& manager = EpochManager::Global();
     manager.Retire(std::static_pointer_cast<const void>(std::move(retired)));

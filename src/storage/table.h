@@ -34,6 +34,13 @@ namespace rfv {
 /// last committed image, so a multi-row statement is never observed
 /// half-applied. Superseded snapshots are retired into the global
 /// EpochManager and reclaimed once no reader epoch can see them.
+///
+/// Indexes are versioned with the snapshots: each snapshot carries one
+/// IndexSlot per index, whose image is built from that snapshot's rows
+/// on its first probe. A mutation that changes an indexed key or moves
+/// row ids (every insert and delete, an update of a key column) starts
+/// a new index version; other updates keep the slots, so the next
+/// snapshot reuses the image unchanged.
 class Table {
  public:
   Table(std::string name, Schema schema)
@@ -46,16 +53,16 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   size_t NumRows() const { return live_rows_.load(std::memory_order_acquire); }
+  /// Writer-side: a row of the live store. Readers use PinSnapshot().
   const Row& row(size_t row_id) const { return rows_[row_id]; }
-  const std::vector<Row>& rows() const { return rows_; }
 
   /// Appends a row. Errors: kTypeError on arity or (strict) type
   /// mismatch; NULLs are accepted in any column, integers widen to
   /// double columns.
   Status Insert(Row row);
 
-  /// Bulk append without per-row index maintenance; indexes are marked
-  /// dirty once. Used by workload generators.
+  /// Bulk append of many rows (one index version change for all of
+  /// them). Used by workload generators and view materialization.
   Status InsertBatch(std::vector<Row> rows);
 
   /// Replaces the row at `row_id` (same validation as Insert).
@@ -76,17 +83,22 @@ class Table {
   Status CreateIndex(const std::string& index_name,
                      const std::string& column_name);
 
-  /// Returns a usable (non-dirty) index over `column`, rebuilding it if
-  /// necessary; nullptr when no index exists on that column. Rebuilds
-  /// are serialized, but returned indexes are NOT isolated against
-  /// concurrent DML the way snapshots are (see DESIGN §14).
-  OrderedIndex* GetIndexOnColumn(size_t column);
+  /// Writer-side probe: the image of the index on `column` over the
+  /// *live* row store, so its row ids address row()/UpdateCell even in
+  /// the middle of an open write bracket; nullptr when no index exists
+  /// on that column. Only the thread that mutates the table may call
+  /// it (the engine's write mutex holder); readers probe the image of
+  /// their pinned snapshot (TableSnapshot::IndexOnColumn) instead.
+  OrderedIndexPtr GetIndexOnColumn(size_t column);
 
-  /// True when some index exists on `column` (without forcing a rebuild).
-  bool HasIndexOnColumn(size_t column) const;
+  /// Name of the first index on `column`, empty when there is none.
+  /// Safe to call concurrently with DML.
+  std::string IndexNameOnColumn(size_t column) const;
 
-  const std::vector<std::unique_ptr<OrderedIndex>>& indexes() const {
-    return indexes_;
+  /// True when some index exists on `column`. Safe to call concurrently
+  /// with DML.
+  bool HasIndexOnColumn(size_t column) const {
+    return !IndexNameOnColumn(column).empty();
   }
 
   /// Statistics maintained incrementally by every DML path above (row
@@ -105,8 +117,9 @@ class Table {
   void Analyze();
 
   /// Counter bumped by every mutation of the row store (Insert,
-  /// InsertBatch, UpdateRow, UpdateCell, DeleteRow, Truncate) — but not
-  /// by read-side maintenance like Analyze or CreateIndex. Snapshots are
+  /// InsertBatch, UpdateRow, UpdateCell, DeleteRow, Truncate) and by
+  /// CreateIndex (so the next pin publishes a snapshot carrying the new
+  /// index) — but not by Analyze. Snapshots are
   /// stamped with it, so it doubles as the staleness marker that
   /// triggers a copy-on-write refresh on the next pin.
   uint64_t mutation_epoch() const {
@@ -149,21 +162,34 @@ class Table {
   /// column is kDouble.
   Status ValidateAndCoerce(Row* row) const;
 
-  void MarkIndexesDirty();
+  /// One index definition: its name and key column.
+  struct IndexDef {
+    std::string name;
+    size_t column;
+  };
 
-  /// Rebuilds `snapshot_` from `rows_` when stale, sharing every full
-  /// chunk below the first mutated row with the previous snapshot and
-  /// retiring the superseded snapshot. Caller holds snap_mu_.
+  /// Rebuilds `snapshot_` from `rows_` when stale, sharing every chunk
+  /// no mutation touched with the previous snapshot and retiring the
+  /// superseded snapshot. Caller holds snap_mu_.
   void RefreshSnapshotLocked() const;
 
-  /// Records that rows at positions >= `row_id` may differ from the
-  /// published snapshot. Caller holds snap_mu_.
-  void MarkDirtyFromLocked(size_t row_id);
+  /// Records that the chunks holding rows [first, last] may differ from
+  /// the published snapshot. Caller holds snap_mu_.
+  void MarkChunksDirtyLocked(size_t first, size_t last);
+
+  /// True when `column` is the key of some index. Caller holds snap_mu_
+  /// or is the writer.
+  bool IsIndexedLocked(size_t column) const;
+
+  /// The index slots of the live store's current index version, made
+  /// fresh (empty images) when a key change or row move retired the
+  /// previous ones. Caller holds snap_mu_.
+  const std::vector<IndexSlotPtr>& CurrentIndexSlotsLocked() const;
 
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
-  std::vector<std::unique_ptr<OrderedIndex>> indexes_;
+  std::vector<IndexDef> indexes_;
   TableStats stats_;
   std::atomic<uint64_t> mutation_epoch_{0};
 
@@ -177,9 +203,15 @@ class Table {
   mutable std::mutex snap_mu_;
   /// Last committed snapshot; lazily (re)built under snap_mu_.
   mutable TableSnapshotPtr snapshot_;
-  /// First row position that may differ from snapshot_; SIZE_MAX when
-  /// the snapshot covers rows_ exactly.
-  mutable size_t dirty_from_ = static_cast<size_t>(-1);
+  /// Chunks that may differ from snapshot_ (indexed by chunk number;
+  /// empty when the snapshot covers rows_ exactly).
+  mutable std::vector<bool> dirty_chunks_;
+  /// Index slots of the current index version, shared with every
+  /// snapshot published since the version began.
+  mutable std::vector<IndexSlotPtr> index_slots_;
+  /// Set when a mutation changed an indexed key or moved row ids:
+  /// index_slots_ belong to a superseded version.
+  mutable bool index_slots_stale_ = true;
   /// Nesting depth of open write brackets.
   int writer_depth_ = 0;
 };

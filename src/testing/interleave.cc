@@ -1,5 +1,6 @@
 #include "testing/interleave.h"
 
+#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -46,6 +47,109 @@ struct SessionGenState {
   int steps_left = 0;
 };
 
+/// The key-writer part of a scenario (see interleave.h), drawn from its
+/// own stream so the rest of the schedule is the one drawn without it.
+/// Every row of k keeps val = 7 * id.
+void AddKeyWriter(uint64_t seed, int index, InterleaveScenario* scenario) {
+  FuzzRng rng(seed * 0xd1b54a32d192ed03ull + static_cast<uint64_t>(index) +
+              0x6b6579ull);
+  if (!rng.ChancePermille(500)) return;
+  scenario->key_writer = true;
+  const int64_t rows = rng.UniformInt(20, 60);
+  std::vector<int64_t> ids;
+  std::string insert = "INSERT INTO k VALUES ";
+  for (int64_t id = 1; id <= rows; ++id) {
+    insert += (id > 1 ? ", (" : "(") + std::to_string(id) + ", " +
+              std::to_string(7 * id) + ")";
+    ids.push_back(id);
+  }
+  scenario->setup.push_back("CREATE TABLE k (id INTEGER PRIMARY KEY, val "
+                            "INTEGER)");
+  scenario->setup.push_back(std::move(insert));
+  scenario->setup.push_back("CREATE TABLE p (lo INTEGER)");
+  scenario->setup.push_back("INSERT INTO p VALUES (" +
+                            std::to_string(rng.UniformInt(1, rows)) + "), (" +
+                            std::to_string(rng.UniformInt(1, rows)) + ")");
+
+  // Session 0's writes to k, in program order.
+  std::vector<InterleaveStep> added;
+  int64_t next_id = rows + 1;
+  int64_t shift = 1000;
+  const int64_t writes = rng.UniformInt(4, 10);
+  for (int64_t w = 0; w < writes; ++w) {
+    InterleaveStep step;
+    step.session = 0;
+    const int64_t kind = rng.UniformInt(0, 3);
+    const int64_t a = rng.Pick(ids);
+    const int64_t b = a + rng.UniformInt(0, 8);
+    if (kind == 0) {
+      const int64_t n = rng.UniformInt(1, 3);
+      step.sql = "INSERT INTO k VALUES ";
+      for (int64_t r = 0; r < n; ++r, ++next_id) {
+        step.sql += (r > 0 ? ", (" : "(") + std::to_string(next_id) + ", " +
+                    std::to_string(7 * next_id) + ")";
+        ids.push_back(next_id);
+      }
+    } else if (kind == 1) {
+      step.sql = "DELETE FROM k WHERE id BETWEEN " + std::to_string(a) +
+                 " AND " + std::to_string(a + rng.UniformInt(0, 2));
+    } else if (kind == 2) {
+      // Key update: moves ids (and their index entries) far out.
+      step.sql = "UPDATE k SET id = id + " + std::to_string(shift) +
+                 ", val = val + " + std::to_string(7 * shift) +
+                 " WHERE id BETWEEN " + std::to_string(a) + " AND " +
+                 std::to_string(b);
+      for (int64_t id = a; id <= b; ++id) ids.push_back(id + shift);
+      shift += 1000;
+    } else {
+      step.sql = "UPDATE k SET val = 7 * id WHERE id BETWEEN " +
+                 std::to_string(a) + " AND " + std::to_string(b);
+    }
+    added.push_back(std::move(step));
+  }
+  // Readers: every other session reads k one to three times.
+  for (int s = 1; s < scenario->num_sessions; ++s) {
+    const int64_t reads = rng.UniformInt(1, 3);
+    for (int64_t r = 0; r < reads; ++r) {
+      InterleaveStep step;
+      step.session = s;
+      step.check = InterleaveStep::Check::kSnapshotOfKeyWriter;
+      const std::string a = std::to_string(rng.UniformInt(1, rows));
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          step.sql = "SELECT id, val FROM k WHERE id BETWEEN " + a + " AND " +
+                     a + " + 5";
+          break;
+        case 1:
+          step.sql = "SELECT id, val FROM k WHERE id < " + a;
+          break;
+        default:
+          step.sql =
+              "SELECT p.lo, k.id, k.val FROM p, k WHERE k.id BETWEEN p.lo "
+              "AND p.lo + 3";
+          break;
+      }
+      // Readers land anywhere among the writes.
+      const size_t at = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(added.size())));
+      added.insert(added.begin() + static_cast<ptrdiff_t>(at),
+                   std::move(step));
+    }
+  }
+  // Merge into the schedule: each list keeps its own order.
+  std::vector<InterleaveStep> merged;
+  merged.reserve(scenario->steps.size() + added.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < scenario->steps.size() || j < added.size()) {
+    const bool take_added =
+        j < added.size() &&
+        (i == scenario->steps.size() || rng.ChancePermille(500));
+    merged.push_back(std::move(take_added ? added[j++] : scenario->steps[i++]));
+  }
+  scenario->steps = std::move(merged);
+}
+
 }  // namespace
 
 std::string InterleaveScenario::Id() const {
@@ -57,6 +161,10 @@ std::string InterleaveScenario::ToSqlScript() const {
   std::string out = "-- " + Id() + ": " + std::to_string(num_sessions) +
                     " sessions, " + std::to_string(steps.size()) +
                     " scheduled statements\n";
+  if (key_writer) {
+    out += "-- run with exec.enable_merge_band_join and "
+           "exec.enable_hash_join off\n";
+  }
   for (const std::string& sql : setup) out += sql + ";\n";
   for (const InterleaveStep& step : steps) {
     out += "-- s" + std::to_string(step.session) + "\n" + step.sql + ";\n";
@@ -165,6 +273,7 @@ InterleaveScenario GenerateInterleaveScenario(uint64_t seed, int index) {
       step.max_visible_rows = total_inserted;
     }
   }
+  AddKeyWriter(seed, index, &scenario);
   return scenario;
 }
 
@@ -232,11 +341,43 @@ std::vector<StepResult> RunConcurrent(const InterleaveScenario& scenario,
   return results;
 }
 
-std::vector<Row> FinalContents(Database* db) {
+std::vector<Row> FinalContents(Database* db, const std::string& sql) {
   Session session(db);
-  Result<ResultSet> rs = session.Execute("SELECT session, pos, val FROM t");
+  Result<ResultSet> rs = session.Execute(sql);
   if (!rs.ok()) return {};
   return rs->rows();
+}
+
+/// Key-writer scenarios: the rows of every kSnapshotOfKeyWriter query
+/// after each prefix of session 0's writes to k (answers[j] = after j
+/// writes), replayed on a fresh database of its own.
+std::vector<std::map<std::string, std::vector<Row>>> KeyWriterAnswers(
+    const InterleaveScenario& scenario) {
+  std::vector<std::map<std::string, std::vector<Row>>> answers;
+  Database db;
+  db.options().exec.enable_merge_band_join = false;
+  db.options().exec.enable_hash_join = false;
+  Session session(&db);
+  for (const std::string& sql : scenario.setup) (void)session.Execute(sql);
+  const auto snapshot = [&] {
+    std::map<std::string, std::vector<Row>> rows;
+    for (const InterleaveStep& step : scenario.steps) {
+      if (step.check != InterleaveStep::Check::kSnapshotOfKeyWriter) continue;
+      Result<ResultSet> rs = session.Execute(step.sql);
+      if (rs.ok()) rows[step.sql] = rs->rows();
+    }
+    answers.push_back(std::move(rows));
+  };
+  snapshot();
+  for (const InterleaveStep& step : scenario.steps) {
+    const bool writes_k = step.sql.rfind("INSERT INTO k ", 0) == 0 ||
+                          step.sql.rfind("DELETE FROM k ", 0) == 0 ||
+                          step.sql.rfind("UPDATE k ", 0) == 0;
+    if (!writes_k) continue;
+    (void)session.Execute(step.sql);
+    snapshot();
+  }
+  return answers;
 }
 
 }  // namespace
@@ -256,6 +397,10 @@ InterleaveVerdict RunInterleaveScenario(const InterleaveScenario& scenario) {
   Database serial_db;
   Database concurrent_db;
   for (Database* db : {&serial_db, &concurrent_db}) {
+    if (scenario.key_writer) {
+      db->options().exec.enable_merge_band_join = false;
+      db->options().exec.enable_hash_join = false;
+    }
     Session setup(db);
     for (const std::string& sql : scenario.setup) {
       const Result<ResultSet> rs = setup.Execute(sql);
@@ -269,7 +414,12 @@ InterleaveVerdict RunInterleaveScenario(const InterleaveScenario& scenario) {
   const std::vector<StepResult> serial = RunSerial(scenario, &serial_db);
   const std::vector<StepResult> concurrent =
       RunConcurrent(scenario, &concurrent_db);
-  const std::vector<Row> serial_final = FinalContents(&serial_db);
+  const std::vector<Row> serial_final =
+      FinalContents(&serial_db, "SELECT session, pos, val FROM t");
+  const std::vector<std::map<std::string, std::vector<Row>>> answers =
+      scenario.key_writer
+          ? KeyWriterAnswers(scenario)
+          : std::vector<std::map<std::string, std::vector<Row>>>();
 
   for (size_t i = 0; i < scenario.steps.size(); ++i) {
     const InterleaveStep& step = scenario.steps[i];
@@ -308,15 +458,43 @@ InterleaveVerdict RunInterleaveScenario(const InterleaveScenario& scenario) {
                   std::to_string(step.max_visible_rows) + "]");
         break;
       }
+      case InterleaveStep::Check::kSnapshotOfKeyWriter: {
+        // 5. A reader of k sees one statement boundary of session 0's
+        // writes: its rows, in order, are the serial answer after some
+        // prefix of them — in the serial run and the concurrent one.
+        for (const StepResult* run : {&serial[i], &concurrent[i]}) {
+          bool matched = false;
+          for (const auto& prefix : answers) {
+            const auto it = prefix.find(step.sql);
+            if (it != prefix.end() && it->second == run->rows) {
+              matched = true;
+              break;
+            }
+          }
+          check(matched, where + (run == &serial[i] ? " serially" : "") +
+                             " returned rows no prefix of s0's writes "
+                             "to k gives (" +
+                             std::to_string(run->rows.size()) + " rows)");
+        }
+        break;
+      }
       case InterleaveStep::Check::kNone:
         break;
     }
   }
 
   // 4. Commuting writes: both runs converge to the same contents.
-  const std::optional<std::string> diff =
-      DiffRowVectorsCanonical(serial_final, FinalContents(&concurrent_db));
+  const std::optional<std::string> diff = DiffRowVectorsCanonical(
+      serial_final,
+      FinalContents(&concurrent_db, "SELECT session, pos, val FROM t"));
   check(!diff.has_value(), "final contents diverged:\n" + diff.value_or(""));
+  if (scenario.key_writer) {
+    const std::string sql = "SELECT id, val FROM k";
+    const std::optional<std::string> k_diff = DiffRowVectorsCanonical(
+        FinalContents(&serial_db, sql), FinalContents(&concurrent_db, sql));
+    check(!k_diff.has_value(),
+          "final contents of k diverged:\n" + k_diff.value_or(""));
+  }
   return verdict;
 }
 

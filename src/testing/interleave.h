@@ -38,12 +38,23 @@ namespace fuzzing {
 ///      lands outside this bracket);
 ///   4. final table contents equal the serial replay's (commuting
 ///      writes ⇒ same fixpoint), compared under canonical row order.
+///
+/// About half the scenarios add an indexed table `k (id INTEGER PRIMARY
+/// KEY, val INTEGER)` that session 0 alone writes: inserts, deletes,
+/// key updates that move ids (`SET id = id + d`) and non-key updates.
+/// The other sessions read it through range SELECTs and an index
+/// nested-loop join (both databases run with the merge band and hash
+/// joins off, so the join is forced onto the index). A reader sees
+/// one committed statement boundary, so each of its results must equal,
+/// rows and order alike, the serial answer after *some* prefix of
+/// session 0's writes to k (check 5), and k's final contents must
+/// converge too.
 
 struct InterleaveStep {
   int session = 0;  ///< 0-based session index
   std::string sql;
   /// Check kind this step participates in beyond "no error":
-  enum class Check { kNone, kOwnRows, kGlobalCount };
+  enum class Check { kNone, kOwnRows, kGlobalCount, kSnapshotOfKeyWriter };
   Check check = Check::kNone;
   /// kGlobalCount only: the observing session's own live rows before
   /// this step — the count a concurrent snapshot may never drop below.
@@ -59,6 +70,9 @@ struct InterleaveScenario {
   int num_sessions = 2;
   std::vector<std::string> setup;  ///< DDL + seed data, run before racing
   std::vector<InterleaveStep> steps;
+  /// Session 0 writes the indexed table k; readers run with the merge
+  /// band and hash joins off (see the class comment).
+  bool key_writer = false;
 
   /// "interleave seed<seed>/iter<index>" — stable log/repro identifier.
   std::string Id() const;
@@ -82,7 +96,7 @@ struct InterleaveVerdict {
 };
 
 /// Replays the scenario serially and concurrently against two fresh
-/// Databases and runs all four checks.
+/// Databases and runs all checks.
 InterleaveVerdict RunInterleaveScenario(const InterleaveScenario& scenario);
 
 }  // namespace fuzzing

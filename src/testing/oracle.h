@@ -34,11 +34,15 @@ namespace fuzzing {
 ///                   fold against the row paths;
 ///   * maintenance — incrementally maintained view content vs. a full
 ///                   recompute (ViewManager::RefreshView) after every
-///                   DML batch.
+///                   DML batch;
+///   * indexscan   — sargable SELECTs on every `pos`-indexed table vs.
+///                   the same SELECTs with the key made non-sargable
+///                   (`pos + 0`): the range scan must return the full
+///                   scan's rows in the same order.
 ///
-/// All row comparisons run under canonical row ordering
-/// (result_compare.h), so plans without a final sort cannot produce
-/// order-only false positives.
+/// Row comparisons run under canonical row ordering (result_compare.h),
+/// so plans without a final sort cannot produce order-only false
+/// positives — except `indexscan`, whose two plans share one scan order.
 
 struct OracleOptions {
   /// Worker count of the parallel run (serial run is always 1). The
@@ -68,7 +72,9 @@ struct OracleFailure {
 struct ScenarioVerdict {
   std::vector<OracleFailure> failures;
   /// Oracle name → number of comparisons performed. Skipped rewrites
-  /// (method not applicable) are counted under "rewrite-skipped".
+  /// (method not applicable) are counted under "rewrite-skipped", and
+  /// the indexscan queries that read a key range under
+  /// "indexscan-ranged"; neither counts toward TotalChecks.
   std::map<std::string, int> checks;
 
   bool ok() const { return failures.empty(); }

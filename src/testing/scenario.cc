@@ -49,6 +49,11 @@ std::string Scenario::CreateTableSql() const {
   return sql;
 }
 
+std::string Scenario::CreateIndexSql() const {
+  if (kind != ScenarioKind::kWindow) return "";
+  return "CREATE INDEX " + table + "_pos ON " + table + " (pos)";
+}
+
 std::string Scenario::InsertSql() const {
   if (rows.empty()) return "";
   std::string sql = "INSERT INTO " + table + " VALUES ";
@@ -135,6 +140,8 @@ std::string Scenario::ToSqlScript() const {
   out += CreateTableSql() + ";\n";
   const std::string insert = InsertSql();
   if (!insert.empty()) out += insert + ";\n";
+  const std::string index = CreateIndexSql();
+  if (!index.empty()) out += index + ";\n";
   for (const FuzzView& view : views) out += CreateViewSql(view) + ";\n";
   for (const FuzzQuery& query : queries) out += QuerySql(query) + ";\n";
   for (size_t b = 0; b < dml_batches.size(); ++b) {

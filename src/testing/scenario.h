@@ -118,6 +118,10 @@ struct Scenario {
   std::string Id() const;
 
   std::string CreateTableSql() const;
+  /// Window scenarios: an ordered index on `pos`, so the range scan and
+  /// the UPDATE/DELETE index probe meet NULL and duplicate keys ("" for
+  /// the other kinds, whose dense tables carry a primary key or none).
+  std::string CreateIndexSql() const;
   /// Multi-row INSERT of `rows` ("" when empty).
   std::string InsertSql() const;
   std::string CreateViewSql(const FuzzView& view) const;

@@ -40,9 +40,10 @@ Result<BaseBinding> BindBase(Catalog* catalog, const SequenceViewDef& def) {
 }
 
 /// Finds the base row id holding `position` (via the position index
-/// when one exists; UpdateCell on the value column keeps it warm).
+/// when one exists; UpdateCell on the value column keeps its image).
 Result<size_t> FindBaseRow(const BaseBinding& binding, int64_t position) {
-  OrderedIndex* index = binding.base->GetIndexOnColumn(binding.order_col);
+  const OrderedIndexPtr index =
+      binding.base->GetIndexOnColumn(binding.order_col);
   if (index != nullptr) {
     const std::vector<size_t> hits = index->Lookup(Value::Int(position));
     if (!hits.empty()) return hits.front();
@@ -95,7 +96,7 @@ Result<size_t> WriteViewValue(Table* content, int64_t pos, double val) {
   // (partitioned views are refreshed wholesale, not routed here).
   const size_t pos_col = content->schema().NumColumns() - 2;
   const size_t val_col = content->schema().NumColumns() - 1;
-  OrderedIndex* pos_index = content->GetIndexOnColumn(pos_col);
+  const OrderedIndexPtr pos_index = content->GetIndexOnColumn(pos_col);
   size_t written = 0;
   if (pos_index != nullptr) {
     for (size_t r : pos_index->Lookup(Value::Int(pos))) {
@@ -115,17 +116,18 @@ Result<size_t> WriteViewValue(Table* content, int64_t pos, double val) {
   return written;
 }
 
-/// Adds `delta` to the view rows with pos in [lo, hi]. Uses the pos
-/// index; UpdateCell marks indexes dirty, so collect row ids first.
+/// Adds `delta` to the view rows with pos in [lo, hi], located through
+/// the pos index (row ids collected first, then updated).
 Result<size_t> AddDeltaRange(Table* content, int64_t lo, int64_t hi,
                              double delta) {
   const size_t pos_col = content->schema().NumColumns() - 2;
   const size_t val_col = content->schema().NumColumns() - 1;
   std::vector<size_t> row_ids;
-  OrderedIndex* pos_index = content->GetIndexOnColumn(pos_col);
+  const OrderedIndexPtr pos_index = content->GetIndexOnColumn(pos_col);
   if (pos_index != nullptr) {
-    row_ids = pos_index->LookupRange(Value::Int(lo), true, Value::Int(hi),
-                                     true);
+    const Value from = Value::Int(lo);
+    const Value to = Value::Int(hi);
+    row_ids = pos_index->RowIdsInRange(&from, &to);
   } else {
     for (size_t r = 0; r < content->NumRows(); ++r) {
       const Value& p = content->row(r)[pos_col];

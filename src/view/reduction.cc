@@ -19,15 +19,17 @@ Result<PartitionedSequence> LoadPartitionedSequence(
     const ViewManager& views, const SequenceViewDef& def) {
   Result<Table*> content = views.catalog()->GetTable(def.view_name);
   if (!content.ok()) return content.status();
-  const Table& table = **content;
+  // The rewriter reads view content beside concurrent maintenance: read
+  // a pinned snapshot, not the live store.
+  const TableSnapshotPtr snap = (*content)->PinSnapshot();
   const size_t key_width = def.partition_columns.size();
   const size_t pos_col = key_width;
   const size_t val_col = key_width + 1;
 
   // Group stored sequence values by partition key.
   std::map<std::vector<int64_t>, std::map<int64_t, SeqValue>> grouped;
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    const Row& row = table.row(r);
+  for (size_t r = 0; r < snap->num_rows(); ++r) {
+    const Row& row = snap->row(r);
     std::vector<int64_t> key;
     key.reserve(key_width);
     for (size_t c = 0; c < key_width; ++c) {
@@ -184,17 +186,16 @@ Result<const SequenceViewDef*> ReduceViewOrdering(
 
   Result<Table*> content = views->catalog()->GetTable(source->view_name);
   if (!content.ok()) return content.status();
-  const Table& table = **content;
+  const TableSnapshotPtr snap = (*content)->PinSnapshot();
   const size_t pos_col = 0;
   const size_t val_col = 1;
   std::vector<SeqValue> fine(static_cast<size_t>(source->n), 0);
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    const int64_t pos = table.row(r)[pos_col].AsInt();
+  for (size_t r = 0; r < snap->num_rows(); ++r) {
+    const Row& row = snap->row(r);
+    const int64_t pos = row[pos_col].AsInt();
     if (pos >= 1 && pos <= source->n) {
       fine[static_cast<size_t>(pos - 1)] =
-          table.row(r)[val_col].is_null()
-              ? 0
-              : table.row(r)[val_col].ToDouble();
+          row[val_col].is_null() ? 0 : row[val_col].ToDouble();
     }
   }
   // The §6.1 lemma: coarse cumulative value = fine cumulative at the

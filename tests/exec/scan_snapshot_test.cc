@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/epoch.h"
 #include "db/database.h"
 #include "exec/operators.h"
@@ -295,6 +297,119 @@ TEST_F(ScanSnapshotTest, AnalyzeDoesNotBumpEpoch) {
   Row row;
   bool eof = false;
   EXPECT_TRUE(scan.Next(&row, &eof).ok());
+}
+
+// Copy-on-write at chunk granularity, and the snapshot-versioned index
+// images: a 4 000-row keyed table spans four chunks.
+class ChunkedSnapshotTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    testutil::CreateSeqTable(db_, 4000);
+    Result<Table*> t = db_.catalog()->GetTable("seq");
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    table_ = *t;
+  }
+
+  /// Rows a range scan of pos in [lo, hi] yields from its pinned
+  /// snapshot, pulled in two steps with `between` run in the middle.
+  std::vector<Row> RangeScan(int64_t lo, int64_t hi,
+                             const std::function<void()>& between) {
+    KeyRange range;
+    range.column = 0;
+    range.index_name = table_->IndexNameOnColumn(0);
+    range.lo = Value::Int(lo);
+    range.hi = Value::Int(hi);
+    TableScanOp scan(table_->schema(), table_, range);
+    EXPECT_TRUE(scan.Open().ok());
+    std::vector<Row> rows;
+    Row row;
+    bool eof = false;
+    EXPECT_TRUE(scan.Next(&row, &eof).ok());
+    if (!eof) rows.push_back(row);
+    between();
+    while (true) {
+      EXPECT_TRUE(scan.Next(&row, &eof).ok());
+      if (eof) break;
+      rows.push_back(row);
+    }
+    return rows;
+  }
+
+  Database db_;
+  Table* table_ = nullptr;
+};
+
+TEST_F(ChunkedSnapshotTest, UpdateCopiesOnlyTheTouchedChunk) {
+  const TableSnapshotPtr before = table_->PinSnapshot();
+  ASSERT_EQ(before->num_chunks(), 4u);
+  MustExecute(db_, "UPDATE seq SET val = val + 1 WHERE pos BETWEEN 11 AND 20");
+  const TableSnapshotPtr after = table_->PinSnapshot();
+  ASSERT_EQ(after->num_chunks(), 4u);
+  EXPECT_NE(before->chunk(0).get(), after->chunk(0).get());
+  // Every chunk after the dirty one is shared pointer-for-pointer.
+  for (size_t c = 1; c < 4; ++c) {
+    EXPECT_EQ(before->chunk(c).get(), after->chunk(c).get()) << "chunk " << c;
+  }
+}
+
+TEST_F(ChunkedSnapshotTest, UpdateOfTwoChunksSharesTheRest) {
+  const TableSnapshotPtr before = table_->PinSnapshot();
+  MustExecute(db_, "UPDATE seq SET val = 0 WHERE pos = 5 OR pos = 3000");
+  const TableSnapshotPtr after = table_->PinSnapshot();
+  EXPECT_NE(before->chunk(0).get(), after->chunk(0).get());
+  EXPECT_EQ(before->chunk(1).get(), after->chunk(1).get());
+  EXPECT_NE(before->chunk(2).get(), after->chunk(2).get());
+  EXPECT_EQ(before->chunk(3).get(), after->chunk(3).get());
+}
+
+TEST_F(ChunkedSnapshotTest, DeleteDirtiesFromTheDeletedRowOnward) {
+  const TableSnapshotPtr before = table_->PinSnapshot();
+  MustExecute(db_, "DELETE FROM seq WHERE pos = 2000");  // chunk 1
+  const TableSnapshotPtr after = table_->PinSnapshot();
+  ASSERT_EQ(after->num_rows(), 3999u);
+  EXPECT_EQ(before->chunk(0).get(), after->chunk(0).get());
+  for (size_t c = 1; c < 4; ++c) {
+    EXPECT_NE(before->chunk(c).get(), after->chunk(c).get()) << "chunk " << c;
+  }
+  EXPECT_EQ(after->row(1999)[0], Value::Int(2001));
+}
+
+TEST_F(ChunkedSnapshotTest, NonKeyUpdateReusesTheIndexImage) {
+  const OrderedIndexPtr before = table_->PinSnapshot()->IndexOnColumn(0);
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->NumEntries(), 4000u);
+  MustExecute(db_, "UPDATE seq SET val = val + 1 WHERE pos BETWEEN 11 AND 20");
+  EXPECT_EQ(table_->PinSnapshot()->IndexOnColumn(0), before);
+  ASSERT_TRUE(table_->UpdateCell(7, 1, Value::Double(1)).ok());
+  EXPECT_EQ(table_->PinSnapshot()->IndexOnColumn(0), before);
+  // A key change, an insert and a delete each start a new image.
+  MustExecute(db_, "UPDATE seq SET pos = 9000 WHERE pos = 12");
+  const OrderedIndexPtr moved = table_->PinSnapshot()->IndexOnColumn(0);
+  EXPECT_NE(moved, before);
+  EXPECT_EQ(moved->Lookup(Value::Int(9000)), std::vector<size_t>{11});
+  MustExecute(db_, "INSERT INTO seq VALUES (4001, 1)");
+  EXPECT_NE(table_->PinSnapshot()->IndexOnColumn(0), moved);
+  // The old image still answers for its own snapshot.
+  EXPECT_EQ(before->Lookup(Value::Int(12)), std::vector<size_t>{11});
+}
+
+TEST_F(ChunkedSnapshotTest, RangeScanReadsItsPinnedImage) {
+  // Deletes below the range shift every row id in it, inserts add
+  // keys to it and a key update moves a row out of it: the open scan
+  // keeps the 100 rows of its snapshot, in pos order.
+  const std::vector<Row> rows = RangeScan(1001, 1100, [this] {
+    MustExecute(db_, "DELETE FROM seq WHERE pos <= 50");
+    MustExecute(db_, "INSERT INTO seq VALUES (1050, 7), (1051, 7)");
+    MustExecute(db_, "UPDATE seq SET pos = pos + 5000 WHERE pos = 1060");
+  });
+  ASSERT_EQ(rows.size(), 100u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i][0], Value::Int(static_cast<int64_t>(1001 + i)));
+  }
+  // A fresh statement sees the committed changes.
+  const ResultSet rs =
+      MustExecute(db_, "SELECT pos FROM seq WHERE pos BETWEEN 1001 AND 1100");
+  EXPECT_EQ(rs.rows().size(), 101u);
 }
 
 // End-to-end shape: SQL-level DML between two executed statements is

@@ -250,6 +250,54 @@ TEST_F(PlannerTest, BetweenLiteralsEstimateFromRangeOverlap) {
               2080.0 * 1039.5 / 2079.0, 1e-6);
   // Non-literal bounds keep the default range selectivity.
   EXPECT_DOUBLE_EQ(filter_estimate("pos BETWEEN val AND 10"), 2080 * 0.25);
+  // One-sided comparisons against a literal overlap the same range;
+  // a strict bound on an INTEGER column drops its boundary position.
+  EXPECT_DOUBLE_EQ(filter_estimate("pos <= 200"), 240);
+  EXPECT_DOUBLE_EQ(filter_estimate("pos < 200"), 239);
+  EXPECT_DOUBLE_EQ(filter_estimate("200 >= pos"), 240);
+  EXPECT_DOUBLE_EQ(filter_estimate("pos > 2000"), 40);
+  EXPECT_DOUBLE_EQ(filter_estimate("pos >= 2000"), 41);
+  EXPECT_DOUBLE_EQ(filter_estimate("pos > 5000"), 0);
+  EXPECT_NEAR(filter_estimate("val < 1039.5"), 2080.0 * 1078.5 / 2079.0,
+              1e-6);
+  // A column on both sides keeps the default comparison selectivity.
+  EXPECT_NEAR(filter_estimate("pos < val"), 2080 * 0.33, 1e-9);
+}
+
+TEST_F(PlannerTest, SargableKeyRangesIntersectPerIndexedColumn) {
+  Result<Table*> table = catalog_.CreateTable(
+      "k", Schema({ColumnDef("id", DataType::kInt64),
+                   ColumnDef("grp", DataType::kInt64),
+                   ColumnDef("val", DataType::kDouble)}));
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->CreateIndex("k_id", "id").ok());
+  ASSERT_TRUE((*table)->CreateIndex("k_val", "val").ok());
+  const auto ranges = [&](const std::string& where) {
+    LogicalPlanPtr plan = BindAndOptimize("SELECT id FROM k WHERE " + where);
+    const LogicalPlan* node = plan.get();
+    while (node->kind != PlanKind::kFilter) node = node->children[0].get();
+    return SargableKeyRanges(*node->predicate, **table);
+  };
+
+  std::vector<KeyRange> r = ranges("id >= 5 AND grp = 1 AND 9 > id");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].index_name, "k_id");
+  EXPECT_EQ(r[0].ToString(), "[5,9]");
+  EXPECT_EQ(r[0].predicate, "(k.id >= 5) AND (9 > k.id)");
+
+  r = ranges("id BETWEEN 1 + 1 AND 10 AND id = 4");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].ToString(), "[4,4]");
+
+  EXPECT_EQ(ranges("id < 3")[0].ToString(), "[-inf,3]");
+  // Not sargable: no index on grp, DOUBLE keys, a column on both
+  // sides, an OR, arithmetic on the key, a NULL constant.
+  EXPECT_TRUE(ranges("grp = 1").empty());
+  EXPECT_TRUE(ranges("val < 3").empty());
+  EXPECT_TRUE(ranges("id < grp").empty());
+  EXPECT_TRUE(ranges("id = 1 OR id = 2").empty());
+  EXPECT_TRUE(ranges("id + 0 BETWEEN 1 AND 5").empty());
+  EXPECT_TRUE(ranges("id = NULL").empty());
 }
 
 }  // namespace

@@ -99,50 +99,50 @@ TEST(TableTest, DuplicateIndexNameFails) {
   EXPECT_EQ(t.CreateIndex("i", "val").code(), StatusCode::kAlreadyExists);
 }
 
-TEST(TableTest, IndexMaintainedOnInsert) {
+TEST(TableTest, IndexCoversInsertedRows) {
   Table t("seq", SeqSchema());
   ASSERT_TRUE(t.CreateIndex("i", "pos").ok());
   for (int i = 5; i >= 1; --i) {
     ASSERT_TRUE(t.Insert(Row({Value::Int(i), Value::Double(i)})).ok());
   }
-  OrderedIndex* index = t.GetIndexOnColumn(0);
+  const OrderedIndexPtr index = t.GetIndexOnColumn(0);
   ASSERT_NE(index, nullptr);
   const std::vector<size_t> hits = index->Lookup(Value::Int(3));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(t.row(hits[0])[0], Value::Int(3));
 }
 
-TEST(TableTest, IndexRebuiltAfterDelete) {
+TEST(TableTest, IndexFollowsDelete) {
   Table t("seq", SeqSchema());
   ASSERT_TRUE(t.CreateIndex("i", "pos").ok());
   for (int i = 1; i <= 4; ++i) {
     ASSERT_TRUE(t.Insert(Row({Value::Int(i), Value::Double(i)})).ok());
   }
   ASSERT_TRUE(t.DeleteRow(0).ok());
-  OrderedIndex* index = t.GetIndexOnColumn(0);
+  const OrderedIndexPtr index = t.GetIndexOnColumn(0);
   ASSERT_NE(index, nullptr);
   EXPECT_TRUE(index->Lookup(Value::Int(1)).empty());
-  EXPECT_EQ(index->Lookup(Value::Int(4)).size(), 1u);
+  EXPECT_EQ(index->Lookup(Value::Int(4)), std::vector<size_t>{2});
 }
 
-TEST(TableTest, UpdateCellKeepsUnrelatedIndexesWarm) {
+TEST(TableTest, UpdateCellKeepsUnrelatedIndexImages) {
   Table t("seq", SeqSchema());
   ASSERT_TRUE(t.CreateIndex("i", "pos").ok());
   for (int i = 1; i <= 5; ++i) {
     ASSERT_TRUE(t.Insert(Row({Value::Int(i), Value::Double(i)})).ok());
   }
-  OrderedIndex* index = t.GetIndexOnColumn(0);
+  const OrderedIndexPtr index = t.GetIndexOnColumn(0);
   ASSERT_NE(index, nullptr);
-  // Updating the non-key column must not invalidate the pos index.
+  // Updating the non-key column keeps the image.
   ASSERT_TRUE(t.UpdateCell(2, 1, Value::Double(99)).ok());
-  EXPECT_FALSE(index->dirty());
-  EXPECT_EQ(index->Lookup(Value::Int(3)).size(), 1u);
-  // Updating the key column must.
+  EXPECT_EQ(t.GetIndexOnColumn(0), index);
+  // Updating the key column starts a new one; the old image is intact.
   ASSERT_TRUE(t.UpdateCell(2, 0, Value::Int(33)).ok());
-  EXPECT_TRUE(index->dirty());
-  index = t.GetIndexOnColumn(0);  // rebuilds
-  EXPECT_EQ(index->Lookup(Value::Int(33)).size(), 1u);
-  EXPECT_TRUE(index->Lookup(Value::Int(3)).empty());
+  const OrderedIndexPtr rebuilt = t.GetIndexOnColumn(0);
+  EXPECT_NE(rebuilt, index);
+  EXPECT_EQ(rebuilt->Lookup(Value::Int(33)).size(), 1u);
+  EXPECT_TRUE(rebuilt->Lookup(Value::Int(3)).empty());
+  EXPECT_EQ(index->Lookup(Value::Int(3)).size(), 1u);
 }
 
 TEST(TableTest, UpdateCellValidatesType) {

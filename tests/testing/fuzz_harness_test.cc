@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include <string>
 
 #include "common/metrics_registry.h"
@@ -95,6 +97,28 @@ TEST(FuzzOracleTest, HashJoinOracleFires) {
     if (it != v.checks.end()) fired += it->second;
   }
   EXPECT_GT(fired, 0);
+}
+
+// The indexscan oracle must compare real range scans, not only plain
+// scans of tables too small for the range to pay: over a fixed seed,
+// some of its queries read a key range — in window scenarios (NULL and
+// duplicate keys) as well as in the others.
+TEST(FuzzOracleTest, IndexScanOracleReadsKeyRanges) {
+  std::map<ScenarioKind, int> ranged;
+  int compared = 0;
+  for (int i = 0; i < 60; ++i) {
+    const Scenario s = GenerateScenario(1, i);
+    const ScenarioVerdict v = RunScenario(s);
+    EXPECT_TRUE(v.ok()) << s.Id() << "\n" << v.Summary();
+    const auto checks = v.checks.find("indexscan");
+    if (checks != v.checks.end()) compared += checks->second;
+    const auto it = v.checks.find("indexscan-ranged");
+    if (it != v.checks.end()) ranged[s.kind] += it->second;
+  }
+  EXPECT_GT(compared, 0);
+  EXPECT_GT(ranged[ScenarioKind::kWindow], 0);
+  EXPECT_GT(ranged[ScenarioKind::kRewrite] + ranged[ScenarioKind::kMaintenance],
+            0);
 }
 
 TEST(FuzzOracleTest, FixedSeedsRunGreen) {
