@@ -211,16 +211,14 @@ BENCHMARK(BM_SqlDerive_NativeRecompute)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
-// Ablation A8 — executor strategy on the same rewritten plan: the
-// cost-chosen derivation of each sweep config executed (a) row-at-a-
-// time with the merge band join disabled (the index-nested-loop path),
-// (b) row-at-a-time with MergeBandJoinOp, (c) columnar-vectorized
-// without the band join, (d) columnar-vectorized with MergeBandJoinOp
-// (the engine default).
+// Ablation A8 — join strategy on the same rewritten plan: the
+// cost-chosen derivation of each sweep config executed (a) with the
+// merge band join disabled (the index-nested-loop path), (b) with
+// MergeBandJoinOp (the engine default).
 // Args: (config index, rows).
 // ---------------------------------------------------------------------
 
-void RunSqlExecMode(benchmark::State& state, bool vectorized, bool band) {
+void RunSqlExecMode(benchmark::State& state, bool band) {
   const SqlSweepConfig& config =
       kSweepConfigs[static_cast<size_t>(state.range(0))];
   const int64_t n = state.range(1);
@@ -229,7 +227,6 @@ void RunSqlExecMode(benchmark::State& state, bool vectorized, bool band) {
     state.SkipWithError("setup failed");
     return;
   }
-  db->options().exec.use_vectorized_execution = vectorized;
   db->options().exec.enable_merge_band_join = band;
   const std::string sql = SweepQuery(config);
   std::string chosen = "native";
@@ -246,24 +243,14 @@ void RunSqlExecMode(benchmark::State& state, bool vectorized, bool band) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_SqlExec_RowNoBand(benchmark::State& state) {
-  RunSqlExecMode(state, false, false);
-}
-void BM_SqlExec_RowBand(benchmark::State& state) {
-  RunSqlExecMode(state, false, true);
-}
 void BM_SqlExec_VectorNoBand(benchmark::State& state) {
-  RunSqlExecMode(state, true, false);
+  RunSqlExecMode(state, false);
 }
 void BM_SqlExec_VectorBand(benchmark::State& state) {
-  RunSqlExecMode(state, true, true);
+  RunSqlExecMode(state, true);
 }
 #define EXEC_MODE_ARGS \
   Args({0, 500})->Args({0, 2000})->Args({1, 2000})->Args({2, 2000})
-BENCHMARK(BM_SqlExec_RowNoBand)->EXEC_MODE_ARGS
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SqlExec_RowBand)->EXEC_MODE_ARGS
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SqlExec_VectorNoBand)->EXEC_MODE_ARGS
     ->Unit(benchmark::kMillisecond);
 // n = 8000 on the engine default only: with the SUM fold answering

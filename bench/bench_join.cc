@@ -90,38 +90,6 @@ BENCHMARK(BM_BandJoin_Merge)
     ->Arg(1000)->Arg(4000)->Arg(16000)
     ->Unit(benchmark::kMillisecond);
 
-// Hash join probe path, row vs. vector execution (tentpole ablation):
-// the same forced hash join — bulk-hashed build + chain-chasing
-// vectorized probe against the row-at-a-time build/probe. Same query
-// as A5's BM_Join_Hash, but with the execution mode pinned per series
-// instead of inheriting the engine default.
-void RunHashProbe(benchmark::State& state, bool vectorized) {
-  Database db;
-  BuildSeqTable(&db, state.range(0), /*with_index=*/false);
-  db.options().exec.enable_hash_join = true;
-  db.options().exec.enable_index_nested_loop_join = false;
-  db.options().exec.use_vectorized_execution = vectorized;
-  for (auto _ : state) {
-    const ResultSet rs = MustExecute(&db, kEquiJoin);
-    benchmark::DoNotOptimize(rs.NumRows());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_HashJoin_RowProbe(benchmark::State& state) {
-  RunHashProbe(state, false);
-}
-void BM_HashJoin_VectorProbe(benchmark::State& state) {
-  RunHashProbe(state, true);
-}
-
-BENCHMARK(BM_HashJoin_RowProbe)
-    ->Arg(1000)->Arg(4000)->Arg(16000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_HashJoin_VectorProbe)
-    ->Arg(1000)->Arg(4000)->Arg(16000)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace bench
 }  // namespace rfv

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "common/metrics_registry.h"
@@ -115,6 +116,7 @@ int main(int argc, char** argv) {
   int executed = 0;
   int failed = 0;
   int64_t total_checks = 0;
+  std::map<std::string, int64_t> checks_by_oracle;
 
   // Concurrent-session interleave campaign: serial replay vs. racing
   // per-session threads (testing/interleave.h). Iteration-bounded, so
@@ -161,6 +163,9 @@ int main(int argc, char** argv) {
         rfv::fuzzing::RunScenario(scenario, args.oracle);
     ++executed;
     total_checks += verdict.TotalChecks();
+    for (const auto& [oracle, n] : verdict.checks) {
+      checks_by_oracle[oracle] += n;
+    }
 
     if (!verdict.ok()) {
       ++failed;
@@ -200,6 +205,17 @@ int main(int argc, char** argv) {
       "mismatches=%d elapsed=%.1fs\n",
       static_cast<unsigned long long>(args.seed), executed,
       static_cast<long long>(total_checks), failed, elapsed_s());
+  // Per-oracle scenario checks, rewrite:* summed. rewrite-skipped and
+  // indexscan-ranged are tallies, not checks.
+  std::map<std::string, int64_t> summary;
+  for (const auto& [oracle, n] : checks_by_oracle) {
+    summary[oracle.rfind("rewrite:", 0) == 0 ? "rewrite:*" : oracle] += n;
+  }
+  std::printf("checks by oracle:");
+  for (const auto& [oracle, n] : summary) {
+    std::printf(" %s=%lld", oracle.c_str(), static_cast<long long>(n));
+  }
+  std::printf("\n");
   if (!args.quiet) {
     // The harness's own counters, via the engine's metrics registry.
     const std::string metrics =

@@ -4,15 +4,17 @@
 Usage: check_bench_regression.py <BENCH_*.json>... [--baseline FILE]
 
 Reads one or more bench-smoke JSON artifacts (bench/json_reporter.h
-schema; e.g. BENCH_derive.json for the A8 execution-mode sweep and
-BENCH_joins.json for the hash-join probes) and compares every benchmark
+schema; e.g. BENCH_derive.json for the A8 join-strategy sweep and
+BENCH_joins.json for the hash-join probe) and compares every benchmark
 named in the committed baseline (default scripts/bench_baseline.json)
-against its recorded ns_per_op. A run fails the gate when it is more
+against its recorded ns_per_op. A benchmark the artifacts hold several
+runs of (--benchmark_repetitions) is gated on their minimum, the run
+least disturbed by the machine. A run fails the gate when it is more
 than `max_ratio` (default 2.0) times slower than baseline — wide enough
 to absorb CI-runner noise and the deliberately tiny
---benchmark_min_time smoke runs, narrow enough to catch an accidental
-fallback from the vector join paths to the row paths (a >2.5x cliff on
-the tracked entries).
+--benchmark_min_time smoke runs, narrow enough to catch a fallback from
+the SUM fold's prefix path to its candidate walk or from a range scan
+to a full scan (cliffs of that size on the tracked entries).
 
 Benchmarks present in the artifacts but absent from the baseline are
 ignored (new benchmarks don't need a baseline entry to land); baseline
@@ -40,10 +42,12 @@ def main():
     if not args:
         sys.exit(f"usage: {sys.argv[0]} <BENCH_*.json>... [--baseline FILE]")
 
-    runs = {}
+    runs = {}  # name -> the smallest ns_per_op among its runs
     for artifact_path in args:
         with open(artifact_path, encoding="utf-8") as f:
-            runs.update({r["name"]: r for r in json.load(f)["benchmarks"]})
+            for r in json.load(f)["benchmarks"]:
+                ns = float(r["ns_per_op"])
+                runs[r["name"]] = min(ns, runs.get(r["name"], ns))
     with open(baseline_path, encoding="utf-8") as f:
         baseline = json.load(f)
 
@@ -51,12 +55,11 @@ def main():
     violations = []
     for name, entry in sorted(baseline["benchmarks"].items()):
         base_ns = float(entry["ns_per_op"])
-        run = runs.get(name)
-        if run is None:
+        ns = runs.get(name)
+        if ns is None:
             violations.append(f"{name}: tracked in baseline but missing "
                               f"from {', '.join(args)}")
             continue
-        ns = float(run["ns_per_op"])
         ratio = ns / base_ns if base_ns > 0 else float("inf")
         status = "FAIL" if ratio > max_ratio else "ok"
         print(f"{status:4} {name}: {ns / 1e6:.2f} ms vs baseline "

@@ -256,11 +256,4 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-void MetricsRegistry::ResetForTest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 }  // namespace rfv

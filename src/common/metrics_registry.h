@@ -136,10 +136,6 @@ class MetricsRegistry {
   /// the typed alternative to scraping ToPrometheusText().
   std::vector<MetricSnapshot> Snapshot() const;
 
-  /// Zeroes nothing but forgets all families — test isolation only.
-  /// Pointers handed out earlier keep working (instances are leaked).
-  void ResetForTest();
-
  private:
   MetricsRegistry() = default;
 

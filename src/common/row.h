@@ -42,18 +42,6 @@ class Row {
   std::vector<Value> values_;
 };
 
-/// Hash functor over a projection of row columns; used by hash join and
-/// hash aggregation.
-struct RowColumnsHash {
-  size_t operator()(const std::vector<Value>& key) const {
-    size_t h = 0xcbf29ce484222325ull;
-    for (const Value& v : key) {
-      h ^= v.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
 }  // namespace rfv
 
 #endif  // RFVIEW_COMMON_ROW_H_

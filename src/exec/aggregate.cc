@@ -1,10 +1,10 @@
 #include "exec/operators.h"
 
 #include <limits>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "exec/vector_eval.h"
-#include "expr/eval.h"
 
 namespace rfv {
 
@@ -73,35 +73,9 @@ struct Accumulator {
 
   void AddRowForCountStar() { ++count; }
 
-  void Add(const Value& v) {
-    if (v.is_null()) return;
-    ++count;
-    has_value = true;
-    switch (call->fn) {
-      case AggFn::kSum:
-        if (call->output_type == DataType::kInt64) {
-          sum_int += v.AsInt();
-        } else {
-          sum_double += v.ToDouble();
-        }
-        break;
-      case AggFn::kAvg:
-        sum_double += v.ToDouble();
-        break;
-      case AggFn::kCount:
-        break;
-      case AggFn::kMin:
-        if (extreme.is_null() || v.Compare(extreme) < 0) extreme = v;
-        break;
-      case AggFn::kMax:
-        if (extreme.is_null() || v.Compare(extreme) > 0) extreme = v;
-        break;
-    }
-  }
-
-  /// Vector-lane variant of Add: same semantics (including the same
-  /// failure modes via Value boxing on unexpected tags), but SUM/AVG/
-  /// COUNT never materialize a Value for the common numeric tags.
+  /// Adds lane i of `v`. SUM/AVG/COUNT never materialize a Value for
+  /// the numeric tags; other tags go through Value boxing, with its
+  /// failure modes.
   void AddFromVector(const Vector& v, size_t i) {
     if (v.is_null(i)) return;
     ++count;
@@ -183,83 +157,10 @@ struct Accumulator {
 }  // namespace
 
 Status HashAggregateOp::OpenImpl() {
-  results_.clear();
   pos_ = 0;
-  RFV_RETURN_IF_ERROR(child_->Open());
-  if (vectorized()) return OpenColumnar();
-
-  // Group state; insertion order is preserved for deterministic output.
-  std::unordered_map<std::vector<Value>, size_t, RowColumnsHash> group_index;
-  std::vector<std::vector<Value>> group_keys;
-  std::vector<std::vector<Accumulator>> group_accs;
-
-  const auto new_group = [&](const std::vector<Value>& key) -> size_t {
-    group_keys.push_back(key);
-    std::vector<Accumulator> accs(aggregates_.size());
-    for (size_t i = 0; i < aggregates_.size(); ++i) {
-      accs[i].call = &aggregates_[i];
-    }
-    group_accs.push_back(std::move(accs));
-    return group_keys.size() - 1;
-  };
-
-  // Global aggregation emits one row even for empty input.
-  if (group_by_.empty()) {
-    group_index[{}] = new_group({});
-  }
-
-  // Row pull keeps the aggregation streaming (only the accumulators
-  // are buffered, never the input).
-  Row row;
-  while (true) {
-    bool input_eof = false;
-    RFV_RETURN_IF_ERROR(child_->Next(&row, &input_eof));
-    if (input_eof) break;
-    std::vector<Value> key;
-    key.reserve(group_by_.size());
-    for (const ExprPtr& g : group_by_) {
-      Value v;
-      RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*g, row));
-      key.push_back(std::move(v));
-    }
-    size_t gi;
-    const auto it = group_index.find(key);
-    if (it != group_index.end()) {
-      gi = it->second;
-    } else {
-      gi = new_group(key);
-      group_index.emplace(std::move(key), gi);
-    }
-    std::vector<Accumulator>& accs = group_accs[gi];
-    for (size_t i = 0; i < aggregates_.size(); ++i) {
-      if (aggregates_[i].is_count_star) {
-        accs[i].AddRowForCountStar();
-      } else {
-        Value v;
-        RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*aggregates_[i].arg, row));
-        accs[i].Add(v);
-      }
-    }
-  }
-
-  results_.reserve(group_keys.size());
-  for (size_t gi = 0; gi < group_keys.size(); ++gi) {
-    std::vector<Value> out = std::move(group_keys[gi]);
-    for (const Accumulator& acc : group_accs[gi]) {
-      if (acc.overflowed()) {
-        return Status::ExecutionError("integer overflow in SUM");
-      }
-      out.push_back(acc.Finish());
-    }
-    results_.push_back(Row(std::move(out)));
-  }
-  NoteBufferedRows(results_.size());
-  return Status::OK();
-}
-
-Status HashAggregateOp::OpenColumnar() {
   groups_.clear();
   num_groups_ = 0;
+  RFV_RETURN_IF_ERROR(child_->Open());
   const size_t num_keys = group_by_.size();
   const size_t num_aggs = aggregates_.size();
   // Accumulators of group g: accs[g * num_aggs, (g + 1) * num_aggs).
@@ -287,26 +188,25 @@ Status HashAggregateOp::OpenColumnar() {
   // Keys and aggregate arguments evaluate once per vector in columnar
   // loops, and rows are folded straight from the lanes — no per-row
   // Value boxing on the numeric paths. Rows are visited in selection
-  // order (ascending), so group insertion order and floating-point
-  // accumulation order match the row path exactly — except under a SUM
-  // fold (SetFoldedInput) when one group's partials come from several
-  // left rows: those partial sums are added to each other, so DOUBLE
-  // sums may differ from the row path by reassociation (DESIGN.md §16).
+  // order (ascending), so groups appear in first-arrival order and each
+  // group accumulates in input order — except under a SUM fold
+  // (SetFoldedInput) when one group's partials come from several left
+  // rows: those partial sums are added to each other, so DOUBLE sums
+  // may differ from an unfolded plan by reassociation (DESIGN.md §16).
   std::vector<Vector> key_vecs(num_keys);
   std::vector<Vector> arg_vecs(num_aggs);
   // Single-int64-key fast path: group lookup on the raw int64 lane.
   // Migrates one-way to the generic hash-bucketed lookup the first time
   // a non-int64, non-NULL key appears (the shared bulk-hash kernel then
-  // unifies Int and Double keys exactly as the row path's RowColumnsHash
-  // does).
+  // hashes equal Int and Double keys alike, as Value::Hash does).
   bool int_fast = num_keys == 1;
   IntGroupMap int_groups;
   constexpr size_t kNoGroup = IntGroupMap::kNoGroup;
   size_t null_group = kNoGroup;
   // Generic path: the key columns of each vector are bulk-hashed once by
-  // the HashVectorColumns kernel the joins use (hash-identical to
-  // RowColumnsHash), and groups are found by full-hash bucket plus a
-  // typed compare against the group's stored key cells.
+  // the HashVectorColumns kernel the joins use, and groups are found by
+  // full-hash bucket plus a typed compare against the group's stored key
+  // cells.
   std::unordered_map<uint64_t, std::vector<size_t>> generic_buckets;
   std::vector<uint64_t> key_hashes;
   std::vector<const Vector*> key_ptrs(num_keys);
@@ -357,7 +257,7 @@ Status HashAggregateOp::OpenColumnar() {
             int_fast = false;
             for (size_t g2 = 0; g2 < num_groups_; ++g2) {
               const uint64_t h = MixCellHash(
-                  kRowHashSeed, VectorCellHash(group_column(g2, 0),
+                  kKeyHashSeed, VectorCellHash(group_column(g2, 0),
                                                g2 % kVectorSize));
               generic_buckets[h].push_back(g2);
             }
@@ -392,6 +292,7 @@ Status HashAggregateOp::OpenColumnar() {
           }
         }
       }
+      if (num_aggs == 0) continue;  // SELECT DISTINCT: accs is empty
       Accumulator* group_accs = &accs[gi * num_aggs];
       for (size_t a = 0; a < num_aggs; ++a) {
         if (folded_) {
@@ -419,16 +320,6 @@ Status HashAggregateOp::OpenColumnar() {
     groups_.back().sel().Truncate(num_groups_ % kVectorSize);
   }
   NoteBufferedRows(num_groups_);
-  return Status::OK();
-}
-
-Status HashAggregateOp::NextImpl(Row* row, bool* eof) {
-  if (pos_ >= results_.size()) {
-    *eof = true;
-    return Status::OK();
-  }
-  *row = std::move(results_[pos_++]);
-  *eof = false;
   return Status::OK();
 }
 

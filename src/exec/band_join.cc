@@ -520,7 +520,7 @@ std::optional<int64_t> ExactIntegral(double d) {
 }
 
 /// A right cell or fold argument value: the typed int64/double pair the
-/// row path's Values would hold.
+/// row evaluator's Values would hold.
 struct FoldNum {
   bool is_int;
   int64_t i;
@@ -621,8 +621,7 @@ Status MergeBandJoinOp::OpenImpl() {
   right_width_ = right_->schema().NumColumns();
 
   // Keep the (snapshot-stable) right side once, columnar (row id =
-  // position): the gather source of the vector paths, copied per
-  // candidate into the row path's joined rows.
+  // position): the gather source of the output runs.
   right_vp_.Reset(right_width_, 0);
   VectorProjection* vp = nullptr;
   bool eof = false;
@@ -804,22 +803,14 @@ void MergeBandJoinOp::CollectBand(const ResolvedBand& band,
   }
 }
 
-Status MergeBandJoinOp::ResolveCandidates() {
-  RFV_RETURN_IF_ERROR(ResolveBands());
-  CollectCandidates();
-  return Status::OK();
-}
-
 Status MergeBandJoinOp::ResolveBands() {
-  if (left_vp_ != nullptr && lane_bands_ready_) {
+  if (lane_bands_ready_) {
     for (size_t i = 0; i < spec_.bands.size(); ++i) {
       resolved_[i] = lane_bands_[i][current_lane_];
     }
     return Status::OK();
   }
-  if (left_vp_ != nullptr) {
-    left_vp_->MaterializeRow(current_lane_, &current_left_);
-  }
+  left_vp_->MaterializeRow(current_lane_, &current_left_);
   for (size_t i = 0; i < spec_.bands.size(); ++i) {
     RFV_RETURN_IF_ERROR(
         ResolveBand(spec_.bands[i], current_left_, &resolved_[i]));
@@ -841,70 +832,13 @@ void MergeBandJoinOp::CollectCandidates() {
   }
 }
 
-Status MergeBandJoinOp::AdvanceLeft(bool* eof) {
-  RFV_RETURN_IF_ERROR(left_->Next(&current_left_, eof));
-  left_valid_ = !*eof;
-  left_matched_ = false;
-  candidates_.clear();
-  candidate_pos_ = 0;
-  if (*eof) return Status::OK();
-  return ResolveCandidates();
-}
-
-Status MergeBandJoinOp::NextImpl(Row* row, bool* eof) {
-  while (true) {
-    if (!left_valid_) {
-      bool left_eof = false;
-      RFV_RETURN_IF_ERROR(AdvanceLeft(&left_eof));
-      if (left_eof) {
-        *eof = true;
-        return Status::OK();
-      }
-    }
-    while (candidate_pos_ < candidates_.size()) {
-      // The joined row in one copy: the left row, then the candidate's
-      // right cells.
-      const size_t id = candidates_[candidate_pos_++];
-      std::vector<Value> values;
-      values.reserve(current_left_.size() + right_width_);
-      values.insert(values.end(), current_left_.values().begin(),
-                    current_left_.values().end());
-      for (size_t c = 0; c < right_width_; ++c) {
-        values.push_back(right_vp_.column(c).GetValue(id));
-      }
-      Row joined(std::move(values));
-      bool match = true;
-      if (spec_.residual != nullptr) {
-        RFV_ASSIGN_OR_RETURN(
-            match, Evaluator::EvalPredicate(*spec_.residual, joined));
-      }
-      if (match) {
-        left_matched_ = true;
-        BandJoinRowsCounter()->Increment();
-        *row = std::move(joined);
-        *eof = false;
-        return Status::OK();
-      }
-    }
-    if (join_type_ == JoinType::kLeftOuter && !left_matched_) {
-      Row joined = current_left_;
-      for (size_t i = 0; i < right_width_; ++i) joined.Append(Value::Null());
-      left_valid_ = false;
-      *row = std::move(joined);
-      *eof = false;
-      return Status::OK();
-    }
-    left_valid_ = false;
-  }
-}
-
 Status MergeBandJoinOp::NextLeftLane(bool* eof) {
   if (left_vp_ == nullptr || left_lane_pos_ >= left_vp_->NumSelected()) {
     RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, eof));
     left_lane_pos_ = 0;
     if (*eof) return Status::OK();
     // On an error each row resolves its own bands (ResolveBands), so
-    // the first failing row raises it, as in row mode.
+    // the first failing row, in row order, raises it.
     lane_bands_ready_ = ResolveLeftVector().ok();
     if (folding()) PlanFoldVector();
   }
@@ -968,7 +902,7 @@ Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
 bool MergeBandJoinOp::TryEnableSumFold(
     const std::vector<ExprPtr>& group_by,
     const std::vector<AggregateCall>& aggregates) {
-  if (!vectorized() || join_type_ != JoinType::kInner || aggregates.empty()) {
+  if (join_type_ != JoinType::kInner || aggregates.empty()) {
     return false;
   }
   const size_t left_width = left_->schema().NumColumns();
@@ -1032,7 +966,7 @@ Status MergeBandJoinOp::FoldTermCandidates(size_t t, size_t at) {
       default:
         return Status::TypeError("arithmetic on non-numeric value");
     }
-    // The row path's typed arithmetic (EvalArithmetic / unary minus):
+    // The row evaluator's typed arithmetic (EvalArithmetic / unary minus):
     // int64 stays int64 and overflows as an error, anything mixed
     // computes in double.
     for (const FoldStep& step : leaf.steps) {
@@ -1391,7 +1325,7 @@ Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e, size_t leaf,
       return Status::OK();
     }
     case ExprKind::kBinary: {
-      // Operands evaluate in the row path's order, both on every lane;
+      // Operands evaluate in the row evaluator's order, both on every lane;
       // the factor is the left-only side.
       const bool factor_first =
           RefsOnlyRange(*e.children[0], 0, fold_partial_base());

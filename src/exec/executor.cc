@@ -168,8 +168,7 @@ constexpr double kRangeScanMaxShare = 0.5;
 /// `predicate` with the fewest estimated rows, when that is clearly
 /// fewer than the table holds; else a plain scan.
 PhysicalOperatorPtr BuildFilteredScan(const LogicalPlan& scan,
-                                      const Expr& predicate,
-                                      const ExecOptions& options) {
+                                      const Expr& predicate) {
   std::optional<KeyRange> best;
   double best_share = kRangeScanMaxShare;
   for (KeyRange& range : SargableKeyRanges(predicate, *scan.table)) {
@@ -183,7 +182,6 @@ PhysicalOperatorPtr BuildFilteredScan(const LogicalPlan& scan,
   op->SetEstimatedRows(op->range().has_value() && scan.est_rows >= 0
                            ? scan.est_rows * best_share
                            : scan.est_rows);
-  op->SetVectorized(options.use_vectorized_execution);
   return PhysicalOperatorPtr(op);
 }
 
@@ -202,7 +200,7 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlanNode(const LogicalPlan& plan,
       const LogicalPlan& input = *plan.children[0];
       PhysicalOperatorPtr child;
       if (input.kind == PlanKind::kScan && input.table != nullptr) {
-        child = BuildFilteredScan(input, *plan.predicate, options);
+        child = BuildFilteredScan(input, *plan.predicate);
       } else {
         RFV_ASSIGN_OR_RETURN(child, BuildPhysicalPlan(input, options));
       }
@@ -291,9 +289,6 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
   // nested-loop join consumes the right-side scan without an operator;
   // that estimate is intentionally dropped with it).
   op->SetEstimatedRows(plan.est_rows);
-  // Stamp the mode: a vector-native operator runs its columnar body iff
-  // the knob is on.
-  op->SetVectorized(options.use_vectorized_execution);
   return op;
 }
 
@@ -419,6 +414,10 @@ Counter* VectorsCounter() {
 
 }  // namespace
 
+Status PhysicalOperator::NextImpl(Row*, bool*) {
+  return Status::Internal(std::string(name()) + " has no row body");
+}
+
 Status PhysicalOperator::NextVectorImpl(VectorProjection**, bool*) {
   return Status::Internal(std::string(name()) + " is not vector-native");
 }
@@ -481,10 +480,12 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op, bool) {
   }
   TraceSpan drain_span("exec.drain");
   // Rows materialize only here, at the plan boundary, from whatever
-  // survived the selection vectors of a vectorized root.
+  // survived the selection vectors of a VectorNative() root.
   std::vector<Row> rows;
   const Status drained = DrainChild(op, &rows);
-  if (op->vectorized()) VectorsCounter()->Increment(op->metrics().vectors_out);
+  if (op->VectorNative()) {
+    VectorsCounter()->Increment(op->metrics().vectors_out);
+  }
   RFV_RETURN_IF_ERROR(drained);
   if (drain_span.active()) {
     drain_span.AddArg("rows", std::to_string(rows.size()));
@@ -494,7 +495,7 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op, bool) {
 
 Status DrainChild(PhysicalOperator* child, std::vector<Row>* out) {
   bool eof = false;
-  if (child->vectorized()) {
+  if (child->VectorNative()) {
     VectorProjection* vp = nullptr;
     while (true) {
       RFV_RETURN_IF_ERROR(child->NextVector(&vp, &eof));

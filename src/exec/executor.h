@@ -23,7 +23,7 @@ struct OperatorMetrics {
   int64_t rows_out = 0;    ///< rows produced through Next/NextVector
   int64_t next_calls = 0;  ///< pull invocations, incl. the EOF call
   /// Non-empty vectors produced: NextVector results, plus the vectors a
-  /// vectorized operator produced for a row-pulling parent, so EXPLAIN
+  /// VectorNative() operator produced for a row-pulling parent, so EXPLAIN
   /// ANALYZE's `vectors=` shows which operators ran columnar (a row-only
   /// operator under a columnar parent counts here too, because it
   /// *answers* NextVector from its rows).
@@ -47,12 +47,12 @@ struct OperatorMetrics {
 ///
 /// Open/Next/NextVector are non-virtual shells that maintain
 /// OperatorMetrics and are the only place the two protocols meet: each
-/// operator body implements one protocol per mode, and the shells
-/// translate. A vectorized() operator runs NextVectorImpl and its Next
-/// serves the rows of those vectors; any other operator runs NextImpl
-/// and its NextVector writes those rows into the lanes of one retained
-/// projection. White-box users (tests, the executor driver) call the
-/// shells.
+/// operator has one body, and the shells translate. A VectorNative()
+/// operator runs NextVectorImpl and its Next serves the rows of those
+/// vectors; a row-only operator (window, the two nested-loop joins) runs
+/// NextImpl and its NextVector writes those rows into the lanes of one
+/// retained projection. White-box users (tests, the executor driver)
+/// call the shells.
 class PhysicalOperator {
  public:
   explicit PhysicalOperator(Schema schema) : schema_(std::move(schema)) {}
@@ -79,7 +79,7 @@ class PhysicalOperator {
   Status Next(Row* row, bool* eof) {
     const auto start = std::chrono::steady_clock::now();
     Status status =
-        vectorized() ? NextRowFromVectors(row, eof) : NextImpl(row, eof);
+        VectorNative() ? NextRowFromVectors(row, eof) : NextImpl(row, eof);
     metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -98,7 +98,7 @@ class PhysicalOperator {
   /// zero-copy filter protocol) but must not touch the column data.
   Status NextVector(VectorProjection** out, bool* eof) {
     const auto start = std::chrono::steady_clock::now();
-    Status status = vectorized() ? PullVector(out) : VectorFromRows(out);
+    Status status = VectorNative() ? PullVector(out) : VectorFromRows(out);
     metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -111,18 +111,11 @@ class PhysicalOperator {
     return status;
   }
 
-  /// True when this operator implements NextVectorImpl natively (columns
-  /// + selection vector all the way down). Only such operators can be
-  /// vectorized(); the others answer NextVector from their rows.
+  /// True when this operator's body is NextVectorImpl (columns +
+  /// selection vector all the way down); false for the row-only
+  /// operators, whose body is NextImpl and which answer NextVector from
+  /// their rows.
   virtual bool VectorNative() const { return false; }
-
-  /// Selects the operator's mode: with `v` on a VectorNative() operator,
-  /// vectorized() holds and the operator runs its columnar body
-  /// (NextVectorImpl, and the columnar Open of the materializing
-  /// operators); otherwise it runs its row body. Stamped by
-  /// BuildPhysicalPlan from `options.exec.use_vectorized_execution`.
-  void SetVectorized(bool v) { vectorized_ = v && VectorNative(); }
-  bool vectorized() const { return vectorized_; }
 
   const Schema& schema() const { return schema_; }
 
@@ -152,15 +145,15 @@ class PhysicalOperator {
 
  protected:
   virtual Status OpenImpl() = 0;
-  /// The row body, run when the operator is not vectorized().
-  virtual Status NextImpl(Row* row, bool* eof) = 0;
+  /// The body of a row-only operator. VectorNative() operators keep the
+  /// default, which is never reached.
+  virtual Status NextImpl(Row* row, bool* eof);
 
-  /// The columnar body, run when the operator is vectorized(). Looser
-  /// than NextVector: *out may be null or have an empty selection, and
-  /// *eof = true may come with rows (the shell passes them on and
-  /// reports eof on the following call). It is never called again once
-  /// it has reported eof. Row-only operators keep the default, which is
-  /// never reached.
+  /// The body of a VectorNative() operator. Looser than NextVector: *out
+  /// may be null or have an empty selection, and *eof = true may come
+  /// with rows (the shell passes them on and reports eof on the
+  /// following call). It is never called again once it has reported
+  /// eof. Row-only operators keep the default, which is never reached.
   virtual Status NextVectorImpl(VectorProjection** out, bool* eof);
 
   /// Raises the buffered-rows high-water mark (materializing operators
@@ -174,23 +167,23 @@ class PhysicalOperator {
   Schema schema_;
 
  private:
-  /// NextVector of a vectorized() operator: NextVectorImpl until it
+  /// NextVector of a VectorNative() operator: NextVectorImpl until it
   /// yields a selected row or reports eof (then *out = nullptr).
   Status PullVector(VectorProjection** out);
-  /// NextVector of any other operator: up to kVectorSize rows of NextImpl
-  /// (not the Next shell, whose clock reads and counters must not be paid
-  /// twice) written into the lanes of fallback_vp_; nullptr at the end.
+  /// NextVector of a row-only operator: up to kVectorSize rows of
+  /// NextImpl (not the Next shell, whose clock reads and counters must
+  /// not be paid twice) written into the lanes of fallback_vp_; nullptr
+  /// at the end.
   Status VectorFromRows(VectorProjection** out);
-  /// Next of a vectorized() operator: the next selected row of row_vp_,
-  /// pulling a new vector through PullVector when it is used up.
+  /// Next of a VectorNative() operator: the next selected row of
+  /// row_vp_, pulling a new vector through PullVector when it is used up.
   Status NextRowFromVectors(Row* row, bool* eof);
 
   OperatorMetrics metrics_;
   double estimated_rows_ = -1;
-  /// Set once the body reported eof to NextVector or to a vectorized
-  /// Next; those shells never re-enter it after.
+  /// Set once the body reported eof to NextVector or to a VectorNative()
+  /// operator's Next; those shells never re-enter it after.
   bool exhausted_ = false;
-  bool vectorized_ = false;
   /// NextRowFromVectors: the vector being served and its next slot.
   VectorProjection* row_vp_ = nullptr;
   size_t row_slot_ = 0;
@@ -249,17 +242,11 @@ struct ExecOptions {
   /// self-join patterns. Considered before the index nested-loop probe;
   /// falls through when the condition has no band shape.
   bool enable_merge_band_join = true;
-  /// Ignored by the engine. Kept declared only because the warehouse
-  /// benchmark (whbench/) still assigns it; it goes together with
-  /// ExecuteToVector's second parameter.
+  /// Ignored by the engine, as is use_vectorized_execution. Both stay
+  /// declared only because the warehouse benchmark (whbench/) still
+  /// assigns them; they go together with ExecuteToVector's second
+  /// parameter.
   bool use_batch_execution = true;
-  /// Drive vector-native operators (scan, filter, project, limit,
-  /// union-all, the hash and merge band joins, sort, hash aggregate)
-  /// through the columnar NextVector protocol: expressions evaluate in
-  /// typed per-vector loops and filters narrow a SelectionVector instead
-  /// of copying rows. Off = the row-at-a-time Volcano driver, kept alive
-  /// as the differential-testing reference (the fuzz harness "vector"
-  /// oracle replays every query with this knob off).
   bool use_vectorized_execution = true;
   /// Worker count for partition-parallel window evaluation: 1 = always
   /// single-threaded, n > 1 = split partitions across up to n tasks on
@@ -283,10 +270,10 @@ struct ExecOptions {
 Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
                                               const ExecOptions& options = {});
 
-/// Runs an operator tree to completion. Roots stamped vectorized() are
-/// drained through NextVector (counting projections in the
+/// Runs an operator tree to completion. VectorNative() roots are drained
+/// through NextVector (counting projections in the
 /// rfv_exec_vectors_total metric and materializing rows only at this
-/// boundary), any other root through Next. The second parameter is
+/// boundary), row-only roots through Next. The second parameter is
 /// ignored; it stays declared only because the warehouse benchmark
 /// (whbench/) still passes it.
 Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
@@ -294,8 +281,8 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
 
 /// Appends every remaining row of an already-open `child` to *out — the
 /// input drain of the operators that buffer rows (window, the nested-loop
-/// join's right side, the row-mode sort and hash join build): through
-/// NextVector when the child is vectorized(), else through Next.
+/// join's right side): through NextVector when the child is
+/// VectorNative(), else through Next.
 Status DrainChild(PhysicalOperator* child, std::vector<Row>* out);
 
 /// Convenience: build + run.

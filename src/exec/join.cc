@@ -190,40 +190,14 @@ Counter* HashProbeVectorsCounter() {
 }  // namespace
 
 Status HashJoinOp::OpenImpl() {
-  hash_table_.clear();
   left_valid_ = false;
-  bucket_ = nullptr;
   probe_vp_ = nullptr;
   probe_lane_pos_ = 0;
-  vec_candidates_.clear();
-  vec_candidate_pos_ = 0;
+  candidates_.clear();
+  candidate_pos_ = 0;
   RFV_RETURN_IF_ERROR(left_->Open());
   RFV_RETURN_IF_ERROR(right_->Open());
   right_width_ = right_->schema().NumColumns();
-  if (vectorized()) return OpenVectorized();
-  std::vector<Row> build_rows;
-  RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &build_rows));
-  size_t buffered = 0;
-  for (Row& row : build_rows) {
-    std::vector<Value> key;
-    key.reserve(right_keys_.size());
-    bool has_null = false;
-    for (const ExprPtr& k : right_keys_) {
-      Value v;
-      RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*k, row));
-      has_null = has_null || v.is_null();
-      key.push_back(std::move(v));
-    }
-    if (has_null) continue;  // NULL keys never equi-match
-    hash_table_[std::move(key)].push_back(std::move(row));
-    ++buffered;
-  }
-  HashBuildRowsCounter()->Increment(static_cast<int64_t>(buffered));
-  NoteBufferedRows(buffered);
-  return Status::OK();
-}
-
-Status HashJoinOp::OpenVectorized() {
   // Collect the build side into columnar lanes: the gather source for
   // output emission and the input of the key evaluation.
   build_vp_.Reset(right_width_, 0);
@@ -237,8 +211,7 @@ Status HashJoinOp::OpenVectorized() {
   const size_t n = build_vp_.num_rows();
 
   // Evaluate all key expressions column-at-a-time, then bulk-hash the
-  // whole key vector set in one kernel pass (hash-identical to the row
-  // path's RowColumnsHash).
+  // whole key vector set in one kernel pass.
   build_key_vecs_.resize(right_keys_.size());
   std::vector<const Vector*> key_ptrs(right_keys_.size());
   for (size_t j = 0; j < right_keys_.size(); ++j) {
@@ -251,9 +224,8 @@ Status HashJoinOp::OpenVectorized() {
   // Single allocation pass for the bucket-chain table: heads_ sized to
   // the next power of two ≥ 2n (load factor ≤ 0.5), chain_next_ one
   // slot per build row. Inserting in REVERSE row order with head
-  // insertion makes every chain walk in ascending build-row order —
-  // exactly the bucket arrival order the row path's map produces, so
-  // output order is identical across paths.
+  // insertion makes every chain walk in ascending build-row order, so a
+  // probe row's matches come out in build-side input order.
   size_t cap = 16;
   while (cap < n * 2) cap <<= 1;
   bucket_mask_ = cap - 1;
@@ -277,65 +249,6 @@ Status HashJoinOp::OpenVectorized() {
   HashBuildRowsCounter()->Increment(static_cast<int64_t>(inserted));
   NoteBufferedRows(inserted);
   return Status::OK();
-}
-
-Status HashJoinOp::AdvanceLeft(bool* eof) {
-  RFV_RETURN_IF_ERROR(left_->Next(&current_left_, eof));
-  left_valid_ = !*eof;
-  left_matched_ = false;
-  bucket_ = nullptr;
-  bucket_pos_ = 0;
-  if (*eof) return Status::OK();
-  std::vector<Value> key;
-  key.reserve(left_keys_.size());
-  for (const ExprPtr& k : left_keys_) {
-    Value v;
-    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*k, current_left_));
-    if (v.is_null()) return Status::OK();  // no bucket
-    key.push_back(std::move(v));
-  }
-  const auto it = hash_table_.find(key);
-  if (it != hash_table_.end()) bucket_ = &it->second;
-  return Status::OK();
-}
-
-Status HashJoinOp::NextImpl(Row* row, bool* eof) {
-  while (true) {
-    if (!left_valid_) {
-      bool left_eof = false;
-      RFV_RETURN_IF_ERROR(AdvanceLeft(&left_eof));
-      if (left_eof) {
-        *eof = true;
-        return Status::OK();
-      }
-    }
-    if (bucket_ != nullptr) {
-      while (bucket_pos_ < bucket_->size()) {
-        const Row& right_row = (*bucket_)[bucket_pos_++];
-        Row joined = Row::Concat(current_left_, right_row);
-        bool match = true;
-        if (residual_ != nullptr) {
-          RFV_ASSIGN_OR_RETURN(match,
-                               Evaluator::EvalPredicate(*residual_, joined));
-        }
-        if (match) {
-          left_matched_ = true;
-          *row = std::move(joined);
-          *eof = false;
-          return Status::OK();
-        }
-      }
-    }
-    if (join_type_ == JoinType::kLeftOuter && !left_matched_) {
-      Row joined = current_left_;
-      for (size_t i = 0; i < right_width_; ++i) joined.Append(Value::Null());
-      left_valid_ = false;
-      *row = std::move(joined);
-      *eof = false;
-      return Status::OK();
-    }
-    left_valid_ = false;
-  }
 }
 
 Status HashJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
@@ -367,8 +280,8 @@ Status HashJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
       // Chase this lane's bucket chain: full-hash pre-check, then the
       // typed cell comparison (Value::Compare semantics). The chain is
       // in ascending build-row order by construction.
-      vec_candidates_.clear();
-      vec_candidate_pos_ = 0;
+      candidates_.clear();
+      candidate_pos_ = 0;
       bool has_null = false;
       for (const Vector& kv : probe_key_vecs_) {
         if (kv.is_null(current_lane_)) {
@@ -389,26 +302,26 @@ Status HashJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
               break;
             }
           }
-          if (eq) vec_candidates_.push_back(e);
+          if (eq) candidates_.push_back(e);
         }
       }
-      if (residual_ != nullptr && !vec_candidates_.empty()) {
+      if (residual_ != nullptr && !candidates_.empty()) {
         RFV_RETURN_IF_ERROR(FilterJoinCandidates(*residual_, *probe_vp_,
                                                  current_lane_, build_vp_,
                                                  &residual_scratch_,
-                                                 &vec_candidates_));
+                                                 &candidates_));
       }
-      left_matched_ = !vec_candidates_.empty();
+      left_matched_ = !candidates_.empty();
       left_valid_ = true;
     }
-    if (vec_candidate_pos_ < vec_candidates_.size()) {
+    if (candidate_pos_ < candidates_.size()) {
       const size_t run = std::min(vector_capacity_ - filled,
-                                  vec_candidates_.size() - vec_candidate_pos_);
-      GatherJoinRun(*probe_vp_, current_lane_, build_vp_, vec_candidates_,
-                    vec_candidate_pos_, run, filled, &out_vp_);
-      vec_candidate_pos_ += run;
+                                  candidates_.size() - candidate_pos_);
+      GatherJoinRun(*probe_vp_, current_lane_, build_vp_, candidates_,
+                    candidate_pos_, run, filled, &out_vp_);
+      candidate_pos_ += run;
       filled += run;
-      if (vec_candidate_pos_ >= vec_candidates_.size()) left_valid_ = false;
+      if (candidate_pos_ >= candidates_.size()) left_valid_ = false;
       continue;
     }
     if (join_type_ == JoinType::kLeftOuter && !left_matched_) {

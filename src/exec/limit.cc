@@ -7,22 +7,6 @@ Status LimitOp::OpenImpl() {
   return child_->Open();
 }
 
-Status LimitOp::NextImpl(Row* row, bool* eof) {
-  if (produced_ >= limit_) {
-    *eof = true;
-    return Status::OK();
-  }
-  bool child_eof = false;
-  RFV_RETURN_IF_ERROR(child_->Next(row, &child_eof));
-  if (child_eof) {
-    *eof = true;
-    return Status::OK();
-  }
-  ++produced_;
-  *eof = false;
-  return Status::OK();
-}
-
 Status LimitOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   if (produced_ >= limit_) {
     *eof = true;

@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/epoch.h"
@@ -24,8 +23,8 @@ namespace rfv {
 
 /// Scan over a base table. Open pins the table's committed snapshot
 /// (chunked copy-on-write image) plus a reader epoch, so the scan reads
-/// a stable statement-granular image of the table in both pull
-/// protocols while concurrent DML mutates the live row store. Close
+/// a stable statement-granular image of the table while concurrent DML
+/// mutates the live row store. Close
 /// releases the pin, letting the EpochManager reclaim superseded
 /// snapshots.
 ///
@@ -52,7 +51,6 @@ class TableScanOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
@@ -73,7 +71,7 @@ class TableScanOp : public PhysicalOperator {
   TableSnapshotPtr snap_;
   /// Reader epoch pin held for the scan's lifetime.
   EpochGuard epoch_guard_{nullptr};
-  /// Vector path: the projection handed to NextVector callers.
+  /// The projection handed to NextVector callers.
   VectorProjection vp_;
 };
 
@@ -92,7 +90,6 @@ class FilterOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
   /// Zero-copy: narrows the child projection's selection vector in place
   /// and passes the projection through.
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
@@ -118,13 +115,12 @@ class ProjectOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
   PhysicalOperatorPtr child_;
   std::vector<ExprPtr> projections_;
-  /// Vector path: output columns evaluated from the child projection;
+  /// Output columns evaluated from the child projection;
   /// shares the child's row positions and selection.
   VectorProjection out_vp_;
 };
@@ -344,8 +340,8 @@ class MergeBandJoinOp : public PhysicalOperator {
   }
 
   /// SUM fold: called by BuildPhysicalPlan when a HashAggregateOp sits
-  /// directly on this join. Succeeds when the join is inner and
-  /// vectorized, every group key is left-only and every aggregate is a
+  /// directly on this join. Succeeds when the join is inner, every group
+  /// key is left-only and every aggregate is a
   /// plain SUM whose argument is run-foldable (DESIGN.md §16). The join
   /// then emits one partial row per matched left row — the left columns
   /// followed by a (sum, non-NULL count) column pair per aggregate —
@@ -366,13 +362,12 @@ class MergeBandJoinOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
   /// One typed step of a resolved fold argument, applied to the cell
   /// innermost first: unary minus, or a multiplication by a factor
-  /// (`factor_first` keeps the row path's operand order).
+  /// (`factor_first` keeps Evaluator's operand order).
   struct FoldStep {
     bool negate = false;
     bool factor_first = false;
@@ -420,28 +415,24 @@ class MergeBandJoinOp : public PhysicalOperator {
     int64_t n = 0;
   };
 
-  Status AdvanceLeft(bool* eof);
-  /// Resolves all bands for current_left_ into candidates_ (cross-band
-  /// deduplicated); shared by the row and vector paths.
-  Status ResolveCandidates();
-  /// Evaluates every band of current_left_ into resolved_ (row path),
-  /// or copies current_lane_'s from lane_bands_ (vector paths; after a
-  /// vector's evaluation error, evaluates the lane's row instead).
+  /// Copies current_lane_'s bands from lane_bands_ into resolved_; after
+  /// a vector's evaluation error, evaluates them on the lane's row
+  /// (current_left_) instead.
   Status ResolveBands();
   /// Fills candidates_ from resolved_ (cross-band deduplicated).
   void CollectCandidates();
-  /// Vector paths: resolves every band for every selected row of the
-  /// new left_vp_ into lane_bands_, one columnar evaluation per bound.
+  /// Resolves every band for every selected row of the new left_vp_
+  /// into lane_bands_, one columnar evaluation per bound.
   Status ResolveLeftVector();
   /// Appends row ids of keys_ positions matching `band` to candidates_,
   /// using the per-band monotone start cursor `cursor`.
   void CollectBand(const ResolvedBand& band, size_t band_index);
-  /// Vector paths: positions current_lane_ on the next left row, pulling
-  /// (and resolving the bands of) left input as needed; *eof = true at
-  /// its end.
+  /// Positions current_lane_ on the next left row, pulling (and
+  /// resolving the bands of) left input as needed; *eof = true at its
+  /// end.
   Status NextLeftLane(bool* eof);
-  /// Vector paths: ResolveCandidates from the band lanes, plus the
-  /// columnar residual filter.
+  /// Fills candidates_ from the current lane's bands (cross-band
+  /// deduplicated), then applies the columnar residual filter.
   Status ResolveLaneCandidates();
   /// Fold mode's NextVectorImpl: one partial row per matched left row.
   Status NextFoldedVector(VectorProjection** out, bool* eof);
@@ -477,7 +468,7 @@ class MergeBandJoinOp : public PhysicalOperator {
                            const SelectionVector& lanes);
   /// The fold-argument interpreter: walks a run-foldable argument over
   /// `lanes` of fold_vp_, evaluating its CASE conditions and factors
-  /// columnar in the row path's operand order, and appends the taken
+  /// columnar in Evaluator's operand order, and appends the taken
   /// branch's typed steps to each lane's leaf `leaf` (or marks it
   /// null). An error means some lane's row would raise one.
   Status ResolveFoldExprVector(const Expr& e, size_t leaf,
@@ -504,6 +495,8 @@ class MergeBandJoinOp : public PhysicalOperator {
   std::vector<size_t> cursors_;
   std::vector<int64_t> prev_lo_;
 
+  /// The current left row, materialized only when its bands resolve one
+  /// by one (ResolveBands after an evaluation error).
   Row current_left_;
   bool left_valid_ = false;
   bool left_matched_ = false;
@@ -512,10 +505,9 @@ class MergeBandJoinOp : public PhysicalOperator {
   size_t right_width_ = 0;
 
   /// The right side, columnar (row id = position): the gather source
-  /// for output runs and of the row path's joined rows.
+  /// for output runs.
   VectorProjection right_vp_;
 
-  // --- Vector-native path (NextVectorImpl, used when vectorized()) ---
   /// Pooled output lanes and residual-filter scratch, reused across
   /// NextVector calls.
   VectorProjection out_vp_;
@@ -585,10 +577,10 @@ class HashJoinOp : public PhysicalOperator {
     out->push_back(left_.get());
     out->push_back(right_.get());
   }
-  /// Native columnar execution: vectorized build (bulk-hash whole key
-  /// vectors into a contiguous bucket-chain table, one allocation pass)
-  /// and vectorized probe (bulk-hash the probe vector, chase chains
-  /// per-lane, gather matches column-wise). See join.cc.
+  /// Columnar execution: the build bulk-hashes whole key vectors into a
+  /// contiguous bucket-chain table (one allocation pass), and the probe
+  /// bulk-hashes each probe vector, chases chains per lane and gathers
+  /// matches column-wise. See join.cc.
   bool VectorNative() const override { return true; }
   /// Test hook: shrinks the native vector path's output capacity so
   /// tests can force match runs to split across output vectors.
@@ -597,17 +589,13 @@ class HashJoinOp : public PhysicalOperator {
   }
 
  protected:
+  /// Collects the build side's vectors into build_vp_, bulk-hashes the
+  /// key vectors, and links the bucket-chain table (heads_/chain_next_)
+  /// in one pass.
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
-  Status AdvanceLeft(bool* eof);
-  /// Vectorized build: collects the build side's vectors into build_vp_,
-  /// bulk-hashes the key vectors, and links the bucket-chain table
-  /// (heads_/chain_next_) in one pass.
-  Status OpenVectorized();
-
   PhysicalOperatorPtr left_;
   PhysicalOperatorPtr right_;
   std::vector<ExprPtr> left_keys_;
@@ -615,22 +603,16 @@ class HashJoinOp : public PhysicalOperator {
   ExprPtr residual_;
   JoinType join_type_;
 
-  std::unordered_map<std::vector<Value>, std::vector<Row>, RowColumnsHash>
-      hash_table_;
   size_t right_width_ = 0;
-  Row current_left_;
   bool left_valid_ = false;
   bool left_matched_ = false;
-  const std::vector<Row>* bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
 
-  // --- Vector-native path (OpenVectorized + NextVectorImpl) ---
   /// Chain terminator / empty bucket sentinel.
   static constexpr uint32_t kChainEnd = 0xffffffffu;
   /// Columnar build side: all build rows (gather source), their
   /// evaluated key vectors, and per-row full hashes. Entries are linked
   /// head-first in REVERSE row order so every chain walks in ascending
-  /// build-row order — exactly the row path's bucket arrival order.
+  /// build-row order.
   VectorProjection build_vp_;
   std::vector<Vector> build_key_vecs_;
   std::vector<uint64_t> build_hashes_;
@@ -646,23 +628,20 @@ class HashJoinOp : public PhysicalOperator {
   std::vector<uint64_t> probe_hashes_;
   size_t probe_lane_pos_ = 0;   ///< next selection slot in probe_vp_
   uint32_t current_lane_ = 0;   ///< current probe row position
-  std::vector<size_t> vec_candidates_;
-  size_t vec_candidate_pos_ = 0;
+  std::vector<size_t> candidates_;
+  size_t candidate_pos_ = 0;
   size_t vector_capacity_ = kVectorSize;
 };
 
-/// Full-materialization stable sort.
-///
-/// Vector mode (vectorized()) is columnar: Open copies the child's
+/// Full-materialization stable sort, columnar: Open copies the child's
 /// selected lanes into owned chunks of kVectorSize rows and evaluates
-/// the keys with VectorEvaluator. When no adjacent
-/// pair of rows is out of order, the identity is what std::stable_sort
-/// would return and the chunks are emitted as they are; otherwise a
-/// stable_sort of row indices under the same comparator is emitted by
-/// gather (DESIGN.md §13 "Columnar sort and aggregate"). Row mode keeps
-/// the row sort, the reference of the `vector` oracle. The in-order
-/// check is skipped for keys whose order is not a strict weak one (NaN,
-/// doubles mixed with int64 beyond 2^53).
+/// the keys with VectorEvaluator. When no adjacent pair of rows is out
+/// of order, the identity is what std::stable_sort would return and the
+/// chunks are emitted as they are; otherwise a stable_sort of row
+/// indices under the same comparator is emitted by gather (DESIGN.md §13
+/// "Columnar sort and aggregate"). The in-order check is skipped for
+/// keys whose order is not a strict weak one (NaN, doubles mixed with
+/// int64 beyond 2^53).
 class SortOp : public PhysicalOperator {
  public:
   SortOp(Schema schema, PhysicalOperatorPtr child, std::vector<SortKey> keys)
@@ -675,19 +654,17 @@ class SortOp : public PhysicalOperator {
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());
   }
-  /// Vector mode: `presorted=1` when the in-order check answered the
-  /// sort, `presorted=0` when a permutation ran. Empty in row mode.
+  /// `presorted=1` when the in-order check answered the sort,
+  /// `presorted=0` when a permutation ran.
   std::string MetricsDetail() const override;
 
  protected:
+  /// Drains the child into chunks_, evaluates the keys and decides
+  /// between pass-through and permutation.
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
-  /// Vector-mode Open: drains the child into chunks_, evaluates the
-  /// keys and decides between pass-through and permutation.
-  Status OpenColumnar();
   const Vector& KeyLane(size_t chunk, size_t k) const {
     return key_lanes_[chunk * keys_.size() + k];
   }
@@ -696,10 +673,7 @@ class SortOp : public PhysicalOperator {
 
   PhysicalOperatorPtr child_;
   std::vector<SortKey> keys_;
-  std::vector<Row> rows_;
   size_t pos_ = 0;
-
-  // --- Vector mode ---
   bool presorted_ = false;
   std::vector<VectorProjection> chunks_;
   size_t num_rows_ = 0;
@@ -711,14 +685,11 @@ class SortOp : public PhysicalOperator {
   VectorProjection out_vp_;
 };
 
-/// Hash aggregation (grouped or global).
-///
-/// Vector mode (vectorized()) ingests vectors and keeps its
+/// Hash aggregation (grouped or global). Ingests vectors and keeps its
 /// groups columnar: group g's key cells and finished aggregates sit in
-/// lane g % kVectorSize of output vector g / kVectorSize, and
-/// its accumulators in one flat groups × aggregates array. Output
-/// vectors are emitted as they are. Row mode keeps Value-keyed groups
-/// and result rows, the reference of the `vector` oracle.
+/// lane g % kVectorSize of output vector g / kVectorSize, and its
+/// accumulators in one flat groups × aggregates array. Output vectors
+/// are emitted as they are.
 class HashAggregateOp : public PhysicalOperator {
  public:
   HashAggregateOp(Schema schema, PhysicalOperatorPtr child,
@@ -745,23 +716,17 @@ class HashAggregateOp : public PhysicalOperator {
   }
 
  protected:
+  /// Builds groups_ from the child's vectors.
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
-  /// Vector-mode Open: builds groups_ from the child's vectors.
-  Status OpenColumnar();
-
   PhysicalOperatorPtr child_;
   std::vector<ExprPtr> group_by_;
   std::vector<AggregateCall> aggregates_;
   bool folded_ = false;
   size_t partial_base_ = 0;
-  std::vector<Row> results_;
   size_t pos_ = 0;
-
-  // --- Vector mode ---
   /// Output vectors: group keys, then one column per aggregate.
   std::vector<VectorProjection> groups_;
   size_t num_groups_ = 0;
@@ -847,7 +812,6 @@ class UnionAllOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
@@ -870,7 +834,6 @@ class LimitOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
   /// Truncates the child projection's selection to the rows remaining
   /// under the limit and passes the projection through.
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;

@@ -26,16 +26,6 @@ Status TableScanOp::OpenImpl() {
   return Status::OK();
 }
 
-Status TableScanOp::NextImpl(Row* row, bool* eof) {
-  if (pos_ >= NumScanRows()) {
-    *eof = true;
-    return Status::OK();
-  }
-  *row = snap_->row(RowIdAt(pos_++));
-  *eof = false;
-  return Status::OK();
-}
-
 Status TableScanOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   const size_t n = NumScanRows();
   const size_t count = std::min<size_t>(kVectorSize, n - pos_);

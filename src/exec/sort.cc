@@ -32,42 +32,6 @@ void NoteOrderHazards(const Vector& lane, const SelectionVector& sel,
 
 }  // namespace
 
-Status SortOp::OpenImpl() {
-  rows_.clear();
-  pos_ = 0;
-  RFV_RETURN_IF_ERROR(child_->Open());
-  if (vectorized()) return OpenColumnar();
-
-  std::vector<Row> rows;
-  RFV_RETURN_IF_ERROR(DrainChild(child_.get(), &rows));
-  std::vector<std::vector<Value>> keys;
-  keys.reserve(rows.size());
-  for (const Row& row : rows) {
-    std::vector<Value> key;
-    key.reserve(keys_.size());
-    for (const SortKey& k : keys_) {
-      Value v;
-      RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*k.expr, row));
-      key.push_back(std::move(v));
-    }
-    keys.push_back(std::move(key));
-  }
-
-  std::vector<size_t> order(rows.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t k = 0; k < keys_.size(); ++k) {
-      const int c = keys[a][k].Compare(keys[b][k]);
-      if (c != 0) return keys_[k].ascending ? c < 0 : c > 0;
-    }
-    return false;
-  });
-  rows_.reserve(rows.size());
-  for (size_t i : order) rows_.push_back(std::move(rows[i]));
-  NoteBufferedRows(rows_.size());
-  return Status::OK();
-}
-
 int SortOp::CompareRows(size_t a, size_t b) const {
   const size_t ca = a / kVectorSize;
   const size_t cb = b / kVectorSize;
@@ -79,11 +43,13 @@ int SortOp::CompareRows(size_t a, size_t b) const {
   return 0;
 }
 
-Status SortOp::OpenColumnar() {
+Status SortOp::OpenImpl() {
+  pos_ = 0;
   presorted_ = false;
   chunks_.clear();
   perm_.clear();
   num_rows_ = 0;
+  RFV_RETURN_IF_ERROR(child_->Open());
   const size_t width = schema_.NumColumns();
   VectorProjection* vp = nullptr;
   bool eof = false;
@@ -102,9 +68,9 @@ Status SortOp::OpenColumnar() {
   for (const VectorProjection& chunk : chunks_) num_rows_ += chunk.num_rows();
   NoteBufferedRows(num_rows_);
 
-  // Key lanes, evaluated once per chunk. On an evaluation error, the row
-  // path's error is the first one in (row, key) order, so the rows are
-  // re-evaluated one by one to raise exactly that one.
+  // Key lanes, evaluated once per chunk. On an evaluation error, the
+  // error raised is the first one in (row, key) order, so the rows are
+  // re-evaluated one by one to find exactly that one.
   const size_t nk = keys_.size();
   key_lanes_.assign(nk * chunks_.size(), Vector());
   for (size_t c = 0; c < chunks_.size(); ++c) {
@@ -148,24 +114,14 @@ Status SortOp::OpenColumnar() {
     }
   }
   if (presorted_) return Status::OK();
-  // The same comparator as the row path, over row indices, so the
-  // permutation is the one stable_sort gives there even when the order
-  // is not weak.
+  // A stable sort of row indices, so rows with equal keys keep their
+  // input order (an ORDER BY over a scan keeps scan order among ties)
+  // even when the order is not weak.
   perm_.resize(num_rows_);
   for (size_t r = 0; r < num_rows_; ++r) perm_[r] = r;
   std::stable_sort(perm_.begin(), perm_.end(), [this](size_t a, size_t b) {
     return CompareRows(a, b) < 0;
   });
-  return Status::OK();
-}
-
-Status SortOp::NextImpl(Row* row, bool* eof) {
-  if (pos_ >= rows_.size()) {
-    *eof = true;
-    return Status::OK();
-  }
-  *row = std::move(rows_[pos_++]);
-  *eof = false;
   return Status::OK();
 }
 
@@ -194,7 +150,6 @@ Status SortOp::NextVectorImpl(VectorProjection** out, bool* eof) {
 }
 
 std::string SortOp::MetricsDetail() const {
-  if (!vectorized()) return std::string();
   return presorted_ ? "presorted=1" : "presorted=0";
 }
 

@@ -10,20 +10,6 @@ Status UnionAllOp::OpenImpl() {
   return Status::OK();
 }
 
-Status UnionAllOp::NextImpl(Row* row, bool* eof) {
-  while (current_ < children_.size()) {
-    bool child_eof = false;
-    RFV_RETURN_IF_ERROR(children_[current_]->Next(row, &child_eof));
-    if (!child_eof) {
-      *eof = false;
-      return Status::OK();
-    }
-    ++current_;
-  }
-  *eof = true;
-  return Status::OK();
-}
-
 Status UnionAllOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   // The current child's projection passes through untouched; a drained
   // child hands over to the next one within the same call.

@@ -92,7 +92,7 @@ void HashVectorColumns(const std::vector<const Vector*>& keys,
                        const SelectionVector& sel, size_t num_rows,
                        std::vector<uint64_t>* out) {
   if (out->size() < num_rows) out->resize(num_rows);
-  for (size_t k = 0; k < sel.size(); ++k) (*out)[sel[k]] = kRowHashSeed;
+  for (size_t k = 0; k < sel.size(); ++k) (*out)[sel[k]] = kKeyHashSeed;
   // Column-at-a-time: the tag branch inside VectorCellHash predicts
   // perfectly on homogeneous columns, and each pass streams one lane.
   for (const Vector* col : keys) {

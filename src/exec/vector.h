@@ -13,19 +13,18 @@
 namespace rfv {
 
 /// Rows per vector: the capacity of the projections the scans, the
-/// joins and the row-only fallback produce, and the chunk size of the
-/// columnar sort and aggregate. Large enough to amortize per-call
-/// overhead, small enough to stay cache-resident for typical row widths.
+/// joins and the row-only operators' fallback produce, and the chunk
+/// size of the columnar sort and aggregate. Large enough to amortize
+/// per-call overhead, small enough to stay cache-resident for typical
+/// row widths.
 constexpr size_t kVectorSize = 1024;
 
 /// One column of a VectorProjection: a fixed-length array of scalar
 /// cells in structure-of-arrays layout. Each element carries its own
 /// DataType tag (kNull marks NULL, folding the null bitmap into the tag
-/// lane) because the engine's INSERT path stores values without coercing
-/// them to the declared column type — an INTEGER literal inserted into a
-/// DOUBLE column stays an int64 cell, and materialized rows must
-/// reproduce those exact tags for the row and vector execution modes to
-/// be byte-identical.
+/// lane) because one expression's cells may mix tags — COALESCE over a
+/// DOUBLE and an INTEGER column yields int64 and double cells in one
+/// lane — and materialized rows must reproduce those exact tags.
 ///
 /// Numeric and boolean payloads live in dedicated lanes (`i64_`, `f64_`;
 /// booleans reuse the int64 lane as 0/1), so typed inner loops read a
@@ -119,10 +118,9 @@ class Vector {
 /// an ascending list of indices into the projection's vectors. Filters
 /// narrow the selection in place instead of copying surviving rows;
 /// downstream operators iterate only the selected positions. Always kept
-/// sorted ascending, so vectorized consumers visit rows in the same
-/// order the row-at-a-time path does (this is what keeps group
-/// insertion order and floating-point accumulation order identical
-/// across execution modes).
+/// sorted ascending, so consumers visit rows in input order (this is
+/// what keeps group insertion order and floating-point accumulation
+/// order the input's).
 class SelectionVector {
  public:
   /// Identity selection over `n` rows (0, 1, ..., n-1).
@@ -210,9 +208,9 @@ class VectorProjection {
   size_t num_rows_ = 0;
 };
 
-/// RowColumnsHash's seed and per-column mixing step, shared by every
-/// columnar hash of a key tuple.
-constexpr uint64_t kRowHashSeed = 0xcbf29ce484222325ull;
+/// The seed and per-column mixing step shared by every columnar hash of
+/// a key tuple.
+constexpr uint64_t kKeyHashSeed = 0xcbf29ce484222325ull;
 inline uint64_t MixCellHash(uint64_t h, uint64_t cell) {
   return h ^ (cell + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
 }
@@ -220,9 +218,8 @@ inline uint64_t MixCellHash(uint64_t h, uint64_t cell) {
 /// Hash of one vector cell, identical to Value::Hash() of the boxed
 /// cell: NULL hashes to the golden-ratio constant, numerics hash by
 /// their double representation (Int(2) and Double(2.0) collide, matching
-/// Value::Compare), -0.0 normalizes to 0. Keeping this bit-exact with
-/// Value::Hash is what lets the vectorized hash join and aggregate share
-/// bucketization with the row path's RowColumnsHash tables.
+/// Value::Compare), -0.0 normalizes to 0. Cells that VectorCellsEqual
+/// calls equal therefore hash alike.
 inline uint64_t VectorCellHash(const Vector& v, size_t i) {
   switch (v.tag(i)) {
     case DataType::kNull:
@@ -243,9 +240,8 @@ inline uint64_t VectorCellHash(const Vector& v, size_t i) {
 
 /// Cell-to-cell equality mirroring Value::Compare(...) == 0: NULLs
 /// compare equal to each other only, int64/int64 compares exactly, mixed
-/// numerics compare as double. Used by the vectorized hash join's chain
-/// chase so probe/build matching is identical to the row path's
-/// Value-keyed map lookups.
+/// numerics compare as double. Used by the hash join's chain chase and
+/// the aggregate's group lookup, so keys match under Value::Compare.
 inline bool VectorCellsEqual(const Vector& a, size_t i, const Vector& b,
                              size_t j) {
   const DataType ta = a.tag(i);
@@ -314,10 +310,10 @@ inline int VectorCellCompare(const Vector& a, size_t i, const Vector& b,
 
 /// Bulk hash kernel, shared by the vectorized hash join (build and
 /// probe) and the vectorized aggregate ingest: for every selected
-/// position p, combines the cells of `keys` into (*out)[p] with exactly
-/// the RowColumnsHash mixing over Value-consistent cell hashes, one
-/// column at a time. *out is indexed by row position (resized to
-/// `num_rows`); unselected slots are left unspecified.
+/// position p, combines the cells of `keys` into (*out)[p] by
+/// MixCellHash over Value-consistent cell hashes, one column at a time.
+/// *out is indexed by row position (resized to `num_rows`); unselected
+/// slots are left unspecified.
 void HashVectorColumns(const std::vector<const Vector*>& keys,
                        const SelectionVector& sel, size_t num_rows,
                        std::vector<uint64_t>* out);

@@ -265,7 +265,7 @@ Status EvalFunctionVec(const Expr& expr, const VectorProjection& proj,
       case ScalarFn::kYear:
       case ScalarFn::kMonth:
       case ScalarFn::kDay: {
-        // Mirrors the row path's AsInt() (throws on a non-int cell).
+        // Mirrors Evaluator's AsInt() (throws on a non-int cell).
         const int64_t v = args[0].tag(i) == DataType::kInt64
                               ? args[0].i64(i)
                               : args[0].GetValue(i).AsInt();

@@ -16,12 +16,13 @@ namespace rfv {
 /// that the row-at-a-time Evaluator would. Lazy constructs (AND/OR
 /// Kleene short-circuits, CASE branches, IN candidates, COALESCE
 /// arguments) are realized as *sub-selections*: a sub-expression is
-/// evaluated only over the rows on which the row path would evaluate it.
-/// This keeps runtime errors (division by zero, MOD by zero) reproducible
-/// across execution modes — the differential oracles depend on it. The
+/// evaluated only over the rows on which Evaluator would evaluate it.
+/// This keeps runtime errors (division by zero, MOD by zero) the same
+/// across plans, whose row-only operators (window, the nested-loop joins)
+/// evaluate with Evaluator — the differential oracles depend on it. The
 /// one permitted divergence: when several rows of one vector would each
-/// raise an error, which row's message surfaces is unspecified (the row
-/// path reports the first row's).
+/// raise an error, which row's message surfaces is unspecified (Evaluator
+/// row by row reports the first row's).
 class VectorEvaluator {
  public:
   /// Evaluates `expr` over the selected rows of `proj` into *out. *out is
@@ -62,8 +63,8 @@ void GatherNullPaddedRow(const VectorProjection& left, uint32_t left_pos,
 /// candidate rows in *scratch, narrows it with EvalPredicate, and
 /// compacts the surviving entries of *candidates in place. Like the
 /// vectorized FilterOp, the residual is evaluated eagerly over the
-/// whole candidate set of one left row (the row path stops at the
-/// first downstream-satisfying match) — the permitted which-row-
+/// whole candidate set of one left row (a row-at-a-time join would stop
+/// at the first downstream-satisfying match) — the permitted which-row-
 /// surfaces divergence for runtime errors.
 Status FilterJoinCandidates(const Expr& residual,
                             const VectorProjection& left, uint32_t left_pos,

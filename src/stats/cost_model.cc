@@ -34,9 +34,7 @@ CostEstimate Finish(CostEstimate est) {
 /// Per-candidate cost multiplier of the band-merge and hash joins, whose
 /// vector-native paths gather candidate runs column-wise into pooled
 /// lanes instead of materializing per-row Value copies (measured ~2× on
-/// the A8 sweep and the BM_HashJoin probe; priced conservatively). Plans
-/// are priced the same in either execution mode, so row mode derives
-/// the same rewritten plan as the default vector mode.
+/// the A8 sweep and the BM_HashJoin probe; priced conservatively).
 constexpr double kVectorJoinDiscount = 0.5;
 
 void PriceJoin(double n, double m, double branches, double hull_rows,

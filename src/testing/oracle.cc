@@ -67,9 +67,61 @@ std::vector<Row> SnapshotRows(const Table& table) {
   return rows;
 }
 
+/// One key of a trailing ORDER BY: a base-table column, or
+/// COALESCE(val, pos) (column = -1), and its direction.
+struct OrderKey {
+  int column = 0;
+  bool desc = false;
+};
+
+/// The keys of `query`'s trailing ORDER BY (Scenario::OrderByList), or
+/// an error for a list item the reference does not know.
+Result<std::vector<OrderKey>> TrailingOrderKeys(const Scenario& s,
+                                                const FuzzQuery& query) {
+  const int grp_col = s.has_grp ? 0 : -1;
+  const int pos_col = s.has_grp ? 1 : 0;
+  const std::string list = s.OrderByList(query);
+  std::vector<OrderKey> keys;
+  size_t at = 0;
+  while (at < list.size()) {
+    // Items are separated by ", " outside parentheses.
+    size_t end = at;
+    int depth = 0;
+    while (end < list.size() && !(depth == 0 && list[end] == ',')) {
+      depth += list[end] == '(' ? 1 : list[end] == ')' ? -1 : 0;
+      ++end;
+    }
+    std::string item = list.substr(at, end - at);
+    at = end + 2;
+    OrderKey key;
+    const std::string desc = " DESC";
+    if (item.size() > desc.size() &&
+        item.compare(item.size() - desc.size(), desc.size(), desc) == 0) {
+      key.desc = true;
+      item.resize(item.size() - desc.size());
+    }
+    if (item == "grp" && grp_col >= 0) {
+      key.column = grp_col;
+    } else if (item == "pos") {
+      key.column = pos_col;
+    } else if (item == "val") {
+      key.column = pos_col + 1;
+    } else if (item == "COALESCE(val, pos)") {
+      key.column = -1;
+    } else {
+      return Status::Internal("reference: unknown ORDER BY item " + item);
+    }
+    keys.push_back(key);
+  }
+  return keys;
+}
+
 /// Computes the expected result of `query` with the reference evaluator
 /// over the base table's current rows (read from its snapshot; storage
-/// order is the scan order the engine sees).
+/// order is the scan order the engine sees). The window emits rows in
+/// input order and the engine's sort is stable, so under a trailing
+/// ORDER BY the rows are stable-sorted from snapshot order by its keys
+/// under Value::Compare: the expected order, not just the row set.
 Result<ResultSet> BuildExpected(Database* db, const Scenario& s,
                                 const FuzzQuery& query,
                                 const Schema& schema) {
@@ -96,10 +148,29 @@ Result<ResultSet> BuildExpected(Database* db, const Scenario& s,
                      : val_col;
   const std::vector<Value> win = ReferenceWindow(base, call);
 
+  std::vector<size_t> order(base.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  if (!s.OrderByList(query).empty()) {
+    std::vector<OrderKey> keys;
+    RFV_ASSIGN_OR_RETURN(keys, TrailingOrderKeys(s, query));
+    const auto key_value = [&](size_t row, const OrderKey& key) {
+      if (key.column >= 0) return base[row][static_cast<size_t>(key.column)];
+      const Value& val = base[row][static_cast<size_t>(val_col)];
+      return val.is_null() ? base[row][static_cast<size_t>(pos_col)] : val;
+    };
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      for (const OrderKey& key : keys) {
+        const int c = key_value(a, key).Compare(key_value(b, key));
+        if (c != 0) return key.desc ? c > 0 : c < 0;
+      }
+      return false;
+    });
+  }
+
   const bool strict_shape = s.kind != ScenarioKind::kWindow;
   std::vector<Row> expected;
   expected.reserve(base.size());
-  for (size_t i = 0; i < base.size(); ++i) {
+  for (const size_t i : order) {
     Row row;
     if (s.has_grp && (strict_shape ? query.partition_by_grp : true)) {
       row.Append(base[i][0]);
@@ -259,7 +330,7 @@ class OracleRunner {
     }
   }
 
-  /// Oracle 8: range scans vs. full scans. Every table of the scenario
+  /// Oracle 6: range scans vs. full scans. Every table of the scenario
   /// with an index on `pos` (the base table's primary key or window
   /// index, each view's position index) answers a fixed set of
   /// sargable SELECTs, sized from its current row count; each is
@@ -340,7 +411,8 @@ class OracleRunner {
       serial = CorruptLastValue(serial);
     }
 
-    // Oracle 1: native vs. the trusted reference evaluator.
+    // Oracle 1: native vs. the trusted reference evaluator, in order
+    // under a trailing ORDER BY (the sort's permutation is checked too).
     {
       Result<ResultSet> expected =
           BuildExpected(&db_, s_, query, serial.schema());
@@ -350,7 +422,9 @@ class OracleRunner {
       } else {
         RecordCheck(&verdict_, "reference");
         std::optional<std::string> diff =
-            DiffRowsCanonical(serial, *expected);
+            !s_.OrderByList(query).empty()
+                ? DiffRows(serial, *expected)
+                : DiffRowsCanonical(serial, *expected);
         if (diff.has_value()) {
           RecordFailure(&verdict_, "reference", sql, *diff, round);
         }
@@ -379,34 +453,7 @@ class OracleRunner {
       }
     }
 
-    // Oracle 3: execution-mode cross-check. The serial run above used
-    // the engine default (columnar vectorized execution), so replay the
-    // same query with vectorized execution off — the pure row-at-a-time
-    // pull loop — and demand identical rows ("vector", named for the
-    // path it vouches for).
-    {
-      const bool saved_vectorized =
-          db_.options().exec.use_vectorized_execution;
-      db_.options().exec.use_vectorized_execution = false;
-      Result<ResultSet> replay = db_.Execute(sql);
-      db_.options().exec.use_vectorized_execution = saved_vectorized;
-      if (!replay.ok()) {
-        RecordFailure(&verdict_, "vector", sql, replay.status().ToString(),
-                      round);
-      } else {
-        RecordCheck(&verdict_, "vector");
-        // Under a trailing ORDER BY both modes run a stable sort of the
-        // same input order, so the rows must agree in order.
-        std::optional<std::string> diff =
-            query.order_by.empty() ? DiffRowsCanonical(serial, *replay)
-                                   : DiffRows(serial, *replay);
-        if (diff.has_value()) {
-          RecordFailure(&verdict_, "vector", sql, *diff, round);
-        }
-      }
-    }
-
-    // Oracle 4: view rewrites vs. the native result — the cost-based
+    // Oracle 3: view rewrites vs. the native result — the cost-based
     // automatic choice, the paper's static preference order, and both
     // forced methods, each under both pattern variants. Running the
     // cost-based and static choosers through the same comparison
@@ -433,23 +480,18 @@ class OracleRunner {
           db_.options().rewrite_variant = variant;
           Result<ResultSet> derived = db_.Execute(sql);
 
-          // Oracle 5: merge band join on vs. off. Rewritten patterns are
+          // Oracle 4: merge band join on vs. off. Rewritten patterns are
           // exactly the band-shaped self joins MergeBandJoinOp claims
           // (BETWEEN hulls, MOD strides, disjunctions of both), so the
           // forced-method configs are replayed with the band join
           // disabled — the index nested-loop join then probes the
           // view's position index with the same band spec, or the
           // nested loop runs where no index applies — and must produce
-          // identical rows.
-          //
-          // Oracle 7: the same configs replayed in row mode. The
-          // rewrites above run columnar, where band joins, hash
-          // aggregates and the SUM fold (DESIGN.md §16) take their
-          // vector paths, while oracle 3 replays unrewritten queries
-          // only. Fuzz values are integers, so the sums are exact and
-          // the rows must be identical.
+          // identical rows. The replay has no band join, so no SUM fold
+          // either (DESIGN.md §16): it also checks the fold's walk and
+          // prefix path. Fuzz values are integers, so the sums are
+          // exact and the rows must be identical.
           std::optional<Result<ResultSet>> no_band;
-          std::optional<Result<ResultSet>> row_mode;
           if (config.force.has_value() &&
               variant == RewriteVariant::kDisjunctive) {
             ExecOptions& exec = db_.options().exec;
@@ -457,13 +499,9 @@ class OracleRunner {
             exec.enable_merge_band_join = false;
             no_band = db_.Execute(sql);
             exec.enable_merge_band_join = saved_band;
-            const bool saved_vectorized = exec.use_vectorized_execution;
-            exec.use_vectorized_execution = false;
-            row_mode = db_.Execute(sql);
-            exec.use_vectorized_execution = saved_vectorized;
           }
 
-          // Oracle 6: forced hash join. Partitioned rewrites join the
+          // Oracle 5: forced hash join. Partitioned rewrites join the
           // view to the base table on grp/pos equi-keys
           // (PartitionedDirectSql), so with both the band and the index
           // nested-loop joins disabled the planner must route the same
@@ -530,7 +568,6 @@ class OracleRunner {
                 }
               };
           check_replay("band", no_band);
-          check_replay("rowmode", row_mode);
           check_replay("hashjoin", hash_only);
         }
       }

@@ -15,23 +15,22 @@ namespace fuzzing {
 /// trusted reference evaluator and against each other:
 ///
 ///   * reference   — native window operator vs. the naive O(n²)
-///                   evaluator (reference_window.h);
+///                   evaluator (reference_window.h); under a trailing
+///                   ORDER BY the expected rows are stable-sorted from
+///                   snapshot order and compared in order, which checks
+///                   the sort's permutation;
 ///   * parallel    — exec.window_workers = 1 vs. the partition-parallel
 ///                   path (workers forced onto small inputs);
-///   * vector      — the engine default (columnar vectorized execution)
-///                   vs. the row-at-a-time pull loop (exec.
-///                   use_vectorized_execution off) — the
-///                   vectorized-vs-row oracle;
 ///   * rewrite:*   — MaxOA / MinOA / automatic view rewrites (both
 ///                   pattern variants) vs. the native operator;
 ///   * band        — forced rewrites replayed with the merge band join
 ///                   disabled (exec.enable_merge_band_join off), so the
 ///                   index nested-loop join runs the same band spec on
-///                   the view's position index, vs. the merge band join;
-///   * rowmode     — the same forced rewrites replayed in row mode
-///                   (exec.use_vectorized_execution off), vs. their
-///                   columnar run: band join, hash aggregate and SUM
-///                   fold against the row paths;
+///                   the view's position index, vs. the merge band join
+///                   and its SUM fold;
+///   * hashjoin    — partitioned rewrites replayed with the band and
+///                   index joins off, so their equi-join runs through
+///                   the hash join;
 ///   * maintenance — incrementally maintained view content vs. a full
 ///                   recompute (ViewManager::RefreshView) after every
 ///                   DML batch;
@@ -42,7 +41,8 @@ namespace fuzzing {
 ///
 /// Row comparisons run under canonical row ordering (result_compare.h),
 /// so plans without a final sort cannot produce order-only false
-/// positives — except `indexscan`, whose two plans share one scan order.
+/// positives — except `reference` under a trailing ORDER BY and
+/// `indexscan`, whose two plans share one scan order.
 
 struct OracleOptions {
   /// Worker count of the parallel run (serial run is always 1). The

@@ -100,16 +100,18 @@ std::string Scenario::QuerySql(const FuzzQuery& query) const {
   if (query.is_ranking() && query.order_desc) select += " DESC";
   if (!query.is_ranking()) select += " " + query.frame.ToSql();
   select += ") FROM " + table;
-  if (strict_shape) {
-    // The rewriter's recognizable shape requires the trailing ORDER BY
-    // (partition columns first).
-    select += " ORDER BY ";
-    if (has_grp && query.partition_by_grp) select += "grp, ";
-    select += "pos";
-  } else if (!query.order_by.empty()) {
-    select += " ORDER BY " + query.order_by;
-  }
+  const std::string order_by = OrderByList(query);
+  if (!order_by.empty()) select += " ORDER BY " + order_by;
   return select;
+}
+
+std::string Scenario::OrderByList(const FuzzQuery& query) const {
+  // The rewriter's recognizable shape requires the trailing ORDER BY
+  // (partition columns first).
+  if (kind != ScenarioKind::kWindow) {
+    return has_grp && query.partition_by_grp ? "grp, pos" : "pos";
+  }
+  return query.order_by;
 }
 
 std::string Scenario::DmlSql(const FuzzDml& op) const {

@@ -126,6 +126,10 @@ struct Scenario {
   std::string InsertSql() const;
   std::string CreateViewSql(const FuzzView& view) const;
   std::string QuerySql(const FuzzQuery& query) const;
+  /// The list of `query`'s trailing ORDER BY in QuerySql ("" = none):
+  /// partition columns, then pos, for the rewriter's shapes; the query's
+  /// own `order_by` for window scenarios.
+  std::string OrderByList(const FuzzQuery& query) const;
   /// SQL replay of one DML op (maintenance ops render as an annotated
   /// equivalent; see docs/FUZZING.md).
   std::string DmlSql(const FuzzDml& op) const;

@@ -119,22 +119,5 @@ TEST(HistogramTest, LabeledBucketSeriesMergeLe) {
       << text;
 }
 
-TEST(MetricsRegistryTest, ResetForgetsFamiliesButKeepsPointersUsable) {
-  Counter* c = MetricsRegistry::Global().GetCounter("rfv_test_reset_total");
-  c->Increment();
-  MetricsRegistry::Global().ResetForTest();
-  EXPECT_EQ(MetricsRegistry::Global()
-                .ToPrometheusText()
-                .find("rfv_test_reset_total"),
-            std::string::npos);
-  c->Increment();  // old pointer must stay valid (leaked instance)
-  EXPECT_EQ(c->value(), 2);
-  // Re-registration starts a fresh instance.
-  Counter* again = MetricsRegistry::Global().GetCounter(
-      "rfv_test_reset_total");
-  EXPECT_NE(again, c);
-  EXPECT_EQ(again->value(), 0);
-}
-
 }  // namespace
 }  // namespace rfv

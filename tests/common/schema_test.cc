@@ -94,11 +94,5 @@ TEST(RowTest, ToString) {
   EXPECT_EQ(Row({Value::Int(1), Value::Null()}).ToString(), "(1, NULL)");
 }
 
-TEST(RowTest, ColumnsHashTreatsEqualKeysEqually) {
-  RowColumnsHash hash;
-  EXPECT_EQ(hash({Value::Int(3), Value::String("x")}),
-            hash({Value::Double(3.0), Value::String("x")}));
-}
-
 }  // namespace
 }  // namespace rfv

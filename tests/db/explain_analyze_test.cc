@@ -178,10 +178,6 @@ TEST_F(ExplainAnalyzeTest, SortLineShowsWhetherTheInputWasPresorted) {
       "1 FOLLOWING) FROM seq ORDER BY pos");
   EXPECT_NE(minoa.find(" presorted=1"), std::string::npos) << minoa;
   db_.options().force_method = std::nullopt;
-  // Row mode sorts rows and says nothing.
-  db_.options().exec.use_vectorized_execution = false;
-  const std::string row = sort_line("SELECT pos, val FROM seq ORDER BY pos");
-  EXPECT_EQ(row.find("presorted="), std::string::npos) << row;
 }
 
 TEST_F(ExplainAnalyzeTest, UnderivableQuerySaysRewriteNone) {

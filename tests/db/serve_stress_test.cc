@@ -1,7 +1,6 @@
 // The serving-layer stress battery: N reader sessions scanning the base
-// table and a materialized view in both pull protocols (row-at-a-time,
-// vectorized) while a writer session appends and updates the
-// base table and refreshes the view. The acceptance contract of the
+// table and a materialized view while a writer session appends and
+// updates the base table and refreshes the view. The acceptance contract of the
 // snapshot scheme:
 //
 //   * no reader ever errors (the old mutation_epoch abort is gone);
@@ -33,20 +32,7 @@ using testutil::MustExecute;
 constexpr int kInitialRows = 1100;  // spans two snapshot chunks
 constexpr int kRowsPerInsert = 7;
 constexpr int kWriterStatements = 60;
-constexpr int kReaderThreads = 3;  // pull styles alternate
-
-enum class PullStyle { kRow, kVector };
-
-void ConfigurePullStyle(Session* session, PullStyle style) {
-  switch (style) {
-    case PullStyle::kRow:
-      session->options().exec.use_vectorized_execution = false;
-      break;
-    case PullStyle::kVector:
-      session->options().exec.use_vectorized_execution = true;
-      break;
-  }
-}
+constexpr int kReaderThreads = 3;
 
 class ServeStressTest : public ::testing::Test {
  protected:
@@ -83,9 +69,8 @@ TEST_F(ServeStressTest, ReadersSeeConsistentSnapshotsUnderWrites) {
   std::atomic<bool> writer_done{false};
   std::atomic<int> reader_failures{0};
 
-  const auto reader = [this, &writer_done, &reader_failures](PullStyle style) {
+  const auto reader = [this, &writer_done, &reader_failures]() {
     Session session(&db_);
-    ConfigurePullStyle(&session, style);
     // Rewrites would answer from the view when derivable; this reader
     // checks the base-scan path deterministically.
     session.options().enable_view_rewrite = false;
@@ -142,10 +127,7 @@ TEST_F(ServeStressTest, ReadersSeeConsistentSnapshotsUnderWrites) {
 
   std::vector<std::thread> readers;
   readers.reserve(kReaderThreads);
-  const PullStyle styles[] = {PullStyle::kRow, PullStyle::kVector};
-  for (int r = 0; r < kReaderThreads; ++r) {
-    readers.emplace_back(reader, styles[r % 2]);
-  }
+  for (int r = 0; r < kReaderThreads; ++r) readers.emplace_back(reader);
 
   // The writer: append a batch, repaint the band, refresh the view —
   // all through the SQL front door so the full admission + write-mutex

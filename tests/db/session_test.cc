@@ -50,23 +50,36 @@ TEST_F(SessionTest, OptionsAreIsolatedPerSession) {
   Session b(&db_);
   ASSERT_TRUE(a.options().enable_view_rewrite);
   a.options().enable_view_rewrite = false;
-  a.options().exec.use_vectorized_execution = false;
+  a.options().exec.enable_hash_join = false;
   // Neither the sibling session nor the engine defaults moved.
   EXPECT_TRUE(b.options().enable_view_rewrite);
   EXPECT_TRUE(db_.options().enable_view_rewrite);
-  EXPECT_TRUE(b.options().exec.use_vectorized_execution);
-  EXPECT_TRUE(db_.options().exec.use_vectorized_execution);
+  EXPECT_TRUE(b.options().exec.enable_hash_join);
+  EXPECT_TRUE(db_.options().exec.enable_hash_join);
 }
 
 TEST_F(SessionTest, SessionOptionsAffectOnlyThatSessionsQueries) {
   Session plain(&db_);
-  Session row(&db_);
-  row.options().exec.use_vectorized_execution = false;
-  const Result<ResultSet> a = plain.Execute("SELECT val FROM seq");
-  const Result<ResultSet> b = row.Execute("SELECT val FROM seq");
+  Session nested(&db_);
+  nested.options().exec.enable_merge_band_join = false;
+  nested.options().exec.enable_index_nested_loop_join = false;
+  nested.options().exec.enable_hash_join = false;
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT s1.pos FROM seq s1, seq s2 "
+      "WHERE s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1";
+  const Result<ResultSet> a = plain.Execute(sql);
+  const Result<ResultSet> b = nested.Execute(sql);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->rows().size(), b->rows().size());
+  const auto has_op = [](const ResultSet& rs, const std::string& name) {
+    for (const OperatorMetricsEntry& e : rs.metrics()) {
+      if (e.name == name) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_op(*a, "merge_band_join"));
+  EXPECT_TRUE(has_op(*b, "nested_loop_join"));
+  EXPECT_FALSE(has_op(*b, "merge_band_join"));
 }
 
 TEST_F(SessionTest, LastErrorRecordsFailure) {

@@ -53,15 +53,10 @@ TEST_F(ExecutorTest, OrderByAscDescWithNulls) {
 }
 
 TEST_F(ExecutorTest, SortIsStable) {
-  // The columnar sort (vector mode, the default) and the row sort.
-  for (const bool vectorized : {true, false}) {
-    db_.options().exec.use_vectorized_execution = vectorized;
-    const ResultSet rs =
-        MustExecute(db_, "SELECT a, b FROM t ORDER BY a");
-    // Two a=2 rows keep insertion order (20 before 25).
-    EXPECT_EQ(rs.at(1, 1), Value::Double(20)) << vectorized;
-    EXPECT_EQ(rs.at(2, 1), Value::Double(25)) << vectorized;
-  }
+  const ResultSet rs = MustExecute(db_, "SELECT a, b FROM t ORDER BY a");
+  // Two a=2 rows keep insertion order (20 before 25).
+  EXPECT_EQ(rs.at(1, 1), Value::Double(20));
+  EXPECT_EQ(rs.at(2, 1), Value::Double(25));
 }
 
 TEST_F(ExecutorTest, Limit) {

@@ -430,11 +430,11 @@ struct Int64MaxCase {
   std::vector<int64_t> counts;  ///< COUNT(*) per left key, in key order
 };
 
-class BandJoinInt64MaxTest
-    : public ::testing::TestWithParam<std::tuple<Int64MaxCase, bool>> {};
+class BandJoinInt64MaxTest : public ::testing::TestWithParam<Int64MaxCase> {
+};
 
 TEST_P(BandJoinInt64MaxTest, MatchesExpectedCounts) {
-  const auto& [c, vectorized] = GetParam();
+  const Int64MaxCase& c = GetParam();
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   Database db;
   MustExecute(db, "CREATE TABLE t (pos INTEGER, val INTEGER)");
@@ -444,7 +444,6 @@ TEST_P(BandJoinInt64MaxTest, MatchesExpectedCounts) {
     insert += "(" + std::to_string(kMax - c.below_max[i]) + ", 1)";
   }
   MustExecute(db, insert);
-  db.options().exec.use_vectorized_execution = vectorized;
   const std::string sql = std::string("SELECT a.pos, COUNT(*) FROM t a, t b "
                                       "WHERE ") +
                           c.where + " GROUP BY a.pos ORDER BY a.pos";
@@ -465,7 +464,6 @@ TEST_P(BandJoinInt64MaxTest, MatchesExpectedCounts) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, BandJoinInt64MaxTest,
-    ::testing::Combine(
         ::testing::Values(
             // Dense keys, stride 2 running into INT64_MAX.
             Int64MaxCase{"dense_stride",
@@ -484,10 +482,8 @@ INSTANTIATE_TEST_SUITE_P(
                          {0, 0},
                          "b.pos BETWEEN a.pos - 1 AND a.pos",
                          {4}}),
-        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<Int64MaxCase, bool>>& info) {
-      return std::string(std::get<0>(info.param).name) +
-             (std::get<1>(info.param) ? "_vector" : "_row");
+    [](const ::testing::TestParamInfo<Int64MaxCase>& info) {
+      return std::string(info.param.name);
     });
 
 // --- DOUBLE bounds beyond the int64 range ----------------------------------
@@ -541,10 +537,10 @@ struct DoubleBoundCase {
 };
 
 class BandJoinDoubleBoundTest
-    : public ::testing::TestWithParam<std::tuple<DoubleBoundCase, bool>> {};
+    : public ::testing::TestWithParam<DoubleBoundCase> {};
 
 TEST_P(BandJoinDoubleBoundTest, BandIndexAndNestedLoopAgree) {
-  const auto& [c, vectorized] = GetParam();
+  const DoubleBoundCase& c = GetParam();
   Database db;
   MustExecute(db, "CREATE TABLE a (id INTEGER, x DOUBLE)");
   MustExecute(db,
@@ -563,7 +559,6 @@ TEST_P(BandJoinDoubleBoundTest, BandIndexAndNestedLoopAgree) {
               "(4611686018427387700, 1), (-9223372036854775807, 1), "
               "(-1, 1), (0, 1), (1, 1), (2, 1)");
   MustExecute(db, "CREATE INDEX t_pos ON t (pos)");
-  db.options().exec.use_vectorized_execution = vectorized;
   const std::string sql =
       std::string("SELECT a.id, b.pos FROM a, t b WHERE ") + c.where +
       " ORDER BY 1, 2";
@@ -585,7 +580,6 @@ TEST_P(BandJoinDoubleBoundTest, BandIndexAndNestedLoopAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BandJoinDoubleBoundTest,
-    ::testing::Combine(
         ::testing::Values(
             DoubleBoundCase{"point", "b.pos = a.x", kIndex, kIndex},
             DoubleBoundCase{"in_points", "b.pos IN (a.x, a.x * 0.5)", kBand,
@@ -596,11 +590,8 @@ INSTANTIATE_TEST_SUITE_P(
             DoubleBoundCase{"below", "b.pos < a.x", kBand, kIndex},
             DoubleBoundCase{"between", "b.pos BETWEEN a.x * 0.5 AND a.x",
                             kBand, kIndex}),
-        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<DoubleBoundCase, bool>>&
-           info) {
-      return std::string(std::get<0>(info.param).name) +
-             (std::get<1>(info.param) ? "_vector" : "_row");
+    [](const ::testing::TestParamInfo<DoubleBoundCase>& info) {
+      return std::string(info.param.name);
     });
 
 struct JoinCase {
@@ -608,9 +599,8 @@ struct JoinCase {
   const char* sql;
 };
 
-// The hash join, columnar and row-at-a-time, must agree with nested
-// loops on every equi-join shape, including duplicates, NULL keys and
-// left outer joins.
+// The hash join must agree with nested loops on every equi-join shape,
+// including duplicates, NULL keys and left outer joins.
 class HashJoinEquivalenceTest : public ::testing::TestWithParam<JoinCase> {};
 
 TEST_P(HashJoinEquivalenceTest, HashJoinMatchesNestedLoop) {
@@ -625,21 +615,10 @@ TEST_P(HashJoinEquivalenceTest, HashJoinMatchesNestedLoop) {
               "(NULL, 400), (9, 900)");
   const std::string sql = GetParam().sql;
 
-  db.options().exec.enable_hash_join = true;
-  db.options().exec.use_vectorized_execution = true;
-  const ResultSet hash_vector = MustExecute(db, sql);
-
-  db.options().exec.use_vectorized_execution = false;
-  const ResultSet hash_row = MustExecute(db, sql);
-
-  db.options().exec.enable_hash_join = false;
-  db.options().exec.enable_index_nested_loop_join = false;
-  const ResultSet nlj = MustExecute(db, sql);
-
-  EXPECT_TRUE(RowsEqual(hash_vector, nlj))
-      << GetParam().name << " (vector hash vs nlj)";
-  EXPECT_TRUE(RowsEqual(hash_row, nlj))
-      << GetParam().name << " (row hash vs nlj)";
+  const ResultSet hash = MustExecute(db, sql);
+  Result<ResultSet> nlj = testutil::ExecuteNestedLoop(db, sql);
+  ASSERT_TRUE(nlj.ok()) << nlj.status().ToString();
+  EXPECT_TRUE(RowsEqual(hash, *nlj)) << GetParam().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -49,10 +49,9 @@ std::optional<KeyRange> ScanRange(Database* db, const std::string& sql) {
   return std::nullopt;
 }
 
-class RangeScanTest : public ::testing::TestWithParam<bool> {
+class RangeScanTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.options().exec.use_vectorized_execution = GetParam();
     // 3 000 rows: k holds 1..1500 twice (second half descending), with
     // a NULL key every 97th row; one index on k, none on g.
     MustExecute(db_, "CREATE TABLE r (k INTEGER, g INTEGER, v DOUBLE)");
@@ -90,7 +89,7 @@ class RangeScanTest : public ::testing::TestWithParam<bool> {
   Database db_;
 };
 
-TEST_P(RangeScanTest, NarrowRangesMatchFullScanInOrder) {
+TEST_F(RangeScanTest, NarrowRangesMatchFullScanInOrder) {
   ExpectSameAsFullScan("k BETWEEN 101 AND 200");
   ExpectSameAsFullScan("k = 97");
   ExpectSameAsFullScan("k < 40");
@@ -103,13 +102,13 @@ TEST_P(RangeScanTest, NarrowRangesMatchFullScanInOrder) {
   ExpectSameAsFullScan("k BETWEEN 200 AND 100");
 }
 
-TEST_P(RangeScanTest, WideRangesKeepThePlainScan) {
+TEST_F(RangeScanTest, WideRangesKeepThePlainScan) {
   // 96 % of the table: the MinOA pattern's `s1.pos BETWEEN 1 AND n`.
   ExpectSameAsFullScan("k BETWEEN 1 AND 1440", /*ranged=*/false);
   ExpectSameAsFullScan("k > 100", /*ranged=*/false);
 }
 
-TEST_P(RangeScanTest, ExplainAnalyzeNamesIndexAndRange) {
+TEST_F(RangeScanTest, ExplainAnalyzeNamesIndexAndRange) {
   const ResultSet rs = MustExecute(
       db_, "EXPLAIN ANALYZE SELECT k FROM r WHERE k BETWEEN 101 AND 200");
   std::string text;
@@ -121,18 +120,13 @@ TEST_P(RangeScanTest, ExplainAnalyzeNamesIndexAndRange) {
   EXPECT_NE(text.find("rows_out=198 "), std::string::npos) << text;
 }
 
-TEST_P(RangeScanTest, RangeScanFollowsCommittedWrites) {
+TEST_F(RangeScanTest, RangeScanFollowsCommittedWrites) {
   ExpectSameAsFullScan("k BETWEEN 101 AND 200");
   MustExecute(db_, "DELETE FROM r WHERE k BETWEEN 150 AND 160");
   MustExecute(db_, "UPDATE r SET k = 120 WHERE k = 1000");
   MustExecute(db_, "INSERT INTO r VALUES (105, 1, 1), (NULL, 1, 1)");
   ExpectSameAsFullScan("k BETWEEN 101 AND 200");
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, RangeScanTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Vector" : "Row";
-                         });
 
 }  // namespace
 }  // namespace rfv

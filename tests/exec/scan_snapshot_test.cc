@@ -60,10 +60,9 @@ TEST_F(ScanSnapshotTest, InsertUnderOpenScanInvisible) {
 
 TEST_F(ScanSnapshotTest, DeleteUnderOpenScanVectorStable) {
   TableScanOp scan(table_->schema(), table_);
-  scan.SetVectorized(true);
   ASSERT_TRUE(scan.Open().ok());
-  // Mutate before the first vector is pulled: the vector path reads the
-  // snapshot too, not the live store.
+  // Mutate before the first vector is pulled: the scan reads the
+  // snapshot, not the live store.
   ASSERT_TRUE(table_->DeleteRow(0).ok());
   VectorProjection* vp = nullptr;
   bool eof = true;
@@ -154,7 +153,6 @@ TEST_F(ScanSnapshotMidStreamTest, InsertBetweenRowsInvisible) {
 
 TEST_F(ScanSnapshotMidStreamTest, DeleteBetweenVectorsInvisible) {
   TableScanOp scan(table_->schema(), table_);
-  scan.SetVectorized(true);
   ASSERT_TRUE(scan.Open().ok());
   VectorProjection* vp = nullptr;
   bool eof = false;
@@ -195,10 +193,9 @@ TEST_F(ScanSnapshotMidStreamTest, ConsecutiveSnapshotsShareCleanChunks) {
 // skips the sort entirely. That ordered-skip decision and the rows it
 // indexes must be the same frozen version: out-of-order (or deleted)
 // rows landing on the live table mid-query must not perturb the
-// already-open join's output. `vector_scans` stamps the scans as
-// vectorized, so the join's NextVector pulls run the scans' columnar
-// body instead of their row body.
-void ExpectBandJoinReadsPinnedSnapshot(Table* table, bool vector_scans) {
+// already-open join's output.
+TEST_F(ScanSnapshotMidStreamTest, BandJoinOrderedSkipReadsPinnedSnapshot) {
+  Table* table = table_;
   // s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 over the 1500-row table,
   // left = right = t; joined schema is (pos, val, pos, val).
   const ExprPtr cond = eb::Between(
@@ -216,12 +213,9 @@ void ExpectBandJoinReadsPinnedSnapshot(Table* table, bool vector_scans) {
                  ColumnDef("v2", DataType::kInt64)});
   auto left = std::make_unique<TableScanOp>(table->schema(), table);
   auto right = std::make_unique<TableScanOp>(table->schema(), table);
-  left->SetVectorized(vector_scans);
-  right->SetVectorized(vector_scans);
   auto join = std::make_unique<MergeBandJoinOp>(
       joined, std::move(left), std::move(right), std::move(*spec),
       JoinType::kInner);
-  join->SetVectorized(true);
   ASSERT_TRUE(join->Open().ok());  // right side drained + ordered-skip
 
   // Live mutations after Open: an out-of-order key (would break the
@@ -244,15 +238,6 @@ void ExpectBandJoinReadsPinnedSnapshot(Table* table, bool vector_scans) {
   EXPECT_EQ(rows[0][0], Value::Int(1));
   EXPECT_EQ(rows[0][2], Value::Int(1));  // no pos=0 candidate appeared
   EXPECT_EQ(rows[1][2], Value::Int(2));
-}
-
-TEST_F(ScanSnapshotMidStreamTest, BandJoinOrderedSkipReadsPinnedSnapshot) {
-  ExpectBandJoinReadsPinnedSnapshot(table_, /*vector_scans=*/false);
-}
-
-TEST_F(ScanSnapshotMidStreamTest,
-       BandJoinVectorDrainOrderedSkipReadsPinnedSnapshot) {
-  ExpectBandJoinReadsPinnedSnapshot(table_, /*vector_scans=*/true);
 }
 
 TEST_F(ScanSnapshotTest, WriteBracketCommitsAtStatementGranularity) {

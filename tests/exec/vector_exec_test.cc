@@ -9,9 +9,11 @@
 //  tests pin that shape and that no final rows are dropped.
 //
 // Also covered: limit hit mid-vector, UNION ALL over interleaved empty
-// children, the row pull of vectorized operators (Next serves their
-// vectors' rows), row-only joins over columnar ones, and row/vector mode
-// equivalence over a small query suite.
+// children, the row pull of vector-native operators (Next serves their
+// vectors' rows), row-only joins over columnar ones, and the columnar
+// operators' answers over a small query suite, checked against pinned
+// rows, a test-side stable sort, the forced nested-loop plan, or the
+// plan without the band join.
 
 #include <gtest/gtest.h>
 
@@ -57,13 +59,9 @@ class ExecContractTest : public ::testing::Test {
     return t.ok() ? *t : nullptr;
   }
 
-  // A scan in vector mode (its columnar body runs) unless `vectorized`
-  // is false.
-  PhysicalOperatorPtr Scan(const std::string& name, bool vectorized = true) {
+  PhysicalOperatorPtr Scan(const std::string& name) {
     Table* table = GetTable(name);
-    auto scan = std::make_unique<TableScanOp>(table->schema(), table);
-    scan->SetVectorized(vectorized);
-    return scan;
+    return std::make_unique<TableScanOp>(table->schema(), table);
   }
 
   Database db_;
@@ -105,7 +103,6 @@ TEST_F(ExecContractTest, ScanFinalVectorIsNonEmptyThenEof) {
 TEST_F(ExecContractTest, LimitVectorTruncatesSelectionThenEof) {
   auto limit = std::make_unique<LimitOp>(GetTable("t5")->schema(),
                                          Scan("t5"), /*limit=*/3);
-  limit->SetVectorized(true);
   ASSERT_TRUE(limit->Open().ok());
   VectorProjection* vp = nullptr;
   bool eof = true;
@@ -141,11 +138,6 @@ class ScriptedVectorOp : public PhysicalOperator {
     value_ = 0;
     return Status::OK();
   }
-  Status NextImpl(Row* row, bool* eof) override {
-    (void)row;
-    *eof = true;
-    return Status::Internal("the row body of a vectorized operator ran");
-  }
   Status NextVectorImpl(VectorProjection** out, bool* eof) override {
     if (next_ >= script_.size()) {
       ADD_FAILURE() << "NextVectorImpl called after the end of its script";
@@ -175,7 +167,6 @@ TEST(NextVectorShellTest, SkipsEmptyResultsAndHoldsBackEofWithRows) {
   // Null, empty, 2 rows, empty, 3 rows together with eof.
   ScriptedVectorOp op({{-1, false}, {0, false}, {2, false}, {0, false},
                        {3, true}});
-  op.SetVectorized(true);
   ASSERT_TRUE(op.Open().ok());
   VectorProjection* vp = nullptr;
   bool eof = true;
@@ -197,7 +188,6 @@ TEST(NextVectorShellTest, SkipsEmptyResultsAndHoldsBackEofWithRows) {
 
 TEST(NextVectorShellTest, EmptyEofEndsTheStreamAtOnce) {
   ScriptedVectorOp op({{0, false}, {0, true}});
-  op.SetVectorized(true);
   ASSERT_TRUE(op.Open().ok());
   ExpectVectorEof(&op);
   EXPECT_EQ(op.impl_calls(), 2u);
@@ -205,7 +195,6 @@ TEST(NextVectorShellTest, EmptyEofEndsTheStreamAtOnce) {
 
 TEST(NextVectorShellTest, NextServesTheRowsOfTheVectors) {
   ScriptedVectorOp op({{2, false}, {0, false}, {-1, false}, {1, true}});
-  op.SetVectorized(true);
   ASSERT_TRUE(op.Open().ok());
   std::vector<int64_t> got;
   Row row;
@@ -228,7 +217,6 @@ TEST_F(ExecContractTest, DrainChildKeepsFinalVectorRows) {
   // final vector entirely.
   auto limit = std::make_unique<LimitOp>(GetTable("t5")->schema(),
                                          Scan("t5"), /*limit=*/4);
-  limit->SetVectorized(true);
   ASSERT_TRUE(limit->Open().ok());
   std::vector<Row> rows;
   ASSERT_TRUE(DrainChild(limit.get(), &rows).ok());
@@ -240,17 +228,15 @@ TEST_F(ExecContractTest, DrainChildKeepsFinalVectorRows) {
 // UNION ALL with empty children interleaved among non-empty ones.
 // ---------------------------------------------------------------------
 
-class UnionModesTest : public ExecContractTest {
+class UnionAllTest : public ExecContractTest {
  protected:
-  PhysicalOperatorPtr MakeUnion(bool vectorized) {
+  PhysicalOperatorPtr MakeUnion() {
     std::vector<PhysicalOperatorPtr> children;
     for (const char* name : {"empty1", "t5", "empty2", "t2", "empty3"}) {
-      children.push_back(Scan(name, vectorized));
+      children.push_back(Scan(name));
     }
-    auto u = std::make_unique<UnionAllOp>(GetTable("t5")->schema(),
-                                          std::move(children));
-    u->SetVectorized(vectorized);
-    return u;
+    return std::make_unique<UnionAllOp>(GetTable("t5")->schema(),
+                                        std::move(children));
   }
 
   void ExpectAllRows(const std::vector<Row>& rows) {
@@ -262,22 +248,15 @@ class UnionModesTest : public ExecContractTest {
   }
 };
 
-TEST_F(UnionModesTest, RowPath) {
-  PhysicalOperatorPtr u = MakeUnion(/*vectorized=*/false);
+TEST_F(UnionAllTest, ReturnsEveryChildsRowsInOrder) {
+  PhysicalOperatorPtr u = MakeUnion();
   Result<std::vector<Row>> rows = ExecuteToVector(u.get());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ExpectAllRows(*rows);
 }
 
-TEST_F(UnionModesTest, VectorPath) {
-  PhysicalOperatorPtr u = MakeUnion(/*vectorized=*/true);
-  Result<std::vector<Row>> rows = ExecuteToVector(u.get());
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  ExpectAllRows(*rows);
-}
-
-TEST_F(UnionModesTest, VectorPathSkipsEmptyChildrenWithinOneCall) {
-  PhysicalOperatorPtr u = MakeUnion(/*vectorized=*/true);
+TEST_F(UnionAllTest, SkipsEmptyChildrenWithinOneCall) {
+  PhysicalOperatorPtr u = MakeUnion();
   ASSERT_TRUE(u->Open().ok());
   VectorProjection* vp = nullptr;
   bool eof = true;
@@ -326,12 +305,54 @@ Op* FindOp(PhysicalOperator* root) {
   return nullptr;
 }
 
+/// Type tag and payload bits equal (Value::Compare would let Int(2)
+/// match Double(2.0) and hide a rounding step or a swapped tie).
+bool SameCell(const Value& x, const Value& y) {
+  if (x.type() != y.type()) return false;
+  if (x.type() != DataType::kDouble) return x.Compare(y) == 0;
+  const double dx = x.AsDouble();
+  const double dy = y.AsDouble();
+  return std::memcmp(&dx, &dy, sizeof(double)) == 0;
+}
+
+/// Row-for-row SameCell over the first `width` columns of each row
+/// (all of them by default).
+::testing::AssertionResult BitIdenticalRows(
+    const std::vector<Row>& a, const std::vector<Row>& b,
+    size_t width = static_cast<size_t>(-1)) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << a.size() << " rows vs " << b.size();
+  }
+  for (size_t r = 0; r < a.size(); ++r) {
+    const size_t n = std::min({a[r].size(), b[r].size(), width});
+    for (size_t c = 0; c < n; ++c) {
+      if (!SameCell(a[r][c], b[r][c])) {
+        return ::testing::AssertionFailure()
+               << "row " << r << " col " << c << ": " << a[r][c].ToString()
+               << " (" << DataTypeName(a[r][c].type()) << ") vs "
+               << b[r][c].ToString() << " (" << DataTypeName(b[r][c].type())
+               << ")";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// BitIdenticalRows over two result sets.
+::testing::AssertionResult BitIdentical(const ResultSet& a,
+                                        const ResultSet& b) {
+  return BitIdenticalRows(a.rows(), b.rows());
+}
+
 // ---------------------------------------------------------------------
-// The two execution modes agree on a small SQL suite (end to end,
-// including plans that mix vector-native and row-only operators).
+// The columnar operators on a small SQL suite (end to end, including
+// plans that mix vector-native and row-only operators). Answers are
+// checked against pinned rows, a test-side stable sort, or the forced
+// nested-loop plan.
 // ---------------------------------------------------------------------
 
-class ExecModesSqlTest : public ::testing::Test {
+class ExecSqlTest : public ::testing::Test {
  protected:
   void SetUp() override {
     MustExecute(db_, "CREATE TABLE t (a INTEGER, b DOUBLE, s VARCHAR)");
@@ -341,32 +362,62 @@ class ExecModesSqlTest : public ::testing::Test {
                 "(6, 5.5, 'x'), (7, NULL, 'y')");
   }
 
-  // Runs `sql` under the vector and row modes and checks they produce
-  // identical rows in identical order, cell types included (Int(2) and
-  // Double(2.0) compare equal, so a sort that swapped such a tie would
-  // pass a value comparison). Returns the vector-mode rows.
-  ResultSet ExpectModesAgree(const std::string& sql) {
-    db_.options().exec.use_vectorized_execution = true;
-    const ResultSet vec = MustExecute(db_, sql);
-    db_.options().exec.use_vectorized_execution = false;
-    const ResultSet row = MustExecute(db_, sql);
-    db_.options().exec.use_vectorized_execution = true;
-    EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
-    EXPECT_TRUE(SameTags(vec, row)) << sql;
-    return vec;
-  }
-
-  static bool SameTags(const ResultSet& a, const ResultSet& b) {
-    if (a.NumRows() != b.NumRows()) return false;
-    for (size_t i = 0; i < a.NumRows(); ++i) {
-      for (size_t c = 0; c < a.schema().NumColumns(); ++c) {
-        if (a.at(i, c).type() != b.at(i, c).type()) return false;
-      }
+  // A row rendered for pinning: its cells joined by ", ", a DOUBLE cell
+  // marked by a trailing "d" (Int(2) and Double(2.0) compare equal, so
+  // a value comparison would not see a cell change its tag).
+  static std::string Render(const Row& row) {
+    std::string out;
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (c > 0) out += ", ";
+      out += row[c].ToString();
+      if (row[c].type() == DataType::kDouble) out += "d";
     }
-    return true;
+    return out;
   }
 
-  // The vector-mode EXPLAIN ANALYZE entry of the first operator named
+  // Runs `sql` and checks its rendered rows, in order, against `want`.
+  ResultSet ExpectRows(const std::string& sql,
+                       const std::vector<std::string>& want) {
+    const ResultSet rs = MustExecute(db_, sql);
+    std::vector<std::string> got;
+    for (const Row& row : rs.rows()) got.push_back(Render(row));
+    EXPECT_EQ(got, want) << sql;
+    return rs;
+  }
+
+  // A sort key of ExpectSortOf: a column of the input and its direction.
+  struct Key {
+    size_t column;
+    bool ascending = true;
+  };
+
+  // Checks that `sql` returns the rows of `input_sql` stable-sorted by
+  // `keys` under Value::Compare, bit for bit, cut to `limit` rows (-1 =
+  // all). The input's rows come in scan order, which ORDER BY keeps
+  // among ties; they may carry key columns past `sql`'s width, which
+  // are not compared. Returns `sql`'s rows.
+  ResultSet ExpectSortOf(const std::string& sql, const std::string& input_sql,
+                         const std::vector<Key>& keys, int64_t limit = -1) {
+    const ResultSet rs = MustExecute(db_, sql);
+    std::vector<Row> want = MustExecute(db_, input_sql).rows();
+    std::stable_sort(want.begin(), want.end(),
+                     [&](const Row& a, const Row& b) {
+                       for (const Key& k : keys) {
+                         const int c = a[k.column].Compare(b[k.column]);
+                         if (c != 0) return k.ascending ? c < 0 : c > 0;
+                       }
+                       return false;
+                     });
+    if (limit >= 0 && want.size() > static_cast<size_t>(limit)) {
+      want.resize(static_cast<size_t>(limit));
+    }
+    EXPECT_TRUE(
+        BitIdenticalRows(rs.rows(), want, rs.schema().NumColumns()))
+        << sql;
+    return rs;
+  }
+
+  // The EXPLAIN ANALYZE entry of the first operator named
   // `op` in `sql`'s plan.
   OperatorMetricsEntry VectorEntry(const std::string& sql,
                                    const std::string& op) {
@@ -379,8 +430,8 @@ class ExecModesSqlTest : public ::testing::Test {
   }
 
   // Creates `name` (k INTEGER, v DOUBLE) with rows k = 1..n in order
-  // (descending when `reverse`); v = k % 7 is an INTEGER-tagged cell
-  // for odd k and a DOUBLE one for even k.
+  // (descending when `reverse`); v = BigV(k), written as an INTEGER
+  // literal for odd k and a DOUBLE one for even k.
   void CreateBig(const std::string& name, int n, bool reverse) {
     MustExecute(db_, "CREATE TABLE " + name + " (k INTEGER, v DOUBLE)");
     std::string insert = "INSERT INTO " + name + " VALUES ";
@@ -392,39 +443,53 @@ class ExecModesSqlTest : public ::testing::Test {
     MustExecute(db_, insert);
   }
 
+  // CreateBig's v for key k. The INSERT of an INTEGER literal into the
+  // DOUBLE column stores a DOUBLE cell.
+  static Value BigV(int64_t k) {
+    return Value::Double(static_cast<double>(k % 7));
+  }
+
   Database db_;
 };
 
-TEST_F(ExecModesSqlTest, FilterProjectExpressions) {
-  ExpectModesAgree(
+TEST_F(ExecSqlTest, FilterProjectExpressions) {
+  ExpectRows(
       "SELECT a, CASE WHEN a > 2 THEN 100 / a ELSE 0 - a END FROM t "
-      "WHERE a BETWEEN 1 AND 6");
-  ExpectModesAgree(
-      "SELECT a, COALESCE(b, 0.0), MOD(a, 3) FROM t WHERE b > 0 OR s = 'y'");
-  ExpectModesAgree("SELECT a FROM t WHERE a IN (2, 4, 9)");
+      "WHERE a BETWEEN 1 AND 6",
+      {"1, -1", "2, -2", "3, 33", "4, 25", "2, -2", "6, 16"});
+  ExpectRows(
+      "SELECT a, COALESCE(b, 0.0), MOD(a, 3) FROM t WHERE b > 0 OR s = 'y'",
+      {"1, 10d, 1", "2, 20d, 2", "4, 40d, 1", "2, 25d, 2", "6, 5.5d, 0",
+       "7, 0d, 1"});
+  ExpectRows("SELECT a FROM t WHERE a IN (2, 4, 9)", {"2", "4", "2"});
 }
 
-TEST_F(ExecModesSqlTest, AllRowsFilteredOut) {
-  ExpectModesAgree("SELECT a FROM t WHERE a > 1000");
-  ExpectModesAgree("SELECT a FROM t WHERE b IS NULL AND b IS NOT NULL");
+TEST_F(ExecSqlTest, AllRowsFilteredOut) {
+  ExpectRows("SELECT a FROM t WHERE a > 1000", {});
+  ExpectRows("SELECT a FROM t WHERE b IS NULL AND b IS NOT NULL", {});
 }
 
-TEST_F(ExecModesSqlTest, GroupByAndAggregates) {
-  ExpectModesAgree(
+TEST_F(ExecSqlTest, GroupByAndAggregates) {
+  ExpectRows(
       "SELECT s, COUNT(*), SUM(a), AVG(b), MIN(b), MAX(a) FROM t GROUP BY s "
-      "ORDER BY s");
+      "ORDER BY s",
+      {"NULL, 1, 4, 40d, 40d, 4", "'x', 3, 10, 7.75d, 5.5d, 6",
+       "'y', 2, 9, 20d, 20d, 7", "'z', 1, 2, 25d, 25d, 2"});
   // Single-int-key grouping exercises the aggregate's int64 fast path;
   // grouping by a double expression forces the migration to Value keys.
-  ExpectModesAgree("SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY a");
-  ExpectModesAgree("SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b");
+  ExpectRows("SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY a",
+             {"1, 1", "2, 2", "3, 1", "4, 1", "6, 1", "7, 1"});
+  ExpectRows("SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b",
+             {"NULL, 2", "5.5d, 1", "10d, 1", "20d, 1", "25d, 1", "40d, 1"});
 }
 
-TEST_F(ExecModesSqlTest, LimitAndUnion) {
-  ExpectModesAgree("SELECT a FROM t ORDER BY a LIMIT 3");
-  ExpectModesAgree("SELECT a FROM t LIMIT 0");
-  ExpectModesAgree(
+TEST_F(ExecSqlTest, LimitAndUnion) {
+  ExpectRows("SELECT a FROM t ORDER BY a LIMIT 3", {"1", "2", "2"});
+  ExpectRows("SELECT a FROM t LIMIT 0", {});
+  ExpectRows(
       "SELECT a FROM t WHERE a < 3 UNION ALL SELECT a FROM t WHERE a > 100 "
-      "UNION ALL SELECT a FROM t WHERE a > 5");
+      "UNION ALL SELECT a FROM t WHERE a > 5",
+      {"1", "2", "2", "6", "7"});
 }
 
 // ---------------------------------------------------------------------
@@ -434,10 +499,10 @@ TEST_F(ExecModesSqlTest, LimitAndUnion) {
 // left rows cross the 1 024-row vector boundary twice.
 // ---------------------------------------------------------------------
 
-class RowOnlyLeftInputTest : public ExecModesSqlTest {
+class RowOnlyLeftInputTest : public ExecSqlTest {
  protected:
   void SetUp() override {
-    ExecModesSqlTest::SetUp();
+    ExecSqlTest::SetUp();
     CreateBig("big", 2500, /*reverse=*/false);
     MustExecute(db_, "CREATE INDEX big_k ON big (k)");
     // Every other key of big; no index, so equi joins on it hash.
@@ -475,8 +540,11 @@ TEST_F(RowOnlyLeftInputTest, HashJoinOverIndexNestedLoop) {
   const std::string sql =
       "SELECT a.k, b.v, c.w FROM big a JOIN big b ON b.k = a.k "
       "JOIN half c ON c.k = b.k";
-  const ResultSet rs = ExpectModesAgree(sql);
-  ASSERT_EQ(rs.NumRows(), 1250u);
+  std::vector<Row> want;
+  for (int64_t k = 2; k <= 2500; k += 2) {
+    want.push_back(Row({Value::Int(k), BigV(k), Value::Int(3 * k)}));
+  }
+  EXPECT_TRUE(BitIdenticalRows(MustExecute(db_, sql).rows(), want));
   ExpectLeftInput(sql, "hash_join", "index_nested_loop_join", 3);
 }
 
@@ -484,8 +552,15 @@ TEST_F(RowOnlyLeftInputTest, BandJoinOverNestedLoop) {
   const std::string sql =
       "SELECT a.k, c.k FROM big a JOIN low b ON a.v > b.w "
       "JOIN big c ON c.k BETWEEN a.k - 1 AND a.k + 1";
-  const ResultSet rs = ExpectModesAgree(sql);
-  ASSERT_EQ(rs.NumRows(), 3u * 2500u - 2u);
+  std::vector<Row> want;
+  for (int64_t k = 1; k <= 2500; ++k) {
+    for (int64_t c = std::max<int64_t>(1, k - 1);
+         c <= std::min<int64_t>(2500, k + 1); ++c) {
+      want.push_back(Row({Value::Int(k), Value::Int(c)}));
+    }
+  }
+  ASSERT_EQ(want.size(), 3u * 2500u - 2u);
+  EXPECT_TRUE(BitIdenticalRows(MustExecute(db_, sql).rows(), want));
   ExpectLeftInput(sql, "merge_band_join", "nested_loop_join", 3);
 }
 
@@ -494,31 +569,46 @@ TEST_F(RowOnlyLeftInputTest, LeftJoinsOverRowOnlyInputs) {
   const std::string hash_sql =
       "SELECT a.k, c.w FROM big a JOIN big b ON b.k = a.k "
       "LEFT JOIN half c ON c.k = b.k";
-  const ResultSet hash = ExpectModesAgree(hash_sql);
-  ASSERT_EQ(hash.NumRows(), 2500u);
+  std::vector<Row> want;
+  for (int64_t k = 1; k <= 2500; ++k) {
+    Row row({Value::Int(k), Value::Null()});
+    if (k % 2 == 0) row[1] = Value::Int(3 * k);
+    want.push_back(std::move(row));
+  }
+  EXPECT_TRUE(BitIdenticalRows(MustExecute(db_, hash_sql).rows(), want));
   ExpectLeftInput(hash_sql, "hash_join", "index_nested_loop_join", 3);
   // Past k = 1 000 the band runs off the end of big.
   const std::string band_sql =
       "SELECT a.k, c.k FROM big a JOIN low b ON a.v > b.w "
       "LEFT JOIN big c ON c.k BETWEEN a.k + 1500 AND a.k + 1501";
-  const ResultSet band = ExpectModesAgree(band_sql);
-  ASSERT_EQ(band.NumRows(), 2u * 999u + 1u + 1500u);
+  want.clear();
+  for (int64_t k = 1; k <= 2500; ++k) {
+    if (k + 1500 > 2500) {
+      want.push_back(Row({Value::Int(k), Value::Null()}));
+      continue;
+    }
+    for (int64_t c = k + 1500; c <= std::min<int64_t>(2500, k + 1501); ++c) {
+      want.push_back(Row({Value::Int(k), Value::Int(c)}));
+    }
+  }
+  ASSERT_EQ(want.size(), 2u * 999u + 1u + 1500u);
+  EXPECT_TRUE(BitIdenticalRows(MustExecute(db_, band_sql).rows(), want));
   ExpectLeftInput(band_sql, "merge_band_join", "nested_loop_join", 3);
 }
 
 // ---------------------------------------------------------------------
 // Columnar operators under row-only joins: the nested-loop and index
 // nested-loop joins pull their left input through Next, which a
-// vectorized operator answers from the rows of its own vectors. (A
-// vectorized hash join once answered Next from its row-mode hash table,
-// which only the row-mode Open fills: no rows, or NULL-padded ones under
-// a LEFT JOIN.)
+// vector-native operator answers from the rows of its own vectors. (A
+// columnar hash join once answered Next from a row-mode hash table that
+// its columnar Open never filled: no rows, or NULL-padded ones under a
+// LEFT JOIN.)
 // ---------------------------------------------------------------------
 
-class UnderRowOnlyJoinTest : public ExecModesSqlTest {
+class UnderRowOnlyJoinTest : public ExecSqlTest {
  protected:
   void SetUp() override {
-    ExecModesSqlTest::SetUp();
+    ExecSqlTest::SetUp();
     MustExecute(db_, "CREATE TABLE a (k INTEGER, x INTEGER)");
     MustExecute(db_, "INSERT INTO a VALUES (1, 10), (2, 20), (3, 30)");
     MustExecute(db_, "CREATE TABLE b (k INTEGER, y INTEGER)");
@@ -527,7 +617,7 @@ class UnderRowOnlyJoinTest : public ExecModesSqlTest {
     MustExecute(db_, "INSERT INTO c VALUES (5), (25)");
   }
 
-  // `sql`'s vector-mode plan, one operator per entry in pre-order, each
+  // `sql`'s plan, one operator per entry in pre-order, each
   // name indented by one space per level.
   std::vector<std::string> PlanShape(const std::string& sql) {
     const ResultSet plan = MustExecute(db_, "EXPLAIN ANALYZE " + sql);
@@ -539,12 +629,12 @@ class UnderRowOnlyJoinTest : public ExecModesSqlTest {
     return shape;
   }
 
-  // Checks that both modes agree on `sql`, that its plan is `shape` and
-  // that it returns exactly `want`, in order.
+  // Checks that `sql`'s plan is `shape` and that it returns exactly
+  // `want`, in order.
   void ExpectAnswer(const std::string& sql,
                     const std::vector<std::string>& shape,
                     const std::vector<std::vector<int64_t>>& want) {
-    const ResultSet rs = ExpectModesAgree(sql);
+    const ResultSet rs = MustExecute(db_, sql);
     EXPECT_EQ(PlanShape(sql), shape) << sql;
     ASSERT_EQ(rs.NumRows(), want.size()) << sql;
     for (size_t i = 0; i < want.size(); ++i) {
@@ -618,14 +708,14 @@ TEST_F(UnderRowOnlyJoinTest, ColumnarInputsOfANestedLoopJoin) {
 }
 
 // ---------------------------------------------------------------------
-// The columnar sort (SortOp in vector mode): the in-order pass-through
-// and the permutation path must both reproduce the row sort exactly.
+// The columnar sort: the in-order pass-through and the permutation path
+// must both give the stable sort of the input, tags included.
 // ---------------------------------------------------------------------
 
-TEST_F(ExecModesSqlTest, SortPresortedInputCrossesTheVectorBoundary) {
+TEST_F(ExecSqlTest, SortPresortedInputCrossesTheVectorBoundary) {
   CreateBig("big", 2500, /*reverse=*/false);
   const std::string sql = "SELECT k, v FROM big ORDER BY k";
-  const ResultSet rs = ExpectModesAgree(sql);
+  const ResultSet rs = ExpectSortOf(sql, "SELECT k, v FROM big", {{0}});
   ASSERT_EQ(rs.NumRows(), 2500u);
   EXPECT_EQ(rs.at(1023, 0), Value::Int(1024));
   EXPECT_EQ(rs.at(1024, 0), Value::Int(1025));
@@ -636,10 +726,10 @@ TEST_F(ExecModesSqlTest, SortPresortedInputCrossesTheVectorBoundary) {
   EXPECT_EQ(sort.metrics.rows_out, 2500);
 }
 
-TEST_F(ExecModesSqlTest, SortReverseSortedInputPermutes) {
+TEST_F(ExecSqlTest, SortReverseSortedInputPermutes) {
   CreateBig("rev", 2500, /*reverse=*/true);
   const std::string sql = "SELECT k, v FROM rev ORDER BY k";
-  const ResultSet rs = ExpectModesAgree(sql);
+  const ResultSet rs = ExpectSortOf(sql, "SELECT k, v FROM rev", {{0}});
   ASSERT_EQ(rs.NumRows(), 2500u);
   for (size_t i = 0; i < rs.NumRows(); ++i) {
     ASSERT_EQ(rs.at(i, 0), Value::Int(static_cast<int64_t>(i) + 1));
@@ -647,25 +737,30 @@ TEST_F(ExecModesSqlTest, SortReverseSortedInputPermutes) {
   EXPECT_EQ(VectorEntry(sql, "sort").detail, "presorted=0");
   // Descending over descending storage is in order again.
   const std::string desc = "SELECT k FROM rev ORDER BY k DESC";
-  ExpectModesAgree(desc);
+  ExpectSortOf(desc, "SELECT k FROM rev", {{0, false}});
   EXPECT_EQ(VectorEntry(desc, "sort").detail, "presorted=1");
 }
 
-TEST_F(ExecModesSqlTest, SortDescAndMixedDirections) {
-  ExpectModesAgree("SELECT a, b FROM t ORDER BY a DESC");
-  ExpectModesAgree("SELECT s, a FROM t ORDER BY s, a DESC");
-  ExpectModesAgree("SELECT s, a, b FROM t ORDER BY s DESC, b");
+TEST_F(ExecSqlTest, SortDescAndMixedDirections) {
+  ExpectSortOf("SELECT a, b FROM t ORDER BY a DESC", "SELECT a, b FROM t",
+               {{0, false}});
+  ExpectSortOf("SELECT s, a FROM t ORDER BY s, a DESC", "SELECT s, a FROM t",
+               {{0}, {1, false}});
+  ExpectSortOf("SELECT s, a, b FROM t ORDER BY s DESC, b",
+               "SELECT s, a, b FROM t", {{0, false}, {2}});
   // Many ties across 2 500 rows: v has seven distinct values, so the
   // second key breaks the ties in three vectors' worth of rows.
   CreateBig("big", 2500, /*reverse=*/false);
-  ExpectModesAgree("SELECT k, v FROM big ORDER BY v DESC, k");
-  ExpectModesAgree("SELECT k, v FROM big ORDER BY v, k DESC");
+  ExpectSortOf("SELECT k, v FROM big ORDER BY v DESC, k",
+               "SELECT k, v FROM big", {{1, false}, {0}});
+  ExpectSortOf("SELECT k, v FROM big ORDER BY v, k DESC",
+               "SELECT k, v FROM big", {{1}, {0, false}});
   EXPECT_EQ(VectorEntry("SELECT k, v FROM big ORDER BY v, k DESC", "sort")
                 .detail,
             "presorted=0");
 }
 
-TEST_F(ExecModesSqlTest, SortKeepsIntegerDoubleTiesStable) {
+TEST_F(ExecSqlTest, SortKeepsIntegerDoubleTiesStable) {
   // COALESCE(x, i) is Double(x) where x is set and Int(i) elsewhere, so
   // the key holds Int(2) and Double(2.0) side by side; they compare
   // equal and must keep their input order.
@@ -674,8 +769,8 @@ TEST_F(ExecModesSqlTest, SortKeepsIntegerDoubleTiesStable) {
               "INSERT INTO mix VALUES (1, 2, NULL), (2, 0, 2.0), "
               "(3, 0, 1.0), (4, 1, NULL), (5, 2, NULL), (6, NULL, NULL), "
               "(7, 0, 1.5), (8, 0, 2.0)");
-  const ResultSet asc =
-      ExpectModesAgree("SELECT id, COALESCE(x, i) AS k FROM mix ORDER BY k");
+  const std::string mix = "SELECT id, COALESCE(x, i) AS k FROM mix";
+  const ResultSet asc = ExpectSortOf(mix + " ORDER BY k", mix, {{1}});
   const int64_t asc_ids[] = {6, 3, 4, 7, 1, 2, 5, 8};
   ASSERT_EQ(asc.NumRows(), 8u);
   for (size_t i = 0; i < 8; ++i) {
@@ -683,8 +778,8 @@ TEST_F(ExecModesSqlTest, SortKeepsIntegerDoubleTiesStable) {
   }
   EXPECT_EQ(asc.at(1, 1).type(), DataType::kDouble);
   EXPECT_EQ(asc.at(2, 1).type(), DataType::kInt64);
-  const ResultSet desc = ExpectModesAgree(
-      "SELECT id, COALESCE(x, i) AS k FROM mix ORDER BY k DESC");
+  const ResultSet desc =
+      ExpectSortOf(mix + " ORDER BY k DESC", mix, {{1, false}});
   EXPECT_EQ(desc.at(0, 0), Value::Int(1));
   EXPECT_EQ(desc.at(3, 0), Value::Int(8));
   // Input already in order, ties of both tags included: passed through.
@@ -692,19 +787,19 @@ TEST_F(ExecModesSqlTest, SortKeepsIntegerDoubleTiesStable) {
   MustExecute(db_,
               "INSERT INTO ordered VALUES (1, 1, NULL), (2, 0, 1.0), "
               "(3, 0, 2.0), (4, 2, NULL), (5, 3, NULL)");
-  const std::string sql =
-      "SELECT id, COALESCE(x, i) AS k FROM ordered ORDER BY k";
-  const ResultSet same = ExpectModesAgree(sql);
+  const std::string input = "SELECT id, COALESCE(x, i) AS k FROM ordered";
+  const std::string sql = input + " ORDER BY k";
+  const ResultSet same = ExpectSortOf(sql, input, {{1}});
   EXPECT_EQ(same.at(2, 1).type(), DataType::kDouble);
   EXPECT_EQ(same.at(3, 1).type(), DataType::kInt64);
   EXPECT_EQ(VectorEntry(sql, "sort").detail, "presorted=1");
 }
 
-TEST_F(ExecModesSqlTest, SortKeysWithoutAWeakOrderMatchTheRowSort) {
+TEST_F(ExecSqlTest, SortKeysWithoutAWeakOrderStillPermute) {
   // Value::Compare is not a strict weak order on these keys, so "no
-  // adjacent pair inverted" does not mean "sorted": the row path's
-  // stable_sort reorders both inputs, and the columnar sort must run the
-  // same permutation instead of passing the input through.
+  // adjacent pair inverted" does not mean "sorted": a stable_sort
+  // reorders both inputs, and the columnar sort must run that
+  // permutation instead of passing the input through.
   MustExecute(db_, "CREATE TABLE nan (id INTEGER, x DOUBLE)");
   MustExecute(db_,
               "INSERT INTO nan VALUES (1, 2.0), (2, 1.0), (3, 1.0), "
@@ -726,7 +821,7 @@ TEST_F(ExecModesSqlTest, SortKeysWithoutAWeakOrderMatchTheRowSort) {
   const std::vector<std::pair<std::string, std::vector<int64_t>>> cases = {
       {nan_sql, {3, 4, 1, 2}}, {big_sql, {3, 1, 2, 4}}};
   for (const auto& [sql, ids] : cases) {
-    const ResultSet rs = ExpectModesAgree(sql);
+    const ResultSet rs = MustExecute(db_, sql);
     ASSERT_EQ(rs.NumRows(), ids.size()) << sql;
     for (size_t i = 0; i < ids.size(); ++i) {
       EXPECT_EQ(rs.at(i, 0), Value::Int(ids[i])) << sql << " row " << i;
@@ -735,41 +830,43 @@ TEST_F(ExecModesSqlTest, SortKeysWithoutAWeakOrderMatchTheRowSort) {
   }
 }
 
-TEST_F(ExecModesSqlTest, SortNullAndStringKeys) {
-  ExpectModesAgree("SELECT s, a FROM t ORDER BY s");
-  ExpectModesAgree("SELECT s, a FROM t ORDER BY s DESC, a");
-  ExpectModesAgree("SELECT b, a FROM t ORDER BY b");
-  ExpectModesAgree("SELECT b, a FROM t ORDER BY b DESC");
+TEST_F(ExecSqlTest, SortNullAndStringKeys) {
+  ExpectSortOf("SELECT s, a FROM t ORDER BY s", "SELECT s, a FROM t", {{0}});
+  ExpectSortOf("SELECT s, a FROM t ORDER BY s DESC, a", "SELECT s, a FROM t",
+               {{0, false}, {1}});
+  ExpectSortOf("SELECT b, a FROM t ORDER BY b", "SELECT b, a FROM t", {{0}});
+  ExpectSortOf("SELECT b, a FROM t ORDER BY b DESC", "SELECT b, a FROM t",
+               {{0, false}});
   // A computed key: evaluated per chunk instead of read from a column.
-  ExpectModesAgree("SELECT a, b FROM t ORDER BY COALESCE(b, 0 - a), a");
+  ExpectSortOf("SELECT a, b FROM t ORDER BY COALESCE(b, 0 - a), a",
+               "SELECT a, b, COALESCE(b, 0 - a) FROM t", {{2}, {0}});
 }
 
-TEST_F(ExecModesSqlTest, LimitOverSort) {
+TEST_F(ExecSqlTest, LimitOverSort) {
   CreateBig("big", 2500, /*reverse=*/false);
-  ExpectModesAgree("SELECT k, v FROM big ORDER BY v DESC, k LIMIT 1500");
-  ExpectModesAgree("SELECT k FROM big ORDER BY k LIMIT 1030");
-  ExpectModesAgree("SELECT k FROM big ORDER BY k DESC LIMIT 3");
-  ExpectModesAgree("SELECT k FROM big ORDER BY v LIMIT 0");
+  ExpectSortOf("SELECT k, v FROM big ORDER BY v DESC, k LIMIT 1500",
+               "SELECT k, v FROM big", {{1, false}, {0}}, 1500);
+  ExpectSortOf("SELECT k FROM big ORDER BY k LIMIT 1030", "SELECT k FROM big",
+               {{0}}, 1030);
+  ExpectSortOf("SELECT k FROM big ORDER BY k DESC LIMIT 3",
+               "SELECT k FROM big", {{0, false}}, 3);
+  ExpectSortOf("SELECT k FROM big ORDER BY v LIMIT 0", "SELECT k, v FROM big",
+               {{1}}, 0);
 }
 
-TEST_F(ExecModesSqlTest, SortKeyErrorsAgreeAcrossModes) {
+TEST_F(ExecSqlTest, SortKeyErrorsFollowRowOrder) {
   // Row a = 2 (the second row) fails on the second key, row a = 4 (the
-  // fourth) on the first. The vector path evaluates the first key over
-  // the whole chunk first, yet must raise the row path's error: the
-  // first in (row, key) order.
+  // fourth) on the first. The sort evaluates the first key over the
+  // whole chunk first, yet must raise the first error in (row, key)
+  // order.
   for (const std::string& sql :
        {std::string("SELECT a FROM t ORDER BY 10 / (a - 2)"),
         std::string("SELECT a FROM t ORDER BY MOD(1, a - 4), 1 / (a - 2)")}) {
-    db_.options().exec.use_vectorized_execution = true;
-    const Result<ResultSet> vec = db_.Execute(sql);
-    db_.options().exec.use_vectorized_execution = false;
-    const Result<ResultSet> row = db_.Execute(sql);
-    db_.options().exec.use_vectorized_execution = true;
-    ASSERT_FALSE(vec.ok()) << sql;
-    ASSERT_FALSE(row.ok()) << sql;
-    EXPECT_EQ(row.status().ToString(),
-              Status::ExecutionError("division by zero").ToString());
-    EXPECT_EQ(vec.status().ToString(), row.status().ToString()) << sql;
+    const Result<ResultSet> rs = db_.Execute(sql);
+    ASSERT_FALSE(rs.ok()) << sql;
+    EXPECT_EQ(rs.status().ToString(),
+              Status::ExecutionError("division by zero").ToString())
+        << sql;
   }
 }
 
@@ -778,28 +875,46 @@ TEST_F(ExecModesSqlTest, SortKeyErrorsAgreeAcrossModes) {
 // accumulators, tag-exact finished values.
 // ---------------------------------------------------------------------
 
-TEST_F(ExecModesSqlTest, AggregateGroupsSpanSeveralOutputVectors) {
+TEST_F(ExecSqlTest, AggregateGroupsSpanSeveralOutputVectors) {
   CreateBig("big", 2500, /*reverse=*/false);
   const std::string sql = "SELECT k, COUNT(*), SUM(v) FROM big GROUP BY k";
-  const ResultSet rs = ExpectModesAgree(sql);
-  ASSERT_EQ(rs.NumRows(), 2500u);
-  EXPECT_EQ(rs.at(1024, 0), Value::Int(1025));
+  // One group per key, in input order.
+  std::vector<Row> want;
+  for (int64_t k = 1; k <= 2500; ++k) {
+    want.push_back(Row({Value::Int(k), Value::Int(1), BigV(k)}));
+  }
+  const ResultSet rs = MustExecute(db_, sql);
+  EXPECT_TRUE(BitIdenticalRows(rs.rows(), want));
   const OperatorMetricsEntry agg = VectorEntry(sql, "hash_aggregate");
   EXPECT_EQ(agg.metrics.vectors_out, 3);
   EXPECT_EQ(agg.metrics.rows_out, 2500);
   // Generic (non-int) keys past one vector of groups, in reverse input.
   CreateBig("rev", 2500, /*reverse=*/true);
-  ExpectModesAgree("SELECT k * 0.5, MIN(v), MAX(k) FROM rev GROUP BY k * 0.5");
-  ExpectModesAgree("SELECT k, v, COUNT(*) FROM rev GROUP BY k, v");
+  std::vector<Row> half;
+  std::vector<Row> pairs;
+  for (int64_t k = 2500; k >= 1; --k) {
+    half.push_back(Row({Value::Double(static_cast<double>(k) * 0.5), BigV(k),
+                        Value::Int(k)}));
+    pairs.push_back(Row({Value::Int(k), BigV(k), Value::Int(1)}));
+  }
+  EXPECT_TRUE(BitIdenticalRows(
+      MustExecute(db_,
+                  "SELECT k * 0.5, MIN(v), MAX(k) FROM rev GROUP BY k * 0.5")
+          .rows(),
+      half));
+  EXPECT_TRUE(BitIdenticalRows(
+      MustExecute(db_, "SELECT k, v, COUNT(*) FROM rev GROUP BY k, v").rows(),
+      pairs));
 }
 
-TEST_F(ExecModesSqlTest, AggregateNullGroup) {
+TEST_F(ExecSqlTest, AggregateNullGroup) {
   MustExecute(db_, "CREATE TABLE nk (g INTEGER, x INTEGER)");
   MustExecute(db_,
               "INSERT INTO nk VALUES (NULL, 1), (2, 2), (NULL, 3), (1, 4), "
               "(2, 5), (NULL, NULL)");
-  const ResultSet rs = ExpectModesAgree(
-      "SELECT g, COUNT(*), COUNT(x), SUM(x) FROM nk GROUP BY g");
+  const ResultSet rs = ExpectRows(
+      "SELECT g, COUNT(*), COUNT(x), SUM(x) FROM nk GROUP BY g",
+      {"NULL, 3, 2, 4", "2, 2, 2, 7", "1, 1, 1, 4"});
   ASSERT_EQ(rs.NumRows(), 3u);
   EXPECT_TRUE(rs.at(0, 0).is_null());  // first seen, first out
   EXPECT_EQ(rs.at(0, 1), Value::Int(3));
@@ -807,7 +922,7 @@ TEST_F(ExecModesSqlTest, AggregateNullGroup) {
   EXPECT_EQ(rs.at(0, 3), Value::Int(4));
 }
 
-TEST_F(ExecModesSqlTest, AggregateMigratesFromIntKeysMidVector) {
+TEST_F(ExecSqlTest, AggregateMigratesFromIntKeysMidVector) {
   // The key COALESCE(x, g) is Int(i % 50) on 1 500 rows, except row 700,
   // whose Double(3.0) must join Int(3)'s group after the migration to
   // the generic lookup, and row 1200, whose 7.5 opens a new group.
@@ -819,9 +934,28 @@ TEST_F(ExecModesSqlTest, AggregateMigratesFromIntKeysMidVector) {
               ", " + std::to_string(i) + ")";
   }
   MustExecute(db_, insert);
-  const ResultSet rs = ExpectModesAgree(
+  // The groups a test-side fold of the same rows gives, in first-seen
+  // order: (key, count, sum, min) with the first key cell seen.
+  std::vector<Row> want;
+  std::vector<int64_t> slot(51, -1);  // int key g -> want index; 50 = 7.5
+  for (int64_t i = 1; i <= 1500; ++i) {
+    const size_t g =
+        i == 1200 ? 50 : i == 700 ? 3 : static_cast<size_t>(i % 50);
+    if (slot[g] < 0) {
+      slot[g] = static_cast<int64_t>(want.size());
+      want.push_back(Row({g == 50 ? Value::Double(7.5)
+                                  : Value::Int(static_cast<int64_t>(g)),
+                          Value::Int(0), Value::Int(0), Value::Int(i)}));
+    }
+    Row& row = want[static_cast<size_t>(slot[g])];
+    row[1] = Value::Int(row[1].AsInt() + 1);
+    row[2] = Value::Int(row[2].AsInt() + i);
+  }
+  const ResultSet rs = MustExecute(
+      db_,
       "SELECT COALESCE(x, g), COUNT(*), SUM(y), MIN(y) FROM mig "
       "GROUP BY COALESCE(x, g)");
+  EXPECT_TRUE(BitIdenticalRows(rs.rows(), want));
   ASSERT_EQ(rs.NumRows(), 51u);
   EXPECT_EQ(rs.at(2, 0), Value::Int(3));  // the first key seen
   EXPECT_EQ(rs.at(2, 0).type(), DataType::kInt64);
@@ -832,8 +966,9 @@ TEST_F(ExecModesSqlTest, AggregateMigratesFromIntKeysMidVector) {
   EXPECT_EQ(rs.at(50, 0).type(), DataType::kDouble);
 }
 
-TEST_F(ExecModesSqlTest, GlobalAggregateOverEmptyInput) {
-  const ResultSet rs = ExpectModesAgree(
+TEST_F(ExecSqlTest, GlobalAggregateOverEmptyInput) {
+  const ResultSet rs = MustExecute(
+      db_,
       "SELECT COUNT(*), COUNT(b), SUM(a), AVG(b), MIN(s), MAX(a) FROM t "
       "WHERE a > 100");
   ASSERT_EQ(rs.NumRows(), 1u);
@@ -841,16 +976,20 @@ TEST_F(ExecModesSqlTest, GlobalAggregateOverEmptyInput) {
   EXPECT_EQ(rs.at(0, 0), Value::Int(0));
   EXPECT_EQ(rs.at(0, 1), Value::Int(0));
   for (size_t c = 2; c < 6; ++c) EXPECT_TRUE(rs.at(0, c).is_null()) << c;
-  EXPECT_EQ(ExpectModesAgree(
-                "SELECT a, COUNT(*) FROM t WHERE a > 100 GROUP BY a")
-                .NumRows(),
-            0u);
+  EXPECT_EQ(
+      MustExecute(db_, "SELECT a, COUNT(*) FROM t WHERE a > 100 GROUP BY a")
+          .NumRows(),
+      0u);
 }
 
-TEST_F(ExecModesSqlTest, AggregateOutputTagsAreExact) {
-  const ResultSet rs = ExpectModesAgree(
+TEST_F(ExecSqlTest, AggregateOutputTagsAreExact) {
+  const ResultSet rs = ExpectRows(
       "SELECT s, COUNT(*), COUNT(b), MIN(a), MAX(b), AVG(a), MIN(s), "
-      "MAX(s), SUM(a), SUM(b) FROM t GROUP BY s");
+      "MAX(s), SUM(a), SUM(b) FROM t GROUP BY s",
+      {"'x', 3, 2, 1, 10d, 3.33333d, 'x', 'x', 10, 15.5d",
+       "'y', 2, 1, 2, 20d, 4.5d, 'y', 'y', 9, 20d",
+       "NULL, 1, 1, 4, 40d, 4d, NULL, NULL, 4, 40d",
+       "'z', 1, 1, 2, 25d, 2d, 'z', 'z', 2, 25d"});
   ASSERT_EQ(rs.NumRows(), 4u);  // 'x', 'y', NULL, 'z' in input order
   EXPECT_EQ(rs.at(0, 1).type(), DataType::kInt64);
   EXPECT_EQ(rs.at(0, 3).type(), DataType::kInt64);
@@ -865,9 +1004,10 @@ TEST_F(ExecModesSqlTest, AggregateOutputTagsAreExact) {
   MustExecute(db_,
               "INSERT INTO mm VALUES (1, 2, NULL), (1, 0, 2.0), "
               "(1, 0, 1.0), (2, 5, NULL), (2, 0, 4.5)");
-  const ResultSet mm = ExpectModesAgree(
+  const ResultSet mm = ExpectRows(
       "SELECT g, MIN(COALESCE(x, i)), MAX(COALESCE(x, i)), "
-      "AVG(COALESCE(x, i)), COUNT(COALESCE(x, i)) FROM mm GROUP BY g");
+      "AVG(COALESCE(x, i)), COUNT(COALESCE(x, i)) FROM mm GROUP BY g",
+      {"1, 1d, 2, 1.66667d, 3", "2, 4.5d, 5, 4.75d, 2"});
   EXPECT_EQ(mm.at(0, 1).type(), DataType::kDouble);  // 1.0
   EXPECT_EQ(mm.at(0, 2).type(), DataType::kInt64);   // the first 2
   EXPECT_EQ(mm.at(1, 2).type(), DataType::kInt64);   // 5
@@ -898,9 +1038,7 @@ class VectorJoinTest : public ::testing::Test {
   PhysicalOperatorPtr Scan(const std::string& name) {
     Result<Table*> t = db_.catalog()->GetTable(name);
     EXPECT_TRUE(t.ok()) << t.status().ToString();
-    auto scan = std::make_unique<TableScanOp>((*t)->schema(), *t);
-    scan->SetVectorized(true);
-    return scan;
+    return std::make_unique<TableScanOp>((*t)->schema(), *t);
   }
 
   // probe JOIN build ON probe.k = build.k; output (p.k, p.v, b.k, b.w).
@@ -914,12 +1052,10 @@ class VectorJoinTest : public ::testing::Test {
     left_keys.push_back(eb::Col(0, DataType::kInt64));
     std::vector<ExprPtr> right_keys;
     right_keys.push_back(eb::Col(0, DataType::kInt64));
-    auto join = std::make_unique<HashJoinOp>(
+    return std::make_unique<HashJoinOp>(
         std::move(joined), Scan("probe"), Scan("build"),
         std::move(left_keys), std::move(right_keys), std::move(residual),
         join_type);
-    join->SetVectorized(true);
-    return join;
   }
 
   // Drains `op` through NextVector, materializing every selected lane;
@@ -1050,12 +1186,12 @@ TEST_F(VectorJoinTest, ResidualFiltersCandidates) {
   EXPECT_EQ(rows[1][3], Value::Double(3));
 }
 
-TEST_F(VectorJoinTest, RowAndVectorPathsAgreeOnForcedHashJoinSql) {
+TEST_F(VectorJoinTest, HashJoinSqlMatchesTheNestedLoopPlan) {
   Insert("build", "(1, 1), (2, 2), (2, 3), (NULL, 4), (5, 5)");
   Insert("probe",
          "(2, 20), (2, 21), (1, 10), (NULL, 0), (7, 70), (5, 50)");
   // Forcing the planner away from index nested loops routes these
-  // through HashJoinOp in every mode.
+  // through HashJoinOp.
   db_.options().exec.enable_index_nested_loop_join = false;
   const char* queries[] = {
       "SELECT p.k, p.v, b.w FROM probe p JOIN build b ON p.k = b.k "
@@ -1066,12 +1202,10 @@ TEST_F(VectorJoinTest, RowAndVectorPathsAgreeOnForcedHashJoinSql) {
       "GROUP BY p.k ORDER BY 1",
   };
   for (const char* sql : queries) {
-    db_.options().exec.use_vectorized_execution = true;
-    const ResultSet vec = MustExecute(db_, sql);
-    db_.options().exec.use_vectorized_execution = false;
-    const ResultSet row = MustExecute(db_, sql);
-    db_.options().exec.use_vectorized_execution = true;
-    EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
+    const ResultSet rs = MustExecute(db_, sql);
+    Result<ResultSet> nl = testutil::ExecuteNestedLoop(db_, sql);
+    ASSERT_TRUE(nl.ok()) << sql << "\n  " << nl.status().ToString();
+    EXPECT_TRUE(BitIdentical(rs, *nl)) << sql;
   }
 }
 
@@ -1091,67 +1225,37 @@ class VectorBandJoinTest : public ::testing::Test {
     MustExecute(db_, "INSERT INTO seq VALUES " + values);
   }
 
-  void ExpectVectorMatchesRow(const std::string& sql) {
-    db_.options().exec.use_vectorized_execution = true;
-    const ResultSet vec = MustExecute(db_, sql);
-    db_.options().exec.use_vectorized_execution = false;
-    const ResultSet row = MustExecute(db_, sql);
-    db_.options().exec.use_vectorized_execution = true;
-    EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
+  void ExpectNestedLoopRows(const std::string& sql) {
+    const ResultSet rs = MustExecute(db_, sql);
+    Result<ResultSet> nl = testutil::ExecuteNestedLoop(db_, sql);
+    ASSERT_TRUE(nl.ok()) << sql << "\n  " << nl.status().ToString();
+    EXPECT_TRUE(BitIdentical(rs, *nl)) << sql;
   }
 
   Database db_;
 };
 
-TEST_F(VectorBandJoinTest, BandShapesAgreeAcrossModes) {
-  ExpectVectorMatchesRow(
+TEST_F(VectorBandJoinTest, BandShapesMatchTheNestedLoopPlan) {
+  ExpectNestedLoopRows(
       "SELECT s1.pos, SUM(s2.val) FROM seq s1, seq s2 WHERE s2.pos "
       "BETWEEN s1.pos - 3 AND s1.pos + 3 GROUP BY s1.pos ORDER BY 1");
-  ExpectVectorMatchesRow(
+  ExpectNestedLoopRows(
       "SELECT s1.pos, s2.val FROM seq s1, seq s2 WHERE s2.pos IN "
       "(s1.pos - 1, s1.pos, s1.pos + 1) ORDER BY 1, 2");
-  ExpectVectorMatchesRow(
+  ExpectNestedLoopRows(
       "SELECT s1.pos, COUNT(*) FROM seq s1, seq s2 WHERE s2.pos < s1.pos "
       "AND MOD(s2.pos, 4) = MOD(s1.pos, 4) GROUP BY s1.pos ORDER BY 1");
 }
 
 // ---------------------------------------------------------------------
-// SUM fold: a SUM-only aggregate on a vectorized inner band join takes
-// one (sum, count) partial per left row. Row mode (no fold) is the
-// reference, compared bit for bit: every group below gets its
-// candidates from one left row, so even fractional double sums must
-// agree exactly.
+// SUM fold: a SUM-only aggregate on an inner band join takes one (sum,
+// count) partial per left row. The plan with the merge band join off
+// (no fold) is the reference, compared bit for bit: a nested loop, or
+// the index nested-loop join where the right table has a position
+// index. Either gives each left row's candidates in key order, as the
+// band join does, and every group below gets its candidates from one
+// left row, so even fractional double sums must agree exactly.
 // ---------------------------------------------------------------------
-
-/// Type tags and payload bits equal (Value::Compare would let Int(2)
-/// match Double(2.0) and hide a rounding step).
-::testing::AssertionResult BitIdentical(const ResultSet& a,
-                                        const ResultSet& b) {
-  if (a.NumRows() != b.NumRows()) {
-    return ::testing::AssertionFailure()
-           << a.NumRows() << " rows vs " << b.NumRows();
-  }
-  for (size_t r = 0; r < a.NumRows(); ++r) {
-    const Row& x = a.rows()[r];
-    const Row& y = b.rows()[r];
-    for (size_t c = 0; c < x.size(); ++c) {
-      bool same = x[c].type() == y[c].type();
-      if (same && x[c].type() == DataType::kDouble) {
-        const double dx = x[c].AsDouble();
-        const double dy = y[c].AsDouble();
-        same = std::memcmp(&dx, &dy, sizeof(double)) == 0;
-      } else if (same) {
-        same = x[c].Compare(y[c]) == 0;
-      }
-      if (!same) {
-        return ::testing::AssertionFailure()
-               << "row " << r << " col " << c << ": " << x[c].ToString()
-               << " vs " << y[c].ToString();
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
 
 class BandFoldTest : public ::testing::Test {
  protected:
@@ -1190,10 +1294,6 @@ class BandFoldTest : public ::testing::Test {
     return rows;
   }
 
-  void SetRowMode(bool row) {
-    db_.options().exec.use_vectorized_execution = !row;
-  }
-
   /// The folding join's EXPLAIN ANALYZE counters.
   struct FoldStats {
     bool folds = false;
@@ -1227,37 +1327,34 @@ class BandFoldTest : public ::testing::Test {
     return *op != nullptr ? FindOp<MergeBandJoinOp>(op->get()) : nullptr;
   }
 
-  // Vector mode folds and agrees bit for bit with row mode, which does
-  // not fold.
-  FoldStats ExpectFoldMatchesRow(const std::string& sql) {
-    SetRowMode(false);
+  // The default plan folds and agrees bit for bit with the reference:
+  // the plan that has the merge band join off.
+  FoldStats ExpectFoldMatchesRef(const std::string& sql) {
     const FoldStats stats = Explain(sql);
     EXPECT_TRUE(stats.folds) << sql;
-    const ResultSet vec = MustExecute(db_, sql);
-    SetRowMode(true);
-    EXPECT_FALSE(Folds(sql)) << sql;
-    const ResultSet row = MustExecute(db_, sql);
-    SetRowMode(false);
-    EXPECT_TRUE(BitIdentical(vec, row)) << sql;
+    const ResultSet folded = MustExecute(db_, sql);
+    db_.options().exec.enable_merge_band_join = false;
+    const ResultSet unfolded = MustExecute(db_, sql);
+    db_.options().exec.enable_merge_band_join = true;
+    EXPECT_TRUE(BitIdentical(folded, unfolded)) << sql;
     return stats;
   }
 
   // ... and every partial row came from prefix sums.
-  void ExpectPrefixMatchesRow(const std::string& sql) {
-    const FoldStats stats = ExpectFoldMatchesRow(sql);
+  void ExpectPrefixMatchesRef(const std::string& sql) {
+    const FoldStats stats = ExpectFoldMatchesRef(sql);
     EXPECT_GT(stats.rows, 0) << sql;
     EXPECT_EQ(stats.prefix, stats.rows) << sql;
   }
 
   // ... and every partial row came from the candidate walk.
-  void ExpectWalkMatchesRow(const std::string& sql) {
-    const FoldStats stats = ExpectFoldMatchesRow(sql);
+  void ExpectWalkMatchesRef(const std::string& sql) {
+    const FoldStats stats = ExpectFoldMatchesRef(sql);
     EXPECT_GT(stats.rows, 0) << sql;
     EXPECT_EQ(stats.prefix, 0) << sql;
   }
 
   void ExpectUnfolded(const std::string& sql) {
-    SetRowMode(false);
     EXPECT_FALSE(Folds(sql)) << sql;
   }
 
@@ -1269,10 +1366,10 @@ TEST_F(BandFoldTest, MinoaNonCoincidentClass) {
   params.delta_l = 1;
   params.delta_h = 0;
   params.wx = 4;
-  ExpectFoldMatchesRow(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
+  ExpectFoldMatchesRef(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
   params.delta_l = -2;  // raw-from-sliding shape: negative deltas
   params.delta_h = -1;
-  ExpectFoldMatchesRow(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
+  ExpectFoldMatchesRef(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
 }
 
 TEST_F(BandFoldTest, MinoaCoincidentClass) {
@@ -1280,16 +1377,16 @@ TEST_F(BandFoldTest, MinoaCoincidentClass) {
   params.delta_l = 2;
   params.delta_h = 2;
   params.wx = 4;
-  ExpectFoldMatchesRow(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
+  ExpectFoldMatchesRef(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
 }
 
 TEST_F(BandFoldTest, MinoaCumulative) {
   const WindowSpec view = WindowSpec::SlidingUnchecked(2, 1);
-  ExpectFoldMatchesRow(MinoaCumulativeSql("vx", view, 50) + " ORDER BY 1");
+  ExpectFoldMatchesRef(MinoaCumulativeSql("vx", view, 50) + " ORDER BY 1");
 }
 
 TEST_F(BandFoldTest, Fig2BetweenSelfJoin) {
-  ExpectFoldMatchesRow(SelfJoinWindowSql("vx", "pos", "val",
+  ExpectFoldMatchesRef(SelfJoinWindowSql("vx", "pos", "val",
                                          WindowSpec::SlidingUnchecked(3, 2),
                                          /*use_in_predicate=*/false) +
                        " ORDER BY 1");
@@ -1297,10 +1394,10 @@ TEST_F(BandFoldTest, Fig2BetweenSelfJoin) {
 
 TEST_F(BandFoldTest, LeftRowsWithoutCandidatesMakeNoGroup) {
   // Keys past 60 have no partner; they must not appear at all.
-  ExpectFoldMatchesRow(
+  ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM vx s1, vx s2 WHERE s2.pos BETWEEN "
       "s1.pos + 50 AND s1.pos + 52 GROUP BY s1.pos ORDER BY 1");
-  ExpectFoldMatchesRow(
+  ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM vx s1, vx s2 WHERE s2.pos BETWEEN "
       "s1.pos + 500 AND s1.pos + 502 GROUP BY s1.pos ORDER BY 1");
 }
@@ -1314,7 +1411,7 @@ TEST_F(BandFoldTest, AllNullValueRunsGiveNullSums) {
       "SELECT s1.pos, SUM(s2.val), SUM((-1) * s2.val) FROM nv s1, nv s2 "
       "WHERE s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos "
       "ORDER BY 1";
-  ExpectFoldMatchesRow(sql);
+  ExpectFoldMatchesRef(sql);
   const ResultSet rs = MustExecute(db_, sql);
   ASSERT_EQ(rs.NumRows(), 7u);
   EXPECT_TRUE(rs.rows()[4][1].is_null());  // pos 5: runs 4..6 all NULL
@@ -1323,13 +1420,13 @@ TEST_F(BandFoldTest, AllNullValueRunsGiveNullSums) {
 
 TEST_F(BandFoldTest, Int64DoubleAndMixedTagValues) {
   // INTEGER sum with literal factors.
-  ExpectFoldMatchesRow(
+  ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(2 * s2.val), SUM(-(s2.val * 3)) FROM vi s1, vi s2 "
       "WHERE s2.pos BETWEEN s1.pos - 2 AND s1.pos + 1 GROUP BY s1.pos "
       "ORDER BY 1");
   // int64 cells times a left-side double factor, and a CASE whose
   // branches yield int64 and double values for the same SUM.
-  ExpectFoldMatchesRow(
+  ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(s1.f * s2.val), SUM(CASE WHEN MOD(s1.pos, 3) = "
       "MOD(s2.pos, 3) THEN 2 * s2.val ELSE 0.5 * s2.val END) FROM vi s1, "
       "vi s2 WHERE (s2.pos < s1.pos AND MOD(s2.pos, 3) = MOD(s1.pos, 3)) "
@@ -1337,7 +1434,7 @@ TEST_F(BandFoldTest, Int64DoubleAndMixedTagValues) {
       "GROUP BY s1.pos ORDER BY 1");
   // Double cells: negation, a factor after a negation, and nested
   // multiplications (kept in the row path's order).
-  ExpectFoldMatchesRow(
+  ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(-s2.val), SUM(0.3 * (-s2.val)), "
       "SUM(3 * (-(2 * s2.val))) FROM vx s1, vx s2 WHERE "
       "s2.pos BETWEEN s1.pos AND s1.pos + 4 GROUP BY s1.pos ORDER BY 1");
@@ -1350,13 +1447,13 @@ TEST_F(BandFoldTest, DuplicateLeftKeysCombinePartials) {
   MustExecute(db_,
               "INSERT INTO dup VALUES (1, 1), (2, -2), (1, 3), (3, 4), "
               "(2, 5), (4, 6), (3, -7)");
-  ExpectFoldMatchesRow(
+  ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM dup s1, dup s2 WHERE s2.pos BETWEEN "
       "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos ORDER BY 1");
 }
 
 TEST_F(BandFoldTest, BandWithResidual) {
-  ExpectFoldMatchesRow(
+  ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM vx s1, vx s2 WHERE s2.pos BETWEEN "
       "s1.pos - 3 AND s1.pos + 3 AND s2.val > s1.val GROUP BY s1.pos "
       "ORDER BY 1");
@@ -1368,7 +1465,7 @@ TEST_F(BandFoldTest, BandWithResidual) {
   params.wx = 4;
   std::string sql = MinoaSql("vx", params, 50, false);
   sql.replace(sql.find(" GROUP BY"), 0, " AND MOD(s1.pos + s2.pos, 5) <> 2");
-  ExpectFoldMatchesRow(sql + " ORDER BY 1");
+  ExpectFoldMatchesRef(sql + " ORDER BY 1");
 }
 
 TEST_F(BandFoldTest, CapacityOneOutputVectors) {
@@ -1387,8 +1484,9 @@ TEST_F(BandFoldTest, CapacityOneOutputVectors) {
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(band->metrics().vectors_out, 50);  // one partial per vector
 
-  SetRowMode(true);
-  const ResultSet reference = MustExecute(db_, sql);
+  Result<ResultSet> nl = testutil::ExecuteNestedLoop(db_, sql);
+  ASSERT_TRUE(nl.ok()) << nl.status().ToString();
+  const ResultSet& reference = *nl;
   ASSERT_EQ(rows->size(), reference.NumRows());
   for (size_t r = 0; r < rows->size(); ++r) {
     EXPECT_EQ((*rows)[r], reference.rows()[r]) << "row " << r;
@@ -1406,7 +1504,10 @@ TEST_F(BandFoldTest, RightSideLargerThanOneVector) {
               std::to_string((p % 17) * 0.13 - 1.0) + ")";
   }
   MustExecute(db_, "INSERT INTO big VALUES " + values);
-  ExpectFoldMatchesRow(SelfJoinWindowSql("big", "pos", "val",
+  // The unfolded reference probes this index instead of looping over
+  // 1 500 × 1 500 pairs.
+  MustExecute(db_, "CREATE INDEX big_pos ON big (pos)");
+  ExpectFoldMatchesRef(SelfJoinWindowSql("big", "pos", "val",
                                          WindowSpec::SlidingUnchecked(40, 2),
                                          /*use_in_predicate=*/false) +
                        " ORDER BY 1");
@@ -1414,7 +1515,7 @@ TEST_F(BandFoldTest, RightSideLargerThanOneVector) {
   params.delta_l = 3;
   params.delta_h = 0;
   params.wx = 7;
-  ExpectFoldMatchesRow(MinoaSql("big", params, 1490, false) + " ORDER BY 1");
+  ExpectFoldMatchesRef(MinoaSql("big", params, 1490, false) + " ORDER BY 1");
 }
 
 TEST_F(BandFoldTest, CongruenceConditionOnNullAnchor) {
@@ -1425,7 +1526,7 @@ TEST_F(BandFoldTest, CongruenceConditionOnNullAnchor) {
   MustExecute(db_,
               "INSERT INTO na VALUES (9, 3), (10, NULL), (11, 5), "
               "(12, NULL), (13, 2), (14, 7)");
-  ExpectFoldMatchesRow(
+  ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(CASE WHEN MOD(s2.pos, 2) = MOD(s1.k, 2) THEN "
       "s2.val ELSE -s2.val END) FROM na s1, vx s2 WHERE s2.pos BETWEEN "
       "s1.pos - 8 AND s1.pos AND MOD(s2.pos, 4) = MOD(s1.pos, 4) "
@@ -1453,11 +1554,6 @@ TEST_F(BandFoldTest, NonQualifyingPlansStayUnfolded) {
   maxoa.delta_p = 3;
   maxoa.delta_q = 4;
   ExpectUnfolded(MaxoaSql("vx", maxoa, 50, false));
-  // Row mode keeps the per-candidate path.
-  SetRowMode(true);
-  EXPECT_FALSE(Folds(SelfJoinWindowSql("vx", "pos", "val",
-                                       WindowSpec::SlidingUnchecked(1, 1),
-                                       false)));
 }
 
 // ---------------------------------------------------------------------
@@ -1472,25 +1568,25 @@ TEST_F(BandFoldTest, PrefixSumsAnswerIntegralChains) {
   params.delta_l = 1;
   params.delta_h = 0;
   params.wx = 4;
-  ExpectPrefixMatchesRow(MinoaSql("vn", params, 50, false) + " ORDER BY 1");
+  ExpectPrefixMatchesRef(MinoaSql("vn", params, 50, false) + " ORDER BY 1");
   params.delta_l = -2;
   params.delta_h = -1;
-  ExpectPrefixMatchesRow(MinoaSql("vn", params, 50, false) + " ORDER BY 1");
+  ExpectPrefixMatchesRef(MinoaSql("vn", params, 50, false) + " ORDER BY 1");
   params.delta_l = 2;  // coincident classes: one bounded chain
   params.delta_h = 2;
-  ExpectPrefixMatchesRow(MinoaSql("vn", params, 50, false) + " ORDER BY 1");
-  ExpectPrefixMatchesRow(
+  ExpectPrefixMatchesRef(MinoaSql("vn", params, 50, false) + " ORDER BY 1");
+  ExpectPrefixMatchesRef(
       MinoaCumulativeSql("vn", WindowSpec::SlidingUnchecked(2, 1), 50) +
       " ORDER BY 1");
   for (const bool in_predicate : {false, true}) {
-    ExpectPrefixMatchesRow(SelfJoinWindowSql(
+    ExpectPrefixMatchesRef(SelfJoinWindowSql(
                                "vn", "pos", "val",
                                WindowSpec::SlidingUnchecked(3, 2),
                                in_predicate) +
                            " ORDER BY 1");
   }
   // INTEGER sums with integer factors, and a DOUBLE sum of int64 cells.
-  ExpectPrefixMatchesRow(
+  ExpectPrefixMatchesRef(
       "SELECT s1.pos, SUM(2 * s2.val), SUM(-(s2.val * 3)), "
       "SUM(CASE WHEN MOD(s1.pos, 3) = MOD(s2.pos, 3) THEN s2.val ELSE "
       "2.0 * s2.val END) FROM vi s1, vi s2 WHERE (s2.pos < s1.pos AND "
@@ -1507,7 +1603,7 @@ TEST_F(BandFoldTest, PrefixSumsSkipNullCells) {
       "SELECT s1.pos, SUM(s2.val), SUM((-1) * s2.val) FROM nn s1, nn s2 "
       "WHERE s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos "
       "ORDER BY 1";
-  ExpectPrefixMatchesRow(sql);
+  ExpectPrefixMatchesRef(sql);
   const ResultSet rs = MustExecute(db_, sql);
   ASSERT_EQ(rs.NumRows(), 8u);
   EXPECT_TRUE(rs.rows()[3][1].is_null());  // pos 4: band 3..5 all NULL
@@ -1518,7 +1614,7 @@ TEST_F(BandFoldTest, PrefixSumsSkipNullCells) {
   params.delta_l = 1;
   params.delta_h = 0;
   params.wx = 4;
-  ExpectPrefixMatchesRow(MinoaSql("nn", params, 8, false) + " ORDER BY 1");
+  ExpectPrefixMatchesRef(MinoaSql("nn", params, 8, false) + " ORDER BY 1");
 }
 
 TEST_F(BandFoldTest, PrefixNullFactorGivesNullSum) {
@@ -1531,7 +1627,7 @@ TEST_F(BandFoldTest, PrefixNullFactorGivesNullSum) {
       "SELECT s1.pos, SUM(s1.k * s2.val), SUM(s2.val) FROM nf s1, vn s2 "
       "WHERE s2.pos BETWEEN s1.pos - 2 AND s1.pos GROUP BY s1.pos "
       "ORDER BY 1";
-  ExpectPrefixMatchesRow(sql);
+  ExpectPrefixMatchesRef(sql);
   const ResultSet rs = MustExecute(db_, sql);
   ASSERT_EQ(rs.NumRows(), 4u);
   EXPECT_TRUE(rs.rows()[1][1].is_null());
@@ -1539,37 +1635,32 @@ TEST_F(BandFoldTest, PrefixNullFactorGivesNullSum) {
   EXPECT_FALSE(rs.rows()[2][1].is_null());
 }
 
-TEST_F(BandFoldTest, PrefixLeafErrorsMatchRowMode) {
+TEST_F(BandFoldTest, PrefixLeafErrorsFollowRowOrder) {
   // Leaf factors that fail on some left rows: the first failing row in
   // row order (pos 2, MOD by zero, before pos 3's division by zero)
-  // raises its error in every mode, though the rows before it take the
-  // prefix path.
+  // raises its error, though the rows before it take the prefix path.
   const std::string sql =
       "SELECT s1.pos, SUM((1 / (s1.pos - 3)) * s2.val), SUM(MOD(1, s1.pos "
       "- 2) * s2.val) FROM vn s1, vn s2 WHERE s2.pos BETWEEN s1.pos - 1 AND "
       "s1.pos + 1 GROUP BY s1.pos";
-  SetRowMode(true);
-  Result<ResultSet> row = db_.Execute(sql);
-  SetRowMode(false);
+  const std::string expected =
+      Status::ExecutionError("MOD by zero").ToString();
   PhysicalOperatorPtr op;
   MergeBandJoinOp* band = BuildBandJoinPlan(sql, &op);
   ASSERT_NE(band, nullptr);
   ASSERT_TRUE(band->folding());
   Result<std::vector<Row>> folded = ExecuteToVector(op.get());
-  ASSERT_FALSE(row.ok());
   ASSERT_FALSE(folded.ok());
-  EXPECT_EQ(row.status().ToString(),
-            Status::ExecutionError("MOD by zero").ToString());
-  EXPECT_EQ(folded.status().ToString(), row.status().ToString());
-  Result<ResultSet> vec = db_.Execute(sql);
-  ASSERT_FALSE(vec.ok());
-  EXPECT_EQ(vec.status().ToString(), row.status().ToString());
+  EXPECT_EQ(folded.status().ToString(), expected);
+  Result<ResultSet> rs = db_.Execute(sql);
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().ToString(), expected);
 }
 
 TEST_F(BandFoldTest, PrefixRowsWithEmptyBandsMakeNoGroup) {
   // Keys past 60 have no partner, and a NULL bound empties the band:
   // neither left row may produce a group or count as a prefix row.
-  const FoldStats stats = ExpectFoldMatchesRow(
+  const FoldStats stats = ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE s2.pos BETWEEN "
       "s1.pos + 50 AND s1.pos + 52 GROUP BY s1.pos ORDER BY 1");
   EXPECT_EQ(stats.rows, 15);  // s1.pos -4..10
@@ -1578,7 +1669,7 @@ TEST_F(BandFoldTest, PrefixRowsWithEmptyBandsMakeNoGroup) {
   MustExecute(db_,
               "INSERT INTO nb VALUES (1, 3), (2, NULL), (3, 90), (4, 7), "
               "(5, NULL)");
-  const FoldStats nb = ExpectFoldMatchesRow(
+  const FoldStats nb = ExpectFoldMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM nb s1, vn s2 WHERE s2.pos BETWEEN "
       "s1.k - 2 AND s1.k GROUP BY s1.pos ORDER BY 1");
   EXPECT_EQ(nb.rows, 2);  // only k = 3 and k = 7 meet keys
@@ -1588,32 +1679,33 @@ TEST_F(BandFoldTest, PrefixRowsWithEmptyBandsMakeNoGroup) {
 TEST_F(BandFoldTest, PrefixLeftInputCrossesVectorBoundary) {
   MustExecute(db_, "CREATE TABLE bigi (pos INTEGER, val DOUBLE)");
   MustExecute(db_, "INSERT INTO bigi VALUES " + IntegralRows(1, 1500));
+  MustExecute(db_, "CREATE INDEX bigi_pos ON bigi (pos)");
   MinoaParams params;
   params.delta_l = 3;
   params.delta_h = 0;
   params.wx = 7;
   const FoldStats stats =
-      ExpectFoldMatchesRow(MinoaSql("bigi", params, 1490, false) +
+      ExpectFoldMatchesRef(MinoaSql("bigi", params, 1490, false) +
                            " ORDER BY 1");
   EXPECT_EQ(stats.rows, 1490);
   EXPECT_EQ(stats.prefix, 1490);
-  ExpectPrefixMatchesRow(SelfJoinWindowSql("bigi", "pos", "val",
+  ExpectPrefixMatchesRef(SelfJoinWindowSql("bigi", "pos", "val",
                                            WindowSpec::SlidingUnchecked(40, 2),
                                            /*use_in_predicate=*/false) +
                          " ORDER BY 1");
 }
 
 // Fallbacks: each case runs the walk for every row and still agrees
-// with row mode bit for bit.
+// with the unfolded plan bit for bit.
 
 TEST_F(BandFoldTest, FractionalDoublesWalk) {
   MinoaParams params;
   params.delta_l = 1;
   params.delta_h = 0;
   params.wx = 4;
-  ExpectWalkMatchesRow(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
+  ExpectWalkMatchesRef(MinoaSql("vx", params, 50, false) + " ORDER BY 1");
   // Integral cells, fractional factor: decided per left row.
-  ExpectWalkMatchesRow(
+  ExpectWalkMatchesRef(
       "SELECT s1.pos, SUM(0.5 * s2.val) FROM vn s1, vn s2 WHERE s2.pos "
       "BETWEEN s1.pos - 2 AND s1.pos GROUP BY s1.pos ORDER BY 1");
 }
@@ -1636,44 +1728,44 @@ TEST_F(BandFoldTest, MagnitudesAboveTheExactRangeWalk) {
   }
   MustExecute(db_, "INSERT INTO hd VALUES " + hd);
   MustExecute(db_, "INSERT INTO hi VALUES " + hi);
-  ExpectWalkMatchesRow(
+  ExpectWalkMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM hd s1, hd s2 WHERE s2.pos BETWEEN "
       "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos ORDER BY 1");
   // INTEGER: 2^60 · 16 keys > INT64_MAX.
-  ExpectWalkMatchesRow(
+  ExpectWalkMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM hi s1, hi s2 WHERE s2.pos BETWEEN "
       "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos ORDER BY 1");
   // Small cells, but a coefficient of 2^46 · 11 · 65 keys > 2^53.
-  ExpectWalkMatchesRow(
+  ExpectWalkMatchesRef(
       "SELECT s1.pos, SUM(70368744177664 * s2.val) FROM vn s1, vn s2 WHERE "
       "s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos ORDER BY 1");
 }
 
 TEST_F(BandFoldTest, OverlappingBandsWalk) {
   // Same residue, overlapping spans: a shared key is one candidate.
-  ExpectWalkMatchesRow(
+  ExpectWalkMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE (s2.pos <= s1.pos "
       "AND MOD(s2.pos, 3) = MOD(s1.pos, 3)) OR (s2.pos BETWEEN s1.pos - 6 "
       "AND s1.pos + 3 AND MOD(s2.pos, 3) = MOD(s1.pos, 3)) GROUP BY s1.pos "
       "ORDER BY 1");
   // Plain intervals that overlap, and a repeated IN point.
-  ExpectWalkMatchesRow(
+  ExpectWalkMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE (s2.pos BETWEEN "
       "s1.pos - 3 AND s1.pos) OR (s2.pos BETWEEN s1.pos - 1 AND s1.pos + 2) "
       "GROUP BY s1.pos ORDER BY 1");
-  ExpectWalkMatchesRow(
+  ExpectWalkMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE s2.pos IN "
       "(s1.pos - 1, s1.pos - 1) GROUP BY s1.pos ORDER BY 1");
 }
 
 TEST_F(BandFoldTest, ResidualAndApproximateBandsWalk) {
-  ExpectWalkMatchesRow(
+  ExpectWalkMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE s2.pos BETWEEN "
       "s1.pos - 3 AND s1.pos + 3 AND s2.val > s1.val GROUP BY s1.pos "
       "ORDER BY 1");
   // An OR branch with a conjunct the band cannot hold over-approximates
   // and re-checks the whole condition per candidate.
-  ExpectWalkMatchesRow(
+  ExpectWalkMatchesRef(
       "SELECT s1.pos, SUM(s2.val) FROM vn s1, vn s2 WHERE (s2.pos BETWEEN "
       "s1.pos - 2 AND s1.pos AND s2.val > 0) OR (s2.pos BETWEEN s1.pos + 5 "
       "AND s1.pos + 6) GROUP BY s1.pos ORDER BY 1");
@@ -1708,14 +1800,14 @@ TEST_F(BandFoldTest, StringCellWalksIntoTheTypeError) {
 
 TEST_F(BandFoldTest, WalkLeafErrorsOnlyWhereCandidatesSurvive) {
   // The factor divides by zero on s1.pos = 3 only, whose candidates the
-  // residual removes (every vx value is below 1000). Row mode never
-  // evaluates it there, so no mode may raise it, though the fold's
-  // per-vector leaf resolution meets it.
+  // residual removes (every vx value is below 1000). An unfolded plan
+  // never evaluates it there, so the fold may not raise it either,
+  // though its per-vector leaf resolution meets it.
   const std::string sql =
       "SELECT s1.pos, SUM((1 / (s1.pos - 3)) * s2.val) FROM vx s1, vx s2 "
       "WHERE s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 AND (s1.pos <> 3 OR "
       "s2.val > 1000) GROUP BY s1.pos ORDER BY 1";
-  const FoldStats stats = ExpectFoldMatchesRow(sql);
+  const FoldStats stats = ExpectFoldMatchesRef(sql);
   EXPECT_EQ(stats.rows, 64);  // s1.pos -4..60 but 3
   EXPECT_EQ(stats.prefix, 0);
   db_.options().exec.enable_merge_band_join = false;
@@ -1727,10 +1819,10 @@ TEST_F(BandFoldTest, WalkLeafErrorsOnlyWhereCandidatesSurvive) {
   EXPECT_TRUE(BitIdentical(folded, no_band));
 }
 
-TEST_F(BandFoldTest, IntegerSumOverflowErrorsInEveryMode) {
-  // INT64_MAX cells: every window sum leaves int64. Row mode, the
-  // unfolded vector aggregate and the fold (whose prefix path the
-  // magnitude rules out) all report the same error.
+TEST_F(BandFoldTest, IntegerSumOverflowErrorsInEveryPlan) {
+  // INT64_MAX cells: every window sum leaves int64. The nested-loop
+  // plan, the unfolded aggregate over the band join and the fold (whose
+  // prefix path the magnitude rules out) all report the same error.
   MustExecute(db_, "CREATE TABLE ov (pos INTEGER, v INTEGER)");
   MustExecute(db_,
               "INSERT INTO ov VALUES (1, 9223372036854775807), "
@@ -1740,43 +1832,35 @@ TEST_F(BandFoldTest, IntegerSumOverflowErrorsInEveryMode) {
       "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos";
   const std::string expected =
       Status::ExecutionError("integer overflow in SUM").ToString();
-  SetRowMode(true);
-  Result<ResultSet> row = db_.Execute(sql);
-  SetRowMode(false);
-  db_.options().exec.enable_merge_band_join = false;
-  Result<ResultSet> vec = db_.Execute(sql);
-  db_.options().exec.enable_merge_band_join = true;
+  Result<ResultSet> nl = testutil::ExecuteNestedLoop(db_, sql);
   PhysicalOperatorPtr op;
   MergeBandJoinOp* band = BuildBandJoinPlan(sql, &op);
   ASSERT_NE(band, nullptr);
   ASSERT_TRUE(band->folding());
   Result<std::vector<Row>> folded = ExecuteToVector(op.get());
-  ASSERT_FALSE(row.ok());
-  ASSERT_FALSE(vec.ok());
+  // The aggregate on the unfolded band join: a second aggregate keeps
+  // the fold off.
+  Result<ResultSet> unfolded = db_.Execute(
+      "SELECT s1.pos, SUM(s2.v), COUNT(*) FROM ov s1, ov s2 WHERE s2.pos "
+      "BETWEEN s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos");
+  ASSERT_FALSE(nl.ok());
+  ASSERT_FALSE(unfolded.ok());
   ASSERT_FALSE(folded.ok());
-  EXPECT_EQ(row.status().ToString(), expected);
-  EXPECT_EQ(vec.status().ToString(), expected);
+  EXPECT_EQ(nl.status().ToString(), expected);
+  EXPECT_EQ(unfolded.status().ToString(), expected);
   EXPECT_EQ(folded.status().ToString(), expected);
   // A global SUM, and a total that overshoots only transiently.
-  for (const bool row_mode : {true, false}) {
-    SetRowMode(row_mode);
-    Result<ResultSet> global = db_.Execute("SELECT SUM(v) FROM ov");
-    ASSERT_FALSE(global.ok());
-    EXPECT_EQ(global.status().ToString(), expected);
-  }
+  Result<ResultSet> global = db_.Execute("SELECT SUM(v) FROM ov");
+  ASSERT_FALSE(global.ok());
+  EXPECT_EQ(global.status().ToString(), expected);
   MustExecute(db_, "INSERT INTO ov VALUES (4, -9223372036854775807), "
                    "(5, -9223372036854775807)");
-  for (const bool row_mode : {true, false}) {
-    SetRowMode(row_mode);
-    const ResultSet rs = MustExecute(db_, "SELECT SUM(v) FROM ov");
-    EXPECT_EQ(rs.rows()[0][0],
-              Value::Int(std::numeric_limits<int64_t>::max()));
-  }
-  SetRowMode(false);
+  const ResultSet rs = MustExecute(db_, "SELECT SUM(v) FROM ov");
+  EXPECT_EQ(rs.rows()[0][0], Value::Int(std::numeric_limits<int64_t>::max()));
 }
 
-// Every vector-native operator, in vector mode, gives the same rows with
-// the same tags through Next (the shell serves the rows of its vectors)
+// Every vector-native operator gives the same rows with the same tags
+// through Next (the shell serves the rows of its vectors)
 // as through NextVector. The inputs cross the 1 024-row vector boundary
 // and mix INTEGER, DOUBLE and NULL cells in one column.
 template <typename Op>
@@ -1788,7 +1872,7 @@ void ExpectNextMatchesNextVector(Database* db, const std::string& sql) {
     ASSERT_NE(root, nullptr);
     Op* op = FindOp<Op>(root.get());
     ASSERT_NE(op, nullptr);
-    ASSERT_TRUE(op->vectorized());
+    ASSERT_TRUE(op->VectorNative());
     ASSERT_TRUE(op->Open().ok());
     std::vector<Row>& rows = pulled[by_vector];
     bool eof = false;
@@ -1819,7 +1903,7 @@ void ExpectNextMatchesNextVector(Database* db, const std::string& sql) {
   }
 }
 
-TEST_F(ExecModesSqlTest, NextMatchesNextVectorOnEveryNativeOperator) {
+TEST_F(ExecSqlTest, NextMatchesNextVectorOnEveryNativeOperator) {
   CreateBig("m", 2500, /*reverse=*/true);
   CreateBig("n", 1200, /*reverse=*/false);
   ExpectNextMatchesNextVector<TableScanOp>(&db_, "SELECT k, v FROM m");
@@ -1856,30 +1940,29 @@ TEST_F(ExecModesSqlTest, NextMatchesNextVectorOnEveryNativeOperator) {
   ExpectNextMatchesNextVector<HashAggregateOp>(&db_, fold_sql);
 }
 
-TEST_F(ExecModesSqlTest, ErrorsAgreeAcrossModes) {
+TEST_F(ExecSqlTest, ErrorsFollowRowOrder) {
   // The second statement's merge band join has two bands whose bounds
   // fail on different rows: one on the first row (a = 1, division by
   // zero), the other on the second (a = 2, MOD by zero), which the join
-  // resolves first. The vector path resolves a whole left vector's
-  // bands at once, yet must raise the first row's error.
+  // resolves first. The join resolves a whole left vector's bands at
+  // once, yet must raise the first row's error, as the nested-loop plan
+  // does.
   const std::string band_sql =
       "SELECT t1.a, t2.a FROM t t1, t t2 WHERE t2.a BETWEEN t1.a AND "
       "t1.a + 1 / (t1.a - 1) OR t2.a BETWEEN t1.a AND t1.a + MOD(1, "
       "t1.a - 2)";
+  const std::string expected =
+      Status::ExecutionError("division by zero").ToString();
   for (const std::string& sql : {std::string("SELECT 1 / (a - a) FROM t"),
                                  band_sql}) {
-    db_.options().exec.use_vectorized_execution = true;
-    Result<ResultSet> vec = db_.Execute(sql);
-    db_.options().exec.use_vectorized_execution = false;
-    Result<ResultSet> row = db_.Execute(sql);
-    ASSERT_FALSE(vec.ok()) << sql;
-    ASSERT_FALSE(row.ok()) << sql;
-    EXPECT_EQ(row.status().ToString(),
-              Status::ExecutionError("division by zero").ToString());
-    EXPECT_EQ(vec.status().ToString(), row.status().ToString()) << sql;
+    Result<ResultSet> rs = db_.Execute(sql);
+    Result<ResultSet> nl = testutil::ExecuteNestedLoop(db_, sql);
+    ASSERT_FALSE(rs.ok()) << sql;
+    ASSERT_FALSE(nl.ok()) << sql;
+    EXPECT_EQ(rs.status().ToString(), expected) << sql;
+    EXPECT_EQ(nl.status().ToString(), expected) << sql;
   }
   // The plan under test: the band join, with both bands.
-  db_.options().exec.use_vectorized_execution = true;
   const ResultSet plan =
       MustExecute(db_, "EXPLAIN ANALYZE SELECT t1.a, t2.a FROM t t1, t t2 "
                        "WHERE t2.a BETWEEN t1.a AND t1.a + 1 / (t1.a + 10) "

@@ -524,17 +524,13 @@ TEST(WindowOpTest, Int64MaxRowsOffsetsStopAtThePartition) {
                   "(ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) "
                   "FROM t");
     }
-    for (const bool vectorized : {true, false}) {
-      db.options().exec.use_vectorized_execution = vectorized;
-      for (const auto& [sql, expected] : cases) {
-        const ResultSet rs = MustExecute(db, sql);
-        EXPECT_EQ(rs.rewrite_method(), "") << sql;
-        ASSERT_EQ(rs.NumRows(), expected.size()) << sql;
-        for (size_t i = 0; i < expected.size(); ++i) {
-          EXPECT_EQ(rs.at(i, 1), Value::Double(expected[i]))
-              << sql << " row " << i << " vectorized=" << vectorized
-              << " view=" << with_view;
-        }
+    for (const auto& [sql, expected] : cases) {
+      const ResultSet rs = MustExecute(db, sql);
+      EXPECT_EQ(rs.rewrite_method(), "") << sql;
+      ASSERT_EQ(rs.NumRows(), expected.size()) << sql;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(rs.at(i, 1), Value::Double(expected[i]))
+            << sql << " row " << i << " view=" << with_view;
       }
     }
   }

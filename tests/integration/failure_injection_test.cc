@@ -63,11 +63,7 @@ TEST_F(FailureInjectionTest, ErrorInsideWindowPartitionKey) {
 }
 
 TEST_F(FailureInjectionTest, ErrorInsideSortKey) {
-  // The columnar sort (vector mode, the default) and the row sort.
-  for (const bool vectorized : {true, false}) {
-    db_.options().exec.use_vectorized_execution = vectorized;
-    ExpectExecutionError("SELECT a FROM z ORDER BY 10 / b");
-  }
+  ExpectExecutionError("SELECT a FROM z ORDER BY 10 / b");
 }
 
 TEST_F(FailureInjectionTest, ErrorInsideHavingAfterCleanAggregation) {

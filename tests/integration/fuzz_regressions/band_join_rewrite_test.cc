@@ -83,10 +83,9 @@ TEST_F(BandJoinRewriteTest, ForcedMaxoaBandOnOffAndNativeAgree) {
   EXPECT_TRUE(RowsEqualCanonical(banded, fallback));
 }
 
-TEST_F(BandJoinRewriteTest, ForcedMinoaBandOnOffAgreeInRowMode) {
+TEST_F(BandJoinRewriteTest, ForcedMinoaBandOnOffAgree) {
   db_.options().enable_view_rewrite = true;
   db_.options().force_method = DerivationMethod::kMinoa;
-  db_.options().exec.use_vectorized_execution = false;
   const ResultSet banded = Query();
   ASSERT_EQ(banded.rewrite_method(), "MinOA") << banded.rewritten_sql();
 
@@ -98,7 +97,7 @@ TEST_F(BandJoinRewriteTest, ForcedMinoaBandOnOffAgreeInRowMode) {
 }
 
 // The minimized harness scenario, replayed through the oracle runner:
-// the vector and band oracles must both run and pass on it.
+// the reference and band oracles must both run and pass on it.
 TEST(BandJoinScenarioTest, MinimizedScenarioPassesAllOracles) {
   using namespace fuzzing;
   Scenario s;
@@ -127,7 +126,7 @@ TEST(BandJoinScenarioTest, MinimizedScenarioPassesAllOracles) {
 
   const ScenarioVerdict verdict = RunScenario(s);
   EXPECT_TRUE(verdict.ok()) << verdict.Summary();
-  EXPECT_GT(verdict.checks.count("vector"), 0u) << verdict.Summary();
+  EXPECT_GT(verdict.checks.count("reference"), 0u) << verdict.Summary();
   EXPECT_GT(verdict.checks.count("band"), 0u) << verdict.Summary();
 }
 

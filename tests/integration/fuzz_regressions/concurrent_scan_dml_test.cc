@@ -66,7 +66,6 @@ TEST_F(ConcurrentScanDmlTest, RowPullSurvivesInterleavedInsert) {
 
 TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedUpdate) {
   TableScanOp scan(table_->schema(), table_);
-  scan.SetVectorized(true);
   ASSERT_TRUE(scan.Open().ok());
   VectorProjection* vp = nullptr;
   bool eof = false;
@@ -89,7 +88,6 @@ TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedUpdate) {
 
 TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedDelete) {
   TableScanOp scan(table_->schema(), table_);
-  scan.SetVectorized(true);
   ASSERT_TRUE(scan.Open().ok());
   VectorProjection* vp = nullptr;
   bool eof = false;

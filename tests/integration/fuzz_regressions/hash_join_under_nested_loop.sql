@@ -1,10 +1,10 @@
 -- equi-join repro: a hash join on the left side of a nested-loop join.
--- In vector mode the nested loop pulls the hash join row by row through
--- Next; the answer must be the row-mode one, six rows (a.k, b.y, c.z) =
+-- The nested loop pulls the hash join row by row through Next; the
+-- answer must be six rows (a.k, b.y, c.z) =
 -- (1,100,5) (1,100,25) (2,200,5) (2,200,25) (3,300,5) (3,300,25), and
 -- the same six under LEFT JOIN b (every a.k has a partner). The .cc
 -- twin (UnderRowOnlyJoinTest in tests/exec/vector_exec_test.cc) pins
--- the rows, the plans and the agreement of the two modes.
+-- the rows and the plans.
 CREATE TABLE a (k INTEGER, x INTEGER);
 CREATE TABLE b (k INTEGER, y INTEGER);
 CREATE TABLE c (z INTEGER);

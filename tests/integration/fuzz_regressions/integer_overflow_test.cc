@@ -2,9 +2,8 @@
 // and MOD at the edges of int64 were undefined behaviour in the row
 // evaluator, the vector evaluator and the band join's SUM fold walk
 // (UBSan: "signed integer overflow"). Each now raises the
-// ExecutionError "integer overflow in ..." that INTEGER SUM raises, in
-// both execution modes; the folded SUM must fail exactly where the
-// unfolded plan fails. The .sql twin (integer_overflow.sql) replays the
+// ExecutionError "integer overflow in ..." that INTEGER SUM raises; the
+// folded SUM must fail exactly where the unfolded plan fails. The .sql twin (integer_overflow.sql) replays the
 // core statements.
 
 #include <gtest/gtest.h>
@@ -19,10 +18,9 @@ namespace {
 
 using testutil::MustExecute;
 
-class IntegerOverflowTest : public ::testing::TestWithParam<bool> {
+class IntegerOverflowTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.options().exec.use_vectorized_execution = GetParam();
     MustExecute(db_, "CREATE TABLE t (pos INTEGER, v INTEGER)");
     // v = 2^62 at pos 1.
     MustExecute(db_,
@@ -42,7 +40,7 @@ class IntegerOverflowTest : public ::testing::TestWithParam<bool> {
   Database db_;
 };
 
-TEST_P(IntegerOverflowTest, ProjectionRaises) {
+TEST_F(IntegerOverflowTest, ProjectionRaises) {
   ExpectOverflow("SELECT pos, 4 * v FROM t");
   ExpectOverflow("SELECT pos, v * 4 FROM t");
   ExpectOverflow("SELECT pos, v + v FROM t");
@@ -53,7 +51,7 @@ TEST_P(IntegerOverflowTest, ProjectionRaises) {
   EXPECT_EQ(rs->at(0, 0), Value::Int(8));
 }
 
-TEST_P(IntegerOverflowTest, Int64MinEdgesRaise) {
+TEST_F(IntegerOverflowTest, Int64MinEdgesRaise) {
   const std::string min = "(-9223372036854775807 - 1)";
   ExpectOverflow("SELECT -(" + min + " + pos - 1) FROM t");
   ExpectOverflow("SELECT (" + min + " + pos - 1) / -1 FROM t");
@@ -65,7 +63,7 @@ TEST_P(IntegerOverflowTest, Int64MinEdgesRaise) {
   EXPECT_EQ(rs->at(0, 0), Value::Int(0));
 }
 
-TEST_P(IntegerOverflowTest, FoldedSumRaises) {
+TEST_F(IntegerOverflowTest, FoldedSumRaises) {
   const std::string sql =
       "SELECT s1.pos, SUM(4 * s2.v) FROM t s1, t s2 WHERE s2.pos BETWEEN "
       "s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos";
@@ -74,11 +72,6 @@ TEST_P(IntegerOverflowTest, FoldedSumRaises) {
   db_.options().exec.enable_merge_band_join = false;
   ExpectOverflow(sql);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, IntegerOverflowTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Vector" : "Row";
-                         });
 
 }  // namespace
 }  // namespace rfv

@@ -46,6 +46,23 @@ inline ::testing::AssertionResult RowsEqualCanonical(const ResultSet& a,
          << "result sets differ (canonical order):\n" << *diff;
 }
 
+/// Executes `sql` on the forced nested-loop plan: the merge band, index
+/// nested-loop and hash joins off, so every join is a NestedLoopJoinOp
+/// that evaluates its condition row by row. It shares no join code with
+/// the default plans, which makes it the reference their answers are
+/// checked against. The options are restored afterwards.
+inline Result<ResultSet> ExecuteNestedLoop(Database& db,
+                                           const std::string& sql) {
+  ExecOptions& exec = db.options().exec;
+  const ExecOptions saved = exec;
+  exec.enable_merge_band_join = false;
+  exec.enable_index_nested_loop_join = false;
+  exec.enable_hash_join = false;
+  Result<ResultSet> r = db.Execute(sql);
+  exec = saved;
+  return r;
+}
+
 /// Creates seq(pos INTEGER PRIMARY KEY, val DOUBLE) with n rows; values
 /// are a deterministic pseudo-random-ish pattern including negatives.
 inline void CreateSeqTable(Database& db, int n,
