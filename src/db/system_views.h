@@ -12,8 +12,8 @@
 namespace rfv {
 
 /// The `rfv_system` virtual schema: engine introspection served as
-/// ordinary tables, so the normal scan → filter → window pipeline (and
-/// all three pull styles) can query the engine's own state:
+/// ordinary tables, so the normal scan → filter → window pipeline can
+/// query the engine's own state:
 ///
 ///   rfv_system.queries      recent statements (the QueryLog ring)
 ///   rfv_system.operators    per-operator metrics of those statements

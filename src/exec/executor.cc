@@ -127,8 +127,8 @@ Result<PhysicalOperatorPtr> BuildJoin(const LogicalPlan& plan,
                              right_plan.table, /*indexed_only=*/true);
       if (band.has_value()) {
         return PhysicalOperatorPtr(new IndexNestedLoopJoinOp(
-            plan.schema, std::move(left), right_plan.table, right_plan.schema,
-            std::move(*band), plan.join_type));
+            plan.schema, std::move(left), right_plan.table, std::move(*band),
+            plan.join_type));
       }
     }
   }
@@ -414,14 +414,6 @@ Counter* VectorsCounter() {
 
 }  // namespace
 
-Status PhysicalOperator::NextImpl(Row*, bool*) {
-  return Status::Internal(std::string(name()) + " has no row body");
-}
-
-Status PhysicalOperator::NextVectorImpl(VectorProjection**, bool*) {
-  return Status::Internal(std::string(name()) + " is not vector-native");
-}
-
 Status PhysicalOperator::PullVector(VectorProjection** out) {
   *out = nullptr;
   while (!exhausted_) {
@@ -437,41 +429,6 @@ Status PhysicalOperator::PullVector(VectorProjection** out) {
   return Status::OK();
 }
 
-Status PhysicalOperator::VectorFromRows(VectorProjection** out) {
-  *out = nullptr;
-  const size_t width = schema_.NumColumns();
-  fallback_vp_.Reset(width, kVectorSize);
-  size_t n = 0;
-  while (n < kVectorSize && !exhausted_) {
-    RFV_RETURN_IF_ERROR(NextImpl(&fallback_row_, &exhausted_));
-    if (exhausted_) break;
-    RFV_CHECK_MSG(fallback_row_.size() == width,
-                  "row width " << fallback_row_.size()
-                               << " != projection width " << width);
-    for (size_t c = 0; c < width; ++c) {
-      fallback_vp_.column(c).SetValue(n, fallback_row_[c]);
-    }
-    ++n;
-  }
-  if (n == 0) return Status::OK();
-  fallback_vp_.Truncate(n);
-  *out = &fallback_vp_;
-  return Status::OK();
-}
-
-Status PhysicalOperator::NextRowFromVectors(Row* row, bool* eof) {
-  if (row_vp_ == nullptr || row_slot_ >= row_vp_->NumSelected()) {
-    row_slot_ = 0;
-    RFV_RETURN_IF_ERROR(PullVector(&row_vp_));
-    *eof = row_vp_ == nullptr;
-    if (*eof) return Status::OK();
-    ++metrics_.vectors_out;
-  }
-  row_vp_->MaterializeRow(row_vp_->sel()[row_slot_++], row);
-  *eof = false;
-  return Status::OK();
-}
-
 Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op, bool) {
   {
     TraceSpan open_span("exec.open");
@@ -480,12 +437,10 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op, bool) {
   }
   TraceSpan drain_span("exec.drain");
   // Rows materialize only here, at the plan boundary, from whatever
-  // survived the selection vectors of a VectorNative() root.
+  // survived the root's selection vectors.
   std::vector<Row> rows;
   const Status drained = DrainChild(op, &rows);
-  if (op->VectorNative()) {
-    VectorsCounter()->Increment(op->metrics().vectors_out);
-  }
+  VectorsCounter()->Increment(op->metrics().vectors_out);
   RFV_RETURN_IF_ERROR(drained);
   if (drain_span.active()) {
     drain_span.AddArg("rows", std::to_string(rows.size()));
@@ -494,20 +449,12 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op, bool) {
 }
 
 Status DrainChild(PhysicalOperator* child, std::vector<Row>* out) {
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  if (child->VectorNative()) {
-    VectorProjection* vp = nullptr;
-    while (true) {
-      RFV_RETURN_IF_ERROR(child->NextVector(&vp, &eof));
-      if (eof) return Status::OK();
-      vp->AppendSelectedTo(out);
-    }
-  }
   while (true) {
-    Row row;
-    RFV_RETURN_IF_ERROR(child->Next(&row, &eof));
+    RFV_RETURN_IF_ERROR(child->NextVector(&vp, &eof));
     if (eof) return Status::OK();
-    out->push_back(std::move(row));
+    vp->AppendSelectedTo(out);
   }
 }
 

@@ -18,18 +18,16 @@ namespace rfv {
 /// Per-operator execution counters, maintained by the PhysicalOperator
 /// base class (wall times, row/call counts) and by the operators
 /// themselves (peak buffered rows, reported by the materializing ones).
-/// Cheap enough to keep always-on: two steady_clock reads per Next.
+/// Cheap enough to keep always-on: two steady_clock reads per
+/// NextVector.
 struct OperatorMetrics {
-  int64_t rows_out = 0;    ///< rows produced through Next/NextVector
-  int64_t next_calls = 0;  ///< pull invocations, incl. the EOF call
-  /// Non-empty vectors produced: NextVector results, plus the vectors a
-  /// VectorNative() operator produced for a row-pulling parent, so EXPLAIN
-  /// ANALYZE's `vectors=` shows which operators ran columnar (a row-only
-  /// operator under a columnar parent counts here too, because it
-  /// *answers* NextVector from its rows).
+  int64_t rows_out = 0;    ///< selected rows produced through NextVector
+  int64_t next_calls = 0;  ///< NextVector calls, incl. the EOF call
+  /// Non-empty vectors produced (NextVector results): EXPLAIN ANALYZE's
+  /// `vectors=`, so rows_out / vectors_out is the mean vector fill.
   int64_t vectors_out = 0;
   int64_t open_ns = 0;     ///< wall time inside Open (incl. children)
-  int64_t next_ns = 0;     ///< cumulative wall time inside Next (ditto)
+  int64_t next_ns = 0;     ///< cumulative wall time inside NextVector (ditto)
   /// High-water mark of rows materialized by this operator (sort
   /// buffers, hash tables, window/join materializations); 0 for
   /// streaming operators.
@@ -38,21 +36,17 @@ struct OperatorMetrics {
   void Reset() { *this = OperatorMetrics(); }
 };
 
-/// Pull-based (Volcano-style) physical operator. Lifecycle:
-/// Open() once, then one of the two pull protocols until *eof — Next()
-/// (row-at-a-time) or NextVector() (columnar VectorProjection);
-/// destructor releases state. A driver picks ONE protocol per operator
-/// instance and sticks with it — interleaving them on the same operator
-/// is undefined.
+/// Pull-based (Volcano-style) physical operator with one, columnar, pull
+/// protocol. Lifecycle: Open() once, then NextVector() until *eof, each
+/// call handing out a VectorProjection of up to kVectorSize rows;
+/// destructor releases state.
 ///
-/// Open/Next/NextVector are non-virtual shells that maintain
-/// OperatorMetrics and are the only place the two protocols meet: each
-/// operator has one body, and the shells translate. A VectorNative()
-/// operator runs NextVectorImpl and its Next serves the rows of those
-/// vectors; a row-only operator (window, the two nested-loop joins) runs
-/// NextImpl and its NextVector writes those rows into the lanes of one
-/// retained projection. White-box users (tests, the executor driver)
-/// call the shells.
+/// Open/NextVector are non-virtual shells that maintain OperatorMetrics
+/// around the operator's body, OpenImpl/NextVectorImpl. Every operator
+/// produces vectors; the row-at-a-time ones (the window, the two
+/// nested-loop joins) buffer or build Rows internally and write them
+/// into the lanes of their own output projection. White-box users
+/// (tests, the executor driver) call the shells.
 class PhysicalOperator {
  public:
   explicit PhysicalOperator(Schema schema) : schema_(std::move(schema)) {}
@@ -64,27 +58,11 @@ class PhysicalOperator {
   Status Open() {
     metrics_.Reset();
     exhausted_ = false;
-    row_vp_ = nullptr;
-    row_slot_ = 0;
     const auto start = std::chrono::steady_clock::now();
     Status status = OpenImpl();
     metrics_.open_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    return status;
-  }
-
-  /// Produces the next row into *row, or sets *eof = true (row left
-  /// untouched) when the stream is exhausted.
-  Status Next(Row* row, bool* eof) {
-    const auto start = std::chrono::steady_clock::now();
-    Status status =
-        VectorNative() ? NextRowFromVectors(row, eof) : NextImpl(row, eof);
-    metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    ++metrics_.next_calls;
-    if (status.ok() && !*eof) ++metrics_.rows_out;
     return status;
   }
 
@@ -98,7 +76,7 @@ class PhysicalOperator {
   /// zero-copy filter protocol) but must not touch the column data.
   Status NextVector(VectorProjection** out, bool* eof) {
     const auto start = std::chrono::steady_clock::now();
-    Status status = VectorNative() ? PullVector(out) : VectorFromRows(out);
+    Status status = PullVector(out);
     metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -110,12 +88,6 @@ class PhysicalOperator {
     }
     return status;
   }
-
-  /// True when this operator's body is NextVectorImpl (columns +
-  /// selection vector all the way down); false for the row-only
-  /// operators, whose body is NextImpl and which answer NextVector from
-  /// their rows.
-  virtual bool VectorNative() const { return false; }
 
   const Schema& schema() const { return schema_; }
 
@@ -145,16 +117,12 @@ class PhysicalOperator {
 
  protected:
   virtual Status OpenImpl() = 0;
-  /// The body of a row-only operator. VectorNative() operators keep the
-  /// default, which is never reached.
-  virtual Status NextImpl(Row* row, bool* eof);
 
-  /// The body of a VectorNative() operator. Looser than NextVector: *out
-  /// may be null or have an empty selection, and *eof = true may come
-  /// with rows (the shell passes them on and reports eof on the
-  /// following call). It is never called again once it has reported
-  /// eof. Row-only operators keep the default, which is never reached.
-  virtual Status NextVectorImpl(VectorProjection** out, bool* eof);
+  /// The operator's body. Looser than NextVector: *out may be null or
+  /// have an empty selection, and *eof = true may come with rows (the
+  /// shell passes them on and reports eof on the following call). It is
+  /// never called again once it has reported eof.
+  virtual Status NextVectorImpl(VectorProjection** out, bool* eof) = 0;
 
   /// Raises the buffered-rows high-water mark (materializing operators
   /// call this after filling their buffers).
@@ -167,29 +135,14 @@ class PhysicalOperator {
   Schema schema_;
 
  private:
-  /// NextVector of a VectorNative() operator: NextVectorImpl until it
-  /// yields a selected row or reports eof (then *out = nullptr).
+  /// NextVectorImpl until it yields a selected row or reports eof (then
+  /// *out = nullptr).
   Status PullVector(VectorProjection** out);
-  /// NextVector of a row-only operator: up to kVectorSize rows of
-  /// NextImpl (not the Next shell, whose clock reads and counters must
-  /// not be paid twice) written into the lanes of fallback_vp_; nullptr
-  /// at the end.
-  Status VectorFromRows(VectorProjection** out);
-  /// Next of a VectorNative() operator: the next selected row of
-  /// row_vp_, pulling a new vector through PullVector when it is used up.
-  Status NextRowFromVectors(Row* row, bool* eof);
 
   OperatorMetrics metrics_;
   double estimated_rows_ = -1;
-  /// Set once the body reported eof to NextVector or to a VectorNative()
-  /// operator's Next; those shells never re-enter it after.
+  /// Set once the body reported eof; NextVector never re-enters it after.
   bool exhausted_ = false;
-  /// NextRowFromVectors: the vector being served and its next slot.
-  VectorProjection* row_vp_ = nullptr;
-  size_t row_slot_ = 0;
-  /// VectorFromRows: the row it pulls and the projection it writes.
-  Row fallback_row_;
-  VectorProjection fallback_vp_;
 };
 
 using PhysicalOperatorPtr = std::unique_ptr<PhysicalOperator>;
@@ -217,7 +170,7 @@ std::vector<OperatorMetricsEntry> CollectMetrics(
 /// line:
 ///   window            rows_in=100000 rows_out=100000 ... open_ms=12.3
 /// Times are reported in milliseconds with the child time included
-/// (wall time is measured around the recursive Open/Next calls).
+/// (wall time is measured around the recursive Open/NextVector calls).
 std::string FormatMetricsReport(
     const std::vector<OperatorMetricsEntry>& entries);
 
@@ -270,19 +223,17 @@ struct ExecOptions {
 Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
                                               const ExecOptions& options = {});
 
-/// Runs an operator tree to completion. VectorNative() roots are drained
-/// through NextVector (counting projections in the
-/// rfv_exec_vectors_total metric and materializing rows only at this
-/// boundary), row-only roots through Next. The second parameter is
-/// ignored; it stays declared only because the warehouse benchmark
-/// (whbench/) still passes it.
+/// Runs an operator tree to completion: drains the root through
+/// NextVector, counting its projections in the rfv_exec_vectors_total
+/// metric and materializing rows only at this boundary. The second
+/// parameter is ignored; it stays declared only because the warehouse
+/// benchmark (whbench/) still passes it.
 Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
                                          bool /*ignored*/ = true);
 
-/// Appends every remaining row of an already-open `child` to *out — the
-/// input drain of the operators that buffer rows (window, the nested-loop
-/// join's right side): through NextVector when the child is
-/// VectorNative(), else through Next.
+/// Appends every remaining selected row of an already-open `child` to
+/// *out, pulled through NextVector — the input drain of the operators
+/// that buffer rows (window, the nested-loop join's right side).
 Status DrainChild(PhysicalOperator* child, std::vector<Row>* out);
 
 /// Convenience: build + run.

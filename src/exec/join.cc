@@ -9,64 +9,81 @@
 namespace rfv {
 
 // ---------------------------------------------------------------------------
+// The row-at-a-time join loop
+// ---------------------------------------------------------------------------
+
+Status RowJoinOp::OpenLeft() {
+  left_vp_ = nullptr;
+  left_slot_ = 0;
+  left_valid_ = false;
+  candidates_.clear();
+  candidate_pos_ = 0;
+  left_width_ = left_->schema().NumColumns();
+  return left_->Open();
+}
+
+Status RowJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
+  const size_t width = schema_.NumColumns();
+  // Every lane starts NULL: a NULL-padded row writes only its left
+  // cells.
+  out_vp_.Reset(width, kVectorSize);
+  size_t filled = 0;
+  while (filled < kVectorSize) {
+    if (!left_valid_) {
+      if (left_vp_ == nullptr || left_slot_ >= left_vp_->NumSelected()) {
+        RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, eof));
+        left_slot_ = 0;
+        if (*eof) break;
+      }
+      left_vp_->MaterializeRow(left_vp_->sel()[left_slot_++], &left_row_);
+      RFV_RETURN_IF_ERROR(FindCandidates(left_row_));
+      if (joined_.size() != width) joined_ = Row(std::vector<Value>(width));
+      for (size_t c = 0; c < left_width_; ++c) joined_[c] = left_row_[c];
+      candidate_pos_ = 0;
+      left_matched_ = false;
+      left_valid_ = true;
+    }
+    while (candidate_pos_ < candidates_.size() && filled < kVectorSize) {
+      const Row& right = *candidates_[candidate_pos_++];
+      for (size_t c = 0; c < right.size(); ++c) {
+        joined_[left_width_ + c] = right[c];
+      }
+      bool match = true;
+      if (residual_ != nullptr) {
+        RFV_ASSIGN_OR_RETURN(match,
+                             Evaluator::EvalPredicate(*residual_, joined_));
+      }
+      if (match) {
+        left_matched_ = true;
+        out_vp_.WriteRow(filled++, joined_);
+      }
+    }
+    // A full output leaves the rest of this left row's candidates to
+    // the next vector. An unmatched row wrote no lane, so its padding
+    // always fits.
+    if (candidate_pos_ < candidates_.size()) break;
+    if (join_type_ == JoinType::kLeftOuter && !left_matched_) {
+      out_vp_.WriteRow(filled++, left_row_);
+    }
+    left_valid_ = false;
+  }
+  out_vp_.sel().Truncate(filled);
+  *out = &out_vp_;
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // Nested-loop join
 // ---------------------------------------------------------------------------
 
 Status NestedLoopJoinOp::OpenImpl() {
   right_rows_.clear();
-  left_valid_ = false;
-  RFV_RETURN_IF_ERROR(left_->Open());
+  RFV_RETURN_IF_ERROR(OpenLeft());
   RFV_RETURN_IF_ERROR(right_->Open());
-  right_width_ = right_->schema().NumColumns();
   RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &right_rows_));
   NoteBufferedRows(right_rows_.size());
+  for (const Row& row : right_rows_) candidates_.push_back(&row);
   return Status::OK();
-}
-
-Status NestedLoopJoinOp::AdvanceLeft(bool* eof) {
-  RFV_RETURN_IF_ERROR(left_->Next(&current_left_, eof));
-  left_valid_ = !*eof;
-  left_matched_ = false;
-  right_pos_ = 0;
-  return Status::OK();
-}
-
-Status NestedLoopJoinOp::NextImpl(Row* row, bool* eof) {
-  while (true) {
-    if (!left_valid_) {
-      bool left_eof = false;
-      RFV_RETURN_IF_ERROR(AdvanceLeft(&left_eof));
-      if (left_eof) {
-        *eof = true;
-        return Status::OK();
-      }
-    }
-    while (right_pos_ < right_rows_.size()) {
-      const Row& right_row = right_rows_[right_pos_++];
-      Row joined = Row::Concat(current_left_, right_row);
-      bool match = true;
-      if (condition_ != nullptr) {
-        RFV_ASSIGN_OR_RETURN(match,
-                             Evaluator::EvalPredicate(*condition_, joined));
-      }
-      if (match) {
-        left_matched_ = true;
-        *row = std::move(joined);
-        *eof = false;
-        return Status::OK();
-      }
-    }
-    // Right side exhausted for this left row.
-    if (join_type_ == JoinType::kLeftOuter && !left_matched_) {
-      Row joined = current_left_;
-      for (size_t i = 0; i < right_width_; ++i) joined.Append(Value::Null());
-      left_valid_ = false;
-      *row = std::move(joined);
-      *eof = false;
-      return Status::OK();
-    }
-    left_valid_ = false;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -74,10 +91,7 @@ Status NestedLoopJoinOp::NextImpl(Row* row, bool* eof) {
 // ---------------------------------------------------------------------------
 
 Status IndexNestedLoopJoinOp::OpenImpl() {
-  left_valid_ = false;
-  candidates_.clear();
-  candidate_pos_ = 0;
-  RFV_RETURN_IF_ERROR(left_->Open());
+  RFV_RETURN_IF_ERROR(OpenLeft());
   // Same pin order as TableScanOp: reader epoch first, then the
   // snapshot whose rows and index image the probes read.
   epoch_guard_ = EpochGuard();
@@ -101,70 +115,27 @@ void IndexNestedLoopJoinOp::ProbeBand(const BandSpec& spec,
   for (const OrderedIndex::Entry& entry : index_->EntriesInRange(
            Value::Int(band.lo), Value::Int(band.hi))) {
     if (w > 1 && FlooredMod(entry.key.AsInt(), w) != band.residue) continue;
-    candidates_.push_back(entry.row_id);
+    row_ids_.push_back(entry.row_id);
   }
 }
 
-Status IndexNestedLoopJoinOp::AdvanceLeft(bool* eof) {
-  RFV_RETURN_IF_ERROR(left_->Next(&current_left_, eof));
-  left_valid_ = !*eof;
-  left_matched_ = false;
-  candidates_.clear();
-  candidate_pos_ = 0;
-  if (*eof) return Status::OK();
-
+Status IndexNestedLoopJoinOp::FindCandidates(const Row& left_row) {
+  row_ids_.clear();
   for (const BandSpec& spec : spec_.bands) {
     ResolvedBand band;
-    RFV_RETURN_IF_ERROR(ResolveBand(spec, current_left_, &band));
+    RFV_RETURN_IF_ERROR(ResolveBand(spec, left_row, &band));
     ProbeBand(spec, band);
   }
   if (spec_.bands.size() > 1) {
     // Overlapping bands (OR branches, IN candidates) may hit the same
     // row; a join predicate match is boolean, so deduplicate.
-    std::sort(candidates_.begin(), candidates_.end());
-    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
-                      candidates_.end());
+    std::sort(row_ids_.begin(), row_ids_.end());
+    row_ids_.erase(std::unique(row_ids_.begin(), row_ids_.end()),
+                   row_ids_.end());
   }
+  candidates_.clear();
+  for (const size_t id : row_ids_) candidates_.push_back(&snap_->row(id));
   return Status::OK();
-}
-
-Status IndexNestedLoopJoinOp::NextImpl(Row* row, bool* eof) {
-  while (true) {
-    if (!left_valid_) {
-      bool left_eof = false;
-      RFV_RETURN_IF_ERROR(AdvanceLeft(&left_eof));
-      if (left_eof) {
-        *eof = true;
-        return Status::OK();
-      }
-    }
-    while (candidate_pos_ < candidates_.size()) {
-      const size_t right_id = candidates_[candidate_pos_++];
-      Row joined = Row::Concat(current_left_, snap_->row(right_id));
-      bool match = true;
-      if (spec_.residual != nullptr) {
-        RFV_ASSIGN_OR_RETURN(
-            match, Evaluator::EvalPredicate(*spec_.residual, joined));
-      }
-      if (match) {
-        left_matched_ = true;
-        *row = std::move(joined);
-        *eof = false;
-        return Status::OK();
-      }
-    }
-    if (join_type_ == JoinType::kLeftOuter && !left_matched_) {
-      Row joined = current_left_;
-      for (size_t i = 0; i < right_schema_.NumColumns(); ++i) {
-        joined.Append(Value::Null());
-      }
-      left_valid_ = false;
-      *row = std::move(joined);
-      *eof = false;
-      return Status::OK();
-    }
-    left_valid_ = false;
-  }
 }
 
 // ---------------------------------------------------------------------------

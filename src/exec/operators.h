@@ -42,7 +42,6 @@ class TableScanOp : public PhysicalOperator {
         table_(table),
         range_(std::move(range)) {}
   const char* name() const override { return "scan"; }
-  bool VectorNative() const override { return true; }
   /// "index=<name> range=[lo,hi]" for a range scan.
   std::string MetricsDetail() const override;
 
@@ -82,7 +81,6 @@ class FilterOp : public PhysicalOperator {
         child_(std::move(child)),
         predicate_(std::move(predicate)) {}
   const char* name() const override { return "filter"; }
-  bool VectorNative() const override { return true; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());
@@ -107,7 +105,6 @@ class ProjectOp : public PhysicalOperator {
         child_(std::move(child)),
         projections_(std::move(projections)) {}
   const char* name() const override { return "project"; }
-  bool VectorNative() const override { return true; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());
@@ -125,20 +122,70 @@ class ProjectOp : public PhysicalOperator {
   VectorProjection out_vp_;
 };
 
-/// Nested-loop join: materializes the right input once, then scans it
-/// per left row. Supports inner, cross and left outer joins with an
-/// arbitrary residual condition — the fallback the paper's "self join
-/// method **without** index" rows in Table 1 exercise.
-class NestedLoopJoinOp : public PhysicalOperator {
+/// The loop of the two row-at-a-time joins, the nested-loop and the
+/// index nested-loop join: the tests' reference joins, which share no
+/// join code with the columnar ones. The left input is pulled by
+/// NextVector and each selected lane is materialized as a Row; the
+/// subclass supplies that row's candidate right rows (FindCandidates),
+/// and the loop checks the residual on each concatenated pair with
+/// Evaluator::EvalPredicate, in candidate order, NULL-pads an unmatched
+/// left row under LEFT OUTER, and writes the joined rows into the lanes
+/// of one output projection, splitting a left row's matches across
+/// output vectors when they overflow one.
+class RowJoinOp : public PhysicalOperator {
+ protected:
+  /// `residual`: the condition checked on each candidate pair; null =
+  /// every candidate matches.
+  RowJoinOp(Schema schema, PhysicalOperatorPtr left, ExprPtr residual,
+            JoinType join_type)
+      : PhysicalOperator(std::move(schema)),
+        left_(std::move(left)),
+        residual_(std::move(residual)),
+        join_type_(join_type) {}
+
+  /// Opens the left input and resets the loop; called by the subclass's
+  /// OpenImpl.
+  Status OpenLeft();
+  Status NextVectorImpl(VectorProjection** out, bool* eof) final;
+
+  /// Points candidates_ at the right rows to try with `left_row`, in
+  /// the order the loop checks them. The rows must stay valid until the
+  /// next call.
+  virtual Status FindCandidates(const Row& left_row) = 0;
+
+  PhysicalOperatorPtr left_;
+  std::vector<const Row*> candidates_;
+
+ private:
+  ExprPtr residual_;
+  JoinType join_type_;
+
+  /// The left vector being walked and its next selection slot.
+  VectorProjection* left_vp_ = nullptr;
+  size_t left_slot_ = 0;
+  Row left_row_;
+  /// left_row_ followed by the current candidate's cells: the row the
+  /// residual is evaluated on and that a match writes out.
+  Row joined_;
+  size_t left_width_ = 0;
+  bool left_valid_ = false;
+  bool left_matched_ = false;
+  size_t candidate_pos_ = 0;
+  VectorProjection out_vp_;
+};
+
+/// Nested-loop join: materializes the right input once, then tries every
+/// right row with each left row. Supports inner, cross and left outer
+/// joins with an arbitrary condition — the fallback the paper's "self
+/// join method **without** index" rows in Table 1 exercise.
+class NestedLoopJoinOp : public RowJoinOp {
  public:
   NestedLoopJoinOp(Schema schema, PhysicalOperatorPtr left,
                    PhysicalOperatorPtr right, ExprPtr condition,
                    JoinType join_type)
-      : PhysicalOperator(std::move(schema)),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        condition_(std::move(condition)),
-        join_type_(join_type) {}
+      : RowJoinOp(std::move(schema), std::move(left), std::move(condition),
+                  join_type),
+        right_(std::move(right)) {}
   const char* name() const override { return "nested_loop_join"; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
@@ -148,22 +195,12 @@ class NestedLoopJoinOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
+  /// Every right row, set once at Open.
+  Status FindCandidates(const Row&) override { return Status::OK(); }
 
  private:
-  Status AdvanceLeft(bool* eof);
-
-  PhysicalOperatorPtr left_;
   PhysicalOperatorPtr right_;
-  ExprPtr condition_;
-  JoinType join_type_;
-
   std::vector<Row> right_rows_;
-  Row current_left_;
-  bool left_valid_ = false;
-  bool left_matched_ = false;
-  size_t right_pos_ = 0;
-  size_t right_width_ = 0;
 };
 
 /// One band of a band-shaped join: the set of right-side keys a left
@@ -259,17 +296,16 @@ Status ResolveBand(const BandSpec& band, const Row& left_row,
 /// Probes and right rows both come from one snapshot pinned at Open, so
 /// concurrent DML can neither move the rows under the probe's row ids
 /// nor free them.
-class IndexNestedLoopJoinOp : public PhysicalOperator {
+class IndexNestedLoopJoinOp : public RowJoinOp {
  public:
+  /// The spec's residual becomes the loop's residual.
   IndexNestedLoopJoinOp(Schema schema, PhysicalOperatorPtr left,
-                        Table* right_table, Schema right_schema,
-                        BandJoinSpec spec, JoinType join_type)
-      : PhysicalOperator(std::move(schema)),
-        left_(std::move(left)),
+                        Table* right_table, BandJoinSpec spec,
+                        JoinType join_type)
+      : RowJoinOp(std::move(schema), std::move(left),
+                  std::move(spec.residual), join_type),
         right_table_(right_table),
-        right_schema_(std::move(right_schema)),
-        spec_(std::move(spec)),
-        join_type_(join_type) {}
+        spec_(std::move(spec)) {}
   const char* name() const override { return "index_nested_loop_join"; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
@@ -278,29 +314,24 @@ class IndexNestedLoopJoinOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
+  /// The pinned snapshot's rows under the index entries of the left
+  /// row's bands, in index order (row-id order when several bands may
+  /// overlap).
+  Status FindCandidates(const Row& left_row) override;
 
  private:
-  Status AdvanceLeft(bool* eof);
-  /// Appends the row ids of the index entries in `band` to candidates_.
+  /// Appends the row ids of the index entries in `band` to row_ids_.
   void ProbeBand(const BandSpec& spec, const ResolvedBand& band);
 
-  PhysicalOperatorPtr left_;
   Table* right_table_;
-  Schema right_schema_;
   BandJoinSpec spec_;
-  JoinType join_type_;
 
   /// The right table's image this join reads, rows and index alike;
   /// pinned in OpenImpl with a reader epoch, as TableScanOp does.
   TableSnapshotPtr snap_;
   EpochGuard epoch_guard_{nullptr};
   OrderedIndexPtr index_;
-  Row current_left_;
-  bool left_valid_ = false;
-  bool left_matched_ = false;
-  std::vector<size_t> candidates_;
-  size_t candidate_pos_ = 0;
+  std::vector<size_t> row_ids_;
 };
 
 /// Merge band join: materializes the right input once into a sorted
@@ -311,7 +342,8 @@ class IndexNestedLoopJoinOp : public PhysicalOperator {
 /// stride enumeration for the MaxOA/MinOA partitioned patterns. This is
 /// the linear-time execution strategy for the Fig. 2/10/13 self-join
 /// patterns; selected ahead of the index nested-loop join for every band
-/// spec but a single plain equality point.
+/// spec but a single plain equality point. Candidate runs are gathered
+/// column-wise into the output lanes (band_join.cc).
 class MergeBandJoinOp : public PhysicalOperator {
  public:
   MergeBandJoinOp(Schema schema, PhysicalOperatorPtr left,
@@ -328,13 +360,8 @@ class MergeBandJoinOp : public PhysicalOperator {
     out->push_back(left_.get());
     out->push_back(right_.get());
   }
-  /// Native columnar output: candidate runs from the monotone band
-  /// cursors are gathered column-wise into pooled output lanes
-  /// (band_join.cc NextVectorImpl) instead of transposing per-row
-  /// concatenations.
-  bool VectorNative() const override { return true; }
-  /// Test hook: shrinks the native vector path's output capacity so
-  /// tests can force candidate runs to split across output vectors.
+  /// Test hook: shrinks the output capacity so tests can force
+  /// candidate runs to split across output vectors.
   void SetVectorOutputCapacityForTest(size_t cap) {
     vector_capacity_ = cap == 0 ? 1 : cap;
   }
@@ -557,7 +584,10 @@ class MergeBandJoinOp : public PhysicalOperator {
 };
 
 /// Hash join on equi-key conjuncts (inner / left outer) with optional
-/// residual condition.
+/// residual condition. The build bulk-hashes whole key vectors into a
+/// contiguous bucket-chain table (one allocation pass); the probe
+/// bulk-hashes each probe vector, chases chains per lane and gathers
+/// matches column-wise. See join.cc.
 class HashJoinOp : public PhysicalOperator {
  public:
   HashJoinOp(Schema schema, PhysicalOperatorPtr left,
@@ -577,13 +607,8 @@ class HashJoinOp : public PhysicalOperator {
     out->push_back(left_.get());
     out->push_back(right_.get());
   }
-  /// Columnar execution: the build bulk-hashes whole key vectors into a
-  /// contiguous bucket-chain table (one allocation pass), and the probe
-  /// bulk-hashes each probe vector, chases chains per lane and gathers
-  /// matches column-wise. See join.cc.
-  bool VectorNative() const override { return true; }
-  /// Test hook: shrinks the native vector path's output capacity so
-  /// tests can force match runs to split across output vectors.
+  /// Test hook: shrinks the output capacity so tests can force match
+  /// runs to split across output vectors.
   void SetVectorOutputCapacityForTest(size_t cap) {
     vector_capacity_ = cap == 0 ? 1 : cap;
   }
@@ -649,7 +674,6 @@ class SortOp : public PhysicalOperator {
         child_(std::move(child)),
         keys_(std::move(keys)) {}
   const char* name() const override { return "sort"; }
-  bool VectorNative() const override { return true; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());
@@ -700,7 +724,6 @@ class HashAggregateOp : public PhysicalOperator {
         group_by_(std::move(group_by)),
         aggregates_(std::move(aggregates)) {}
   const char* name() const override { return "hash_aggregate"; }
-  bool VectorNative() const override { return true; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());
@@ -735,7 +758,8 @@ class HashAggregateOp : public PhysicalOperator {
 /// Reporting-function (window) operator: materializes its input,
 /// evaluates every WindowCall with an O(1)-amortized-per-row frame
 /// engine (see exec/window_frame.h), appends one column per call, and
-/// re-emits rows in their original input order.
+/// re-emits rows in their original input order, up to kVectorSize of
+/// them per output vector.
 ///
 /// Partition-parallel: after the sort, the per-partition sweeps are
 /// independent, so partitions are chunked across the shared ThreadPool
@@ -763,7 +787,7 @@ class WindowOp : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
+  Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
   /// Shared read-only inputs of one call's per-partition sweeps.
@@ -796,7 +820,9 @@ class WindowOp : public PhysicalOperator {
   int64_t parallel_min_rows_;
   std::vector<Row> rows_;
   std::vector<std::vector<Value>> extra_columns_;
+  /// Next buffered row to emit.
   size_t pos_ = 0;
+  VectorProjection out_vp_;
 };
 
 class UnionAllOp : public PhysicalOperator {
@@ -804,7 +830,6 @@ class UnionAllOp : public PhysicalOperator {
   UnionAllOp(Schema schema, std::vector<PhysicalOperatorPtr> children)
       : PhysicalOperator(std::move(schema)), children_(std::move(children)) {}
   const char* name() const override { return "union_all"; }
-  bool VectorNative() const override { return true; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
     for (const PhysicalOperatorPtr& c : children_) out->push_back(c.get());
@@ -826,7 +851,6 @@ class LimitOp : public PhysicalOperator {
         child_(std::move(child)),
         limit_(limit) {}
   const char* name() const override { return "limit"; }
-  bool VectorNative() const override { return true; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());

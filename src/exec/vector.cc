@@ -67,8 +67,8 @@ size_t VectorProjection::AppendRows(const VectorProjection& src,
 }
 
 void VectorProjection::MaterializeRow(size_t pos, Row* out) const {
-  // Overwrites a row of the right width in place: row pullers reuse one
-  // Row per input, so this allocates only for a fresh one.
+  // Overwrites a row of the right width in place: callers reuse one Row
+  // across calls, so this allocates only for a fresh one.
   if (out->size() != columns_.size()) {
     *out = Row(std::vector<Value>(columns_.size()));
   }

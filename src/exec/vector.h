@@ -13,10 +13,9 @@
 namespace rfv {
 
 /// Rows per vector: the capacity of the projections the scans, the
-/// joins and the row-only operators' fallback produce, and the chunk
-/// size of the columnar sort and aggregate. Large enough to amortize
-/// per-call overhead, small enough to stay cache-resident for typical
-/// row widths.
+/// joins and the window produce, and the chunk size of the columnar
+/// sort and aggregate. Large enough to amortize per-call overhead, small
+/// enough to stay cache-resident for typical row widths.
 constexpr size_t kVectorSize = 1024;
 
 /// One column of a VectorProjection: a fixed-length array of scalar
@@ -151,9 +150,9 @@ class SelectionVector {
 /// A batch of rows in columnar form: one Vector per output column, all
 /// of the same length (`num_rows`), plus a SelectionVector naming the
 /// positions that are logically present. This is the unit of exchange of
-/// the vectorized pull style (PhysicalOperator::NextVector). Producers
-/// own their projection and hand out a pointer; consumers may narrow the
-/// selection in place (filter, limit) without touching the column data.
+/// the pull protocol (PhysicalOperator::NextVector). Producers own their
+/// projection and hand out a pointer; consumers may narrow the selection
+/// in place (filter, limit) without touching the column data.
 class VectorProjection {
  public:
   /// Resets to `num_columns` vectors of `num_rows` NULL cells with a
@@ -185,17 +184,16 @@ class VectorProjection {
   size_t AppendRows(const VectorProjection& src, size_t from,
                     size_t max_rows);
 
-  /// Keeps the first `n` physical rows (n <= num_rows()) under a full
-  /// selection. The row-only fallback fills a kVectorSize projection
-  /// and cuts it to the rows it got.
-  void Truncate(size_t n) {
-    for (Vector& c : columns_) c.Resize(n);
-    sel_.InitFull(n);
-    num_rows_ = n;
-  }
-
   /// Materializes row position `pos` (not a selection slot) as a Row.
   void MaterializeRow(size_t pos, Row* out) const;
+
+  /// The inverse: writes the cells of `row` into columns
+  /// 0..row.size() - 1 at row position `pos`, tag-exact. The output
+  /// path of the operators that compute Rows (window, the nested-loop
+  /// joins).
+  void WriteRow(size_t pos, const Row& row) {
+    for (size_t c = 0; c < row.size(); ++c) columns_[c].SetValue(pos, row[c]);
+  }
 
   /// Appends every selected row, in selection order, to *out — the
   /// row-materialization adapter at blocking-operator and root

@@ -18,8 +18,8 @@ namespace rfv {
 /// arguments) are realized as *sub-selections*: a sub-expression is
 /// evaluated only over the rows on which Evaluator would evaluate it.
 /// This keeps runtime errors (division by zero, MOD by zero) the same
-/// across plans, whose row-only operators (window, the nested-loop joins)
-/// evaluate with Evaluator — the differential oracles depend on it. The
+/// across plans: the window and the two nested-loop joins evaluate with
+/// Evaluator, row by row — the differential oracles depend on it. The
 /// one permitted divergence: when several rows of one vector would each
 /// raise an error, which row's message surfaces is unspecified (Evaluator
 /// row by row reports the first row's).

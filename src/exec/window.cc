@@ -308,18 +308,25 @@ Status WindowOp::ProcessPartition(const CallContext& ctx, size_t part_start,
   return Status::OK();
 }
 
-Status WindowOp::NextImpl(Row* row, bool* eof) {
-  if (pos_ >= rows_.size()) {
-    *eof = true;
-    return Status::OK();
+Status WindowOp::NextVectorImpl(VectorProjection** out, bool* eof) {
+  const size_t n = std::min(kVectorSize, rows_.size() - pos_);
+  const size_t input_width = schema_.NumColumns() - extra_columns_.size();
+  out_vp_.Reset(schema_.NumColumns(), n);
+  for (size_t i = 0; i < n; ++i) {
+    out_vp_.WriteRow(i, rows_[pos_ + i]);
+    // Emitted rows free their cells at once, so the buffer shrinks while
+    // a consumer above (a sort) fills its own.
+    rows_[pos_ + i] = Row();
   }
-  Row out = std::move(rows_[pos_]);
-  for (const std::vector<Value>& column : extra_columns_) {
-    out.Append(column[pos_]);
+  for (size_t j = 0; j < extra_columns_.size(); ++j) {
+    Vector& column = out_vp_.column(input_width + j);
+    for (size_t i = 0; i < n; ++i) {
+      column.SetValue(i, extra_columns_[j][pos_ + i]);
+    }
   }
-  *row = std::move(out);
-  ++pos_;
-  *eof = false;
+  pos_ += n;
+  *out = &out_vp_;
+  *eof = pos_ == rows_.size();
   return Status::OK();
 }
 

@@ -19,9 +19,9 @@ namespace rfv {
 /// `Catalog::GetTable` path. The catalog materializes the provider's
 /// rows into a cached content table at resolution time — which the
 /// binder hits once per table reference, i.e. at scan-open from the
-/// executor's perspective — so the scan pipeline (row, batch and
-/// vector pull styles, filters, windows, joins) runs over a stable
-/// snapshot and `mutation_epoch` never fires mid-query.
+/// executor's perspective — so the scan pipeline (filters, windows,
+/// joins) runs over a stable snapshot and `mutation_epoch` never fires
+/// mid-query.
 ///
 /// Virtual tables are read-only: DML, DROP and index DDL against them
 /// are rejected by the database layer.

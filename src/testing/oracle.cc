@@ -15,6 +15,12 @@ namespace fuzzing {
 
 namespace {
 
+/// The largest scenario table the nestedloop oracle replays: its
+/// nested loops try every pair of rows, so the large rewrite kind's
+/// 1 100-1 300-row tables cost seconds per query. This bound keeps the
+/// smaller quarter of them, whose left inputs still span two vectors.
+constexpr size_t kNestedLoopMaxRows = 1150;
+
 Counter* ChecksCounter() {
   static Counter* c = MetricsRegistry::Global().GetCounter(
       "rfv_fuzz_checks_total", {},
@@ -491,14 +497,25 @@ class OracleRunner {
           // either (DESIGN.md §16): it also checks the fold's walk and
           // prefix path. Fuzz values are integers, so the sums are
           // exact and the rows must be identical.
+          //
+          // Oracle 6: the same configs with the index and hash joins off
+          // too, so every join of the rewrite is a NestedLoopJoinOp: the
+          // row-at-a-time reference join, which shares no join code
+          // with the band, index-probe or hash paths.
           std::optional<Result<ResultSet>> no_band;
+          std::optional<Result<ResultSet>> nested_loop;
           if (config.force.has_value() &&
               variant == RewriteVariant::kDisjunctive) {
             ExecOptions& exec = db_.options().exec;
-            const bool saved_band = exec.enable_merge_band_join;
+            const ExecOptions saved = exec;
             exec.enable_merge_band_join = false;
             no_band = db_.Execute(sql);
-            exec.enable_merge_band_join = saved_band;
+            if (s_.rows.size() <= kNestedLoopMaxRows) {
+              exec.enable_index_nested_loop_join = false;
+              exec.enable_hash_join = false;
+              nested_loop = db_.Execute(sql);
+            }
+            exec = saved;
           }
 
           // Oracle 5: forced hash join. Partitioned rewrites join the
@@ -568,6 +585,7 @@ class OracleRunner {
                 }
               };
           check_replay("band", no_band);
+          check_replay("nestedloop", nested_loop);
           check_replay("hashjoin", hash_only);
         }
       }

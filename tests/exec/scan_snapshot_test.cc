@@ -1,10 +1,9 @@
 // A table scan pins a committed copy-on-write snapshot at Open and
 // reads it to EOF regardless of DML landing on the live table — the
 // serving model's reader half. These tests pin the stable-snapshot
-// semantics for both pull protocols (row, vector), including
-// mutations landing *between* pulls of a multi-vector scan, the
-// statement-granular BeginWrite/EndWrite commit bracket, and the
-// chunk-sharing structure of consecutive snapshots.
+// semantics, including mutations landing *between* pulls of a
+// multi-vector scan, the statement-granular BeginWrite/EndWrite commit
+// bracket, and the chunk-sharing structure of consecutive snapshots.
 
 #include <gtest/gtest.h>
 
@@ -36,28 +35,6 @@ class ScanSnapshotTest : public ::testing::Test {
   Table* table_ = nullptr;
 };
 
-TEST_F(ScanSnapshotTest, InsertUnderOpenScanInvisible) {
-  TableScanOp scan(table_->schema(), table_);
-  ASSERT_TRUE(scan.Open().ok());
-  Row row;
-  bool eof = false;
-  ASSERT_TRUE(scan.Next(&row, &eof).ok());
-  ASSERT_FALSE(eof);
-
-  ASSERT_TRUE(table_->Insert(Row({Value::Int(4), Value::Int(40)})).ok());
-
-  // The scan keeps reading its pinned snapshot: exactly the 3 rows that
-  // were committed at Open, no error, no phantom row 4.
-  size_t rows = 1;
-  while (true) {
-    const Status s = scan.Next(&row, &eof);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    if (eof) break;
-    ++rows;
-  }
-  EXPECT_EQ(rows, 3u);
-}
-
 TEST_F(ScanSnapshotTest, DeleteUnderOpenScanVectorStable) {
   TableScanOp scan(table_->schema(), table_);
   ASSERT_TRUE(scan.Open().ok());
@@ -76,41 +53,19 @@ TEST_F(ScanSnapshotTest, DeleteUnderOpenScanVectorStable) {
   EXPECT_EQ(table_->NumRows(), 2u);
 }
 
-TEST_F(ScanSnapshotTest, UpdateUnderOpenScanSeesOldValue) {
-  TableScanOp scan(table_->schema(), table_);
-  ASSERT_TRUE(scan.Open().ok());
-  ASSERT_TRUE(
-      table_->UpdateRow(0, Row({Value::Int(1), Value::Int(99)})).ok());
-  Row row;
-  bool eof = false;
-  ASSERT_TRUE(scan.Next(&row, &eof).ok());
-  ASSERT_FALSE(eof);
-  EXPECT_EQ(row[1].AsInt(), 10);  // pre-update value
-}
-
 TEST_F(ScanSnapshotTest, ReopenAfterMutationSeesNewData) {
   TableScanOp scan(table_->schema(), table_);
   ASSERT_TRUE(scan.Open().ok());
   ASSERT_TRUE(table_->Insert(Row({Value::Int(4), Value::Int(40)})).ok());
-  Row row;
-  bool eof = false;
-  size_t rows = 0;
-  while (true) {
-    ASSERT_TRUE(scan.Next(&row, &eof).ok());
-    if (eof) break;
-    ++rows;
-  }
-  EXPECT_EQ(rows, 3u);  // old snapshot
+  std::vector<Row> rows;
+  ASSERT_TRUE(DrainChild(&scan, &rows).ok());
+  EXPECT_EQ(rows.size(), 3u);  // old snapshot
 
   // A fresh Open re-pins and sees the committed insert.
   ASSERT_TRUE(scan.Open().ok());
-  rows = 0;
-  while (true) {
-    ASSERT_TRUE(scan.Next(&row, &eof).ok());
-    if (eof) break;
-    ++rows;
-  }
-  EXPECT_EQ(rows, 4u);
+  rows.clear();
+  ASSERT_TRUE(DrainChild(&scan, &rows).ok());
+  EXPECT_EQ(rows.size(), 4u);
 }
 
 // Mid-stream stability: a table larger than one vector (1024 rows)
@@ -129,26 +84,46 @@ class ScanSnapshotMidStreamTest : public ScanSnapshotTest {
   }
 };
 
-TEST_F(ScanSnapshotMidStreamTest, InsertBetweenRowsInvisible) {
+TEST_F(ScanSnapshotMidStreamTest, InsertBetweenVectorsInvisible) {
   TableScanOp scan(table_->schema(), table_);
   ASSERT_TRUE(scan.Open().ok());
-  Row row;
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  size_t total = 0;
-  for (; total < kVectorSize; ++total) {
-    ASSERT_TRUE(scan.Next(&row, &eof).ok());
-    ASSERT_FALSE(eof);
-  }
+  ASSERT_TRUE(scan.NextVector(&vp, &eof).ok());
+  ASSERT_FALSE(eof);
+  ASSERT_EQ(vp->NumSelected(), kVectorSize);
 
   ASSERT_TRUE(table_->Insert(Row({Value::Int(9999), Value::Int(0)})).ok());
 
-  while (true) {
-    const Status s = scan.Next(&row, &eof);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    if (eof) break;
-    ++total;
-  }
-  EXPECT_EQ(total, 1500u);  // not 1501: row 9999 is post-snapshot
+  // The scan keeps reading its pinned snapshot: exactly the rows that
+  // were committed at Open, no error, no phantom row 9999.
+  std::vector<Row> rest;
+  const Status s = DrainChild(&scan, &rest);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(kVectorSize + rest.size(), 1500u);
+  EXPECT_EQ(rest.back()[0], Value::Int(1500));
+}
+
+TEST_F(ScanSnapshotMidStreamTest, UpdateUnderOpenScanSeesOldValues) {
+  TableScanOp scan(table_->schema(), table_);
+  ASSERT_TRUE(scan.Open().ok());
+  // One update before the first pull, one of a row still pending after
+  // it.
+  ASSERT_TRUE(
+      table_->UpdateRow(0, Row({Value::Int(1), Value::Int(99)})).ok());
+  VectorProjection* vp = nullptr;
+  bool eof = false;
+  ASSERT_TRUE(scan.NextVector(&vp, &eof).ok());
+  ASSERT_FALSE(eof);
+  ASSERT_EQ(vp->NumSelected(), kVectorSize);
+  EXPECT_EQ(vp->column(1).GetValue(vp->sel()[0]), Value::Int(10));
+  ASSERT_TRUE(
+      table_->UpdateRow(1099, Row({Value::Int(1100), Value::Int(-1)})).ok());
+  ASSERT_TRUE(scan.NextVector(&vp, &eof).ok());
+  ASSERT_FALSE(eof);
+  // Row 1 100 is lane 1 100 - 1 025 of the second vector.
+  EXPECT_EQ(vp->column(0).GetValue(vp->sel()[75]), Value::Int(1100));
+  EXPECT_EQ(vp->column(1).GetValue(vp->sel()[75]), Value::Int(11000));
 }
 
 TEST_F(ScanSnapshotMidStreamTest, DeleteBetweenVectorsInvisible) {
@@ -279,9 +254,10 @@ TEST_F(ScanSnapshotTest, AnalyzeDoesNotBumpEpoch) {
   TableScanOp scan(table_->schema(), table_);
   ASSERT_TRUE(scan.Open().ok());
   MustExecute(db_, "ANALYZE t");
-  Row row;
-  bool eof = false;
-  EXPECT_TRUE(scan.Next(&row, &eof).ok());
+  VectorProjection* vp = nullptr;
+  bool eof = true;
+  EXPECT_TRUE(scan.NextVector(&vp, &eof).ok());
+  EXPECT_FALSE(eof);
 }
 
 // Copy-on-write at chunk granularity, and the snapshot-versioned index
@@ -296,7 +272,7 @@ class ChunkedSnapshotTest : public ::testing::Test {
   }
 
   /// Rows a range scan of pos in [lo, hi] yields from its pinned
-  /// snapshot, pulled in two steps with `between` run in the middle.
+  /// snapshot: the first vector, then `between`, then the rest.
   std::vector<Row> RangeScan(int64_t lo, int64_t hi,
                              const std::function<void()>& between) {
     KeyRange range;
@@ -307,16 +283,12 @@ class ChunkedSnapshotTest : public ::testing::Test {
     TableScanOp scan(table_->schema(), table_, range);
     EXPECT_TRUE(scan.Open().ok());
     std::vector<Row> rows;
-    Row row;
+    VectorProjection* vp = nullptr;
     bool eof = false;
-    EXPECT_TRUE(scan.Next(&row, &eof).ok());
-    if (!eof) rows.push_back(row);
+    EXPECT_TRUE(scan.NextVector(&vp, &eof).ok());
+    if (!eof) vp->AppendSelectedTo(&rows);
     between();
-    while (true) {
-      EXPECT_TRUE(scan.Next(&row, &eof).ok());
-      if (eof) break;
-      rows.push_back(row);
-    }
+    EXPECT_TRUE(DrainChild(&scan, &rows).ok());
     return rows;
   }
 
@@ -379,22 +351,23 @@ TEST_F(ChunkedSnapshotTest, NonKeyUpdateReusesTheIndexImage) {
 }
 
 TEST_F(ChunkedSnapshotTest, RangeScanReadsItsPinnedImage) {
-  // Deletes below the range shift every row id in it, inserts add
-  // keys to it and a key update moves a row out of it: the open scan
-  // keeps the 100 rows of its snapshot, in pos order.
-  const std::vector<Row> rows = RangeScan(1001, 1100, [this] {
+  // Between the range's two vectors, deletes below the range shift
+  // every row id in it, inserts add keys to its pending part and a key
+  // update moves a pending row out of it: the open scan keeps the 1 500
+  // rows of its snapshot, in pos order.
+  const std::vector<Row> rows = RangeScan(1001, 2500, [this] {
     MustExecute(db_, "DELETE FROM seq WHERE pos <= 50");
-    MustExecute(db_, "INSERT INTO seq VALUES (1050, 7), (1051, 7)");
-    MustExecute(db_, "UPDATE seq SET pos = pos + 5000 WHERE pos = 1060");
+    MustExecute(db_, "INSERT INTO seq VALUES (2100, 7), (2101, 7)");
+    MustExecute(db_, "UPDATE seq SET pos = pos + 5000 WHERE pos = 2200");
   });
-  ASSERT_EQ(rows.size(), 100u);
+  ASSERT_EQ(rows.size(), 1500u);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i][0], Value::Int(static_cast<int64_t>(1001 + i)));
   }
   // A fresh statement sees the committed changes.
   const ResultSet rs =
-      MustExecute(db_, "SELECT pos FROM seq WHERE pos BETWEEN 1001 AND 1100");
-  EXPECT_EQ(rs.rows().size(), 101u);
+      MustExecute(db_, "SELECT pos FROM seq WHERE pos BETWEEN 1001 AND 2500");
+  EXPECT_EQ(rs.rows().size(), 1501u);
 }
 
 // End-to-end shape: SQL-level DML between two executed statements is

@@ -9,11 +9,11 @@
 //  tests pin that shape and that no final rows are dropped.
 //
 // Also covered: limit hit mid-vector, UNION ALL over interleaved empty
-// children, the row pull of vector-native operators (Next serves their
-// vectors' rows), row-only joins over columnar ones, and the columnar
-// operators' answers over a small query suite, checked against pinned
-// rows, a test-side stable sort, the forced nested-loop plan, or the
-// plan without the band join.
+// children, the nested-loop joins over columnar joins and under them,
+// the lanes the nested-loop joins emit, and the columnar operators'
+// answers over a small query suite, checked against pinned rows, rows
+// computed from the inputs, a test-side stable sort, the forced
+// nested-loop plan, or the plan without the band join.
 
 #include <gtest/gtest.h>
 
@@ -129,7 +129,6 @@ class ScriptedVectorOp : public PhysicalOperator {
       : PhysicalOperator(Schema({ColumnDef("a", DataType::kInt64)})),
         script_(std::move(script)) {}
   const char* name() const override { return "scripted"; }
-  bool VectorNative() const override { return true; }
   size_t impl_calls() const { return next_; }
 
  protected:
@@ -191,25 +190,6 @@ TEST(NextVectorShellTest, EmptyEofEndsTheStreamAtOnce) {
   ASSERT_TRUE(op.Open().ok());
   ExpectVectorEof(&op);
   EXPECT_EQ(op.impl_calls(), 2u);
-}
-
-TEST(NextVectorShellTest, NextServesTheRowsOfTheVectors) {
-  ScriptedVectorOp op({{2, false}, {0, false}, {-1, false}, {1, true}});
-  ASSERT_TRUE(op.Open().ok());
-  std::vector<int64_t> got;
-  Row row;
-  bool eof = false;
-  while (true) {
-    ASSERT_TRUE(op.Next(&row, &eof).ok());
-    if (eof) break;
-    got.push_back(row[0].AsInt());
-  }
-  EXPECT_EQ(got, (std::vector<int64_t>{1, 2, 3}));
-  ASSERT_TRUE(op.Next(&row, &eof).ok());  // still eof, nothing re-entered
-  EXPECT_TRUE(eof);
-  EXPECT_EQ(op.impl_calls(), 4u);
-  EXPECT_EQ(op.metrics().rows_out, 3);
-  EXPECT_EQ(op.metrics().vectors_out, 2);
 }
 
 TEST_F(ExecContractTest, DrainChildKeepsFinalVectorRows) {
@@ -276,8 +256,9 @@ TEST_F(UnionAllTest, SkipsEmptyChildrenWithinOneCall) {
 }
 
 // Parses, binds, optimizes and estimates `sql`, then builds its physical
-// plan with the default (vectorized) options.
-PhysicalOperatorPtr BuildSqlPlan(Database* db, const std::string& sql) {
+// plan with `options`.
+PhysicalOperatorPtr BuildSqlPlan(Database* db, const std::string& sql,
+                                 const ExecOptions& options = {}) {
   Result<Statement> stmt = Parser::ParseStatement(sql);
   EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
   if (!stmt.ok()) return nullptr;
@@ -287,7 +268,7 @@ PhysicalOperatorPtr BuildSqlPlan(Database* db, const std::string& sql) {
   if (!bound.ok()) return nullptr;
   LogicalPlanPtr plan = OptimizePlan(std::move(bound).value());
   EstimateCardinality(plan.get());
-  Result<PhysicalOperatorPtr> built = BuildPhysicalPlan(*plan);
+  Result<PhysicalOperatorPtr> built = BuildPhysicalPlan(*plan, options);
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   return built.ok() ? std::move(built).value() : nullptr;
 }
@@ -346,8 +327,8 @@ bool SameCell(const Value& x, const Value& y) {
 }
 
 // ---------------------------------------------------------------------
-// The columnar operators on a small SQL suite (end to end, including
-// plans that mix vector-native and row-only operators). Answers are
+// The operators on a small SQL suite (end to end, including plans with
+// the window and the nested-loop joins, which compute Rows). Answers are
 // checked against pinned rows, a test-side stable sort, or the forced
 // nested-loop plan.
 // ---------------------------------------------------------------------
@@ -493,13 +474,13 @@ TEST_F(ExecSqlTest, LimitAndUnion) {
 }
 
 // ---------------------------------------------------------------------
-// Row-only left inputs under the columnar joins: the hash and band
-// joins pull an index nested-loop or nested-loop join through
-// NextVector, whose shell writes the join's rows into lanes. 2 500
-// left rows cross the 1 024-row vector boundary twice.
+// Nested-loop joins as the left input of the columnar joins: the hash
+// and band joins pull an index nested-loop or nested-loop join, which
+// writes its joined rows into lanes. 2 500 left rows cross the 1 024-row
+// vector boundary twice.
 // ---------------------------------------------------------------------
 
-class RowOnlyLeftInputTest : public ExecSqlTest {
+class NestedLoopLeftInputTest : public ExecSqlTest {
  protected:
   void SetUp() override {
     ExecSqlTest::SetUp();
@@ -536,7 +517,7 @@ class RowOnlyLeftInputTest : public ExecSqlTest {
   }
 };
 
-TEST_F(RowOnlyLeftInputTest, HashJoinOverIndexNestedLoop) {
+TEST_F(NestedLoopLeftInputTest, HashJoinOverIndexNestedLoop) {
   const std::string sql =
       "SELECT a.k, b.v, c.w FROM big a JOIN big b ON b.k = a.k "
       "JOIN half c ON c.k = b.k";
@@ -548,7 +529,7 @@ TEST_F(RowOnlyLeftInputTest, HashJoinOverIndexNestedLoop) {
   ExpectLeftInput(sql, "hash_join", "index_nested_loop_join", 3);
 }
 
-TEST_F(RowOnlyLeftInputTest, BandJoinOverNestedLoop) {
+TEST_F(NestedLoopLeftInputTest, BandJoinOverNestedLoop) {
   const std::string sql =
       "SELECT a.k, c.k FROM big a JOIN low b ON a.v > b.w "
       "JOIN big c ON c.k BETWEEN a.k - 1 AND a.k + 1";
@@ -564,7 +545,7 @@ TEST_F(RowOnlyLeftInputTest, BandJoinOverNestedLoop) {
   ExpectLeftInput(sql, "merge_band_join", "nested_loop_join", 3);
 }
 
-TEST_F(RowOnlyLeftInputTest, LeftJoinsOverRowOnlyInputs) {
+TEST_F(NestedLoopLeftInputTest, LeftJoinsOverNestedLoopInputs) {
   // Odd keys find no partner in half: their rows come back NULL-padded.
   const std::string hash_sql =
       "SELECT a.k, c.w FROM big a JOIN big b ON b.k = a.k "
@@ -597,15 +578,14 @@ TEST_F(RowOnlyLeftInputTest, LeftJoinsOverRowOnlyInputs) {
 }
 
 // ---------------------------------------------------------------------
-// Columnar operators under row-only joins: the nested-loop and index
-// nested-loop joins pull their left input through Next, which a
-// vector-native operator answers from the rows of its own vectors. (A
-// columnar hash join once answered Next from a row-mode hash table that
-// its columnar Open never filled: no rows, or NULL-padded ones under a
-// LEFT JOIN.)
+// Columnar operators under the nested-loop joins, which pull their left
+// input by NextVector and walk its lanes as rows. (When the nested-loop
+// joins still pulled rows, a columnar hash join once answered the row
+// pull from a row-mode hash table that its columnar Open never filled:
+// no rows, or NULL-padded ones under a LEFT JOIN.)
 // ---------------------------------------------------------------------
 
-class UnderRowOnlyJoinTest : public ExecSqlTest {
+class UnderNestedLoopJoinTest : public ExecSqlTest {
  protected:
   void SetUp() override {
     ExecSqlTest::SetUp();
@@ -646,7 +626,7 @@ class UnderRowOnlyJoinTest : public ExecSqlTest {
   }
 };
 
-TEST_F(UnderRowOnlyJoinTest, HashJoinUnderNestedLoopJoin) {
+TEST_F(UnderNestedLoopJoinTest, HashJoinUnderNestedLoopJoin) {
   ExpectAnswer(
       "SELECT a.k, b.y, c.z FROM a JOIN b ON a.k = b.k JOIN c ON a.x <> c.z",
       {"project", " nested_loop_join", "  hash_join", "   scan", "   scan",
@@ -655,7 +635,7 @@ TEST_F(UnderRowOnlyJoinTest, HashJoinUnderNestedLoopJoin) {
        {3, 300, 25}});
 }
 
-TEST_F(UnderRowOnlyJoinTest, LeftHashJoinUnderNestedLoopJoin) {
+TEST_F(UnderNestedLoopJoinTest, LeftHashJoinUnderNestedLoopJoin) {
   ExpectAnswer(
       "SELECT a.k, b.y, c.z FROM a LEFT JOIN b ON a.k = b.k "
       "JOIN c ON a.x <> c.z",
@@ -665,7 +645,7 @@ TEST_F(UnderRowOnlyJoinTest, LeftHashJoinUnderNestedLoopJoin) {
        {3, 300, 25}});
 }
 
-TEST_F(UnderRowOnlyJoinTest, HashJoinUnderIndexNestedLoopJoin) {
+TEST_F(UnderNestedLoopJoinTest, HashJoinUnderIndexNestedLoopJoin) {
   MustExecute(db_, "INSERT INTO a VALUES (3, 31)");
   MustExecute(db_, "INSERT INTO c VALUES (31)");
   MustExecute(db_, "CREATE INDEX c_z ON c (z)");
@@ -676,7 +656,7 @@ TEST_F(UnderRowOnlyJoinTest, HashJoinUnderIndexNestedLoopJoin) {
       {{3, 31}});
 }
 
-TEST_F(UnderRowOnlyJoinTest, ColumnarInputsOfANestedLoopJoin) {
+TEST_F(UnderNestedLoopJoinTest, ColumnarInputsOfANestedLoopJoin) {
   // A band join, an aggregate, ORDER BY ... LIMIT and UNION ALL, each in
   // a derived table on the nested loop's left side.
   ExpectAnswer(
@@ -705,6 +685,191 @@ TEST_F(UnderRowOnlyJoinTest, ColumnarInputsOfANestedLoopJoin) {
        "    scan", "   project", "    scan", "  scan"},
       {{10, 5}, {10, 25}, {20, 25}, {30, 5}, {30, 25}, {100, 5}, {200, 5},
        {200, 25}, {300, 5}, {300, 25}});
+}
+
+// ---------------------------------------------------------------------
+// The lanes of the two nested-loop joins: output spread over several
+// full vectors, one left row's matches split across vector boundaries,
+// and LEFT OUTER padding at lanes 1 023 and 1 024, every lane's tag and
+// value checked against rows computed from the inputs. The left input's
+// v mixes INTEGER-, DOUBLE- and NULL-tagged cells, computed as
+// COALESCE(d, i): a table column cannot hold them, because
+// Table::ValidateAndCoerce stores an INTEGER cell of a DOUBLE column as
+// DOUBLE, for SQL INSERT and Table::InsertBatch alike. The condition
+// `r.k BETWEEN a.lo AND a.hi` gives the index join its band on r's
+// indexed key column.
+// ---------------------------------------------------------------------
+
+class RowJoinLanesTest : public ExecSqlTest {
+ protected:
+  void SetUp() override {
+    ExecSqlTest::SetUp();
+    MustExecute(db_, "CREATE TABLE r (k INTEGER, w DOUBLE)");
+    for (int64_t k = 1; k <= 1500; ++k) {
+      const Value w =
+          k % 5 == 0 ? Value::Null() : Value::Double(static_cast<double>(k));
+      right_.push_back(Row({Value::Int(k), w}));
+    }
+    Insert("r", right_);
+    MustExecute(db_, "CREATE INDEX r_k ON r (k)");
+    MustExecute(db_, "CREATE TABLE l (k INTEGER, lo INTEGER, hi INTEGER, "
+                     "d DOUBLE, i INTEGER)");
+  }
+
+  void Insert(const std::string& name, std::vector<Row> rows) {
+    Result<Table*> table = db_.catalog()->GetTable(name);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE((*table)->InsertBatch(std::move(rows)).ok());
+  }
+
+  // Fills l with one row per (k, lo, hi) and returns the rows of
+  // kLeft: (k, lo, hi, v), v being NULL, DOUBLE or INTEGER by k.
+  std::vector<Row> FillLeft(const std::vector<std::vector<int64_t>>& rows) {
+    std::vector<Row> table_rows;
+    std::vector<Row> left;
+    for (const std::vector<int64_t>& r : rows) {
+      const int64_t k = r[0];
+      Value d = Value::Null();
+      Value i = Value::Null();
+      if (k % 2 == 0 && k % 5 != 0) {
+        d = Value::Double(static_cast<double>(k) + 0.5);
+      }
+      if (k % 5 != 0) i = Value::Int(k);
+      const Value v = d.is_null() ? i : d;
+      const Value lo = Value::Int(r[1]);
+      const Value hi = Value::Int(r[2]);
+      table_rows.push_back(Row({Value::Int(k), lo, hi, d, i}));
+      left.push_back(Row({Value::Int(k), lo, hi, v}));
+    }
+    Insert("l", std::move(table_rows));
+    return left;
+  }
+
+  // The join of `left` with r on r.k BETWEEN lo AND hi (and, with
+  // `non_null_w`, r.w IS NOT NULL), in left order and r's key order
+  // per left row; unmatched left rows NULL-padded when `left_outer`.
+  std::vector<Row> Join(const std::vector<Row>& left, bool left_outer,
+                        bool non_null_w) const {
+    std::vector<Row> want;
+    for (const Row& l : left) {
+      bool matched = false;
+      for (const Row& r : right_) {
+        if (r[0].AsInt() < l[1].AsInt() || r[0].AsInt() > l[2].AsInt() ||
+            (non_null_w && r[1].is_null())) {
+          continue;
+        }
+        want.push_back(Row::Concat(l, r));
+        matched = true;
+      }
+      if (!matched && left_outer) {
+        want.push_back(Row::Concat(l, Row({Value::Null(), Value::Null()})));
+      }
+    }
+    return want;
+  }
+
+  // Builds `sql` with `options`, pulls its join operator Op by
+  // NextVector and checks every lane of every vector, tag and value,
+  // against `want` in order. Returns the vectors' row counts.
+  template <typename Op>
+  std::vector<size_t> ExpectJoinLanes(const std::string& sql,
+                                      const ExecOptions& options,
+                                      const std::vector<Row>& want) {
+    SCOPED_TRACE(sql);
+    std::vector<size_t> sizes;
+    PhysicalOperatorPtr root = BuildSqlPlan(&db_, sql, options);
+    if (root == nullptr) return sizes;
+    Op* join = FindOp<Op>(root.get());
+    EXPECT_NE(join, nullptr);
+    if (join == nullptr) return sizes;
+    EXPECT_TRUE(join->Open().ok());
+    size_t seen = 0;
+    while (true) {
+      VectorProjection* vp = nullptr;
+      bool eof = false;
+      EXPECT_TRUE(join->NextVector(&vp, &eof).ok());
+      if (eof) break;
+      sizes.push_back(vp->NumSelected());
+      for (size_t slot = 0; slot < vp->NumSelected(); ++slot, ++seen) {
+        if (seen >= want.size()) {
+          ADD_FAILURE() << "more than " << want.size() << " rows";
+          return sizes;
+        }
+        const uint32_t lane = vp->sel()[slot];
+        for (size_t c = 0; c < vp->num_columns(); ++c) {
+          const Value got = vp->column(c).GetValue(lane);
+          if (!SameCell(got, want[seen][c])) {
+            ADD_FAILURE() << "row " << seen << " (vector "
+                          << sizes.size() - 1 << ", lane " << lane
+                          << ") column " << c << ": got " << got.ToString()
+                          << ", want " << want[seen][c].ToString();
+            return sizes;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(seen, want.size());
+    return sizes;
+  }
+
+  // Both nested-loop joins answer `sql` with `want`, in vectors of
+  // `sizes` rows.
+  void ExpectBothJoins(const std::string& sql, const std::vector<Row>& want,
+                       const std::vector<size_t>& sizes) {
+    ExecOptions options;
+    options.enable_merge_band_join = false;
+    options.enable_hash_join = false;
+    EXPECT_EQ(ExpectJoinLanes<IndexNestedLoopJoinOp>(sql, options, want),
+              sizes);
+    options.enable_index_nested_loop_join = false;
+    EXPECT_EQ(ExpectJoinLanes<NestedLoopJoinOp>(sql, options, want), sizes);
+  }
+
+  static constexpr const char* kLeft =
+      "(SELECT k, lo, hi, COALESCE(d, i) AS v FROM l) a";
+  std::vector<Row> right_;
+};
+
+TEST_F(RowJoinLanesTest, OutputSpansFiveVectors) {
+  // 60 left rows with 81 matches each.
+  std::vector<std::vector<int64_t>> rows;
+  for (int64_t k = 1; k <= 60; ++k) rows.push_back({k, k, k + 80});
+  const std::vector<Row> left = FillLeft(rows);
+  const std::vector<Row> want = Join(left, false, false);
+  ASSERT_EQ(want.size(), 60u * 81u);
+  ExpectBothJoins(
+      std::string("SELECT * FROM ") + kLeft +
+          " JOIN r ON r.k BETWEEN a.lo AND a.hi",
+      want, {1024, 1024, 1024, 1024, 60 * 81 - 4 * 1024});
+}
+
+TEST_F(RowJoinLanesTest, OneLeftRowsMatchesCrossVectorBoundaries) {
+  // Row 1's 1 500 matches fill vector 0 and start vector 1; row 2's
+  // 1 399 finish vector 1 and start vector 2.
+  const std::vector<Row> left = FillLeft({{1, 1, 1500}, {2, 2, 1400}});
+  const std::vector<Row> want = Join(left, false, false);
+  ASSERT_EQ(want.size(), 2899u);
+  ExpectBothJoins(
+      std::string("SELECT * FROM ") + kLeft +
+          " JOIN r ON r.k BETWEEN a.lo AND a.hi",
+      want, {1024, 1024, 851});
+}
+
+TEST_F(RowJoinLanesTest, LeftOuterPaddingAtLanes1023And1024) {
+  // Row 1 has 1 023 matches (k in 1..1278 minus the 255 NULL w cells),
+  // lanes 0..1 022. Row 2 has no candidate: padded at lane 1 023, the
+  // last of vector 0. Row 3's one candidate (k = 5) has a NULL w: padded
+  // at lane 1 024, the first of vector 1. Row 4 matches k = 11 and 12.
+  const std::vector<Row> left =
+      FillLeft({{1, 1, 1278}, {2, 2000, 2001}, {3, 5, 5}, {4, 10, 12}});
+  const std::vector<Row> want = Join(left, true, true);
+  ASSERT_EQ(want.size(), 1027u);
+  ASSERT_TRUE(want[1023][4].is_null());
+  ASSERT_TRUE(want[1024][4].is_null());
+  ExpectBothJoins(
+      std::string("SELECT * FROM ") + kLeft +
+          " LEFT JOIN r ON r.k BETWEEN a.lo AND a.hi AND r.w IS NOT NULL",
+      want, {1024, 3});
 }
 
 // ---------------------------------------------------------------------
@@ -1857,87 +2022,6 @@ TEST_F(BandFoldTest, IntegerSumOverflowErrorsInEveryPlan) {
                    "(5, -9223372036854775807)");
   const ResultSet rs = MustExecute(db_, "SELECT SUM(v) FROM ov");
   EXPECT_EQ(rs.rows()[0][0], Value::Int(std::numeric_limits<int64_t>::max()));
-}
-
-// Every vector-native operator gives the same rows with the same tags
-// through Next (the shell serves the rows of its vectors)
-// as through NextVector. The inputs cross the 1 024-row vector boundary
-// and mix INTEGER, DOUBLE and NULL cells in one column.
-template <typename Op>
-void ExpectNextMatchesNextVector(Database* db, const std::string& sql) {
-  SCOPED_TRACE(sql);
-  std::vector<Row> pulled[2];
-  for (int by_vector = 0; by_vector < 2; ++by_vector) {
-    PhysicalOperatorPtr root = BuildSqlPlan(db, sql);
-    ASSERT_NE(root, nullptr);
-    Op* op = FindOp<Op>(root.get());
-    ASSERT_NE(op, nullptr);
-    ASSERT_TRUE(op->VectorNative());
-    ASSERT_TRUE(op->Open().ok());
-    std::vector<Row>& rows = pulled[by_vector];
-    bool eof = false;
-    while (true) {
-      if (by_vector == 1) {
-        VectorProjection* vp = nullptr;
-        ASSERT_TRUE(op->NextVector(&vp, &eof).ok());
-        if (eof) break;
-        vp->AppendSelectedTo(&rows);
-      } else {
-        Row row;
-        ASSERT_TRUE(op->Next(&row, &eof).ok());
-        if (eof) break;
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-  ASSERT_GT(pulled[0].size(), 0u);
-  ASSERT_EQ(pulled[0].size(), pulled[1].size());
-  for (size_t r = 0; r < pulled[0].size(); ++r) {
-    ASSERT_EQ(pulled[0][r].size(), pulled[1][r].size());
-    for (size_t c = 0; c < pulled[0][r].size(); ++c) {
-      EXPECT_EQ(pulled[0][r][c].type(), pulled[1][r][c].type())
-          << "row " << r << " column " << c;
-      EXPECT_EQ(pulled[0][r][c], pulled[1][r][c])
-          << "row " << r << " column " << c;
-    }
-  }
-}
-
-TEST_F(ExecSqlTest, NextMatchesNextVectorOnEveryNativeOperator) {
-  CreateBig("m", 2500, /*reverse=*/true);
-  CreateBig("n", 1200, /*reverse=*/false);
-  ExpectNextMatchesNextVector<TableScanOp>(&db_, "SELECT k, v FROM m");
-  ExpectNextMatchesNextVector<FilterOp>(
-      &db_, "SELECT k, v FROM m WHERE MOD(k, 3) <> 0");
-  ExpectNextMatchesNextVector<ProjectOp>(&db_,
-                                         "SELECT k * 2, v, v + 1 FROM m");
-  ExpectNextMatchesNextVector<LimitOp>(&db_,
-                                       "SELECT k, v FROM m LIMIT 1500");
-  ExpectNextMatchesNextVector<UnionAllOp>(
-      &db_,
-      "SELECT k, v FROM m WHERE k > 2000 UNION ALL SELECT k, v FROM m "
-      "WHERE k < 0 UNION ALL SELECT k, v FROM n");
-  ExpectNextMatchesNextVector<HashJoinOp>(
-      &db_, "SELECT m.k, m.v, n.v FROM m LEFT JOIN n ON n.k = m.k");
-  ExpectNextMatchesNextVector<MergeBandJoinOp>(
-      &db_,
-      "SELECT a.k, b.v FROM m a JOIN n b ON b.k BETWEEN a.k - 1 AND a.k + 1");
-  ExpectNextMatchesNextVector<SortOp>(&db_,
-                                      "SELECT k, v FROM m ORDER BY v, k");
-  ExpectNextMatchesNextVector<SortOp>(&db_, "SELECT k, v FROM m ORDER BY k");
-  ExpectNextMatchesNextVector<HashAggregateOp>(
-      &db_,
-      "SELECT MOD(k, 10), SUM(v), MIN(v), COUNT(*) FROM m GROUP BY MOD(k, 10)");
-  // A SUM fold: the aggregate over the band join's partial rows.
-  const std::string fold_sql =
-      "SELECT a.k, SUM(b.v) FROM m a JOIN n b ON b.k BETWEEN a.k - 1 AND "
-      "a.k + 1 GROUP BY a.k";
-  PhysicalOperatorPtr fold_plan = BuildSqlPlan(&db_, fold_sql);
-  ASSERT_NE(fold_plan, nullptr);
-  MergeBandJoinOp* band = FindOp<MergeBandJoinOp>(fold_plan.get());
-  ASSERT_NE(band, nullptr);
-  EXPECT_TRUE(band->folding());
-  ExpectNextMatchesNextVector<HashAggregateOp>(&db_, fold_sql);
 }
 
 TEST_F(ExecSqlTest, ErrorsFollowRowOrder) {

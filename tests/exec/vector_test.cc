@@ -123,109 +123,129 @@ TEST(SelectionVectorTest, TruncateKeepsPrefix) {
   EXPECT_TRUE(sel.empty());
 }
 
-TEST(VectorProjectionTest, TruncateKeepsLeadingRows) {
+TEST(VectorProjectionTest, WriteRowInvertsMaterializeRow) {
+  const Row row({Value::Null(), Value::Double(2.5), Value::Int(3),
+                 Value::String("x"), Value::Bool(true)});
   VectorProjection vp;
-  FillRows(&vp, 2,
-           {Row({Value::Int(1), Value::String("a")}),
-            Row({Value::Null(), Value::Double(2.5)}),
-            Row({Value::Int(3), Value::Int(4)})});
-  vp.sel().indices() = {2};
-  vp.Truncate(2);
-  ASSERT_EQ(vp.num_rows(), 2u);
-  EXPECT_EQ(vp.sel().indices(), (std::vector<uint32_t>{0, 1}));
-  EXPECT_EQ(vp.column(0).size(), 2u);
-
-  Row row;
-  vp.MaterializeRow(1, &row);
-  ASSERT_EQ(row.size(), 2u);
-  EXPECT_TRUE(row[0].is_null());
-  EXPECT_EQ(row[1], Value::Double(2.5));
+  vp.Reset(6, 3);
+  vp.WriteRow(1, row);
+  Row back;
+  vp.MaterializeRow(1, &back);
+  ASSERT_EQ(back.size(), 6u);
+  for (size_t c = 0; c < row.size(); ++c) {
+    EXPECT_EQ(back[c].type(), row[c].type()) << "column " << c;
+    EXPECT_EQ(back[c], row[c]) << "column " << c;
+  }
+  // Columns past the row's width, and the other rows, stay NULL.
+  EXPECT_TRUE(back[5].is_null());
+  vp.MaterializeRow(0, &back);
+  for (size_t c = 0; c < 6; ++c) EXPECT_TRUE(back[c].is_null());
 }
 
-// A row-only operator under a columnar parent: the NextVector shell
-// writes each NextImpl row into the lanes of one projection, at most
-// kVectorSize rows per call, every cell's tag kept (INTEGER, DOUBLE and
-// NULL cells share the DOUBLE column, as INSERT leaves them); after the
-// last rows it answers nullptr with eof.
-TEST(RowOnlyFallbackTest, WindowOpAnswersNextVectorTagExact) {
+// The window writes its buffered rows and its computed columns into the
+// lanes of one output projection, kVectorSize rows per vector: 2 500
+// rows take three vectors, and every lane's tag and value must be the
+// generator's. Its input column v mixes INTEGER-, DOUBLE- and
+// NULL-tagged cells, computed as COALESCE(d, i) over a DOUBLE and an
+// INTEGER column: a table column cannot hold them, because
+// Table::ValidateAndCoerce stores an INTEGER cell of a DOUBLE column as
+// DOUBLE, for SQL INSERT and Table::InsertBatch alike. After the last
+// rows the window answers nullptr with eof.
+TEST(WindowOpVectorTest, EveryLaneCarriesTheRowsTagAndValue) {
   Database db;
   Result<Table*> table = db.catalog()->CreateTable(
       "w", Schema({ColumnDef("k", DataType::kInt64),
-                   ColumnDef("v", DataType::kDouble)}));
+                   ColumnDef("d", DataType::kDouble),
+                   ColumnDef("i", DataType::kInt64)}));
   ASSERT_TRUE(table.ok());
   constexpr int64_t kRows = 2500;
+  // v = COALESCE(d, i): NULL, DOUBLE or INTEGER by k.
+  const auto v_of = [](int64_t k) {
+    if (k % 5 == 0) return Value::Null();
+    if (k % 2 == 0) return Value::Double(static_cast<double>(k) / 2);
+    return Value::Int(k);
+  };
   std::vector<Row> input;
   for (int64_t k = 1; k <= kRows; ++k) {
-    const Value v = k % 5 == 0   ? Value::Null()
-                    : k % 2 == 0 ? Value::Double(static_cast<double>(k) / 2)
-                                 : Value::Int(k);
-    input.push_back(Row({Value::Int(k), v}));
+    const Value d = v_of(k).type() == DataType::kDouble ? v_of(k)
+                                                         : Value::Null();
+    const Value i = k % 5 == 0 ? Value::Null() : Value::Int(k);
+    input.push_back(Row({Value::Int(k), d, i}));
   }
   ASSERT_TRUE((*table)->InsertBatch(std::move(input)).ok());
-  // MIN(v) OVER (ORDER BY k ROWS BETWEEN CURRENT ROW AND CURRENT ROW).
-  const auto make_window = [&]() {
+  Schema projected({ColumnDef("k", DataType::kInt64),
+                    ColumnDef("v", DataType::kDouble)});
+  std::vector<ExprPtr> projections;
+  projections.push_back(Col(0, DataType::kInt64, "k"));
+  projections.push_back(Coalesce(Col(1, DataType::kDouble, "d"),
+                                 Col(2, DataType::kInt64, "i")));
+  auto project = std::make_unique<ProjectOp>(
+      projected, std::make_unique<TableScanOp>((*table)->schema(), *table),
+      std::move(projections));
+  // MIN(v) OVER (ORDER BY k ROWS BETWEEN CURRENT ROW AND CURRENT ROW),
+  // which is v, and SUM(k) OVER (ORDER BY k ROWS BETWEEN 1 PRECEDING
+  // AND CURRENT ROW), which is 2k - 1.
+  const auto make_call = [](AggFn fn, size_t column, DataType type,
+                            int64_t lo) {
     WindowCall call;
     call.kind = WindowFnKind::kAggregate;
-    call.fn = AggFn::kMin;
-    call.arg = Col(1, DataType::kDouble, "v");
+    call.fn = fn;
+    call.arg = Col(column, type, column == 0 ? "k" : "v");
     SortKey key;
     key.expr = Col(0, DataType::kInt64, "k");
     call.order_by.push_back(std::move(key));
     call.frame.lo_unbounded = false;
     call.frame.hi_unbounded = false;
+    call.frame.lo = lo;
     call.output_name = "m";
-    call.output_type = DataType::kDouble;
-    Schema out = (*table)->schema();
-    out.AddColumn(ColumnDef("m", DataType::kDouble));
-    std::vector<WindowCall> calls;
-    calls.push_back(std::move(call));
-    return std::make_unique<WindowOp>(
-        std::move(out),
-        std::make_unique<TableScanOp>((*table)->schema(), *table),
-        std::move(calls));
+    call.output_type = type;
+    return call;
   };
+  Schema out = projected;
+  out.AddColumn(ColumnDef("m", DataType::kDouble));
+  out.AddColumn(ColumnDef("s", DataType::kInt64));
+  std::vector<WindowCall> calls;
+  calls.push_back(make_call(AggFn::kMin, 1, DataType::kDouble, 0));
+  calls.push_back(make_call(AggFn::kSum, 0, DataType::kInt64, -1));
+  WindowOp window(std::move(out), std::move(project), std::move(calls));
 
-  auto reference = make_window();
-  const Result<std::vector<Row>> rows = ExecuteToVector(reference.get());
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  ASSERT_EQ(rows->size(), static_cast<size_t>(kRows));
-
-  auto window = make_window();
-  ASSERT_TRUE(window->Open().ok());
-  size_t seen = 0;
+  ASSERT_TRUE(window.Open().ok());
+  int64_t k = 1;
   std::vector<size_t> sizes;
   while (true) {
     VectorProjection* vp = nullptr;
     bool eof = false;
-    ASSERT_TRUE(window->NextVector(&vp, &eof).ok());
+    ASSERT_TRUE(window.NextVector(&vp, &eof).ok());
     if (eof) {
       EXPECT_EQ(vp, nullptr);
       break;
     }
     ASSERT_NE(vp, nullptr);
-    ASSERT_EQ(vp->num_columns(), 3u);
+    ASSERT_EQ(vp->num_columns(), 4u);
     ASSERT_EQ(vp->NumSelected(), vp->num_rows());
     sizes.push_back(vp->num_rows());
-    for (size_t i = 0; i < vp->num_rows(); ++i, ++seen) {
-      ASSERT_LT(seen, rows->size());
-      for (size_t c = 0; c < 3; ++c) {
-        const Value& want = (*rows)[seen][c];
-        ASSERT_EQ(vp->column(c).tag(i), want.type())
-            << "row " << seen << " column " << c;
-        ASSERT_EQ(vp->column(c).GetValue(i), want)
-            << "row " << seen << " column " << c;
+    for (size_t i = 0; i < vp->num_rows(); ++i, ++k) {
+      ASSERT_LE(k, kRows);
+      const Value want[] = {Value::Int(k), v_of(k), v_of(k),
+                            Value::Int(2 * k - 1)};
+      for (size_t c = 0; c < 4; ++c) {
+        ASSERT_EQ(vp->column(c).tag(i), want[c].type())
+            << "row " << k << " column " << c << " lane " << i;
+        ASSERT_EQ(vp->column(c).GetValue(i), want[c])
+            << "row " << k << " column " << c << " lane " << i;
       }
     }
   }
-  EXPECT_EQ(seen, static_cast<size_t>(kRows));
-  // The final partial vector comes without eof; the eof call follows it,
-  // and a post-eof pull answers eof again.
+  EXPECT_EQ(k, kRows + 1);
+  // The last vector comes without eof; the eof call follows it, and a
+  // post-eof pull answers eof again.
   VectorProjection* vp = nullptr;
   bool eof = false;
-  ASSERT_TRUE(window->NextVector(&vp, &eof).ok());
+  ASSERT_TRUE(window.NextVector(&vp, &eof).ok());
   EXPECT_EQ(vp, nullptr);
   EXPECT_TRUE(eof);
-  EXPECT_EQ(window->metrics().next_calls, 5);
+  EXPECT_EQ(window.metrics().next_calls, 5);
+  EXPECT_EQ(window.metrics().vectors_out, 3);
   EXPECT_EQ(sizes, (std::vector<size_t>{kVectorSize, kVectorSize,
                                         kRows - 2 * kVectorSize}));
 }

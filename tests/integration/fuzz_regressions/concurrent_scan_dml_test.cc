@@ -44,24 +44,25 @@ class ConcurrentScanDmlTest : public ::testing::Test {
   Table* table_ = nullptr;
 };
 
-TEST_F(ConcurrentScanDmlTest, RowPullSurvivesInterleavedInsert) {
+TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedInsert) {
   TableScanOp scan(table_->schema(), table_);
   ASSERT_TRUE(scan.Open().ok());
-  Row row;
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  ASSERT_TRUE(scan.Next(&row, &eof).ok());
+  ASSERT_TRUE(scan.NextVector(&vp, &eof).ok());
+  ASSERT_FALSE(eof);
 
   Session other(&db_);
   ASSERT_TRUE(other.Execute("INSERT INTO seq VALUES (2000, 1)").ok());
 
-  size_t rows = 1;
+  size_t total = vp->NumSelected();
   while (true) {
-    const Status s = scan.Next(&row, &eof);
+    const Status s = scan.NextVector(&vp, &eof);
     ASSERT_TRUE(s.ok()) << "regressed to the epoch abort: " << s.ToString();
     if (eof) break;
-    ++rows;
+    total += vp->NumSelected();
   }
-  EXPECT_EQ(rows, 1100u);
+  EXPECT_EQ(total, 1100u);
 }
 
 TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedUpdate) {
@@ -108,11 +109,13 @@ TEST_F(ConcurrentScanDmlTest, VectorPullSurvivesInterleavedDelete) {
   EXPECT_EQ(total, 1100u);
 }
 
-// Left side: one row (k = 95); right side: seq (pos 1..1100, PRIMARY
-// KEY). Join seq.pos BETWEEN k - 5 AND k + 5 through the pos index.
+// Left side: one row (k = 600); right side: seq (pos 1..1100, PRIMARY
+// KEY). Join seq.pos BETWEEN k - 550 AND k + 550 through the pos index:
+// 1 051 candidates, so 27 are still pending after the first output
+// vector.
 TEST_F(ConcurrentScanDmlTest, IndexJoinSurvivesDeleteOfPendingCandidates) {
   MustExecute(db_, "CREATE TABLE probe (k INTEGER)");
-  MustExecute(db_, "INSERT INTO probe VALUES (95)");
+  MustExecute(db_, "INSERT INTO probe VALUES (600)");
   Result<Table*> probe = db_.catalog()->GetTable("probe");
   ASSERT_TRUE(probe.ok());
   const Schema left_schema = (*probe)->schema();
@@ -123,20 +126,21 @@ TEST_F(ConcurrentScanDmlTest, IndexJoinSurvivesDeleteOfPendingCandidates) {
   }
   const ExprPtr cond = eb::Between(
       eb::Col(1, DataType::kInt64),
-      eb::Sub(eb::Col(0, DataType::kInt64), eb::Int(5)),
-      eb::Add(eb::Col(0, DataType::kInt64), eb::Int(5)));
+      eb::Sub(eb::Col(0, DataType::kInt64), eb::Int(550)),
+      eb::Add(eb::Col(0, DataType::kInt64), eb::Int(550)));
   std::optional<BandJoinSpec> spec =
       TryExtractBandJoin(*cond, 1, table_, /*indexed_only=*/true);
   ASSERT_TRUE(spec.has_value());
   IndexNestedLoopJoinOp join(
       joined, PhysicalOperatorPtr(new TableScanOp(left_schema, *probe)),
-      table_, right_schema, std::move(*spec), JoinType::kInner);
+      table_, std::move(*spec), JoinType::kInner);
   ASSERT_TRUE(join.Open().ok());
-  Row row;
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  ASSERT_TRUE(join.Next(&row, &eof).ok());
+  ASSERT_TRUE(join.NextVector(&vp, &eof).ok());
   ASSERT_FALSE(eof);
-  EXPECT_EQ(row[1], Value::Int(90));
+  ASSERT_EQ(vp->NumSelected(), kVectorSize);
+  EXPECT_EQ(vp->column(1).GetValue(vp->sel()[0]), Value::Int(50));
 
   // Commit a DELETE of every pending candidate (and of the rows after
   // them), then an INSERT that may move the live store.
@@ -144,15 +148,13 @@ TEST_F(ConcurrentScanDmlTest, IndexJoinSurvivesDeleteOfPendingCandidates) {
   ASSERT_TRUE(other.Execute("DELETE FROM seq WHERE pos > 50").ok());
   ASSERT_TRUE(other.Execute("INSERT INTO seq VALUES (5000, 1)").ok());
 
-  // The open join still reads its snapshot: pos 91..100, in order.
+  // The open join still reads its snapshot: pos 1 074..1 100, in order.
+  std::vector<Row> rest;
+  ASSERT_TRUE(DrainChild(&join, &rest).ok());
   std::vector<int64_t> positions;
-  while (true) {
-    ASSERT_TRUE(join.Next(&row, &eof).ok());
-    if (eof) break;
-    positions.push_back(row[1].AsInt());
-  }
+  for (const Row& row : rest) positions.push_back(row[1].AsInt());
   std::vector<int64_t> want;
-  for (int64_t p = 91; p <= 100; ++p) want.push_back(p);
+  for (int64_t p = 1074; p <= 1100; ++p) want.push_back(p);
   EXPECT_EQ(positions, want);
 }
 

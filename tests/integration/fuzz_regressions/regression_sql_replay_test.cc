@@ -5,15 +5,21 @@
 // semantics of each repro; this tier guarantees the corpus itself never
 // rots — a transcript that stops parsing or starts erroring is a
 // regression even before any oracle runs. New repros join the corpus by
-// dropping the .sql file here; no code change needed. A statement whose
-// correct outcome is an error is preceded by the comment line
-// `-- expect-error: <text>`: it must fail, with <text> in the message.
+// dropping the .sql file here; no code change needed. Two comment
+// directives tag the statement that follows them:
+//  - `-- expect-error: <text>`: it must fail, with <text> in the
+//    message;
+//  - `-- expect-rows: <rows>`: it must return exactly <rows>, in order,
+//    each written as Row::ToString renders it (`(1, 100, 5)`), separated
+//    by spaces. Consecutive expect-rows lines add up; an empty list
+//    expects no rows.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,30 +40,52 @@ std::vector<std::filesystem::path> CorpusFiles() {
   return files;
 }
 
-/// One transcript statement and the error text it must fail with
-/// (empty: it must succeed).
+/// One transcript statement, the error text it must fail with (empty:
+/// it must succeed) and the rows it must return (unset: any).
 struct CorpusStatement {
   std::string sql;
   std::string expect_error;
+  std::optional<std::string> expect_rows;
 };
 
+/// The text after `directive` when the comment starting at `comment`
+/// is that directive, leading spaces trimmed.
+std::optional<std::string> DirectiveText(const std::string& line,
+                                         size_t comment,
+                                         const std::string& directive) {
+  if (comment == std::string::npos ||
+      line.compare(comment, directive.size(), directive) != 0) {
+    return std::nullopt;
+  }
+  std::string text = line.substr(comment + directive.size());
+  text.erase(0, text.find_first_not_of(' '));
+  text.erase(text.find_last_not_of(" \r") + 1);
+  return text;
+}
+
 /// Splits a transcript into statements: `--` comment lines dropped
-/// (an `-- expect-error: <text>` line tags the next statement), text
-/// split on `;` (the corpus contains no string literals with
-/// semicolons — keep it that way).
+/// (the expect-error and expect-rows directives tag the next
+/// statement), text split on `;` (the corpus contains no string
+/// literals with semicolons — keep it that way).
 std::vector<CorpusStatement> SplitStatements(const std::string& script) {
-  static const std::string kExpectError = "-- expect-error:";
   std::vector<CorpusStatement> statements;
   std::string current;
-  std::string expect_error;
+  CorpusStatement tags;
   std::istringstream lines(script);
   std::string line;
   while (std::getline(lines, line)) {
     const size_t comment = line.find("--");
-    if (comment != std::string::npos &&
-        line.compare(comment, kExpectError.size(), kExpectError) == 0) {
-      expect_error = line.substr(comment + kExpectError.size());
-      expect_error.erase(0, expect_error.find_first_not_of(' '));
+    if (std::optional<std::string> error =
+            DirectiveText(line, comment, "-- expect-error:")) {
+      tags.expect_error = *error;
+    }
+    if (std::optional<std::string> rows =
+            DirectiveText(line, comment, "-- expect-rows:")) {
+      if (!tags.expect_rows.has_value()) {
+        tags.expect_rows = *rows;
+      } else if (!rows->empty()) {
+        *tags.expect_rows += (tags.expect_rows->empty() ? "" : " ") + *rows;
+      }
     }
     for (const char c : line.substr(0, comment) + "\n") {
       if (c != ';') {
@@ -65,16 +93,28 @@ std::vector<CorpusStatement> SplitStatements(const std::string& script) {
         continue;
       }
       if (current.find_first_not_of(" \t\n\r") != std::string::npos) {
-        statements.push_back({current, expect_error});
-        expect_error.clear();
+        tags.sql = current;
+        statements.push_back(std::move(tags));
+        tags = CorpusStatement();
       }
       current.clear();
     }
   }
   if (current.find_first_not_of(" \t\n\r") != std::string::npos) {
-    statements.push_back({current, expect_error});
+    tags.sql = current;
+    statements.push_back(std::move(tags));
   }
   return statements;
+}
+
+/// A result's rows as an expect-rows directive writes them.
+std::string RenderRows(const ResultSet& rs) {
+  std::string out;
+  for (const Row& row : rs.rows()) {
+    if (!out.empty()) out += " ";
+    out += row.ToString();
+  }
+  return out;
 }
 
 TEST(RegressionSqlReplayTest, CorpusIsNonEmpty) {
@@ -99,6 +139,10 @@ TEST(RegressionSqlReplayTest, EveryTranscriptReplaysCleanly) {
       if (statement.expect_error.empty()) {
         EXPECT_TRUE(rs.ok()) << "statement failed: " << statement.sql
                              << "\n  " << rs.status().ToString();
+        if (rs.ok() && statement.expect_rows.has_value()) {
+          EXPECT_EQ(RenderRows(*rs), *statement.expect_rows)
+              << statement.sql;
+        }
       } else {
         ASSERT_FALSE(rs.ok()) << "statement should fail with \""
                               << statement.expect_error
