@@ -14,8 +14,8 @@ constexpr double kRangeSelectivity = 0.25;
 /// base-table scan with analyzed statistics; -1 otherwise.
 int64_t DistinctOf(const LogicalPlan& input, size_t index) {
   if (input.kind != PlanKind::kScan || input.table == nullptr) return -1;
-  // Copy under the table lock: estimation runs on the concurrent read
-  // path while DML updates stats in place.
+  // Copy under the table's statistics lock: estimation runs on the
+  // concurrent read path while DML updates stats in place.
   const TableStats stats = input.table->StatsSnapshot();
   if (index >= stats.columns.size()) return -1;
   return stats.columns[index].distinct_count;

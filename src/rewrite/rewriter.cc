@@ -230,7 +230,7 @@ PatternStats Rewriter::StatsForView(const SequenceViewDef& view) const {
   Result<Table*> content = catalog_->GetTable(view.view_name);
   if (content.ok()) {
     // One coherent copy: pricing runs on the concurrent read path while
-    // maintenance updates these fields under the table lock.
+    // maintenance updates these fields under the table's statistics lock.
     const TableStats content_stats = (*content)->StatsSnapshot();
     stats.content_rows = content_stats.row_count;
     stats.stale = content_stats.AnyStale();

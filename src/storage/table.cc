@@ -1,9 +1,11 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/epoch.h"
+#include "common/metrics_registry.h"
 
 namespace rfv {
 
@@ -48,7 +50,10 @@ Status Table::Insert(Row row) {
   MarkChunksDirtyLocked(row_id, row_id);
   rows_.push_back(std::move(row));
   live_rows_.store(rows_.size(), std::memory_order_release);
-  stats_.InsertRow(schema_, rows_.back());
+  {
+    std::lock_guard<std::mutex> meta_lock(meta_mu_);
+    stats_.InsertRow(schema_, rows_.back());
+  }
   index_slots_stale_ = true;
   return Status::OK();
 }
@@ -61,12 +66,16 @@ Status Table::InsertBatch(std::vector<Row> rows) {
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
   MarkChunksDirtyLocked(rows_.size(), rows_.size() + rows.size() - 1);
+  const size_t first = rows_.size();
   rows_.reserve(rows_.size() + rows.size());
-  for (Row& row : rows) {
-    rows_.push_back(std::move(row));
-    stats_.InsertRow(schema_, rows_.back());
-  }
+  for (Row& row : rows) rows_.push_back(std::move(row));
   live_rows_.store(rows_.size(), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> meta_lock(meta_mu_);
+    for (size_t r = first; r < rows_.size(); ++r) {
+      stats_.InsertRow(schema_, rows_[r]);
+    }
+  }
   index_slots_stale_ = true;
   return Status::OK();
 }
@@ -88,7 +97,10 @@ Status Table::UpdateRow(size_t row_id, Row row) {
       index_slots_stale_ = true;
     }
   }
-  stats_.ReplaceRow(schema_, rows_[row_id], row);
+  {
+    std::lock_guard<std::mutex> meta_lock(meta_mu_);
+    stats_.ReplaceRow(schema_, rows_[row_id], row);
+  }
   rows_[row_id] = std::move(row);
   return Status::OK();
 }
@@ -106,7 +118,10 @@ Status Table::UpdateCell(size_t row_id, size_t column, Value value) {
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
   MarkChunksDirtyLocked(row_id, row_id);
-  stats_.ReplaceRow(schema_, rows_[row_id], updated);
+  {
+    std::lock_guard<std::mutex> meta_lock(meta_mu_);
+    stats_.ReplaceRow(schema_, rows_[row_id], updated);
+  }
   rows_[row_id] = std::move(updated);
   // Only a change of a key column starts a new index version — the
   // paper's incremental view maintenance updates `val` cells through
@@ -123,7 +138,10 @@ Status Table::DeleteRow(size_t row_id) {
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
   // Every later row moves down one position.
   MarkChunksDirtyLocked(row_id, rows_.size() - 1);
-  stats_.RemoveRow(schema_, rows_[row_id]);
+  {
+    std::lock_guard<std::mutex> meta_lock(meta_mu_);
+    stats_.RemoveRow(schema_, rows_[row_id]);
+  }
   rows_.erase(rows_.begin() + static_cast<ptrdiff_t>(row_id));
   live_rows_.store(rows_.size(), std::memory_order_release);
   index_slots_stale_ = true;
@@ -135,7 +153,10 @@ void Table::Truncate() {
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
   rows_.clear();
   live_rows_.store(0, std::memory_order_release);
-  stats_.Clear();
+  {
+    std::lock_guard<std::mutex> meta_lock(meta_mu_);
+    stats_.Clear();
+  }
   index_slots_stale_ = true;
 }
 
@@ -149,7 +170,10 @@ Status Table::CreateIndex(const std::string& index_name,
       return Status::AlreadyExists("index " + index_name + " already exists");
     }
   }
-  indexes_.push_back(IndexDef{index_name, column.value()});
+  {
+    std::lock_guard<std::mutex> meta_lock(meta_mu_);
+    indexes_.push_back(IndexDef{index_name, column.value()});
+  }
   index_slots_stale_ = true;
   // Publish a snapshot that carries the new index on the next pin; no
   // chunk is dirty, so it shares every chunk with the current one.
@@ -178,7 +202,7 @@ OrderedIndexPtr Table::GetIndexOnColumn(size_t column) {
 }
 
 std::string Table::IndexNameOnColumn(size_t column) const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
+  std::lock_guard<std::mutex> lock(meta_mu_);
   for (const IndexDef& index : indexes_) {
     if (index.column == column) return index.name;
   }
@@ -206,43 +230,78 @@ const std::vector<IndexSlotPtr>& Table::CurrentIndexSlotsLocked() const {
 }
 
 TableStats Table::StatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
+  std::lock_guard<std::mutex> lock(meta_mu_);
   return stats_;
 }
 
 void Table::Analyze() {
   std::lock_guard<std::mutex> lock(snap_mu_);
-  stats_.Analyze(schema_, rows_);
+  // Recompute outside meta_mu_ so StatsSnapshot() waits only for the
+  // swap, not for the O(rows · columns) pass.
+  TableStats fresh = stats_;
+  fresh.Analyze(schema_, rows_);
+  std::lock_guard<std::mutex> meta_lock(meta_mu_);
+  stats_ = std::move(fresh);
 }
 
 TableSnapshotPtr Table::PinSnapshot() const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  if (writer_depth_ == 0) RefreshSnapshotLocked();
-  if (snapshot_ == nullptr) {
-    // A write bracket opened before any reader ever pinned; the
-    // committed pre-statement image is empty only if the table never
-    // held committed rows, which BeginWrite guarantees by refreshing.
-    snapshot_ = std::make_shared<const TableSnapshot>();
+  // Registered on the first pin, so the counter reads 0 until a refresh.
+  static Counter* reader_refreshes = MetricsRegistry::Global().GetCounter(
+      "rfv_snapshot_reader_refresh_total", {},
+      "Snapshot pins that refreshed the snapshot under the table's writer "
+      "lock after an unbracketed write");
+  // The depth is loaded before the snapshot: the outermost EndWrite
+  // publishes before it decrements, so a depth of 0 here means every
+  // bracket closed before the pin has published what the next load
+  // returns. An open bracket means the published snapshot is the last
+  // committed image; otherwise it is current when no mutation followed it.
+  const bool bracket_open = writer_depth_.load(std::memory_order_acquire) > 0;
+  TableSnapshotPtr snap = std::atomic_load(&snapshot_);
+  if (bracket_open ||
+      snap->epoch() == mutation_epoch_.load(std::memory_order_acquire)) {
+    return snap;
   }
-  return snapshot_;
+  bool refreshed = false;
+  {
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    if (writer_depth_.load(std::memory_order_acquire) == 0) {
+      refreshed = RefreshSnapshotLocked();
+    }
+    snap = std::atomic_load(&snapshot_);
+  }
+  if (refreshed) {
+    reader_refreshes->Increment();
+    EpochManager::Global().Reclaim();
+  }
+  return snap;
 }
 
 void Table::BeginWrite() {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  if (writer_depth_ == 0) {
-    // Capture the committed image before the statement mutates anything,
-    // so concurrent PinSnapshot() calls during the bracket see it.
-    RefreshSnapshotLocked();
+  bool refreshed = false;
+  {
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    if (writer_depth_.load(std::memory_order_relaxed) == 0) {
+      // Capture the committed image before the statement mutates
+      // anything, so concurrent PinSnapshot() calls during the bracket
+      // see it.
+      refreshed = RefreshSnapshotLocked();
+    }
+    writer_depth_.fetch_add(1, std::memory_order_acq_rel);
   }
-  ++writer_depth_;
+  if (refreshed) EpochManager::Global().Reclaim();
 }
 
 void Table::EndWrite() {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  if (--writer_depth_ == 0) {
-    // Publish the statement's effects as one atomic snapshot flip.
-    RefreshSnapshotLocked();
+  bool refreshed = false;
+  if (writer_depth_.load(std::memory_order_relaxed) == 1) {
+    // Publish the statement's effects as one atomic snapshot flip while
+    // the bracket still counts as open: concurrent pins keep returning
+    // the published pointer instead of queueing on snap_mu_.
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    refreshed = RefreshSnapshotLocked();
   }
+  writer_depth_.fetch_sub(1, std::memory_order_release);
+  if (refreshed) EpochManager::Global().Reclaim();
 }
 
 void Table::MarkChunksDirtyLocked(size_t first, size_t last) {
@@ -256,9 +315,15 @@ void Table::MarkChunksDirtyLocked(size_t first, size_t last) {
   }
 }
 
-void Table::RefreshSnapshotLocked() const {
+bool Table::RefreshSnapshotLocked() const {
+  static Histogram* publish_seconds = MetricsRegistry::Global().GetHistogram(
+      "rfv_snapshot_publish_seconds", {},
+      "Time to build and publish one table snapshot (chunk copy-on-write)");
   const uint64_t epoch = mutation_epoch_.load(std::memory_order_acquire);
-  if (snapshot_ != nullptr && snapshot_->epoch() == epoch) return;
+  // Only stores under snap_mu_, which the caller holds, replace it.
+  const TableSnapshotPtr prev = std::atomic_load(&snapshot_);
+  if (prev->epoch() == epoch) return false;
+  const auto start = std::chrono::steady_clock::now();
 
   // A chunk no mutation marked is row-for-row identical to the
   // published snapshot's chunk of the same number, provided it still
@@ -270,9 +335,9 @@ void Table::RefreshSnapshotLocked() const {
   for (size_t c = 0, pos = 0; pos < rows_.size(); ++c, pos += kChunkRows) {
     const size_t end = std::min(pos + kChunkRows, rows_.size());
     const bool dirty = c < dirty_chunks_.size() && dirty_chunks_[c];
-    if (!dirty && snapshot_ != nullptr && c < snapshot_->num_chunks() &&
-        snapshot_->chunk(c)->rows.size() == end - pos) {
-      chunks.push_back(snapshot_->chunk(c));
+    if (!dirty && c < prev->num_chunks() &&
+        prev->chunk(c)->rows.size() == end - pos) {
+      chunks.push_back(prev->chunk(c));
       continue;
     }
     auto chunk = std::make_shared<RowChunk>();
@@ -281,15 +346,16 @@ void Table::RefreshSnapshotLocked() const {
     chunks.push_back(std::move(chunk));
   }
 
-  TableSnapshotPtr retired = std::move(snapshot_);
-  snapshot_ = std::make_shared<const TableSnapshot>(
-      std::move(chunks), rows_.size(), epoch, CurrentIndexSlotsLocked());
+  std::atomic_store(&snapshot_,
+                    std::make_shared<const TableSnapshot>(
+                        std::move(chunks), rows_.size(), epoch,
+                        CurrentIndexSlotsLocked()));
   dirty_chunks_.clear();
-  if (retired != nullptr) {
-    EpochManager& manager = EpochManager::Global();
-    manager.Retire(std::static_pointer_cast<const void>(std::move(retired)));
-    manager.Reclaim();
-  }
+  publish_seconds->Observe(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+  EpochManager::Global().Retire(std::static_pointer_cast<const void>(prev));
+  return true;
 }
 
 }  // namespace rfv

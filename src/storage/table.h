@@ -27,13 +27,18 @@ namespace rfv {
 /// Concurrency model (single writer, many readers): all mutations are
 /// serialized by the caller (Database holds one write mutex per engine);
 /// readers never touch `rows_` directly but pin an immutable
-/// `TableSnapshot` via PinSnapshot(). Snapshots are rebuilt lazily with
+/// `TableSnapshot` via PinSnapshot(). Snapshots are rebuilt with
 /// chunk-level copy-on-write and published at *statement* granularity:
 /// a writer brackets each DML statement with BeginWrite()/EndWrite()
 /// (see WriteGuard), and PinSnapshot() during the bracket returns the
 /// last committed image, so a multi-row statement is never observed
-/// half-applied. Superseded snapshots are retired into the global
-/// EpochManager and reclaimed once no reader epoch can see them.
+/// half-applied. The published snapshot is an atomically loaded
+/// pointer: a reader takes no lock when a bracket is open or the
+/// snapshot is current, so it never waits for the writer to build the
+/// next one. Only a pin after an unbracketed write refreshes, under
+/// the writer-side lock. Superseded snapshots are retired into the
+/// global EpochManager and reclaimed, outside that lock, once no reader
+/// epoch can see them.
 ///
 /// Indexes are versioned with the snapshots: each snapshot carries one
 /// IndexSlot per index, whose image is built from that snapshot's rows
@@ -44,7 +49,9 @@ namespace rfv {
 class Table {
  public:
   Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+      : name_(std::move(name)),
+        schema_(std::move(schema)),
+        snapshot_(std::make_shared<const TableSnapshot>()) {}
 
   // Tables own their indexes; moving would invalidate executor references.
   Table(const Table&) = delete;
@@ -106,9 +113,10 @@ class Table {
   /// Writer-side accessor — concurrent readers use StatsSnapshot().
   const TableStats& stats() const { return stats_; }
 
-  /// Coherent copy of the statistics, taken under the table lock. The
-  /// planner/rewriter/system-view read paths use this so a concurrent
-  /// DML statement can never expose half-updated stats.
+  /// Coherent copy of the statistics, taken under `meta_mu_` (never
+  /// the snapshot lock). The planner/rewriter/system-view read paths
+  /// use this so a concurrent DML statement can never expose
+  /// half-updated stats.
   TableStats StatsSnapshot() const;
 
   /// Full statistics recomputation — the `ANALYZE` statement. Also run
@@ -126,18 +134,21 @@ class Table {
     return mutation_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Pins the current committed snapshot, refreshing it first (chunked
-  /// copy-on-write) when the row store moved on and no write bracket is
-  /// open. During an open BeginWrite/EndWrite bracket the *last
-  /// committed* snapshot is returned, whatever the live store looks
-  /// like mid-statement. Never returns nullptr.
+  /// Pins the current committed snapshot. Lock-free when a write
+  /// bracket is open (the *last committed* snapshot is returned,
+  /// whatever the live store looks like mid-statement) or when the
+  /// published snapshot is current; only after an unbracketed write
+  /// does it refresh the snapshot (chunked copy-on-write) under
+  /// `snap_mu_`. Never returns nullptr.
   TableSnapshotPtr PinSnapshot() const;
 
   /// Opens a statement-granular write bracket: captures the committed
   /// image for concurrent readers, then lets the caller mutate freely.
   /// Brackets nest (maintenance cascades re-enter on the same table);
-  /// only the outermost EndWrite publishes a fresh snapshot and retires
-  /// the old one into the EpochManager.
+  /// only the outermost EndWrite publishes a fresh snapshot, while the
+  /// bracket still counts as open, so readers keep taking the last
+  /// committed image without waiting, and retires the old one into the
+  /// EpochManager.
   void BeginWrite();
   void EndWrite();
 
@@ -168,10 +179,12 @@ class Table {
     size_t column;
   };
 
-  /// Rebuilds `snapshot_` from `rows_` when stale, sharing every chunk
-  /// no mutation touched with the previous snapshot and retiring the
-  /// superseded snapshot. Caller holds snap_mu_.
-  void RefreshSnapshotLocked() const;
+  /// Rebuilds and publishes `snapshot_` from `rows_` when stale, sharing
+  /// every chunk no mutation touched with the previous snapshot and
+  /// retiring the superseded one. Returns true when it published. Caller
+  /// holds snap_mu_, and calls EpochManager::Reclaim() after releasing
+  /// it when this returns true.
+  bool RefreshSnapshotLocked() const;
 
   /// Records that the chunks holding rows [first, last] may differ from
   /// the published snapshot. Caller holds snap_mu_.
@@ -189,7 +202,12 @@ class Table {
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
+  /// Guards the reader-visible metadata, `indexes_` and `stats_`; held
+  /// only to copy or update it, never while a snapshot is built.
+  mutable std::mutex meta_mu_;
+  /// Written under snap_mu_ and meta_mu_; readers take meta_mu_.
   std::vector<IndexDef> indexes_;
+  /// Written under meta_mu_; readers copy it under meta_mu_.
   TableStats stats_;
   std::atomic<uint64_t> mutation_epoch_{0};
 
@@ -197,11 +215,16 @@ class Table {
   /// row counts on the read path come from the pinned snapshot).
   std::atomic<size_t> live_rows_{0};
 
-  /// Guards snapshot publication state (and serializes mutations with
-  /// snapshot refresh; the engine-level write mutex already serializes
-  /// mutations with each other).
+  /// Writer-side lock: serializes mutations of `rows_` with the chunk
+  /// copy of a snapshot refresh, and guards the refresh state below
+  /// (the engine-level write mutex already serializes mutations with
+  /// each other). Readers take it only to refresh after an unbracketed
+  /// write; a pin that finds a bracket open or the snapshot current
+  /// reads the published pointer without it, and no EpochManager
+  /// reclamation runs while it is held.
   mutable std::mutex snap_mu_;
-  /// Last committed snapshot; lazily (re)built under snap_mu_.
+  /// Last committed snapshot, never null. Read with std::atomic_load;
+  /// replaced with std::atomic_store under snap_mu_.
   mutable TableSnapshotPtr snapshot_;
   /// Chunks that may differ from snapshot_ (indexed by chunk number;
   /// empty when the snapshot covers rows_ exactly).
@@ -212,8 +235,11 @@ class Table {
   /// Set when a mutation changed an indexed key or moved row ids:
   /// index_slots_ belong to a superseded version.
   mutable bool index_slots_stale_ = true;
-  /// Nesting depth of open write brackets.
-  int writer_depth_ = 0;
+  /// Nesting depth of open write brackets. Changed by the writer only;
+  /// the outermost EndWrite publishes before decrementing it, so a
+  /// reader that loads it (acquire) before the snapshot never misses a
+  /// bracket closed before the pin.
+  std::atomic<int> writer_depth_{0};
 };
 
 }  // namespace rfv

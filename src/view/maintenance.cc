@@ -166,12 +166,16 @@ Result<size_t> PropagateBaseUpdate(ViewManager* views,
       RFV_ASSIGN_OR_RETURN(row_id, FindBaseRow(binding, position));
       const Value& old = binding.base->row(row_id)[binding.value_col];
       old_value = old.is_null() ? 0 : old.ToDouble();
+      Table::WriteGuard base_guard(binding.base);
       RFV_RETURN_IF_ERROR(binding.base->UpdateCell(
           row_id, binding.value_col, Value::Double(new_value)));
       base_updated = true;
     }
     Result<Table*> content = views->catalog()->GetTable(def->view_name);
     if (!content.ok()) return content.status();
+    // Readers see this view's rows change in one snapshot flip, at the
+    // end of the iteration, never a window half-maintained.
+    Table::WriteGuard content_guard(*content);
 
     size_t view_touched = 0;
     if (def->fn == SeqAggFn::kSum) {
@@ -250,20 +254,24 @@ Result<size_t> PropagateBaseInsert(ViewManager* views,
     return Status::NotSupported(
         "positional insert requires a two-column (pos, val) base table");
   }
-  // Shift positions >= position up by one, then insert.
-  for (size_t r = 0; r < binding.base->NumRows(); ++r) {
-    const Value& p = binding.base->row(r)[binding.order_col];
-    if (!p.is_null() && p.AsInt() >= position) {
-      RFV_RETURN_IF_ERROR(binding.base->UpdateCell(
-          r, binding.order_col, Value::Int(p.AsInt() + 1)));
+  {
+    // Readers see the shift and the insert as one base change.
+    Table::WriteGuard base_guard(binding.base);
+    // Shift positions >= position up by one, then insert.
+    for (size_t r = 0; r < binding.base->NumRows(); ++r) {
+      const Value& p = binding.base->row(r)[binding.order_col];
+      if (!p.is_null() && p.AsInt() >= position) {
+        RFV_RETURN_IF_ERROR(binding.base->UpdateCell(
+            r, binding.order_col, Value::Int(p.AsInt() + 1)));
+      }
     }
+    Row row;
+    row.Append(Value::Null());
+    row.Append(Value::Null());
+    row[binding.order_col] = Value::Int(position);
+    row[binding.value_col] = Value::Double(value);
+    RFV_RETURN_IF_ERROR(binding.base->Insert(std::move(row)));
   }
-  Row row;
-  row.Append(Value::Null());
-  row.Append(Value::Null());
-  row[binding.order_col] = Value::Int(position);
-  row[binding.value_col] = Value::Double(value);
-  RFV_RETURN_IF_ERROR(binding.base->Insert(std::move(row)));
 
   size_t touched = 0;
   for (const SequenceViewDef* def : dependents) {
@@ -291,12 +299,16 @@ Result<size_t> PropagateBaseDelete(ViewManager* views,
   RFV_ASSIGN_OR_RETURN(binding, BindBase(views->catalog(), *dependents[0]));
   size_t row_id = 0;
   RFV_ASSIGN_OR_RETURN(row_id, FindBaseRow(binding, position));
-  RFV_RETURN_IF_ERROR(binding.base->DeleteRow(row_id));
-  for (size_t r = 0; r < binding.base->NumRows(); ++r) {
-    const Value& p = binding.base->row(r)[binding.order_col];
-    if (!p.is_null() && p.AsInt() > position) {
-      RFV_RETURN_IF_ERROR(binding.base->UpdateCell(
-          r, binding.order_col, Value::Int(p.AsInt() - 1)));
+  {
+    // Readers see the delete and the shift as one base change.
+    Table::WriteGuard base_guard(binding.base);
+    RFV_RETURN_IF_ERROR(binding.base->DeleteRow(row_id));
+    for (size_t r = 0; r < binding.base->NumRows(); ++r) {
+      const Value& p = binding.base->row(r)[binding.order_col];
+      if (!p.is_null() && p.AsInt() > position) {
+        RFV_RETURN_IF_ERROR(binding.base->UpdateCell(
+            r, binding.order_col, Value::Int(p.AsInt() - 1)));
+      }
     }
   }
   size_t touched = 0;

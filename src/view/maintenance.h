@@ -21,6 +21,12 @@ namespace rfv {
 /// table is refreshed wholesale — the in-memory maintenance API
 /// (sequence/maintain.h) demonstrates the paper's local insert/delete
 /// rules without the storage shift cost.
+///
+/// Each call brackets its writes in a Table::WriteGuard per table (the
+/// base table, then each content table it writes), so a concurrent
+/// reader sees each table's change as one snapshot flip: never a view
+/// window half-maintained, never a half-shifted base. Callers may hold
+/// their own guards around the call; brackets nest.
 
 /// Sets the value at `position` of `base_table` and maintains all
 /// dependent views. Returns the number of view rows written.

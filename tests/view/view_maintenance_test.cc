@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "test_util.h"
 
 namespace rfv {
@@ -134,6 +137,45 @@ TEST_F(ViewMaintenanceTest, NoDependentViewsFails) {
   EXPECT_EQ(
       PropagateBaseUpdate(db_.view_manager(), "seq", 1, 1.0).status().code(),
       StatusCode::kNotFound);
+}
+
+// Each update changes four rows of v (w = 4). The content writes are
+// one bracketed statement, so a reader pinning v while updates run sees
+// all four of a position's rows changed or none, never one to three.
+TEST_F(ViewMaintenanceTest, ReaderNeverSeesHalfMaintainedWindow) {
+  CreateView("v", "SUM", 2, 1);
+  Result<Table*> content = db_.catalog()->GetTable("v");
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  const TableSnapshotPtr initial = (*content)->PinSnapshot();
+  const size_t val_col = (*content)->schema().NumColumns() - 1;
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> pins{0};
+  std::atomic<int64_t> torn{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const TableSnapshotPtr snap = (*content)->PinSnapshot();
+      size_t changed = 0;
+      for (size_t r = 0; r < snap->num_rows(); ++r) {
+        if (snap->row(r)[val_col] != initial->row(r)[val_col]) ++changed;
+      }
+      if (snap->num_rows() != initial->num_rows() ||
+          (changed != 0 && changed != 4)) {
+        torn.fetch_add(1);
+      }
+      pins.fetch_add(1);
+    }
+  });
+  while (pins.load() == 0) std::this_thread::yield();
+  for (int i = 0; i < 2000; ++i) {
+    // Position 15 holds 15 % 7 = 1: alternate between 100 and back.
+    const double value = i % 2 == 0 ? 100.0 : 1.0;
+    EXPECT_TRUE(
+        PropagateBaseUpdate(db_.view_manager(), "seq", 15, value).ok());
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(torn.load(), 0) << "of " << pins.load() << " pins";
+  ExpectViewFresh("v");
 }
 
 TEST_F(ViewMaintenanceTest, QueriesAfterMaintenanceAreCorrect) {
