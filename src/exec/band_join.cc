@@ -12,6 +12,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/metrics_registry.h"
@@ -45,95 +46,115 @@ uint64_t Span(int64_t lo, int64_t hi) {
   return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
 }
 
-/// Applies an evaluated lower (`is_lo`) or upper bound to *out; NULL
-/// empties the band.
-Status ApplyBound(const Value& v, bool strict, bool is_lo,
-                  ResolvedBand* out) {
-  // Comparison with NULL is never true.
-  int64_t* bound = is_lo ? &out->lo : &out->hi;
-  if (v.is_null()) {
-    out->empty = true;
-    return Status::OK();
-  }
-  if (v.type() == DataType::kInt64) {
-    int64_t b = v.AsInt();
-    if (strict) {
-      if (is_lo) {
-        if (b == std::numeric_limits<int64_t>::max()) {
-          out->empty = true;
-          return Status::OK();
-        }
-        ++b;
-      } else {
-        if (b == std::numeric_limits<int64_t>::min()) {
-          out->empty = true;
-          return Status::OK();
-        }
-        --b;
-      }
-    }
-    *bound = b;
-    return Status::OK();
-  }
-  if (v.type() == DataType::kDouble) {
-    const double d = v.AsDouble();
-    if (std::isnan(d)) {
-      // Value::Compare orders NaN above every number from either side,
-      // so `key >= NaN` and `NaN <= key` disagree; the band takes no key.
+/// Applies an INTEGER lower (`is_lo`) or upper bound to *out: a strict
+/// bound tightens by one, or empties the band past the int64 range.
+void ApplyIntBound(int64_t b, bool strict, bool is_lo, ResolvedBand* out) {
+  if (strict) {
+    if (b == (is_lo ? std::numeric_limits<int64_t>::max()
+                    : std::numeric_limits<int64_t>::min())) {
       out->empty = true;
-      return Status::OK();
+      return;
     }
-    constexpr double kExact = 9007199254740992.0;  // 2^53
-    if (std::fabs(d) < kExact) {
-      // Keys this close to zero convert to double exactly: round
-      // inward; a strict integral bound tightens by one.
-      double rounded = is_lo ? std::ceil(d) : std::floor(d);
-      if (strict && rounded == d) rounded += is_lo ? 1.0 : -1.0;
-      *bound = static_cast<int64_t>(rounded);
-      return Status::OK();
-    }
-    // Beyond 2^53 Value::Compare rounds the key to double, so the band's
-    // edge is found by binary search on that comparison, which is
-    // monotone in the key. A bound past the int64 range saturates the
-    // band or empties it.
-    const auto kept = [&](int64_t k) {
-      const double x = static_cast<double>(k);
-      if (is_lo) return strict ? x > d : x >= d;
-      return strict ? x < d : x <= d;
-    };
-    // false for the keys below the edge, true from it on: a lower bound
-    // keeps the keys from the edge, an upper bound those before it.
-    const auto past_edge = [&](int64_t k) { return kept(k) == is_lo; };
-    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-    if (!past_edge(kMax)) {
-      if (is_lo) {
-        out->empty = true;
-      } else {
-        *bound = kMax;
-      }
-      return Status::OK();
-    }
-    int64_t first = kMin;
-    int64_t last = kMax;
-    while (first < last) {
-      const int64_t mid = first + static_cast<int64_t>(Span(first, last) / 2);
-      if (past_edge(mid)) {
-        last = mid;
-      } else {
-        first = mid + 1;
-      }
-    }
+    b += is_lo ? 1 : -1;
+  }
+  (is_lo ? out->lo : out->hi) = b;
+}
+
+/// Applies a DOUBLE bound: *out keeps exactly the keys Value::Compare
+/// would.
+void ApplyDoubleBound(double d, bool strict, bool is_lo, ResolvedBand* out) {
+  int64_t* bound = is_lo ? &out->lo : &out->hi;
+  if (std::isnan(d)) {
+    // Value::Compare orders NaN above every number from either side,
+    // so `key >= NaN` and `NaN <= key` disagree; the band takes no key.
+    out->empty = true;
+    return;
+  }
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  if (std::fabs(d) < kExact) {
+    // Keys this close to zero convert to double exactly: round
+    // inward; a strict integral bound tightens by one.
+    double rounded = is_lo ? std::ceil(d) : std::floor(d);
+    if (strict && rounded == d) rounded += is_lo ? 1.0 : -1.0;
+    *bound = static_cast<int64_t>(rounded);
+    return;
+  }
+  // Beyond 2^53 Value::Compare rounds the key to double, so the band's
+  // edge is found by binary search on that comparison, which is
+  // monotone in the key. A bound past the int64 range saturates the
+  // band or empties it.
+  const auto kept = [&](int64_t k) {
+    const double x = static_cast<double>(k);
+    if (is_lo) return strict ? x > d : x >= d;
+    return strict ? x < d : x <= d;
+  };
+  // false for the keys below the edge, true from it on: a lower bound
+  // keeps the keys from the edge, an upper bound those before it.
+  const auto past_edge = [&](int64_t k) { return kept(k) == is_lo; };
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  if (!past_edge(kMax)) {
     if (is_lo) {
-      *bound = first;
-    } else if (first == kMin) {
       out->empty = true;
     } else {
-      *bound = first - 1;
+      *bound = kMax;
     }
-    return Status::OK();
+    return;
   }
-  return Status::TypeError("band join bound must be numeric");
+  int64_t first = kMin;
+  int64_t last = kMax;
+  while (first < last) {
+    const int64_t mid = first + static_cast<int64_t>(Span(first, last) / 2);
+    if (past_edge(mid)) {
+      last = mid;
+    } else {
+      first = mid + 1;
+    }
+  }
+  if (is_lo) {
+    *bound = first;
+  } else if (first == kMin) {
+    out->empty = true;
+  } else {
+    *bound = first - 1;
+  }
+}
+
+/// Applies an evaluated lower (`is_lo`) or upper bound to *out; NULL
+/// empties the band (comparison with NULL is never true).
+Status ApplyBound(const Value& v, bool strict, bool is_lo,
+                  ResolvedBand* out) {
+  switch (v.type()) {
+    case DataType::kNull:
+      out->empty = true;
+      return Status::OK();
+    case DataType::kInt64:
+      ApplyIntBound(v.AsInt(), strict, is_lo, out);
+      return Status::OK();
+    case DataType::kDouble:
+      ApplyDoubleBound(v.AsDouble(), strict, is_lo, out);
+      return Status::OK();
+    default:
+      return Status::TypeError("band join bound must be numeric");
+  }
+}
+
+/// ApplyBound on lane `lane` of an evaluated bound column.
+Status ApplyLaneBound(const Vector& v, uint32_t lane, bool strict, bool is_lo,
+                      ResolvedBand* out) {
+  switch (v.tag(lane)) {
+    case DataType::kNull:
+      out->empty = true;
+      return Status::OK();
+    case DataType::kInt64:
+      ApplyIntBound(v.i64(lane), strict, is_lo, out);
+      return Status::OK();
+    case DataType::kDouble:
+      ApplyDoubleBound(v.f64(lane), strict, is_lo, out);
+      return Status::OK();
+    default:
+      return Status::TypeError("band join bound must be numeric");
+  }
 }
 
 /// Applies an evaluated congruence anchor to *out.
@@ -145,30 +166,78 @@ void ApplyAnchor(const Value& a, int64_t modulus, ResolvedBand* out) {
   out->residue = FlooredMod(a.AsInt(), modulus);
 }
 
-/// If `expr` is `colref(column)` or `colref(column) ± <int literal>`,
-/// returns the offset d with expr = col + d (Fig. 2/4 IN-candidates).
-std::optional<int64_t> AffineOffset(const Expr& expr, size_t column) {
+/// An expression `column + d1 + d2 + ...`: the literals as steps, in
+/// evaluation order, a subtracted literal negated.
+struct AffineForm {
+  size_t column = 0;
+  std::vector<int64_t> steps;
+};
+
+/// If `expr` is a column plus integer literals — `col`, `c + col`, or
+/// either followed by `± c` any number of times, as the parser nests
+/// `s1.pos + 37 - 81` — returns its affine form. Subtracting INT64_MIN,
+/// whose negation does not exist, is not affine.
+std::optional<AffineForm> AffineOffset(const Expr& expr) {
   if (expr.kind == ExprKind::kColumnRef) {
-    return expr.column_index == column ? std::optional<int64_t>(0)
-                                       : std::nullopt;
+    return AffineForm{expr.column_index, {}};
   }
-  if (expr.kind == ExprKind::kBinary &&
-      (expr.binary_op == BinaryOp::kAdd || expr.binary_op == BinaryOp::kSub)) {
-    const Expr& lhs = *expr.children[0];
-    const Expr& rhs = *expr.children[1];
-    if (lhs.kind == ExprKind::kColumnRef && lhs.column_index == column &&
-        rhs.kind == ExprKind::kLiteral &&
-        rhs.literal.type() == DataType::kInt64) {
-      const int64_t d = rhs.literal.AsInt();
-      return expr.binary_op == BinaryOp::kAdd ? d : -d;
+  if (expr.kind != ExprKind::kBinary ||
+      (expr.binary_op != BinaryOp::kAdd && expr.binary_op != BinaryOp::kSub)) {
+    return std::nullopt;
+  }
+  const auto int_literal = [](const Expr& e) {
+    return e.kind == ExprKind::kLiteral && e.literal.type() == DataType::kInt64;
+  };
+  const Expr& lhs = *expr.children[0];
+  const Expr& rhs = *expr.children[1];
+  if (int_literal(rhs)) {
+    std::optional<AffineForm> form = AffineOffset(lhs);
+    if (!form.has_value()) return std::nullopt;
+    int64_t d = rhs.literal.AsInt();
+    if (expr.binary_op == BinaryOp::kSub) {
+      if (d == std::numeric_limits<int64_t>::min()) return std::nullopt;
+      d = -d;
     }
-    if (expr.binary_op == BinaryOp::kAdd && rhs.kind == ExprKind::kColumnRef &&
-        rhs.column_index == column && lhs.kind == ExprKind::kLiteral &&
-        lhs.literal.type() == DataType::kInt64) {
-      return lhs.literal.AsInt();
-    }
+    form->steps.push_back(d);
+    return form;
+  }
+  if (expr.binary_op == BinaryOp::kAdd && int_literal(lhs) &&
+      rhs.kind == ExprKind::kColumnRef) {
+    return AffineForm{rhs.column_index, {lhs.literal.AsInt()}};
   }
   return std::nullopt;
+}
+
+/// The sum of `steps`, exact.
+__int128 StepsTotal(const std::vector<int64_t>& steps) {
+  __int128 total = 0;
+  for (const int64_t d : steps) total += d;
+  return total;
+}
+
+/// Sets band->affine when every expression the band evaluates is one
+/// left column plus integer literals.
+void SetAffineForm(BandSpec* band) {
+  std::optional<size_t> column;
+  const auto take = [&](const Expr* e, std::vector<int64_t>* steps) {
+    if (e == nullptr) return true;
+    std::optional<AffineForm> form = AffineOffset(*e);
+    if (!form.has_value() || (column.has_value() && *column != form->column)) {
+      return false;
+    }
+    column = form->column;
+    *steps = std::move(form->steps);
+    return true;
+  };
+  if (!take(band->lo.get(), &band->lo_steps) ||
+      !take(band->is_point ? nullptr : band->hi.get(), &band->hi_steps) ||
+      !take(band->modulus > 1 ? band->anchor.get() : nullptr,
+            &band->anchor_steps) ||
+      !column.has_value()) {
+    return;  // a band that evaluates nothing has no key to resolve from
+  }
+  band->affine = true;
+  band->affine_column = *column;
 }
 
 /// `MOD(e, w)` with a positive int literal w: returns (e, w).
@@ -307,11 +376,16 @@ bool ExpandInConjunct(const Expr& conjunct, size_t left_width, size_t abs_col,
     }
   } else if (is_left_only(needle)) {
     for (size_t i = 1; i < conjunct.children.size(); ++i) {
-      const std::optional<int64_t> d =
-          AffineOffset(*conjunct.children[i], abs_col);
-      if (!d.has_value()) return false;
+      // needle = key + d  ⇔  key = needle - d, for one literal d at most.
+      const std::optional<AffineForm> form =
+          AffineOffset(*conjunct.children[i]);
+      if (!form.has_value() || form->column != abs_col ||
+          form->steps.size() > 1) {
+        return false;
+      }
+      const int64_t d = form->steps.empty() ? 0 : form->steps[0];
       BandSpec b;
-      b.lo = eb::Sub(needle.Clone(), eb::Int(*d));
+      b.lo = eb::Sub(needle.Clone(), eb::Int(d));
       b.hi = b.lo->Clone();
       b.is_point = true;
       bands.push_back(std::move(b));
@@ -415,6 +489,7 @@ std::optional<BandJoinSpec> ExtractForKeyColumn(const Expr& condition,
     spec.bands = std::move(or_bands);
     spec.approximate = or_approx;
   }
+  for (BandSpec& band : spec.bands) SetAffineForm(&band);
 
   // Over-approximating bands re-check the full condition.
   if (spec.approximate) {
@@ -519,6 +594,28 @@ std::optional<int64_t> ExactIntegral(double d) {
   return static_cast<int64_t>(d);
 }
 
+/// The most steps a run-foldable argument's leaf takes: one per unary
+/// minus and per factor on the path of the taken branches.
+size_t MaxFoldSteps(const Expr& e, size_t left_width) {
+  switch (e.kind) {
+    case ExprKind::kUnary:
+      return 1 + MaxFoldSteps(*e.children[0], left_width);
+    case ExprKind::kBinary: {
+      const bool factor_first = RefsOnlyRange(*e.children[0], 0, left_width);
+      return 1 + MaxFoldSteps(*e.children[factor_first ? 1 : 0], left_width);
+    }
+    case ExprKind::kCase: {
+      size_t most = MaxFoldSteps(*e.children.back(), left_width);
+      for (size_t i = 1; i + 1 < e.children.size(); i += 2) {
+        most = std::max(most, MaxFoldSteps(*e.children[i], left_width));
+      }
+      return most;
+    }
+    default:
+      return 0;
+  }
+}
+
 /// A right cell or fold argument value: the typed int64/double pair the
 /// row evaluator's Values would hold.
 struct FoldNum {
@@ -528,6 +625,31 @@ struct FoldNum {
 };
 
 }  // namespace
+
+AffineChain AffineChain::Compile(const std::vector<int64_t>& steps) {
+  // k + d1 + ... + dj is in range exactly for k in [MIN - Pj, MAX - Pj]
+  // (Pj the prefix sum), so the keys of every step are an interval.
+  constexpr __int128 kMin = std::numeric_limits<int64_t>::min();
+  constexpr __int128 kMax = std::numeric_limits<int64_t>::max();
+  __int128 lo = kMin;
+  __int128 hi = kMax;
+  __int128 prefix = 0;
+  for (const int64_t d : steps) {
+    prefix += d;
+    lo = std::max(lo, kMin - prefix);
+    hi = std::min(hi, kMax - prefix);
+  }
+  AffineChain chain;
+  chain.total = static_cast<uint64_t>(prefix);
+  if (lo > hi) {
+    chain.key_lo = 1;  // no key takes every step
+    chain.key_hi = 0;
+  } else {
+    chain.key_lo = static_cast<int64_t>(lo);
+    chain.key_hi = static_cast<int64_t>(hi);
+  }
+  return chain;
+}
 
 int64_t FlooredMod(int64_t a, int64_t w) {
   int64_t m = a % w;
@@ -670,17 +792,88 @@ Status MergeBandJoinOp::OpenImpl() {
   cursors_.assign(spec_.bands.size(), 0);
   prev_lo_.assign(spec_.bands.size(), std::numeric_limits<int64_t>::min());
   resolved_.assign(spec_.bands.size(), ResolvedBand());
+  lane_bands_.resize(spec_.bands.size());
+  affine_ = !spec_.bands.empty();
+  for (const BandSpec& band : spec_.bands) {
+    affine_ = affine_ && band.affine &&
+              band.affine_column == spec_.bands[0].affine_column;
+  }
+  affine_column_ = affine_ ? spec_.bands[0].affine_column : 0;
+  affine_bands_.clear();
+  if (affine_) {
+    for (const BandSpec& band : spec_.bands) {
+      affine_bands_.push_back({AffineChain::Compile(band.lo_steps),
+                               AffineChain::Compile(band.hi_steps),
+                               AffineChain::Compile(band.anchor_steps)});
+    }
+  }
+  affine_vectors_ = 0;
   folded_candidates_ = 0;
   prefix_rows_ = 0;
-  if (folding()) BuildFoldPrefixes();
+  if (folding()) {
+    BuildFoldPrefixes();
+    ResolveOpenLeaves();
+  }
   return Status::OK();
 }
 
+bool MergeBandJoinOp::ResolveAffine() {
+  const Vector& key = left_vp_->column(affine_column_);
+  const std::vector<uint32_t>& sel = left_vp_->sel().indices();
+  keys_open_ = true;
+  for (const uint32_t lane : sel) {
+    if (key.is_null(lane)) continue;
+    if (key.tag(lane) != DataType::kInt64) return false;
+    keys_open_ = keys_open_ && open_keys_.Fits(key.i64(lane));
+  }
+  const size_t rows = left_vp_->num_rows();
+  for (size_t i = 0; i < spec_.bands.size(); ++i) {
+    const BandSpec& band = spec_.bands[i];
+    const AffineBand& chains = affine_bands_[i];
+    std::vector<ResolvedBand>& lanes = lane_bands_[i];
+    lanes.assign(rows, ResolvedBand());
+    // ResolveBand's order: each step only on a band still non-empty.
+    for (const uint32_t lane : sel) {
+      ResolvedBand& out = lanes[lane];
+      if (key.is_null(lane)) {
+        out.empty = true;  // the band's first expression is NULL
+        continue;
+      }
+      const int64_t k = key.i64(lane);
+      if (band.lo != nullptr) {
+        if (!chains.lo.Fits(k)) return false;
+        const int64_t v = chains.lo.Apply(k);
+        ApplyIntBound(v, band.lo_strict, /*is_lo=*/true, &out);
+        if (band.is_point && !out.empty) {
+          ApplyIntBound(v, band.hi_strict, /*is_lo=*/false, &out);
+        }
+        if (out.empty) continue;
+      }
+      if (band.hi != nullptr && !band.is_point) {
+        if (!chains.hi.Fits(k)) return false;
+        ApplyIntBound(chains.hi.Apply(k), band.hi_strict, /*is_lo=*/false,
+                      &out);
+        if (out.empty) continue;
+      }
+      if (band.modulus > 1) {
+        if (!chains.anchor.Fits(k)) return false;
+        out.residue = FlooredMod(chains.anchor.Apply(k), band.modulus);
+      }
+      if (out.lo > out.hi) out.empty = true;
+    }
+  }
+  return true;
+}
+
 Status MergeBandJoinOp::ResolveLeftVector() {
+  affine_vector_ = affine_ && ResolveAffine();
+  if (affine_vector_) {
+    ++affine_vectors_;
+    return Status::OK();
+  }
   // Each bound is evaluated, as in ResolveBand, only on the rows whose
   // band the earlier bounds left non-empty.
   const size_t rows = left_vp_->num_rows();
-  lane_bands_.resize(spec_.bands.size());
   for (size_t i = 0; i < spec_.bands.size(); ++i) {
     const BandSpec& band = spec_.bands[i];
     std::vector<ResolvedBand>& lanes = lane_bands_[i];
@@ -692,31 +885,37 @@ Status MergeBandJoinOp::ResolveLeftVector() {
       std::vector<uint32_t>& live = live_lanes_.indices();
       size_t kept = 0;
       for (const uint32_t lane : live) {
-        RFV_RETURN_IF_ERROR(apply(bound_lane_.GetValue(lane), &lanes[lane]));
+        RFV_RETURN_IF_ERROR(apply(lane, &lanes[lane]));
         if (!lanes[lane].empty) live[kept++] = lane;
       }
       live.resize(kept);
       return Status::OK();
     };
     if (band.lo != nullptr) {
-      RFV_RETURN_IF_ERROR(stage(*band.lo, [&](const Value& v,
+      RFV_RETURN_IF_ERROR(stage(*band.lo, [&](uint32_t lane,
                                               ResolvedBand* out) {
-        RFV_RETURN_IF_ERROR(
-            ApplyBound(v, band.lo_strict, /*is_lo=*/true, out));
+        RFV_RETURN_IF_ERROR(ApplyLaneBound(bound_lane_, lane, band.lo_strict,
+                                           /*is_lo=*/true, out));
         if (!band.is_point || out->empty) return Status::OK();
-        return ApplyBound(v, band.hi_strict, /*is_lo=*/false, out);
+        return ApplyLaneBound(bound_lane_, lane, band.hi_strict,
+                              /*is_lo=*/false, out);
       }));
     }
     if (band.hi != nullptr && !band.is_point) {
-      RFV_RETURN_IF_ERROR(stage(*band.hi, [&](const Value& v,
+      RFV_RETURN_IF_ERROR(stage(*band.hi, [&](uint32_t lane,
                                               ResolvedBand* out) {
-        return ApplyBound(v, band.hi_strict, /*is_lo=*/false, out);
+        return ApplyLaneBound(bound_lane_, lane, band.hi_strict,
+                              /*is_lo=*/false, out);
       }));
     }
     if (band.modulus > 1) {
-      RFV_RETURN_IF_ERROR(stage(*band.anchor, [&](const Value& v,
+      RFV_RETURN_IF_ERROR(stage(*band.anchor, [&](uint32_t lane,
                                                   ResolvedBand* out) {
-        ApplyAnchor(v, band.modulus, out);
+        if (bound_lane_.tag(lane) != DataType::kInt64) {
+          out->empty = true;  // MOD(NULL, w) = anything is never true
+        } else {
+          out->residue = FlooredMod(bound_lane_.i64(lane), band.modulus);
+        }
         return Status::OK();
       }));
     }
@@ -912,6 +1111,7 @@ bool MergeBandJoinOp::TryEnableSumFold(
   const FoldShape shape{left_width, left_width + spec_.right_column, &spec_};
   std::vector<FoldTerm> terms;
   size_t leaves = 0;
+  size_t max_steps = 0;
   for (const AggregateCall& call : aggregates) {
     if (call.fn != AggFn::kSum || call.is_count_star || call.arg == nullptr) {
       return false;
@@ -926,10 +1126,12 @@ bool MergeBandJoinOp::TryEnableSumFold(
     term.per_band = reads_key && spec_.bands.size() > 1;
     term.first_leaf = leaves;
     leaves += term.per_band ? spec_.bands.size() : 1;
+    max_steps = std::max(max_steps, MaxFoldSteps(*call.arg, left_width));
     terms.push_back(std::move(term));
   }
   fold_terms_ = std::move(terms);
   fold_leaves_ = leaves;
+  fold_max_steps_ = max_steps;
   // The join now outputs one row per matched left row.
   SetEstimatedRows(left_->estimated_rows());
   return true;
@@ -938,20 +1140,27 @@ bool MergeBandJoinOp::TryEnableSumFold(
 std::string MergeBandJoinOp::MetricsDetail() const {
   if (!folding()) return std::string();
   return "fold=sum folded=" + std::to_string(folded_candidates_) +
-         " prefix=" + std::to_string(prefix_rows_);
+         " prefix=" + std::to_string(prefix_rows_) +
+         " affine=" + std::to_string(affine_vectors_);
 }
 
 Status MergeBandJoinOp::FoldTermCandidates(size_t t, size_t at) {
   const FoldTerm& term = fold_terms_[t];
-  if (!leaves_ready_) RFV_RETURN_IF_ERROR(ResolveLaneLeaves(t));
-  const FoldLeaf* leaves = &LeafAt(current_lane_, term.first_leaf);
+  if (!leaves_ready_ && !(open_vector_ && term.open)) {
+    RFV_RETURN_IF_ERROR(ResolveLaneLeaves(t));
+  }
+  uint32_t lane = current_lane_;
+  const FoldLeafTable& table = LeavesOf(t, &lane);
   const Vector& cells = right_vp_.column(term.column);
   int64_t count = 0;
   __int128 sum_int = 0;  // exact: an overflow is an error, not a wrap
   double sum_double = 0;
   for (const size_t id : candidates_) {
-    const FoldLeaf& leaf = leaves[term.per_band ? FoldSlot(id) : 0];
+    const size_t leaf_index =
+        term.first_leaf + (term.per_band ? FoldSlot(id) : 0);
+    const FoldLeaf& leaf = table.leaf(lane, leaf_index);
     if (leaf.null) continue;
+    const FoldStep* steps = table.steps_of(lane, leaf_index);
     const DataType tag = cells.tag(id);
     FoldNum v;
     switch (tag) {
@@ -969,7 +1178,7 @@ Status MergeBandJoinOp::FoldTermCandidates(size_t t, size_t at) {
     // The row evaluator's typed arithmetic (EvalArithmetic / unary minus):
     // int64 stays int64 and overflows as an error, anything mixed
     // computes in double.
-    for (const FoldStep& step : leaf.steps) {
+    for (const FoldStep& step : std::span(steps, leaf.num_steps)) {
       if (step.negate) {
         if (v.is_int) {
           RFV_RETURN_IF_ERROR(CheckedIntNegate(v.i, &v.i));
@@ -1169,21 +1378,127 @@ MergeBandJoinOp::BandChain MergeBandJoinOp::ChainOf(const ResolvedBand& band,
   return chain;
 }
 
+void MergeBandJoinOp::ResolveOpenLeaves() {
+  open_keys_ = AffineChain();
+  open_leaves_.Reset(1, fold_leaves_, fold_max_steps_);
+  for (FoldTerm& term : fold_terms_) {
+    term.open = affine_;
+    for (size_t slot = 0; term.open && slot < (term.per_band
+                                                    ? spec_.bands.size()
+                                                    : 1);
+         ++slot) {
+      open_leaves_.Clear(0, term.first_leaf + slot);
+      term.open = ResolveOpenLeaf(*term.arg, term.first_leaf + slot, slot);
+    }
+  }
+}
+
+std::optional<bool> MergeBandJoinOp::OpenCondition(const Expr& cond,
+                                                   size_t band) {
+  if (cond.kind != ExprKind::kBinary || cond.binary_op != BinaryOp::kEq) {
+    return std::nullopt;
+  }
+  const auto lmod = AsModCall(*cond.children[0]);
+  const auto rmod = AsModCall(*cond.children[1]);
+  if (!lmod.has_value() || !rmod.has_value() || lmod->second != rmod->second) {
+    return std::nullopt;
+  }
+  const size_t key_col = fold_partial_base() + spec_.right_column;
+  const auto is_key = [&](const Expr& e) {
+    return e.kind == ExprKind::kColumnRef && e.column_index == key_col;
+  };
+  const Expr* left_side = is_key(*rmod->first)   ? lmod->first
+                          : is_key(*lmod->first) ? rmod->first
+                                                 : nullptr;
+  if (left_side == nullptr) return std::nullopt;
+  std::optional<AffineForm> form = AffineOffset(*left_side);
+  if (!form.has_value() || form->column != affine_column_) {
+    return std::nullopt;
+  }
+  // MOD(band key, w) reads the band's residue r ≡ key + a (mod m), and w
+  // divides m (FoldableCondition): MOD(key + c, w) = MOD(r, w) exactly
+  // when c ≡ a (mod w), whatever the key.
+  const __int128 a = StepsTotal(spec_.bands[band].anchor_steps);
+  open_keys_.Intersect(AffineChain::Compile(form->steps));
+  return (StepsTotal(form->steps) - a) % lmod->second == 0;
+}
+
+bool MergeBandJoinOp::ResolveOpenLeaf(const Expr& e, size_t leaf,
+                                      size_t band) {
+  switch (e.kind) {
+    case ExprKind::kColumnRef:
+      return true;  // the right cell itself
+    case ExprKind::kUnary: {
+      if (!ResolveOpenLeaf(*e.children[0], leaf, band)) return false;
+      FoldStep step;
+      step.negate = true;
+      open_leaves_.Push(0, leaf, step);
+      return true;
+    }
+    case ExprKind::kBinary: {
+      const bool factor_first =
+          RefsOnlyRange(*e.children[0], 0, fold_partial_base());
+      const Expr& factor = *e.children[factor_first ? 0 : 1];
+      if (!RefsOnlyRange(factor, 0, 0)) return false;  // reads a column
+      const Result<Value> value = Evaluator::Eval(factor, Row());
+      if (!value.ok()) return false;  // each row raises it, in row order
+      if (!ResolveOpenLeaf(*e.children[factor_first ? 1 : 0], leaf, band)) {
+        return false;
+      }
+      if (value->is_null()) {
+        open_leaves_.leaf(0, leaf).null = true;
+        return true;
+      }
+      if (value->type() != DataType::kInt64 &&
+          value->type() != DataType::kDouble) {
+        return false;
+      }
+      FoldStep step;
+      step.factor_first = factor_first;
+      step.factor_int = value->type() == DataType::kInt64;
+      if (step.factor_int) step.factor_i = value->AsInt();
+      step.factor_d = value->ToDouble();
+      open_leaves_.Push(0, leaf, step);
+      return true;
+    }
+    case ExprKind::kCase: {
+      const size_t pairs = (e.children.size() - 1) / 2;
+      for (size_t i = 0; i < pairs; ++i) {
+        const std::optional<bool> taken =
+            OpenCondition(*e.children[2 * i], band);
+        if (!taken.has_value()) return false;
+        if (*taken) return ResolveOpenLeaf(*e.children[2 * i + 1], leaf, band);
+      }
+      return ResolveOpenLeaf(*e.children.back(), leaf, band);
+    }
+    default:
+      return false;
+  }
+}
+
 void MergeBandJoinOp::PlanFoldVector() {
   const size_t rows = left_vp_->num_rows();
   const size_t bands = spec_.bands.size();
   const std::vector<uint32_t>& lanes = left_vp_->sel().indices();
   lane_plan_.assign(rows, kWalkLane);
-  leaves_.resize(rows * fold_leaves_);
   leaves_ready_ = false;
-  // Leaves resolve over the left columns plus the band key placeholder,
-  // which carries the band's residue.
-  const size_t left_width = fold_partial_base();
-  const size_t key_col = left_width + spec_.right_column;
-  fold_vp_.Reset(key_col + 1, rows);
-  for (size_t c = 0; c < left_width; ++c) {
-    for (const uint32_t lane : lanes) {
-      fold_vp_.column(c).CopyFrom(lane, left_vp_->column(c), lane);
+  // Offset-resolved vectors whose keys take every open condition's
+  // steps read the open terms' per-Open leaves.
+  open_vector_ = affine_vector_ && keys_open_;
+  bool evaluate_leaves = !open_vector_;
+  for (const FoldTerm& term : fold_terms_) {
+    evaluate_leaves = evaluate_leaves || !term.open;
+  }
+  if (evaluate_leaves) {
+    leaves_.Reset(rows, fold_leaves_, fold_max_steps_);
+    // Leaves resolve over the left columns plus the band key
+    // placeholder, which carries the band's residue.
+    const size_t left_width = fold_partial_base();
+    fold_vp_.Reset(left_width + spec_.right_column + 1, rows);
+    for (size_t c = 0; c < left_width; ++c) {
+      for (const uint32_t lane : lanes) {
+        fold_vp_.column(c).CopyFrom(lane, left_vp_->column(c), lane);
+      }
     }
   }
   // After a band evaluation error each row resolves its own bands, and
@@ -1215,8 +1530,10 @@ void MergeBandJoinOp::PlanFoldVector() {
 
   // Every leaf a row's non-empty bands can use: a per-band term's leaf
   // of each such band, another term's one leaf if any band is.
+  const size_t key_col = fold_partial_base() + spec_.right_column;
   for (size_t t = 0; t < fold_terms_.size(); ++t) {
     const FoldTerm& term = fold_terms_[t];
+    if (open_vector_ && term.open) continue;
     for (size_t slot = 0; slot < (term.per_band ? bands : 1); ++slot) {
       const auto live = [&](uint32_t lane) {
         if (term.per_band) return !lane_bands_[slot][lane].empty;
@@ -1261,13 +1578,16 @@ bool MergeBandJoinOp::SumPrefixLane(uint32_t lane) {
     for (size_t b = 0; b < bands; ++b) {
       const BandChain& chain = chains[b];
       if (chain.n == 0) continue;
-      const FoldLeaf& leaf =
-          LeafAt(lane, term.first_leaf + (term.per_band ? b : 0));
+      uint32_t at = lane;
+      const FoldLeafTable& table = LeavesOf(t, &at);
+      const size_t leaf_index = term.first_leaf + (term.per_band ? b : 0);
+      const FoldLeaf& leaf = table.leaf(at, leaf_index);
       if (leaf.null) continue;
       // c_band: the integer the leaf's steps multiply every cell by,
       // checked in 128 bits at every step.
       int64_t c = 1;
-      for (const FoldStep& step : leaf.steps) {
+      for (const FoldStep& step :
+           std::span(table.steps_of(at, leaf_index), leaf.num_steps)) {
         if (step.negate) {
           c = -c;
           continue;
@@ -1302,11 +1622,7 @@ Status MergeBandJoinOp::ResolveFoldLeaves(size_t t, size_t slot,
                                           const SelectionVector& lanes) {
   const FoldTerm& term = fold_terms_[t];
   const size_t leaf = term.first_leaf + slot;
-  for (const uint32_t lane : lanes.indices()) {
-    FoldLeaf& resolved = LeafAt(lane, leaf);
-    resolved.null = false;
-    resolved.steps.clear();
-  }
+  for (const uint32_t lane : lanes.indices()) leaves_.Clear(lane, leaf);
   return ResolveFoldExprVector(*term.arg, leaf, lanes);
 }
 
@@ -1320,7 +1636,7 @@ Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e, size_t leaf,
       FoldStep step;
       step.negate = true;
       for (const uint32_t lane : lanes.indices()) {
-        LeafAt(lane, leaf).steps.push_back(step);
+        leaves_.Push(lane, leaf, step);
       }
       return Status::OK();
     }
@@ -1343,10 +1659,9 @@ Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e, size_t leaf,
             VectorEvaluator::Eval(factor, fold_vp_, lanes, &values));
       }
       for (const uint32_t lane : lanes.indices()) {
-        FoldLeaf& resolved = LeafAt(lane, leaf);
         const DataType tag = values.tag(lane);
         if (tag == DataType::kNull) {
-          resolved.null = true;
+          leaves_.leaf(lane, leaf).null = true;
           continue;
         }
         if (tag != DataType::kInt64 && tag != DataType::kDouble) {
@@ -1357,7 +1672,7 @@ Status MergeBandJoinOp::ResolveFoldExprVector(const Expr& e, size_t leaf,
         step.factor_int = tag == DataType::kInt64;
         if (step.factor_int) step.factor_i = values.i64(lane);
         step.factor_d = values.ToDouble(lane);
-        resolved.steps.push_back(step);
+        leaves_.Push(lane, leaf, step);
       }
       return Status::OK();
     }

@@ -5,6 +5,7 @@
 // through exec/executor.h (BuildPhysicalPlan / ExecutePlan); these
 // classes are exposed for white-box tests.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -224,6 +225,17 @@ struct BandSpec {
   int64_t modulus = 0;
   /// lo and hi are the same single point (`rc = e` / IN candidates).
   bool is_point = false;
+  /// Affine form, set by TryExtractBandJoin when every expression the
+  /// band evaluates (lo, hi, and the anchor when modulus > 1) is the
+  /// left column `affine_column` plus integer literals (`s1.pos + 37 -
+  /// 81`). Each *_steps holds its literals in evaluation order, a
+  /// subtraction as the negated literal, so resolving the band from a
+  /// key k is the checked additions k + step, one step at a time.
+  bool affine = false;
+  size_t affine_column = 0;
+  std::vector<int64_t> lo_steps;
+  std::vector<int64_t> hi_steps;
+  std::vector<int64_t> anchor_steps;
 };
 
 /// The join-predicate plan of both band-driven joins: each left row
@@ -274,6 +286,29 @@ std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
 /// result takes the divisor's sign, so a == b (mod w) exactly when
 /// FlooredMod(a, w) == FlooredMod(b, w).
 int64_t FlooredMod(int64_t a, int64_t w);
+
+/// An affine chain of BandSpec steps compiled for one key at a time:
+/// the keys k for which every partial sum k + d1 + ... + dj stays in
+/// int64 — [key_lo, key_hi], none when key_lo > key_hi — and the total
+/// modulo 2^64, exact for those keys. A key outside the range overflows
+/// at some step, where the evaluator raises its error.
+struct AffineChain {
+  int64_t key_lo = std::numeric_limits<int64_t>::min();
+  int64_t key_hi = std::numeric_limits<int64_t>::max();
+  uint64_t total = 0;
+
+  static AffineChain Compile(const std::vector<int64_t>& steps);
+  /// Narrows the key range to the keys `other` takes too.
+  void Intersect(const AffineChain& other) {
+    key_lo = std::max(key_lo, other.key_lo);
+    key_hi = std::min(key_hi, other.key_hi);
+  }
+  bool Fits(int64_t k) const { return k >= key_lo && k <= key_hi; }
+  /// k + the steps, for a key that Fits.
+  int64_t Apply(int64_t k) const {
+    return static_cast<int64_t>(static_cast<uint64_t>(k) + total);
+  }
+};
 
 /// Evaluated, integer-resolved bounds of one band for one left row.
 struct ResolvedBand {
@@ -382,9 +417,11 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// While folding: the output column of aggregate a's partial sum is
   /// fold_partial_base() + 2a, its non-NULL count the next column.
   size_t fold_partial_base() const { return left_->schema().NumColumns(); }
-  /// `fold=sum folded=<candidates> prefix=<left rows>` while folding
-  /// (EXPLAIN ANALYZE): prefix counts the partial rows answered from
-  /// prefix sums instead of a candidate walk.
+  /// `fold=sum folded=<candidates> prefix=<left rows> affine=<left
+  /// vectors>` while folding (EXPLAIN ANALYZE): prefix counts the
+  /// partial rows answered from prefix sums instead of a candidate walk,
+  /// affine the left vectors whose bands resolved from the key by
+  /// offsets instead of through the evaluator.
   std::string MetricsDetail() const override;
 
  protected:
@@ -404,10 +441,39 @@ class MergeBandJoinOp : public PhysicalOperator {
   };
   /// A fold argument resolved for one left row and one band: the steps
   /// that turn a right cell into the argument value, or `null` when the
-  /// argument is NULL for every candidate of the band.
+  /// argument is NULL for every candidate of the band. The steps live in
+  /// the owning FoldLeafTable.
   struct FoldLeaf {
     bool null = false;
+    uint32_t num_steps = 0;
+  };
+  /// Leaves [lane][leaf], each with room for `max_steps` steps, in two
+  /// flat arrays that are reused from vector to vector: a left vector's
+  /// leaves, or (one lane) the per-Open ones.
+  struct FoldLeafTable {
+    std::vector<FoldLeaf> leaves;
     std::vector<FoldStep> steps;
+    size_t width = 0;      ///< leaves per lane
+    size_t max_steps = 0;  ///< step slots per leaf
+
+    void Reset(size_t lanes, size_t leaves_per_lane, size_t steps_per_leaf) {
+      width = leaves_per_lane;
+      max_steps = steps_per_leaf;
+      leaves.resize(lanes * width);
+      steps.resize(lanes * width * max_steps);
+    }
+    FoldLeaf& leaf(size_t lane, size_t i) { return leaves[lane * width + i]; }
+    const FoldLeaf& leaf(size_t lane, size_t i) const {
+      return leaves[lane * width + i];
+    }
+    const FoldStep* steps_of(size_t lane, size_t i) const {
+      return steps.data() + (lane * width + i) * max_steps;
+    }
+    void Clear(size_t lane, size_t i) { leaf(lane, i) = FoldLeaf(); }
+    void Push(size_t lane, size_t i, const FoldStep& step) {
+      FoldLeaf& l = leaf(lane, i);
+      steps[(lane * width + i) * max_steps + l.num_steps++] = step;
+    }
   };
   /// One folded SUM.
   struct FoldTerm {
@@ -419,6 +485,12 @@ class MergeBandJoinOp : public PhysicalOperator {
     /// else one leaf for every band.
     bool per_band = false;
     size_t first_leaf = 0;  ///< offset of its leaves among a lane's
+    /// Its leaves resolved once per Open (open_leaves_): every CASE
+    /// condition compares MOD(key + c, w) with MOD(band key, w) and
+    /// every factor is a constant, so on offset-resolved vectors the
+    /// leaf of a band is the same for every row (DESIGN.md §16 "Affine
+    /// bands").
+    bool open = false;
     /// Prefix path (set with prefixes_): the largest |coefficient| c
     /// for which |c| · max|cell| · (right keys) stays exact — 2^53 for
     /// DOUBLE sums, INT64_MAX for INTEGER ones.
@@ -449,8 +521,14 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// Fills candidates_ from resolved_ (cross-band deduplicated).
   void CollectCandidates();
   /// Resolves every band for every selected row of the new left_vp_
-  /// into lane_bands_, one columnar evaluation per bound.
+  /// into lane_bands_: from the key lane by offsets when ResolveAffine
+  /// succeeds, else one columnar evaluation per bound.
   Status ResolveLeftVector();
+  /// Affine bands (affine_): resolves every band of left_vp_ from the
+  /// key lane by offsets (affine_bands_). False, with lane_bands_ partly
+  /// written, when a selected key is neither INTEGER nor NULL or a step
+  /// the evaluator would take overflows: the vector then evaluates.
+  bool ResolveAffine();
   /// Appends row ids of keys_ positions matching `band` to candidates_,
   /// using the per-band monotone start cursor `cursor`.
   void CollectBand(const ResolvedBand& band, size_t band_index);
@@ -489,6 +567,27 @@ class MergeBandJoinOp : public PhysicalOperator {
   BandChain ChainOf(const ResolvedBand& band, size_t b) const;
   /// The non-empty chains[0, bands) are pairwise disjoint.
   bool ChainsDisjoint(const BandChain* chains);
+  /// Open: sets each term's `open` and resolves its per-band leaves
+  /// into open_leaves_, when the spec is affine.
+  void ResolveOpenLeaves();
+  /// Resolves `e` on band `band` into per-Open leaf `leaf` of
+  /// open_leaves_, taking the CASE branches its conditions take there;
+  /// false when a condition or factor is not of the per-Open shape.
+  bool ResolveOpenLeaf(const Expr& e, size_t leaf, size_t band);
+  /// Whether `cond`, MOD(key + c, w) = MOD(band key, w) in either
+  /// order, holds on band `band`: (c - a) mod w = 0 with a the band's
+  /// anchor offset. nullopt when `cond` has another shape; otherwise
+  /// open_keys_ narrows to the keys c's chain takes.
+  std::optional<bool> OpenCondition(const Expr& cond, size_t band);
+  /// Term `t`'s leaf table and the lane to read it at: open_leaves_ at
+  /// lane 0 on open vectors for an open term, else the vector's leaves_.
+  const FoldLeafTable& LeavesOf(size_t t, uint32_t* lane) const {
+    if (open_vector_ && fold_terms_[t].open) {
+      *lane = 0;
+      return open_leaves_;
+    }
+    return leaves_;
+  }
   /// Resolves term `t`'s leaf `slot` on `lanes` of fold_vp_, whose band
   /// key column holds each lane's band residue.
   Status ResolveFoldLeaves(size_t t, size_t slot,
@@ -500,9 +599,6 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// null). An error means some lane's row would raise one.
   Status ResolveFoldExprVector(const Expr& e, size_t leaf,
                                const SelectionVector& lanes);
-  FoldLeaf& LeafAt(uint32_t lane, size_t leaf) {
-    return leaves_[lane * fold_leaves_ + leaf];
-  }
 
   PhysicalOperatorPtr left_;
   PhysicalOperatorPtr right_;
@@ -551,18 +647,43 @@ class MergeBandJoinOp : public PhysicalOperator {
   SelectionVector live_lanes_;
   Vector bound_lane_;
   size_t vector_capacity_ = kVectorSize;
+  /// Every band is affine in one left column, affine_column_ (set at
+  /// Open); affine_vectors_ counts the left vectors resolved by offsets.
+  bool affine_ = false;
+  size_t affine_column_ = 0;
+  int64_t affine_vectors_ = 0;
+  /// Per band: its lo, hi and anchor steps compiled.
+  struct AffineBand {
+    AffineChain lo;
+    AffineChain hi;
+    AffineChain anchor;
+  };
+  std::vector<AffineBand> affine_bands_;
+  /// Every non-NULL key of the current vector is in open_keys_ (set by
+  /// ResolveAffine).
+  bool keys_open_ = false;
+  bool affine_vector_ = false;  ///< ResolveAffine resolved the current one
 
   // --- SUM fold (TryEnableSumFold); empty fold_terms_ = off ---
   std::vector<FoldTerm> fold_terms_;
   /// Resolved bands of the current left row.
   std::vector<ResolvedBand> resolved_;
   int64_t folded_candidates_ = 0;
-  /// The current left vector's leaves, [lane * fold_leaves_ + term's
-  /// first_leaf + slot]; leaves_ready_ when PlanFoldVector resolved
-  /// them, else each walked row resolves its own.
-  std::vector<FoldLeaf> leaves_;
+  /// The current left vector's leaves, [lane][term's first_leaf +
+  /// slot]; leaves_ready_ when PlanFoldVector resolved them, else each
+  /// walked row resolves its own.
+  FoldLeafTable leaves_;
   size_t fold_leaves_ = 0;
+  size_t fold_max_steps_ = 0;  ///< the most steps any term's leaf takes
   bool leaves_ready_ = false;
+  /// Per-Open leaves of the open terms, [0][first_leaf + slot], and the
+  /// keys whose CASE condition operands, key + c, do not overflow
+  /// (open_keys_). open_vector_: the current vector was resolved by
+  /// offsets and its keys are among those, so open terms read
+  /// open_leaves_.
+  FoldLeafTable open_leaves_;
+  AffineChain open_keys_;
+  bool open_vector_ = false;
   /// Prefix path (empty prefixes_ = off for this Open): the prefix of
   /// each band's modulus.
   std::vector<FoldPrefix> prefixes_;

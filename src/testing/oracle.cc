@@ -587,6 +587,33 @@ class OracleRunner {
           check_replay("band", no_band);
           check_replay("nestedloop", nested_loop);
           check_replay("hashjoin", hash_only);
+
+          // Oracle 7: a folding band join's offset resolution against
+          // the evaluator's. The rewritten SQL runs as written and as
+          // its non-affine twin; both must give the same rows.
+          const bool folds = std::any_of(
+              derived->metrics().begin(), derived->metrics().end(),
+              [](const OperatorMetricsEntry& e) {
+                return e.detail.find("fold=sum") != std::string::npos;
+              });
+          if (folds) {
+            Result<ResultSet> affine = db_.Execute(derived->rewritten_sql());
+            Result<ResultSet> twin =
+                db_.Execute(NonAffineBandSql(derived->rewritten_sql()));
+            if (!affine.ok() || !twin.ok()) {
+              RecordFailure(&verdict_, "affine", derived->rewritten_sql(),
+                            (affine.ok() ? twin : affine).status().ToString(),
+                            round);
+            } else {
+              RecordCheck(&verdict_, "affine");
+              std::optional<std::string> twin_diff =
+                  DiffRowsCanonical(*affine, *twin);
+              if (twin_diff.has_value()) {
+                RecordFailure(&verdict_, "affine", derived->rewritten_sql(),
+                              *twin_diff, round);
+              }
+            }
+          }
         }
       }
     }
@@ -599,6 +626,20 @@ class OracleRunner {
 };
 
 }  // namespace
+
+std::string NonAffineBandSql(const std::string& sql) {
+  static const std::string kKey = "s1.pos";
+  std::string out;
+  size_t from = 0;
+  for (size_t at = sql.find(kKey); at != std::string::npos;
+       at = sql.find(kKey, from)) {
+    out.append(sql, from, at + kKey.size() - from);
+    out += " * 1";
+    from = at + kKey.size();
+  }
+  out.append(sql, from, std::string::npos);
+  return out;
+}
 
 int ScenarioVerdict::TotalChecks() const {
   int total = 0;

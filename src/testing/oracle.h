@@ -28,6 +28,12 @@ namespace fuzzing {
 ///                   index nested-loop join runs the same band spec on
 ///                   the view's position index, vs. the merge band join
 ///                   and its SUM fold;
+///   * affine      — rewrites whose merge band join folds, their SQL
+///                   replayed as written and with every `s1.pos` written
+///                   `s1.pos * 1` (NonAffineBandSql): the bands, anchors
+///                   and CASE leaves then resolve through the evaluator
+///                   row by row instead of from the key by offsets, and
+///                   the rows must be identical;
 ///   * hashjoin    — partitioned rewrites replayed with the band and
 ///                   index joins off, so their equi-join runs through
 ///                   the hash join;
@@ -84,6 +90,12 @@ struct ScenarioVerdict {
   /// these strings across runs.
   std::string Summary() const;
 };
+
+/// `sql` with every `s1.pos` written `s1.pos * 1`: the same values, but
+/// the rewrite patterns' band bounds, anchors and CASE conditions over
+/// their left key s1.pos are no longer affine (DESIGN.md §16 "Affine
+/// bands"), so a band join resolves them through the evaluator.
+std::string NonAffineBandSql(const std::string& sql);
 
 /// Replays the scenario and runs every applicable oracle.
 ScenarioVerdict RunScenario(const Scenario& scenario,

@@ -130,8 +130,11 @@ TEST_F(ExplainAnalyzeTest, FoldingBandJoinShowsFoldTokenAndLeftEstimate) {
   // seq's values are small integers, so prefix sums answer every
   // partial row: prefix= equals rows_out (fewer would mean a fallback).
   EXPECT_NE(join_line.find(" prefix=50"), std::string::npos) << text;
+  // Every band bound and anchor is s1.pos plus literals, so each left
+  // vector resolved by offsets: affine= equals vectors= (one here).
+  EXPECT_EQ(e.metrics.vectors_out, 1);
   EXPECT_EQ(e.detail, "fold=sum folded=" + std::to_string(candidates) +
-                          " prefix=50");
+                          " prefix=50 affine=1");
 }
 
 TEST_F(ExplainAnalyzeTest, FoldingBandJoinCountsWalkedRowsOutsidePrefix) {

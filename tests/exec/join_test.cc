@@ -9,6 +9,7 @@
 #include "exec/operators.h"
 #include "expr/builder.h"
 #include "test_util.h"
+#include "testing/oracle.h"
 
 namespace rfv {
 namespace {
@@ -483,6 +484,106 @@ INSTANTIATE_TEST_SUITE_P(
                          "b.pos BETWEEN a.pos - 1 AND a.pos",
                          {4}}),
     [](const ::testing::TestParamInfo<Int64MaxCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// --- affine bands at the int64 edges ---------------------------------------
+//
+// The merge band join resolves bounds and anchors of the form `s1.pos +
+// literals` from the key by offsets, and a folded CASE leaf once per
+// Open (DESIGN.md §16 "Affine bands"). A vector where a step the
+// evaluator would take overflows goes through the evaluator instead, so
+// the plan raises the error of its non-affine twin (`s1.pos * 1 + ...`)
+// and of the nested-loop join, or returns their rows. The keys are
+// BandJoinInt64MaxTest's edges at both ends of the range.
+
+struct AffineEdgeCase {
+  const char* name;
+  bool max_end;  ///< keys INT64_MAX - 3..INT64_MAX, else INT64_MIN..+3
+  const char* select;
+  const char* where;
+  bool fails;  ///< every plan raises the same error
+};
+
+class AffineBandEdgeTest : public ::testing::TestWithParam<AffineEdgeCase> {
+};
+
+TEST_P(AffineBandEdgeTest, MatchesTwinAndNestedLoop) {
+  const AffineEdgeCase& c = GetParam();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Database db;
+  MustExecute(db, "CREATE TABLE t (pos INTEGER, val INTEGER)");
+  std::string insert = "INSERT INTO t VALUES ";
+  for (int64_t d = 0; d < 4; ++d) {
+    if (d > 0) insert += ", ";
+    insert += "(" + std::to_string(c.max_end ? kMax - 3 + d : kMin + d) +
+              ", " + std::to_string(d + 1) + ")";
+  }
+  MustExecute(db, insert);
+  const std::string sql = std::string("SELECT s1.pos, ") + c.select +
+                          " FROM t s1, t s2 WHERE " + c.where +
+                          " GROUP BY s1.pos ORDER BY s1.pos";
+  const Result<ResultSet> band = db.Execute(sql);
+  const Result<ResultSet> twin = db.Execute(fuzzing::NonAffineBandSql(sql));
+  const Result<ResultSet> nested = testutil::ExecuteNestedLoop(db, sql);
+  ASSERT_EQ(band.ok(), !c.fails) << c.name << ": "
+                                 << band.status().ToString();
+  ASSERT_EQ(twin.ok(), !c.fails) << c.name;
+  ASSERT_EQ(nested.ok(), !c.fails) << c.name;
+  if (c.fails) {
+    EXPECT_EQ(band.status().ToString(), twin.status().ToString()) << c.name;
+    EXPECT_EQ(band.status().ToString(), nested.status().ToString())
+        << c.name;
+    return;
+  }
+  EXPECT_TRUE(testutil::RowsEqual(*band, *twin)) << c.name;
+  EXPECT_TRUE(testutil::RowsEqual(*band, *nested)) << c.name;
+  EXPECT_GT(band->NumRows(), 0u) << c.name;
+  const ResultSet plan = MustExecute(db, "EXPLAIN ANALYZE " + sql);
+  EXPECT_EQ(JoinOperators(plan), std::vector<std::string>{"merge_band_join"})
+      << c.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, AffineBandEdgeTest,
+    ::testing::Values(
+        // s1.pos + 37 overflows on every key at the top.
+        AffineEdgeCase{"chain_overflows_at_max", true, "COUNT(*)",
+                       "s2.pos BETWEEN s1.pos + 37 - 81 AND s1.pos", true},
+        // ... and - 81 after + 37 on every key at the bottom.
+        AffineEdgeCase{"chain_overflows_at_min", false, "COUNT(*)",
+                       "s2.pos BETWEEN s1.pos + 37 - 81 AND s1.pos", true},
+        // The stride anchor s1.pos - 2 overflows on INT64_MIN.
+        AffineEdgeCase{"anchor_overflows_at_min", false, "COUNT(*)",
+                       "s2.pos <= s1.pos AND MOD(s1.pos - 2, 2) = "
+                       "MOD(s2.pos, 2)",
+                       true},
+        // At INT64_MAX the strict lower bound empties the band, so the
+        // upper bound's s1.pos + 1, which would overflow, is never taken.
+        AffineEdgeCase{"overflow_past_an_empty_band", true, "COUNT(*)",
+                       "s2.pos > s1.pos AND s2.pos <= s1.pos + 1", false},
+        // Offsets near the edge that stay in range resolve by offsets.
+        AffineEdgeCase{"offsets_in_range_at_max", true, "SUM(s2.val)",
+                       "s2.pos BETWEEN s1.pos - 2 AND s1.pos - 1 + 1",
+                       false},
+        // A folded CASE leaf whose condition operand s1.pos + 5
+        // overflows at the top while the bands do not: the vector's
+        // leaves evaluate, and every plan raises the evaluator's error.
+        AffineEdgeCase{"leaf_condition_overflows", true,
+                       "SUM(CASE WHEN MOD(s1.pos + 5, 2) = MOD(s2.pos, 2) "
+                       "THEN s2.val ELSE (-1) * s2.val END)",
+                       "s2.pos <= s1.pos AND MOD(s1.pos - 1, 2) = "
+                       "MOD(s2.pos, 2)",
+                       true},
+        // The same leaf with an operand in range: taken once per Open.
+        AffineEdgeCase{"leaf_condition_in_range", true,
+                       "SUM(CASE WHEN MOD(s1.pos - 5, 2) = MOD(s2.pos, 2) "
+                       "THEN s2.val ELSE (-1) * s2.val END)",
+                       "s2.pos <= s1.pos AND MOD(s1.pos - 1, 2) = "
+                       "MOD(s2.pos, 2)",
+                       false}),
+    [](const ::testing::TestParamInfo<AffineEdgeCase>& info) {
       return std::string(info.param.name);
     });
 

@@ -35,6 +35,7 @@
 #include "plan/planner.h"
 #include "rewrite/pattern_sql.h"
 #include "test_util.h"
+#include "testing/oracle.h"
 
 namespace rfv {
 namespace {
@@ -1464,6 +1465,7 @@ class BandFoldTest : public ::testing::Test {
     bool folds = false;
     int64_t rows = 0;    ///< partial rows emitted
     int64_t prefix = 0;  ///< of those, answered from prefix sums
+    int64_t affine = 0;  ///< left vectors resolved by offsets
   };
 
   FoldStats Explain(const std::string& sql) {
@@ -1478,6 +1480,10 @@ class BandFoldTest : public ::testing::Test {
       stats.folds = true;
       stats.rows = e.metrics.rows_out;
       stats.prefix = std::stoll(e.detail.substr(at + 7));
+      const size_t affine = e.detail.find("affine=");
+      if (affine != std::string::npos) {
+        stats.affine = std::stoll(e.detail.substr(affine + 7));
+      }
     }
     return stats;
   }
@@ -1523,6 +1529,20 @@ class BandFoldTest : public ::testing::Test {
     EXPECT_FALSE(Folds(sql)) << sql;
   }
 
+  // `sql` folds with `left_vectors` left vectors, every one resolved by
+  // offsets; its non-affine twin, which writes s1.pos as s1.pos * 1,
+  // folds with none; and the two agree bit for bit, each with the
+  // reference.
+  void ExpectAffineMatchesTwin(const std::string& sql,
+                               int64_t left_vectors) {
+    const std::string twin = fuzzing::NonAffineBandSql(sql);
+    ASSERT_NE(twin, sql);
+    EXPECT_EQ(ExpectFoldMatchesRef(sql).affine, left_vectors) << sql;
+    EXPECT_EQ(ExpectFoldMatchesRef(twin).affine, 0) << twin;
+    EXPECT_TRUE(BitIdentical(MustExecute(db_, sql), MustExecute(db_, twin)))
+        << sql;
+  }
+
   Database db_;
 };
 
@@ -1555,6 +1575,98 @@ TEST_F(BandFoldTest, Fig2BetweenSelfJoin) {
                                          WindowSpec::SlidingUnchecked(3, 2),
                                          /*use_in_predicate=*/false) +
                        " ORDER BY 1");
+}
+
+// ---------------------------------------------------------------------
+// Affine bands (DESIGN.md §16 "Affine bands"): the bounds, anchors and
+// CASE leaves of these shapes resolve from s1.pos by offsets, once per
+// Open for the leaves; the twin resolves them through the evaluator,
+// row by row. vx's fractional values take the walk, vn's integral ones
+// the prefix path.
+// ---------------------------------------------------------------------
+
+TEST_F(BandFoldTest, AffineMinoaShapesMatchTheNonAffineTwin) {
+  for (const char* table : {"vx", "vn"}) {
+    MinoaParams params;
+    params.wx = 4;
+    for (const auto& [dl, dh] : std::vector<std::pair<int, int>>{
+             {1, 0}, {-2, -1}, {2, 2}}) {  // two chains, raw, coincident
+      params.delta_l = dl;
+      params.delta_h = dh;
+      ExpectAffineMatchesTwin(
+          MinoaSql(table, params, 50, false) + " ORDER BY 1", 1);
+    }
+    ExpectAffineMatchesTwin(
+        MinoaCumulativeSql(table, WindowSpec::SlidingUnchecked(2, 1), 50) +
+            " ORDER BY 1",
+        1);
+    ExpectAffineMatchesTwin(
+        SelfJoinWindowSql(table, "pos", "val",
+                          WindowSpec::SlidingUnchecked(3, 2),
+                          /*use_in_predicate=*/false) +
+            " ORDER BY 1",
+        1);
+  }
+}
+
+TEST_F(BandFoldTest, AffineLeftInputsAtTheVectorBoundary) {
+  // 1, 1 024 and 1 025 left rows: one vector, one full vector, and a
+  // full one plus a one-row one.
+  for (const int n : {1, 1024, 1025}) {
+    const std::string table = "seq" + std::to_string(n);
+    MustExecute(db_, "CREATE TABLE " + table + " (pos INTEGER, val DOUBLE)");
+    MustExecute(db_, "INSERT INTO " + table + " VALUES " +
+                         IntegralRows(1, n));
+    const int64_t vectors = n > 1024 ? 2 : 1;
+    MinoaParams params;
+    params.delta_l = 3;
+    params.delta_h = 1;
+    params.wx = 5;
+    ExpectAffineMatchesTwin(
+        MinoaSql(table, params, n, false) + " ORDER BY 1", vectors);
+    ExpectAffineMatchesTwin(
+        MinoaCumulativeSql(table, WindowSpec::SlidingUnchecked(2, 2), n) +
+            " ORDER BY 1",
+        vectors);
+  }
+}
+
+TEST_F(BandFoldTest, AffineNullKeysMakeNoGroup) {
+  // A left key column with NULLs: their bands are empty, as the
+  // evaluator's NULL bounds make them, and they form no group.
+  MustExecute(db_, "CREATE TABLE nk (pos INTEGER, val DOUBLE)");
+  MustExecute(db_, "INSERT INTO nk VALUES (1, 1), (NULL, 2), (5, 3), "
+                   "(NULL, 4), (9, 5), (30, 6)");
+  // MinOA's two-chain shape without its body range, which would drop
+  // the NULL keys before the join.
+  const std::string sql =
+      "SELECT s1.pos, SUM(CASE WHEN MOD(s1.pos + 1, 4) = MOD(s2.pos, 4) "
+      "THEN s2.val ELSE (-1) * s2.val END) FROM nk s1, vn s2 WHERE "
+      "(s2.pos <= s1.pos + 1 AND MOD(s1.pos + 1, 4) = MOD(s2.pos, 4)) OR "
+      "(s2.pos <= s1.pos - 1 - 4 AND MOD(s1.pos - 1, 4) = MOD(s2.pos, 4)) "
+      "GROUP BY s1.pos ORDER BY 1";
+  ExpectAffineMatchesTwin(sql, 1);
+  EXPECT_EQ(MustExecute(db_, sql).NumRows(), 4u);
+}
+
+TEST_F(BandFoldTest, AffineMixedTagKeysEvaluate) {
+  // COALESCE(d, i) is INTEGER-tagged where d is NULL and DOUBLE-tagged
+  // elsewhere (a table column cannot mix them). A vector with a DOUBLE
+  // key resolves through the evaluator; one with only INTEGER keys by
+  // offsets, whatever the column's declared type.
+  MustExecute(db_, "CREATE TABLE mk (d DOUBLE, i INTEGER)");
+  MustExecute(db_, "INSERT INTO mk VALUES (NULL, 3), (7.5, 7), (NULL, 12), "
+                   "(NULL, NULL), (20.25, 20), (NULL, 40)");
+  MustExecute(db_, "CREATE TABLE ik (d DOUBLE, i INTEGER)");
+  MustExecute(db_, "INSERT INTO ik VALUES (NULL, 3), (NULL, 12), (NULL, 40)");
+  for (const auto& [table, affine] :
+       std::vector<std::pair<std::string, int64_t>>{{"mk", 0}, {"ik", 1}}) {
+    ExpectAffineMatchesTwin(
+        "SELECT s1.pos, SUM(s2.val) FROM (SELECT COALESCE(d, i) AS pos "
+        "FROM " + table + ") s1, vn s2 WHERE s2.pos BETWEEN s1.pos - 2 "
+        "AND s1.pos + 3 GROUP BY s1.pos ORDER BY 1",
+        affine);
+  }
 }
 
 TEST_F(BandFoldTest, LeftRowsWithoutCandidatesMakeNoGroup) {
