@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "json_reporter.h"
 #include "sequence/compute.h"
 #include "workload.h"
 
@@ -68,17 +69,13 @@ void BM_Compute_BuildCompleteSequence(benchmark::State& state) {
   }
 }
 
-// Partition-parallel window execution inside the engine: the same
-// sliding-SUM idea expressed as a PARTITION BY window query, swept over
-// the worker count (Arg = exec.window_workers; 1 = the serial
-// baseline). 64 partitions x 2048 rows; the per-operator metrics
-// breakdown is dumped to stderr once per worker count.
-void BM_WindowOp_PartitionParallel(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
+// The engine's window operator on the same sliding-SUM idea, expressed
+// as a PARTITION BY window query over 64 partitions x 2048 rows; the
+// per-operator metrics breakdown is dumped to stderr once.
+void BM_WindowOp_Partitioned(benchmark::State& state) {
   Database db;
   bench::BuildPartitionedSeqTable(&db, /*partitions=*/64,
                                   /*rows_per_partition=*/2048);
-  db.options().exec.window_workers = workers;
   const char* query =
       "SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS "
       "BETWEEN 50 PRECEDING AND 50 FOLLOWING) FROM pseq ORDER BY grp, pos";
@@ -89,10 +86,8 @@ void BM_WindowOp_PartitionParallel(benchmark::State& state) {
       state.SkipWithError("wrong result cardinality");
       return;
     }
-    bench::PrintOperatorMetrics(
-        rs, "window_parallel workers=" + std::to_string(workers));
+    bench::PrintOperatorMetrics(rs, "window_partitioned");
   }
-  state.counters["workers"] = static_cast<double>(workers);
 }
 
 BENCHMARK(BM_Compute_Naive)
@@ -107,9 +102,9 @@ BENCHMARK(BM_Compute_MinMaxDeque)
 BENCHMARK(BM_Compute_BuildCompleteSequence)
     ->Arg(10000)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WindowOp_PartitionParallel)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WindowOp_Partitioned)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rfv
+
+BENCH_MAIN_WITH_JSON()

@@ -2,14 +2,13 @@
 //
 // Generates seeded random scenarios (src/testing/generator.h), replays
 // each one through the oracle runner (native vs. reference evaluator,
-// serial vs. parallel execution, MaxOA/MinOA rewrites vs. native,
-// incremental maintenance vs. full recompute), and on any mismatch
-// shrinks the scenario to a minimal reproducer and writes a replayable
-// .sql artifact.
+// MaxOA/MinOA rewrites vs. native, incremental maintenance vs. full
+// recompute), and on any mismatch shrinks the scenario to a minimal
+// reproducer and writes a replayable .sql artifact.
 //
 // Usage:
-//   rfview_fuzz [--seed N] [--iterations N] [--time-budget SECONDS]
-//               [--parallel-workers N] [--out-dir DIR]
+//   rfview_fuzz [--seed N] [--iterations N] [--interleave N]
+//               [--time-budget SECONDS] [--out-dir DIR]
 //               [--inject-off-by-one] [--quiet]
 //
 // Exit status: 0 when every scenario passed every oracle, 1 on any
@@ -47,8 +46,7 @@ void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--seed N] [--iterations N] [--interleave N]\n"
-      "          [--time-budget SECONDS]\n"
-      "          [--parallel-workers N] [--out-dir DIR]\n"
+      "          [--time-budget SECONDS] [--out-dir DIR]\n"
       "          [--inject-off-by-one] [--quiet]\n",
       argv0);
 }
@@ -75,10 +73,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next();
       if (v == nullptr) return false;
       args->time_budget_s = std::atof(v);
-    } else if (flag == "--parallel-workers") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->oracle.parallel_workers = std::atoi(v);
     } else if (flag == "--out-dir") {
       const char* v = next();
       if (v == nullptr) return false;

@@ -26,7 +26,7 @@ void BuildSequenceView(Database* db, const std::string& view_name, int64_t l,
 /// Builds a multi-partition sequence table `name(grp INTEGER, pos
 /// INTEGER, val DOUBLE)`: `partitions` groups of `rows_per_partition`
 /// dense positions each, deterministic pseudo-random values. The
-/// workload for partition-parallel window execution.
+/// workload of BM_WindowOp_Partitioned.
 void BuildPartitionedSeqTable(Database* db, int64_t partitions,
                               int64_t rows_per_partition,
                               const std::string& name = "pseq");

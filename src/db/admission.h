@@ -9,11 +9,10 @@ namespace rfv {
 
 /// Admission control for concurrent query execution: at most
 /// `max_concurrent` statements run at once; excess callers queue (FIFO
-/// by condition-variable wakeup) until a slot frees. This bounds the
-/// thread oversubscription a serving workload can inflict on the
-/// intra-query ThreadPool — client threads beyond the cap park here
-/// instead of contending for cores with running queries' window
-/// workers.
+/// by condition-variable wakeup) until a slot frees. Statements run on
+/// their callers' threads and start no threads of their own, so the cap
+/// bounds only client threads: those beyond it park here instead of
+/// contending for cores with running statements.
 ///
 /// Observability (process-wide metrics registry):
 ///   rfv_admission_running        gauge — statements currently executing
@@ -23,8 +22,7 @@ namespace rfv {
 class AdmissionController {
  public:
   /// Default cap: unlimited would let a burst of clients oversubscribe
-  /// every core; 8 matches the serving benchmark's largest client count
-  /// and leaves the ThreadPool's workers schedulable.
+  /// every core; 8 matches the serving benchmark's largest client count.
   explicit AdmissionController(int max_concurrent = 8);
 
   AdmissionController(const AdmissionController&) = delete;

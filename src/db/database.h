@@ -55,9 +55,7 @@ class Database {
     /// JSON). Off by default: tracing costs a few clock reads per
     /// span even though spans are cheap.
     bool enable_tracing = false;
-    /// Physical execution knobs: index/hash join toggles plus the
-    /// window parallelism controls (exec.window_workers /
-    /// exec.window_parallel_min_rows — see ExecOptions).
+    /// Physical execution knobs: the join toggles (see ExecOptions).
     ExecOptions exec;
   };
 

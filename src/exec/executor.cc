@@ -245,9 +245,8 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlanNode(const LogicalPlan& plan,
       for (const WindowCall& c : plan.window_calls) {
         calls.push_back(CloneWindowCall(c));
       }
-      return PhysicalOperatorPtr(new WindowOp(
-          plan.schema, std::move(child), std::move(calls),
-          options.window_workers, options.window_parallel_min_rows));
+      return PhysicalOperatorPtr(
+          new WindowOp(plan.schema, std::move(child), std::move(calls)));
     }
     case PlanKind::kSort: {
       PhysicalOperatorPtr child;

@@ -201,16 +201,6 @@ struct ExecOptions {
   /// parameter.
   bool use_batch_execution = true;
   bool use_vectorized_execution = true;
-  /// Worker count for partition-parallel window evaluation: 1 = always
-  /// single-threaded, n > 1 = split partitions across up to n tasks on
-  /// the shared thread pool, 0 = auto (hardware concurrency). Results
-  /// are byte-identical to the single-threaded path: partitions are
-  /// never split across tasks and each task writes disjoint outputs.
-  int window_workers = 0;
-  /// Inputs smaller than this many rows always run single-threaded
-  /// (task dispatch would dominate). Tests lower it to force the
-  /// parallel path on small inputs.
-  int64_t window_parallel_min_rows = 4096;
 };
 
 /// Lowers a logical plan to a physical operator tree. Join

@@ -882,24 +882,15 @@ class HashAggregateOp : public PhysicalOperator {
 /// re-emits rows in their original input order, up to kVectorSize of
 /// them per output vector.
 ///
-/// Partition-parallel: after the sort, the per-partition sweeps are
-/// independent, so partitions are chunked across the shared ThreadPool
-/// when the input is large enough and `workers` allows it. Partitions
-/// are never split and each task writes disjoint output slots, so the
-/// result is byte-identical to the single-threaded path.
+/// Each call sorts the rows by (partition keys, order keys) and sweeps
+/// the partitions one after another, in one ordered pass per partition.
 class WindowOp : public PhysicalOperator {
  public:
-  /// `workers`: 1 = single-threaded, n > 1 = up to n parallel tasks,
-  /// 0 = auto (hardware concurrency). `parallel_min_rows` gates the
-  /// parallel path by input size.
   WindowOp(Schema schema, PhysicalOperatorPtr child,
-           std::vector<WindowCall> calls, int workers = 1,
-           int64_t parallel_min_rows = 4096)
+           std::vector<WindowCall> calls)
       : PhysicalOperator(std::move(schema)),
         child_(std::move(child)),
-        calls_(std::move(calls)),
-        workers_(workers),
-        parallel_min_rows_(parallel_min_rows) {}
+        calls_(std::move(calls)) {}
   const char* name() const override { return "window"; }
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
@@ -911,7 +902,7 @@ class WindowOp : public PhysicalOperator {
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
-  /// Shared read-only inputs of one call's per-partition sweeps.
+  /// Inputs of one call's per-partition sweeps, computed once per call.
   struct CallContext {
     const WindowCall* call = nullptr;
     /// Per row: evaluated aggregate argument (empty unless kAggregate
@@ -926,19 +917,12 @@ class WindowOp : public PhysicalOperator {
   Status ComputeCall(const WindowCall& call, std::vector<Value>* out) const;
 
   /// Evaluates one partition (the sorted index range [begin, end) of
-  /// ctx.order) into the matching slots of *out. Safe to run
-  /// concurrently for disjoint ranges.
+  /// ctx.order) into the matching slots of *out.
   Status ProcessPartition(const CallContext& ctx, size_t begin, size_t end,
                           std::vector<Value>* out) const;
 
-  /// Resolved worker count for an input of `rows` rows split into
-  /// `partitions` partitions; 1 means run single-threaded.
-  int EffectiveWorkers(size_t rows, size_t partitions) const;
-
   PhysicalOperatorPtr child_;
   std::vector<WindowCall> calls_;
-  int workers_;
-  int64_t parallel_min_rows_;
   std::vector<Row> rows_;
   std::vector<std::vector<Value>> extra_columns_;
   /// Next buffered row to emit.

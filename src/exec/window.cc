@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/metrics_registry.h"
-#include "common/thread_pool.h"
 #include "exec/window_frame.h"
 #include "expr/eval.h"
 
@@ -27,15 +24,6 @@ Status WindowOp::OpenImpl() {
     extra_columns_.push_back(std::move(column));
   }
   return Status::OK();
-}
-
-int WindowOp::EffectiveWorkers(size_t rows, size_t partitions) const {
-  if (partitions <= 1) return 1;
-  if (static_cast<int64_t>(rows) < parallel_min_rows_) return 1;
-  const size_t requested =
-      workers_ > 0 ? static_cast<size_t>(workers_)
-                   : std::max<size_t>(1, std::thread::hardware_concurrency());
-  return static_cast<int>(std::min(requested, partitions));
 }
 
 Status WindowOp::ComputeCall(const WindowCall& call,
@@ -104,72 +92,15 @@ Status WindowOp::ComputeCall(const WindowCall& call,
     return true;
   };
 
-  // Partition boundaries (half-open ranges over the sorted order).
-  std::vector<std::pair<size_t, size_t>> partitions;
-  size_t part_start = 0;
-  while (part_start < n) {
-    size_t part_end = part_start + 1;
-    while (part_end < n &&
-           same_partition(ctx.order[part_start], ctx.order[part_end])) {
-      ++part_end;
+  // Sweep each partition, a half-open range of the sorted order, as
+  // soon as its end is found.
+  for (size_t begin = 0; begin < n;) {
+    size_t end = begin + 1;
+    while (end < n && same_partition(ctx.order[begin], ctx.order[end])) {
+      ++end;
     }
-    partitions.emplace_back(part_start, part_end);
-    part_start = part_end;
-  }
-
-  const size_t workers =
-      static_cast<size_t>(EffectiveWorkers(n, partitions.size()));
-  if (workers <= 1) {
-    for (const auto& [begin, end] : partitions) {
-      RFV_RETURN_IF_ERROR(ProcessPartition(ctx, begin, end, out));
-    }
-    return Status::OK();
-  }
-
-  // Parallel path: chunk whole partitions into up to `workers`
-  // contiguous groups of roughly equal row counts. Partitions are never
-  // split across tasks and every task writes disjoint slots of *out*,
-  // so the result is byte-identical to the serial path and the only
-  // synchronization needed is the final join.
-  static Counter* parallel_partitions = MetricsRegistry::Global().GetCounter(
-      "rfv_window_parallel_partitions_total", {},
-      "Window partitions processed on worker threads (parallel path)");
-  parallel_partitions->Increment(static_cast<int64_t>(partitions.size()));
-
-  std::vector<Status> statuses(workers);
-  {
-    TaskGroup group(ThreadPool::Shared());
-    const size_t target_rows = (n + workers - 1) / workers;
-    size_t chunk_begin = 0;  // index into `partitions`
-    for (size_t w = 0; w < workers && chunk_begin < partitions.size(); ++w) {
-      size_t chunk_end = chunk_begin;
-      size_t rows_taken = 0;
-      while (chunk_end < partitions.size() &&
-             (rows_taken < target_rows || chunk_end == chunk_begin)) {
-        rows_taken +=
-            partitions[chunk_end].second - partitions[chunk_end].first;
-        ++chunk_end;
-      }
-      // The last group sweeps up any remainder left by rounding.
-      if (w + 1 == workers) chunk_end = partitions.size();
-      Status* status_slot = &statuses[w];
-      group.Submit([this, &ctx, &partitions, status_slot, out, chunk_begin,
-                    chunk_end] {
-        for (size_t p = chunk_begin; p < chunk_end; ++p) {
-          Status s = ProcessPartition(ctx, partitions[p].first,
-                                      partitions[p].second, out);
-          if (!s.ok()) {
-            *status_slot = std::move(s);
-            return;
-          }
-        }
-      });
-      chunk_begin = chunk_end;
-    }
-    group.Wait();
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
+    RFV_RETURN_IF_ERROR(ProcessPartition(ctx, begin, end, out));
+    begin = end;
   }
   return Status::OK();
 }

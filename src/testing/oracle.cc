@@ -404,24 +404,23 @@ class OracleRunner {
     const std::string sql = s_.QuerySql(query);
     db_.options().enable_view_rewrite = false;
     db_.options().force_method = std::nullopt;
-    db_.options().exec.window_workers = 1;
 
-    Result<ResultSet> serial_result = db_.Execute(sql);
-    if (!serial_result.ok()) {
+    Result<ResultSet> native_result = db_.Execute(sql);
+    if (!native_result.ok()) {
       RecordFailure(&verdict_, "error", sql,
-                    serial_result.status().ToString(), round);
+                    native_result.status().ToString(), round);
       return;
     }
-    ResultSet serial = std::move(*serial_result);
+    ResultSet native = std::move(*native_result);
     if (opts_.corruption == OracleOptions::Corruption::kOffByOne) {
-      serial = CorruptLastValue(serial);
+      native = CorruptLastValue(native);
     }
 
     // Oracle 1: native vs. the trusted reference evaluator, in order
     // under a trailing ORDER BY (the sort's permutation is checked too).
     {
       Result<ResultSet> expected =
-          BuildExpected(&db_, s_, query, serial.schema());
+          BuildExpected(&db_, s_, query, native.schema());
       if (!expected.ok()) {
         RecordFailure(&verdict_, "reference", sql,
                       expected.status().ToString(), round);
@@ -429,32 +428,10 @@ class OracleRunner {
         RecordCheck(&verdict_, "reference");
         std::optional<std::string> diff =
             !s_.OrderByList(query).empty()
-                ? DiffRows(serial, *expected)
-                : DiffRowsCanonical(serial, *expected);
+                ? DiffRows(native, *expected)
+                : DiffRowsCanonical(native, *expected);
         if (diff.has_value()) {
           RecordFailure(&verdict_, "reference", sql, *diff, round);
-        }
-      }
-    }
-
-    // Oracle 2: serial vs. partition-parallel window execution.
-    {
-      db_.options().exec.window_workers = opts_.parallel_workers;
-      const int64_t saved_min_rows =
-          db_.options().exec.window_parallel_min_rows;
-      db_.options().exec.window_parallel_min_rows = 1;
-      Result<ResultSet> parallel = db_.Execute(sql);
-      db_.options().exec.window_workers = 1;
-      db_.options().exec.window_parallel_min_rows = saved_min_rows;
-      if (!parallel.ok()) {
-        RecordFailure(&verdict_, "parallel", sql,
-                      parallel.status().ToString(), round);
-      } else {
-        RecordCheck(&verdict_, "parallel");
-        std::optional<std::string> diff =
-            DiffRowsCanonical(serial, *parallel);
-        if (diff.has_value()) {
-          RecordFailure(&verdict_, "parallel", sql, *diff, round);
         }
       }
     }
@@ -558,7 +535,7 @@ class OracleRunner {
           if (variant == RewriteVariant::kUnion) oracle += "+union";
           RecordCheck(&verdict_, oracle);
           std::optional<std::string> diff =
-              DiffRowsCanonical(serial, *derived);
+              DiffRowsCanonical(native, *derived);
           if (diff.has_value()) {
             RecordFailure(&verdict_, oracle,
                           sql + "\n  rewritten: " + derived->rewritten_sql(),

@@ -19,8 +19,6 @@ namespace fuzzing {
 ///                   ORDER BY the expected rows are stable-sorted from
 ///                   snapshot order and compared in order, which checks
 ///                   the sort's permutation;
-///   * parallel    — exec.window_workers = 1 vs. the partition-parallel
-///                   path (workers forced onto small inputs);
 ///   * rewrite:*   — MaxOA / MinOA / automatic view rewrites (both
 ///                   pattern variants) vs. the native operator;
 ///   * band        — forced rewrites replayed with the merge band join
@@ -51,11 +49,6 @@ namespace fuzzing {
 /// `indexscan`, whose two plans share one scan order.
 
 struct OracleOptions {
-  /// Worker count of the parallel run (serial run is always 1). The
-  /// parallel run also lowers exec.window_parallel_min_rows to 1 so the
-  /// parallel path really executes on fuzz-sized inputs.
-  int parallel_workers = 4;
-
   /// Test hook: simulated engine bugs, used to validate that the
   /// harness catches and shrinks real mismatches (tests + the
   /// --inject-off-by-one flag of rfview_fuzz).
@@ -69,7 +62,7 @@ struct OracleOptions {
 };
 
 struct OracleFailure {
-  std::string oracle;  ///< "reference", "parallel", "rewrite:…", …
+  std::string oracle;  ///< "reference", "rewrite:…", …
   std::string detail;  ///< offending query SQL / view name / DML op
   std::string diff;    ///< first differing rows, row counts, or error
   int round = 0;       ///< 0 = initial data, k = after DML batch k-1

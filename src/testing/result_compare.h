@@ -30,8 +30,8 @@ std::optional<std::string> DiffRows(const ResultSet& a, const ResultSet& b);
 
 /// DiffRows under canonical row ordering — the oracle comparison: both
 /// results are sorted by all columns first, so differences in output
-/// order (parallel execution, rewrite plans without a final sort) do
-/// not count as mismatches.
+/// order (rewrite plans without a final sort) do not count as
+/// mismatches.
 std::optional<std::string> DiffRowsCanonical(const ResultSet& a,
                                              const ResultSet& b);
 

@@ -84,7 +84,7 @@ struct FuzzDml {
 
 /// What the oracle runner checks for this scenario.
 enum class ScenarioKind {
-  kWindow,       ///< native vs. reference (+ serial vs. parallel); SQL DML
+  kWindow,       ///< native vs. reference; SQL DML
   kRewrite,      ///< + MaxOA/MinOA/auto rewrites vs. native
   kMaintenance,  ///< + incremental maintenance vs. full recompute
 };

