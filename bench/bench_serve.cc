@@ -6,9 +6,7 @@
 // scan, a COUNT(*) aggregate, and a materialized-view scan; 20% writes
 // alternating a small append INSERT and a band UPDATE. Reads run
 // concurrently against pinned snapshots; writes serialize on the engine
-// write mutex; everything passes the admission controller (cap raised
-// to the client count so the benchmark measures the engine, not the
-// queue).
+// write mutex.
 //
 // Output: the stable BENCH_*.json schema of bench/json_reporter.h, one
 // record per (clients, statistic):
@@ -209,7 +207,6 @@ int main(int argc, char** argv) {
     // skew later scans.
     Database db;
     BuildWarehouse(&db, args.rows);
-    db.admission()->set_max_concurrent(std::max(clients, 1));
     std::atomic<int64_t> next_pos{1'000'000};
 
     // Warmup: one client pass populates caches/stats paths.

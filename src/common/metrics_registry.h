@@ -39,8 +39,8 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// Point-in-time level that moves both ways (admission queue depth,
-/// in-flight queries). Same relaxed-atomic discipline as Counter.
+/// Point-in-time level that moves both ways (a queue depth, a cache
+/// size). Same relaxed-atomic discipline as Counter.
 class Gauge {
  public:
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }

@@ -190,12 +190,6 @@ Result<ResultSet> Database::Execute(const std::string& sql,
       "rfv_query_duration_seconds", {},
       "End-to-end Database::Execute latency");
 
-  // Queue for an admission slot before any work (including parsing):
-  // the cap bounds total execution concurrency, and the latency clock
-  // deliberately starts after admission so tail latencies measure
-  // execution, not queueing (queueing has its own histogram).
-  AdmissionController::Ticket ticket = admission_.Admit();
-
   const SteadyClock::time_point started = SteadyClock::now();
   std::shared_ptr<QueryTrace> trace;
   std::optional<ScopedTraceAttach> attach;
@@ -257,30 +251,6 @@ Result<ResultSet> Database::Execute(const std::string& sql,
   }
   query_log_.Append(std::move(event));
   return result;
-}
-
-Status Database::ExecuteScript(const std::string& sql) {
-  std::vector<Statement> statements;
-  RFV_ASSIGN_OR_RETURN(statements, Parser::ParseScript(sql));
-  for (const Statement& stmt : statements) {
-    Result<ResultSet> r = ExecuteStatement(stmt, options_);
-    if (!r.ok()) return r.status();
-  }
-  return Status::OK();
-}
-
-Result<std::string> Database::Explain(const std::string& sql) {
-  Statement stmt;
-  RFV_ASSIGN_OR_RETURN(stmt, Parser::ParseStatement(sql));
-  if (stmt.kind != Statement::Kind::kSelect) {
-    return Status::NotSupported("EXPLAIN supports SELECT statements only");
-  }
-  Binder binder(&catalog_);
-  LogicalPlanPtr plan;
-  RFV_ASSIGN_OR_RETURN(plan, binder.BindSelect(*stmt.select));
-  plan = OptimizePlan(std::move(plan));
-  EstimateCardinality(plan.get());
-  return plan->ToString();
 }
 
 Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,

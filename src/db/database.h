@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "db/admission.h"
 #include "db/query_log.h"
 #include "db/result_set.h"
 #include "db/system_views.h"
@@ -74,18 +73,14 @@ class Database {
   Result<ResultSet> Execute(const std::string& sql);
 
   /// Executes one SQL statement under caller-supplied options — the
-  /// per-session entry point (see db/session.h). Thread-safe: SELECTs
-  /// from any number of threads run concurrently against pinned table
-  /// snapshots; DML/DDL statements serialize on the engine write mutex.
-  /// Every call passes the admission controller first (concurrent-query
-  /// cap; excess callers queue).
+  /// per-session entry point (see db/session.h) and the only way a
+  /// statement runs: every call is parsed, timed, logged and (with
+  /// enable_tracing) traced here. Thread-safe: SELECTs from any number
+  /// of threads run concurrently against pinned table snapshots;
+  /// DML/DDL statements serialize on the engine write mutex. `EXPLAIN
+  /// SELECT ...` renders the rewrite decision and the optimized plan
+  /// without executing.
   Result<ResultSet> Execute(const std::string& sql, const Options& options);
-
-  /// Executes a `;`-separated script, discarding SELECT results.
-  Status ExecuteScript(const std::string& sql);
-
-  /// Renders the optimized logical plan of a SELECT.
-  Result<std::string> Explain(const std::string& sql);
 
   /// Process-wide metrics (queries, rewrites, index probes, view
   /// maintenance...) in Prometheus text exposition format.
@@ -109,8 +104,6 @@ class Database {
   /// Mutate only from one thread at a time (sessions carry their own
   /// copy — see db/session.h).
   Options& options() { return options_; }
-  /// Concurrent-query admission: cap + queue-depth/running metrics.
-  AdmissionController* admission() { return &admission_; }
 
  private:
   Result<ResultSet> ExecuteStatement(const Statement& stmt,
@@ -136,7 +129,6 @@ class Database {
   Options options_;
   QueryLog query_log_;
   SystemViewProvider system_views_;
-  AdmissionController admission_;
   /// Serializes every mutating statement (DML, DDL, ANALYZE, view
   /// maintenance) — the single-writer half of the concurrency model.
   /// Taken inside each Execute* mutator, never recursively (ExplainDml

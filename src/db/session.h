@@ -1,75 +1,44 @@
 #ifndef RFVIEW_DB_SESSION_H_
 #define RFVIEW_DB_SESSION_H_
 
-#include <cstdint>
 #include <string>
 
 #include "db/database.h"
 
 namespace rfv {
 
-/// One client's connection to a Database: per-session options (seeded
+/// One client's connection to a Database: per-session options, seeded
 /// from the engine defaults at construction, then mutated freely
-/// without affecting other sessions), a prepared statement of record,
-/// and the last error. A Session is NOT itself thread-safe — it models
-/// one client thread — but any number of sessions may Execute against
-/// the same Database concurrently: SELECTs read pinned table snapshots,
-/// DML serializes on the engine write mutex, and every statement passes
-/// the admission controller.
+/// without affecting other sessions. A Session is NOT itself
+/// thread-safe — it models one client thread — but any number of
+/// sessions may Execute against the same Database concurrently: SELECTs
+/// read pinned table snapshots and DML serializes on the engine write
+/// mutex.
 ///
 ///   Database db;
 ///   Session a(&db), b(&db);
 ///   a.options().enable_view_rewrite = false;   // b unaffected
 ///   auto rs = a.Execute("SELECT ...");
-///   if (!rs.ok()) { /* also recorded: a.last_error() */ }
 class Session {
  public:
-  explicit Session(Database* db);
+  explicit Session(Database* db) : db_(db), options_(db->options()) {}
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-
-  /// Process-unique session id (monotone from 1).
-  int64_t id() const { return id_; }
-
-  Database* database() const { return db_; }
 
   /// This session's options — a private copy; mutations never leak to
   /// the engine defaults or to other sessions.
   Database::Options& options() { return options_; }
   const Database::Options& options() const { return options_; }
 
-  /// Executes one SQL statement under this session's options. Failures
-  /// are additionally recorded as last_error().
-  Result<ResultSet> Execute(const std::string& sql);
-
-  /// Validates `sql` (parse only) and stores it as this session's
-  /// statement of record for ExecutePrepared(). Re-preparing replaces
-  /// the previous statement.
-  Status Prepare(const std::string& sql);
-
-  /// Executes the prepared statement of record.
-  /// Errors: kInvalidArgument when nothing is prepared.
-  Result<ResultSet> ExecutePrepared();
-
-  bool has_prepared() const { return has_prepared_; }
-  const std::string& prepared_sql() const { return prepared_sql_; }
-
-  /// Status of the most recent failed Execute/Prepare (OK when the last
-  /// statement succeeded or nothing ran yet).
-  const Status& last_error() const { return last_error_; }
-
-  /// Statements executed through this session (successful or not).
-  int64_t statements_executed() const { return statements_executed_; }
+  /// Executes one SQL statement under this session's options.
+  Result<ResultSet> Execute(const std::string& sql) {
+    return db_->Execute(sql, options_);
+  }
 
  private:
   Database* db_;
-  int64_t id_;
   Database::Options options_;
-  std::string prepared_sql_;
-  bool has_prepared_ = false;
-  Status last_error_;
-  int64_t statements_executed_ = 0;
 };
 
 }  // namespace rfv

@@ -61,24 +61,6 @@ Result<Statement> Parser::ParseStatement(const std::string& sql) {
   return stmt;
 }
 
-Result<std::vector<Statement>> Parser::ParseScript(const std::string& sql) {
-  std::vector<Token> tokens;
-  RFV_ASSIGN_OR_RETURN(tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
-  std::vector<Statement> statements;
-  while (!parser.Check(TokenType::kEnd)) {
-    if (parser.Accept(TokenType::kSemicolon)) continue;
-    Statement stmt;
-    RFV_ASSIGN_OR_RETURN(stmt, parser.ParseSingleStatement());
-    statements.push_back(std::move(stmt));
-    if (!parser.Check(TokenType::kEnd)) {
-      RFV_RETURN_IF_ERROR(
-          parser.Expect(TokenType::kSemicolon, "';' between statements"));
-    }
-  }
-  return statements;
-}
-
 Result<AstExprPtr> Parser::ParseExpression(const std::string& sql) {
   std::vector<Token> tokens;
   RFV_ASSIGN_OR_RETURN(tokens, Tokenize(sql));

@@ -32,9 +32,6 @@ class Parser {
   /// Parses exactly one statement (a trailing `;` is allowed).
   static Result<Statement> ParseStatement(const std::string& sql);
 
-  /// Parses a `;`-separated script.
-  static Result<std::vector<Statement>> ParseScript(const std::string& sql);
-
   /// Parses a standalone scalar expression (test helper).
   static Result<AstExprPtr> ParseExpression(const std::string& sql);
 

@@ -1,5 +1,8 @@
 #include "rewrite/rewriter.h"
 
+#include <array>
+#include <atomic>
+
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/str_util.h"
@@ -10,20 +13,58 @@ namespace rfv {
 
 namespace {
 
+/// One counter of a family per derivation-method label, each resolved
+/// from the registry on its method's first count: a method never
+/// counted stays out of the exposition, and later counts skip the
+/// registry's mutex and lookups.
+class MethodCounters {
+ public:
+  MethodCounters(const char* name, const char* help)
+      : name_(name), help_(help) {}
+
+  void Increment(DerivationMethod method) {
+    std::atomic<Counter*>& slot = slots_[static_cast<size_t>(method)];
+    Counter* c = slot.load(std::memory_order_acquire);
+    if (c == nullptr) {
+      // Racing first counts resolve the same registry entry.
+      c = MetricsRegistry::Global().GetCounter(
+          name_, {{"method", DerivationMethodName(method)}}, help_);
+      slot.store(c, std::memory_order_release);
+    }
+    c->Increment();
+  }
+
+ private:
+  const char* name_;
+  const char* help_;
+  // One slot per DerivationMethod; kCountTrivial is the last.
+  std::array<std::atomic<Counter*>,
+             static_cast<size_t>(DerivationMethod::kCountTrivial) + 1>
+      slots_{};
+};
+
+constexpr const char* kCostChosenName = "rfv_rewrite_cost_chosen_total";
+constexpr const char* kCostChosenHelp =
+    "Cost-based derivation decisions by outcome";
+
 /// Counts a successful rewrite, labeled by derivation method.
 void CountRewriteHit(DerivationMethod method) {
-  Counter* c = MetricsRegistry::Global().GetCounter(
-      "rfv_rewrite_hits_total", {{"method", DerivationMethodName(method)}},
+  static MethodCounters hits(
+      "rfv_rewrite_hits_total",
       "Window queries answered from a materialized sequence view");
-  c->Increment();
+  hits.Increment(method);
 }
 
-/// Counts the outcome of a cost-based decision; `method` is a
-/// DerivationMethodName or "no-rewrite".
-void CountCostDecision(const std::string& method) {
-  Counter* c = MetricsRegistry::Global().GetCounter(
-      "rfv_rewrite_cost_chosen_total", {{"method", method}},
-      "Cost-based derivation decisions by outcome");
+/// Counts a cost-based decision that chose `method`.
+void CountCostChosen(DerivationMethod method) {
+  static MethodCounters chosen(kCostChosenName, kCostChosenHelp);
+  chosen.Increment(method);
+}
+
+/// Counts a cost-based decision to recompute from base data.
+void CountCostDeclined() {
+  static Counter* c = MetricsRegistry::Global().GetCounter(
+      kCostChosenName, {{"method", "no-rewrite"}}, kCostChosenHelp);
   c->Increment();
 }
 
@@ -424,7 +465,7 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
       return std::optional<RewriteResult>();
     }
     if (chosen_cost.total > kRewriteCostBias * baseline.total) {
-      CountCostDecision("no-rewrite");
+      CountCostDeclined();
       const std::string why =
           std::string("none (recompute estimated cheaper: baseline ") +
           baseline.Summary() + " vs best " + chosen_cost.Summary() + ")";
@@ -433,7 +474,7 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
       RFV_LOG(kInfo) << "rewrite declined by cost model: " << why;
       return std::optional<RewriteResult>();
     }
-    CountCostDecision(DerivationMethodName(r->method));
+    CountCostChosen(r->method);
     choice = std::move(*r);
     chosen_cost_out = chosen_cost;
   } else {

@@ -115,19 +115,56 @@ void FillWindowScenario(Scenario* s, FuzzRng* rng) {
                          : rng->Pick(kOrders);
   }
 
+  // Frames that exclude the current row, drawn after the trailing ORDER
+  // BY for the same reason: a PRECEDING AND b PRECEDING (a > b >= 1) or
+  // a FOLLOWING AND b FOLLOWING (1 <= a < b). Rows near a partition end
+  // then get empty frames (COUNT 0, the other aggregates NULL).
+  for (FuzzQuery& query : s->queries) {
+    if (query.is_ranking() || !rng->ChancePermille(300)) continue;
+    const int64_t near = rng->UniformInt(1, 4);
+    const int64_t far = rng->UniformInt(near + 1, 5);
+    query.frame.cumulative = false;
+    if (rng->ChancePermille(500)) {
+      query.frame.l = far;
+      query.frame.h = -near;
+    } else {
+      query.frame.l = -near;
+      query.frame.h = far;
+    }
+  }
+
   // Oversized frame offsets, drawn last for the same reason: n - 1, n
   // and n + 1 (n = the initial row count, so the frame reaches or just
   // passes every partition's ends) and INT64_MAX, where the frame ends
   // must stop at the partition instead of overflowing.
   const int64_t rows = static_cast<int64_t>(s->rows.size());
-  const std::vector<int64_t> oversized = {
-      std::max<int64_t>(rows - 1, 0), rows, rows + 1,
-      std::numeric_limits<int64_t>::max()};
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> oversized = {std::max<int64_t>(rows - 1, 0),
+                                          rows, rows + 1, kMax};
   for (FuzzQuery& query : s->queries) {
-    if (query.frame.cumulative || !rng->ChancePermille(200)) continue;
-    int64_t& offset = rng->ChancePermille(500) ? query.frame.l : query.frame.h;
-    offset = rng->Pick(oversized);
-    if (query.frame.l == 0 && query.frame.h == 0) query.frame.h = 1;
+    FuzzFrame& frame = query.frame;
+    if (frame.cumulative || !rng->ChancePermille(200)) continue;
+    const bool first = rng->ChancePermille(500);
+    const int64_t offset = rng->Pick(oversized);
+    if (!frame.ExcludesCurrentRow()) {
+      (first ? frame.l : frame.h) = offset;
+      if (frame.l == 0 && frame.h == 0) frame.h = 1;
+      continue;
+    }
+    // The far bound grows past the near one; an oversized near bound
+    // (at most INT64_MAX - 1, so its negation and the far bound fit)
+    // empties the frame for every row.
+    const bool preceding = frame.h < 0;
+    int64_t far = preceding ? frame.l : frame.h;
+    int64_t near = preceding ? -frame.h : -frame.l;
+    if (first) {
+      far = std::max(offset, near + 1);
+    } else {
+      near = std::clamp<int64_t>(offset, 1, kMax - 1);
+      far = std::max(far, near + 1);
+    }
+    frame.l = preceding ? far : -near;
+    frame.h = preceding ? -near : far;
   }
 }
 

@@ -19,7 +19,7 @@ namespace fuzzing {
 ///   * serial reference — one thread executes the schedule in order;
 ///   * concurrent run   — one thread per session executes that
 ///     session's statements in schedule order, racing the others
-///     through the full admission/write-mutex/snapshot path.
+///     through Database::Execute's full write-mutex/snapshot path.
 ///
 /// Checks, in oracle order:
 ///   1. no statement errors in the concurrent run (the serial replay is

@@ -71,9 +71,10 @@ struct OracleFailure {
 struct ScenarioVerdict {
   std::vector<OracleFailure> failures;
   /// Oracle name → number of comparisons performed. Skipped rewrites
-  /// (method not applicable) are counted under "rewrite-skipped", and
-  /// the indexscan queries that read a key range under
-  /// "indexscan-ranged"; neither counts toward TotalChecks.
+  /// (method not applicable) are counted under "rewrite-skipped", the
+  /// indexscan queries that read a key range under "indexscan-ranged",
+  /// and the reference comparisons of frames that exclude the current
+  /// row under "reference-excluding"; none counts toward TotalChecks.
   std::map<std::string, int> checks;
 
   bool ok() const { return failures.empty(); }

@@ -124,29 +124,31 @@ std::vector<Value> ReferenceWindow(const std::vector<Row>& rows,
         out[row_index] = Value::Int(before + 1);
         continue;
       }
-      // Aggregate: positional ROWS frame within the partition.
-      size_t from = part_start;
-      size_t to = i;
+      // Aggregate: positional ROWS frame [i - l, i + h] within the
+      // partition. Offsets are signed and may reach +-INT64_MAX, so
+      // each is clamped to the rows the partition has on either side
+      // (plus one, for a frame wholly past an end) before it is used.
+      int64_t from = static_cast<int64_t>(part_start);
+      int64_t to = static_cast<int64_t>(i);
       if (!call.frame.cumulative) {
-        // Step from row i by at most the rows the partition has on
-        // each side: offsets may be as large as INT64_MAX.
-        const uint64_t before = i - part_start;
-        const uint64_t after = part_end - 1 - i;
-        from = i - static_cast<size_t>(
-                       std::min(static_cast<uint64_t>(call.frame.l), before));
-        to = i + static_cast<size_t>(
-                     std::min(static_cast<uint64_t>(call.frame.h), after));
+        const int64_t before = static_cast<int64_t>(i - part_start);
+        const int64_t after = static_cast<int64_t>(part_end - 1 - i);
+        from = static_cast<int64_t>(i) -
+               std::clamp(call.frame.l, -(after + 1), before);
+        to = static_cast<int64_t>(i) +
+             std::clamp(call.frame.h, -(before + 1), after);
       }
       if (to < from) {
-        // Unreachable for l, h >= 0 (the frame always contains the
-        // current row); kept for robustness against future frame shapes.
+        // Empty frame (it excludes the current row and every row it
+        // would cover lies outside the partition).
         out[row_index] = call.fn == FuzzFn::kCount ||
                                  call.fn == FuzzFn::kCountStar
                              ? Value::Int(0)
                              : Value::Null();
         continue;
       }
-      out[row_index] = AggregateFrame(rows, sorted, from, to, call);
+      out[row_index] = AggregateFrame(rows, sorted, static_cast<size_t>(from),
+                                      static_cast<size_t>(to), call);
     }
     part_start = part_end;
   }

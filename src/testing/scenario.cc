@@ -28,8 +28,11 @@ const char* ScenarioKindName(ScenarioKind kind) {
 
 std::string FuzzFrame::ToSql() const {
   if (cumulative) return "ROWS UNBOUNDED PRECEDING";
-  return "ROWS BETWEEN " + std::to_string(l) + " PRECEDING AND " +
-         std::to_string(h) + " FOLLOWING";
+  const std::string start = l >= 0 ? std::to_string(l) + " PRECEDING"
+                                   : std::to_string(-l) + " FOLLOWING";
+  const std::string end = h >= 0 ? std::to_string(h) + " FOLLOWING"
+                                 : std::to_string(-h) + " PRECEDING";
+  return "ROWS BETWEEN " + start + " AND " + end;
 }
 
 std::string Scenario::Id() const {

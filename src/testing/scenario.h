@@ -34,13 +34,18 @@ enum class FuzzFn {
 const char* FuzzFnSql(FuzzFn fn);
 
 /// ROWS frame of an aggregate window call: cumulative (UNBOUNDED
-/// PRECEDING .. CURRENT ROW) or sliding (l PRECEDING .. h FOLLOWING)
-/// with l, h >= 0 and l + h > 0 — the paper's two window shapes.
+/// PRECEDING .. CURRENT ROW) or sliding, rows [i - l, i + h] around row
+/// i with l + h > 0. Views and rewrite queries keep l, h >= 0 — the
+/// paper's (l, h) window model. Window scenarios also draw frames that
+/// exclude the current row: a negative h ends the frame -h rows
+/// PRECEDING (a PRECEDING AND b PRECEDING), a negative l starts it -l
+/// rows FOLLOWING (a FOLLOWING AND b FOLLOWING).
 struct FuzzFrame {
   bool cumulative = true;
   int64_t l = 0;
   int64_t h = 0;
 
+  bool ExcludesCurrentRow() const { return !cumulative && (l < 0 || h < 0); }
   std::string ToSql() const;
 };
 

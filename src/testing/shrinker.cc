@@ -204,14 +204,20 @@ class Shrinker {
       for (size_t i = 0;; ++i) {
         FuzzFrame* frame = getter(&result_.scenario, i);
         if (frame == nullptr) break;
-        // l + h > 1, written so offsets near INT64_MAX cannot overflow.
+        // l + h > 1, written so offsets near +-INT64_MAX cannot
+        // overflow (a negative offset is at least 1 - INT64_MAX).
         while (!frame->cumulative && frame->l > 1 - frame->h &&
                result_.attempts < kMaxAttempts) {
           Scenario c = result_.scenario;
           FuzzFrame* f = getter(&c, i);
-          // Oversized offsets halve; small ones step down by one.
-          int64_t* offset = f->l >= f->h ? &f->l : &f->h;
-          *offset = *offset > kHalvingOffset ? *offset / 2 : *offset - 1;
+          // The larger offset narrows toward the other, never past
+          // l + h = 1: oversized offsets halve, small ones step by one.
+          const bool narrow_l = f->l >= f->h;
+          int64_t* offset = narrow_l ? &f->l : &f->h;
+          const int64_t min_offset = 1 - (narrow_l ? f->h : f->l);
+          *offset = std::max(min_offset, *offset > kHalvingOffset
+                                             ? *offset / 2
+                                             : *offset - 1);
           if (!Attempt(std::move(c))) break;
           any = true;
           frame = getter(&result_.scenario, i);

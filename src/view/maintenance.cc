@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <vector>
 
 #include "common/metrics_registry.h"
 #include "common/str_util.h"
@@ -11,12 +12,12 @@ namespace rfv {
 
 namespace {
 
-/// Counts view-table rows written while propagating one base change.
-void CountMaintenanceRows(const char* op, size_t rows) {
-  Counter* c = MetricsRegistry::Global().GetCounter(
+/// The counter of view-table rows written while propagating one base
+/// change of kind `op`; each call site caches the pointer.
+Counter* MaintenanceRowsCounter(const char* op) {
+  return MetricsRegistry::Global().GetCounter(
       "rfv_view_maintenance_rows_total", {{"op", op}},
       "Materialized-view rows written by incremental maintenance");
-  c->Increment(static_cast<int64_t>(rows));
 }
 
 struct BaseBinding {
@@ -61,18 +62,40 @@ Result<size_t> FindBaseRow(const BaseBinding& binding, int64_t position) {
                           std::to_string(position));
 }
 
-/// Fetches the base value at `position`, 0 when absent (paper padding).
-double BaseValueAt(const BaseBinding& binding, int64_t position) {
-  for (size_t r = 0; r < binding.base->NumRows(); ++r) {
+/// The base values at positions [lo, hi], one per position, 0 where no
+/// row holds it (paper padding). Read once, through the position index
+/// when one exists, else in one pass; a position held twice reads its
+/// first row.
+std::vector<double> BaseValuesInSpan(const BaseBinding& binding, int64_t lo,
+                                     int64_t hi) {
+  if (hi < lo) return {};
+  const size_t width = static_cast<size_t>(hi - lo) + 1;
+  std::vector<double> values(width, 0);
+  std::vector<bool> seen(width, false);
+  const auto take = [&](size_t r) {
     const Row& row = binding.base->row(r);
     const Value& p = row[binding.order_col];
-    if (!p.is_null() && p.type() == DataType::kInt64 &&
-        p.AsInt() == position) {
-      const Value& v = row[binding.value_col];
-      return v.is_null() ? 0 : v.ToDouble();
+    if (p.is_null() || p.type() != DataType::kInt64 || p.AsInt() < lo ||
+        p.AsInt() > hi) {
+      return;
     }
+    const size_t slot = static_cast<size_t>(p.AsInt() - lo);
+    if (seen[slot]) return;
+    seen[slot] = true;
+    const Value& v = row[binding.value_col];
+    values[slot] = v.is_null() ? 0 : v.ToDouble();
+  };
+  const OrderedIndexPtr index =
+      binding.base->GetIndexOnColumn(binding.order_col);
+  if (index != nullptr) {
+    // Ties come in row-id order, so the first hit is the first row.
+    const Value from = Value::Int(lo);
+    const Value to = Value::Int(hi);
+    for (size_t r : index->RowIdsInRange(&from, &to)) take(r);
+  } else {
+    for (size_t r = 0; r < binding.base->NumRows(); ++r) take(r);
   }
-  return 0;
+  return values;
 }
 
 /// Dependent non-partitioned views of `base_table`.
@@ -200,16 +223,21 @@ Result<size_t> PropagateBaseUpdate(ViewManager* views,
       }
       const int64_t l = def->window.l();
       const int64_t h = def->window.h();
+      const int64_t n = def->n.load();
       const int64_t from = position - h;
       const int64_t to = position + l;
       const bool is_min = def->fn == SeqAggFn::kMin;
+      // MIN/MAX windows clip to [1, n] (see sequence/compute.cc); the
+      // affected windows cover base positions [span_lo, span_hi].
+      const int64_t span_lo = std::max<int64_t>(from - l, 1);
+      const std::vector<double> span =
+          BaseValuesInSpan(binding, span_lo, std::min(to + h, n));
       std::deque<std::pair<int64_t, double>> mono;
-      // MIN/MAX windows clip to [1, n] (see sequence/compute.cc).
-      int64_t next = std::max<int64_t>(from - l, 1);
+      int64_t next = span_lo;
       for (int64_t k = from; k <= to; ++k) {
-        const int64_t hi = std::min(k + h, def->n.load());
+        const int64_t hi = std::min(k + h, n);
         for (; next <= hi; ++next) {
-          const double v = BaseValueAt(binding, next);
+          const double v = span[static_cast<size_t>(next - span_lo)];
           while (!mono.empty() && (is_min ? mono.back().second >= v
                                           : mono.back().second <= v)) {
             mono.pop_back();
@@ -233,7 +261,8 @@ Result<size_t> PropagateBaseUpdate(ViewManager* views,
         "no dependent sequence views for table " + base_table +
         " (update the base table directly via SQL)");
   }
-  CountMaintenanceRows("update", touched);
+  static Counter* rows_written = MaintenanceRowsCounter("update");
+  rows_written->Increment(static_cast<int64_t>(touched));
   if (span.active()) span.AddArg("rows", std::to_string(touched));
   return touched;
 }
@@ -280,7 +309,8 @@ Result<size_t> PropagateBaseInsert(ViewManager* views,
     if (!content.ok()) return content.status();
     touched += static_cast<size_t>((*content)->NumRows());
   }
-  CountMaintenanceRows("insert", touched);
+  static Counter* rows_written = MaintenanceRowsCounter("insert");
+  rows_written->Increment(static_cast<int64_t>(touched));
   if (span.active()) span.AddArg("rows", std::to_string(touched));
   return touched;
 }
@@ -318,7 +348,8 @@ Result<size_t> PropagateBaseDelete(ViewManager* views,
     if (!content.ok()) return content.status();
     touched += static_cast<size_t>((*content)->NumRows());
   }
-  CountMaintenanceRows("delete", touched);
+  static Counter* rows_written = MaintenanceRowsCounter("delete");
+  rows_written->Increment(static_cast<int64_t>(touched));
   if (span.active()) span.AddArg("rows", std::to_string(touched));
   return touched;
 }

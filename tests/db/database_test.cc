@@ -140,31 +140,17 @@ TEST(DatabaseTest, GenericMaterializedViewSnapshots) {
   EXPECT_GT(rs.at(0, 0).AsInt(), 0);
 }
 
-TEST(DatabaseTest, ExecuteScriptRunsAll) {
-  Database db;
-  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER);"
-                               "INSERT INTO t VALUES (1), (2);"
-                               "UPDATE t SET a = a * 10;")
-                  .ok());
-  EXPECT_EQ(MustExecute(db, "SELECT SUM(a) FROM t").at(0, 0), Value::Int(30));
-}
-
-TEST(DatabaseTest, ExecuteScriptStopsOnError) {
-  Database db;
-  const Status s = db.ExecuteScript(
-      "CREATE TABLE t (a INTEGER); INSERT INTO missing VALUES (1);");
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  EXPECT_TRUE(db.catalog()->HasTable("t"));  // first statement ran
-}
-
 TEST(DatabaseTest, ExplainRendersPlan) {
   Database db;
   testutil::CreateSeqTable(db, 3);
-  const Result<std::string> plan = db.Explain(
-      "SELECT s1.pos FROM seq s1, seq s2 WHERE s1.pos = s2.pos");
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("InnerJoin"), std::string::npos);
-  EXPECT_NE(plan->find("Scan(seq"), std::string::npos);
+  const ResultSet rs = MustExecute(
+      db, "EXPLAIN SELECT s1.pos FROM seq s1, seq s2 WHERE s1.pos = s2.pos");
+  std::string plan;
+  for (const Row& row : rs.rows()) plan += row[0].AsString() + "\n";
+  EXPECT_NE(plan.find("InnerJoin"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("Scan(seq"), std::string::npos) << plan;
+  // Not a window query: no rewrite decision precedes the plan.
+  EXPECT_EQ(plan.find("Rewrite:"), std::string::npos) << plan;
 }
 
 TEST(DatabaseTest, ParseErrorsSurface) {

@@ -130,8 +130,8 @@ TEST_F(ServeStressTest, ReadersSeeConsistentSnapshotsUnderWrites) {
   for (int r = 0; r < kReaderThreads; ++r) readers.emplace_back(reader);
 
   // The writer: append a batch, repaint the band, refresh the view —
-  // all through the SQL front door so the full admission + write-mutex
-  // + WriteGuard path is exercised.
+  // all through the SQL front door so the full write-mutex + WriteGuard
+  // path is exercised.
   Session writer(&db_);
   for (int i = 0; i < kWriterStatements; ++i) {
     switch (i % 3) {

@@ -1,6 +1,6 @@
-// Session: per-session options isolation, the prepared statement of
-// record, last_error bookkeeping, and concurrent sessions executing
-// against one Database.
+// Session: per-session options isolation, delegation to
+// Database::Execute, and concurrent sessions executing against one
+// Database.
 
 #include "db/session.h"
 
@@ -28,21 +28,14 @@ class SessionTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(SessionTest, IdsAreUniqueAndMonotone) {
-  Session a(&db_);
-  Session b(&db_);
-  EXPECT_GT(a.id(), 0);
-  EXPECT_GT(b.id(), a.id());
-  EXPECT_EQ(a.database(), &db_);
-}
-
 TEST_F(SessionTest, ExecuteDelegatesToDatabase) {
   Session s(&db_);
   const Result<ResultSet> rs = s.Execute("SELECT pos, val FROM seq");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows().size(), 3u);
-  EXPECT_EQ(s.statements_executed(), 1);
-  EXPECT_TRUE(s.last_error().ok());
+  // A failing statement comes back with the engine's status.
+  EXPECT_EQ(s.Execute("SELECT nope FROM seq").status().code(),
+            db_.Execute("SELECT nope FROM seq").status().code());
 }
 
 TEST_F(SessionTest, OptionsAreIsolatedPerSession) {
@@ -80,50 +73,6 @@ TEST_F(SessionTest, SessionOptionsAffectOnlyThatSessionsQueries) {
   EXPECT_TRUE(has_op(*a, "merge_band_join"));
   EXPECT_TRUE(has_op(*b, "nested_loop_join"));
   EXPECT_FALSE(has_op(*b, "merge_band_join"));
-}
-
-TEST_F(SessionTest, LastErrorRecordsFailure) {
-  Session s(&db_);
-  const Result<ResultSet> rs = s.Execute("SELECT nope FROM seq");
-  ASSERT_FALSE(rs.ok());
-  EXPECT_FALSE(s.last_error().ok());
-  EXPECT_EQ(s.last_error().code(), rs.status().code());
-  EXPECT_EQ(s.statements_executed(), 1);
-
-  // A subsequent success clears it.
-  ASSERT_TRUE(s.Execute("SELECT val FROM seq").ok());
-  EXPECT_TRUE(s.last_error().ok());
-  EXPECT_EQ(s.statements_executed(), 2);
-}
-
-TEST_F(SessionTest, PrepareValidatesAndStores) {
-  Session s(&db_);
-  ASSERT_FALSE(s.has_prepared());
-  ASSERT_TRUE(s.Prepare("SELECT pos FROM seq").ok());
-  EXPECT_TRUE(s.has_prepared());
-  EXPECT_EQ(s.prepared_sql(), "SELECT pos FROM seq");
-
-  const Result<ResultSet> rs = s.ExecutePrepared();
-  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_EQ(rs->rows().size(), 3u);
-}
-
-TEST_F(SessionTest, PrepareRejectsGarbageAndKeepsOldStatement) {
-  Session s(&db_);
-  ASSERT_TRUE(s.Prepare("SELECT pos FROM seq").ok());
-  const Status bad = s.Prepare("SELEKT pos FROM");
-  EXPECT_FALSE(bad.ok());
-  EXPECT_FALSE(s.last_error().ok());
-  // The statement of record survives a failed re-prepare.
-  EXPECT_TRUE(s.has_prepared());
-  EXPECT_EQ(s.prepared_sql(), "SELECT pos FROM seq");
-}
-
-TEST_F(SessionTest, ExecutePreparedWithoutPrepareIsInvalidArgument) {
-  Session s(&db_);
-  const Result<ResultSet> rs = s.ExecutePrepared();
-  ASSERT_FALSE(rs.ok());
-  EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SessionTest, ConcurrentSessionsShareOneDatabase) {

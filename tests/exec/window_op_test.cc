@@ -623,16 +623,6 @@ TEST_F(WindowPartitionedTest, PartitionedMatchesReference) {
   const auto sliding = [&](FuzzFn fn, int64_t l, int64_t h) {
     return ReferenceWindow(input, RefCall(fn, false, l, h));
   };
-  // The reference frames start at or before the current row, so the
-  // forward frame [2, 5] is counted as [0, 5] minus [0, 1].
-  std::vector<Value> count_2_to_5;
-  {
-    const std::vector<Value> to_5 = sliding(FuzzFn::kCount, 0, 5);
-    const std::vector<Value> to_1 = sliding(FuzzFn::kCount, 0, 1);
-    for (size_t i = 0; i < input.size(); ++i) {
-      count_2_to_5.push_back(Value::Int(to_5[i].AsInt() - to_1[i].AsInt()));
-    }
-  }
   struct Case {
     std::string sql;
     std::vector<Value> expected;  // aligned with `input`
@@ -652,7 +642,7 @@ TEST_F(WindowPartitionedTest, PartitionedMatchesReference) {
        ReferenceWindow(input, RefCall(FuzzFn::kMax, true, 0, 0))},
       {"COUNT(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 2 "
        "FOLLOWING AND 5 FOLLOWING)",
-       count_2_to_5},
+       sliding(FuzzFn::kCount, -2, 5)},
       // Positions are dense and unique in every partition, so this RANGE
       // frame covers the same rows as ROWS 2 PRECEDING AND 2 FOLLOWING.
       {"SUM(val) OVER (PARTITION BY grp ORDER BY pos RANGE BETWEEN 2 "

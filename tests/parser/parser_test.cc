@@ -229,13 +229,6 @@ TEST(ParserTest, DropTable) {
   EXPECT_EQ(MustParse("DROP TABLE t").kind, Statement::Kind::kDropTable);
 }
 
-TEST(ParserTest, ScriptParsing) {
-  Result<std::vector<Statement>> r = Parser::ParseScript(
-      "CREATE TABLE t (a INT); INSERT INTO t VALUES (1);; SELECT a FROM t;");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->size(), 3u);
-}
-
 TEST(ParserTest, TrailingGarbageRejected) {
   EXPECT_FALSE(Parser::ParseStatement("SELECT a FROM t garbage garbage").ok());
 }

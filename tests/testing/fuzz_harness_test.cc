@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
-
 #include <string>
 
 #include "common/metrics_registry.h"
@@ -43,6 +43,34 @@ TEST(FuzzGeneratorTest, CoversAllScenarioKinds) {
     saw[static_cast<int>(GenerateScenario(3, i).kind)] = true;
   }
   EXPECT_TRUE(saw[0] && saw[1] && saw[2]);
+}
+
+// Window scenarios draw both frame shapes that exclude the current row,
+// sometimes with an oversized offset; views and the other kinds' queries
+// keep the paper's l, h >= 0.
+TEST(FuzzGeneratorTest, WindowScenariosDrawFramesExcludingTheCurrentRow) {
+  int preceding = 0;
+  int following = 0;
+  int oversized = 0;
+  for (int i = 0; i < 400; ++i) {
+    const Scenario s = GenerateScenario(1, i);
+    for (const FuzzQuery& q : s.queries) {
+      if (s.kind != ScenarioKind::kWindow) {
+        EXPECT_FALSE(q.frame.ExcludesCurrentRow()) << s.Id();
+        continue;
+      }
+      if (!q.frame.ExcludesCurrentRow()) continue;
+      EXPECT_GE(q.frame.l + q.frame.h, 1) << s.Id();
+      ++(q.frame.h < 0 ? preceding : following);
+      if (std::max(q.frame.l, q.frame.h) > 5) ++oversized;
+    }
+    for (const FuzzView& v : s.views) {
+      EXPECT_FALSE(v.frame.ExcludesCurrentRow()) << s.Id();
+    }
+  }
+  EXPECT_GT(preceding, 0);
+  EXPECT_GT(following, 0);
+  EXPECT_GT(oversized, 0);
 }
 
 // The rare large kind: dense sequences past one 1,024-row vector, so

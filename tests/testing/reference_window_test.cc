@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -82,6 +83,50 @@ TEST(ReferenceWindowTest, Int64MaxOffsetsStopAtThePartition) {
       EXPECT_EQ(out[i].Compare(Value::Int(expected[i])), 0) << "row " << i;
     }
   }
+}
+
+// Frames that exclude the current row: a negative h ends the frame
+// before it, a negative l starts it after it. Rows whose frame lies
+// wholly outside the partition get COUNT 0 and NULL, also when the far
+// offset is INT64_MAX or the near one is INT64_MAX - 1.
+TEST(ReferenceWindowTest, FramesExcludingTheCurrentRow) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<Row> rows = IntRows({10, 20, 30, 40});
+  const Value null = Value::Null();
+  const auto I = [](int64_t v) { return Value::Int(v); };
+  const std::vector<std::tuple<FuzzFn, FuzzFrame, std::vector<Value>>> cases =
+      {
+          // 2 PRECEDING AND 1 PRECEDING
+          {FuzzFn::kSum, Sliding(2, -1), {null, I(10), I(30), I(50)}},
+          {FuzzFn::kCount, Sliding(2, -1), {I(0), I(1), I(2), I(2)}},
+          // 1 FOLLOWING AND 3 FOLLOWING
+          {FuzzFn::kMax, Sliding(-1, 3), {I(40), I(40), I(40), null}},
+          {FuzzFn::kCountStar, Sliding(-1, 3), {I(3), I(2), I(1), I(0)}},
+          // INT64_MAX PRECEDING AND 2 PRECEDING
+          {FuzzFn::kMin, Sliding(kMax, -2), {null, null, I(10), I(10)}},
+          // 2 FOLLOWING AND INT64_MAX FOLLOWING
+          {FuzzFn::kSum, Sliding(-2, kMax), {I(70), I(40), null, null}},
+          // INT64_MAX - 1 FOLLOWING AND INT64_MAX FOLLOWING: always empty
+          {FuzzFn::kCount, Sliding(1 - kMax, kMax), {I(0), I(0), I(0), I(0)}},
+          // INT64_MAX PRECEDING AND INT64_MAX - 1 PRECEDING: always empty
+          {FuzzFn::kAvg, Sliding(kMax, 1 - kMax), {null, null, null, null}},
+      };
+  for (const auto& [fn, frame, expected] : cases) {
+    const std::vector<Value> out = ReferenceWindow(rows, Call(fn, frame));
+    ASSERT_EQ(out.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(out[i].is_null(), expected[i].is_null())
+          << frame.ToSql() << " row " << i;
+      if (!expected[i].is_null()) {
+        EXPECT_EQ(out[i].Compare(expected[i]), 0)
+            << frame.ToSql() << " row " << i;
+      }
+    }
+  }
+  EXPECT_EQ(Sliding(2, -1).ToSql(),
+            "ROWS BETWEEN 2 PRECEDING AND 1 PRECEDING");
+  EXPECT_EQ(Sliding(-1, 3).ToSql(),
+            "ROWS BETWEEN 1 FOLLOWING AND 3 FOLLOWING");
 }
 
 TEST(ReferenceWindowTest, CumulativeSumGolden) {
@@ -216,6 +261,7 @@ TEST(ReferenceWindowTest, MatchesEngineOnSeqTable) {
       {FuzzFn::kSum, FuzzFrame{}},          {FuzzFn::kSum, Sliding(1, 1)},
       {FuzzFn::kAvg, Sliding(2, 0)},        {FuzzFn::kMin, Sliding(3, 2)},
       {FuzzFn::kMax, FuzzFrame{}},          {FuzzFn::kCount, Sliding(0, 4)},
+      {FuzzFn::kSum, Sliding(3, -1)},       {FuzzFn::kCount, Sliding(-2, 5)},
   };
   for (const auto& [fn, frame] : cases) {
     const std::string fn_sql = FuzzFnSql(fn);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "test_util.h"
 
@@ -89,6 +92,31 @@ TEST_F(ViewMaintenanceTest, UpdateMaintainsMinMaxViews) {
       PropagateBaseUpdate(db_.view_manager(), "seq", 12, 50.0).ok());
   ExpectViewFresh("vmin");
   ExpectViewFresh("vmax");
+}
+
+TEST_F(ViewMaintenanceTest, UpdateMaintainsMinMaxViewsOnUnindexedBase) {
+  // Five rows under seven-row windows: every affected window is clipped
+  // at both ends, and with no position index the base span is read in
+  // one pass.
+  MustExecute(db_, "CREATE TABLE short_seq (pos INTEGER, val DOUBLE)");
+  MustExecute(db_,
+              "INSERT INTO short_seq VALUES (1, 4), (2, -1), (3, 9), (4, 2), "
+              "(5, 6)");
+  for (const char* fn : {"MIN", "MAX"}) {
+    MustExecute(db_, std::string("CREATE MATERIALIZED VIEW s") + fn +
+                         " AS SELECT pos, " + fn +
+                         "(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING "
+                         "AND 3 FOLLOWING) FROM short_seq");
+  }
+  const std::vector<std::pair<int64_t, double>> updates = {
+      {3, -5.0}, {1, 20.0}, {5, -7.0}, {3, 30.0}};
+  for (const auto& [position, value] : updates) {
+    ASSERT_TRUE(PropagateBaseUpdate(db_.view_manager(), "short_seq", position,
+                                    value)
+                    .ok());
+    ExpectViewFresh("sMIN");
+    ExpectViewFresh("sMAX");
+  }
 }
 
 TEST_F(ViewMaintenanceTest, MultipleViewsMaintainedTogether) {
