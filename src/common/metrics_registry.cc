@@ -106,18 +106,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
   return slot;
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                 const MetricLabels& labels,
-                                 const std::string& help) {
-  const std::string label_str = FormatMetricLabels(labels);
-  std::lock_guard<std::mutex> lock(mu_);
-  GaugeFamily& family = gauges_[name];
-  if (family.help.empty()) family.help = help;
-  Gauge*& slot = family.instances[label_str];
-  if (slot == nullptr) slot = new Gauge();  // leaked: process lifetime
-  return slot;
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const MetricLabels& labels,
                                          const std::string& help) {
@@ -137,7 +125,6 @@ std::string MetricsRegistry::ToPrometheusText() const {
   // so the exposition is byte-stable across scrapes and diffs cleanly.
   std::string out;
   auto counter_it = counters_.begin();
-  auto gauge_it = gauges_.begin();
   auto histogram_it = histograms_.begin();
   const auto emit_counter = [&out](const std::string& name,
                                    const CounterFamily& family) {
@@ -147,16 +134,6 @@ std::string MetricsRegistry::ToPrometheusText() const {
     out += "# TYPE " + name + " counter\n";
     for (const auto& [labels, counter] : family.instances) {
       out += name + labels + " " + std::to_string(counter->value()) + "\n";
-    }
-  };
-  const auto emit_gauge = [&out](const std::string& name,
-                                 const GaugeFamily& family) {
-    if (!family.help.empty()) {
-      out += "# HELP " + name + " " + family.help + "\n";
-    }
-    out += "# TYPE " + name + " gauge\n";
-    for (const auto& [labels, gauge] : family.instances) {
-      out += name + labels + " " + std::to_string(gauge->value()) + "\n";
     }
   };
   const auto emit_histogram = [&out](const std::string& name,
@@ -184,25 +161,13 @@ std::string MetricsRegistry::ToPrometheusText() const {
              std::to_string(histogram->count()) + "\n";
     }
   };
-  while (counter_it != counters_.end() || gauge_it != gauges_.end() ||
-         histogram_it != histograms_.end()) {
-    // Three-way merge on family name (each map is already name-sorted).
-    const std::string* best = nullptr;
-    if (counter_it != counters_.end()) best = &counter_it->first;
-    if (gauge_it != gauges_.end() &&
-        (best == nullptr || gauge_it->first < *best)) {
-      best = &gauge_it->first;
-    }
-    if (histogram_it != histograms_.end() &&
-        (best == nullptr || histogram_it->first < *best)) {
-      best = &histogram_it->first;
-    }
-    if (counter_it != counters_.end() && &counter_it->first == best) {
+  while (counter_it != counters_.end() || histogram_it != histograms_.end()) {
+    // Two-way merge on family name (each map is already name-sorted).
+    if (counter_it != counters_.end() &&
+        (histogram_it == histograms_.end() ||
+         !(histogram_it->first < counter_it->first))) {
       emit_counter(counter_it->first, counter_it->second);
       ++counter_it;
-    } else if (gauge_it != gauges_.end() && &gauge_it->first == best) {
-      emit_gauge(gauge_it->first, gauge_it->second);
-      ++gauge_it;
     } else {
       emit_histogram(histogram_it->first, histogram_it->second);
       ++histogram_it;
@@ -221,17 +186,6 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
       s.labels = labels;
       s.kind = MetricSnapshot::Kind::kCounter;
       s.count = counter->value();
-      s.help = family.help;
-      out.push_back(std::move(s));
-    }
-  }
-  for (const auto& [name, family] : gauges_) {
-    for (const auto& [labels, gauge] : family.instances) {
-      MetricSnapshot s;
-      s.name = name;
-      s.labels = labels;
-      s.kind = MetricSnapshot::Kind::kGauge;
-      s.count = gauge->value();
       s.help = family.help;
       out.push_back(std::move(s));
     }

@@ -39,23 +39,6 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// Point-in-time level that moves both ways (a queue depth, a cache
-/// size). Same relaxed-atomic discipline as Counter.
-class Gauge {
- public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Increment(int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void Decrement(int64_t delta = 1) {
-    value_.fetch_sub(delta, std::memory_order_relaxed);
-  }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
 /// Latency histogram with fixed exponential "le" buckets (seconds, from
 /// 10us to ~10s doubling ×4) plus sum and count — the standard
 /// Prometheus histogram exposition.
@@ -90,7 +73,7 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 /// `rfv_system.metrics` introspection view. Counters carry their total
 /// in `count`; histograms carry observation count and sum-of-seconds.
 struct MetricSnapshot {
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
 
   std::string name;
   /// Rendered label set, `{k="v",...}`; empty for label-free instances.
@@ -117,10 +100,6 @@ class MetricsRegistry {
                       const MetricLabels& labels = {},
                       const std::string& help = "");
 
-  /// Gauge analogue of GetCounter.
-  Gauge* GetGauge(const std::string& name, const MetricLabels& labels = {},
-                  const std::string& help = "");
-
   /// Histogram analogue of GetCounter.
   Histogram* GetHistogram(const std::string& name,
                           const MetricLabels& labels = {},
@@ -143,10 +122,6 @@ class MetricsRegistry {
     std::string help;
     std::map<std::string, Counter*> instances;  ///< label string → counter
   };
-  struct GaugeFamily {
-    std::string help;
-    std::map<std::string, Gauge*> instances;
-  };
   struct HistogramFamily {
     std::string help;
     std::map<std::string, Histogram*> instances;
@@ -154,7 +129,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   std::map<std::string, CounterFamily> counters_;
-  std::map<std::string, GaugeFamily> gauges_;
   std::map<std::string, HistogramFamily> histograms_;
 };
 

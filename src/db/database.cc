@@ -157,6 +157,16 @@ void FillEventFromResult(const ResultSet& rs, QueryEvent* event) {
   }
 }
 
+/// Parses the SQL a rewrite chose, which must be one SELECT.
+Result<Statement> ParseRewrittenSelect(const std::string& sql) {
+  Statement rewritten;
+  RFV_ASSIGN_OR_RETURN(rewritten, Parser::ParseStatement(sql));
+  if (rewritten.kind != Statement::Kind::kSelect) {
+    return Status::Internal("rewriter produced a non-SELECT");
+  }
+  return rewritten;
+}
+
 }  // namespace
 
 std::string Database::MetricsText() {
@@ -313,11 +323,14 @@ Result<ResultSet> Database::ExecuteExplain(const Statement& stmt,
                       executed.rewritten_sql());
     return rs;
   }
-  // Plain EXPLAIN SELECT: the optimized logical plan — preceded by the
-  // rewrite decision whenever the statement was a recognizable window
-  // query, including when the verdict was "no rewrite" (the
-  // per-candidate record prints without tracing enabled).
+  // Plain EXPLAIN SELECT: the optimized logical plan of the statement
+  // that would run (the rewritten SQL when a rewrite is chosen) —
+  // preceded by the rewrite decision whenever the statement was a
+  // recognizable window query, including when the verdict was "no
+  // rewrite" (the per-candidate record prints without tracing enabled).
   std::string text;
+  const SelectStmt* explained = stmt.select.get();
+  Statement rewritten;
   if (options.enable_view_rewrite) {
     RewriteOptions rewrite_options;
     rewrite_options.variant = options.rewrite_variant;
@@ -336,11 +349,15 @@ Result<ResultSet> Database::ExecuteExplain(const Statement& stmt,
               std::string(DerivationMethodName(rewrite->choice.method)) +
               " using view " + rewrite->choice.view->view_name + "\n";
     }
-    if (rewrite.has_value()) text += rewrite->sql + "\n";
+    if (rewrite.has_value()) {
+      text += rewrite->sql + "\n";
+      RFV_ASSIGN_OR_RETURN(rewritten, ParseRewrittenSelect(rewrite->sql));
+      explained = rewritten.select.get();
+    }
   }
   Binder binder(&catalog_);
   LogicalPlanPtr plan;
-  RFV_ASSIGN_OR_RETURN(plan, binder.BindSelect(*stmt.select));
+  RFV_ASSIGN_OR_RETURN(plan, binder.BindSelect(*explained));
   plan = OptimizePlan(std::move(plan));
   EstimateCardinality(plan.get());
   text += plan->ToString();
@@ -458,10 +475,7 @@ Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
     }
     if (rewrite.has_value()) {
       Statement rewritten;
-      RFV_ASSIGN_OR_RETURN(rewritten, Parser::ParseStatement(rewrite->sql));
-      if (rewritten.kind != Statement::Kind::kSelect) {
-        return Status::Internal("rewriter produced a non-SELECT");
-      }
+      RFV_ASSIGN_OR_RETURN(rewritten, ParseRewrittenSelect(rewrite->sql));
       ResultSet rs;
       RFV_ASSIGN_OR_RETURN(
           rs,
@@ -582,7 +596,9 @@ Result<ResultSet> Database::ExecuteInsert(const InsertStmt& stmt) {
   const Row empty_row;
   int64_t inserted = 0;
   // One snapshot commit for the whole statement: concurrent readers see
-  // either none or all of a multi-row INSERT.
+  // either none or all of a multi-row INSERT. Dependent views turn stale
+  // before that commit.
+  if (!stmt.rows.empty()) views_.MarkBaseWritten(stmt.table_name);
   Table::WriteGuard guard(table);
   for (const std::vector<AstExprPtr>& row_exprs : stmt.rows) {
     if (row_exprs.size() != targets.size()) {
@@ -653,7 +669,8 @@ Result<ResultSet> Database::ExecuteUpdate(const UpdateStmt& stmt) {
     updates.emplace_back(r, std::move(updated));
   }
   // Statement-granular commit: a reader never sees a half-applied
-  // multi-row UPDATE.
+  // multi-row UPDATE. Dependent views turn stale before that commit.
+  if (!updates.empty()) views_.MarkBaseWritten(stmt.table_name);
   Table::WriteGuard guard(table);
   for (auto& [r, row] : updates) {
     RFV_RETURN_IF_ERROR(table->UpdateRow(r, std::move(row)));
@@ -691,7 +708,8 @@ Result<ResultSet> Database::ExecuteDelete(const DeleteStmt& stmt) {
     victims.push_back(r);
   }
   // Delete from the back so earlier row ids stay valid; one snapshot
-  // commit for the whole statement.
+  // commit for the whole statement, with dependent views stale before it.
+  if (!victims.empty()) views_.MarkBaseWritten(stmt.table_name);
   Table::WriteGuard guard(table);
   for (auto it = victims.rbegin(); it != victims.rend(); ++it) {
     RFV_RETURN_IF_ERROR(table->DeleteRow(*it));

@@ -208,11 +208,8 @@ std::vector<Row> SystemViewProvider::MetricsRows() const {
     Row row;
     row.Append(Value::String(m.name));
     row.Append(Value::String(m.labels));
-    row.Append(Value::String(m.kind == MetricSnapshot::Kind::kCounter
-                                 ? "counter"
-                                 : m.kind == MetricSnapshot::Kind::kGauge
-                                       ? "gauge"
-                                       : "histogram"));
+    row.Append(Value::String(
+        m.kind == MetricSnapshot::Kind::kCounter ? "counter" : "histogram"));
     row.Append(Value::Int(m.count));
     row.Append(m.kind == MetricSnapshot::Kind::kHistogram
                    ? Value::Double(m.sum_seconds)

@@ -127,6 +127,19 @@ struct Accumulator {
     }
   }
 
+  /// Restarts from a finished folded SUM (`cell` of `v`): the state one
+  /// AddPartial on a fresh accumulator leaves, so later partials combine
+  /// onto it as they would have. SUM reads no count.
+  void SeedFromSum(const Vector& v, size_t cell) {
+    if (v.is_null(cell)) return;
+    has_value = true;
+    if (call->output_type == DataType::kInt64) {
+      sum_int = v.i64(cell);
+    } else {
+      sum_double = v.f64(cell);
+    }
+  }
+
   bool overflowed() const {
     return call->fn == AggFn::kSum &&
            call->output_type == DataType::kInt64 &&
@@ -160,21 +173,29 @@ Status HashAggregateOp::OpenImpl() {
   pos_ = 0;
   groups_.clear();
   num_groups_ = 0;
+  key_ascends_ = false;
   RFV_RETURN_IF_ERROR(child_->Open());
   const size_t num_keys = group_by_.size();
   const size_t num_aggs = aggregates_.size();
+  // Direct path: folded partials under one key, while the int64 key
+  // strictly ascends with no NULL (last_key is the latest group's key).
+  // Groups opened on it have no accumulators.
+  bool direct = folded_ && num_keys == 1;
+  int64_t last_key = 0;
   // Accumulators of group g: accs[g * num_aggs, (g + 1) * num_aggs).
   std::vector<Accumulator> accs;
   // Opens the next group in insertion order (the output order); its key
-  // cells start NULL.
+  // and aggregate cells start NULL.
   const auto new_group = [&]() -> size_t {
     if (num_groups_ % kVectorSize == 0) {
       groups_.emplace_back();
       groups_.back().Reset(num_keys + num_aggs, kVectorSize);
     }
-    for (const AggregateCall& call : aggregates_) {
-      accs.emplace_back();
-      accs.back().call = &call;
+    if (!direct) {
+      for (const AggregateCall& call : aggregates_) {
+        accs.emplace_back();
+        accs.back().call = &call;
+      }
     }
     return num_groups_++;
   };
@@ -210,6 +231,21 @@ Status HashAggregateOp::OpenImpl() {
   std::unordered_map<uint64_t, std::vector<size_t>> generic_buckets;
   std::vector<uint64_t> key_hashes;
   std::vector<const Vector*> key_ptrs(num_keys);
+  // Leaves the direct path: the groups so far get the accumulators and
+  // int map entries the hash path would have given them.
+  const auto leave_direct = [&]() {
+    direct = false;
+    accs.resize(num_groups_ * num_aggs);
+    for (size_t gi = 0; gi < num_groups_; ++gi) {
+      const size_t lane = gi % kVectorSize;
+      *int_groups.Slot(group_column(gi, 0).i64(lane)) = gi;
+      for (size_t a = 0; a < num_aggs; ++a) {
+        Accumulator& acc = accs[gi * num_aggs + a];
+        acc.call = &aggregates_[a];
+        acc.SeedFromSum(group_column(gi, num_keys + a), lane);
+      }
+    }
+  };
   VectorProjection* vp = nullptr;
   bool input_eof = false;
   while (true) {
@@ -236,7 +272,36 @@ Status HashAggregateOp::OpenImpl() {
       hashes_ready = true;
     };
     if (num_keys > 0 && !int_fast) ensure_hashes();
-    for (size_t k = 0; k < sel.size(); ++k) {
+    size_t k = 0;
+    if (direct) {
+      const Vector& key = key_vecs[0];
+      for (; k < sel.size(); ++k) {
+        const uint32_t i = sel[k];
+        if (key.tag(i) != DataType::kInt64 ||
+            (num_groups_ > 0 && key.i64(i) <= last_key)) {
+          break;
+        }
+        last_key = key.i64(i);
+        const size_t gi = new_group();
+        VectorProjection& out = groups_[gi / kVectorSize];
+        const size_t lane = gi % kVectorSize;
+        out.column(0).SetInt(lane, last_key);
+        // The accumulator's arithmetic on one partial: a zero count
+        // leaves NULL; a DOUBLE sum is 0.0 + partial (so -0.0 reads
+        // +0.0), an INTEGER sum the partial itself.
+        for (size_t a = 0; a < num_aggs; ++a) {
+          if (vp->column(partial_base_ + 2 * a + 1).i64(i) == 0) continue;
+          const Vector& sum = vp->column(partial_base_ + 2 * a);
+          if (aggregates_[a].output_type == DataType::kInt64) {
+            out.column(1 + a).SetInt(lane, sum.i64(i));
+          } else {
+            out.column(1 + a).SetDouble(lane, 0.0 + sum.f64(i));
+          }
+        }
+      }
+      if (k < sel.size()) leave_direct();
+    }
+    for (; k < sel.size(); ++k) {
       const uint32_t i = sel[k];
       size_t gi = 0;
       if (num_keys > 0) {
@@ -307,7 +372,9 @@ Status HashAggregateOp::OpenImpl() {
     }
   }
 
-  for (size_t gi = 0; gi < num_groups_; ++gi) {
+  key_ascends_ = direct;
+  // Direct groups hold their finished cells already.
+  for (size_t gi = 0; gi < num_groups_ && !direct; ++gi) {
     for (size_t a = 0; a < num_aggs; ++a) {
       const Accumulator& acc = accs[gi * num_aggs + a];
       if (acc.overflowed()) {

@@ -99,6 +99,16 @@ class PhysicalOperator {
   /// empty for most operators.
   virtual std::string MetricsDetail() const { return std::string(); }
 
+  /// Whether column `c` of this operator's output strictly ascends over
+  /// non-NULL int64 cells: every cell is a non-NULL int64, above the one
+  /// before it in stream order. An order a parent SortOp may take
+  /// instead of sorting (its hand-off, DESIGN.md §13). Valid after Open,
+  /// for that Open's stream; false unless the operator proved it.
+  virtual bool ColumnStrictlyAscends(size_t c) const {
+    (void)c;
+    return false;
+  }
+
   /// Appends this operator's direct inputs (tree traversal for metrics
   /// collection). Leaf operators append nothing.
   virtual void AppendChildren(

@@ -106,6 +106,8 @@ class ProjectOp : public PhysicalOperator {
         child_(std::move(child)),
         projections_(std::move(projections)) {}
   const char* name() const override { return "project"; }
+  /// Forwards the question through a bare column reference.
+  bool ColumnStrictlyAscends(size_t c) const override;
   void AppendChildren(
       std::vector<const PhysicalOperator*>* out) const override {
     out->push_back(child_.get());
@@ -800,12 +802,18 @@ class SortOp : public PhysicalOperator {
     out->push_back(child_.get());
   }
   /// `presorted=1` when the in-order check answered the sort,
-  /// `presorted=0` when a permutation ran.
+  /// `presorted=0` when a permutation ran, and `presorted=1 handoff=1`
+  /// when the child vouched for the order.
   std::string MetricsDetail() const override;
 
  protected:
-  /// Drains the child into chunks_, evaluates the keys and decides
-  /// between pass-through and permutation.
+  /// Takes the child's order when its first key is an ascending bare
+  /// column reference that the child vouches for
+  /// (ColumnStrictlyAscends): a strictly ascending first key leaves no
+  /// ties for a later key to break, so the child's stream is the sorted
+  /// one and is forwarded as it comes. Otherwise drains the child into
+  /// chunks_, evaluates the keys and decides between pass-through and
+  /// permutation.
   Status OpenImpl() override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
@@ -820,6 +828,8 @@ class SortOp : public PhysicalOperator {
   std::vector<SortKey> keys_;
   size_t pos_ = 0;
   bool presorted_ = false;
+  /// The child's order was taken: its vectors are forwarded.
+  bool handoff_ = false;
   std::vector<VectorProjection> chunks_;
   size_t num_rows_ = 0;
   /// Key k of chunk c, evaluated: key_lanes_[c * keys + k].
@@ -835,6 +845,13 @@ class SortOp : public PhysicalOperator {
 /// lane g % kVectorSize of output vector g / kVectorSize, and its
 /// accumulators in one flat groups × aggregates array. Output vectors
 /// are emitted as they are.
+///
+/// Direct path (folded input, one group key): while the int64 key
+/// strictly ascends with no NULL, each input row is a group of one
+/// partial, and its SUM cells are written straight from the partials,
+/// with no lookup and no accumulator. The first row that breaks the run
+/// rebuilds the accumulators and the int map from the groups so far and
+/// continues on the hash path (DESIGN.md §13).
 class HashAggregateOp : public PhysicalOperator {
  public:
   HashAggregateOp(Schema schema, PhysicalOperatorPtr child,
@@ -858,6 +875,12 @@ class HashAggregateOp : public PhysicalOperator {
     folded_ = true;
     partial_base_ = partial_base;
   }
+  /// True for the key column when the direct path held for the whole
+  /// input: then every key cell is a non-NULL int64, each above the one
+  /// before.
+  bool ColumnStrictlyAscends(size_t c) const override {
+    return c == 0 && key_ascends_;
+  }
 
  protected:
   /// Builds groups_ from the child's vectors.
@@ -870,6 +893,7 @@ class HashAggregateOp : public PhysicalOperator {
   std::vector<AggregateCall> aggregates_;
   bool folded_ = false;
   size_t partial_base_ = 0;
+  bool key_ascends_ = false;
   size_t pos_ = 0;
   /// Output vectors: group keys, then one column per aggregate.
   std::vector<VectorProjection> groups_;

@@ -6,6 +6,12 @@ namespace rfv {
 
 Status ProjectOp::OpenImpl() { return child_->Open(); }
 
+bool ProjectOp::ColumnStrictlyAscends(size_t c) const {
+  const Expr& e = *projections_[c];
+  return e.kind == ExprKind::kColumnRef &&
+         child_->ColumnStrictlyAscends(e.column_index);
+}
+
 Status ProjectOp::NextVectorImpl(VectorProjection** out, bool* eof) {
   VectorProjection* vp = nullptr;
   RFV_RETURN_IF_ERROR(child_->NextVector(&vp, eof));

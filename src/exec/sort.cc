@@ -50,6 +50,10 @@ Status SortOp::OpenImpl() {
   perm_.clear();
   num_rows_ = 0;
   RFV_RETURN_IF_ERROR(child_->Open());
+  handoff_ = !keys_.empty() && keys_.front().ascending &&
+             keys_.front().expr->kind == ExprKind::kColumnRef &&
+             child_->ColumnStrictlyAscends(keys_.front().expr->column_index);
+  if (handoff_) return Status::OK();
   const size_t width = schema_.NumColumns();
   VectorProjection* vp = nullptr;
   bool eof = false;
@@ -126,6 +130,7 @@ Status SortOp::OpenImpl() {
 }
 
 Status SortOp::NextVectorImpl(VectorProjection** out, bool* eof) {
+  if (handoff_) return child_->NextVector(out, eof);
   if (pos_ < num_rows_) {
     if (presorted_) {
       VectorProjection& chunk = chunks_[pos_ / kVectorSize];
@@ -150,6 +155,7 @@ Status SortOp::NextVectorImpl(VectorProjection** out, bool* eof) {
 }
 
 std::string SortOp::MetricsDetail() const {
+  if (handoff_) return "presorted=1 handoff=1";
   return presorted_ ? "presorted=1" : "presorted=0";
 }
 

@@ -328,7 +328,7 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
     }
     const SequenceViewDef* witness = nullptr;
     for (const auto& v : views_->views()) {
-      if (!v->derived && v->partition_columns.empty() &&
+      if (!v->derived && !v->stale.load() && v->partition_columns.empty() &&
           EqualsIgnoreCase(v->base_table, query->base_table) &&
           EqualsIgnoreCase(v->order_column, query->order_column)) {
         witness = v.get();
@@ -362,12 +362,31 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
   }
 
   const SeqAggFn lookup_fn = query->is_avg ? SeqAggFn::kSum : query->fn;
-  const std::vector<const SequenceViewDef*> candidates =
-      views_->FindCandidates(query->base_table, query->value_column,
-                             query->order_column, lookup_fn,
-                             query->partition_columns);
+  // A stale view (SQL DML wrote its base table since its last refresh)
+  // no longer matches the base and is declined with its reason.
+  std::vector<const SequenceViewDef*> candidates;
+  std::vector<CandidateVerdict> stale_verdicts;
+  for (const SequenceViewDef* view : views_->FindCandidates(
+           query->base_table, query->value_column, query->order_column,
+           lookup_fn, query->partition_columns)) {
+    if (!view->stale.load()) {
+      candidates.push_back(view);
+      continue;
+    }
+    CandidateVerdict verdict;
+    verdict.view_name = view->view_name;
+    verdict.detail = "stale (base table written by SQL DML since refresh)";
+    stale_verdicts.push_back(std::move(verdict));
+  }
+  if (decision != nullptr) decision->verdicts = stale_verdicts;
   if (candidates.empty()) {
-    if (span.active()) span.AddArg("verdict", "no candidate views");
+    const char* why = stale_verdicts.empty()
+                          ? "no candidate views"
+                          : "none (every candidate view is stale)";
+    if (span.active()) span.AddArg("verdict", why);
+    if (decision != nullptr && !stale_verdicts.empty()) {
+      decision->summary = why;
+    }
     return std::optional<RewriteResult>();
   }
   if (span.active()) {
@@ -456,7 +475,8 @@ Result<std::optional<RewriteResult>> Rewriter::TryRewrite(
     const CostEstimate baseline = EstimateSelfJoinRecomputeCost(
         query->window, StatsForView(*candidates.front()));
     if (decision != nullptr) {
-      decision->verdicts = std::move(verdicts);
+      decision->verdicts.insert(decision->verdicts.end(), verdicts.begin(),
+                                verdicts.end());
       decision->baseline = baseline;
     }
     if (!r.ok()) {

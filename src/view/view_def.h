@@ -38,6 +38,26 @@ class RelaxedInt64 {
   std::atomic<int64_t> v_;
 };
 
+/// Copyable atomic bool cell: a published SequenceViewDef's `stale`
+/// flag, set by SQL DML under the database write lock before the base
+/// table publishes its new snapshot and read lock-free by the rewriter,
+/// so a reader that loads the flag clear read it before that snapshot
+/// could be seen.
+class AtomicFlag {
+ public:
+  AtomicFlag(bool v = false) : v_(v) {}  // NOLINT: implicit by design
+  AtomicFlag(const AtomicFlag& other) : v_(other.load()) {}
+  AtomicFlag& operator=(const AtomicFlag& other) {
+    store(other.load());
+    return *this;
+  }
+  bool load() const { return v_.load(); }
+  void store(bool v) { v_.store(v); }
+
+ private:
+  std::atomic<bool> v_;
+};
+
 /// Metadata of a materialized reporting-function (sequence) view.
 ///
 /// The view's *content* is an ordinary catalog table named `view_name`
@@ -74,6 +94,12 @@ struct SequenceViewDef {
   /// they are excluded from base-table query rewriting and cannot be
   /// refreshed from the base table.
   bool derived = false;
+
+  /// Set when SQL INSERT, UPDATE or DELETE wrote the base table since
+  /// the content was last computed from it: the content no longer
+  /// answers queries over the base, so the rewriter declines the view.
+  /// ViewManager::RefreshView clears it.
+  AtomicFlag stale;
 
   std::string ToString() const;
 };

@@ -206,11 +206,25 @@ Status ViewManager::RefreshView(const std::string& view_name) {
   if (!content.ok()) return content.status();
   // Fill a local, then publish through the atomic cell: concurrent
   // SELECTs read def->n lock-free while this refresh runs.
+  // The stale flag clears before the base is read, so SQL DML that
+  // lands during the refresh marks the view stale again; a failed
+  // refresh leaves it stale.
+  def->stale.store(false);
   int64_t n = 0;
-  RFV_RETURN_IF_ERROR(Materialize(*def, *content, &n));
+  const Status materialized = Materialize(*def, *content, &n);
+  if (!materialized.ok()) {
+    def->stale.store(true);
+    return materialized;
+  }
   def->n = n;
   NoteFullRefresh(def->view_name, static_cast<int64_t>((*content)->NumRows()));
   return Status::OK();
+}
+
+void ViewManager::MarkBaseWritten(const std::string& base_table) {
+  for (auto& v : views_) {
+    if (EqualsIgnoreCase(v->base_table, base_table)) v->stale.store(true);
+  }
 }
 
 Status ViewManager::DropView(const std::string& view_name) {

@@ -49,10 +49,16 @@ class ViewManager {
   /// Errors: kNotFound (content table missing), kAlreadyExists.
   Result<const SequenceViewDef*> AdoptView(SequenceViewDef def);
 
-  /// Recomputes the view content from the base table (full refresh).
+  /// Recomputes the view content from the base table (full refresh)
+  /// and clears its stale flag.
   /// Errors: kNotSupported for derived views (their content is not a
   /// function of the base table's current positional layout).
   Status RefreshView(const std::string& view_name);
+
+  /// Marks every view over `base_table` stale (SequenceViewDef::stale):
+  /// the SQL DML paths call it under the database write lock before the
+  /// table publishes the rows they wrote.
+  void MarkBaseWritten(const std::string& base_table);
 
   /// Drops the view and its content table.
   Status DropView(const std::string& view_name);

@@ -166,21 +166,65 @@ TEST_F(ExplainAnalyzeTest, SortLineShowsWhetherTheInputWasPresorted) {
                : text.substr(line, text.find('\n', line) - line);
   };
   // seq is stored in pos order: the in-order check answers the sort and
-  // the columnar chunks pass through as vectors.
+  // the columnar chunks pass through as vectors. A scan vouches for no
+  // order, so the sort drains and checks it.
   const std::string in_order =
       sort_line("SELECT pos, val FROM seq ORDER BY pos");
   EXPECT_NE(in_order.find(" presorted=1"), std::string::npos) << in_order;
+  EXPECT_EQ(in_order.find("handoff"), std::string::npos) << in_order;
   EXPECT_NE(in_order.find("vectors=1 "), std::string::npos) << in_order;
   const std::string permuted =
       sort_line("SELECT pos, val FROM seq ORDER BY val, pos");
   EXPECT_NE(permuted.find(" presorted=0"), std::string::npos) << permuted;
-  // A MinOA read: the aggregate's groups arrive in pos order too.
+  // A MinOA read: the aggregate's groups arrive in pos order too, and
+  // its direct path vouches for it, so the sort takes that order.
   db_.options().force_method = DerivationMethod::kMinoa;
   const std::string minoa = sort_line(
       "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 5 PRECEDING AND "
       "1 FOLLOWING) FROM seq ORDER BY pos");
-  EXPECT_NE(minoa.find(" presorted=1"), std::string::npos) << minoa;
+  EXPECT_NE(minoa.find(" presorted=1 handoff=1"), std::string::npos) << minoa;
   db_.options().force_method = std::nullopt;
+}
+
+TEST_F(ExplainAnalyzeTest, SortTakesOnlyAnOrderTheAggregateVouchesFor) {
+  const std::string agg =
+      "SELECT s1.pos AS pos, SUM(s2.val) AS val FROM seq s1, seq s2 WHERE "
+      "s2.pos BETWEEN s1.pos - 2 AND s1.pos + 1 GROUP BY s1.pos ORDER BY ";
+  const auto sort_detail = [this](const std::string& sql) {
+    const ResultSet rs = MustExecute(db_, "EXPLAIN ANALYZE " + sql);
+    for (const OperatorMetricsEntry& e : rs.metrics()) {
+      if (e.name == "sort") return e.detail;
+    }
+    ADD_FAILURE() << "no sort in " << ExplainText(rs);
+    return std::string();
+  };
+  // The same rows, with the sort handed the order or draining.
+  const auto expect_rows_of_the_ref = [this](const std::string& sql) {
+    const ResultSet rs = MustExecute(db_, sql);
+    db_.options().exec.enable_merge_band_join = false;
+    const ResultSet ref = MustExecute(db_, sql);
+    db_.options().exec.enable_merge_band_join = true;
+    ASSERT_EQ(rs.NumRows(), ref.NumRows()) << sql;
+    for (size_t r = 0; r < rs.NumRows(); ++r) {
+      EXPECT_EQ(rs.rows()[r].ToString(), ref.rows()[r].ToString()) << sql;
+    }
+  };
+  for (const std::string key : {"pos", "1", "pos, val DESC"}) {
+    EXPECT_EQ(sort_detail(agg + key), "presorted=1 handoff=1") << key;
+    expect_rows_of_the_ref(agg + key);
+  }
+  // Descending, a non-key column and a computed key: the sort drains.
+  EXPECT_EQ(sort_detail(agg + "pos DESC"), "presorted=0");
+  EXPECT_EQ(sort_detail(agg + "val").find("handoff"), std::string::npos);
+  EXPECT_EQ(sort_detail(agg + "pos + 0"), "presorted=1");
+  for (const std::string key : {"pos DESC", "val, pos", "pos + 0"}) {
+    expect_rows_of_the_ref(agg + key);
+  }
+  // Without the band join the aggregate takes no folded input, so it
+  // vouches for nothing.
+  db_.options().exec.enable_merge_band_join = false;
+  EXPECT_EQ(sort_detail(agg + "pos"), "presorted=1");
+  db_.options().exec.enable_merge_band_join = true;
 }
 
 TEST_F(ExplainAnalyzeTest, UnderivableQuerySaysRewriteNone) {
@@ -192,6 +236,48 @@ TEST_F(ExplainAnalyzeTest, UnderivableQuerySaysRewriteNone) {
   EXPECT_NE(text.find("rewrite: none"), std::string::npos) << text;
   ASSERT_FALSE(rs.metrics().empty());
   EXPECT_EQ(rs.metrics()[0].metrics.rows_out, 10);
+}
+
+TEST_F(ExplainAnalyzeTest, PlainExplainRendersThePlanOfTheRewrite) {
+  // A direct hit runs a scan of the view: EXPLAIN prints that plan, not
+  // the window over the base table that the query text describes.
+  const std::string text = ExplainText(MustExecute(
+      db_,
+      "EXPLAIN SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 "
+      "PRECEDING AND 1 FOLLOWING) FROM seq ORDER BY pos"));
+  EXPECT_NE(text.find("Rewrite: direct using view matseq"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("Scan(matseq"), std::string::npos) << text;
+  EXPECT_EQ(text.find("Window("), std::string::npos) << text;
+  EXPECT_EQ(text.find("Scan(seq"), std::string::npos) << text;
+}
+
+TEST_F(ExplainAnalyzeTest, StaleViewIsDeclinedWithItsReason) {
+  const std::string sql =
+      "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING "
+      "AND 1 FOLLOWING) FROM seq ORDER BY pos";
+  MustExecute(db_, "UPDATE seq SET val = 1000 WHERE pos = 3");
+  const std::string text = ExplainText(MustExecute(db_, "EXPLAIN " + sql));
+  EXPECT_NE(text.find("Rewrite: none (every candidate view is stale)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("candidate matseq: stale"), std::string::npos) << text;
+  EXPECT_NE(text.find("Window("), std::string::npos) << text;
+  const ResultSet stale = MustExecute(db_, sql);
+  EXPECT_EQ(stale.rewrite_method(), "");
+  EXPECT_EQ(stale.at(1, 1), Value::Double(MustExecute(
+                                db_, "SELECT SUM(val) FROM seq WHERE pos "
+                                     "BETWEEN 1 AND 3")
+                                .at(0, 0)
+                                .AsDouble()));
+  // A refresh recomputes the content and the view answers again.
+  ASSERT_TRUE(db_.view_manager()->RefreshView("matseq").ok());
+  const ResultSet fresh = MustExecute(db_, sql);
+  EXPECT_EQ(fresh.rewrite_method(), "direct");
+  for (size_t r = 0; r < fresh.NumRows(); ++r) {
+    EXPECT_EQ(fresh.rows()[r].ToString(), stale.rows()[r].ToString());
+  }
 }
 
 TEST_F(ExplainAnalyzeTest, PlainExplainStillRendersLogicalPlan) {

@@ -2136,6 +2136,292 @@ TEST_F(BandFoldTest, IntegerSumOverflowErrorsInEveryPlan) {
   EXPECT_EQ(rs.rows()[0][0], Value::Int(std::numeric_limits<int64_t>::max()));
 }
 
+// ---------------------------------------------------------------------
+// The aggregate's direct path over the fold (folded input, one group
+// key): while the int64 key strictly ascends with no NULL, each partial
+// row is a group of its own and its SUM cells are written from the
+// partial; the first row that breaks the run hands the groups so far to
+// the hash path. Every case is checked bit for bit against the plan
+// without the band join, with and without ORDER BY (without it, the
+// group order shows too), and DirectHeld says whether the run lasted.
+// ---------------------------------------------------------------------
+
+class FoldDirectPathTest : public BandFoldTest {
+ protected:
+  void SetUp() override {
+    BandFoldTest::SetUp();
+    // The right side: positions 1..1100 with small integral DOUBLE and
+    // INTEGER values (so the reference's sums are exact), indexed so the
+    // reference plan joins by index probes.
+    std::string rows;
+    for (int p = 1; p <= 1100; ++p) {
+      if (p > 1) rows += ", ";
+      rows += "(" + std::to_string(p) + ", " +
+              std::to_string((p * 37 + 11) % 23 - 11) + ", " +
+              std::to_string((p * 13) % 17 - 8) + ")";
+    }
+    MustExecute(db_, "CREATE TABLE rn (pos INTEGER PRIMARY KEY, val DOUBLE, "
+                     "iv INTEGER)");
+    MustExecute(db_, "INSERT INTO rn VALUES " + rows);
+  }
+
+  /// Creates `name` (pos INTEGER, g INTEGER, d DOUBLE) with rows
+  /// pos = 1..n, g = pos and d NULL, except that position p of
+  /// `overrides` gets the given "g, d" cells.
+  void CreateLeft(const std::string& name, int n,
+                  const std::vector<std::pair<int, std::string>>& overrides =
+                      {}) {
+    std::string rows;
+    for (int p = 1; p <= n; ++p) {
+      std::string cells = std::to_string(p) + ", NULL";
+      for (const auto& [at, text] : overrides) {
+        if (at == p) cells = text;
+      }
+      rows += (p > 1 ? ", (" : "(") + std::to_string(p) + ", " + cells + ")";
+    }
+    MustExecute(db_, "CREATE TABLE " + name +
+                         " (pos INTEGER, g INTEGER, d DOUBLE)");
+    MustExecute(db_, "INSERT INTO " + name + " VALUES " + rows);
+  }
+
+  /// A folded DOUBLE and INTEGER SUM over `left`, grouped by its key
+  /// COALESCE(d, g) (INTEGER-tagged unless d is set).
+  static std::string GroupSql(const std::string& left) {
+    return "SELECT s1.g, SUM(s2.val), SUM(s2.iv) FROM (SELECT pos, "
+           "COALESCE(d, g) AS g FROM " + left + ") s1, rn s2 WHERE s2.pos "
+           "BETWEEN s1.pos - 2 AND s1.pos + 1 GROUP BY s1.g";
+  }
+
+  /// Runs the default plan of `sql`, whose aggregate must take folded
+  /// input, and returns whether the direct path held for its whole
+  /// input.
+  bool DirectHeld(const std::string& sql) {
+    PhysicalOperatorPtr op;
+    MergeBandJoinOp* band = BuildBandJoinPlan(sql, &op);
+    EXPECT_TRUE(band != nullptr && band->folding()) << sql;
+    HashAggregateOp* agg =
+        op != nullptr ? FindOp<HashAggregateOp>(op.get()) : nullptr;
+    if (agg == nullptr) {
+      ADD_FAILURE() << "no aggregate in the plan of " << sql;
+      return false;
+    }
+    const Result<std::vector<Row>> rows = ExecuteToVector(op.get());
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return agg->ColumnStrictlyAscends(0);
+  }
+
+  /// `sql` folds, agrees with the reference with and without ORDER BY,
+  /// and its direct path holds iff `held`.
+  void ExpectDirect(const std::string& sql, bool held) {
+    ExpectFoldMatchesRef(sql);
+    ExpectFoldMatchesRef(sql + " ORDER BY 1");
+    EXPECT_EQ(DirectHeld(sql), held) << sql;
+  }
+};
+
+TEST_F(FoldDirectPathTest, AscendingKeysHoldAcrossVectorSizes) {
+  for (const int n : {1, 1024, 1025}) {
+    const std::string left = "l" + std::to_string(n);
+    CreateLeft(left, n);
+    ExpectDirect(GroupSql(left), true);
+    EXPECT_EQ(MustExecute(db_, GroupSql(left)).NumRows(),
+              static_cast<size_t>(n));
+  }
+}
+
+TEST_F(FoldDirectPathTest, RepeatedKeyBreaksTheRun) {
+  // Right after the first group, on the first row of the second vector,
+  // and inside it: the repeated key's partial joins its group.
+  for (const int at : {2, 1025, 1050}) {
+    const std::string left = "r" + std::to_string(at);
+    CreateLeft(left, 1100, {{at, std::to_string(at - 1) + ", NULL"}});
+    ExpectDirect(GroupSql(left), false);
+    EXPECT_EQ(MustExecute(db_, GroupSql(left)).NumRows(), 1099u);
+  }
+}
+
+TEST_F(FoldDirectPathTest, LowerKeyBreaksTheRun) {
+  // Key 3 again at position 1050: its partial combines with group 3,
+  // which sits in the first output vector.
+  CreateLeft("lower", 1100, {{1050, "3, NULL"}});
+  ExpectDirect(GroupSql("lower"), false);
+  // A new key below the run's last one opens a group of its own.
+  CreateLeft("gap", 1100, {{1, "-5, NULL"}, {2, "-7, NULL"}});
+  ExpectDirect(GroupSql("gap"), false);
+}
+
+TEST_F(FoldDirectPathTest, NullKeyBreaksTheRun) {
+  CreateLeft("nul", 1100, {{1050, "NULL, NULL"}, {1070, "NULL, NULL"}});
+  ExpectDirect(GroupSql("nul"), false);
+  EXPECT_EQ(MustExecute(db_, GroupSql("nul")).NumRows(), 1099u);
+}
+
+TEST_F(FoldDirectPathTest, DoubleKeyBreaksTheRun) {
+  // A DOUBLE key equal to an earlier INTEGER one joins its group (the
+  // map migrates to the generic lookup from the rebuilt groups); a
+  // fractional one opens its own.
+  CreateLeft("dbl", 1100, {{1050, "1050, 3.0"}, {1060, "1060, 1059.5"}});
+  ExpectDirect(GroupSql("dbl"), false);
+  EXPECT_EQ(MustExecute(db_, GroupSql("dbl")).NumRows(), 1099u);
+}
+
+TEST_F(FoldDirectPathTest, ZeroCountPartialGivesNull) {
+  MustExecute(db_, "CREATE TABLE nv2 (pos INTEGER, val DOUBLE, iv INTEGER)");
+  MustExecute(db_,
+              "INSERT INTO nv2 VALUES (1, NULL, NULL), (2, NULL, NULL), "
+              "(3, 1.5, 4), (4, NULL, NULL), (5, NULL, NULL), "
+              "(6, NULL, NULL), (7, 2.25, -3)");
+  const std::string sql =
+      "SELECT s1.pos, SUM(s2.val), SUM(s2.iv) FROM nv2 s1, nv2 s2 WHERE "
+      "s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 GROUP BY s1.pos";
+  ExpectDirect(sql, true);
+  const ResultSet rs = MustExecute(db_, sql);
+  ASSERT_EQ(rs.NumRows(), 7u);
+  EXPECT_TRUE(rs.rows()[4][1].is_null());  // pos 5: 4..6 are all NULL
+  EXPECT_TRUE(rs.rows()[4][2].is_null());
+  EXPECT_TRUE(SameCell(rs.rows()[3][1], Value::Double(1.5)));
+  EXPECT_TRUE(SameCell(rs.rows()[3][2], Value::Int(4)));
+}
+
+// Folded input written by hand, as a folding band join hands it to its
+// aggregate: rows (key, partial sum, partial count), kVectorSize per
+// vector. The join itself starts every partial at +0.0, so only this
+// input carries a -0.0 partial.
+class PartialRowsOp : public PhysicalOperator {
+ public:
+  PartialRowsOp(DataType sum_type, std::vector<Row> rows)
+      : PhysicalOperator(Schema({ColumnDef("k", DataType::kInt64),
+                                 ColumnDef("sum", sum_type),
+                                 ColumnDef("n", DataType::kInt64)})),
+        rows_(std::move(rows)) {}
+  const char* name() const override { return "partial_rows"; }
+
+ protected:
+  Status OpenImpl() override {
+    next_ = 0;
+    return Status::OK();
+  }
+  Status NextVectorImpl(VectorProjection** out, bool* eof) override {
+    const size_t n = std::min(kVectorSize, rows_.size() - next_);
+    vp_.Reset(3, n);
+    for (size_t i = 0; i < n; ++i) vp_.WriteRow(i, rows_[next_ + i]);
+    next_ += n;
+    *out = &vp_;
+    *eof = next_ == rows_.size();
+    return Status::OK();
+  }
+
+ private:
+  std::vector<Row> rows_;
+  size_t next_ = 0;
+  VectorProjection vp_;
+};
+
+// SUM over PartialRowsOp grouped by its key; *ascends is the
+// aggregate's answer for the key column after the run.
+std::vector<Row> AggregatePartials(DataType sum_type, std::vector<Row> rows,
+                                   bool* ascends) {
+  std::vector<ExprPtr> group_by;
+  group_by.push_back(eb::Col(0, DataType::kInt64));
+  std::vector<AggregateCall> aggs(1);
+  aggs[0].fn = AggFn::kSum;
+  aggs[0].arg = eb::Col(1, sum_type);
+  aggs[0].output_type = sum_type;
+  HashAggregateOp agg(
+      Schema({ColumnDef("k", DataType::kInt64), ColumnDef("s", sum_type)}),
+      std::make_unique<PartialRowsOp>(sum_type, std::move(rows)),
+      std::move(group_by), std::move(aggs));
+  agg.SetFoldedInput(1);
+  Result<std::vector<Row>> out = ExecuteToVector(&agg);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  *ascends = agg.ColumnStrictlyAscends(0);
+  return out.ok() ? std::move(out).value() : std::vector<Row>();
+}
+
+TEST(FoldDirectPartialsTest, NegativeZeroPartialReadsPositiveZero) {
+  // The accumulator adds each partial to +0.0, so a lone -0.0 partial
+  // finishes as +0.0; the direct path writes the same bits, and so does
+  // a group rebuilt after the run breaks. A zero-count partial is NULL
+  // whatever its sum lane holds.
+  const Value neg_zero = Value::Double(-0.0);
+  bool ascends = false;
+  std::vector<Row> out = AggregatePartials(
+      DataType::kDouble,
+      {Row({Value::Int(1), neg_zero, Value::Int(1)}),
+       Row({Value::Int(2), neg_zero, Value::Int(3)}),
+       Row({Value::Int(3), Value::Double(5.0), Value::Int(0)})},
+      &ascends);
+  EXPECT_TRUE(ascends);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_TRUE(SameCell(out[0][1], Value::Double(0.0))) << out[0].ToString();
+  EXPECT_TRUE(SameCell(out[1][1], Value::Double(0.0))) << out[1].ToString();
+  EXPECT_TRUE(out[2][1].is_null());
+  out = AggregatePartials(DataType::kDouble,
+                          {Row({Value::Int(1), neg_zero, Value::Int(1)}),
+                           Row({Value::Int(2), neg_zero, Value::Int(1)}),
+                           Row({Value::Int(1), neg_zero, Value::Int(1)})},
+                          &ascends);
+  EXPECT_FALSE(ascends);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_TRUE(SameCell(out[0][1], Value::Double(0.0))) << out[0].ToString();
+  EXPECT_TRUE(SameCell(out[1][1], Value::Double(0.0))) << out[1].ToString();
+}
+
+TEST(FoldDirectPartialsTest, BreakAcrossVectorsCombinesWithEarlierGroups) {
+  // 1 500 ascending keys, then keys 1 and 1 499 again: the partials of
+  // the second pass land on the groups of the first (one in the first
+  // output vector, one in the second), as on the hash path.
+  std::vector<Row> rows;
+  for (int64_t k = 1; k <= 1500; ++k) {
+    rows.push_back(Row({Value::Int(k), Value::Int(k * 10), Value::Int(1)}));
+  }
+  rows.push_back(Row({Value::Int(1), Value::Int(7), Value::Int(1)}));
+  rows.push_back(Row({Value::Int(1499), Value::Int(0), Value::Int(0)}));
+  rows.push_back(Row({Value::Int(1501), Value::Int(-3), Value::Int(2)}));
+  bool ascends = true;
+  const std::vector<Row> out =
+      AggregatePartials(DataType::kInt64, std::move(rows), &ascends);
+  EXPECT_FALSE(ascends);
+  ASSERT_EQ(out.size(), 1501u);
+  EXPECT_TRUE(SameCell(out[0][1], Value::Int(17)));
+  EXPECT_TRUE(SameCell(out[1498][1], Value::Int(14990)));
+  EXPECT_TRUE(SameCell(out[1499][1], Value::Int(15000)));
+  EXPECT_TRUE(SameCell(out[1500][1], Value::Int(-3)));
+}
+
+TEST_F(FoldDirectPathTest, IntegerSumOverflowAfterTheBreak) {
+  // Key 2 twice: the direct path holds one partial per group, each in
+  // range; the break combines the two of key 2 past INT64_MAX, which
+  // the finished groups report as in every plan.
+  MustExecute(db_, "CREATE TABLE big (pos INTEGER PRIMARY KEY, v INTEGER)");
+  MustExecute(db_,
+              "INSERT INTO big VALUES (1, 5000000000000000000), "
+              "(2, 5000000000000000000)");
+  MustExecute(db_, "CREATE TABLE twice (pos INTEGER)");
+  MustExecute(db_, "INSERT INTO twice VALUES (1), (2), (2)");
+  const std::string sql =
+      "SELECT s1.pos, SUM(s2.v) FROM twice s1, big s2 WHERE s2.pos "
+      "BETWEEN s1.pos AND s1.pos GROUP BY s1.pos";
+  const std::string expected =
+      Status::ExecutionError("integer overflow in SUM").ToString();
+  PhysicalOperatorPtr op;
+  MergeBandJoinOp* band = BuildBandJoinPlan(sql, &op);
+  ASSERT_NE(band, nullptr);
+  ASSERT_TRUE(band->folding());
+  const Result<std::vector<Row>> folded = ExecuteToVector(op.get());
+  ASSERT_FALSE(folded.ok());
+  EXPECT_EQ(folded.status().ToString(), expected);
+  db_.options().exec.enable_merge_band_join = false;
+  const Result<ResultSet> unfolded = db_.Execute(sql);
+  db_.options().exec.enable_merge_band_join = true;
+  ASSERT_FALSE(unfolded.ok());
+  EXPECT_EQ(unfolded.status().ToString(), expected);
+  // One row per key stays in range on the direct path.
+  MustExecute(db_, "DELETE FROM twice WHERE pos = 2");
+  MustExecute(db_, "INSERT INTO twice VALUES (2)");
+  ExpectDirect(sql, true);
+}
+
 TEST_F(ExecSqlTest, ErrorsFollowRowOrder) {
   // The second statement's merge band join has two bands whose bounds
   // fail on different rows: one on the first row (a = 1, division by
